@@ -40,17 +40,6 @@ const workload::SyntheticGoogleTrace& SharedTrace(int num_machines,
   return *it->second;
 }
 
-int ParseThreadsFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--threads=";
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::max(0, std::atoi(arg.c_str() + prefix.size()));
-    }
-  }
-  return 0;
-}
-
 RunResult RunGoogleWorkload(engine::RouterKind kind, GoogleRunParams params) {
   ClusterConfig config;
   config.num_nodes = params.num_nodes;
@@ -59,7 +48,6 @@ RunResult RunGoogleWorkload(engine::RouterKind kind, GoogleRunParams params) {
   config.max_batch_size = params.max_batch;
   if (params.epoch_us > 0) config.epoch_us = params.epoch_us;
   config.seed = params.seed;
-  config.sim.threads = params.sim_threads;
   config.hermes.fusion_table_capacity = static_cast<size_t>(
       params.fusion_capacity_frac * static_cast<double>(params.num_records));
 

@@ -36,10 +36,6 @@ struct GoogleRunParams {
   SimTime epoch_us = 0;
   bool enable_clay = false;
   uint64_t seed = 42;
-  /// Simulator worker threads (config.sim.threads): 0 = sequential oracle
-  /// mode, N > 0 = epoch-parallel lanes. Digest-invariant by design; this
-  /// only changes wall-clock time. Benches expose it as --threads=N.
-  int sim_threads = 0;
   /// Initial placement; null selects the naive range partitioning.
   std::unique_ptr<partition::PartitionMap> initial;
   /// Last-chance hook to adjust the assembled ClusterConfig (ablation
@@ -91,12 +87,6 @@ void PrintSeriesTable(const std::string& title,
                       double window_seconds, const std::string& unit);
 
 double MeanOf(const std::vector<double>& series, size_t from, size_t to);
-
-/// Parses a `--threads=N` argument (simulator worker threads for
-/// GoogleRunParams::sim_threads); 0 — the sequential oracle — when absent.
-/// scripts/bench_all.sh uses it for the sequential-vs-parallel timing
-/// section (BENCH_sim.json).
-int ParseThreadsFlag(int argc, char** argv);
 
 std::string KindName(engine::RouterKind kind);
 

@@ -41,13 +41,12 @@ constexpr uint64_t kRecords = 10'000;
 constexpr int kClients = 1200;
 constexpr SimTime kHorizon = SecToSim(6);
 
-RunStats RunOnce(double write_fraction, bool replication, int sim_threads) {
+RunStats RunOnce(double write_fraction, bool replication) {
   ClusterConfig config;
   config.num_nodes = kNodes;
   config.num_records = kRecords;
   config.workers_per_node = 2;
   config.seed = 42;
-  config.sim.threads = sim_threads;
   // RPC-heavy deployment: an in-memory store behind a commodity RPC stack,
   // where receiving and deserializing a record shipment costs an order of
   // magnitude more worker time than the storage op itself. This is the
@@ -102,8 +101,7 @@ RunStats RunOnce(double write_fraction, bool replication, int sim_threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int sim_threads = hermes::bench::ParseThreadsFlag(argc, argv);
+int main() {
   const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.20, 0.35, 0.50};
 
   std::printf(
@@ -118,8 +116,8 @@ int main(int argc, char** argv) {
   std::vector<RunStats> offs, ons;
   std::vector<double> speedups;
   for (double f : fractions) {
-    const RunStats off = RunOnce(f, /*replication=*/false, sim_threads);
-    const RunStats on = RunOnce(f, /*replication=*/true, sim_threads);
+    const RunStats off = RunOnce(f, /*replication=*/false);
+    const RunStats on = RunOnce(f, /*replication=*/true);
     const double speedup =
         off.txn_per_sec > 0 ? on.txn_per_sec / off.txn_per_sec : 0.0;
     offs.push_back(off);

@@ -16,15 +16,13 @@ using hermes::bench::GoogleRunParams;
 using hermes::bench::RunGoogleWorkload;
 using hermes::engine::RouterKind;
 
-int main(int argc, char** argv) {
-  const int threads = hermes::bench::ParseThreadsFlag(argc, argv);
+int main() {
   std::printf("Scalability: throughput vs cluster size under the Google "
-              "workload (txn/s, sim threads: %d)\n\n", threads);
+              "workload (txn/s)\n\n");
   std::printf("nodes,calvin,hermes,speedup\n");
   for (int nodes : {2, 5, 10, 20}) {
-    auto make = [nodes, threads] {
+    auto make = [nodes] {
       GoogleRunParams params;
-      params.sim_threads = threads;
       params.windows = 4;
       params.num_nodes = nodes;
       params.clients = 250 * nodes;

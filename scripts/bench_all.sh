@@ -5,13 +5,6 @@
 # from bench_micro_routing), one file for dashboards and regression
 # tracking. EXPERIMENTS.md records the paper-vs-measured comparison.
 #
-# With SIM_TIMING=1 it also times bench_fig06_overall and
-# bench_scalability at several simulator thread counts (--threads=N,
-# threads=0 being the sequential oracle) and emits BENCH_sim.json with
-# wall-clock seconds and speedup-vs-sequential per thread count. The
-# digests are thread-count-invariant (ctest -L parallel proves it), so
-# this section measures time only.
-#
 # With NET_BENCH=1 it also runs bench_fig08_resource_usage (which ends
 # with the congested-fabric raw-vs-coalesced pair, Fig 8d) and emits
 # BENCH_net.json: per-class queueing-delay percentiles, envelope fold
@@ -23,9 +16,6 @@
 #   BUILD_DIR    cmake build tree containing bench/ (default: build)
 #   OUT          output JSON path (default: BENCH_overall.json in repo root)
 #   FILTER       bench_micro_routing --benchmark_filter (default: all)
-#   SIM_TIMING   1 = also run the sequential-vs-parallel timing section
-#   SIM_OUT      its output path (default: BENCH_sim.json in repo root)
-#   SIM_THREADS  thread counts to time (default: "0 1 2 4 8")
 #   NET_BENCH    1 = also run the wire-substrate section (bench_fig08)
 #   NET_OUT      its output path (default: BENCH_net.json in repo root)
 set -eu
@@ -60,9 +50,8 @@ echo "== $MICRO =="
 # Merge: the fig06 summary rows ("  <system> <mean> (<delta>% vs calvin)")
 # become {"system": ..., "mean_txn_per_window": ..., "vs_calvin_pct": ...}
 # and the google-benchmark JSON is embedded whole under "micro_routing".
-# host_cpus and hermes_sim_threads are stamped so trajectory tooling can
-# discount numbers measured on a starved container (ROADMAP's PR-6 caveat)
-# or with the parallel simulator engaged.
+# host_cpus is stamped so trajectory tooling can discount numbers measured
+# on a starved host.
 python3 - "$fig06_txt" "$micro_json" "$OUT" <<'EOF'
 import json
 import os
@@ -96,7 +85,6 @@ with open(micro_path) as f:
 with open(out_path, "w") as f:
     json.dump({
         "host_cpus": os.cpu_count(),
-        "hermes_sim_threads": int(os.environ.get("HERMES_SIM_THREADS", "0")),
         "fig06_overall": summary,
         "micro_routing": micro,
     }, f, indent=2, sort_keys=True)
@@ -104,60 +92,6 @@ with open(out_path, "w") as f:
 EOF
 
 echo "wrote $OUT"
-
-# ---- Sequential vs parallel simulation timing (BENCH_sim.json) ----
-if [ "${SIM_TIMING:-0}" = "1" ]; then
-  SIM_OUT="${SIM_OUT:-BENCH_sim.json}"
-  SIM_THREADS="${SIM_THREADS:-0 1 2 4 8}"
-  SCALE="$BUILD_DIR/bench/bench_scalability"
-  if [ ! -x "$SCALE" ]; then
-    echo "error: $SCALE not built" >&2
-    exit 1
-  fi
-  echo "== sim timing: threads in {$SIM_THREADS} =="
-  python3 - "$FIG06" "$SCALE" "$SIM_OUT" $SIM_THREADS <<'EOF'
-import json
-import os
-import subprocess
-import sys
-import time
-
-fig06, scale, out_path = sys.argv[1], sys.argv[2], sys.argv[3]
-thread_counts = [int(t) for t in sys.argv[4:]]
-
-def wall_seconds(binary, threads):
-    start = time.monotonic()
-    subprocess.run([binary, f"--threads={threads}"], check=True,
-                   stdout=subprocess.DEVNULL)
-    return round(time.monotonic() - start, 3)
-
-report = {
-    "host_cpus": os.cpu_count(),
-    "hermes_sim_threads": int(os.environ.get("HERMES_SIM_THREADS", "0")),
-    "benches": {},
-}
-for binary in (fig06, scale):
-    name = os.path.basename(binary)
-    rows = []
-    base = None
-    for threads in thread_counts:
-        secs = wall_seconds(binary, threads)
-        if threads == 0:
-            base = secs
-        speedup = round(base / secs, 2) if base else None
-        rows.append({"threads": threads, "wall_seconds": secs,
-                     "speedup_vs_sequential": speedup})
-        print(f"  {name} threads={threads}: {secs}s"
-              + (f" ({speedup}x vs sequential)" if speedup else ""),
-              flush=True)
-    report["benches"][name] = rows
-
-with open(out_path, "w") as f:
-    json.dump(report, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(f"wrote {out_path}")
-EOF
-fi
 
 # ---- Wire-substrate congestion bench (BENCH_net.json) ----
 if [ "${NET_BENCH:-0}" = "1" ]; then
@@ -199,7 +133,6 @@ if "congested_raw" not in runs or "congested_coalesced" not in runs:
 with open(out_path, "w") as f:
     json.dump({
         "host_cpus": os.cpu_count(),
-        "hermes_sim_threads": int(os.environ.get("HERMES_SIM_THREADS", "0")),
         "wire_substrate": runs,
     }, f, indent=2, sort_keys=True)
     f.write("\n")

@@ -23,7 +23,7 @@
 # plan cuts links (two-sided and one-way), runs a gray link, and lets
 # the heartbeat failure detector drive membership epochs; its
 # PARTITION_PROFILE line (digests, checksums, held/miss/suspect/restore
-# counters, retry digest) must be one value across salts x threads.
+# counters, retry digest) must be one value across the env salts.
 #
 # The trace block does the same for the observability subsystem: every
 # TRACE_DIGEST line trace_determinism_test prints (the FNV-1a digest over
@@ -41,36 +41,29 @@ CHAOS_BIN="$BUILD_DIR/tests/chaos_property_test"
 TRACE_BIN="$BUILD_DIR/tests/trace_determinism_test"
 LEASE_BIN="$BUILD_DIR/tests/replica_lease_test"
 
-if [ ! -x "$TEST_BIN" ] || [ ! -x "$CHAOS_BIN" ] || [ ! -x "$TRACE_BIN" ] \
-    || [ ! -x "$LEASE_BIN" ]; then
-  echo "error: $TEST_BIN or $CHAOS_BIN not found — build first:" >&2
-  echo "  cmake -B $BUILD_DIR -G Ninja && cmake --build $BUILD_DIR" >&2
-  exit 2
-fi
+PARTITION_BIN="$BUILD_DIR/tests/partition_chaos_test"
+NET_BIN="$BUILD_DIR/tests/wire_determinism_test"
+
+for bin in "$TEST_BIN" "$CHAOS_BIN" "$TRACE_BIN" "$LEASE_BIN" \
+    "$PARTITION_BIN" "$NET_BIN"; do
+  if [ ! -x "$bin" ]; then
+    echo "error: $bin not found — build first:" >&2
+    echo "  cmake -B $BUILD_DIR -G Ninja && cmake --build $BUILD_DIR" >&2
+    exit 2
+  fi
+done
 
 # Env salts for the separate processes. 0 is the unsalted default; the
 # others are arbitrary and distinct from the test's in-process constants.
 SALTS="0 0x5bd1e9955bd1e995 0x94d049bb133111eb"
 
-# Simulator thread counts for the perturbation runs: the epoch-parallel
-# simulator (HERMES_SIM_THREADS, DESIGN.md §5 "Parallel simulation") must
-# produce the same digests as the sequential oracle, so the multi-salt
-# sweep doubles as a multi-thread sweep — every DECISION_DIGEST across
-# salts x threads must still be one value.
-SIM_THREADS="${SIM_THREADS:-1 8}"
-
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
 for salt in $SALTS; do
-  echo "== HERMES_HASH_SALT=$salt (sequential) =="
+  echo "== HERMES_HASH_SALT=$salt =="
   HERMES_HASH_SALT="$salt" "$TEST_BIN" \
     --gtest_filter='DeterminismPerturbationTest.*' | tee -a "$out"
-  for threads in $SIM_THREADS; do
-    echo "== HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$TEST_BIN" \
-      --gtest_filter='DeterminismPerturbationTest.*' | tee -a "$out"
-  done
 done
 
 digests="$(sed -n 's/.*DECISION_DIGEST \([0-9a-f]*\) .*/\1/p' "$out" | sort -u)"
@@ -82,7 +75,7 @@ if [ "$count" -ne 1 ]; then
   exit 1
 fi
 
-echo "OK: decision digest $digests identical across all env/in-process salts and sim thread counts ($SIM_THREADS)"
+echo "OK: decision digest $digests identical across all env and in-process salts"
 
 # Chaos profile: one seeded fault plan per process, identical outcome line
 # (digests, checksum, commits, drop/dup counts, recovery times) required.
@@ -149,105 +142,88 @@ echo "OK: trace digest $trace_digests identical across all env and in-process sa
 # read-heavy leased workload (with a mid-run crash/rejoin lapsing every
 # lease) per in-process salt and prints a REPLICATION_PROFILE line —
 # decision/placement/trace digests, replica checksum, state checksum,
-# commit and lease counters. The test's sim.threads stays 0 (oracle), so
-# HERMES_SIM_THREADS steers the parallel simulator here: every line
-# across env salts x thread counts must be one value.
+# commit and lease counters. Every line across env and in-process salts
+# must be one value.
 lease_out="$(mktemp)"
 trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out"' EXIT
 
 for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== replication HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$LEASE_BIN" \
-      --gtest_filter='ReplicaLeaseTest.DigestsInvariantAcrossThreadsAndSalts' \
-      | tee -a "$lease_out"
-  done
+  echo "== replication HERMES_HASH_SALT=$salt =="
+  HERMES_HASH_SALT="$salt" "$LEASE_BIN" \
+    --gtest_filter='ReplicaLeaseTest.DigestsInvariantAcrossSalts' \
+    | tee -a "$lease_out"
 done
 
 lease_profiles="$(sed -n 's/^REPLICATION_PROFILE //p' "$lease_out" | sort -u)"
 lease_count="$(printf '%s\n' "$lease_profiles" | grep -c . || true)"
 
 if [ "$lease_count" -ne 1 ]; then
-  echo "FAIL: expected one replication profile across salts x threads, got $lease_count:" >&2
+  echo "FAIL: expected one replication profile across salts, got $lease_count:" >&2
   printf '%s\n' "$lease_profiles" >&2
   exit 1
 fi
 
-echo "OK: replication profile identical across env salts x sim thread counts ($SIM_THREADS):"
+echo "OK: replication profile identical across all env and in-process salts:"
 echo "  $lease_profiles"
 
 # Partition profile: a seeded partition plan (two-sided + one-way cuts,
 # gray link, heartbeat failure detector converting sustained
-# unreachability into membership epochs) runs once per env salt x thread
-# count and prints a PARTITION_PROFILE line — decision/placement/trace
+# unreachability into membership epochs) runs once per env salt and
+# prints a PARTITION_PROFILE line — decision/placement/trace
 # digests, state checksum, replica checksum, commit count, held-message
 # and heartbeat-miss counters, suspect/restore counts, and the degraded
 # retry-transcript digest. The detector's verdicts and the holding-pen
 # release order must be pure functions of (plan seed, config), so every
-# line across salts x threads must be one value.
-partition_bin="$BUILD_DIR/tests/partition_chaos_test"
-if [ ! -x "$partition_bin" ]; then
-  echo "error: $partition_bin not found — build first" >&2
-  exit 2
-fi
+# line across salts must be one value.
 
 partition_out="$(mktemp)"
 trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out" "$partition_out"' EXIT
 
 for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== partition HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$partition_bin" \
-      --gtest_filter='PartitionScriptProfile.*' | tee -a "$partition_out"
-  done
+  echo "== partition HERMES_HASH_SALT=$salt =="
+  HERMES_HASH_SALT="$salt" "$PARTITION_BIN" \
+    --gtest_filter='PartitionScriptProfile.*' | tee -a "$partition_out"
 done
 
 partition_profiles="$(sed -n 's/^PARTITION_PROFILE //p' "$partition_out" | sort -u)"
 partition_count="$(printf '%s\n' "$partition_profiles" | grep -c . || true)"
 
 if [ "$partition_count" -ne 1 ]; then
-  echo "FAIL: expected one partition profile across salts x threads, got $partition_count:" >&2
+  echo "FAIL: expected one partition profile across salts, got $partition_count:" >&2
   printf '%s\n' "$partition_profiles" >&2
   exit 1
 fi
 
-echo "OK: partition profile identical across env salts x sim thread counts ($SIM_THREADS):"
+echo "OK: partition profile identical across all env salts:"
 echo "  $partition_profiles"
 
 # Net profile: a seeded net-enabled lifetime (bounded-bandwidth links,
 # envelope coalescing, credit backpressure; plus a mid-run AddNode and a
 # partition cut/heal cycle draining a transmit queue into the pens) runs
-# once per env salt x thread count and prints a NET_PROFILE line —
+# once per env salt and prints a NET_PROFILE line —
 # decision/placement/trace digests, state checksum, commit count,
 # envelope/coalesce/transmit/stall counters, and the per-class queueing
 # p99s. Queueing, arbitration and coalescing must be pure functions of
-# (config, send order, virtual time), so every line across salts x
-# threads must be one value.
-net_bin="$BUILD_DIR/tests/wire_determinism_test"
-if [ ! -x "$net_bin" ]; then
-  echo "error: $net_bin not found — build first" >&2
-  exit 2
-fi
+# (config, send order, virtual time), so every line across salts must be
+# one value.
 
 net_out="$(mktemp)"
 trap 'rm -f "$out" "$chaos_out" "$trace_out" "$lease_out" "$partition_out" "$net_out"' EXIT
 
 for salt in $SALTS; do
-  for threads in $SIM_THREADS; do
-    echo "== net HERMES_HASH_SALT=$salt HERMES_SIM_THREADS=$threads =="
-    HERMES_HASH_SALT="$salt" HERMES_SIM_THREADS="$threads" "$net_bin" \
-      --gtest_filter='NetScriptProfile.*' | tee -a "$net_out"
-  done
+  echo "== net HERMES_HASH_SALT=$salt =="
+  HERMES_HASH_SALT="$salt" "$NET_BIN" \
+    --gtest_filter='NetScriptProfile.*' | tee -a "$net_out"
 done
 
 net_profiles="$(sed -n 's/^NET_PROFILE //p' "$net_out" | sort -u)"
 net_count="$(printf '%s\n' "$net_profiles" | grep -c . || true)"
 
 if [ "$net_count" -ne 1 ]; then
-  echo "FAIL: expected one net profile across salts x threads, got $net_count:" >&2
+  echo "FAIL: expected one net profile across salts, got $net_count:" >&2
   printf '%s\n' "$net_profiles" >&2
   exit 1
 fi
 
-echo "OK: net profile identical across env salts x sim thread counts ($SIM_THREADS):"
+echo "OK: net profile identical across all env salts:"
 echo "  $net_profiles"

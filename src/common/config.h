@@ -138,7 +138,7 @@ struct DegradedConfig {
 /// the control lane in virtual time: every decision it makes — miss
 /// counts, suspicion, restore — is a pure function of (tick index, link
 /// reachability, config), so detector-driven membership epochs are
-/// identical across hash salts and simulator thread counts.
+/// identical across hash salts.
 struct DetectorConfig {
   /// Master switch. Off by default: no tick chain is ever armed and the
   /// cluster behaves exactly as before (digests unchanged).
@@ -160,7 +160,7 @@ struct DetectorConfig {
 /// substrate"). Every queueing, scheduling and coalescing decision is a
 /// pure function of (config, totally ordered per-link send sequence) in
 /// virtual time — never wall clock, never hash order — so digests are
-/// identical across hash salts and simulator thread counts.
+/// identical across hash salts.
 struct NetConfig {
   /// Master switch. Off by default: Wire::Send degenerates to a direct
   /// sim::Network::Send and every digest is bit-identical to a build
@@ -210,16 +210,12 @@ struct ObsConfig {
   size_t trace_ring_capacity = 1 << 15;
 };
 
-/// Parallel-simulation (src/sim/) parameters. The simulator partitions
-/// events into per-node lanes and executes each virtual-time quantum as an
-/// epoch: one exclusive control slice, then all node lanes in parallel,
-/// then a deterministic barrier that merges staged cross-lane work in lane
-/// order. The schedule is a pure function of the event DAG — never of the
-/// thread count — so decision/placement/trace digests are identical for
-/// every `threads` value.
+/// Simulator (src/sim/) parameters. Compatibility stub: the simulator runs
+/// its epoch schedule sequentially on the calling thread, and `threads`
+/// remains only because the benchmark harness under ledger/ still assigns
+/// it. Its only legal value is 0 — Cluster's constructor aborts on anything
+/// else. Delete the struct once ledger/ stops setting it.
 struct SimConfig {
-  /// Real worker threads executing node lanes. 0 (the default and the
-  /// oracle mode) runs the identical epoch schedule on the calling thread.
   int threads = 0;
 };
 

@@ -15,12 +15,6 @@ uint64_t EnvReadU64(const char* name, uint64_t def) {
   return std::strtoull(v, nullptr, 0);
 }
 
-int EnvReadInt(const char* name, int def) {
-  const char* v = EnvRead(name);
-  if (v == nullptr || *v == '\0') return def;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
-}
-
 bool EnvReadBool(const char* name) {
   const char* v = EnvRead(name);
   if (v == nullptr || *v == '\0') return false;

@@ -59,16 +59,17 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
       scheduler_(&sim_, router_.get(), &executor_, &command_log_, &config_,
                  [this](const TxnRequest& txn) { return ResolveCallback(txn); },
                  &digest_, &placement_digest_) {
-  // Parallel simulation (DESIGN.md §5 "Parallel simulation"): one event
-  // lane per node, executed by config.sim.threads real threads under an
-  // epoch barrier. threads == 0 (the default) runs the identical epoch
-  // schedule sequentially and is the oracle mode; HERMES_SIM_THREADS
-  // overrides it so scripts can sweep thread counts without config edits.
-  int sim_threads = config_.sim.threads;
-  if (sim_threads == 0) {
-    sim_threads = EnvReadInt("HERMES_SIM_THREADS", 0);
+  // Epoch schedule (DESIGN.md §5 "Epoch schedule"): one event lane per
+  // node, run sequentially. sim.threads survives only as a compatibility
+  // stub; a nonzero value is refused rather than silently ignored.
+  if (config_.sim.threads != 0) {
+    std::fprintf(stderr,
+                 "Cluster: config.sim.threads = %d, but the simulator runs "
+                 "sequentially and sim.threads must be 0\n",
+                 config_.sim.threads);
+    std::abort();
   }
-  sim_.ConfigureLanes(config_.num_nodes, sim_threads);
+  sim_.ConfigureLanes(config_.num_nodes);
   nodes_.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
     nodes_.push_back(
@@ -99,7 +100,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   // keep the historical UX — HERMES_TRACE=1 records everything,
   // HERMES_TRACE_KEY=<key> mirrors one key's events to stderr.
   // Rings are pre-sized so lane-side Record() calls never grow the ring
-  // vector; the clock closure reads the lane-aware virtual clock.
+  // vector (EnsureNode grows it in exclusive context).
   tracer_.Configure(config_.obs.trace_ring_capacity,
                     static_cast<size_t>(config_.num_nodes));
   tracer_.set_clock([this] { return sim_.Now(); });

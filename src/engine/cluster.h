@@ -131,7 +131,6 @@ class Cluster {
   /// virtual time); the simulation reuses the image. Every replica lease
   /// lapses (the holder set can no longer be maintained consistently).
   /// Called between events by the fault injector, never lane-side.
-  // detlint:runs(exclusive)
   void CrashNoStall(NodeId node);
 
   /// Brings `node` back: flushes suppressed in-flight shipments, reships
@@ -139,7 +138,6 @@ class Cluster {
   /// during the outage, clears stranded-key blocks, and re-routes parked
   /// transactions (in FIFO = total order). Replica leases lapse again —
   /// the router re-grants from fresh counters at the next batch boundary.
-  // detlint:runs(exclusive)
   void RejoinNoStall(NodeId node);
 
   // --- Partitions & failure detection (DESIGN.md §5). ---
@@ -158,20 +156,17 @@ class Cluster {
   /// severs node->peer (both true = two-sided cut). Idempotent per
   /// direction. Arms the failure detector when one is configured. Called
   /// between events by the fault injector, never lane-side.
-  // detlint:runs(exclusive)
   void PartitionCut(NodeId node, bool cut_inbound, bool cut_outbound);
 
   /// Heals every cut link touching `node` and releases the affected
   /// holding pens in FIFO order. The failure detector (if armed) restores
   /// the node's membership after its confirmation hysteresis.
-  // detlint:runs(exclusive)
   void PartitionHeal(NodeId node);
 
   /// Arms the failure detector (no-op without config.detector.enabled):
   /// the heartbeat chain runs at least until `active_until`, and past it
   /// while cuts, suspicions or misses persist. The fault injector arms
   /// gray windows this way, since gray links cut nothing.
-  // detlint:runs(exclusive)
   void ArmDetector(SimTime active_until);
 
   /// The heartbeat failure detector, or nullptr unless
@@ -217,7 +212,6 @@ class Cluster {
   /// `migrate_cold` is true the ranges move via chunk-migration
   /// transactions (Squall-style), otherwise only hot data moves via the
   /// fusion table. Called between events (control lane), never lane-side.
-  // detlint:runs(exclusive)
   NodeId AddNode(const std::vector<RangeMove>& cold_plan, bool migrate_cold);
 
   /// Removes a node, re-homing its ranges per `cold_plan`.
@@ -243,13 +237,11 @@ class Cluster {
   storage::Checkpoint TakeCheckpoint() const;
 
   /// Restores cluster state from a checkpoint (call instead of Load()).
-  // detlint:runs(exclusive)
   void RestoreFromCheckpoint(const storage::Checkpoint& checkpoint);
 
   /// Replays command-log batches (e.g. after RestoreFromCheckpoint) and
   /// drains. The deterministic routing and execution reproduce the exact
   /// pre-crash state.
-  // detlint:runs(exclusive)
   void ReplayBatches(const std::vector<Batch>& batches);
 
   /// Placement-sensitive checksum over all stores (replica equality).
@@ -325,8 +317,8 @@ class Cluster {
   /// FNV-1a digest over the trace-event stream: each per-node ring keeps
   /// an order-sensitive digest, folded here in node order (same pattern as
   /// decision_digest). Two traced runs match iff they recorded identical
-  /// per-node event histories — across hash salts AND thread counts
-  /// (trace_determinism_test, sequential_vs_parallel_digest_test).
+  /// per-node event histories — across hash salts
+  /// (trace_determinism_test).
   DecisionDigest trace_digest() const { return tracer_.digest(); }
 
   /// Renders the trace as Chrome trace_event JSON (Perfetto-loadable).
@@ -384,7 +376,6 @@ class Cluster {
   /// Replay cursor: applies scheduled membership events and recorded
   /// stranded sets whose from_batch <= `id`, in recorded order. Runs from
   /// the scheduler's batch filter, which executes between events.
-  // detlint:runs(exclusive)
   void ApplyScheduledEventsBefore(BatchId id);
 
   /// Registers every telemetry metric (closures over live fields); runs

@@ -768,11 +768,8 @@ std::string TxnExecutor::DebugString() const {
 TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
   const size_t idx = static_cast<size_t>(node);
   if (idx >= presence_waiters_.size()) {
-    // Shard growth reallocates the vector, which would race lanes reading
-    // their own shards — it may only happen in exclusive context (nodes
-    // are provisioned there, before their lane runs any event).
-    assert(!sim_->in_lane_context() &&
-           "presence shards may only grow in exclusive context");
+    // Grows lazily, from whichever lane first touches a new node's shard;
+    // callers hold a shard reference only until their next PresenceShard.
     presence_waiters_.resize(nodes_->size() > idx + 1 ? nodes_->size()
                                                       : idx + 1);
   }

@@ -80,7 +80,6 @@ class TxnExecutor {
   /// Scheduled from the scheduler's dispatch events only (control lane):
   /// it enqueues locks at every involved node and applies replica-lease
   /// ops, both cross-node work.
-  // detlint:runs(exclusive)
   void Dispatch(const routing::RoutedTxn& plan, CommitCallback on_commit);
 
   /// Wires the replica-lease mechanism (null = leases off). Dispatch
@@ -118,7 +117,6 @@ class TxnExecutor {
   /// it was down (their delivery resumes now; pending reclaim timers
   /// no-op), then resumes machines stalled at the node's dead gates.
   /// Called by the cluster at rejoin, before reconciliation.
-  // detlint:requires(exclusive)
   void OnNodeUp(NodeId node);
 
   /// Moves a record whose physical location diverged from the ownership
@@ -245,15 +243,12 @@ class TxnExecutor {
   /// master committed, acknowledges. Runs in exclusive context (Defer) —
   /// masters commit on their own node lanes, so the shared counter and the
   /// cross-node acknowledgment work may not run lane-side.
-  // detlint:requires(exclusive)
   void OnMasterDone(TxnId id);
   /// Client acknowledgment + return shipments, fired once when every
   /// master has committed. Exclusive context only.
-  // detlint:requires(exclusive)
   void Acknowledge(Active& a);
   /// Destroys the transaction state once masters and participants are all
   /// done. Touches cross-node per-txn state, so exclusive context only.
-  // detlint:requires(exclusive)
   void MaybeComplete(Active& a);
 
   /// True when degraded mode is active and `node` is currently down.
@@ -272,12 +267,10 @@ class TxnExecutor {
   /// txn order, and unfreezes transactions with no remaining stalls.
   /// Touches cross-node per-txn state — exclusive context only (runs
   /// inside the rejoin transition, live and replay).
-  // detlint:requires(exclusive)
   void ResumeStalled(NodeId node);
   /// Deterministic periodic sweep: aborts every frozen, un-acknowledged
   /// transaction (sorted by id), re-arming while any node is down.
   /// Scheduled on the control lane only, never called lane-side.
-  // detlint:runs(exclusive)
   void WatchdogSweep();
   /// Reclaim timer body: returns a suppressed in-flight record to its
   /// source once the destination has been down for reclaim_timeout_us.
@@ -285,13 +278,11 @@ class TxnExecutor {
   /// windows — e.g. a partition suspect while a crashed node is out):
   /// reclaiming to a dead node would drop the payload. Scheduled on the
   /// control lane only, never called lane-side.
-  // detlint:runs(exclusive)
   void ReclaimSuppressed(Key key, TxnId carrier);
   /// UNDO-aborts one frozen transaction: classifies its unfinished
   /// migrations (reship / strand / displace), releases its locks
   /// everywhere, and hands (request, callback, stranded keys) to the
   /// cluster's abort handler.
-  // detlint:requires(exclusive)
   void AbortActive(Active& a);
 
   /// Ships a read-only copy of `key` to `holder` for a freshly granted
@@ -330,8 +321,7 @@ class TxnExecutor {
 
   using PresenceShardMap = HashMap<Key, std::vector<std::function<void()>>>;
   /// Presence waiters, sharded per node: shard `n` is touched only by node
-  /// n's lane (or the exclusive slice), so concurrent deliveries on
-  /// different lanes never share a map. Grown in exclusive context only.
+  /// n's lane (or the exclusive slice). Grown on first use.
   std::vector<PresenceShardMap> presence_waiters_;
   PresenceShardMap& PresenceShard(NodeId node);
 

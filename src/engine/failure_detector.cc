@@ -78,7 +78,7 @@ void FailureDetector::Tick() {
   // Round 2: the mutual-health graph over responsive nodes. Components
   // are found by BFS in ascending id order; the primary component is the
   // largest, ties broken by lowest member id — a total order independent
-  // of hash salts and thread counts.
+  // of hash salts.
   std::vector<int> component(static_cast<size_t>(n), -1);
   std::vector<int> comp_size;
   std::vector<NodeId> queue;

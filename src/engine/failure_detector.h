@@ -57,7 +57,6 @@ class FailureDetector {
   /// until `active_until`, and past that for as long as cuts, suspicions
   /// or misses persist. Exclusive context only (the fault layer arms
   /// between epochs).
-  // detlint:requires(exclusive)
   void Arm(SimTime active_until);
 
   void set_heartbeat_loss(HeartbeatLossFn fn) { loss_ = std::move(fn); }
@@ -77,7 +76,6 @@ class FailureDetector {
  private:
   /// One heartbeat round. Scheduled on the control lane, so it runs in
   /// the exclusive slice of its epoch.
-  // detlint:runs(exclusive)
   void Tick();
   void EnsureSize(int num_nodes);
   bool Responsive(NodeId node) const;

@@ -35,36 +35,6 @@ struct WindowStats {
   uint64_t decision_digest = 0;
 };
 
-/// Log-bucketed latency histogram (4 linear sub-buckets per power of two,
-/// covering 1 us .. ~1100 s) with percentile queries. Bucketing error is
-/// bounded by 1/4 of the bucket width (~6%).
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-
-  void Record(SimTime latency_us);
-
-  uint64_t count() const { return count_; }
-
-  /// Latency at quantile `q` in [0, 1] (upper bound of the bucket the
-  /// quantile falls into); 0 when empty.
-  SimTime Percentile(double q) const;
-
-  /// Export view: (upper_bound_us, count) for every non-empty bucket,
-  /// ascending, plus totals — the telemetry registry renders this as a
-  /// Prometheus histogram.
-  obs::HistogramSnapshot Snapshot() const;
-
- private:
-  static constexpr int kSubBuckets = 4;
-  static constexpr int kBuckets = 30 * kSubBuckets;
-  static size_t BucketFor(SimTime v);
-  static SimTime UpperBound(size_t bucket);
-
-  std::vector<uint64_t> buckets_;
-  uint64_t count_ = 0;
-};
-
 /// Collects commit events and sampled resource usage into fixed windows;
 /// the bench binaries turn these into the paper's throughput-over-time,
 /// CPU-usage and network-usage series (Figs. 6, 8, 12, 14) and the
@@ -99,7 +69,7 @@ class Metrics {
   LatencyBreakdown AverageLatency() const;
 
   /// End-to-end latency distribution of committed transactions.
-  const LatencyHistogram& latency_histogram() const { return histogram_; }
+  const obs::Histogram& latency_histogram() const { return histogram_; }
 
   /// Committed transactions per simulated second over [from, to).
   double Throughput(SimTime from, SimTime to) const;
@@ -117,7 +87,7 @@ class Metrics {
   SimTime window_us_;
   std::vector<WindowStats> windows_;
   LatencyBreakdown latency_sum_;
-  LatencyHistogram histogram_;
+  obs::Histogram histogram_;
   uint64_t total_commits_ = 0;
   uint64_t total_aborts_ = 0;
   uint64_t total_distributed_ = 0;

@@ -8,73 +8,12 @@
 namespace hermes::net {
 
 // ---------------------------------------------------------------------------
-// DelayHistogram
-
-DelayHistogram::DelayHistogram() : buckets_(kBuckets, 0) {}
-
-size_t DelayHistogram::BucketFor(SimTime v) {
-  if (v < 1) v = 1;
-  int band = 63 - __builtin_clzll(v);
-  if (band >= 30) band = 29;
-  const uint64_t base = 1ULL << band;
-  const size_t sub = band == 0 ? 0 : ((v - base) * kSubBuckets) / base;
-  return static_cast<size_t>(band) * kSubBuckets +
-         std::min<size_t>(sub, kSubBuckets - 1);
-}
-
-SimTime DelayHistogram::UpperBound(size_t bucket) {
-  const size_t band = bucket / kSubBuckets;
-  const size_t sub = bucket % kSubBuckets;
-  const uint64_t base = 1ULL << band;
-  return base + (base * (sub + 1)) / kSubBuckets;
-}
-
-void DelayHistogram::Record(SimTime delay_us) {
-  ++buckets_[BucketFor(delay_us)];
-  ++count_;
-}
-
-void DelayHistogram::Merge(const DelayHistogram& other) {
-  for (size_t b = 0; b < buckets_.size(); ++b) buckets_[b] += other.buckets_[b];
-  count_ += other.count_;
-}
-
-SimTime DelayHistogram::Percentile(double q) const {
-  if (count_ == 0) return 0;
-  const auto target =
-      static_cast<uint64_t>(q * static_cast<double>(count_ - 1));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (seen > target) return UpperBound(b);
-  }
-  return UpperBound(buckets_.size() - 1);
-}
-
-obs::HistogramSnapshot DelayHistogram::Snapshot() const {
-  obs::HistogramSnapshot snap;
-  snap.count = count_;
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    if (buckets_[b] == 0) continue;
-    snap.buckets.emplace_back(UpperBound(b), buckets_[b]);
-    snap.sum += UpperBound(b) * buckets_[b];
-  }
-  return snap;
-}
-
-// ---------------------------------------------------------------------------
 // Wire
 
 Wire::Wire(sim::Simulator* sim, sim::Network* network, const CostModel* costs,
            const NetConfig* config, int num_nodes)
     : sim_(sim), net_(network), costs_(costs), config_(config) {
   GrowLinks(num_nodes);
-}
-
-uint64_t Wire::Sum(const std::vector<uint64_t>& row) {
-  uint64_t total = 0;
-  for (uint64_t v : row) total += v;
-  return total;
 }
 
 void Wire::GrowLinks(int num_nodes) {
@@ -84,13 +23,6 @@ void Wire::GrowLinks(int num_nodes) {
   if (links_.size() >= n) return;
   for (auto& row : links_) row.resize(n);
   links_.resize(n, std::vector<Link>(n));
-  envelopes_sent_.resize(n, 0);
-  coalesced_messages_.resize(n, 0);
-  credit_stalls_.resize(n, 0);
-  for (int c = 0; c < kNumTrafficClasses; ++c) {
-    transmits_[c].resize(n, 0);
-    queue_delay_[c].resize(n);
-  }
 }
 
 SimTime Wire::SerializationTime(uint64_t wire_bytes) const {
@@ -181,8 +113,8 @@ void Wire::FlushEnvelope(NodeId src, NodeId dst) {
   if (!link.env_open) return;
   link.env_open = false;
   ++link.env_gen;  // invalidate the pending window timer
-  envelopes_sent_[src] += 1;
-  coalesced_messages_[src] += link.env_msgs;
+  ++envelopes_sent_;
+  coalesced_messages_ += link.env_msgs;
   Pending p;
   p.cls = TrafficClass::kBulk;
   p.payload_bytes = link.env_bytes;
@@ -247,15 +179,15 @@ void Wire::TransmitNext(NodeId src, NodeId dst) {
     // Queue non-empty but nothing fits the credit window: outstanding is
     // necessarily non-zero, so a delivery (and its deferred credit
     // return) is in flight and will re-pump this link.
-    ++credit_stalls_[src];
+    ++credit_stalls_;
     return;
   }
 
   Pending p = std::move(link.queue[chosen]);
   link.queue.erase(link.queue.begin() + static_cast<long>(chosen));
   const uint64_t wire_bytes = p.payload_bytes + costs_->message_overhead_bytes;
-  queue_delay_[static_cast<int>(p.cls)][src].Record(now - p.enqueued);
-  ++transmits_[static_cast<int>(p.cls)][src];
+  queue_delay_[static_cast<int>(p.cls)].Record(now - p.enqueued);
+  ++transmits_[static_cast<int>(p.cls)];
   link.outstanding += wire_bytes;
   ++link.wrr_slot;
   const SimTime ser = SerializationTime(wire_bytes);
@@ -316,14 +248,6 @@ uint64_t Wire::queued_now() const {
     }
   }
   return total;
-}
-
-DelayHistogram Wire::MergedQueueDelay(TrafficClass cls) const {
-  DelayHistogram merged;
-  for (const DelayHistogram& h : queue_delay_[static_cast<int>(cls)]) {
-    merged.Merge(h);
-  }
-  return merged;
 }
 
 }  // namespace hermes::net

@@ -14,33 +14,6 @@
 
 namespace hermes::net {
 
-/// Log-bucketed virtual-time histogram for queueing delays (same bucketing
-/// as engine::LatencyHistogram: 4 linear sub-buckets per power of two).
-/// Lives here rather than reusing the engine type so src/net/ stays below
-/// src/engine/ in the layering.
-class DelayHistogram {
- public:
-  DelayHistogram();
-
-  void Record(SimTime delay_us);
-  /// Adds `other`'s buckets into this histogram (read-side row merge).
-  void Merge(const DelayHistogram& other);
-
-  uint64_t count() const { return count_; }
-  /// Delay at quantile `q` in [0, 1] (bucket upper bound); 0 when empty.
-  SimTime Percentile(double q) const;
-  obs::HistogramSnapshot Snapshot() const;
-
- private:
-  static constexpr int kSubBuckets = 4;
-  static constexpr int kBuckets = 30 * kSubBuckets;
-  static size_t BucketFor(SimTime v);
-  static SimTime UpperBound(size_t bucket);
-
-  std::vector<uint64_t> buckets_;
-  uint64_t count_ = 0;
-};
-
 /// Wire substrate between the engine and the sim::Network message fabric
 /// (DESIGN.md §5 "Wire substrate"): bounded-bandwidth links, envelope
 /// coalescing, and deterministic backpressure.
@@ -61,10 +34,10 @@ class DelayHistogram {
 ///
 /// Determinism: every queueing, scheduling and coalescing decision is a
 /// pure function of (config, the totally ordered per-link send sequence,
-/// virtual time) — never wall clock, never hash order, never thread count.
-/// All per-link state is per-source rows under the lane model: row `src`
-/// is touched only by node src's lane or the exclusive slice. Credit
-/// returns cross lanes, so they ride Simulator::Defer() to the barrier.
+/// virtual time) — never wall clock, never hash order. Link state
+/// links_[src] belongs to node src's lane (or the exclusive slice); credit
+/// returns fire on the destination lane, so they ride Simulator::Defer()
+/// to the barrier.
 ///
 /// With `config.net.enabled == false` every Send degenerates to a direct
 /// sim::Network::Send and the substrate is digest-invisible.
@@ -92,34 +65,35 @@ class Wire {
   /// semantics), and HealLink later re-measures serialization from the
   /// heal point. Drained messages never charged credits, so their
   /// deliveries return none. Exclusive context only.
-  // detlint:requires(exclusive)
   void OnLinkCut(NodeId src, NodeId dst);
 
   /// Grows per-link state when nodes are added by dynamic provisioning.
   /// Exclusive context only (asserted), also called at construction.
   void GrowLinks(int num_nodes);
 
-  // --- Read-side telemetry (sum / merge per-source rows). ---
+  // --- Read-side telemetry. ---
 
   /// Bulk envelopes sealed onto transmit queues.
-  uint64_t envelopes_sent() const { return Sum(envelopes_sent_); }
+  uint64_t envelopes_sent() const { return envelopes_sent_; }
   /// Bulk messages that rode an envelope (>= envelopes_sent(); the
   /// difference is the number of framing headers coalescing saved).
-  uint64_t coalesced_messages() const { return Sum(coalesced_messages_); }
+  uint64_t coalesced_messages() const { return coalesced_messages_; }
   /// Messages transmitted through the bounded path, per class.
   uint64_t transmits(TrafficClass cls) const {
-    return Sum(transmits_[static_cast<int>(cls)]);
+    return transmits_[static_cast<int>(cls)];
   }
   /// Times a transmitter went idle with a non-empty queue because no
   /// queued message fit the link's credit window.
-  uint64_t credit_stalls() const { return Sum(credit_stalls_); }
+  uint64_t credit_stalls() const { return credit_stalls_; }
   /// Messages currently sitting in transmit queues (open envelopes count
   /// their appended messages). Exclusive-context read.
   uint64_t queued_now() const;
 
-  /// Merged queueing-delay histogram for `cls` (delay between enqueue and
-  /// the serializer accepting the message). Exclusive-context read.
-  DelayHistogram MergedQueueDelay(TrafficClass cls) const;
+  /// Queueing-delay histogram for `cls` (delay between enqueue and the
+  /// serializer accepting the message), over every link.
+  const obs::Histogram& MergedQueueDelay(TrafficClass cls) const {
+    return queue_delay_[static_cast<int>(cls)];
+  }
 
  private:
   /// One queued transmission: a single message, or a sealed envelope
@@ -132,8 +106,8 @@ class Wire {
     std::vector<std::function<void()>> cbs;
   };
 
-  /// Per-directed-link state. links_[src][dst]: row `src` is owned by
-  /// node src's lane (or the exclusive slice).
+  /// Per-directed-link state. links_[src][dst] belongs to node src's lane
+  /// (or the exclusive slice).
   struct Link {
     std::deque<Pending> queue;
     /// Virtual time the serializer frees up.
@@ -153,8 +127,6 @@ class Wire {
     uint64_t env_gen = 0;
     std::vector<std::function<void()>> env_cbs;
   };
-
-  static uint64_t Sum(const std::vector<uint64_t>& row);
 
   /// Serializer occupancy of one wire message, in virtual microseconds.
   SimTime SerializationTime(uint64_t wire_bytes) const;
@@ -177,7 +149,6 @@ class Wire {
   /// Returns `wire_bytes` of credit after a delivery and re-pumps the
   /// link. Deferred to the barrier by the delivery callback (it fires on
   /// the destination lane; link state is the source's row).
-  // detlint:requires(exclusive)
   void ReturnCredit(NodeId src, NodeId dst, uint64_t wire_bytes);
 
   sim::Simulator* sim_;
@@ -185,14 +156,11 @@ class Wire {
   const CostModel* costs_;
   const NetConfig* config_;
   std::vector<std::vector<Link>> links_;
-  /// Per-source counter rows (row `n` written only by node n's lane or
-  /// the exclusive slice; totals summed on read).
-  std::vector<uint64_t> envelopes_sent_;
-  std::vector<uint64_t> coalesced_messages_;
-  std::vector<uint64_t> transmits_[kNumTrafficClasses];
-  std::vector<uint64_t> credit_stalls_;
-  /// Per-source, per-class queueing-delay histograms, merged on read.
-  std::vector<DelayHistogram> queue_delay_[kNumTrafficClasses];
+  uint64_t envelopes_sent_ = 0;
+  uint64_t coalesced_messages_ = 0;
+  uint64_t transmits_[kNumTrafficClasses] = {};
+  uint64_t credit_stalls_ = 0;
+  obs::Histogram queue_delay_[kNumTrafficClasses];
 };
 
 }  // namespace hermes::net

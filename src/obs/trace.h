@@ -113,8 +113,8 @@ struct TraceRing {
   uint64_t dropped = 0;   ///< events overwritten after the ring filled
   uint64_t next_seq = 0;  ///< ring-local emission sequence
   /// Order-sensitive digest of every enabled-mode event emitted into this
-  /// ring. Per-ring state keeps emission fully lane-local under the
-  /// parallel simulator; Tracer::digest() folds the rings in index order.
+  /// ring. Per-ring state keeps emission lane-local under the epoch
+  /// schedule; Tracer::digest() folds the rings in index order.
   DecisionDigest digest;
 
  private:
@@ -142,9 +142,7 @@ class Tracer {
   /// Sets the per-ring capacity (events per node) and, when `num_nodes` is
   /// non-zero, pre-sizes the rings (ring 0 plus one per node). Must be
   /// called before the first Record(); existing rings are discarded.
-  /// Pre-sizing matters under the parallel simulator: lane-side Record()
-  /// calls index into `rings_` concurrently, so the vector must not grow
-  /// from a lane. EnsureNode() grows it from exclusive context.
+  /// EnsureNode() grows the ring set from exclusive context.
   void Configure(size_t ring_capacity, size_t num_nodes = 0);
 
   /// Grows the ring set to cover `node` (exclusive context only — used by
@@ -152,8 +150,7 @@ class Tracer {
   void EnsureNode(NodeId node) { RingFor(node); }
 
   /// Points the tracer at the simulator's virtual clock. The tracer only
-  /// ever reads through this function (passivity). Function-valued so the
-  /// parallel simulator can hand out its lane-aware clock.
+  /// ever reads through this function (passivity).
   void set_clock(std::function<SimTime()> now) { now_ = std::move(now); }
 
   /// Convenience overload for tests driving a raw SimTime variable.

@@ -27,7 +27,7 @@ namespace hermes::replication {
 /// (chaos timing, duplicates and re-grants all converge to the newest
 /// committed version).
 ///
-/// Lane discipline (the parallel simulator's confinement rules):
+/// Lane discipline (the epoch schedule's ownership rules):
 ///  - `holders_` is written only in exclusive context (BeginInstall /
 ///    Revoke / LapseNode / LapseAll run from dispatch or membership
 ///    transitions) and read lane-side (commit fan-out, ApplyCopy's
@@ -50,27 +50,23 @@ class LeaseManager {
   /// Registers `holder` as a lease holder of `key`. Runs at dispatch of
   /// the routed kInstall op, before the copy itself is shipped (`source`
   /// only feeds the trace event).
-  // detlint:requires(exclusive)
   void BeginInstall(Key key, NodeId holder, NodeId source);
 
   /// Drops `holder`'s lease on `key` (routed kRevoke op): the copy is
   /// discarded and any master still waiting on it is woken — a revoked
   /// read degrades to the plain local read it would have been without the
   /// lease, so nothing ever blocks on a copy that will not arrive.
-  // detlint:requires(exclusive)
   void Revoke(Key key, NodeId holder);
 
   /// Crash/rejoin lapse of one node: every lease it holds is dropped and
   /// its waiters are woken. Called at membership transitions (live and
   /// replayed), keeping the engine state a pure function of the membership
   /// schedule.
-  // detlint:requires(exclusive)
   void LapseNode(NodeId node);
 
   /// Drops every lease, copy and waiter (membership transition or
   /// checkpoint restore). The router's LeaseTable lapses on the same
   /// schedule, so both sides re-grant identically from the batch stream.
-  // detlint:requires(exclusive)
   void LapseAll();
 
   /// Applies a copy snapshot on `node`'s own lane (network delivery).

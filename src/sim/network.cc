@@ -11,15 +11,7 @@ Network::Network(Simulator* sim, const CostModel* costs, int num_nodes)
   // Register every per-node counter row and per-link matrix once;
   // EnsureCapacity grows the registered lists so a counter added here can
   // never be missed by a resize site.
-  counter_rows_ = {&bytes_sent_,      &messages_sent_,
-                   &messages_dropped_, &messages_duplicated_,
-                   &bytes_received_,  &messages_received_,
-                   &messages_held_total_, &cut_deliveries_};
-  for (int c = 0; c < kNumTrafficClasses; ++c) {
-    counter_rows_.push_back(&class_bytes_sent_[c]);
-    counter_rows_.push_back(&class_messages_sent_[c]);
-    counter_rows_.push_back(&class_bytes_received_[c]);
-  }
+  counter_rows_ = {&bytes_sent_, &bytes_received_, &messages_received_};
   counter_matrices_ = {&link_messages_, &send_seq_};
   EnsureCapacity(num_nodes);
 }
@@ -74,7 +66,7 @@ void Network::HealLink(NodeId src, NodeId dst) {
     HeldMessage m = std::move(pen.front());
     pen.pop_front();
     ScheduleDelivery(src, dst, m.bytes, m.delivered, m.wire,
-                     /*was_held=*/true, m.cls, std::move(m.cb));
+                     /*was_held=*/true, std::move(m.cb));
   }
 }
 
@@ -88,17 +80,16 @@ uint64_t Network::messages_held() const {
 
 void Network::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                                uint64_t delivered, SimTime wire, bool was_held,
-                               TrafficClass cls, std::function<void()> cb) {
+                               std::function<void()> cb) {
   sim_->ScheduleOnLane(
       static_cast<int>(dst), wire,
-      [this, src, dst, bytes, delivered, was_held, cls, cb = std::move(cb)]() {
+      [this, src, dst, bytes, delivered, was_held, cb = std::move(cb)]() {
         // A released message must never land under a still-live cut: the
         // pen only drains on heal, so a nonzero count means a release
         // raced a re-cut (the partition oracle asserts zero).
-        if (was_held && cut_[src][dst]) ++cut_deliveries_[dst];
+        if (was_held && cut_[src][dst]) ++cut_deliveries_;
         bytes_received_[dst] += bytes * delivered;
         messages_received_[dst] += delivered;
-        class_bytes_received_[static_cast<int>(cls)][dst] += bytes * delivered;
         cb();
       });
 }
@@ -107,8 +98,7 @@ void Network::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
                    std::function<void()> on_delivery, TrafficClass cls) {
   assert(src >= 0 && src < static_cast<NodeId>(bytes_sent_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(bytes_sent_.size()));
-  // Send-side counters are row `src`: only that node's lane (or the
-  // exclusive slice) may touch them.
+  // A node sends only from its own lane (or the exclusive slice).
   assert((!sim_->in_lane_context() ||
           sim_->current_lane() == static_cast<int>(src)) &&
          "Send must run on the source node's lane or exclusively");
@@ -131,32 +121,31 @@ void Network::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
       1 + static_cast<uint64_t>(p.dropped_attempts) +
       static_cast<uint64_t>(p.duplicates);
   bytes_sent_[src] += bytes * attempts;
-  messages_sent_[src] += attempts;
-  class_bytes_sent_[static_cast<int>(cls)][src] += bytes * attempts;
-  class_messages_sent_[static_cast<int>(cls)][src] += attempts;
+  messages_sent_ += attempts;
+  class_bytes_sent_[static_cast<int>(cls)] += bytes * attempts;
   link_messages_[src][dst] += attempts;
-  messages_dropped_[src] += static_cast<uint64_t>(p.dropped_attempts);
-  messages_duplicated_[src] += static_cast<uint64_t>(p.duplicates);
+  messages_dropped_ += static_cast<uint64_t>(p.dropped_attempts);
+  messages_duplicated_ += static_cast<uint64_t>(p.duplicates);
 
   const SimTime wire =
       costs_->net_latency_us +
       static_cast<SimTime>(std::llround(bytes * costs_->net_us_per_byte)) +
       p.extra_delay_us;
   // Delivered copies (the real one plus dedup-suppressed duplicates) are
-  // charged to the receiver by the delivery event itself — it runs on the
-  // destination lane, which owns row `dst`.
+  // charged to the receiver by the delivery event itself, on the
+  // destination lane.
   const uint64_t delivered = 1 + static_cast<uint64_t>(p.duplicates);
-  // A send into a live cut parks in the per-link FIFO pen (row `src`,
-  // owned by this lane) with its charges and perturbation already final;
+  // A send into a live cut parks in the per-link FIFO pen with its charges
+  // and perturbation already final;
   // HealLink releases it. Sender-side counters above were charged as
   // usual: the bytes left the NIC and died on the cut wire.
   if (cut_[src][dst]) {
     held_[src][dst].push_back(
-        HeldMessage{bytes, delivered, wire, cls, std::move(on_delivery)});
-    ++messages_held_total_[src];
+        HeldMessage{bytes, delivered, wire, std::move(on_delivery)});
+    ++messages_held_total_;
     return;
   }
-  ScheduleDelivery(src, dst, bytes, delivered, wire, /*was_held=*/false, cls,
+  ScheduleDelivery(src, dst, bytes, delivered, wire, /*was_held=*/false,
                    std::move(on_delivery));
 }
 

@@ -36,18 +36,16 @@ struct Perturbation {
 /// network-usage series. Messages between a node and itself are delivered
 /// after zero wire time (still asynchronously, preserving event ordering).
 ///
-/// Under partitioned execution the fabric is the epoch-crossing edge: a
-/// Send may run on the source node's lane, and the delivery callback is
-/// scheduled onto the *destination* node's lane. Send-side counters are
-/// per-source rows (each touched only by its own lane or the exclusive
-/// slice); receive-side counters are charged by the delivery event on the
-/// destination lane; totals are summed on read.
+/// Under the epoch schedule the fabric is the epoch-crossing edge: a Send
+/// may run on the source node's lane, and the delivery callback is
+/// scheduled onto the *destination* node's lane, which also charges the
+/// receive-side counters.
 class Network {
  public:
   /// Decides the perturbation for one inter-node message. Must be a pure
   /// function of (seed, src, dst, bytes, link_seq) — never of wall clock
-  /// or shared mutable state — so chaos draws are deterministic even when
-  /// source lanes send concurrently. `link_seq` is the 0-based sequence
+  /// or shared mutable state — so chaos draws are deterministic.
+  /// `link_seq` is the 0-based sequence
   /// number of this message on the directed link src -> dst.
   using PerturbationFn =
       std::function<Perturbation(NodeId src, NodeId dst, uint64_t bytes,
@@ -87,14 +85,12 @@ class Network {
   // epochs); lanes read the matrix, which is stable within an epoch.
 
   /// Cuts the directed link src -> dst. Exclusive context only.
-  // detlint:requires(exclusive)
   void CutLink(NodeId src, NodeId dst);
 
   /// Heals the directed link src -> dst and releases its holding pen in
   /// FIFO order: each parked message is re-scheduled onto the destination
   /// lane with its original wire time measured from now. Exclusive
   /// context only.
-  // detlint:requires(exclusive)
   void HealLink(NodeId src, NodeId dst);
 
   /// False while the directed link src -> dst is cut.
@@ -104,31 +100,23 @@ class Network {
   /// Messages currently parked in holding pens.
   uint64_t messages_held() const;
   /// Cumulative messages ever parked (pen throughput).
-  uint64_t total_held() const { return Sum(messages_held_total_); }
+  uint64_t total_held() const { return messages_held_total_; }
   /// Payloads that landed while their send-time cut was STILL up. The
   /// partition oracle requires this to stay zero: a held message may only
   /// deliver after its heal.
-  uint64_t cut_deliveries() const { return Sum(cut_deliveries_); }
+  uint64_t cut_deliveries() const { return cut_deliveries_; }
 
   /// Installs (or clears, with nullptr) the fault-injection hook consulted
   /// for every inter-node message.
   void set_perturbation(PerturbationFn fn) { perturb_ = std::move(fn); }
 
   uint64_t total_bytes() const { return Sum(bytes_sent_); }
-  uint64_t total_messages() const { return Sum(messages_sent_); }
+  uint64_t total_messages() const { return messages_sent_; }
   uint64_t bytes_sent(NodeId node) const { return bytes_sent_[node]; }
 
   /// Wire bytes sent (all attempts) carrying messages of `cls`.
   uint64_t class_bytes_sent(TrafficClass cls) const {
-    return Sum(class_bytes_sent_[static_cast<int>(cls)]);
-  }
-  /// Wire messages sent (all attempts) carrying messages of `cls`.
-  uint64_t class_messages_sent(TrafficClass cls) const {
-    return Sum(class_messages_sent_[static_cast<int>(cls)]);
-  }
-  /// Wire bytes delivered carrying messages of `cls`.
-  uint64_t class_bytes_received(TrafficClass cls) const {
-    return Sum(class_bytes_received_[static_cast<int>(cls)]);
+    return class_bytes_sent_[static_cast<int>(cls)];
   }
 
   /// Bytes successfully delivered to `node` (equals the send-side count
@@ -146,9 +134,9 @@ class Network {
   }
 
   /// Wire attempts lost to fault injection (each was retransmitted).
-  uint64_t messages_dropped() const { return Sum(messages_dropped_); }
+  uint64_t messages_dropped() const { return messages_dropped_; }
   /// Redundant duplicate deliveries suppressed by transport dedup.
-  uint64_t messages_duplicated() const { return Sum(messages_duplicated_); }
+  uint64_t messages_duplicated() const { return messages_duplicated_; }
 
  private:
   /// One parked message: everything the delivery closure needs, with the
@@ -158,57 +146,48 @@ class Network {
     uint64_t bytes = 0;
     uint64_t delivered = 0;  ///< copies to charge the receiver
     SimTime wire = 0;        ///< wire time, re-measured from the heal point
-    TrafficClass cls = TrafficClass::kForeground;
     std::function<void()> cb;
   };
 
   static uint64_t Sum(const std::vector<uint64_t>& row);
   void ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                         uint64_t delivered, SimTime wire, bool was_held,
-                        TrafficClass cls, std::function<void()> cb);
+                        std::function<void()> cb);
 
   /// Every per-node counter row and per-link matrix, grown in one place so
-  /// a new counter cannot be forgotten by one of the resize sites (they
-  /// used to be five hand-copied resize stanzas). Rows are registered once
-  /// in the constructor; EnsureCapacity walks the lists.
+  /// a new one cannot be forgotten by a resize site. Rows are registered
+  /// once in the constructor; EnsureCapacity walks the lists.
   std::vector<std::vector<uint64_t>*> counter_rows_;
   std::vector<std::vector<std::vector<uint64_t>>*> counter_matrices_;
 
   Simulator* sim_;
   const CostModel* costs_;
-  /// All send-side state is per-source rows: row `n` is written only by
-  /// node n's lane (or the exclusive slice), so concurrent sends from
-  /// different lanes never share a counter.
+  /// Per-node rows behind the per-node accessors: bytes sent by node n
+  /// (all attempts), and bytes and messages delivered to it.
   std::vector<uint64_t> bytes_sent_;
-  std::vector<uint64_t> messages_sent_;
-  std::vector<uint64_t> messages_dropped_;
-  std::vector<uint64_t> messages_duplicated_;
+  std::vector<uint64_t> bytes_received_;
+  std::vector<uint64_t> messages_received_;
+  uint64_t messages_sent_ = 0;
+  uint64_t messages_dropped_ = 0;
+  uint64_t messages_duplicated_ = 0;
+  /// Wire bytes sent (all attempts), indexed by TrafficClass.
+  uint64_t class_bytes_sent_[kNumTrafficClasses] = {};
   /// link_messages_[src][dst]: wire attempts on the directed link.
   std::vector<std::vector<uint64_t>> link_messages_;
   /// send_seq_[src][dst]: messages initiated on the directed link; feeds
   /// the perturbation hook its per-link sequence number.
   std::vector<std::vector<uint64_t>> send_seq_;
-  /// Per-class send-side rows (row = source node, same ownership rule as
-  /// bytes_sent_), indexed by TrafficClass.
-  std::vector<uint64_t> class_bytes_sent_[kNumTrafficClasses];
-  std::vector<uint64_t> class_messages_sent_[kNumTrafficClasses];
-  /// Receive-side rows, charged by the delivery event on the destination
-  /// lane (row `n` written only by node n's lane or the exclusive slice).
-  std::vector<uint64_t> bytes_received_;
-  std::vector<uint64_t> messages_received_;
-  /// Per-class receive-side rows (row = destination node).
-  std::vector<uint64_t> class_bytes_received_[kNumTrafficClasses];
   /// cut_[src][dst] != 0 while the directed link is cut. Mutated only in
   /// exclusive context; lanes read it (stable within an epoch).
   std::vector<std::vector<uint8_t>> cut_;
   int cut_links_ = 0;
-  /// held_[src][dst]: FIFO holding pen. Row `src` is pushed by src's lane
-  /// on Send and flushed by HealLink in exclusive context.
+  /// held_[src][dst]: FIFO holding pen, pushed by Send and flushed by
+  /// HealLink in exclusive context.
   std::vector<std::vector<std::deque<HeldMessage>>> held_;
-  std::vector<uint64_t> messages_held_total_;  ///< per-source row
-  /// Charged by the delivery event (destination lane) when a held message
-  /// lands under a still-live cut — must stay zero.
-  std::vector<uint64_t> cut_deliveries_;
+  uint64_t messages_held_total_ = 0;
+  /// Charged by the delivery event when a held message lands under a
+  /// still-live cut — must stay zero.
+  uint64_t cut_deliveries_ = 0;
   PerturbationFn perturb_;
 };
 

@@ -5,26 +5,11 @@
 #include <limits>
 #include <utility>
 
-#include "sim/thread_pool.h"
-
 namespace hermes::sim {
 
 namespace {
 
 constexpr SimTime kNoEvent = std::numeric_limits<SimTime>::max();
-
-/// Execution context of the calling thread: which simulator's event it is
-/// running, on which lane, at what virtual time. Thread-local so each pool
-/// worker (and the coordinator) carries its own epoch clock; saved and
-/// restored around Run* so nested simulators (replay oracles running a
-/// second cluster inside an event) see their own context.
-struct ExecContext {
-  const Simulator* sim = nullptr;
-  int lane = kControlLane;
-  SimTime now = 0;
-};
-
-thread_local ExecContext tls_ctx;
 
 }  // namespace
 
@@ -32,24 +17,10 @@ Simulator::Simulator() = default;
 
 Simulator::~Simulator() = default;
 
-SimTime Simulator::Now() const {
-  return tls_ctx.sim == this ? tls_ctx.now : now_;
-}
-
-int Simulator::current_lane() const {
-  return tls_ctx.sim == this ? tls_ctx.lane : kControlLane;
-}
-
-bool Simulator::in_lane_context() const {
-  return tls_ctx.sim == this && tls_ctx.lane != kControlLane;
-}
-
 void Simulator::ConfigureLanes(int num_lanes, int threads) {
+  assert(threads == 0 && "lanes run sequentially; threads must be 0");
+  (void)threads;
   EnsureLanes(num_lanes);
-  threads_ = std::max(threads, 0);
-  if (threads_ > 0 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
-  }
 }
 
 void Simulator::EnsureLanes(int num_lanes) {
@@ -74,22 +45,18 @@ void Simulator::ScheduleOnLane(int lane, SimTime delay,
 
 void Simulator::ScheduleOnLaneAt(int lane, SimTime when,
                                  std::function<void()> fn) {
-  // Past times fire "now", where now is the caller's epoch-local clock:
-  // under partitioned execution there is no meaningful global "now" to
-  // clamp to while lanes run, and the executing event's time is the only
-  // clock the caller can observe anyway.
-  const SimTime local_now = Now();
-  if (when < local_now) when = local_now;
+  // Past times fire "now": the executing event's epoch, the only clock the
+  // caller can observe.
+  if (when < now_) when = now_;
   if (lane < 0 || lane >= static_cast<int>(lanes_.size())) lane = kControlLane;
   if (in_lane_context()) {
-    const int self = tls_ctx.lane;
-    if (lane == self) {
+    if (lane == lane_) {
       // Same-lane work needs no barrier: the push order is the lane's own
       // program order.
-      lanes_[static_cast<size_t>(self)]->queue.Push(when, std::move(fn));
+      lanes_[static_cast<size_t>(lane_)]->queue.Push(when, std::move(fn));
       return;
     }
-    lanes_[static_cast<size_t>(self)]->staged.push_back(
+    lanes_[static_cast<size_t>(lane_)]->staged.push_back(
         StagedOp{false, lane, when, std::move(fn)});
     return;
   }
@@ -106,7 +73,7 @@ void Simulator::PushDirect(int lane, SimTime when, std::function<void()> fn) {
 
 void Simulator::Defer(std::function<void()> fn) {
   if (in_lane_context()) {
-    lanes_[static_cast<size_t>(tls_ctx.lane)]->staged.push_back(
+    lanes_[static_cast<size_t>(lane_)]->staged.push_back(
         StagedOp{true, kControlLane, 0, std::move(fn)});
     return;
   }
@@ -121,14 +88,13 @@ void Simulator::MixPop(SimTime when, int lane, uint64_t seq) {
 
 void Simulator::ExecuteLane(int i, SimTime t) {
   Lane& lane = *lanes_[static_cast<size_t>(i)];
-  const ExecContext saved = tls_ctx;
-  tls_ctx = ExecContext{this, i, t};
+  lane_ = i;
   while (!lane.queue.empty() && lane.queue.NextTime() == t) {
     EventQueue::Popped e = lane.queue.PopEntry();
     lane.popped_seqs.push_back(e.seq);
     e.fn();
   }
-  tls_ctx = saved;
+  lane_ = kControlLane;
 }
 
 void Simulator::RunUntil(SimTime deadline) {
@@ -138,7 +104,8 @@ void Simulator::RunUntil(SimTime deadline) {
 void Simulator::RunAll() { RunLoop(0, /*run_all=*/true); }
 
 void Simulator::RunLoop(SimTime deadline, bool run_all) {
-  const ExecContext entry_ctx = tls_ctx;
+  const int entry_lane = lane_;
+  lane_ = kControlLane;
   for (;;) {
     // Next epoch: the earliest pending timestamp across all queues.
     SimTime t = control_.empty() ? kNoEvent : control_.NextTime();
@@ -148,36 +115,25 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
     if (t == kNoEvent || (!run_all && t > deadline)) break;
     now_ = t;
 
-    // 1. Control slice: exclusive, on this thread.
+    // 1. Control slice: exclusive.
     while (!control_.empty() && control_.NextTime() == t) {
       EventQueue::Popped e = control_.PopEntry();
       MixPop(t, kControlLane, e.seq);
       ++events_executed_;
-      tls_ctx = ExecContext{this, kControlLane, t};
       e.fn();
-      tls_ctx = entry_ctx;
     }
 
-    // 2. Lane slice: every lane with events at t, concurrently when a
-    // pool is configured.
+    // 2. Lane slice: every lane with events at t, in ascending lane order.
     active_lanes_.clear();
     for (int i = 0; i < static_cast<int>(lanes_.size()); ++i) {
       const EventQueue& q = lanes_[static_cast<size_t>(i)]->queue;
       if (!q.empty() && q.NextTime() == t) active_lanes_.push_back(i);
     }
     if (active_lanes_.empty()) continue;
-    if (pool_ != nullptr && threads_ > 0) {
-      pool_->RunBatch(static_cast<int>(active_lanes_.size()),
-                      [this, t](int k) {
-                        ExecuteLane(active_lanes_[static_cast<size_t>(k)], t);
-                      });
-    } else {
-      for (int i : active_lanes_) ExecuteLane(i, t);
-    }
+    for (int i : active_lanes_) ExecuteLane(i, t);
 
-    // 3. Barrier: fold pop transcripts and apply staged work in ascending
-    // lane order — the merge order is part of the total order and does
-    // not depend on which thread ran which lane.
+    // 3. Barrier: fold pop transcripts, then apply staged work, both in
+    // ascending lane order — the merge order is part of the total order.
     for (int i : active_lanes_) {
       Lane& lane = *lanes_[static_cast<size_t>(i)];
       for (uint64_t seq : lane.popped_seqs) MixPop(t, i, seq);
@@ -192,9 +148,7 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
       lanes_[static_cast<size_t>(i)]->staged.clear();
       for (StagedOp& op : ops) {
         if (op.is_effect) {
-          tls_ctx = ExecContext{this, kControlLane, t};
           op.fn();
-          tls_ctx = entry_ctx;
         } else {
           PushDirect(op.lane, op.when, std::move(op.fn));
         }
@@ -202,7 +156,7 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
     }
   }
   if (!run_all && now_ < deadline) now_ = deadline;
-  tls_ctx = entry_ctx;
+  lane_ = entry_lane;
 }
 
 bool Simulator::idle() const {

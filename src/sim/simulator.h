@@ -12,35 +12,31 @@
 
 namespace hermes::sim {
 
-class ThreadPool;
-
-/// Lane index for work that must run in the exclusive (single-threaded)
-/// slice of every epoch: sequencing, routing, shared bookkeeping.
+/// Lane index for work that runs in the exclusive slice of every epoch:
+/// sequencing, routing, shared bookkeeping.
 inline constexpr int kControlLane = -1;
 
 /// Discrete-event simulation driver: a virtual clock plus per-lane event
 /// queues. Components schedule closures at relative or absolute simulated
 /// times; Run*() advances the clock epoch by epoch.
 ///
-/// Epoch-synchronized parallel execution: events are partitioned into one
-/// *control* lane plus one lane per simulated node. Each distinct virtual
-/// timestamp T is an epoch, executed in three steps:
+/// Epoch schedule: events are partitioned into one *control* lane plus one
+/// lane per simulated node. Each distinct virtual timestamp T is an epoch,
+/// executed in three steps:
 ///
-///   1. Control slice — every control event at T runs on the coordinator
-///      thread, exclusively (it may touch any state).
-///   2. Lane slice — every node lane with events at T drains them, in the
-///      lane's own (time, seq) order, potentially on real threads. Lane
+///   1. Control slice — every control event at T runs, exclusively (it may
+///      touch any state).
+///   2. Lane slice — every node lane with events at T drains them, in
+///      ascending lane order and in the lane's own (time, seq) order. Lane
 ///      events may touch only their node's state; pushes to other lanes
 ///      and Defer()red closures are *staged*, not applied.
-///   3. Barrier — the coordinator folds each lane's pop transcript into
-///      the decision digest and applies the staged operations, both in
-///      ascending lane order, then re-enters step 1 while events remain
-///      at T.
+///   3. Barrier — the lanes' pop transcripts are folded into the decision
+///      digest and their staged operations applied, both in ascending lane
+///      order, then step 1 re-enters while events remain at T.
 ///
-/// The resulting execution order — and therefore every digest — is a pure
-/// function of the event DAG: the thread count only changes which OS
-/// thread runs a lane, never what runs before what. `threads == 0` (the
-/// oracle mode) runs the identical schedule inline.
+/// Everything runs on the calling thread. The staging fixes the total
+/// order every digest pins: a lane's cross-node effects land at the
+/// barrier, never in the middle of a sibling lane's slice.
 class Simulator {
  public:
   Simulator();
@@ -49,31 +45,27 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current virtual time. Inside an event handler this is the handler's
-  /// own epoch clock (correct even when other lanes run concurrently).
-  SimTime Now() const;
+  /// Current virtual time: the executing event's epoch inside a handler.
+  SimTime Now() const { return now_; }
 
-  /// Declares `num_lanes` node lanes executed by `threads` real worker
-  /// threads (0 = run lanes inline on the calling thread). Call before
-  /// scheduling lane work; may be called again only to grow the lane
-  /// count or keep it equal.
-  // detlint:runs(exclusive)
-  void ConfigureLanes(int num_lanes, int threads);
+  /// Declares `num_lanes` node lanes. Call before scheduling lane work; may
+  /// be called again only to grow the lane count or keep it equal.
+  /// `threads` is a compatibility stub for callers written when lanes could
+  /// run on OS threads; its only legal value is 0 (asserted).
+  void ConfigureLanes(int num_lanes, int threads = 0);
 
   /// Grows the lane count (dynamic provisioning). Exclusive context only.
-  // detlint:requires(exclusive)
   void EnsureLanes(int num_lanes);
 
   int num_lanes() const { return static_cast<int>(lanes_.size()); }
-  int threads() const { return threads_; }
 
   /// Schedules `fn` to run `delay` microseconds from now, on the lane the
   /// caller is executing on (the control lane outside any event).
   void Schedule(SimTime delay, std::function<void()> fn);
 
   /// Schedules `fn` at absolute time `when`; times in the past fire "now"
-  /// — clamped to the caller's epoch-local clock (the queue never rewinds
-  /// any lane's clock).
+  /// — clamped to the caller's epoch (the queue never rewinds any lane's
+  /// clock).
   void ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Schedules `fn` on a specific lane (kControlLane, or a node lane; out
@@ -85,17 +77,17 @@ class Simulator {
   /// Runs `fn` in exclusive context: immediately when the caller already
   /// is exclusive (control slice, barrier, or outside a run), otherwise
   /// staged to this epoch's barrier. Lane code uses this for the few
-  /// cross-node effects (shared bookkeeping, metrics) it must not apply
-  /// while sibling lanes run.
+  /// cross-node effects (shared bookkeeping, metrics) that must land after
+  /// every sibling lane's slice.
   void Defer(std::function<void()> fn);
 
-  /// Lane the calling thread is currently executing an event on, or
+  /// Lane an event of this simulator is currently executing on, or
   /// kControlLane when exclusive.
-  int current_lane() const;
+  int current_lane() const { return lane_; }
 
   /// True while the caller runs inside a node-lane event of this
-  /// simulator (i.e. sibling lanes may be running concurrently).
-  bool in_lane_context() const;
+  /// simulator.
+  bool in_lane_context() const { return lane_ != kControlLane; }
 
   /// Runs events until the queues are empty or the next event is later
   /// than `deadline`; the clock ends at min(deadline, last event time).
@@ -108,7 +100,7 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
 
   /// Feeds every event pop's (time, lane, seq) into `digest`: the full
-  /// firing order, identical for every thread count.
+  /// firing order.
   void set_decision_digest(DecisionDigest* digest) { digest_ = digest; }
 
   bool idle() const;
@@ -123,8 +115,8 @@ class Simulator {
     std::function<void()> fn;
   };
 
-  /// A node lane: its event queue plus the per-epoch buffers its executor
-  /// fills (read back by the coordinator after the barrier).
+  /// A node lane: its event queue plus the per-epoch buffers its slice
+  /// fills (read back at the barrier).
   struct Lane {
     EventQueue queue;
     std::vector<uint64_t> popped_seqs;
@@ -132,7 +124,7 @@ class Simulator {
   };
 
   void RunLoop(SimTime deadline, bool run_all);
-  /// Drains lane `i`'s events at epoch `t` (worker or inline).
+  /// Drains lane `i`'s events at epoch `t`.
   void ExecuteLane(int i, SimTime t);
   /// Mixes one pop into the decision digest; lane kControlLane tags 0.
   void MixPop(SimTime when, int lane, uint64_t seq);
@@ -141,9 +133,11 @@ class Simulator {
 
   EventQueue control_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::unique_ptr<ThreadPool> pool_;
-  int threads_ = 0;
   SimTime now_ = 0;
+  /// Lane of the executing event; kControlLane when exclusive. Kept per
+  /// simulator, so a second simulator run inside an event (the replay
+  /// oracles do this) has its own context.
+  int lane_ = kControlLane;
   uint64_t events_executed_ = 0;
   DecisionDigest* digest_ = nullptr;
   std::vector<int> active_lanes_;  // scratch for RunLoop

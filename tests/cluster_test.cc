@@ -233,5 +233,14 @@ TEST(ClusterTest, UserAbortRollsBackButStillMigrates) {
   EXPECT_EQ(cluster->ownership().Owner(5), cluster->ownership().Owner(9000));
 }
 
+// SimConfig::threads is a compatibility stub: the simulator only runs
+// sequentially, so a nonzero value must abort construction with the field
+// named rather than silently run sequentially.
+TEST(ClusterDeathTest, NonzeroSimThreadsAborts) {
+  ClusterConfig config = SmallConfig();
+  config.sim.threads = 1;
+  EXPECT_DEATH(MakeCluster(config, RouterKind::kHermes), "sim\\.threads");
+}
+
 }  // namespace
 }  // namespace hermes

@@ -39,6 +39,7 @@ std::vector<uint64_t> PerturbationSalts() {
 struct RunResult {
   uint64_t digest = 0;
   uint64_t digest_count = 0;
+  uint64_t placement = 0;
   uint64_t state_checksum = 0;
   uint64_t content_checksum = 0;
   uint64_t commits = 0;
@@ -48,6 +49,7 @@ struct RunResult {
 
 bool operator==(const RunResult& a, const RunResult& b) {
   return a.digest == b.digest && a.digest_count == b.digest_count &&
+         a.placement == b.placement &&
          a.state_checksum == b.state_checksum &&
          a.content_checksum == b.content_checksum && a.commits == b.commits &&
          a.aborts == b.aborts && a.migrations == b.migrations;
@@ -94,6 +96,7 @@ RunResult RunWorkload() {
   RunResult r;
   r.digest = cluster.decision_digest().value();
   r.digest_count = cluster.decision_digest().count();
+  r.placement = cluster.placement_digest().value();
   r.state_checksum = cluster.StateChecksum();
   r.content_checksum = cluster.ContentChecksum();
   r.commits = cluster.metrics().total_commits();

@@ -1,4 +1,6 @@
-// detlint-fixture: path=src/sim/raw_thread_neg.cc
-#include <thread>
+// detlint-fixture: path=bench/raw_thread_neg.cc
+#include <atomic>
 
-std::thread worker_;
+// bench/ drops raw-thread: allocation counters in the harness are atomics.
+std::atomic<long> allocations_{0};
+int thread = 0;

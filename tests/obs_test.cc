@@ -1,6 +1,7 @@
 // Unit tests for the observability subsystem (src/obs/): trace ring
 // bounds, tracer enable/mirror semantics, the trace digest, the telemetry
-// registry's sorted export, and the Chrome trace_event JSON shape. The
+// registry's sorted export, the shared Histogram's bucketing and edge
+// cases, and the Chrome trace_event JSON shape. The
 // end-to-end properties (bit-identical traces across salts, chaos/degraded
 // coverage) live in trace_determinism_test.
 #include "obs/export.h"
@@ -103,7 +104,7 @@ TEST(TracerTest, EnabledTracerDigestsAndRoutesToNodeRings) {
   EXPECT_EQ(t.ring(3).recorded, 1u);
   // Each ring digests its own events (7 Mix() words per event); the
   // tracer digest folds the non-empty rings (two words per ring) in ring
-  // order, so emission stays lane-local under the parallel simulator.
+  // order, so emission stays lane-local under the epoch schedule.
   EXPECT_EQ(t.ring(0).digest.count(), 1u * 7)
       << "ring digest no longer covers the full event";
   EXPECT_EQ(t.ring(2).digest.count(), 0u);
@@ -214,6 +215,120 @@ TEST(RegistryTest, PrometheusTextShape) {
             std::string::npos);
   EXPECT_NE(text.find("hermes_latency_us_sum 60"), std::string::npos);
   EXPECT_NE(text.find("hermes_latency_us_count 3"), std::string::npos);
+}
+
+TEST(HistogramTest, PercentilesApproximateDistribution) {
+  Histogram h;
+  for (SimTime v = 1; v <= 10'000; ++v) h.Record(v);
+  EXPECT_EQ(h.count(), 10'000u);
+  // Bucketing error is bounded by ~25% of the value (upper bucket bound).
+  EXPECT_NEAR(static_cast<double>(h.Percentile(0.5)), 5000.0, 1500.0);
+  EXPECT_NEAR(static_cast<double>(h.Percentile(0.99)), 9900.0, 2600.0);
+  EXPECT_GE(h.Percentile(0.99), h.Percentile(0.5));
+  EXPECT_GE(h.Percentile(0.5), h.Percentile(0.1));
+}
+
+TEST(HistogramTest, PercentileIsUpperBound) {
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Record(1000);
+  EXPECT_GE(h.Percentile(0.0), 1000u);
+  EXPECT_GE(h.Percentile(1.0), 1000u);
+  EXPECT_LE(h.Percentile(1.0), 1300u);
+}
+
+TEST(HistogramTest, HandlesExtremes) {
+  Histogram h;
+  h.Record(0);
+  h.Record(kSimTimeMax);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_GE(h.Percentile(1.0), h.Percentile(0.0));
+}
+
+TEST(HistogramTest, SkewedDistribution) {
+  Histogram h;
+  for (int i = 0; i < 990; ++i) h.Record(100);
+  for (int i = 0; i < 10; ++i) h.Record(1'000'000);
+  EXPECT_LE(h.Percentile(0.5), 130u);
+  EXPECT_GE(h.Percentile(0.995), 900'000u);
+}
+
+TEST(HistogramTest, EmptyHistogramPercentilesAreZero) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.Percentile(0.0), 0u);
+  EXPECT_EQ(h.Percentile(0.5), 0u);
+  EXPECT_EQ(h.Percentile(1.0), 0u);
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 0u);
+  EXPECT_EQ(snap.sum, 0u);
+  EXPECT_TRUE(snap.buckets.empty());
+}
+
+TEST(HistogramTest, SubMicrosecondClampsToFirstBucket) {
+  // The histogram covers 1 us up; a 0 us latency (possible for a local
+  // read that never waits) lands in the first bucket, not out of range.
+  Histogram h;
+  h.Record(0);
+  h.Record(1);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_LE(h.Percentile(1.0), 2u);
+  const HistogramSnapshot snap = h.Snapshot();
+  ASSERT_EQ(snap.buckets.size(), 1u);
+  EXPECT_EQ(snap.buckets[0].second, 2u);
+}
+
+TEST(HistogramTest, BeyondTopBandClampsToLastBand) {
+  // Values past the ~1100 s top band all share the last band instead of
+  // indexing out of bounds; ordering against smaller values survives.
+  Histogram h;
+  h.Record(1ULL << 40);
+  h.Record(kSimTimeMax);
+  h.Record(10);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_GE(h.Percentile(1.0), 1ULL << 30);
+  EXPECT_LE(h.Percentile(0.0), 13u);
+}
+
+TEST(HistogramTest, ZeroAndOneQuantilesBracketTheData) {
+  Histogram h;
+  h.Record(10);
+  h.Record(100);
+  h.Record(1000);
+  // q=0 is the smallest bucket's upper bound, q=1 the largest's; both
+  // within one bucket width (25%) of the true extremes.
+  EXPECT_GE(h.Percentile(0.0), 10u);
+  EXPECT_LE(h.Percentile(0.0), 13u);
+  EXPECT_GE(h.Percentile(1.0), 1000u);
+  EXPECT_LE(h.Percentile(1.0), 1300u);
+  EXPECT_GE(h.Percentile(1.0), h.Percentile(0.999));
+}
+
+TEST(HistogramTest, SnapshotMatchesRecordedCounts) {
+  Histogram h;
+  for (int i = 0; i < 5; ++i) h.Record(100);
+  for (int i = 0; i < 3; ++i) h.Record(5'000);
+  const HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 8u);
+  ASSERT_EQ(snap.buckets.size(), 2u);
+  // Ascending bounds, per-bucket (not cumulative) counts; the Prometheus
+  // exporter does the cumulative sum.
+  EXPECT_LT(snap.buckets[0].first, snap.buckets[1].first);
+  EXPECT_EQ(snap.buckets[0].second, 5u);
+  EXPECT_EQ(snap.buckets[1].second, 3u);
+  EXPECT_EQ(snap.sum, snap.buckets[0].first * 5 + snap.buckets[1].first * 3);
+}
+
+TEST(HistogramTest, MergeAddsBucketsAndCounts) {
+  Histogram a, b;
+  for (int i = 0; i < 3; ++i) a.Record(100);
+  for (int i = 0; i < 2; ++i) b.Record(5'000);
+  a.Merge(b);
+  EXPECT_EQ(a.count(), 5u);
+  const HistogramSnapshot snap = a.Snapshot();
+  ASSERT_EQ(snap.buckets.size(), 2u);
+  EXPECT_EQ(snap.buckets[0].second, 3u);
+  EXPECT_EQ(snap.buckets[1].second, 2u);
+  EXPECT_EQ(a.Percentile(1.0), b.Percentile(1.0));
 }
 
 TEST(ChromeTraceTest, JsonShapeAndMetadata) {

@@ -58,8 +58,7 @@ TEST(WireTest, SerializerQueuesBackToBackMessages) {
   EXPECT_EQ(first, 110u);
   EXPECT_EQ(second, 120u);
   EXPECT_EQ(wire.transmits(TrafficClass::kForeground), 2u);
-  const DelayHistogram h = wire.MergedQueueDelay(TrafficClass::kForeground);
-  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(wire.MergedQueueDelay(TrafficClass::kForeground).count(), 2u);
 }
 
 TEST(WireTest, RateOverrideChangesOccupancyOnly) {

@@ -3,7 +3,7 @@
 
 // detlint lexer: turns a C++ source file into the three streams the rule
 // pass consumes — a token stream (identifiers, numbers, punctuation),
-// the comment list (suppressions and contract annotations live there),
+// the comment list (suppressions live there),
 // and the #include directives (the include-graph rules live there).
 //
 // This replaces detlint v1's regex-over-stripped-text approach: string

@@ -13,14 +13,14 @@
 namespace detlint {
 
 /// Prints the classic text report to `out` and returns the error count:
-/// unsuppressed findings + malformed annotations + suppression problems
-/// (unknown rule, missing justification, unused). `file_count` feeds the
+/// unsuppressed findings + suppression problems (unknown rule, missing
+/// justification, unused). `file_count` feeds the
 /// summary line.
 int PrintTextReport(const AnalysisResult& result, size_t file_count,
                     std::FILE* out);
 
 /// Renders the same diagnostics as a SARIF 2.1.0 run: findings and
-/// suppression/annotation problems as "error" results, honored
+/// suppression problems as "error" results, honored
 /// suppressions as "note" results, with the full rule catalog as tool
 /// metadata.
 std::string SarifReport(const AnalysisResult& result);

@@ -1,7 +1,7 @@
 #ifndef HERMES_TOOLS_DETLINT_RULES_H_
 #define HERMES_TOOLS_DETLINT_RULES_H_
 
-// detlint rule pass: twelve determinism rules over the token streams and
+// detlint rule pass: eleven determinism rules over the token streams and
 // the project include graph (see rules.cc for the catalog, DESIGN.md §5
 // "Determinism toolchain" for the rationale table).
 
@@ -39,21 +39,6 @@ struct Suppression {
   bool used = false;
 };
 
-/// A lane-confinement contract annotation parsed from a comment, written
-/// as the `detlint:` prefix immediately followed by one of:
-///   `requires(exclusive)` — callers must be in exclusive context
-///   `runs(exclusive)`     — body is exclusive (scheduled-only entry
-///                           point); call sites unchecked
-/// The annotation binds to the unqualified name of the next function
-/// declared or defined after it.
-struct Annotation {
-  std::string file;
-  int line = 0;
-  std::string kind;      // "requires" | "runs"
-  std::string mode;      // only "exclusive" is defined
-  std::string function;  // bound function name ("" = nothing followed)
-};
-
 /// Every rule detlint knows, in report order.
 const std::set<std::string>& KnownRules();
 
@@ -77,9 +62,6 @@ struct AnalysisResult {
   std::vector<Finding> findings;
   /// Suppressions in file-load order (reported in that order).
   std::vector<Suppression> suppressions;
-  /// Malformed contract annotations (unknown kind/mode, unbound), as
-  /// hard errors.
-  std::vector<Finding> annotation_errors;
 };
 
 /// Runs every profiled rule over `files`. The include graph and the
