@@ -25,7 +25,6 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
-#include "partition/partition_map.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
 
@@ -43,6 +42,7 @@ using hermes::fault::FaultPlan;
 using hermes::fault::FaultPlanConfig;
 using hermes::fault::InvariantMonitor;
 using hermes::fault::PartitionStats;
+using hermes::fault::RangeMapFactory;
 using hermes::fault::RecoveryStats;
 
 constexpr SimTime kHorizon = SecToSim(12);
@@ -148,15 +148,6 @@ ClusterConfig BenchConfig(Mode mode) {
   return config;
 }
 
-FaultInjector::MapFactory MapFactory(const ClusterConfig& config) {
-  const uint64_t records = config.num_records;
-  const int nodes = config.num_nodes;
-  return [records, nodes] {
-    return std::make_unique<hermes::partition::RangePartitionMap>(records,
-                                                                  nodes);
-  };
-}
-
 struct BenchOutcome {
   std::vector<double> commits;     // per metrics window
   std::vector<double> sent;        // bytes sent per window
@@ -178,7 +169,7 @@ struct BenchOutcome {
 
 BenchOutcome Run(Mode mode, const Options& opts) {
   const ClusterConfig config = BenchConfig(mode);
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   std::unique_ptr<FaultInjector> injector;
@@ -206,7 +197,7 @@ BenchOutcome Run(Mode mode, const Options& opts) {
     const FaultPlan plan = FaultPlan::Generate(pc, opts.seed);
     std::printf("%s", plan.DebugString().c_str());
     injector = std::make_unique<FaultInjector>(&cluster, plan,
-                                               MapFactory(config));
+                                               RangeMapFactory(config));
     injector->set_monitor(&monitor);
   }
 

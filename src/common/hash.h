@@ -17,7 +17,7 @@ namespace hermes {
 /// Changing the salt permutes bucket assignment — and therefore iteration
 /// order — of every such container, while leaving the set of stored
 /// elements untouched. Runs of the deterministic pipeline must produce
-/// identical decisions under every salt; determinism_perturbation_test and
+/// identical decisions under every salt; digest_oracle_test and
 /// scripts/check_determinism.sh assert exactly that, which turns latent
 /// "iteration order leaked into a decision" bugs into test failures.
 uint64_t HashSalt();

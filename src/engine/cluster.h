@@ -288,7 +288,7 @@ class Cluster {
   /// Running digest over the cluster's decision stream: router placements,
   /// fusion-table evictions, and every event-queue pop. Identical seeded
   /// runs must produce identical digests under every HERMES_HASH_SALT —
-  /// determinism_perturbation_test and scripts/check_determinism.sh assert
+  /// digest_oracle_test and scripts/check_determinism.sh assert
   /// this, catching hash-iteration-order leaks at runtime.
   const DecisionDigest& decision_digest() const { return digest_; }
 

@@ -54,6 +54,10 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
              "stall-crash cycles cannot coexist with partitions");
     }
   }
+  // The rebuild baseline. Requires the cluster Load()ed and not yet
+  // running (TakeCheckpoint asserts quiescence), so it is taken before
+  // the gray-window arming below schedules its first event.
+  checkpoint_ = cluster_->TakeCheckpoint();
   if (cluster_->failure_detector() != nullptr) {
     // The detector's heartbeat stream shares the chaos seed: a gray link
     // eats heartbeats with gray_heartbeat_drop_prob, keyed by (seed, link,
@@ -81,9 +85,6 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
           [cluster, until] { cluster->ArmDetector(until); });
     }
   }
-  // The rebuild baseline. Requires the cluster Load()ed and not yet
-  // running (TakeCheckpoint asserts quiescence).
-  checkpoint_ = cluster_->TakeCheckpoint();
 }
 
 FaultInjector::FaultInjector(engine::ReplicaGroup* group,
@@ -102,6 +103,14 @@ FaultInjector::FaultInjector(engine::ReplicaGroup* group,
       chaos_.back()->Install(&group_->replica(r).network());
     }
   }
+}
+
+FaultInjector::MapFactory RangeMapFactory(const ClusterConfig& config) {
+  const uint64_t records = config.num_records;
+  const int nodes = config.num_nodes;
+  return [records, nodes] {
+    return std::make_unique<partition::RangePartitionMap>(records, nodes);
+  };
 }
 
 SimTime FaultInjector::Now() const {

@@ -191,6 +191,10 @@ class FaultInjector {
   bool had_partition_ = false;
 };
 
+/// The factory every range-partitioned fault run hands the injector and
+/// the oracles: a fresh RangePartitionMap over config's records and nodes.
+FaultInjector::MapFactory RangeMapFactory(const ClusterConfig& config);
+
 }  // namespace hermes::fault
 
 #endif  // HERMES_FAULT_INJECTOR_H_

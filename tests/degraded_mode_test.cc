@@ -4,20 +4,16 @@
 // and after the final rejoin a replay told the same membership schedule
 // reproduces the same placements, state and commit/abort counts.
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
-#include "common/rng.h"
+#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "migration/provisioning.h"
-#include "partition/partition_map.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
 
@@ -30,41 +26,15 @@ using fault::FaultInjector;
 using fault::FaultPlan;
 using fault::FaultPlanConfig;
 using fault::InvariantMonitor;
-
-ClusterConfig DegradedClusterConfig() {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 8'000;
-  config.hermes.fusion_table_capacity = 300;
-  return config;
-}
-
-FaultInjector::MapFactory MapFactory(const ClusterConfig& config) {
-  const uint64_t records = config.num_records;
-  const int nodes = config.num_nodes;
-  return [records, nodes] {
-    return std::make_unique<partition::RangePartitionMap>(records, nodes);
-  };
-}
-
-FaultPlan NoStallPlan(const ClusterConfig& config, uint64_t seed) {
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(300);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(30);
-  pc.max_outage_us = MsToSim(80);
-  pc.no_stall = true;
-  return FaultPlan::Generate(pc, seed);
-}
+using fault::RangeMapFactory;
 
 TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
-  const FaultPlan plan = NoStallPlan(config, 7);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  const FaultPlan plan = oracle::NoStallPlan(config, 7);
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
   InvariantMonitor monitor(config.num_records);
   injector.set_monitor(&monitor);
 
@@ -107,7 +77,7 @@ TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
   // injector.Drain() already ran the degraded oracle; run it again
   // explicitly so a failure points here.
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          MapFactory(config), "final"));
+                                          RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -115,8 +85,8 @@ TEST(DegradedModeTest, BlockedTransactionsRetryThenCommitAfterRejoin) {
   // Every submission eventually resolves: blocked ones either commit via
   // a deterministic retry or come back as an UNAVAILABLE abort — nothing
   // hangs and nothing is silently dropped.
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   cluster.CrashNoStall(2);
@@ -159,7 +129,7 @@ TEST(DegradedModeTest, BlockedTransactionsRetryThenCommitAfterRejoin) {
   InvariantMonitor monitor(config.num_records);
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          MapFactory(config), "final"));
+                                          RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -167,8 +137,8 @@ TEST(DegradedModeTest, ChunkMigrationTowardDeadNodeParksUntilRejoin) {
   // A consolidation is cut short by a crash: chunks whose target (or
   // source range) is down park in FIFO order and resume at rejoin; the
   // drain still completes and every record lands where ownership says.
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   cluster.CrashNoStall(1);
@@ -192,7 +162,7 @@ TEST(DegradedModeTest, ChunkMigrationTowardDeadNodeParksUntilRejoin) {
   InvariantMonitor monitor(config.num_records);
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          MapFactory(config), "final"));
+                                          RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -200,8 +170,8 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
   // The inverse interleaving: the consolidation starts first, the crash
   // lands while its chunk stream is mid-flight (satellite: chaos plans
   // with crash mid-consolidation — this is the deterministic unit case).
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   workload::YcsbConfig wl;
@@ -232,7 +202,7 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
   InvariantMonitor monitor(config.num_records);
   EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          MapFactory(config), "final"));
+                                          RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -240,8 +210,8 @@ TEST(DegradedModeTest, InFlightRecordTowardVictimIsReclaimed) {
   // A record extracted toward the victim before the crash is suppressed
   // on delivery and reclaimed by the source after the deterministic
   // timeout — record singularity holds throughout.
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   workload::YcsbConfig wl;
@@ -276,93 +246,16 @@ TEST(DegradedModeTest, InFlightRecordTowardVictimIsReclaimed) {
   cluster.Drain();
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          MapFactory(config), "final"));
+                                          RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
-}
-
-struct DegradedOutcome {
-  uint64_t retry_digest = 0;
-  uint64_t transcript_len = 0;
-  uint64_t parked_total = 0;
-  uint64_t watchdog_aborts = 0;
-  uint64_t placement = 0;
-  uint64_t checksum = 0;
-  uint64_t commits = 0;
-  std::string report;
-  bool ok = true;
-};
-
-DegradedOutcome RunDegraded(uint64_t seed) {
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
-  cluster.Load();
-
-  const FaultPlan plan = NoStallPlan(config, seed);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
-  InvariantMonitor monitor(config.num_records);
-  injector.set_monitor(&monitor);
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = Mix64(seed ^ 0xdeadULL);
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 10, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(300));
-  driver.Start();
-
-  injector.RunUntil(MsToSim(300));
-  injector.Drain();
-
-  DegradedOutcome out;
-  out.retry_digest = cluster.degraded_ledger().RetryDigest();
-  out.transcript_len = cluster.degraded_ledger().transcript().size();
-  out.parked_total = cluster.degraded_ledger().parked_total();
-  out.watchdog_aborts = cluster.degraded_ledger().watchdog_aborts();
-  out.placement = cluster.placement_digest().value();
-  out.checksum = cluster.StateChecksum();
-  out.commits = cluster.metrics().total_commits();
-  out.ok = monitor.ok();
-  out.report = monitor.FailureReport();
-  return out;
-}
-
-TEST(DegradedModeTest, RetryTranscriptIsIdenticalAcrossHashSalts) {
-  // The whole degraded outcome — who was blocked, in which epoch, with
-  // which backoff, plus the final placements and state — must be a pure
-  // function of (workload seed, plan seed, config), never of hash order.
-  const uint64_t old_salt = HashSalt();
-  const std::vector<uint64_t> salts = {HashSalt(), 0x9e3779b97f4a7c15ULL,
-                                       0xdeadbeefcafef00dULL};
-  std::vector<DegradedOutcome> outcomes;
-  for (uint64_t salt : salts) {
-    SetHashSalt(salt);
-    outcomes.push_back(RunDegraded(31));
-  }
-  SetHashSalt(old_salt);
-
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].report;
-  EXPECT_GT(outcomes[0].transcript_len, 0u)
-      << "the outage never blocked anything — the test proves nothing";
-  for (size_t i = 1; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].report;
-    EXPECT_EQ(outcomes[i].retry_digest, outcomes[0].retry_digest);
-    EXPECT_EQ(outcomes[i].transcript_len, outcomes[0].transcript_len);
-    EXPECT_EQ(outcomes[i].parked_total, outcomes[0].parked_total);
-    EXPECT_EQ(outcomes[i].watchdog_aborts, outcomes[0].watchdog_aborts);
-    EXPECT_EQ(outcomes[i].placement, outcomes[0].placement);
-    EXPECT_EQ(outcomes[i].checksum, outcomes[0].checksum);
-    EXPECT_EQ(outcomes[i].commits, outcomes[0].commits);
-  }
 }
 
 TEST(DegradedModeTest, DebugStringsExposeDegradedState) {
   // Satellite: HERMES_TRACE_KEY / DebugString extensions. The degraded
   // rendering lists the retry transcript and frozen/suppressed state in
   // total order.
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   cluster.CrashNoStall(2);
@@ -388,8 +281,8 @@ TEST(DegradedModeTest, DeferredCheckpointRefreshShortensNextReplay) {
   // Satellite: a no-stall rejoin happens under load with no quiescent
   // point; the injector arms a deferred refresh and takes it at the next
   // quiescent window, so a second outage replays a short suffix.
-  const ClusterConfig config = DegradedClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -400,7 +293,7 @@ TEST(DegradedModeTest, DeferredCheckpointRefreshShortensNextReplay) {
   pc.max_outage_us = MsToSim(60);
   pc.no_stall = true;
   const FaultPlan plan = FaultPlan::Generate(pc, 21);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
   InvariantMonitor monitor(config.num_records);
   injector.set_monitor(&monitor);
 

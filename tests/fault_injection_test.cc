@@ -2,7 +2,6 @@
 // chaos, and mid-flight replica failover, with the invariant monitor and
 // the fault-free oracle asserting nothing was lost or invented.
 
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
-#include "partition/partition_map.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
 
@@ -26,6 +24,7 @@ using fault::FaultInjector;
 using fault::FaultPlan;
 using fault::FaultPlanConfig;
 using fault::InvariantMonitor;
+using fault::RangeMapFactory;
 
 ClusterConfig ChaosClusterConfig() {
   ClusterConfig config;
@@ -35,17 +34,9 @@ ClusterConfig ChaosClusterConfig() {
   return config;
 }
 
-FaultInjector::MapFactory MapFactory(const ClusterConfig& config) {
-  const uint64_t records = config.num_records;
-  const int nodes = config.num_nodes;
-  return [records, nodes] {
-    return std::make_unique<partition::RangePartitionMap>(records, nodes);
-  };
-}
-
 TEST(FaultInjectionTest, CrashRejoinRebuildsExactState) {
   const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -56,7 +47,7 @@ TEST(FaultInjectionTest, CrashRejoinRebuildsExactState) {
   pc.max_outage_us = MsToSim(80);
   const FaultPlan plan = FaultPlan::Generate(pc, 7);
 
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
   InvariantMonitor monitor(config.num_records);
   injector.set_monitor(&monitor);
 
@@ -84,7 +75,7 @@ TEST(FaultInjectionTest, CrashRejoinRebuildsExactState) {
 
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                         MapFactory(config), "final"));
+                                         RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -92,7 +83,7 @@ TEST(FaultInjectionTest, ServiceContinuesAfterRejoin) {
   // Work submitted DURING the outage parks at the paused sequencer and
   // commits after recovery — nothing accepted is dropped.
   const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -102,7 +93,7 @@ TEST(FaultInjectionTest, ServiceContinuesAfterRejoin) {
   pc.min_outage_us = MsToSim(40);
   pc.max_outage_us = MsToSim(60);
   const FaultPlan plan = FaultPlan::Generate(pc, 3);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
 
   const SimTime crash_at = plan.events[0].at;
   injector.RunUntil(crash_at + MsToSim(1));  // mid-outage
@@ -126,7 +117,7 @@ TEST(FaultInjectionTest, ServiceContinuesAfterRejoin) {
 
 TEST(FaultInjectionTest, LinkChaosPreservesOracleEquality) {
   const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -137,7 +128,7 @@ TEST(FaultInjectionTest, LinkChaosPreservesOracleEquality) {
   pc.link.duplicate_prob = 0.03;
   pc.link.max_jitter_us = 400;
   const FaultPlan plan = FaultPlan::Generate(pc, 11);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
 
   workload::YcsbConfig wl;
   wl.num_records = config.num_records;
@@ -164,13 +155,13 @@ TEST(FaultInjectionTest, LinkChaosPreservesOracleEquality) {
   EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                         MapFactory(config), "final"));
+                                         RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
 TEST(FaultInjectionTest, CheckpointRefreshShortensSecondReplay) {
   const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -180,7 +171,7 @@ TEST(FaultInjectionTest, CheckpointRefreshShortensSecondReplay) {
   pc.min_outage_us = MsToSim(20);
   pc.max_outage_us = MsToSim(60);
   const FaultPlan plan = FaultPlan::Generate(pc, 21);
-  FaultInjector injector(&cluster, plan, MapFactory(config));
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
   InvariantMonitor monitor(config.num_records);
   injector.set_monitor(&monitor);
 
@@ -203,18 +194,14 @@ TEST(FaultInjectionTest, CheckpointRefreshShortensSecondReplay) {
   EXPECT_LT(injector.recoveries()[1].replayed_batches,
             cluster.command_log().size());
   EXPECT_TRUE(monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                         MapFactory(config), "final"));
+                                         RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
 TEST(FaultInjectionTest, MidFlightFailoverKeepsReplicasConsistent) {
   const ClusterConfig config = ChaosClusterConfig();
   const int replicas = 3;
-  ReplicaGroup group(config, RouterKind::kHermes,
-                     [&config] {
-                       return std::make_unique<partition::RangePartitionMap>(
-                           config.num_records, config.num_nodes);
-                     },
+  ReplicaGroup group(config, RouterKind::kHermes, RangeMapFactory(config),
                      replicas);
   group.Load();
 
@@ -265,7 +252,7 @@ TEST(FaultInjectionTest, InFlightRecordsAppearInExecutorDebugString) {
   // in small increments until a migration is mid-wire and check both the
   // table and its rendering.
   const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   workload::YcsbConfig wl;

@@ -1,28 +1,23 @@
 // Replica-lease tests (DESIGN.md §5 "Replica leases"): the lease table
 // grants deterministic read leases to remote-read-hot keys, the lease
-// manager's copies stay coherent with their primaries, a crashed holder
-// deterministically lapses every lease, and — the tentpole oracle — all
-// three digests plus the replica checksum are bit-identical across hash
-// salts. Also hosts the Drain() footgun
-// regression: draining with a node still down never terminates (the
-// watchdog keeps rescheduling), so rejoin first; the stuck state is
+// manager's copies stay coherent with their primaries, and a crashed
+// holder deterministically lapses every lease. The cross-salt digest
+// oracle is the digest oracle's `replication` row. Also hosts the Drain()
+// footgun regression: draining with a node still down never terminates
+// (the watchdog keeps rescheduling), so rejoin first; the stuck state is
 // visible in DegradedDebugString().
 
-#include <cstdio>
-#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "core/hermes_router.h"
+#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
-#include "partition/partition_map.h"
 #include "workload/client.h"
 #include "workload/scenarios.h"
 #include "workload/ycsb.h"
@@ -36,30 +31,10 @@ using fault::FaultInjector;
 using fault::FaultPlan;
 using fault::FaultPlanConfig;
 using fault::InvariantMonitor;
+using fault::RangeMapFactory;
 
-constexpr uint64_t kRecords = 4'000;
-constexpr int kNodes = 4;
-
-ClusterConfig LeaseClusterConfig() {
-  ClusterConfig config;
-  config.num_nodes = kNodes;
-  config.num_records = kRecords;
-  config.hermes.fusion_table_capacity = 200;
-  config.replication.enabled = true;
-  config.replication.replicas = 3;
-  config.replication.read_hot_threshold = 2;
-  config.replication.write_revoke_threshold = 32;
-  config.replication.max_leases = 256;
-  return config;
-}
-
-std::unique_ptr<partition::PartitionMap> Map() {
-  return std::make_unique<partition::RangePartitionMap>(kRecords, kNodes);
-}
-
-InvariantMonitor::MapFactory MapFactory() {
-  return [] { return Map(); };
-}
+const uint64_t kRecords = oracle::LeaseConfig().num_records;
+const int kNodes = oracle::LeaseConfig().num_nodes;
 
 const core::HermesRouter& Router(Cluster& cluster) {
   return *static_cast<const core::HermesRouter*>(&cluster.router());
@@ -81,8 +56,8 @@ void DriveReadHeavy(Cluster& cluster, double write_fraction, SimTime horizon,
 // A read-mostly skewed workload earns leases, absorbs remote reads into
 // local copies, and quiesces with every copy bit-identical to its primary.
 TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
-  ClusterConfig config = LeaseClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, Map());
+  ClusterConfig config = oracle::LeaseConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
   DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(600));
 
@@ -104,8 +79,8 @@ TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
 // The global read-mostly gate: a write-heavy workload grants nothing, so
 // the replication-enabled run routes exactly like the disabled one.
 TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
-  ClusterConfig on_config = LeaseClusterConfig();
-  Cluster on(on_config, RouterKind::kHermes, Map());
+  ClusterConfig on_config = oracle::LeaseConfig();
+  Cluster on(on_config, RouterKind::kHermes, RangeMapFactory(on_config)());
   on.Load();
   DriveReadHeavy(on, /*write_fraction=*/0.6, MsToSim(400));
 
@@ -115,7 +90,7 @@ TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
 
   ClusterConfig off_config = on_config;
   off_config.replication.enabled = false;
-  Cluster off(off_config, RouterKind::kHermes, Map());
+  Cluster off(off_config, RouterKind::kHermes, RangeMapFactory(off_config)());
   off.Load();
   DriveReadHeavy(off, /*write_fraction=*/0.6, MsToSim(400));
 
@@ -127,8 +102,8 @@ TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
 // Satellite: the replica-coherence monitor. A clean quiesced run reports
 // nothing; a deliberately corrupted copy is caught and named.
 TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
-  ClusterConfig config = LeaseClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, Map());
+  ClusterConfig config = oracle::LeaseConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
   DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(400));
 
@@ -157,8 +132,8 @@ TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
 // node is down. After rejoin the table re-grants and the run quiesces
 // coherent.
 TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
-  ClusterConfig config = LeaseClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, Map());
+  ClusterConfig config = oracle::LeaseConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   workload::YcsbConfig wl =
@@ -199,8 +174,8 @@ TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
 // placement digest equals a fault-free command-log replay, and the
 // quiesced copies match their primaries.
 TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
-  ClusterConfig config = LeaseClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, Map());
+  ClusterConfig config = oracle::LeaseConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   FaultPlanConfig pc;
@@ -213,7 +188,7 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
   pc.link.duplicate_prob = 0.03;
   pc.link.max_jitter_us = 300;
   const FaultPlan plan = FaultPlan::Generate(pc, 29);
-  FaultInjector injector(&cluster, plan, MapFactory());
+  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
 
   workload::YcsbConfig wl =
       workload::ReadHeavySkewedYcsb(kRecords, kNodes, 0.05, /*seed=*/17);
@@ -233,7 +208,7 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "chaos"));
   EXPECT_TRUE(monitor.CheckReplicaCoherence(cluster, "chaos"));
   EXPECT_TRUE(monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                         MapFactory(), "chaos"));
+                                         RangeMapFactory(config), "chaos"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -246,8 +221,8 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
 // DegradedDebugString(); after the rejoin the same Drain() completes,
 // the parked set empties, and every migrated record lands.
 TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
-  ClusterConfig config = LeaseClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, Map());
+  ClusterConfig config = oracle::LeaseConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   workload::YcsbConfig wl =
@@ -285,102 +260,6 @@ TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
   EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "post-drain"));
   EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "post-drain"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
-}
-
-// Digest oracle: with replication enabled, decision, placement and trace
-// digests — plus the replica checksum and commit counts — are
-// bit-identical across hash salts. The REPLICATION_PROFILE line is
-// consumed by check_determinism.sh, which reruns this binary under
-// distinct HERMES_HASH_SALT environments and requires one unique line.
-struct ProfileResult {
-  uint64_t decision = 0;
-  uint64_t placement = 0;
-  uint64_t trace = 0;
-  uint64_t replica_checksum = 0;
-  uint64_t state_checksum = 0;
-  uint64_t commits = 0;
-  uint64_t grants = 0;
-  uint64_t replica_reads = 0;
-
-  bool operator==(const ProfileResult& o) const {
-    return decision == o.decision && placement == o.placement &&
-           trace == o.trace && replica_checksum == o.replica_checksum &&
-           state_checksum == o.state_checksum && commits == o.commits &&
-           grants == o.grants && replica_reads == o.replica_reads;
-  }
-};
-
-ProfileResult RunProfile() {
-  ClusterConfig config = LeaseClusterConfig();
-  config.obs.trace_enabled = true;
-  Cluster cluster(config, RouterKind::kHermes, Map());
-  cluster.Load();
-
-  workload::YcsbConfig wl =
-      workload::ReadHeavySkewedYcsb(kRecords, kNodes, 0.05, /*seed=*/23);
-  workload::YcsbWorkload gen(wl, /*trace=*/nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 16, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(300));
-  driver.Start();
-
-  cluster.RunUntil(MsToSim(150));
-  cluster.CrashNoStall(3);  // lapse all leases mid-run...
-  cluster.RunUntil(MsToSim(180));
-  cluster.RejoinNoStall(3);  // ...and re-grant after the rejoin epoch
-  cluster.RunUntil(MsToSim(300));
-  cluster.Drain();
-
-  ProfileResult r;
-  r.decision = cluster.decision_digest().value();
-  r.placement = cluster.placement_digest().value();
-  r.trace = cluster.trace_digest().value();
-  r.replica_checksum = cluster.ReplicaChecksum();
-  r.state_checksum = cluster.StateChecksum();
-  r.commits = cluster.metrics().total_commits();
-  r.grants = Router(cluster).lease_table().stats().grants;
-  r.replica_reads = Router(cluster).stats().replica_reads;
-  return r;
-}
-
-TEST(ReplicaLeaseTest, DigestsInvariantAcrossSalts) {
-  const uint64_t old_salt = HashSalt();
-  const std::vector<uint64_t> salts = {HashSalt(), 0x9e3779b97f4a7c15ULL,
-                                       0xdeadbeefcafef00dULL};
-  std::vector<ProfileResult> runs;
-  for (uint64_t salt : salts) {
-    SetHashSalt(salt);
-    runs.push_back(RunProfile());
-    const ProfileResult& r = runs.back();
-    std::printf(
-        "REPLICATION_PROFILE decision=%016llx placement=%016llx "
-        "trace=%016llx replicas=%016llx state=%016llx commits=%llu "
-        "grants=%llu replica_reads=%llu\n",
-        static_cast<unsigned long long>(r.decision),
-        static_cast<unsigned long long>(r.placement),
-        static_cast<unsigned long long>(r.trace),
-        static_cast<unsigned long long>(r.replica_checksum),
-        static_cast<unsigned long long>(r.state_checksum),
-        static_cast<unsigned long long>(r.commits),
-        static_cast<unsigned long long>(r.grants),
-        static_cast<unsigned long long>(r.replica_reads));
-  }
-  SetHashSalt(old_salt);
-
-  const ProfileResult& base = runs[0];
-  ASSERT_GT(base.commits, 200u);
-  ASSERT_GT(base.grants, 0u);
-  ASSERT_GT(base.replica_reads, 0u);
-  for (size_t i = 1; i < runs.size(); ++i) {
-    const ProfileResult& got = runs[i];
-    EXPECT_TRUE(base == got)
-        << "diverged under salt 0x" << std::hex << salts[i] << ": decision "
-        << got.decision << " vs " << base.decision << ", placement "
-        << got.placement << " vs " << base.placement << ", trace "
-        << got.trace << " vs " << base.trace << ", replicas "
-        << got.replica_checksum << " vs " << base.replica_checksum
-        << std::dec << ", commits " << got.commits << " vs " << base.commits;
-  }
 }
 
 }  // namespace

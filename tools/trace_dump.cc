@@ -1,8 +1,9 @@
-// trace_dump — runs a seeded chaos workload with tracing enabled and
-// writes the Chrome trace_event JSON to the given path (default
-// trace.json). Load the output in Perfetto (ui.perfetto.dev) or
-// chrome://tracing; CI uploads one as a build artifact so every run has a
-// browsable timeline of a crash/rejoin cycle under link chaos.
+// trace_dump — runs the digest oracle's chaos lifetime (a seeded
+// crash/rejoin plan under link chaos) with tracing enabled and writes the
+// Chrome trace_event JSON to the given path (default trace.json). Load the
+// output in Perfetto (ui.perfetto.dev) or chrome://tracing; CI uploads one
+// as a build artifact so every run has a browsable timeline of a
+// crash/rejoin cycle under link chaos.
 //
 //   trace_dump [out.json] [plan_seed]
 //
@@ -11,91 +12,33 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <fstream>
 #include <string>
 
-#include "common/rng.h"
-#include "engine/cluster.h"
-#include "fault/fault_plan.h"
-#include "fault/injector.h"
-#include "partition/partition_map.h"
-#include "workload/client.h"
-#include "workload/ycsb.h"
-
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-ClusterConfig MakeConfig() {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = 6'000;
-  config.hermes.fusion_table_capacity = 250;
-  config.obs.trace_enabled = true;
-  return config;
-}
-
-hermes::fault::FaultInjector::MapFactory MapFactory(
-    const ClusterConfig& config) {
-  const uint64_t records = config.num_records;
-  const int nodes = config.num_nodes;
-  return [records, nodes] {
-    return std::make_unique<hermes::partition::RangePartitionMap>(records,
-                                                                  nodes);
-  };
-}
-
-}  // namespace
+#include "digest_oracle.h"
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "trace.json";
   const uint64_t plan_seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20'260'000ULL;
 
-  ClusterConfig config = MakeConfig();
-  Cluster cluster(config, RouterKind::kHermes, MapFactory(config)());
-  cluster.Load();
+  const hermes::oracle::Profile run = hermes::oracle::RunChaos(
+      plan_seed, /*deep_checks=*/false, {.traced = true});
 
-  hermes::fault::FaultPlanConfig pc;
-  pc.horizon_us = hermes::MsToSim(120);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = hermes::MsToSim(10);
-  pc.max_outage_us = hermes::MsToSim(40);
-  pc.link.drop_prob = 0.05;
-  pc.link.duplicate_prob = 0.03;
-  pc.link.max_jitter_us = 300;
-  const hermes::fault::FaultPlan plan =
-      hermes::fault::FaultPlan::Generate(pc, plan_seed);
-  hermes::fault::FaultInjector injector(&cluster, plan, MapFactory(config));
-
-  hermes::workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = hermes::Mix64(plan_seed ^ 0x5c5bULL);
-  hermes::workload::YcsbWorkload gen(wl, nullptr);
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 8,
-      [&gen](int, hermes::SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(hermes::MsToSim(120));
-  driver.Start();
-  injector.RunUntil(hermes::MsToSim(120));
-  injector.Drain();
-
-  if (!cluster.DumpTrace(out_path)) {
+  std::ofstream out(out_path, std::ios::binary);
+  out << run.Text("trace_json");
+  out.close();
+  if (!out) {
     std::fprintf(stderr, "trace_dump: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::printf("TRACE_DIGEST %016llx events=%llu dropped=%llu\n",
-              static_cast<unsigned long long>(cluster.trace_digest().value()),
-              static_cast<unsigned long long>(cluster.tracer().total_recorded()),
-              static_cast<unsigned long long>(cluster.tracer().total_dropped()));
+  std::printf("TRACE_DIGEST %s events=%llu dropped=%llu\n",
+              run.Text("trace").c_str(),
+              static_cast<unsigned long long>(run.Get("events")),
+              static_cast<unsigned long long>(run.Get("trace_dropped")));
   std::printf("commits=%llu aborts=%llu -> %s\n",
-              static_cast<unsigned long long>(
-                  cluster.metrics().total_commits()),
-              static_cast<unsigned long long>(cluster.metrics().total_aborts()),
+              static_cast<unsigned long long>(run.Get("commits")),
+              static_cast<unsigned long long>(run.Get("aborts")),
               out_path.c_str());
   return 0;
 }
