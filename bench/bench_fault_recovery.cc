@@ -231,12 +231,12 @@ BenchOutcome Run(Mode mode, const Options& opts) {
     out.received.push_back(have ? m.windows()[w].net_bytes_received : 0.0);
   }
   out.total_commits = cluster.metrics().total_commits();
-  out.dropped = cluster.network().messages_dropped();
-  out.duplicated = cluster.network().messages_duplicated();
+  out.dropped = cluster.wire().messages_dropped();
+  out.duplicated = cluster.wire().messages_duplicated();
   out.unavailable = cluster.degraded_ledger().unavailable_aborts();
   out.parked = cluster.degraded_ledger().parked_total();
   out.watchdog_aborts = cluster.degraded_ledger().watchdog_aborts();
-  out.messages_held = cluster.network().total_held();
+  out.messages_held = cluster.wire().total_held();
   if (const auto* det = cluster.failure_detector()) {
     out.detector_suspects = det->suspects();
     out.detector_restores = det->restores();

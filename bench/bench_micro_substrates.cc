@@ -111,7 +111,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   uint64_t t = 1'000'000;
   for (auto _ : state) {
     q.Push(t + rng.NextBounded(1000), [] {});
-    q.Pop()();
+    q.PopEntry().fn();
     ++t;
   }
   state.SetItemsProcessed(state.iterations());

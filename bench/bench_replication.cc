@@ -86,7 +86,7 @@ RunStats RunOnce(double write_fraction, bool replication) {
       static_cast<double>(cluster.executor().committed());
   out.net_per_txn =
       commits > 0
-          ? static_cast<double>(cluster.network().total_bytes()) / commits
+          ? static_cast<double>(cluster.wire().total_bytes()) / commits
           : 0.0;
   const auto* router =
       static_cast<const core::HermesRouter*>(&cluster.router());

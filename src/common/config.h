@@ -162,9 +162,9 @@ struct DetectorConfig {
 /// virtual time — never wall clock, never hash order — so digests are
 /// identical across hash salts.
 struct NetConfig {
-  /// Master switch. Off by default: Wire::Send degenerates to a direct
-  /// sim::Network::Send and every digest is bit-identical to a build
-  /// without the substrate.
+  /// Master switch. Off by default: Wire::Send puts every message straight
+  /// on the wire (no queue, serializer, credits or envelopes) and every
+  /// digest is bit-identical to a build without the substrate.
   bool enabled = false;
   /// Serialization rate of each directed link's transmitter. 0 derives the
   /// rate from the cost model (1 / net_us_per_byte), which makes the
@@ -179,13 +179,6 @@ struct NetConfig {
   /// nothing outstanding, so one oversized message can never wedge a link.
   /// 0 disables backpressure.
   uint64_t link_credit_bytes = 64 * 1024;
-  /// Two-class weighted round-robin: foreground slots per cycle. When the
-  /// selected class cannot transmit (empty queue or no credits), the other
-  /// class is tried — so under saturation bulk traffic queues behind
-  /// foreground rather than ahead of it.
-  int fg_weight = 4;
-  /// Bulk (migration/replica/lease) slots per cycle.
-  int bulk_weight = 1;
   /// Virtual time a bulk envelope stays open collecting messages for one
   /// destination before it is sealed onto the transmit queue. All bulk
   /// messages appended within the window ride one wire message (one

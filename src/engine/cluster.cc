@@ -48,8 +48,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
     : config_(config),
       kind_(kind),
       metrics_(SecToSim(1)),
-      net_(&sim_, &config_.costs, config.num_nodes),
-      wire_(&sim_, &net_, &config_.costs, &config_.net, config.num_nodes),
+      wire_(&sim_, &config_.costs, &config_.net, config.num_nodes),
       ownership_(std::move(initial_partitioning)),
       router_(MakeRouter(kind, &ownership_, config_)),
       lease_mgr_(config.num_nodes),
@@ -175,10 +174,10 @@ void Cluster::RegisterTelemetry() {
     return static_cast<int64_t>(membership_.epoch());
   });
   telemetry_.RegisterGauge("hermes_net_bytes_sent_total", [this] {
-    return static_cast<int64_t>(net_.total_bytes());
+    return static_cast<int64_t>(wire_.total_bytes());
   });
   telemetry_.RegisterGauge("hermes_net_bytes_received_total", [this] {
-    return static_cast<int64_t>(net_.total_bytes_received());
+    return static_cast<int64_t>(wire_.total_bytes_received());
   });
   telemetry_.RegisterGauge("hermes_sim_events_executed_total", [this] {
     return static_cast<int64_t>(sim_.events_executed());
@@ -195,9 +194,9 @@ void Cluster::RegisterTelemetry() {
     telemetry_.RegisterCounter("hermes_partition_heals_total",
                                [this] { return partitions_healed_; });
     telemetry_.RegisterCounter("hermes_partition_messages_held_total",
-                               [this] { return net_.total_held(); });
+                               [this] { return wire_.total_held(); });
     telemetry_.RegisterGauge("hermes_partition_messages_held", [this] {
-      return static_cast<int64_t>(net_.messages_held());
+      return static_cast<int64_t>(wire_.messages_held());
     });
     telemetry_.RegisterCounter("hermes_detector_heartbeat_misses_total", [this] {
       return detector_->heartbeat_misses();
@@ -229,10 +228,10 @@ void Cluster::RegisterTelemetry() {
     });
     telemetry_.RegisterGauge("hermes_net_fg_bytes_sent_total", [this] {
       return static_cast<int64_t>(
-          net_.class_bytes_sent(TrafficClass::kForeground));
+          wire_.class_bytes_sent(TrafficClass::kForeground));
     });
     telemetry_.RegisterGauge("hermes_net_bulk_bytes_sent_total", [this] {
-      return static_cast<int64_t>(net_.class_bytes_sent(TrafficClass::kBulk));
+      return static_cast<int64_t>(wire_.class_bytes_sent(TrafficClass::kBulk));
     });
     telemetry_.RegisterHistogram("hermes_wire_fg_queue_delay_us", [this] {
       return wire_.MergedQueueDelay(TrafficClass::kForeground).Snapshot();
@@ -403,15 +402,15 @@ void Cluster::SampleWindow() {
   for (auto& node : nodes_) busy += node->workers().TakeBusyDelta();
   metrics_.RecordBusy(stamp, busy);
   static_assert(sizeof(uint64_t) == 8);
-  const uint64_t total = net_.total_bytes();
+  const uint64_t total = wire_.total_bytes();
   metrics_.RecordNetBytes(stamp, total - sampled_net_bytes_);
   sampled_net_bytes_ = total;
-  const uint64_t received = net_.total_bytes_received();
+  const uint64_t received = wire_.total_bytes_received();
   metrics_.RecordNetBytesReceived(stamp, received - sampled_net_recv_bytes_);
   sampled_net_recv_bytes_ = received;
   for (int c = 0; c < kNumTrafficClasses; ++c) {
     const auto cls = static_cast<TrafficClass>(c);
-    const uint64_t class_total = net_.class_bytes_sent(cls);
+    const uint64_t class_total = wire_.class_bytes_sent(cls);
     metrics_.RecordNetClassBytes(stamp, cls,
                                  class_total - sampled_net_class_bytes_[c]);
     sampled_net_class_bytes_[c] = class_total;
@@ -491,8 +490,7 @@ NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
   sim_.EnsureLanes(id + 1);
   tracer_.EnsureNode(id);
   nodes_.push_back(std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-  net_.EnsureCapacity(id + 1);
-  wire_.GrowLinks(id + 1);
+  wire_.Grow(id + 1);
   lease_mgr_.EnsureNode(id);
 
   TxnRequest marker;
@@ -566,8 +564,7 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
     nodes_.push_back(
         std::make_unique<Node>(id, &sim_, config_.workers_per_node));
   }
-  net_.EnsureCapacity(static_cast<int>(nodes_.size()));
-  wire_.GrowLinks(static_cast<int>(nodes_.size()));
+  wire_.Grow(static_cast<int>(nodes_.size()));
   // Leases are soft state: checkpoints capture only primaries, so a
   // restore starts with no copies and no lease bookkeeping — the router
   // re-grants from fresh counters during replay, exactly as the live run
@@ -611,8 +608,7 @@ void Cluster::ReplayBatches(const std::vector<Batch>& batches) {
           nodes_.push_back(
               std::make_unique<Node>(id, &sim_, config_.workers_per_node));
         }
-        net_.EnsureCapacity(num_nodes());
-        wire_.GrowLinks(num_nodes());
+        wire_.Grow(num_nodes());
       }
     }
     Batch copy = batch;
@@ -711,18 +707,8 @@ void Cluster::PartitionCut(NodeId node, bool cut_inbound, bool cut_outbound) {
   assert(!replaying_ && "replay applies the recorded schedule instead");
   for (NodeId peer = 0; peer < num_nodes(); ++peer) {
     if (peer == node) continue;
-    // Cut the fabric first, then drain the wire substrate's transmit
-    // queue (and any open envelope) into the link's holding pen: the
-    // drained sends see the live cut and park in FIFO order, so a queue
-    // that was non-empty at cut time survives the partition intact.
-    if (cut_inbound) {
-      net_.CutLink(peer, node);
-      wire_.OnLinkCut(peer, node);
-    }
-    if (cut_outbound) {
-      net_.CutLink(node, peer);
-      wire_.OnLinkCut(node, peer);
-    }
+    if (cut_inbound) wire_.CutLink(peer, node);
+    if (cut_outbound) wire_.CutLink(node, peer);
   }
   ++partitions_cut_;
   HERMES_TRACE(&tracer_, obs::EventKind::kPartitionCut, node, kInvalidTxn,
@@ -737,15 +723,15 @@ void Cluster::PartitionCut(NodeId node, bool cut_inbound, bool cut_outbound) {
 void Cluster::PartitionHeal(NodeId node) {
   assert(node >= 0 && node < num_nodes());
   assert(!replaying_ && "replay applies the recorded schedule instead");
-  const uint64_t held_before = net_.messages_held();
+  const uint64_t held_before = wire_.messages_held();
   for (NodeId peer = 0; peer < num_nodes(); ++peer) {
     if (peer == node) continue;
-    net_.HealLink(peer, node);
-    net_.HealLink(node, peer);
+    wire_.HealLink(peer, node);
+    wire_.HealLink(node, peer);
   }
   ++partitions_healed_;
   HERMES_TRACE(&tracer_, obs::EventKind::kPartitionHeal, node, kInvalidTxn,
-               static_cast<Key>(-1), held_before - net_.messages_held());
+               static_cast<Key>(-1), held_before - wire_.messages_held());
   // Membership restoration is the detector's job (confirm hysteresis),
   // not the heal's: the cut and the suspicion are separate facts.
 }
@@ -1021,14 +1007,14 @@ std::string Cluster::DegradedDebugString() const {
     out += buf;
   }
   if (replication_enabled()) out += lease_mgr_.DebugString();
-  if (net_.any_cut() || net_.total_held() > 0) {
+  if (wire_.any_cut() || wire_.total_held() > 0) {
     std::snprintf(buf, sizeof(buf),
                   "partition: any_cut=%d held=%llu held_total=%llu "
                   "cut_deliveries=%llu cuts=%llu heals=%llu\n",
-                  net_.any_cut() ? 1 : 0,
-                  static_cast<unsigned long long>(net_.messages_held()),
-                  static_cast<unsigned long long>(net_.total_held()),
-                  static_cast<unsigned long long>(net_.cut_deliveries()),
+                  wire_.any_cut() ? 1 : 0,
+                  static_cast<unsigned long long>(wire_.messages_held()),
+                  static_cast<unsigned long long>(wire_.total_held()),
+                  static_cast<unsigned long long>(wire_.cut_deliveries()),
                   static_cast<unsigned long long>(partitions_cut_),
                   static_cast<unsigned long long>(partitions_healed_));
     out += buf;

@@ -29,7 +29,6 @@
 #include "replication/lease_manager.h"
 #include "routing/clay_planner.h"
 #include "routing/router.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 #include "storage/checkpoint.h"
 #include "storage/command_log.h"
@@ -142,15 +141,14 @@ class Cluster {
 
   // --- Partitions & failure detection (DESIGN.md §5). ---
   //
-  // A partition cuts links in the network's reachability matrix; payloads
-  // sent into the cut park in per-link FIFO holding pens (message
-  // existence preserved — see sim::Network). The heartbeat failure
-  // detector converts sustained unreachability into the SAME
-  // membership-epoch transitions kCrashNoStall uses, so the majority side
-  // degrades exactly as it would for a crash, and the heal reconciles
-  // through the standard rejoin path. Cuts, heals and detector ticks all
-  // run in exclusive context; every transition is a pure function of
-  // (fault plan, config, virtual time).
+  // A partition cuts directed links of the wire; payloads sent into the
+  // cut park in per-link FIFO holding pens (message existence preserved —
+  // see net::Wire). The heartbeat failure detector converts sustained
+  // unreachability into the SAME membership-epoch transitions
+  // kCrashNoStall uses, so the majority side degrades exactly as it would
+  // for a crash, and the heal reconciles through the standard rejoin path.
+  // Cuts, heals and detector ticks all run in exclusive context; every
+  // transition is a pure function of (fault plan, config, virtual time).
 
   /// Cuts the links around `node`: inbound severs peer->node, outbound
   /// severs node->peer (both true = two-sided cut). Idempotent per
@@ -257,9 +255,10 @@ class Cluster {
   sim::Simulator& simulator() { return sim_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
-  sim::Network& network() { return net_; }
-  /// Wire substrate above the fabric (DESIGN.md §5 "Wire substrate").
-  /// Inert passthrough unless config.net.enabled.
+  /// The message fabric (DESIGN.md §5 "Wire substrate"); its bounded path
+  /// is inert unless config.net.enabled. network() is an alias of wire()
+  /// that ledger/ still calls.
+  net::Wire& network() { return wire_; }
   net::Wire& wire() { return wire_; }
   const net::Wire& wire() const { return wire_; }
   routing::Router& router() { return *router_; }
@@ -394,9 +393,7 @@ class Cluster {
   obs::Registry telemetry_;
   sim::Simulator sim_;
   Metrics metrics_;
-  sim::Network net_;
-  /// Declared after net_ (it sends into it) and before executor_ (which
-  /// sends through it).
+  /// Declared before executor_ (which sends through it).
   net::Wire wire_;
   std::vector<std::unique_ptr<Node>> nodes_;
   partition::OwnershipMap ownership_;
@@ -430,8 +427,8 @@ class Cluster {
   std::function<void(const Batch&)> batch_tap_;
 
   // --- Partition & detector state. ---
-  /// Null unless config.detector.enabled. Declared after sim_/net_ (it
-  /// schedules ticks and reads the reachability matrix).
+  /// Null unless config.detector.enabled. Declared after sim_/wire_ (it
+  /// schedules ticks and reads link reachability).
   std::unique_ptr<FailureDetector> detector_;
   uint64_t partitions_cut_ = 0;
   uint64_t partitions_healed_ = 0;

@@ -21,7 +21,6 @@
 #include "obs/trace.h"
 #include "replication/lease_manager.h"
 #include "routing/router.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 #include "txn/transaction.h"
 

@@ -48,7 +48,7 @@ void FailureDetector::Tick() {
   EnsureSize(n);
   ++ticks_;
   const SimTime now = cluster_->Now();
-  sim::Network& net = cluster_->network();
+  const net::Wire& net = cluster_->wire();
   obs::Tracer* tracer = &cluster_->tracer();
 
   // Round 1: per-directed-link heartbeat outcomes, in (src, dst) order.

@@ -36,7 +36,7 @@ class Cluster;
 /// parked release).
 ///
 /// Heartbeats are control-plane: they ride no data-plane bytes and write
-/// no Network counters, so a detector-enabled fault-free run keeps its
+/// no Wire counters, so a detector-enabled fault-free run keeps its
 /// digests. The tick chain only runs while armed — any cut live, any
 /// suspicion outstanding, any miss counter nonzero, or inside an
 /// explicitly armed window (gray failures cut nothing, so the injector

@@ -10,7 +10,7 @@
 namespace hermes::fault {
 
 /// Per-message link chaos parameters. All draws come from one seeded
-/// hermes::Rng consumed in Network::Send order (which is itself
+/// hermes::Rng consumed in net::Wire transmit order (which is itself
 /// deterministic), so a (plan seed, workload seed) pair fixes every fault.
 ///
 /// Chaos rides ON TOP of a reliable transport — the engine's correctness

@@ -39,7 +39,7 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
   }
   if (HasLinkChaos(plan_.link)) {
     chaos_.push_back(std::make_unique<LinkChaos>(plan_.link, plan_.seed));
-    chaos_.back()->Install(&cluster_->network());
+    chaos_.back()->Install(&cluster_->wire());
   }
   if (HasPartitions(plan_)) {
     assert(cluster_->config().detector.enabled &&
@@ -100,7 +100,7 @@ FaultInjector::FaultInjector(engine::ReplicaGroup* group,
     for (int r = 0; r < group_->num_replicas(); ++r) {
       chaos_.push_back(std::make_unique<LinkChaos>(
           plan_.link, Mix64(plan_.seed ^ (static_cast<uint64_t>(r) + 1))));
-      chaos_.back()->Install(&group_->replica(r).network());
+      chaos_.back()->Install(&group_->replica(r).wire());
     }
   }
 }
@@ -368,7 +368,7 @@ void FaultInjector::ApplyPartitionStart(const FaultEvent& event) {
   stats.node = event.node;
   stats.mode = event.mode;
   stats.cut_at = Now();
-  held_at_cut_ = cluster_->network().total_held();
+  held_at_cut_ = cluster_->wire().total_held();
   const bool in = event.mode != PartitionMode::kOutbound;
   const bool out = event.mode != PartitionMode::kInbound;
   RunMonitor("partition cut");
@@ -383,7 +383,7 @@ void FaultInjector::ApplyPartitionHeal(const FaultEvent& event) {
          "heal for a node that is not partitioned");
   PartitionStats& stats = partitions_.back();
   stats.healed_at = Now();
-  stats.held_released = cluster_->network().total_held() - held_at_cut_;
+  stats.held_released = cluster_->wire().total_held() - held_at_cut_;
   cluster_->PartitionHeal(event.node);
   partitioned_node_ = kInvalidNode;
   RunMonitor("partition heal");

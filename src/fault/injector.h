@@ -186,7 +186,7 @@ class FaultInjector {
 
   // --- Partition state (single-cluster mode). ---
   NodeId partitioned_node_ = kInvalidNode;
-  uint64_t held_at_cut_ = 0;  ///< Network::total_held() when the cut landed
+  uint64_t held_at_cut_ = 0;  ///< Wire::total_held() when the cut landed
   std::vector<PartitionStats> partitions_;
   bool had_partition_ = false;
 };

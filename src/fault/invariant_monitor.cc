@@ -182,7 +182,7 @@ bool InvariantMonitor::CheckPartitionOracle(engine::Cluster& live,
                                             const std::string& context) {
   const size_t before = failures_.size();
   char buf[256];
-  const sim::Network& net = live.network();
+  const net::Wire& net = live.wire();
   if (net.any_cut()) {
     std::snprintf(buf, sizeof(buf),
                   "[%s] partition oracle called with a link still cut "

@@ -84,7 +84,7 @@ class InvariantMonitor {
   /// Partition oracle (DESIGN.md §5 "Partitions & failure detection").
   /// Call at quiescence after every cut healed. Asserts (a) every holding
   /// pen drained — a parked payload that never delivered is a lost
-  /// message, (b) Network::cut_deliveries() == 0 — no payload crossed a
+  /// message, (b) Wire::cut_deliveries() == 0 — no payload crossed a
   /// cut while it was up, (c) no link is still cut; then replays the
   /// command log: against the degraded oracle when the run recorded
   /// membership transitions (the detector fired), else against the

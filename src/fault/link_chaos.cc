@@ -19,14 +19,14 @@ bool LinkChaos::InGrayWindow(NodeId src, NodeId dst, SimTime now) const {
          (src == config_.gray_node || dst == config_.gray_node);
 }
 
-sim::Perturbation LinkChaos::Draw(NodeId src, NodeId dst, uint64_t link_seq,
+net::Perturbation LinkChaos::Draw(NodeId src, NodeId dst, uint64_t link_seq,
                                   SimTime now) const {
   // A fresh Rng per message, keyed by (seed, link, message index): the
   // draw depends only on the message's identity, never on how many draws
   // other links made before it.
   Rng rng(Mix64(seed_ ^ Mix64(LinkKey(src, dst)) ^
                 Mix64(link_seq + 0x9e3779b9ULL)));
-  sim::Perturbation p;
+  net::Perturbation p;
   // Wire attempts are lost independently until one gets through (bounded
   // so a pathological drop_prob cannot stall the simulation). Inside a
   // gray window the per-attempt loss probability rises — still bounded,
@@ -59,9 +59,9 @@ bool LinkChaos::HeartbeatDropped(NodeId src, NodeId dst, uint64_t tick,
   return rng.NextDouble() < config_.gray_heartbeat_drop_prob;
 }
 
-void LinkChaos::Install(sim::Network* net) {
-  net->set_perturbation([this](NodeId src, NodeId dst, uint64_t /*bytes*/,
-                               SimTime now, uint64_t link_seq) {
+void LinkChaos::Install(net::Wire* wire) {
+  wire->set_perturbation([this](NodeId src, NodeId dst, uint64_t /*bytes*/,
+                                SimTime now, uint64_t link_seq) {
     return Draw(src, dst, link_seq, now);
   });
 }

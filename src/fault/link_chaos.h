@@ -6,11 +6,11 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
-#include "sim/network.h"
+#include "net/wire.h"
 
 namespace hermes::fault {
 
-/// Seeded per-message chaos source. Install()ed into a sim::Network, it is
+/// Seeded per-message chaos source. Install()ed into a net::Wire, it is
 /// consulted once per inter-node Send. Each draw is a *pure function* of
 /// (seed, src, dst, link sequence number): there is no shared RNG stream
 /// to advance, so draws are identical no matter how sends from different
@@ -34,7 +34,7 @@ class LinkChaos {
   /// Draws the perturbation for message `link_seq` on the directed link
   /// src -> dst sent at virtual time `now` (gray windows are time-gated).
   /// Stateless: same arguments, same draw.
-  sim::Perturbation Draw(NodeId src, NodeId dst, uint64_t link_seq,
+  net::Perturbation Draw(NodeId src, NodeId dst, uint64_t link_seq,
                          SimTime now = 0) const;
 
   /// True when the heartbeat `tick` on the directed link src -> dst is
@@ -43,10 +43,10 @@ class LinkChaos {
   bool HeartbeatDropped(NodeId src, NodeId dst, uint64_t tick,
                         SimTime now) const;
 
-  /// Hooks this chaos source into `net`. The network keeps a copy of the
+  /// Hooks this chaos source into `wire`. The wire keeps a copy of the
   /// std::function, but the config lives here — the LinkChaos must outlive
   /// the hook (the FaultInjector owns both).
-  void Install(sim::Network* net);
+  void Install(net::Wire* wire);
 
   const LinkChaosConfig& config() const { return config_; }
 

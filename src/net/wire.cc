@@ -7,16 +7,22 @@
 
 namespace hermes::net {
 
-// ---------------------------------------------------------------------------
-// Wire
+namespace {
 
-Wire::Wire(sim::Simulator* sim, sim::Network* network, const CostModel* costs,
-           const NetConfig* config, int num_nodes)
-    : sim_(sim), net_(network), costs_(costs), config_(config) {
-  GrowLinks(num_nodes);
+// Fixed 4:1 foreground:bulk round-robin: of every kWrrCycle transmission
+// slots on a link, the first kFgSlots prefer foreground.
+constexpr uint64_t kFgSlots = 4;
+constexpr uint64_t kWrrCycle = 5;
+
+}  // namespace
+
+Wire::Wire(sim::Simulator* sim, const CostModel* costs, const NetConfig* config,
+           int num_nodes)
+    : sim_(sim), costs_(costs), config_(config) {
+  Grow(num_nodes);
 }
 
-void Wire::GrowLinks(int num_nodes) {
+void Wire::Grow(int num_nodes) {
   assert(!sim_->in_lane_context() &&
          "link growth must happen in exclusive context");
   const size_t n = static_cast<size_t>(num_nodes);
@@ -25,11 +31,23 @@ void Wire::GrowLinks(int num_nodes) {
   links_.resize(n, std::vector<Link>(n));
 }
 
+uint64_t Wire::Sum(uint64_t Link::*field, NodeId src, NodeId dst) const {
+  uint64_t total = 0;
+  for (size_t s = 0; s < links_.size(); ++s) {
+    if (src != kInvalidNode && static_cast<size_t>(src) != s) continue;
+    for (size_t d = 0; d < links_.size(); ++d) {
+      if (dst != kInvalidNode && static_cast<size_t>(dst) != d) continue;
+      total += links_[s][d].*field;
+    }
+  }
+  return total;
+}
+
 SimTime Wire::SerializationTime(uint64_t wire_bytes) const {
   // A zero rate derives the serializer from the cost model's per-byte wire
-  // time, which is exactly what the Network charges per delivery — so the
+  // time, which is exactly what Transmit charges per delivery — so the
   // serializer's occupancy and the message's wire time agree and nothing
-  // is double-charged (the Send below is simply delayed until the
+  // is double-charged (the transmission is simply delayed until the
   // serializer frees up).
   const double us_per_byte = config_->bytes_per_us > 0
                                  ? 1.0 / config_->bytes_per_us
@@ -49,26 +67,21 @@ void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
   assert(src >= 0 && src < static_cast<NodeId>(links_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(links_.size()));
   // Link state is row `src`: only that node's lane (or the exclusive
-  // slice) may touch it — the same ownership rule as Network::Send.
+  // slice) may touch it.
   assert((!sim_->in_lane_context() ||
           sim_->current_lane() == static_cast<int>(src)) &&
          "Wire::Send must run on the source node's lane or exclusively");
-  if (!config_->enabled || src == dst) {
-    net_->Send(src, dst, payload_bytes, std::move(on_delivery), cls);
-    return;
-  }
-  // A send into a live cut bypasses the queue and parks in the Network's
-  // holding pen: OnLinkCut already drained this link's queue into the pen,
-  // so going straight there keeps per-link FIFO order intact.
-  if (!net_->reachable(src, dst)) {
-    net_->Send(src, dst, payload_bytes, std::move(on_delivery), cls);
+  Link& link = links_[src][dst];
+  // A send into a live cut goes straight to the pen: CutLink already
+  // drained this link's queue there, so per-link FIFO order holds.
+  if (!config_->enabled || src == dst || link.cut) {
+    Transmit(src, dst, payload_bytes, cls, std::move(on_delivery));
     return;
   }
   if (cls == TrafficClass::kBulk && config_->coalesce_window_us > 0) {
     AppendEnvelope(src, dst, payload_bytes, std::move(on_delivery));
     return;
   }
-  Link& link = links_[src][dst];
   Pending p;
   p.cls = cls;
   p.payload_bytes = payload_bytes;
@@ -76,6 +89,71 @@ void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
   p.cbs.push_back(std::move(on_delivery));
   link.queue.push_back(std::move(p));
   Pump(src, dst);
+}
+
+void Wire::Transmit(NodeId src, NodeId dst, uint64_t payload_bytes,
+                    TrafficClass cls, std::function<void()> on_delivery) {
+  if (src == dst) {
+    // Local hand-off: no wire bytes, no latency, but still asynchronous so
+    // that callers never re-enter themselves.
+    sim_->ScheduleOnLane(static_cast<int>(dst), 0, std::move(on_delivery));
+    return;
+  }
+  Link& link = links_[src][dst];
+  const uint64_t bytes = payload_bytes + costs_->message_overhead_bytes;
+  const uint64_t link_seq = link.send_seq++;
+
+  Perturbation p;
+  if (perturb_) p = perturb_(src, dst, bytes, sim_->Now(), link_seq);
+  assert(p.dropped_attempts >= 0 && p.duplicates >= 0);
+
+  // Every wire attempt — dropped, duplicated, or delivered — costs sender
+  // bytes and counts on the directed link.
+  const uint64_t attempts =
+      1 + static_cast<uint64_t>(p.dropped_attempts) +
+      static_cast<uint64_t>(p.duplicates);
+  link.attempts += attempts;
+  link.bytes_sent += bytes * attempts;
+  class_bytes_sent_[static_cast<int>(cls)] += bytes * attempts;
+  messages_dropped_ += static_cast<uint64_t>(p.dropped_attempts);
+  messages_duplicated_ += static_cast<uint64_t>(p.duplicates);
+
+  const SimTime wire =
+      costs_->net_latency_us +
+      static_cast<SimTime>(std::llround(bytes * costs_->net_us_per_byte)) +
+      p.extra_delay_us;
+  // Delivered copies (the real one plus dedup-suppressed duplicates) are
+  // charged to the receiver by the delivery event itself.
+  const uint64_t delivered = 1 + static_cast<uint64_t>(p.duplicates);
+  // A send into a live cut parks in the pen with its charges and
+  // perturbation already final; HealLink releases it. The sender-side
+  // counters above were charged as usual: the bytes left the NIC and died
+  // on the cut wire.
+  if (link.cut) {
+    link.pen.push_back(
+        HeldMessage{bytes, delivered, wire, std::move(on_delivery)});
+    ++messages_held_total_;
+    return;
+  }
+  ScheduleDelivery(src, dst, bytes, delivered, wire, /*was_held=*/false,
+                   std::move(on_delivery));
+}
+
+void Wire::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
+                            uint64_t delivered, SimTime wire, bool was_held,
+                            std::function<void()> cb) {
+  sim_->ScheduleOnLane(
+      static_cast<int>(dst), wire,
+      [this, src, dst, bytes, delivered, was_held, cb = std::move(cb)]() {
+        Link& link = links_[src][dst];
+        // A released message must never land under a still-live cut: the
+        // pen only drains on heal, so a nonzero count means a release
+        // raced a re-cut (the partition oracle asserts zero).
+        if (was_held && link.cut) ++cut_deliveries_;
+        link.bytes_received += bytes * delivered;
+        link.messages_received += delivered;
+        cb();
+      });
 }
 
 void Wire::AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
@@ -153,13 +231,9 @@ void Wire::TransmitNext(NodeId src, NodeId dst) {
   // Fixed two-class weighted round-robin: the slot index alone decides the
   // preferred class; if that class has nothing admissible the other gets
   // the slot, so the link stays work-conserving.
-  const int fg_w = std::max(config_->fg_weight, 0);
-  const int bulk_w = std::max(config_->bulk_weight, 0);
-  const uint64_t cycle = static_cast<uint64_t>(fg_w + bulk_w);
-  const TrafficClass want =
-      (cycle == 0 || link.wrr_slot % cycle < static_cast<uint64_t>(fg_w))
-          ? TrafficClass::kForeground
-          : TrafficClass::kBulk;
+  const TrafficClass want = link.wrr_slot % kWrrCycle < kFgSlots
+                                ? TrafficClass::kForeground
+                                : TrafficClass::kBulk;
   const TrafficClass other = want == TrafficClass::kForeground
                                  ? TrafficClass::kBulk
                                  : TrafficClass::kForeground;
@@ -195,14 +269,13 @@ void Wire::TransmitNext(NodeId src, NodeId dst) {
 
   // Envelope callbacks run in append order on the destination lane; the
   // credit return touches this (source) row, so it rides the barrier.
-  net_->Send(src, dst, p.payload_bytes,
-             [this, src, dst, wire_bytes, cbs = std::move(p.cbs)]() mutable {
-               for (auto& cb : cbs) cb();
-               sim_->Defer([this, src, dst, wire_bytes]() {
-                 ReturnCredit(src, dst, wire_bytes);
-               });
-             },
-             p.cls);
+  Transmit(src, dst, p.payload_bytes, p.cls,
+           [this, src, dst, wire_bytes, cbs = std::move(p.cbs)]() mutable {
+             for (auto& cb : cbs) cb();
+             sim_->Defer([this, src, dst, wire_bytes]() {
+               ReturnCredit(src, dst, wire_bytes);
+             });
+           });
 
   if (!link.queue.empty()) {
     link.timer_armed = true;
@@ -218,25 +291,50 @@ void Wire::ReturnCredit(NodeId src, NodeId dst, uint64_t wire_bytes) {
   Pump(src, dst);
 }
 
-void Wire::OnLinkCut(NodeId src, NodeId dst) {
+void Wire::CutLink(NodeId src, NodeId dst) {
   assert(!sim_->in_lane_context() &&
-         "queue drain into the pen must happen in exclusive context");
+         "cuts are installed in exclusive context only");
+  assert(src != dst && "a node always reaches itself");
   Link& link = links_[src][dst];
+  if (link.cut) return;
+  link.cut = true;
+  ++cut_links_;
   FlushEnvelope(src, dst);
-  // Drain the transmit queue FIFO into the Network: each Send parks in the
-  // cut link's holding pen with its perturbation drawn now, in queue
-  // order — exactly the order it would have hit the wire. These messages
-  // never charged credits (they were not yet transmitted), so their
-  // delivery callbacks return none.
   while (!link.queue.empty()) {
     Pending p = std::move(link.queue.front());
     link.queue.pop_front();
-    net_->Send(src, dst, p.payload_bytes,
-               [cbs = std::move(p.cbs)]() mutable {
-                 for (auto& cb : cbs) cb();
-               },
-               p.cls);
+    Transmit(src, dst, p.payload_bytes, p.cls,
+             [cbs = std::move(p.cbs)]() mutable {
+               for (auto& cb : cbs) cb();
+             });
   }
+}
+
+void Wire::HealLink(NodeId src, NodeId dst) {
+  assert(!sim_->in_lane_context() &&
+         "heals are applied in exclusive context only");
+  Link& link = links_[src][dst];
+  if (!link.cut) return;
+  link.cut = false;
+  --cut_links_;
+  // Each message keeps its send-time perturbation (draws were keyed by
+  // link_seq) and re-measures its wire time from the heal point; per-link
+  // arrival order can still interleave by jitter, exactly as live traffic
+  // can.
+  while (!link.pen.empty()) {
+    HeldMessage m = std::move(link.pen.front());
+    link.pen.pop_front();
+    ScheduleDelivery(src, dst, m.bytes, m.delivered, m.wire,
+                     /*was_held=*/true, std::move(m.cb));
+  }
+}
+
+uint64_t Wire::messages_held() const {
+  uint64_t total = 0;
+  for (const auto& row : links_) {
+    for (const Link& link : row) total += link.pen.size();
+  }
+  return total;
 }
 
 uint64_t Wire::queued_now() const {

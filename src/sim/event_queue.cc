@@ -8,17 +8,6 @@ void EventQueue::Push(SimTime when, std::function<void()> fn) {
   heap_.push(Entry{when, next_seq_++, std::move(fn)});
 }
 
-std::function<void()> EventQueue::Pop() {
-  const Entry& top = heap_.top();
-  if (digest_ != nullptr) {
-    digest_->Mix(top.when);
-    digest_->Mix(top.seq);
-  }
-  std::function<void()> fn = std::move(top.fn);
-  heap_.pop();
-  return fn;
-}
-
 EventQueue::Popped EventQueue::PopEntry() {
   const Entry& top = heap_.top();
   Popped out{top.when, top.seq, std::move(top.fn)};

@@ -6,7 +6,6 @@
 #include <queue>
 #include <vector>
 
-#include "common/digest.h"
 #include "common/types.h"
 
 namespace hermes::sim {
@@ -31,9 +30,6 @@ class EventQueue {
   /// Timestamp of the earliest pending event. Requires !empty().
   SimTime NextTime() const { return heap_.top().when; }
 
-  /// Removes and returns the earliest pending event. Requires !empty().
-  std::function<void()> Pop();
-
   /// One dequeued event plus its ordering key. `seq` is this queue's own
   /// insertion sequence — for the simulator's lane queues it is the
   /// lane-local component of the global (time, lane, seq) total order.
@@ -43,25 +39,16 @@ class EventQueue {
     std::function<void()> fn;
   };
 
-  /// Removes and returns the earliest pending event with its ordering key,
-  /// without touching the attached digest (the caller owns transcript
-  /// mixing). Requires !empty().
+  /// Removes and returns the earliest pending event with its ordering key
+  /// (the caller owns any transcript mixing). Requires !empty().
   Popped PopEntry();
-
-  /// Sequence number the next Push() will receive (diagnostics).
-  uint64_t next_seq() const { return next_seq_; }
-
-  /// Attaches a decision digest: every Pop() mixes the popped entry's
-  /// (when, seq) pair, making the full event firing order part of the
-  /// cluster's DecisionDigest.
-  void set_digest(DecisionDigest* digest) { digest_ = digest; }
 
  private:
   struct Entry {
     SimTime when;
     uint64_t seq;
     // Mutable so the closure can be moved out of the priority queue's
-    // const top() during Pop().
+    // const top() during PopEntry().
     mutable std::function<void()> fn;
   };
   struct Later {
@@ -73,7 +60,6 @@ class EventQueue {
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   uint64_t next_seq_ = 0;
-  DecisionDigest* digest_ = nullptr;
 };
 
 }  // namespace hermes::sim

@@ -230,13 +230,13 @@ Profile RunPartition(uint64_t plan_seed, bool deep_checks) {
       .Hex("checksum", cluster.StateChecksum())
       .Hex("replicas", cluster.ReplicaChecksum())
       .Count("commits", cluster.metrics().total_commits())
-      .Count("held", cluster.network().total_held())
+      .Count("held", cluster.wire().total_held())
       .Count("misses", detector.heartbeat_misses())
       .Count("suspects", detector.suspects())
       .Count("restores", detector.restores())
       .Count("parked", cluster.degraded_ledger().parked_total())
       .Hex("retry_digest", cluster.degraded_ledger().RetryDigest())
-      .Count("cut_deliveries", cluster.network().cut_deliveries());
+      .Count("cut_deliveries", cluster.wire().cut_deliveries());
   p.monitors_ok = monitor.ok();
   p.report = monitor.FailureReport();
   return p;
@@ -494,8 +494,8 @@ Profile RunChaos(uint64_t plan_seed, bool deep_checks, ChaosOptions options) {
       .Hex("checksum", cluster.StateChecksum())
       .Count("commits", cluster.metrics().total_commits());
   const auto link = [&] {
-    p.Count("dropped", cluster.network().messages_dropped())
-        .Count("dup", cluster.network().messages_duplicated());
+    p.Count("dropped", cluster.wire().messages_dropped())
+        .Count("dup", cluster.wire().messages_duplicated());
   };
   const auto degraded = [&] {
     p.Hex("retry_digest", ledger.RetryDigest())

@@ -1,12 +1,8 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/digest.h"
 
 namespace hermes::sim {
 namespace {
@@ -17,7 +13,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.Push(30, [&] { fired.push_back(3); });
   q.Push(10, [&] { fired.push_back(1); });
   q.Push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.Pop()();
+  while (!q.empty()) q.PopEntry().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -27,7 +23,7 @@ TEST(EventQueueTest, FifoTieBreakAtEqualTimes) {
   for (int i = 0; i < 10; ++i) {
     q.Push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.Pop()();
+  while (!q.empty()) q.PopEntry().fn();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
@@ -36,7 +32,7 @@ TEST(EventQueueTest, NextTimeReportsEarliest) {
   q.Push(42, [] {});
   q.Push(7, [] {});
   EXPECT_EQ(q.NextTime(), 7u);
-  q.Pop();
+  q.PopEntry();
   EXPECT_EQ(q.NextTime(), 42u);
 }
 
@@ -46,7 +42,7 @@ TEST(EventQueueTest, SizeTracksContents) {
   q.Push(1, [] {});
   q.Push(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.Pop();
+  q.PopEntry();
   EXPECT_EQ(q.size(), 1u);
 }
 
@@ -92,7 +88,7 @@ TEST(EventQueueTest, EqualTimeOrderIndependentOfInsertionPattern) {
         q.Push(150, [] {});
         break;
     }
-    while (!q.empty()) q.Pop()();
+    while (!q.empty()) q.PopEntry().fn();
     return fired;
   };
   const std::vector<int> want = {0, 1, 2, 3, 4, 5};
@@ -113,32 +109,8 @@ TEST(EventQueueTest, PushDuringPopOfSameTimeFiresAfterAllCurrent) {
     q.Push(10, [&] { fired.push_back(2); });
   });
   q.Push(10, [&] { fired.push_back(1); });
-  while (!q.empty()) q.Pop()();
+  while (!q.empty()) q.PopEntry().fn();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(EventQueueTest, DigestRecordsPopOrder) {
-  // The digest folds every popped (when, seq) pair, in pop order. Two
-  // queues that fire the same events in the same order must agree; a
-  // queue that fires them in a different order must not.
-  auto digest_of = [](const std::vector<SimTime>& push_times) {
-    EventQueue q;
-    DecisionDigest d;
-    q.set_digest(&d);
-    for (SimTime t : push_times) q.Push(t, [] {});
-    while (!q.empty()) q.Pop()();
-    return std::make_pair(d.value(), d.count());
-  };
-  const auto a = digest_of({30, 10, 20});
-  const auto b = digest_of({30, 10, 20});
-  EXPECT_EQ(a, b);
-  // Each pop mixes two words: when and seq.
-  EXPECT_EQ(a.second, 6u);
-  // Same multiset of times pushed in a different order assigns different
-  // sequence numbers, so the digest differs — the digest is a transcript
-  // of the actual firing order, not of the event set.
-  const auto c = digest_of({10, 20, 30});
-  EXPECT_NE(a.first, c.first);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include "engine/metrics.h"
 #include "engine/node.h"
 #include "net/wire.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace hermes::engine {
@@ -20,8 +19,7 @@ class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest()
       : metrics_(SecToSim(1)),
-        net_(&sim_, &costs_, 4),
-        wire_(&sim_, &net_, &costs_, &net_config_, 4),
+        wire_(&sim_, &costs_, &net_config_, 4),
         executor_(&sim_, &wire_, &metrics_, &costs_, &nodes_) {
     for (NodeId i = 0; i < 4; ++i) {
       nodes_.push_back(std::make_unique<Node>(i, &sim_, 2));
@@ -49,7 +47,6 @@ class ExecutorTest : public ::testing::Test {
   sim::Simulator sim_;
   CostModel costs_;
   Metrics metrics_;
-  sim::Network net_;
   NetConfig net_config_;
   net::Wire wire_;
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -85,7 +82,7 @@ TEST_F(ExecutorTest, RemoteReadWaitsForShipment) {
   EXPECT_TRUE(done);
   // At least one network hop for the read plus one for the client ack.
   EXPECT_GE(commit_time, 2 * costs_.net_latency_us);
-  EXPECT_GT(net_.total_bytes(), 1000u);
+  EXPECT_GT(wire_.total_bytes(), 1000u);
   // Remote read does NOT move the record.
   EXPECT_TRUE(nodes_[1]->store().Contains(105));
   EXPECT_FALSE(nodes_[0]->store().Contains(105));

@@ -144,12 +144,12 @@ TEST(FaultInjectionTest, LinkChaosPreservesOracleEquality) {
   injector.Drain();
 
   EXPECT_GT(cluster.metrics().total_commits(), 100u);
-  EXPECT_GT(cluster.network().messages_dropped(), 0u);
-  EXPECT_GT(cluster.network().messages_duplicated(), 0u);
+  EXPECT_GT(cluster.wire().messages_dropped(), 0u);
+  EXPECT_GT(cluster.wire().messages_duplicated(), 0u);
   // Dropped attempts cost the sender bytes that never arrive; duplicates
   // cost both sides. Either way sent != received under chaos.
-  EXPECT_NE(cluster.network().total_bytes(),
-            cluster.network().total_bytes_received());
+  EXPECT_NE(cluster.wire().total_bytes(),
+            cluster.wire().total_bytes_received());
 
   InvariantMonitor monitor(config.num_records);
   EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));

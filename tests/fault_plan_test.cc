@@ -307,7 +307,7 @@ TEST(LinkChaosTest, CertainDropIsBoundedByMaxDropsPerMessage) {
   config.retransmit_delay_us = 200;
   const LinkChaos chaos(config, 7);
   for (uint64_t seq = 0; seq < 64; ++seq) {
-    const sim::Perturbation p = chaos.Draw(0, 1, seq);
+    const net::Perturbation p = chaos.Draw(0, 1, seq);
     EXPECT_EQ(p.dropped_attempts, 3) << "seq " << seq;
     EXPECT_EQ(p.extra_delay_us, 3u * 200u) << "seq " << seq;
   }
@@ -316,7 +316,7 @@ TEST(LinkChaosTest, CertainDropIsBoundedByMaxDropsPerMessage) {
 TEST(LinkChaosTest, ZeroProbZeroJitterDrawsNothing) {
   const LinkChaos chaos(LinkChaosConfig{}, 7);
   for (uint64_t seq = 0; seq < 64; ++seq) {
-    const sim::Perturbation p = chaos.Draw(0, 1, seq, /*now=*/seq * 1000);
+    const net::Perturbation p = chaos.Draw(0, 1, seq, /*now=*/seq * 1000);
     EXPECT_EQ(p.dropped_attempts, 0);
     EXPECT_EQ(p.duplicates, 0);
     EXPECT_EQ(p.extra_delay_us, 0u);
@@ -334,14 +334,14 @@ TEST(LinkChaosTest, DrawsArePureFunctionsOfLinkAndSeq) {
   // for (src, dst, seq) must not depend on call order or other links.
   bool links_differ = false;
   for (uint64_t seq = 0; seq < 64; ++seq) {
-    const sim::Perturbation pa = a.Draw(0, 1, seq);
+    const net::Perturbation pa = a.Draw(0, 1, seq);
     (void)b.Draw(2, 3, seq);
     (void)b.Draw(1, 0, 63 - seq);
-    const sim::Perturbation pb = b.Draw(0, 1, seq);
+    const net::Perturbation pb = b.Draw(0, 1, seq);
     EXPECT_EQ(pa.dropped_attempts, pb.dropped_attempts) << "seq " << seq;
     EXPECT_EQ(pa.duplicates, pb.duplicates) << "seq " << seq;
     EXPECT_EQ(pa.extra_delay_us, pb.extra_delay_us) << "seq " << seq;
-    const sim::Perturbation reverse = a.Draw(1, 0, seq);
+    const net::Perturbation reverse = a.Draw(1, 0, seq);
     links_differ = links_differ ||
                    reverse.extra_delay_us != pa.extra_delay_us ||
                    reverse.dropped_attempts != pa.dropped_attempts;
@@ -361,7 +361,7 @@ TEST(LinkChaosTest, GrayWindowGatesExtraDelayAndStaysBounded) {
   const LinkChaos chaos(config, 7);
 
   // Inside the window, on a victim link: flat extra delay + bounded drops.
-  const sim::Perturbation in = chaos.Draw(0, 1, 0, /*now=*/1500);
+  const net::Perturbation in = chaos.Draw(0, 1, 0, /*now=*/1500);
   EXPECT_EQ(in.dropped_attempts, 3);
   EXPECT_EQ(in.extra_delay_us, 3u * 200u + 400u);
   // Victim as sender is just as sick.

@@ -52,7 +52,7 @@ TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
   EXPECT_TRUE(cluster.failure_detector()->suspected().empty());
   cluster.Drain();
   EXPECT_FALSE(cluster.failure_detector()->armed());
-  EXPECT_EQ(cluster.network().cut_deliveries(), 0u);
+  EXPECT_EQ(cluster.wire().cut_deliveries(), 0u);
 }
 
 // An asymmetric (one-way) cut is still a mutual-health failure: the
@@ -65,8 +65,8 @@ TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
   cluster.Load();
 
   cluster.PartitionCut(1, /*cut_inbound=*/true, /*cut_outbound=*/false);
-  EXPECT_TRUE(cluster.network().reachable(1, 0));
-  EXPECT_FALSE(cluster.network().reachable(0, 1));
+  EXPECT_TRUE(cluster.wire().reachable(1, 0));
+  EXPECT_FALSE(cluster.wire().reachable(0, 1));
 
   const SimTime period = config.detector.heartbeat_period_us;
   cluster.RunUntil(period * config.detector.miss_threshold + 1);

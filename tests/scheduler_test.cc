@@ -10,7 +10,6 @@
 #include "net/wire.h"
 #include "partition/partition_map.h"
 #include "routing/calvin_router.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace hermes::engine {
@@ -22,8 +21,7 @@ class SchedulerTest : public ::testing::Test {
       : ownership_(std::make_unique<partition::RangePartitionMap>(100, 2)),
         router_(&ownership_, &config_.costs, 2),
         metrics_(SecToSim(1)),
-        net_(&sim_, &config_.costs, 2),
-        wire_(&sim_, &net_, &config_.costs, &config_.net, 2),
+        wire_(&sim_, &config_.costs, &config_.net, 2),
         executor_(&sim_, &wire_, &metrics_, &config_.costs, &nodes_),
         scheduler_(&sim_, &router_, &executor_, &log_, &config_,
                    [](const TxnRequest&) { return nullptr; }) {
@@ -53,7 +51,6 @@ class SchedulerTest : public ::testing::Test {
   partition::OwnershipMap ownership_;
   routing::CalvinRouter router_;
   Metrics metrics_;
-  sim::Network net_;
   net::Wire wire_;
   std::vector<std::unique_ptr<Node>> nodes_;
   TxnExecutor executor_;

@@ -9,7 +9,6 @@
 
 #include "digest_oracle.h"
 #include "net/wire.h"
-#include "sim/network.h"
 #include "sim/simulator.h"
 
 namespace hermes {
@@ -31,12 +30,11 @@ ContentsResult RunEnvelopeContents() {
   costs.net_latency_us = 100;
   costs.net_us_per_byte = 0.001;
   costs.message_overhead_bytes = 64;
-  sim::Network fabric(&sim, &costs, 4);
   NetConfig net_config;
   net_config.enabled = true;
   net_config.coalesce_window_us = 40;
   net_config.coalesce_max_bytes = 4 * 1024;
-  net::Wire wire(&sim, &fabric, &costs, &net_config, 4);
+  net::Wire wire(&sim, &costs, &net_config, 4);
   sim.ConfigureLanes(4);
 
   ContentsResult result;
