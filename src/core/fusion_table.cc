@@ -93,7 +93,7 @@ std::vector<Key> FusionTable::ExportOrder() const {
   return {order_.begin(), order_.end()};
 }
 
-void FusionTable::Restore(const HashMap<Key, NodeId>& entries,
+void FusionTable::Restore(const FlatMap<Key, NodeId>& entries,
                           const std::vector<Key>& order) {
   entries_.clear();
   order_.clear();

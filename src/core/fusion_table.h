@@ -9,6 +9,7 @@
 
 #include "common/config.h"
 #include "common/digest.h"
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/types.h"
 #include "obs/trace.h"
@@ -71,7 +72,7 @@ class FusionTable {
   std::vector<Key> ExportOrder() const;
 
   /// Rebuilds contents and order from a checkpoint.
-  void Restore(const HashMap<Key, NodeId>& entries,
+  void Restore(const FlatMap<Key, NodeId>& entries,
                const std::vector<Key>& order);
 
   /// Order-insensitive digest of the table contents; used by determinism
@@ -111,7 +112,7 @@ class FusionTable {
   size_t capacity_;
   EvictionPolicy policy_;
   std::list<Key> order_;  // front = oldest / next eviction victim
-  HashMap<Key, Entry> entries_;
+  FlatMap<Key, Entry> entries_;
   DecisionDigest* digest_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   std::function<bool(Key)> evictable_;

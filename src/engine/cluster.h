@@ -9,6 +9,7 @@
 
 #include "common/config.h"
 #include "common/digest.h"
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "common/membership.h"
 #include "common/rng.h"
@@ -406,7 +407,7 @@ class Cluster {
   Sequencer sequencer_;
   Scheduler scheduler_;
 
-  HashMap<TxnId, TxnExecutor::CommitCallback> pending_callbacks_;
+  FlatMap<TxnId, TxnExecutor::CommitCallback> pending_callbacks_;
 
   std::deque<TxnRequest> chunk_queue_;
   bool chunk_in_flight_ = false;

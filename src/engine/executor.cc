@@ -28,6 +28,20 @@ uint64_t PackAccessArg(const routing::Access& acc) {
 
 constexpr Key kNoKey = static_cast<Key>(-1);
 
+/// Entry for `node` in a node-sorted state vector, inserted in order if
+/// absent. Invalidates references to other entries when it inserts.
+template <typename State>
+State& SortedEntry(std::vector<std::pair<NodeId, State>>& states,
+                   NodeId node) {
+  auto it = std::lower_bound(
+      states.begin(), states.end(), node,
+      [](const std::pair<NodeId, State>& e, NodeId n) { return e.first < n; });
+  if (it == states.end() || it->first != node) {
+    it = states.emplace(it, node, State{});
+  }
+  return it->second;
+}
+
 }  // namespace
 
 TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
@@ -56,7 +70,7 @@ bool TxnExecutor::IsMaster(const Active& a, NodeId node) const {
   return false;
 }
 
-void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
+void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
   const TxnId id = plan.txn.id;
   assert(!plan.masters.empty());
   if (HERMES_TRACE_ACTIVE(tracer_)) {
@@ -83,18 +97,18 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
 
   auto owned_active = std::make_unique<Active>();
   Active& a = *owned_active;
-  a.plan = plan;
+  a.plan = std::move(plan);
   a.on_commit = std::move(on_commit);
   a.dispatch_time = sim_->Now();
-  a.write_keys = SortedUnique(plan.txn.write_set);
-  for (NodeId m : plan.masters) a.masters.push_back(MasterState{m});
+  a.write_keys = SortedUnique(a.plan.txn.write_set);
+  a.masters.reserve(a.plan.masters.size());
+  for (NodeId m : a.plan.masters) a.masters.push_back(MasterState{m});
 
-  // Group lock requests and owned accesses per involved node. std::map
-  // keeps node order deterministic.
-  std::map<NodeId, NodeState> states;
-  const bool regular = plan.txn.kind == TxnKind::kRegular;
-  for (const Access& acc : plan.accesses) {
-    NodeState& owner_state = states[acc.owner];
+  // Group lock requests and owned accesses per involved node, kept in
+  // ascending node order.
+  const bool regular = a.plan.txn.kind == TxnKind::kRegular;
+  for (const Access& acc : a.plan.accesses) {
+    NodeState& owner_state = SortedEntry(a.nodes, acc.owner);
     owner_state.owned.push_back(acc);
     owner_state.lock_requests.push_back(
         storage::LockRequest{acc.key, acc.is_write});
@@ -103,16 +117,17 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
     // routed there later in the total order cannot read it early.
     if (regular && acc.new_owner != kInvalidNode &&
         acc.new_owner != acc.owner && IsMaster(a, acc.new_owner)) {
-      states[acc.new_owner].lock_requests.push_back(
-          storage::LockRequest{acc.key, true});
+      SortedEntry(a.nodes, acc.new_owner)
+          .lock_requests.push_back(storage::LockRequest{acc.key, true});
     }
   }
-  for (const auto& m : a.masters) states[m.node].is_master = true;
+  for (const auto& m : a.masters) SortedEntry(a.nodes, m.node).is_master = true;
 
   // Count expected shipments per master: one message per (source node,
   // master) pair with at least one shipped access.
-  for (auto& [node, state] : states) {
-    std::vector<NodeId> targets;
+  std::vector<NodeId> targets;
+  for (auto& [node, state] : a.nodes) {
+    targets.clear();
     for (const Access& acc : state.owned) {
       if (!acc.ship_to_master) continue;
       if (acc.new_owner != kInvalidNode && acc.new_owner != node &&
@@ -136,7 +151,6 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
     }
   }
 
-  a.nodes.assign(states.begin(), states.end());
   a.distributed = a.nodes.size() > 1;
 
   // Deduplicate lock requests per node (a key can appear as both a normal
@@ -165,9 +179,10 @@ void TxnExecutor::Dispatch(const RoutedTxn& plan, CommitCallback on_commit) {
 
   // Enqueue all lock requests in total order (ascending node id within the
   // transaction; Dispatch itself is called in total order).
+  std::vector<TxnId> granted;
   for (auto& [node, state] : a.nodes) {
     state.acquire_time = sim_->Now();
-    std::vector<TxnId> granted;
+    granted.clear();
     NodeAt(node).locks().Acquire(id, state.lock_requests, &granted);
     ProcessGrants(node, granted);
   }
@@ -215,6 +230,7 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
 
   // Participant side: ship records once they are physically present.
   std::vector<Key> needed;
+  needed.reserve(state->owned.size());
   for (const Access& acc : state->owned) {
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
@@ -240,6 +256,7 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   if (m != nullptr) {
     std::vector<Key> local;
     std::vector<Key> replica;
+    local.reserve(state->owned.size());
     for (const Access& acc : state->owned) {
       if (acc.replica_read && lease_mgr_ != nullptr) {
         replica.push_back(acc.key);
@@ -247,9 +264,7 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
         local.push_back(acc.key);
       }
     }
-    auto remaining = std::make_shared<int>(replica.empty() ? 1 : 2);
-    auto present = [this, id, node, remaining]() {
-      if (--*remaining > 0) return;
+    auto present = [this, id, node]() {
       auto it = actives_.find(id);
       if (it == actives_.end()) return;
       Active& act = *it->second;
@@ -257,10 +272,17 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
       ms->local_present = true;
       CheckMasterReady(act, *ms);
     };
-    if (!replica.empty()) {
-      lease_mgr_->WaitCopies(node, SortedUnique(std::move(replica)), present);
+    if (replica.empty()) {
+      WaitPresence(node, SortedUnique(std::move(local)), present);
+      return;
     }
-    WaitPresence(node, SortedUnique(std::move(local)), present);
+    auto remaining = std::make_shared<int>(2);
+    auto both_present = [remaining, present]() {
+      if (--*remaining == 0) present();
+    };
+    lease_mgr_->WaitCopies(node, SortedUnique(std::move(replica)),
+                           both_present);
+    WaitPresence(node, SortedUnique(std::move(local)), both_present);
   }
 }
 
@@ -316,7 +338,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     uint64_t bytes = 0;
     bool to_master = false;
   };
-  std::map<NodeId, Shipment> shipments;
+  std::vector<std::pair<NodeId, Shipment>> shipments;  // sorted by node
 
   for (const Access& acc : state->owned) {
     const bool migrates =
@@ -329,7 +351,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     // messages).
     for (const auto& m : a.masters) {
       if (m.node == node) continue;
-      Shipment& s = shipments[m.node];
+      Shipment& s = SortedEntry(shipments, m.node);
       s.bytes += costs_->record_bytes;
       s.to_master = true;
     }
@@ -342,7 +364,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     assert(rec.has_value() && "migrating a record that is not present");
     HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, node, a.plan.txn.id,
                  acc.key, static_cast<uint32_t>(acc.new_owner));
-    Shipment& s = shipments[acc.new_owner];
+    Shipment& s = SortedEntry(shipments, acc.new_owner);
     s.moves.emplace_back(acc.key, *rec);
     s.bytes += costs_->record_bytes;
     TrackInFlight(acc.key, node, acc.new_owner, a.plan.txn.id, *rec);
@@ -768,7 +790,7 @@ std::string TxnExecutor::DebugString() const {
 TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
   const size_t idx = static_cast<size_t>(node);
   if (idx >= presence_waiters_.size()) {
-    // Grows lazily, from whichever lane first touches a new node's shard;
+    // Grows on first touch of a new node's shard (nodes join at run time);
     // callers hold a shard reference only until their next PresenceShard.
     presence_waiters_.resize(nodes_->size() > idx + 1 ? nodes_->size()
                                                       : idx + 1);
@@ -777,19 +799,21 @@ TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
 }
 
 void TxnExecutor::WaitPresence(NodeId node, std::vector<Key> keys,
-                               std::function<void()> ready) {
-  std::vector<Key> missing;
-  for (Key k : keys) {
-    if (!NodeAt(node).store().Contains(k)) missing.push_back(k);
-  }
-  if (missing.empty()) {
+                               sim::Callback ready) {
+  const storage::RecordStore& store = NodeAt(node).store();
+  std::erase_if(keys, [&store](Key k) { return store.Contains(k); });
+  if (keys.empty()) {
     ready();
     return;
   }
-  auto remaining = std::make_shared<size_t>(missing.size());
-  auto shared_ready = std::make_shared<std::function<void()>>(std::move(ready));
   PresenceShardMap& shard = PresenceShard(node);
-  for (Key k : missing) {
+  if (keys.size() == 1) {
+    shard[keys[0]].push_back(std::move(ready));
+    return;
+  }
+  auto remaining = std::make_shared<size_t>(keys.size());
+  auto shared_ready = std::make_shared<sim::Callback>(std::move(ready));
+  for (Key k : keys) {
     shard[k].push_back([remaining, shared_ready]() {
       if (--*remaining == 0) (*shared_ready)();
     });
@@ -811,7 +835,7 @@ void TxnExecutor::Freeze(Active& a) {
 }
 
 void TxnExecutor::FreezeStalled(Active& a, NodeId node,
-                                std::function<void()> resume) {
+                                sim::Callback resume) {
   // Same barrier discipline as Freeze(); additionally parks the abandoned
   // continuation under the dead node so ResumeStalled can re-drive it.
   const TxnId id = a.plan.txn.id;
@@ -848,7 +872,7 @@ void TxnExecutor::ResumeStalled(NodeId node) {
     if (!a.acked) continue;
     auto sit = a.stalled.find(node);
     if (sit == a.stalled.end()) continue;
-    std::vector<std::function<void()>> thunks = std::move(sit->second);
+    std::vector<sim::Callback> thunks = std::move(sit->second);
     a.stalled.erase(sit);
     if (a.stalled.empty()) {
       // No other dead gate holds this transaction; it either completes
@@ -982,7 +1006,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key,
   PresenceShardMap& shard = PresenceShard(node);
   auto it = shard.find(key);
   if (it == shard.end()) return;
-  std::vector<std::function<void()>> waiters = std::move(it->second);
+  std::vector<sim::Callback> waiters = std::move(it->second);
   shard.erase(it);
   for (auto& w : waiters) w();
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/membership.h"
 #include "common/types.h"
 #include "engine/degraded.h"
@@ -21,6 +21,7 @@
 #include "obs/trace.h"
 #include "replication/lease_manager.h"
 #include "routing/router.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "txn/transaction.h"
 
@@ -78,8 +79,9 @@ class TxnExecutor {
   /// Dispatches one routed transaction. Must be called in total order.
   /// Scheduled from the scheduler's dispatch events only (control lane):
   /// it enqueues locks at every involved node and applies replica-lease
-  /// ops, both cross-node work.
-  void Dispatch(const routing::RoutedTxn& plan, CommitCallback on_commit);
+  /// ops, both cross-node work. The plan is moved into the transaction
+  /// state.
+  void Dispatch(routing::RoutedTxn plan, CommitCallback on_commit);
 
   /// Wires the replica-lease mechanism (null = leases off). Dispatch
   /// applies the plan's replica ops through it, masters wait on lease
@@ -220,7 +222,7 @@ class TxnExecutor {
     /// sorted txn order when that node rejoins. A node can stall both the
     /// participant and the master machine, hence the vector (insertion
     /// order — the deterministic event order the freezes fired in).
-    std::map<NodeId, std::vector<std::function<void()>>> stalled;
+    std::map<NodeId, std::vector<sim::Callback>> stalled;
   };
 
   Node& NodeAt(NodeId id) { return *(*nodes_)[id]; }
@@ -261,7 +263,7 @@ class TxnExecutor {
   /// Freeze() plus a resume continuation: the gate that fired records
   /// exactly where the per-node machine stalled so ResumeStalled can
   /// re-drive it at rejoin. Defers like Freeze().
-  void FreezeStalled(Active& a, NodeId node, std::function<void()> resume);
+  void FreezeStalled(Active& a, NodeId node, sim::Callback resume);
   /// Re-drives every machine stalled at `node`'s dead gates, in sorted
   /// txn order, and unfreezes transactions with no remaining stalls.
   /// Touches cross-node per-txn state — exclusive context only (runs
@@ -299,8 +301,7 @@ class TxnExecutor {
 
   /// Runs `ready` once every key in `keys` is physically present in
   /// `node`'s store (immediately if they already are).
-  void WaitPresence(NodeId node, std::vector<Key> keys,
-                    std::function<void()> ready);
+  void WaitPresence(NodeId node, std::vector<Key> keys, sim::Callback ready);
   /// Inserts an arriving record and wakes presence waiters.
   void DeliverRecord(NodeId node, Key key, const storage::Record& record);
 
@@ -312,13 +313,12 @@ class TxnExecutor {
   const CostModel* costs_;
   std::vector<std::unique_ptr<Node>>* nodes_;
 
-  /// Transaction table. Structural writes (insert on dispatch, erase on
-  /// completion/abort) happen only in exclusive context; node lanes do
-  /// read-only find()s, which is safe while the barrier serializes every
-  /// mutation.
-  HashMap<TxnId, std::unique_ptr<Active>> actives_;
+  /// Transaction table. Inserted on dispatch and erased on completion or
+  /// abort, both in exclusive context. Values are boxed so an `Active&`
+  /// survives the backward-shift moves of other entries' erases.
+  FlatMap<TxnId, std::unique_ptr<Active>> actives_;
 
-  using PresenceShardMap = HashMap<Key, std::vector<std::function<void()>>>;
+  using PresenceShardMap = FlatMap<Key, std::vector<sim::Callback>>;
   /// Presence waiters, sharded per node: shard `n` is touched only by node
   /// n's lane (or the exclusive slice). Grown on first use.
   std::vector<PresenceShardMap> presence_waiters_;

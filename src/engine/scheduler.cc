@@ -1,7 +1,6 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 namespace hermes::engine {
@@ -102,13 +101,11 @@ void Scheduler::Process(Batch&& batch, bool log) {
                     batch.id, static_cast<Key>(-1), start,
                     dispatch_at - start, batch.txns.size());
 
-  auto shared_plan =
-      std::make_shared<routing::RoutePlan>(std::move(plan));
-  sim_->ScheduleAt(dispatch_at, [this, shared_plan]() {
-    for (routing::RoutedTxn& rt : shared_plan->txns) {
+  sim_->ScheduleAt(dispatch_at, [this, plan = std::move(plan)]() mutable {
+    for (routing::RoutedTxn& rt : plan.txns) {
       if (observer_) observer_(rt);
       TxnExecutor::CommitCallback cb = resolver_(rt.txn);
-      executor_->Dispatch(rt, std::move(cb));
+      executor_->Dispatch(std::move(rt), std::move(cb));
     }
   });
 }

@@ -27,8 +27,15 @@ void Wire::Grow(int num_nodes) {
          "link growth must happen in exclusive context");
   const size_t n = static_cast<size_t>(num_nodes);
   if (links_.size() >= n) return;
-  for (auto& row : links_) row.resize(n);
-  links_.resize(n, std::vector<Link>(n));
+  // Rows grow by moving each link: a Link is move-only (its queues hold
+  // callbacks), and std::deque's move constructor is not noexcept, so
+  // vector::resize would try to copy.
+  for (auto& row : links_) {
+    std::vector<Link> grown(n);
+    for (size_t d = 0; d < row.size(); ++d) grown[d] = std::move(row[d]);
+    row = std::move(grown);
+  }
+  while (links_.size() < n) links_.emplace_back(n);
 }
 
 uint64_t Wire::Sum(uint64_t Link::*field, NodeId src, NodeId dst) const {
@@ -63,7 +70,7 @@ bool Wire::CanAdmit(const Link& link, uint64_t wire_bytes) const {
 }
 
 void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
-                TrafficClass cls, std::function<void()> on_delivery) {
+                TrafficClass cls, sim::Callback on_delivery) {
   assert(src >= 0 && src < static_cast<NodeId>(links_.size()));
   assert(dst >= 0 && dst < static_cast<NodeId>(links_.size()));
   // Link state is row `src`: only that node's lane (or the exclusive
@@ -92,7 +99,7 @@ void Wire::Send(NodeId src, NodeId dst, uint64_t payload_bytes,
 }
 
 void Wire::Transmit(NodeId src, NodeId dst, uint64_t payload_bytes,
-                    TrafficClass cls, std::function<void()> on_delivery) {
+                    TrafficClass cls, sim::Callback on_delivery) {
   if (src == dst) {
     // Local hand-off: no wire bytes, no latency, but still asynchronous so
     // that callers never re-enter themselves.
@@ -141,10 +148,11 @@ void Wire::Transmit(NodeId src, NodeId dst, uint64_t payload_bytes,
 
 void Wire::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                             uint64_t delivered, SimTime wire, bool was_held,
-                            std::function<void()> cb) {
+                            sim::Callback cb) {
   sim_->ScheduleOnLane(
       static_cast<int>(dst), wire,
-      [this, src, dst, bytes, delivered, was_held, cb = std::move(cb)]() {
+      [this, src, dst, bytes, delivered, was_held,
+       cb = std::move(cb)]() mutable {
         Link& link = links_[src][dst];
         // A released message must never land under a still-live cut: the
         // pen only drains on heal, so a nonzero count means a release
@@ -157,7 +165,7 @@ void Wire::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
 }
 
 void Wire::AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
-                          std::function<void()> on_delivery) {
+                          sim::Callback on_delivery) {
   Link& link = links_[src][dst];
   if (!link.env_open) {
     link.env_open = true;

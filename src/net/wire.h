@@ -9,6 +9,7 @@
 #include "common/config.h"
 #include "common/types.h"
 #include "obs/telemetry.h"
+#include "sim/callback.h"
 #include "sim/simulator.h"
 
 namespace hermes::net {
@@ -87,7 +88,7 @@ class Wire {
   /// split). Self-sends, sends with the substrate disabled and sends into
   /// a cut link skip the queue.
   void Send(NodeId src, NodeId dst, uint64_t payload_bytes, TrafficClass cls,
-            std::function<void()> on_delivery);
+            sim::Callback on_delivery);
 
   /// Grows the link matrix when nodes are added by dynamic provisioning;
   /// every existing link keeps its state. Exclusive context only (also
@@ -200,7 +201,7 @@ class Wire {
     uint64_t payload_bytes = 0;
     SimTime enqueued = 0;
     /// Delivery callbacks, run in append order on the destination lane.
-    std::vector<std::function<void()>> cbs;
+    std::vector<sim::Callback> cbs;
   };
 
   /// One parked message: everything the delivery closure needs, with the
@@ -210,7 +211,7 @@ class Wire {
     uint64_t bytes = 0;
     uint64_t delivered = 0;  ///< copies to charge the receiver
     SimTime wire = 0;        ///< wire time, re-measured from the heal point
-    std::function<void()> cb;
+    sim::Callback cb;
   };
 
   /// One directed link. links_[src][dst] belongs to node src's lane (or
@@ -246,7 +247,7 @@ class Wire {
     /// Generation counter guarding the window-flush timer: flushing or
     /// re-opening bumps it, so a stale timer finds a mismatch and no-ops.
     uint64_t env_gen = 0;
-    std::vector<std::function<void()>> env_cbs;
+    std::vector<sim::Callback> env_cbs;
   };
 
   /// Sums `field` over the links leaving `src` and entering `dst`;
@@ -258,10 +259,10 @@ class Wire {
   /// send-side counters, and schedules delivery — or parks it in the pen
   /// while the link is cut. Self-sends are a zero-time local hand-off.
   void Transmit(NodeId src, NodeId dst, uint64_t payload_bytes,
-                TrafficClass cls, std::function<void()> on_delivery);
+                TrafficClass cls, sim::Callback on_delivery);
   void ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                         uint64_t delivered, SimTime wire, bool was_held,
-                        std::function<void()> cb);
+                        sim::Callback cb);
 
   /// Serializer occupancy of one wire message, in virtual microseconds.
   SimTime SerializationTime(uint64_t wire_bytes) const;
@@ -273,7 +274,7 @@ class Wire {
   /// arming the window-flush timer if needed; sealing early on the size
   /// cap). Runs on src's lane or exclusively.
   void AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,
-                      std::function<void()> on_delivery);
+                      sim::Callback on_delivery);
   /// Seals the open envelope (if any) onto the transmit queue.
   void FlushEnvelope(NodeId src, NodeId dst);
   /// Arms the transmit timer if the queue is non-empty and none is armed.

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace hermes::partition {
@@ -123,10 +123,10 @@ class OwnershipMap {
   std::vector<std::tuple<Key, Key, NodeId>> ExportIntervals() const;
   void RestoreIntervals(const std::vector<std::tuple<Key, Key, NodeId>>& iv);
 
-  const HashMap<Key, NodeId>& key_overlay() const {
+  const FlatMap<Key, NodeId>& key_overlay() const {
     return key_overlay_;
   }
-  void RestoreKeyOverlay(HashMap<Key, NodeId> overlay) {
+  void RestoreKeyOverlay(FlatMap<Key, NodeId> overlay) {
     key_overlay_ = std::move(overlay);
   }
 
@@ -137,7 +137,7 @@ class OwnershipMap {
   std::unique_ptr<PartitionMap> base_;
   /// lo -> (hi inclusive, owner); non-overlapping.
   std::map<Key, std::pair<Key, NodeId>> intervals_;
-  HashMap<Key, NodeId> key_overlay_;
+  FlatMap<Key, NodeId> key_overlay_;
 };
 
 }  // namespace hermes::partition

@@ -52,7 +52,7 @@ void LeaseManager::LapseNode(NodeId node) {
   // Wake everything parked at this node: the reads degrade to plain local
   // reads (the read path never consumes the copy's bytes, only its
   // modeled latency), so waking on lapse cannot change any value.
-  std::map<Key, std::vector<std::function<void()>>> waiters;
+  std::map<Key, std::vector<sim::Callback>> waiters;
   waiters.swap(shard.waiters);
   for (auto& [key, list] : waiters) {
     (void)key;
@@ -71,7 +71,7 @@ void LeaseManager::LapseAll() {
   holders_.clear();
   for (NodeShard& shard : shards_) {
     shard.copies.clear();
-    std::map<Key, std::vector<std::function<void()>>> waiters;
+    std::map<Key, std::vector<sim::Callback>> waiters;
     waiters.swap(shard.waiters);
     for (auto& [key, list] : waiters) {
       (void)key;
@@ -86,7 +86,7 @@ void LeaseManager::DropCopy(NodeId node, Key key) {
   shard.copies.erase(key);
   const auto wit = shard.waiters.find(key);
   if (wit == shard.waiters.end()) return;
-  std::vector<std::function<void()>> list = std::move(wit->second);
+  std::vector<sim::Callback> list = std::move(wit->second);
   shard.waiters.erase(wit);
   for (auto& w : list) w();
 }
@@ -121,7 +121,7 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
                node, txn, key, /*arg=*/record.version);
   const auto wit = shard.waiters.find(key);
   if (wit == shard.waiters.end()) return;
-  std::vector<std::function<void()>> list = std::move(wit->second);
+  std::vector<sim::Callback> list = std::move(wit->second);
   shard.waiters.erase(wit);
   for (auto& w : list) w();
 }
@@ -137,7 +137,7 @@ const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
 }
 
 void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
-                              std::function<void()> ready) {
+                              sim::Callback ready) {
   NodeShard& shard = Shard(node);
   std::vector<Key> missing;
   for (Key k : keys) {
@@ -155,8 +155,7 @@ void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
     return;
   }
   auto remaining = std::make_shared<size_t>(missing.size());
-  auto shared_ready =
-      std::make_shared<std::function<void()>>(std::move(ready));
+  auto shared_ready = std::make_shared<sim::Callback>(std::move(ready));
   for (Key k : missing) {
     shard.waiters[k].push_back([remaining, shared_ready]() {
       if (--*remaining == 0) (*shared_ready)();

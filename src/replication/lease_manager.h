@@ -2,7 +2,6 @@
 #define HERMES_REPLICATION_LEASE_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <tuple>
@@ -10,6 +9,7 @@
 
 #include "common/types.h"
 #include "obs/trace.h"
+#include "sim/callback.h"
 #include "storage/record_store.h"
 
 namespace hermes::replication {
@@ -87,7 +87,7 @@ class LeaseManager {
   /// longer leased to `node` (immediately if that already holds). The
   /// executor's master-presence analogue for replica reads.
   void WaitCopies(NodeId node, const std::vector<Key>& keys,
-                  std::function<void()> ready);
+                  sim::Callback ready);
 
   /// Order-insensitive checksum over every (node, key, value, version)
   /// copy — the replica analogue of RecordStore::Checksum, consumed by the
@@ -121,7 +121,7 @@ class LeaseManager {
     /// key -> copy. std::map: bounded by max_leases, sorted iteration for
     /// free (checksums, snapshots and diagnostics need no collect-and-sort).
     std::map<Key, storage::Record> copies;
-    std::map<Key, std::vector<std::function<void()>>> waiters;
+    std::map<Key, std::vector<sim::Callback>> waiters;
     uint64_t installs = 0;
     uint64_t updates = 0;
     uint64_t stale_drops = 0;

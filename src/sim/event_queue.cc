@@ -4,7 +4,7 @@
 
 namespace hermes::sim {
 
-void EventQueue::Push(SimTime when, std::function<void()> fn) {
+void EventQueue::Push(SimTime when, Callback fn) {
   heap_.push(Entry{when, next_seq_++, std::move(fn)});
 }
 

@@ -2,11 +2,11 @@
 #define HERMES_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
 #include "common/types.h"
+#include "sim/callback.h"
 
 namespace hermes::sim {
 
@@ -22,7 +22,7 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Enqueues `fn` to fire at absolute time `when`.
-  void Push(SimTime when, std::function<void()> fn);
+  void Push(SimTime when, Callback fn);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -36,7 +36,7 @@ class EventQueue {
   struct Popped {
     SimTime when;
     uint64_t seq;
-    std::function<void()> fn;
+    Callback fn;
   };
 
   /// Removes and returns the earliest pending event with its ordering key
@@ -49,7 +49,7 @@ class EventQueue {
     uint64_t seq;
     // Mutable so the closure can be moved out of the priority queue's
     // const top() during PopEntry().
-    mutable std::function<void()> fn;
+    mutable Callback fn;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {

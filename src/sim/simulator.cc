@@ -30,21 +30,19 @@ void Simulator::EnsureLanes(int num_lanes) {
   }
 }
 
-void Simulator::Schedule(SimTime delay, std::function<void()> fn) {
+void Simulator::Schedule(SimTime delay, Callback fn) {
   ScheduleOnLaneAt(current_lane(), Now() + delay, std::move(fn));
 }
 
-void Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+void Simulator::ScheduleAt(SimTime when, Callback fn) {
   ScheduleOnLaneAt(current_lane(), when, std::move(fn));
 }
 
-void Simulator::ScheduleOnLane(int lane, SimTime delay,
-                               std::function<void()> fn) {
+void Simulator::ScheduleOnLane(int lane, SimTime delay, Callback fn) {
   ScheduleOnLaneAt(lane, Now() + delay, std::move(fn));
 }
 
-void Simulator::ScheduleOnLaneAt(int lane, SimTime when,
-                                 std::function<void()> fn) {
+void Simulator::ScheduleOnLaneAt(int lane, SimTime when, Callback fn) {
   // Past times fire "now": the executing event's epoch, the only clock the
   // caller can observe.
   if (when < now_) when = now_;
@@ -63,7 +61,7 @@ void Simulator::ScheduleOnLaneAt(int lane, SimTime when,
   PushDirect(lane, when, std::move(fn));
 }
 
-void Simulator::PushDirect(int lane, SimTime when, std::function<void()> fn) {
+void Simulator::PushDirect(int lane, SimTime when, Callback fn) {
   if (lane == kControlLane) {
     control_.Push(when, std::move(fn));
   } else {
@@ -71,7 +69,7 @@ void Simulator::PushDirect(int lane, SimTime when, std::function<void()> fn) {
   }
 }
 
-void Simulator::Defer(std::function<void()> fn) {
+void Simulator::Defer(Callback fn) {
   if (in_lane_context()) {
     lanes_[static_cast<size_t>(lane_)]->staged.push_back(
         StagedOp{true, kControlLane, 0, std::move(fn)});
@@ -142,10 +140,9 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
     }
     for (int i : active_lanes_) {
       // Effects run exclusively (and may push directly or Defer inline),
-      // so the staged vector cannot grow while we drain it.
-      std::vector<StagedOp> ops =
-          std::move(lanes_[static_cast<size_t>(i)]->staged);
-      lanes_[static_cast<size_t>(i)]->staged.clear();
+      // so the staged vector cannot grow while we drain it; draining it in
+      // place keeps its capacity for the next epoch.
+      std::vector<StagedOp>& ops = lanes_[static_cast<size_t>(i)]->staged;
       for (StagedOp& op : ops) {
         if (op.is_effect) {
           op.fn();
@@ -153,6 +150,7 @@ void Simulator::RunLoop(SimTime deadline, bool run_all) {
           PushDirect(op.lane, op.when, std::move(op.fn));
         }
       }
+      ops.clear();
     }
   }
   if (!run_all && now_ < deadline) now_ = deadline;

@@ -2,12 +2,12 @@
 #define HERMES_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/digest.h"
 #include "common/types.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 
 namespace hermes::sim {
@@ -61,25 +61,25 @@ class Simulator {
 
   /// Schedules `fn` to run `delay` microseconds from now, on the lane the
   /// caller is executing on (the control lane outside any event).
-  void Schedule(SimTime delay, std::function<void()> fn);
+  void Schedule(SimTime delay, Callback fn);
 
   /// Schedules `fn` at absolute time `when`; times in the past fire "now"
   /// — clamped to the caller's epoch (the queue never rewinds any lane's
   /// clock).
-  void ScheduleAt(SimTime when, std::function<void()> fn);
+  void ScheduleAt(SimTime when, Callback fn);
 
   /// Schedules `fn` on a specific lane (kControlLane, or a node lane; out
   /// of range falls back to the control lane, so un-partitioned setups
   /// degenerate to one queue).
-  void ScheduleOnLane(int lane, SimTime delay, std::function<void()> fn);
-  void ScheduleOnLaneAt(int lane, SimTime when, std::function<void()> fn);
+  void ScheduleOnLane(int lane, SimTime delay, Callback fn);
+  void ScheduleOnLaneAt(int lane, SimTime when, Callback fn);
 
   /// Runs `fn` in exclusive context: immediately when the caller already
   /// is exclusive (control slice, barrier, or outside a run), otherwise
   /// staged to this epoch's barrier. Lane code uses this for the few
   /// cross-node effects (shared bookkeeping, metrics) that must land after
   /// every sibling lane's slice.
-  void Defer(std::function<void()> fn);
+  void Defer(Callback fn);
 
   /// Lane an event of this simulator is currently executing on, or
   /// kControlLane when exclusive.
@@ -112,7 +112,7 @@ class Simulator {
     bool is_effect;
     int lane;      // destination lane (pushes only)
     SimTime when;  // firing time (pushes only)
-    std::function<void()> fn;
+    Callback fn;
   };
 
   /// A node lane: its event queue plus the per-epoch buffers its slice
@@ -129,7 +129,7 @@ class Simulator {
   /// Mixes one pop into the decision digest; lane kControlLane tags 0.
   void MixPop(SimTime when, int lane, uint64_t seq);
   /// Direct push into a lane queue (exclusive context only).
-  void PushDirect(int lane, SimTime when, std::function<void()> fn);
+  void PushDirect(int lane, SimTime when, Callback fn);
 
   EventQueue control_;
   std::vector<std::unique_ptr<Lane>> lanes_;

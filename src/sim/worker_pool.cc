@@ -8,7 +8,7 @@ namespace hermes::sim {
 WorkerPool::WorkerPool(Simulator* sim, int num_workers, int lane)
     : sim_(sim), lane_(lane), busy_until_(std::max(num_workers, 1), 0) {}
 
-SimTime WorkerPool::Submit(SimTime duration, std::function<void()> done) {
+SimTime WorkerPool::Submit(SimTime duration, Callback done) {
   // Pick the worker that frees up first (lowest index on ties).
   size_t best = 0;
   for (size_t i = 1; i < busy_until_.size(); ++i) {

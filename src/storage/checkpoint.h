@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "storage/record_store.h"
 
@@ -18,10 +18,10 @@ struct Checkpoint {
   /// First batch id NOT covered by this checkpoint (replay starts here).
   BatchId next_batch = 0;
   /// Per-node record stores.
-  std::vector<HashMap<Key, Record>> stores;
+  std::vector<FlatMap<Key, Record>> stores;
   /// Dynamic-ownership overlay (fusion table contents + migrated ranges),
   /// shared by all schedulers.
-  HashMap<Key, NodeId> ownership_overlay;
+  FlatMap<Key, NodeId> ownership_overlay;
   /// Interval (cold-migration) overlay as (lo, hi, owner) triples.
   std::vector<std::tuple<Key, Key, NodeId>> intervals;
   /// Keys in fusion-table recency order (front = next eviction victim),

@@ -7,21 +7,28 @@ namespace hermes::storage {
 void LockManager::Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
                           std::vector<TxnId>* newly_granted) {
   assert(!txns_.contains(txn) && "Acquire called twice for one txn");
+  // `state` stays valid: nothing below inserts into or erases from txns_.
   TxnState& state = txns_[txn];
+  state.keys = spare_keys_.Take();
   state.keys.reserve(reqs.size());
   state.pending = reqs.size();
   if (reqs.empty()) {
-    NoteGranted(txn, newly_granted);
+    newly_granted->push_back(txn);
     return;
   }
+  auto grant_own = [&] {
+    if (--state.pending == 0) newly_granted->push_back(txn);
+  };
   for (const LockRequest& req : reqs) {
     state.keys.push_back(req.key);
-    std::deque<Waiter>& queue = queues_[req.key];
+    auto [qit, fresh] = queues_.try_emplace(req.key);
+    std::vector<Waiter>& queue = qit->second;
+    if (fresh) queue = spare_queues_.Take();
     queue.push_back(Waiter{txn, req.exclusive, /*granted=*/false});
     if (queue.size() == 1) {
       // Only occupant: grant immediately.
       queue.front().granted = true;
-      NoteGranted(txn, newly_granted);
+      grant_own();
     } else if (!req.exclusive) {
       // Shared request joins the granted group iff everything ahead of it
       // is a granted shared lock.
@@ -34,7 +41,7 @@ void LockManager::Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
       }
       if (all_shared_granted) {
         queue.back().granted = true;
-        NoteGranted(txn, newly_granted);
+        grant_own();
       }
     }
   }
@@ -48,7 +55,7 @@ void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
   for (Key key : keys) {
     auto qit = queues_.find(key);
     if (qit == queues_.end()) continue;
-    std::deque<Waiter>& queue = qit->second;
+    std::vector<Waiter>& queue = qit->second;
     for (auto w = queue.begin(); w != queue.end(); ++w) {
       if (w->txn == txn) {
         queue.erase(w);
@@ -56,16 +63,17 @@ void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
       }
     }
     if (queue.empty()) {
+      spare_queues_.Give(std::move(queue));
       queues_.erase(qit);
     } else {
-      GrantFront(key, queue, newly_granted);
+      GrantFront(queue, newly_granted);
     }
   }
+  spare_keys_.Give(std::move(keys));
 }
 
-void LockManager::GrantFront(Key key, std::deque<Waiter>& queue,
+void LockManager::GrantFront(std::vector<Waiter>& queue,
                              std::vector<TxnId>* newly_granted) {
-  (void)key;
   if (queue.front().exclusive) {
     if (!queue.front().granted) {
       queue.front().granted = true;

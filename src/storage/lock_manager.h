@@ -3,11 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/types.h"
+#include "common/vector_pool.h"
 
 namespace hermes::storage {
 
@@ -69,13 +69,19 @@ class LockManager {
 
   /// Grants the longest grantable prefix of `queue`; appends transactions
   /// that became fully granted to `*newly_granted`.
-  void GrantFront(Key key, std::deque<Waiter>& queue,
+  void GrantFront(std::vector<Waiter>& queue,
                   std::vector<TxnId>* newly_granted);
 
   void NoteGranted(TxnId txn, std::vector<TxnId>* newly_granted);
 
-  HashMap<Key, std::deque<Waiter>> queues_;
-  HashMap<TxnId, TxnState> txns_;
+  /// Per-key FIFO of requests. A FlatMap insert or erase invalidates
+  /// references into either table, so every method re-looks-up after one.
+  FlatMap<Key, std::vector<Waiter>> queues_;
+  FlatMap<TxnId, TxnState> txns_;
+  /// Emptied queues and key lists, reused so steady-state locking does
+  /// not allocate.
+  VectorPool<Waiter> spare_queues_;
+  VectorPool<Key> spare_keys_;
 };
 
 }  // namespace hermes::storage

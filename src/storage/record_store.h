@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace hermes::storage {
@@ -44,7 +44,9 @@ class RecordStore {
 
   bool Contains(Key key) const { return records_.contains(key); }
 
-  /// Returns the record, or nullptr if not stored on this node.
+  /// Returns the record, or nullptr if not stored on this node. The pointer
+  /// is valid until the next Insert, Extract, Restore or Clear on this
+  /// store (the table is a FlatMap: both inserts and erases move entries).
   const Record* Get(Key key) const;
 
   /// Applies a committed write: fingerprint is folded with the writer id.
@@ -66,10 +68,10 @@ class RecordStore {
   /// recovery equivalence checks).
   uint64_t Checksum() const;
 
-  const HashMap<Key, Record>& records() const { return records_; }
+  const FlatMap<Key, Record>& records() const { return records_; }
 
  private:
-  HashMap<Key, Record> records_;
+  FlatMap<Key, Record> records_;
 };
 
 }  // namespace hermes::storage

@@ -228,7 +228,7 @@ Status WriteCheckpoint(const Checkpoint& checkpoint,
   // key order, never in iteration order.
   w.U64(checkpoint.stores.size());
   std::vector<Key> keys;
-  for (const HashMap<Key, Record>& store : checkpoint.stores) {
+  for (const FlatMap<Key, Record>& store : checkpoint.stores) {
     keys.clear();
     keys.reserve(store.size());
     // detlint:allow(unordered-iter) key collection, sorted before writing

@@ -3,8 +3,9 @@
 
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "common/types.h"
+#include "common/vector_pool.h"
 #include "storage/record_store.h"
 
 namespace hermes::storage {
@@ -36,7 +37,9 @@ class UndoLog {
     Key key;
     Record pre_image;
   };
-  HashMap<TxnId, std::vector<Entry>> entries_;
+  FlatMap<TxnId, std::vector<Entry>> entries_;
+  /// Entry lists of finished transactions, reused with their capacity.
+  VectorPool<Entry> spare_;
 };
 
 }  // namespace hermes::storage

@@ -6,3 +6,10 @@ int Total() {
   return sum;
 }
 auto First() { return load_.begin(); }
+hermes::FlatMap<uint64_t, int> owners_;
+int Owners() {
+  int sum = 0;
+  for (const auto& [k, v] : owners_) sum += v;
+  return sum;
+}
+auto FirstOwner() { return owners_.begin(); }

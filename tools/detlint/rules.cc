@@ -158,7 +158,7 @@ bool IsRngEngine(const std::string& s) {
 
 bool IsHashContainerType(const std::string& s) {
   return s == "unordered_map" || s == "unordered_set" || s == "HashMap" ||
-         s == "HashSet";
+         s == "HashSet" || s == "FlatMap";
 }
 
 // ---------------------------------------------------------------------------
