@@ -99,8 +99,9 @@ struct ReplicationConfig {
   /// Batches between counter decays (counters halve), bounding how long
   /// stale popularity lingers.
   uint64_t window_batches = 8;
-  /// Upper bound on concurrently leased keys; the oldest grant is revoked
-  /// first when full.
+  /// Upper bound on concurrently leased keys. At the cap no new lease is
+  /// granted (nothing is revoked to make room) until a write-heavy revoke
+  /// or a membership lapse frees a slot.
   size_t max_leases = 64;
 };
 

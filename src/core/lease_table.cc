@@ -4,23 +4,97 @@
 
 namespace hermes::core {
 
-namespace {
-
 using routing::ReplicaOp;
 using routing::ReplicaOpKind;
 
-void EmitRevokeAll(Key key, const LeaseTable::Lease& lease,
-                   std::vector<ReplicaOp>* ops) {
-  for (NodeId holder : lease.holders) {
+LeaseTable::Entry& LeaseTable::Touch(Key key) {
+  const auto [it, inserted] = slot_of_.try_emplace(key, 0u);
+  if (inserted) {
+    if (free_slots_.empty()) {
+      it->second = static_cast<uint32_t>(entries_.size());
+      entries_.emplace_back();
+    } else {
+      it->second = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    Entry& e = entries_[it->second];
+    e.key = key;
+    e.live = true;
+  }
+  Entry& e = entries_[it->second];
+  if (!e.touched) {
+    e.touched = true;
+    touched_.push_back(it->second);
+  }
+  return e;
+}
+
+bool LeaseTable::GrantEligible(const Entry& e) const {
+  // Same cost balance as the revoke side: don't grant a lease whose write
+  // fan-out would already outweigh the reads it localizes.
+  return e.reads >= config_->read_hot_threshold &&
+         e.writes <= config_->write_revoke_threshold && e.writes < e.reads;
+}
+
+bool LeaseTable::RevokeDue(const Entry& e) const {
+  // A lease pays for itself only while the remote reads it absorbs
+  // outweigh the write fan-out it forces — and a fan-out apply rides the
+  // already-sequenced batch stream (one storage op per holder) while every
+  // absorbed read saves a full point-to-point shipment, several times
+  // costlier. Revoke on the hard write threshold and on write parity
+  // (writes >= reads) — a margin below the raw cost break-even, which buys
+  // headroom for the install churn and stale-window fan-out the counters
+  // don't see — with a writes >= 4 floor so a handful of stray writes
+  // cannot churn a lease.
+  return e.writes > config_->write_revoke_threshold ||
+         (e.writes >= 4 && e.writes >= e.reads);
+}
+
+void LeaseTable::RefreshGrantable(uint32_t slot) {
+  Entry& e = entries_[slot];
+  const bool want = e.holders.empty() && GrantEligible(e);
+  if (want == e.grantable) return;
+  e.grantable = want;
+  if (want) {
+    grantable_.emplace(e.key, slot);
+  } else {
+    grantable_.erase(e.key);
+  }
+}
+
+void LeaseTable::DropLease(uint32_t slot, std::vector<ReplicaOp>* ops) {
+  Entry& e = entries_[slot];
+  for (NodeId holder : e.holders) {
     ReplicaOp op;
-    op.key = key;
+    op.key = e.key;
     op.node = holder;
     op.kind = ReplicaOpKind::kRevoke;
     ops->push_back(op);
   }
+  e.holders.clear();
 }
 
-}  // namespace
+void LeaseTable::Decay() {
+  window_reads_ /= 2;
+  window_writes_ /= 2;
+  for (uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    Entry& e = entries_[slot];
+    if (!e.live) continue;
+    e.reads /= 2;
+    e.writes /= 2;
+    e.touched = false;
+    if (e.reads == 0 && e.writes == 0 && e.holders.empty()) {
+      if (e.grantable) grantable_.erase(e.key);
+      slot_of_.erase(e.key);
+      e = Entry{};
+      free_slots_.push_back(slot);
+      continue;
+    }
+    RefreshGrantable(slot);
+  }
+  // The sweep re-derived every entry; nothing is pending any more.
+  touched_.clear();
+}
 
 void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
                             const std::vector<NodeId>& candidates,
@@ -35,50 +109,51 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // the same schedule in live and replayed runs.
   if (membership_epoch != last_epoch_) {
     last_epoch_ = membership_epoch;
-    for (const auto& [key, lease] : leases_) {
-      EmitRevokeAll(key, lease, ops);
+    for (const auto& [key, slot] : leased_) {
+      DropLease(slot, ops);
       ++stats_.lapses;
+      RefreshGrantable(slot);
     }
-    leases_.clear();
+    leased_.clear();
   }
 
-  // Window decay: halve every counter, dropping the ones that reach zero,
-  // so stale popularity ages out instead of pinning leases forever.
+  // Write-heavy revokes, in key order. No lease was due when last checked
+  // (a grant meets the grant rule, which is disjoint from the revoke
+  // rule), and between decays counters only grow, so only leased keys
+  // observed since the last batch can newly be due. A decay window
+  // halves every counter — which can tip write parity either way — so it
+  // re-checks every lease.
   if (++batches_seen_ % std::max<uint64_t>(config_->window_batches, 1) == 0) {
-    window_reads_ /= 2;
-    window_writes_ /= 2;
-    for (auto it = counters_.begin(); it != counters_.end();) {
-      it->second.reads /= 2;
-      it->second.writes /= 2;
-      if (it->second.reads == 0 && it->second.writes == 0) {
-        it = counters_.erase(it);
+    // Window decay: halve every counter, dropping the ones that reach
+    // zero, so stale popularity ages out instead of pinning leases
+    // forever.
+    Decay();
+    for (auto it = leased_.begin(); it != leased_.end();) {
+      if (RevokeDue(entries_[it->second])) {
+        DropLease(it->second, ops);
+        ++stats_.revokes;
+        it = leased_.erase(it);
       } else {
         ++it;
       }
     }
-  }
-
-  // Write-heavy revokes, in key order. A lease pays for itself only while
-  // the remote reads it absorbs outweigh the write fan-out it forces —
-  // and a fan-out apply rides the already-sequenced batch stream (one
-  // storage op per holder) while every absorbed read saves a full
-  // point-to-point shipment, several times costlier. Revoke on the hard
-  // write threshold and on write parity (writes >= reads) — a margin
-  // below the raw cost break-even, which buys headroom for the install
-  // churn and stale-window fan-out the counters don't see — with a
-  // writes >= 4 floor so a handful of stray writes cannot churn a lease.
-  for (auto it = leases_.begin(); it != leases_.end();) {
-    const auto cit = counters_.find(it->first);
-    const uint32_t reads = cit == counters_.end() ? 0 : cit->second.reads;
-    const uint32_t writes = cit == counters_.end() ? 0 : cit->second.writes;
-    if (writes > config_->write_revoke_threshold ||
-        (writes >= 4 && writes >= reads)) {
-      EmitRevokeAll(it->first, it->second, ops);
-      ++stats_.revokes;
-      it = leases_.erase(it);
-    } else {
-      ++it;
+  } else {
+    due_.clear();
+    for (uint32_t slot : touched_) {
+      const Entry& e = entries_[slot];
+      if (!e.holders.empty() && RevokeDue(e)) due_.emplace_back(e.key, slot);
     }
+    std::sort(due_.begin(), due_.end());
+    for (const auto& [key, slot] : due_) {
+      DropLease(slot, ops);
+      ++stats_.revokes;
+      leased_.erase(key);
+    }
+    for (uint32_t slot : touched_) {
+      entries_[slot].touched = false;
+      RefreshGrantable(slot);
+    }
+    touched_.clear();
   }
 
   // Grants, in key order, while capacity lasts. Suppressed entirely while
@@ -92,14 +167,12 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // install fan-out before the write stream invalidates them — stop
   // extending replication and let the revoke rules drain what is left.
   if (2 * window_writes_ >= window_reads_) return;
-  for (const auto& [key, c] : counters_) {
-    if (leases_.size() >= config_->max_leases) break;
-    if (c.reads < config_->read_hot_threshold) continue;
-    if (c.writes > config_->write_revoke_threshold) continue;
-    // Same cost balance as the revoke side: don't grant a lease whose
-    // write fan-out would already outweigh the reads it localizes.
-    if (c.writes >= c.reads) continue;
-    if (leases_.count(key) > 0) continue;
+  const size_t max_holders =
+      static_cast<size_t>(std::max(config_->replicas, 1));
+  for (auto it = grantable_.begin();
+       it != grantable_.end() && leased_.size() < config_->max_leases;) {
+    const auto [key, slot] = *it;
+    Entry& e = entries_[slot];
     const NodeId primary = ownership.Owner(key);
     // The primary is always a holder: its "copy" snapshots the local
     // record for free, and it keeps the key locally readable at the old
@@ -107,19 +180,19 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
     // (without it, that node would fall back to remote ships for the
     // rest of the lease). Remaining slots go to the lowest-id alive
     // candidates.
-    Lease lease;
-    lease.holders.push_back(primary);
+    e.holders.push_back(primary);
     for (NodeId n : candidates) {
       if (n == primary) continue;
-      if (lease.holders.size() >= static_cast<size_t>(
-                                      std::max(config_->replicas, 1))) {
-        break;
-      }
-      lease.holders.push_back(n);
+      if (e.holders.size() >= max_holders) break;
+      e.holders.push_back(n);
     }
-    if (lease.holders.size() < 2) continue;
-    std::sort(lease.holders.begin(), lease.holders.end());
-    for (NodeId holder : lease.holders) {
+    if (e.holders.size() < 2) {
+      e.holders.clear();  // stays grantable for a later batch
+      ++it;
+      continue;
+    }
+    std::sort(e.holders.begin(), e.holders.end());
+    for (NodeId holder : e.holders) {
       ReplicaOp op;
       op.key = key;
       op.node = holder;
@@ -128,25 +201,26 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
       ops->push_back(op);
     }
     ++stats_.grants;
-    leases_.emplace(key, std::move(lease));
+    e.grantable = false;
+    leased_.emplace(key, slot);
+    it = grantable_.erase(it);
   }
 }
 
 bool LeaseTable::IsHolder(Key key, NodeId node) const {
-  const auto it = leases_.find(key);
-  if (it == leases_.end()) return false;
-  return std::binary_search(it->second.holders.begin(),
-                            it->second.holders.end(), node);
-}
-
-const LeaseTable::Lease* LeaseTable::Find(Key key) const {
-  const auto it = leases_.find(key);
-  return it == leases_.end() ? nullptr : &it->second;
+  const auto it = slot_of_.find(key);
+  if (it == slot_of_.end()) return false;
+  const std::vector<NodeId>& holders = entries_[it->second].holders;
+  return std::binary_search(holders.begin(), holders.end(), node);
 }
 
 void LeaseTable::Reset() {
-  counters_.clear();
-  leases_.clear();
+  slot_of_.clear();
+  entries_.clear();
+  free_slots_.clear();
+  touched_.clear();
+  leased_.clear();
+  grantable_.clear();
   window_reads_ = 0;
   window_writes_ = 0;
   batches_seen_ = 0;
@@ -154,4 +228,3 @@ void LeaseTable::Reset() {
 }
 
 }  // namespace hermes::core
-

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "routing/router.h"
 
@@ -24,19 +25,23 @@ namespace hermes::core {
 /// entries attached to the batch's first routed transaction, so they ride
 /// the dispatch order, fold into both digests, and replay exactly.
 ///
-/// Determinism: counters live in a std::map (sorted iteration), holders
-/// are the primary plus the lowest-id alive candidates, and nothing
-/// here consults hash order, wall clock, or any RNG. A command-log replay
-/// that feeds the same batches and the same membership schedule reproduces
+/// Cost: a batch boundary touches only the keys observed since the last
+/// one, plus one sweep over every tracked key per decay window and one
+/// walk of the leases per membership lapse.
+/// Between decays counters only grow, and the grant and revoke rules are
+/// disjoint, so a lease whose counters did not move cannot newly need a
+/// revoke, and the grantable keys can be kept as an ordered set that
+/// changes only for touched keys.
+///
+/// Determinism: every walk that emits ops goes over an ordered index
+/// (std::map) or the dense entry vector, never a salted table; holders
+/// are the primary plus the lowest-id alive candidates; nothing here
+/// consults hash order, wall clock, or any RNG. A command-log replay that
+/// feeds the same batches and the same membership schedule reproduces
 /// every decision bit-for-bit — which is what keeps placement_digest()
 /// chaos-invariant with replication enabled.
 class LeaseTable {
  public:
-  /// An active lease: which nodes hold read-only copies of the key.
-  struct Lease {
-    std::vector<NodeId> holders;  ///< sorted ascending
-  };
-
   /// Decision counters (monotonic; surfaced through HermesRouter::Stats).
   struct Stats {
     uint64_t grants = 0;
@@ -54,7 +59,7 @@ class LeaseTable {
   /// epoch (0 when no view is installed); `all_alive` gates new grants
   /// (no new lease starts while a node is down — the copy source could be
   /// dead); `candidates` is the alive candidate node set in ascending
-  /// order; `owner_of` resolves the current primary of a key. Emitted ops
+  /// order; `ownership` resolves the current primary of a key. Emitted ops
   /// are appended to `*ops` in deterministic (sorted key, then holder)
   /// order: lapses first, then write-heavy revokes, then grants.
   void BeginBatch(uint32_t membership_epoch, bool all_alive,
@@ -65,13 +70,13 @@ class LeaseTable {
   /// Access observations from Materialize (feed the next window).
   void ObserveRead(Key key) {
     if (enabled()) {
-      ++counters_[key].reads;
+      ++Touch(key).reads;
       ++window_reads_;
     }
   }
   void ObserveWrite(Key key) {
     if (enabled()) {
-      ++counters_[key].writes;
+      ++Touch(key).writes;
       ++window_writes_;
     }
   }
@@ -79,8 +84,7 @@ class LeaseTable {
   /// True iff `node` currently holds a lease copy of `key`.
   bool IsHolder(Key key, NodeId node) const;
 
-  const Lease* Find(Key key) const;
-  size_t num_leases() const { return leases_.size(); }
+  size_t num_leases() const { return leased_.size(); }
   const Stats& stats() const { return stats_; }
 
   /// Drops all leases and counters without emitting ops (checkpoint
@@ -89,16 +93,50 @@ class LeaseTable {
   void Reset();
 
  private:
-  struct KeyCounters {
+  /// One tracked key: its window counters and, while leased, its holders.
+  /// A leased entry is never freed, even when its counters decay to zero
+  /// (a missing counter reads as zero, so keeping it changes nothing).
+  struct Entry {
+    Key key = 0;
     uint32_t reads = 0;
     uint32_t writes = 0;
+    std::vector<NodeId> holders;  ///< sorted ascending; empty = unleased
+    bool live = false;            ///< slot in use (else on free_slots_)
+    bool touched = false;         ///< observed since the last BeginBatch
+    bool grantable = false;       ///< listed in grantable_
   };
 
+  /// Entry of `key`, created on first sight, marked touched.
+  Entry& Touch(Key key);
+  /// Grant rule: read-hot, under the write threshold, writes < reads.
+  bool GrantEligible(const Entry& e) const;
+  /// Revoke rule: over the write threshold, or write parity past a floor
+  /// of 4. Disjoint from GrantEligible.
+  bool RevokeDue(const Entry& e) const;
+  /// Re-derives whether `slot` belongs in grantable_ (eligible, unleased).
+  void RefreshGrantable(uint32_t slot);
+  /// Emits one revoke per holder and drops the lease (not the counters).
+  void DropLease(uint32_t slot, std::vector<routing::ReplicaOp>* ops);
+  /// Halves every counter, frees entries that reach zero, and refreshes
+  /// the grantable set for the rest.
+  void Decay();
+
   const ReplicationConfig* config_ = nullptr;
-  /// Windowed access counters; decayed (halved) every window_batches.
-  /// std::map: grant evaluation iterates in key order.
-  std::map<Key, KeyCounters> counters_;
-  std::map<Key, Lease> leases_;
+  /// key -> index into entries_. Point lookups only; every ordered walk
+  /// goes through leased_, grantable_ or the entry vector itself.
+  FlatMap<Key, uint32_t> slot_of_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> free_slots_;
+  /// Entries observed since the last BeginBatch, in first-touch order.
+  std::vector<uint32_t> touched_;
+  /// Leased keys in key order (key -> slot).
+  std::map<Key, uint32_t> leased_;
+  /// Grantable keys in key order (key -> slot): every unleased entry
+  /// that meets the grant rule.
+  std::map<Key, uint32_t> grantable_;
+  /// BeginBatch scratch: touched leased entries that now meet the revoke
+  /// rule, sorted by key before their revokes are emitted.
+  std::vector<std::pair<Key, uint32_t>> due_;
   /// Aggregate window counters (decayed with the per-key ones): gate new
   /// grants on the workload being read-mostly overall, so a write-heavy
   /// phase does not keep paying install churn for leases that will never

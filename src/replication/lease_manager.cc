@@ -1,6 +1,7 @@
 #include "replication/lease_manager.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <memory>
 
@@ -9,7 +10,9 @@
 namespace hermes::replication {
 
 void LeaseManager::BeginInstall(Key key, NodeId holder, NodeId source) {
-  std::vector<NodeId>& set = holders_[key];
+  const auto [hit, inserted] = holders_.try_emplace(key);
+  if (inserted) leased_keys_.insert(key);
+  std::vector<NodeId>& set = hit->second;
   const auto it = std::lower_bound(set.begin(), set.end(), holder);
   if (it == set.end() || *it != holder) {
     set.insert(it, holder);
@@ -29,87 +32,104 @@ void LeaseManager::Revoke(Key key, NodeId holder) {
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/0);
     }
-    if (set.empty()) holders_.erase(hit);
+    if (set.empty()) {
+      holders_.erase(hit);
+      leased_keys_.erase(key);
+    }
   }
   DropCopy(holder, key);
 }
 
+std::vector<sim::Callback> LeaseManager::TakeWaiters(NodeId node, Key key) {
+  if (static_cast<size_t>(node) >= shards_.size()) return {};
+  NodeShard& shard = Shard(node);
+  const auto wit = shard.copy_waiters.find(key);
+  if (wit == shard.copy_waiters.end()) return {};
+  std::vector<sim::Callback> list = std::move(wit->second);
+  shard.copy_waiters.erase(wit);
+  return list;
+}
+
 void LeaseManager::LapseNode(NodeId node) {
-  for (auto it = holders_.begin(); it != holders_.end();) {
-    std::vector<NodeId>& set = it->second;
+  // Wake everything parked at this node, in key order, once its leases
+  // are gone: the reads degrade to plain local reads (the read path never
+  // consumes the copy's bytes, only its modeled latency), so waking on
+  // lapse cannot change any value.
+  std::vector<sim::Callback> woken;
+  for (auto kit = leased_keys_.begin(); kit != leased_keys_.end();) {
+    const Key key = *kit;
+    const auto hit = holders_.find(key);
+    std::vector<NodeId>& set = hit->second;
     const auto sit = std::lower_bound(set.begin(), set.end(), node);
     if (sit != set.end() && *sit == node) {
       set.erase(sit);
       ++lapses_;
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, node, kInvalidTxn,
-                   it->first, /*arg=*/1);
+                   key, /*arg=*/1);
+      for (sim::Callback& w : TakeWaiters(node, key)) {
+        woken.push_back(std::move(w));
+      }
     }
-    it = set.empty() ? holders_.erase(it) : std::next(it);
+    if (set.empty()) {
+      holders_.erase(hit);
+      kit = leased_keys_.erase(kit);
+    } else {
+      ++kit;
+    }
   }
   if (static_cast<size_t>(node) >= shards_.size()) return;
   NodeShard& shard = Shard(node);
-  shard.copies.clear();
-  // Wake everything parked at this node: the reads degrade to plain local
-  // reads (the read path never consumes the copy's bytes, only its
-  // modeled latency), so waking on lapse cannot change any value.
-  std::map<Key, std::vector<sim::Callback>> waiters;
-  waiters.swap(shard.waiters);
-  for (auto& [key, list] : waiters) {
-    (void)key;
-    for (auto& w : list) w();
-  }
+  assert(shard.copy_waiters.empty());
+  shard.copy_records.clear();
+  for (sim::Callback& w : woken) w();
 }
 
 void LeaseManager::LapseAll() {
-  for (const auto& [key, set] : holders_) {
-    for (NodeId holder : set) {
+  // Each shard's waiters, in key order; woken shard by shard once every
+  // lease is gone.
+  std::vector<std::vector<sim::Callback>> woken(shards_.size());
+  for (Key key : leased_keys_) {
+    for (NodeId holder : holders_.at(key)) {
       ++lapses_;
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/1);
+      for (sim::Callback& w : TakeWaiters(holder, key)) {
+        woken[static_cast<size_t>(holder)].push_back(std::move(w));
+      }
     }
   }
   holders_.clear();
-  for (NodeShard& shard : shards_) {
-    shard.copies.clear();
-    std::map<Key, std::vector<sim::Callback>> waiters;
-    waiters.swap(shard.waiters);
-    for (auto& [key, list] : waiters) {
-      (void)key;
-      for (auto& w : list) w();
-    }
+  leased_keys_.clear();
+  for (size_t node = 0; node < shards_.size(); ++node) {
+    assert(shards_[node].copy_waiters.empty());
+    shards_[node].copy_records.clear();
+    for (sim::Callback& w : woken[node]) w();
   }
 }
 
 void LeaseManager::DropCopy(NodeId node, Key key) {
   if (static_cast<size_t>(node) >= shards_.size()) return;
-  NodeShard& shard = Shard(node);
-  shard.copies.erase(key);
-  const auto wit = shard.waiters.find(key);
-  if (wit == shard.waiters.end()) return;
-  std::vector<sim::Callback> list = std::move(wit->second);
-  shard.waiters.erase(wit);
-  for (auto& w : list) w();
+  Shard(node).copy_records.erase(key);
+  for (sim::Callback& w : TakeWaiters(node, key)) w();
+}
+
+bool LeaseManager::Holds(Key key, NodeId node) const {
+  const auto hit = holders_.find(key);
+  return hit != holders_.end() &&
+         std::binary_search(hit->second.begin(), hit->second.end(), node);
 }
 
 void LeaseManager::ApplyCopy(NodeId node, Key key,
                              const storage::Record& record, bool install,
                              TxnId txn) {
   NodeShard& shard = Shard(node);
-  const auto hit = holders_.find(key);
-  const bool active =
-      hit != holders_.end() &&
-      std::binary_search(hit->second.begin(), hit->second.end(), node);
-  if (!active) {
+  if (!Holds(key, node)) {
     // Revoked or lapsed while the snapshot was on the wire.
     ++shard.stale_drops;
     return;
   }
-  auto it = shard.copies.find(key);
-  if (it == shard.copies.end()) {
-    shard.copies.emplace(key, record);
-  } else if (record.version >= it->second.version) {
-    it->second = record;
-  }
+  const auto [it, inserted] = shard.copy_records.try_emplace(key, record);
+  if (!inserted && record.version >= it->second.version) it->second = record;
   if (install) {
     ++shard.installs;
   } else {
@@ -119,16 +139,12 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
                install ? obs::EventKind::kReplicaInstall
                        : obs::EventKind::kReplicaUpdate,
                node, txn, key, /*arg=*/record.version);
-  const auto wit = shard.waiters.find(key);
-  if (wit == shard.waiters.end()) return;
-  std::vector<sim::Callback> list = std::move(wit->second);
-  shard.waiters.erase(wit);
-  for (auto& w : list) w();
+  for (sim::Callback& w : TakeWaiters(node, key)) w();
 }
 
 bool LeaseManager::CopyPresent(NodeId node, Key key) const {
   if (static_cast<size_t>(node) >= shards_.size()) return false;
-  return Shard(node).copies.count(key) > 0;
+  return Shard(node).copy_records.contains(key);
 }
 
 const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
@@ -139,34 +155,45 @@ const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
 void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
                               sim::Callback ready) {
   NodeShard& shard = Shard(node);
-  std::vector<Key> missing;
+  // An unleased key never blocks: the lease was revoked after routing, and
+  // the read proceeds as a plain local read.
+  const auto missing = [&](Key k) {
+    return !shard.copy_records.contains(k) && Holds(k, node);
+  };
+  size_t count = 0;
+  Key only = 0;
   for (Key k : keys) {
-    if (shard.copies.count(k) > 0) continue;
-    const auto hit = holders_.find(k);
-    const bool active =
-        hit != holders_.end() &&
-        std::binary_search(hit->second.begin(), hit->second.end(), node);
-    // An unleased key never blocks: the lease was revoked after routing,
-    // and the read proceeds as a plain local read.
-    if (active) missing.push_back(k);
+    if (missing(k) && count++ == 0) only = k;
   }
-  if (missing.empty()) {
+  if (count == 0) {
     ready();
     return;
   }
-  auto remaining = std::make_shared<size_t>(missing.size());
-  auto shared_ready = std::make_shared<sim::Callback>(std::move(ready));
-  for (Key k : missing) {
-    shard.waiters[k].push_back([remaining, shared_ready]() {
-      if (--*remaining == 0) (*shared_ready)();
+  if (count == 1) {
+    shard.copy_waiters[only].push_back(std::move(ready));
+    return;
+  }
+  struct Countdown {
+    size_t remaining;
+    sim::Callback ready;
+  };
+  auto countdown = std::make_shared<Countdown>(count, std::move(ready));
+  for (Key k : keys) {
+    if (!missing(k)) continue;
+    shard.copy_waiters[k].push_back([countdown]() {
+      if (--countdown->remaining == 0) countdown->ready();
     });
   }
 }
 
 uint64_t LeaseManager::Checksum() const {
   uint64_t sum = 0;
-  for (size_t node = 0; node < shards_.size(); ++node) {
-    for (const auto& [key, r] : shards_[node].copies) {
+  for (Key key : leased_keys_) {
+    for (NodeId node : holders_.at(key)) {
+      if (static_cast<size_t>(node) >= shards_.size()) continue;
+      const auto it = Shard(node).copy_records.find(key);
+      if (it == Shard(node).copy_records.end()) continue;
+      const storage::Record& r = it->second;
       sum ^= Mix64(Mix64(key ^ (static_cast<uint64_t>(node) << 48)) ^
                    r.value ^ (static_cast<uint64_t>(r.version) << 32));
     }
@@ -177,18 +204,26 @@ uint64_t LeaseManager::Checksum() const {
 std::vector<std::tuple<NodeId, Key, storage::Record>>
 LeaseManager::SnapshotCopies() const {
   std::vector<std::tuple<NodeId, Key, storage::Record>> out;
-  for (size_t node = 0; node < shards_.size(); ++node) {
-    for (const auto& [key, r] : shards_[node].copies) {
-      out.emplace_back(static_cast<NodeId>(node), key, r);
+  for (Key key : leased_keys_) {
+    for (NodeId node : holders_.at(key)) {
+      if (static_cast<size_t>(node) >= shards_.size()) continue;
+      const auto it = Shard(node).copy_records.find(key);
+      if (it != Shard(node).copy_records.end()) {
+        out.emplace_back(node, key, it->second);
+      }
     }
   }
+  // Key order within each node survives the stable regroup by node.
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return std::get<0>(a) < std::get<0>(b);
+  });
   return out;
 }
 
 void LeaseManager::CorruptCopyForTest(NodeId node, Key key) {
   NodeShard& shard = Shard(node);
-  const auto it = shard.copies.find(key);
-  if (it != shard.copies.end()) it->second.value ^= 0xDEADBEEF;
+  const auto it = shard.copy_records.find(key);
+  if (it != shard.copy_records.end()) it->second.value ^= 0xDEADBEEF;
 }
 
 uint64_t LeaseManager::installs() const {
@@ -211,14 +246,15 @@ uint64_t LeaseManager::stale_drops() const {
 
 size_t LeaseManager::num_copies() const {
   size_t n = 0;
-  for (const NodeShard& s : shards_) n += s.copies.size();
+  for (const NodeShard& s : shards_) n += s.copy_records.size();
   return n;
 }
 
 std::string LeaseManager::DebugString() const {
   std::string out;
   char buf[160];
-  for (const auto& [key, set] : holders_) {
+  for (Key key : leased_keys_) {
+    const std::vector<NodeId>& set = holders_.at(key);
     std::snprintf(buf, sizeof(buf), "lease: key=%llu holders=[",
                   static_cast<unsigned long long>(key));
     out += buf;
@@ -230,16 +266,21 @@ std::string LeaseManager::DebugString() const {
     out += "]\n";
   }
   for (size_t node = 0; node < shards_.size(); ++node) {
-    for (const auto& [key, r] : shards_[node].copies) {
+    const NodeShard& shard = shards_[node];
+    for (Key key : leased_keys_) {
+      const auto it = shard.copy_records.find(key);
+      if (it == shard.copy_records.end()) continue;
       std::snprintf(buf, sizeof(buf),
                     "copy: node=%zu key=%llu version=%u\n", node,
-                    static_cast<unsigned long long>(key), r.version);
+                    static_cast<unsigned long long>(key), it->second.version);
       out += buf;
     }
-    for (const auto& [key, list] : shards_[node].waiters) {
+    for (Key key : leased_keys_) {
+      const auto it = shard.copy_waiters.find(key);
+      if (it == shard.copy_waiters.end()) continue;
       std::snprintf(buf, sizeof(buf),
                     "copy wait: node=%zu key=%llu (%zu)\n", node,
-                    static_cast<unsigned long long>(key), list.size());
+                    static_cast<unsigned long long>(key), it->second.size());
       out += buf;
     }
   }

@@ -2,11 +2,12 @@
 #define HERMES_REPLICATION_LEASE_MANAGER_H_
 
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "obs/trace.h"
 #include "sim/callback.h"
@@ -36,6 +37,14 @@ namespace hermes::replication {
 ///  - Each per-node shard (copies + waiters) is touched only by that
 ///    node's lane (ApplyCopy, WaitCopies, CopyPresent) or by exclusive
 ///    context; those never overlap.
+///
+/// Storage: every per-key table is a salted FlatMap used for point lookups
+/// only. Ordered walks (lapse traces and wake order, snapshots, checksums,
+/// diagnostics) go through `leased_keys_`, which changes only on install,
+/// revoke or lapse. That suffices because a node has a copy of a key, or a
+/// waiter on one, only while it is a registered holder: ApplyCopy and
+/// WaitCopies check the holder set, and every path that removes a holder
+/// drops its copy and wakes its waiters.
 class LeaseManager {
  public:
   explicit LeaseManager(int num_nodes) { shards_.resize(num_nodes); }
@@ -80,7 +89,7 @@ class LeaseManager {
 
   /// Sorted holder set of `key`, or nullptr when unleased. Lane-safe read
   /// (see class comment); the pointer is stable until the next exclusive
-  /// mutation of the same key's entry.
+  /// mutation (BeginInstall, Revoke or a lapse) of any key.
   const std::vector<NodeId>* HoldersOf(Key key) const;
 
   /// Calls `ready` once every key either has a copy at `node` or is no
@@ -118,10 +127,10 @@ class LeaseManager {
 
  private:
   struct NodeShard {
-    /// key -> copy. std::map: bounded by max_leases, sorted iteration for
-    /// free (checksums, snapshots and diagnostics need no collect-and-sort).
-    std::map<Key, storage::Record> copies;
-    std::map<Key, std::vector<sim::Callback>> waiters;
+    /// key -> this node's copy (point lookups; see the class comment).
+    FlatMap<Key, storage::Record> copy_records;
+    /// key -> masters parked until the copy lands, in arrival order.
+    FlatMap<Key, std::vector<sim::Callback>> copy_waiters;
     uint64_t installs = 0;
     uint64_t updates = 0;
     uint64_t stale_drops = 0;
@@ -133,9 +142,17 @@ class LeaseManager {
   }
   /// Drops node's copy of key and wakes its waiters (exclusive context).
   void DropCopy(NodeId node, Key key);
+  /// True iff `node` is a registered holder of `key`.
+  bool Holds(Key key, NodeId node) const;
+  /// Removes and returns `node`'s waiters on `key` (empty when none).
+  /// Callers wake them only after the removal: a woken master may
+  /// re-enter WaitCopies on the same shard.
+  std::vector<sim::Callback> TakeWaiters(NodeId node, Key key);
 
   /// key -> sorted holder node ids. Exclusive-written, lane-read.
-  std::map<Key, std::vector<NodeId>> holders_;
+  FlatMap<Key, std::vector<NodeId>> holders_;
+  /// The keys of holders_, in key order.
+  std::set<Key> leased_keys_;
   std::vector<NodeShard> shards_;
   uint64_t revokes_ = 0;
   uint64_t lapses_ = 0;

@@ -40,7 +40,7 @@ struct Access {
 /// executed by the engine's lease manager in dispatch (= total) order.
 enum class ReplicaOpKind : uint8_t {
   kInstall = 0,  ///< ship a read-only copy of `key` from `source` to `node`
-  kRevoke = 1,   ///< drop node's copy (write-heavy, capacity, or lapse)
+  kRevoke = 1,   ///< drop node's copy (write-heavy or lapse)
 };
 
 struct ReplicaOp {

@@ -99,6 +99,45 @@ TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
   EXPECT_EQ(on.StateChecksum(), off.StateChecksum());
 }
 
+// At capacity the table churns: revokes free slots that later batches
+// re-grant in key order. With every remote read hot and only eight slots,
+// which keys hold leases is decided almost entirely by that churn, so the
+// decisions — and with them the placement digest and every copy — must
+// not depend on the hash salt.
+TEST(ReplicaLeaseTest, CapacityChurnIsSaltInvariant) {
+  struct Outcome {
+    uint64_t placement = 0;
+    uint64_t replicas = 0;
+    uint64_t grants = 0;
+    size_t leases = 0;
+  };
+  const auto run = [](uint64_t salt) {
+    oracle::SaltGuard guard(salt);
+    ClusterConfig config = oracle::LeaseConfig();
+    config.replication.max_leases = 8;
+    config.replication.read_hot_threshold = 1;
+    config.replication.write_revoke_threshold = 2;  // hot keys do revoke
+    Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
+    cluster.Load();
+    DriveReadHeavy(cluster, /*write_fraction=*/0.15, MsToSim(400),
+                   /*clients=*/64);
+    Outcome out;
+    out.placement = cluster.placement_digest().value();
+    out.replicas = cluster.lease_manager().Checksum();
+    out.grants = Router(cluster).lease_table().stats().grants;
+    out.leases = Router(cluster).lease_table().num_leases();
+    return out;
+  };
+  const Outcome a = run(12345);
+  const Outcome b = run(0xdeadbeef);
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.replicas, b.replicas);
+  EXPECT_EQ(a.grants, b.grants);
+  EXPECT_GT(a.grants, 8u);  // slots really freed and re-granted
+  EXPECT_LE(a.leases, 8u);
+  EXPECT_LE(b.leases, 8u);
+}
+
 // Satellite: the replica-coherence monitor. A clean quiesced run reports
 // nothing; a deliberately corrupted copy is caught and named.
 TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
