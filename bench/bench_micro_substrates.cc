@@ -1,6 +1,6 @@
 // Microbenchmarks for the substrate data structures (google-benchmark):
 // conservative ordered lock manager, fusion table, Zipfian generators,
-// event queue, and record store.
+// simulator event heap, and record store.
 
 #include <memory>
 #include <vector>
@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/fusion_table.h"
-#include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "storage/lock_manager.h"
 #include "storage/record_store.h"
 #include "workload/distributions.h"
@@ -103,20 +103,31 @@ void BM_ZipfianNext(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfianNext)->Arg(1'000'000)->Arg(200'000'000);
 
-void BM_EventQueuePushPop(benchmark::State& state) {
-  hermes::sim::EventQueue q;
-  Rng rng(5);
-  // Steady-state queue of 10k pending events.
-  for (int i = 0; i < 10'000; ++i) q.Push(rng.NextBounded(1'000'000), [] {});
-  uint64_t t = 1'000'000;
-  for (auto _ : state) {
-    q.Push(t + rng.NextBounded(1000), [] {});
-    q.PopEntry().fn();
-    ++t;
+// Self-rescheduling chains spread over ten node lanes, each firing again
+// 1-1000 us after it ran: the heap holds one entry per chain, as under a
+// cluster's steady state. Items are executed events.
+struct SimChains {
+  hermes::sim::Simulator sim;
+  Rng rng{5};
+
+  void Fire() {
+    sim.Schedule(1 + rng.NextBounded(1000), [this] { Fire(); });
   }
-  state.SetItemsProcessed(state.iterations());
+};
+
+void BM_SimulatorChains(benchmark::State& state) {
+  SimChains chains;
+  chains.sim.ConfigureLanes(10);
+  for (int i = 0; i < 1024; ++i) {
+    chains.sim.ScheduleOnLane(i % 10, chains.rng.NextBounded(1000),
+                              [&chains] { chains.Fire(); });
+  }
+  const uint64_t start = chains.sim.events_executed();
+  for (auto _ : state) chains.sim.RunUntil(chains.sim.Now() + 100);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(chains.sim.events_executed() - start));
 }
-BENCHMARK(BM_EventQueuePushPop);
+BENCHMARK(BM_SimulatorChains);
 
 void BM_RecordStoreApplyWrite(benchmark::State& state) {
   hermes::storage::RecordStore store;

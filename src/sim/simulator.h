@@ -2,13 +2,12 @@
 #define HERMES_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/digest.h"
 #include "common/types.h"
 #include "sim/callback.h"
-#include "sim/event_queue.h"
 
 namespace hermes::sim {
 
@@ -16,32 +15,38 @@ namespace hermes::sim {
 /// sequencing, routing, shared bookkeeping.
 inline constexpr int kControlLane = -1;
 
-/// Discrete-event simulation driver: a virtual clock plus per-lane event
-/// queues. Components schedule closures at relative or absolute simulated
-/// times; Run*() advances the clock epoch by epoch.
+/// Discrete-event simulation driver: a virtual clock plus one event heap.
+/// Components schedule closures at relative or absolute simulated times;
+/// Run*() advances the clock epoch by epoch.
 ///
-/// Epoch schedule: events are partitioned into one *control* lane plus one
-/// lane per simulated node. Each distinct virtual timestamp T is an epoch,
-/// executed in three steps:
+/// Epoch schedule: every event is tagged with a lane — the *control* lane
+/// or one lane per simulated node — and takes the next sequence number of
+/// that lane. The heap pops in (time, lane, seq) order with the control
+/// lane first, so each distinct virtual timestamp T runs in rounds of:
 ///
-///   1. Control slice — every control event at T runs, exclusively (it may
+///   1. Control slice — every control event at T, exclusively (it may
 ///      touch any state).
-///   2. Lane slice — every node lane with events at T drains them, in
-///      ascending lane order and in the lane's own (time, seq) order. Lane
-///      events may touch only their node's state; pushes to other lanes
-///      and Defer()red closures are *staged*, not applied.
-///   3. Barrier — the lanes' pop transcripts are folded into the decision
-///      digest and their staged operations applied, both in ascending lane
-///      order, then step 1 re-enters while events remain at T.
+///   2. Lane slice — every node lane's events at T, in ascending lane
+///      order and in the lane's own seq order. Lane events may touch only
+///      their node's state; pushes to other lanes and Defer()red closures
+///      are *staged*, not applied.
+///   3. Barrier — once no event at T is left, the staged operations apply
+///      exclusively in staging order (which is ascending lane order); any
+///      staged push at T starts the next round.
+///
+/// No round number is needed in the key: while T drains, nothing pushed
+/// can sort before the running event. Control events push to control (a
+/// larger seq) or to a lane (a larger lane tag); lane events push directly
+/// only to their own lane (a larger seq). Each pop is mixed into the
+/// decision digest as it runs; lane events never mix that digest
+/// themselves, so the mix order is the (time, lane, seq) order.
 ///
 /// Everything runs on the calling thread. The staging fixes the total
 /// order every digest pins: a lane's cross-node effects land at the
 /// barrier, never in the middle of a sibling lane's slice.
 class Simulator {
  public:
-  Simulator();
-  ~Simulator();
-
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -57,20 +62,19 @@ class Simulator {
   /// Grows the lane count (dynamic provisioning). Exclusive context only.
   void EnsureLanes(int num_lanes);
 
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
+  int num_lanes() const { return static_cast<int>(next_seq_.size()) - 1; }
 
   /// Schedules `fn` to run `delay` microseconds from now, on the lane the
   /// caller is executing on (the control lane outside any event).
   void Schedule(SimTime delay, Callback fn);
 
   /// Schedules `fn` at absolute time `when`; times in the past fire "now"
-  /// — clamped to the caller's epoch (the queue never rewinds any lane's
-  /// clock).
+  /// — clamped to the caller's epoch (the clock never rewinds).
   void ScheduleAt(SimTime when, Callback fn);
 
   /// Schedules `fn` on a specific lane (kControlLane, or a node lane; out
   /// of range falls back to the control lane, so un-partitioned setups
-  /// degenerate to one queue).
+  /// degenerate to one lane).
   void ScheduleOnLane(int lane, SimTime delay, Callback fn);
   void ScheduleOnLaneAt(int lane, SimTime when, Callback fn);
 
@@ -89,8 +93,8 @@ class Simulator {
   /// simulator.
   bool in_lane_context() const { return lane_ != kControlLane; }
 
-  /// Runs events until the queues are empty or the next event is later
-  /// than `deadline`; the clock ends at min(deadline, last event time).
+  /// Runs events until the heap is empty or the next event is later than
+  /// `deadline`; the clock ends at min(deadline, last event time).
   void RunUntil(SimTime deadline);
 
   /// Runs until no events remain.
@@ -103,11 +107,26 @@ class Simulator {
   /// firing order.
   void set_decision_digest(DecisionDigest* digest) { digest_ = digest; }
 
-  bool idle() const;
+  bool idle() const { return heap_.empty(); }
 
  private:
+  /// One pending event. `order` packs the rest of the key as
+  /// (lane + 1) << 48 | seq, so the control lane sorts first.
+  struct Entry {
+    SimTime when;
+    uint64_t order;
+    // Mutable so the closure can be moved out of the heap's const top().
+    mutable Callback fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.when != b.when) return a.when > b.when;
+      return a.order > b.order;
+    }
+  };
+
   /// One staged operation from a lane event: either a push to another
-  /// lane's queue or a Defer()red exclusive closure.
+  /// lane or a Defer()red exclusive closure.
   struct StagedOp {
     bool is_effect;
     int lane;      // destination lane (pushes only)
@@ -115,24 +134,17 @@ class Simulator {
     Callback fn;
   };
 
-  /// A node lane: its event queue plus the per-epoch buffers its slice
-  /// fills (read back at the barrier).
-  struct Lane {
-    EventQueue queue;
-    std::vector<uint64_t> popped_seqs;
-    std::vector<StagedOp> staged;
-  };
-
   void RunLoop(SimTime deadline, bool run_all);
-  /// Drains lane `i`'s events at epoch `t`.
-  void ExecuteLane(int i, SimTime t);
   /// Mixes one pop into the decision digest; lane kControlLane tags 0.
   void MixPop(SimTime when, int lane, uint64_t seq);
-  /// Direct push into a lane queue (exclusive context only).
+  /// Pushes into the heap with the lane's next seq (no staging).
   void PushDirect(int lane, SimTime when, Callback fn);
 
-  EventQueue control_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Next seq per lane, indexed lane + 1 (control at 0).
+  std::vector<uint64_t> next_seq_ = std::vector<uint64_t>(1, 0);
+  /// The running round's staged operations, in staging order.
+  std::vector<StagedOp> staged_;
   SimTime now_ = 0;
   /// Lane of the executing event; kControlLane when exclusive. Kept per
   /// simulator, so a second simulator run inside an event (the replay
@@ -140,7 +152,6 @@ class Simulator {
   int lane_ = kControlLane;
   uint64_t events_executed_ = 0;
   DecisionDigest* digest_ = nullptr;
-  std::vector<int> active_lanes_;  // scratch for RunLoop
 };
 
 }  // namespace hermes::sim

@@ -18,7 +18,7 @@ class WorkerPool {
  public:
   /// `lane` is the simulator lane job completions fire on — the owning
   /// node's lane under partitioned execution (kControlLane, the default,
-  /// keeps standalone pools on the exclusive queue).
+  /// runs standalone pools' completions in the exclusive control slice).
   WorkerPool(Simulator* sim, int num_workers, int lane = kControlLane);
 
   WorkerPool(const WorkerPool&) = delete;

@@ -1,49 +1,33 @@
-#include "sim/event_queue.h"
-
+// The simulator's event heap through its public API: (time, seq) order on
+// one lane, the total order every property test in this repository leans
+// on. Lane interleaving is pinned by epoch_barrier_test.
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "sim/simulator.h"
 
 namespace hermes::sim {
 namespace {
 
 TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> fired;
-  q.Push(30, [&] { fired.push_back(3); });
-  q.Push(10, [&] { fired.push_back(1); });
-  q.Push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.PopEntry().fn();
+  sim.Schedule(30, [&] { fired.push_back(3); });
+  sim.Schedule(10, [&] { fired.push_back(1); });
+  sim.Schedule(20, [&] { fired.push_back(2); });
+  sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, FifoTieBreakAtEqualTimes) {
-  EventQueue q;
+  Simulator sim;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.Push(5, [&fired, i] { fired.push_back(i); });
+    sim.Schedule(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.PopEntry().fn();
+  sim.RunAll();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
-}
-
-TEST(EventQueueTest, NextTimeReportsEarliest) {
-  EventQueue q;
-  q.Push(42, [] {});
-  q.Push(7, [] {});
-  EXPECT_EQ(q.NextTime(), 7u);
-  q.PopEntry();
-  EXPECT_EQ(q.NextTime(), 42u);
-}
-
-TEST(EventQueueTest, SizeTracksContents) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  q.Push(1, [] {});
-  q.Push(2, [] {});
-  EXPECT_EQ(q.size(), 2u);
-  q.PopEntry();
-  EXPECT_EQ(q.size(), 1u);
 }
 
 // The documented total order is (when, insertion sequence): among equal
@@ -57,38 +41,38 @@ TEST(EventQueueTest, EqualTimeOrderIndependentOfInsertionPattern) {
   // Within time 100 the push order of the labeled events is identical, so
   // the firing order of the labels must be identical too.
   auto run = [](int pattern) {
-    EventQueue q;
+    Simulator sim;
     std::vector<int> fired;
     auto label = [&fired](int i) { return [&fired, i] { fired.push_back(i); }; };
     switch (pattern) {
       case 0:  // labels first, then noise
-        for (int i = 0; i < 6; ++i) q.Push(100, label(i));
-        q.Push(50, [] {});
-        q.Push(150, [] {});
+        for (int i = 0; i < 6; ++i) sim.ScheduleAt(100, label(i));
+        sim.ScheduleAt(50, [] {});
+        sim.ScheduleAt(150, [] {});
         break;
       case 1:  // noise before, between, after
-        q.Push(150, [] {});
-        q.Push(100, label(0));
-        q.Push(50, [] {});
-        q.Push(100, label(1));
-        q.Push(100, label(2));
-        q.Push(150, [] {});
-        q.Push(100, label(3));
-        q.Push(50, [] {});
-        q.Push(100, label(4));
-        q.Push(100, label(5));
+        sim.ScheduleAt(150, [] {});
+        sim.ScheduleAt(100, label(0));
+        sim.ScheduleAt(50, [] {});
+        sim.ScheduleAt(100, label(1));
+        sim.ScheduleAt(100, label(2));
+        sim.ScheduleAt(150, [] {});
+        sim.ScheduleAt(100, label(3));
+        sim.ScheduleAt(50, [] {});
+        sim.ScheduleAt(100, label(4));
+        sim.ScheduleAt(100, label(5));
         break;
       default:  // labels pushed while draining earlier times
-        q.Push(50, [&q, &label] {
-          for (int i = 0; i < 3; ++i) q.Push(100, label(i));
+        sim.ScheduleAt(50, [&sim, &label] {
+          for (int i = 0; i < 3; ++i) sim.ScheduleAt(100, label(i));
         });
-        q.Push(50, [&q, &label] {
-          for (int i = 3; i < 6; ++i) q.Push(100, label(i));
+        sim.ScheduleAt(50, [&sim, &label] {
+          for (int i = 3; i < 6; ++i) sim.ScheduleAt(100, label(i));
         });
-        q.Push(150, [] {});
+        sim.ScheduleAt(150, [] {});
         break;
     }
-    while (!q.empty()) q.PopEntry().fn();
+    sim.RunAll();
     return fired;
   };
   const std::vector<int> want = {0, 1, 2, 3, 4, 5};
@@ -100,16 +84,16 @@ TEST(EventQueueTest, EqualTimeOrderIndependentOfInsertionPattern) {
 TEST(EventQueueTest, PushDuringPopOfSameTimeFiresAfterAllCurrent) {
   // An event at time T that pushes another event at time T: the new event
   // has a larger sequence number, so it fires after everything already
-  // enqueued at T — the queue can never reorder "now" work ahead of
+  // enqueued at T — the heap can never reorder "now" work ahead of
   // earlier "now" work.
-  EventQueue q;
+  Simulator sim;
   std::vector<int> fired;
-  q.Push(10, [&] {
+  sim.ScheduleAt(10, [&] {
     fired.push_back(0);
-    q.Push(10, [&] { fired.push_back(2); });
+    sim.Schedule(0, [&] { fired.push_back(2); });
   });
-  q.Push(10, [&] { fired.push_back(1); });
-  while (!q.empty()) q.PopEntry().fn();
+  sim.ScheduleAt(10, [&] { fired.push_back(1); });
+  sim.RunAll();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
 }
 
