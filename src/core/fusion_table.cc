@@ -1,6 +1,7 @@
 #include "core/fusion_table.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -93,13 +94,19 @@ std::vector<Key> FusionTable::ExportOrder() const {
   return {order_.begin(), order_.end()};
 }
 
-void FusionTable::Restore(const FlatMap<Key, NodeId>& entries,
+void FusionTable::Restore(const std::vector<std::pair<Key, NodeId>>& entries,
                           const std::vector<Key>& order) {
   entries_.clear();
   order_.clear();
   for (Key key : order) {
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), key,
+        [](const std::pair<Key, NodeId>& e, Key k) { return e.first < k; });
+    if (it == entries.end() || it->first != key) {
+      throw std::out_of_range("fusion-table key missing from the overlay");
+    }
     order_.push_back(key);
-    entries_[key] = Entry{entries.at(key), std::prev(order_.end())};
+    entries_[key] = Entry{it->second, std::prev(order_.end())};
   }
 }
 

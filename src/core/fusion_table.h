@@ -5,6 +5,7 @@
 #include <list>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -71,8 +72,10 @@ class FusionTable {
   /// Keys in eviction order (front = next victim), for checkpointing.
   std::vector<Key> ExportOrder() const;
 
-  /// Rebuilds contents and order from a checkpoint.
-  void Restore(const FlatMap<Key, NodeId>& entries,
+  /// Rebuilds contents and order from a checkpoint: `entries` is the
+  /// ownership overlay in ascending key order and holds every key of
+  /// `order`.
+  void Restore(const std::vector<std::pair<Key, NodeId>>& entries,
                const std::vector<Key>& order);
 
   /// Order-insensitive digest of the table contents; used by determinism

@@ -71,8 +71,8 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   sim_.ConfigureLanes(config_.num_nodes);
   nodes_.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    nodes_.push_back(
-        std::make_unique<Node>(i, &sim_, config_.workers_per_node));
+    nodes_.push_back(std::make_unique<Node>(i, &sim_, config_.workers_per_node,
+                                            &records_));
   }
   sim_.set_decision_digest(&digest_);
   if (kind_ == RouterKind::kHermes) {
@@ -294,7 +294,18 @@ void Cluster::RegisterTelemetry() {
   }
 }
 
+NodeId Cluster::AppendNode() {
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  sim_.EnsureLanes(id + 1);
+  tracer_.EnsureNode(id);
+  lease_mgr_.EnsureNode(id);
+  nodes_.push_back(std::make_unique<Node>(id, &sim_, config_.workers_per_node,
+                                          &records_));
+  return id;
+}
+
 void Cluster::Load() {
+  records_.Reserve(config_.num_records);
   for (Key k = 0; k < config_.num_records; ++k) {
     const NodeId owner = ownership_.Owner(k);
     assert(owner >= 0 && owner < num_nodes());
@@ -305,6 +316,11 @@ void Cluster::Load() {
 }
 
 void Cluster::Submit(TxnRequest txn, TxnExecutor::CommitCallback on_commit) {
+  assert(std::all_of(txn.read_set.begin(), txn.read_set.end(),
+                     [this](Key k) { return k < config_.num_records; }) &&
+         std::all_of(txn.write_set.begin(), txn.write_set.end(),
+                     [this](Key k) { return k < config_.num_records; }) &&
+         "keys are dense: every key must be < config.num_records");
   txn.submit_time = sim_.Now();
   if (txn.requires_reconnaissance && txn.kind == TxnKind::kRegular) {
     SubmitWithReconnaissance(std::move(txn), std::move(on_commit));
@@ -486,12 +502,8 @@ void Cluster::EnableClay(const routing::ClayConfig& clay_config) {
 
 NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
                         bool migrate_cold) {
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  sim_.EnsureLanes(id + 1);
-  tracer_.EnsureNode(id);
-  nodes_.push_back(std::make_unique<Node>(id, &sim_, config_.workers_per_node));
+  const NodeId id = AppendNode();
   wire_.Grow(id + 1);
-  lease_mgr_.EnsureNode(id);
 
   TxnRequest marker;
   marker.kind = TxnKind::kAddNode;
@@ -543,7 +555,7 @@ storage::Checkpoint Cluster::TakeCheckpoint() const {
   for (const auto& node : nodes_) {
     cp.stores.push_back(node->store().records());
   }
-  cp.ownership_overlay = ownership_.key_overlay();
+  cp.ownership_overlay = ownership_.ExportKeyOverlay();
   cp.intervals = ownership_.ExportIntervals();
   cp.active_nodes = router_->active_nodes();
   if (kind_ == RouterKind::kHermes) {
@@ -556,14 +568,7 @@ storage::Checkpoint Cluster::TakeCheckpoint() const {
 }
 
 void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
-  while (nodes_.size() < checkpoint.stores.size()) {
-    const NodeId id = static_cast<NodeId>(nodes_.size());
-    sim_.EnsureLanes(id + 1);
-    tracer_.EnsureNode(id);
-    lease_mgr_.EnsureNode(id);
-    nodes_.push_back(
-        std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-  }
+  while (nodes_.size() < checkpoint.stores.size()) AppendNode();
   wire_.Grow(static_cast<int>(nodes_.size()));
   // Leases are soft state: checkpoints capture only primaries, so a
   // restore starts with no copies and no lease bookkeeping — the router
@@ -573,6 +578,7 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
     lease_mgr_.LapseAll();
     static_cast<core::HermesRouter*>(router_.get())->ResetReplication();
   }
+  records_.Reserve(config_.num_records);
   for (size_t i = 0; i < checkpoint.stores.size(); ++i) {
     for (const auto& [key, record] : checkpoint.stores[i]) {
       nodes_[i]->store().Insert(key, record);
@@ -600,14 +606,7 @@ void Cluster::ReplayBatches(const std::vector<Batch>& batches) {
     for (const TxnRequest& txn : batch.txns) {
       if (txn.kind == TxnKind::kAddNode &&
           txn.migration_target >= num_nodes()) {
-        while (num_nodes() <= txn.migration_target) {
-          const NodeId id = static_cast<NodeId>(nodes_.size());
-          sim_.EnsureLanes(id + 1);
-          tracer_.EnsureNode(id);
-          lease_mgr_.EnsureNode(id);
-          nodes_.push_back(
-              std::make_unique<Node>(id, &sim_, config_.workers_per_node));
-        }
+        while (num_nodes() <= txn.migration_target) AppendNode();
         wire_.Grow(num_nodes());
       }
     }
@@ -624,20 +623,24 @@ void Cluster::ReplayBatches(const std::vector<Batch>& batches) {
 
 uint64_t Cluster::StateChecksum() const {
   uint64_t sum = 0;
-  for (size_t node = 0; node < nodes_.size(); ++node) {
-    // detlint:allow(unordered-iter) order-insensitive XOR fold, not a decision
-    for (const auto& [key, r] : nodes_[node]->store().records()) {
-      sum ^= Mix64(Mix64(key) ^ r.value ^
-                   (static_cast<uint64_t>(r.version) << 32) ^
-                   Mix64(node + 1));
-    }
+  for (Key key = 0; key < records_.num_keys(); ++key) {
+    const NodeId node = records_.location(key);
+    if (node == kInvalidNode) continue;
+    const storage::Record& r = records_.record(key);
+    sum ^= Mix64(Mix64(key) ^ r.value ^
+                 (static_cast<uint64_t>(r.version) << 32) ^
+                 Mix64(static_cast<uint64_t>(node) + 1));
   }
   return sum;
 }
 
 uint64_t Cluster::ContentChecksum() const {
   uint64_t sum = 0;
-  for (const auto& node : nodes_) sum ^= node->store().Checksum();
+  for (Key key = 0; key < records_.num_keys(); ++key) {
+    if (records_.location(key) != kInvalidNode) {
+      sum ^= storage::RecordDigest(key, records_.record(key));
+    }
+  }
   return sum;
 }
 

@@ -72,6 +72,9 @@ class Cluster {
 
   /// Submits a client request: it reaches its sequencer one network hop
   /// from now; `on_commit` fires when the client receives the result.
+  /// Keys are dense: every key of the request must be below
+  /// config.num_records (asserted in Debug builds), because per-key state
+  /// is indexed by key.
   ///
   /// Requests with `requires_reconnaissance` first run an OLLP
   /// reconnaissance read against the owners of their read-set (charged as
@@ -382,6 +385,10 @@ class Cluster {
   /// once at the end of construction.
   void RegisterTelemetry();
 
+  /// Appends one physical node (lane, trace ring, lease slot and a view of
+  /// the record table) after construction; the caller grows the wire.
+  NodeId AppendNode();
+
   ClusterConfig config_;
   RouterKind kind_;
   /// Declared before sim_/scheduler_ so the components it is wired into
@@ -396,6 +403,8 @@ class Cluster {
   Metrics metrics_;
   /// Declared before executor_ (which sends through it).
   net::Wire wire_;
+  /// Every record of the cluster; each node's store is a view of it.
+  storage::RecordTable records_;
   std::vector<std::unique_ptr<Node>> nodes_;
   partition::OwnershipMap ownership_;
   std::unique_ptr<routing::Router> router_;

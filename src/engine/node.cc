@@ -2,7 +2,10 @@
 
 namespace hermes::engine {
 
-Node::Node(NodeId id, sim::Simulator* sim, int num_workers)
-    : id_(id), workers_(sim, num_workers, /*lane=*/static_cast<int>(id)) {}
+Node::Node(NodeId id, sim::Simulator* sim, int num_workers,
+           storage::RecordTable* records)
+    : id_(id),
+      store_(records, id),
+      workers_(sim, num_workers, /*lane=*/static_cast<int>(id)) {}
 
 }  // namespace hermes::engine

@@ -12,12 +12,14 @@
 
 namespace hermes::engine {
 
-/// One simulated server node: its data partition, lock table, undo log,
-/// and executor workers. All engine data structures are real; only time
-/// (worker occupancy, wire delays) is simulated.
+/// One simulated server node: its data partition (a view of the
+/// cluster-wide record table), lock table, undo log, and executor workers.
+/// All engine data structures are real; only time (worker occupancy, wire
+/// delays) is simulated.
 class Node {
  public:
-  Node(NodeId id, sim::Simulator* sim, int num_workers);
+  Node(NodeId id, sim::Simulator* sim, int num_workers,
+       storage::RecordTable* records);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

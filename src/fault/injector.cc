@@ -274,10 +274,7 @@ void FaultInjector::ApplyRejoin(const FaultEvent& event) {
   const storage::RecordStore& rebuilt = shadow->node(event.node).store();
   storage::RecordStore& live = cluster_->node(event.node).store();
   assert(live.size() == 0 && "rejoining node's store must still be empty");
-  for (Key k = 0; k < cluster_->config().num_records; ++k) {
-    const storage::Record* rec = rebuilt.Get(k);
-    if (rec != nullptr) live.Insert(k, *rec);
-  }
+  for (const auto& [k, rec] : rebuilt.records()) live.Insert(k, rec);
 
   // The node serves again once the replay cost has elapsed — never before
   // the drain finished, never before the scheduled rejoin.

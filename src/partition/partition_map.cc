@@ -78,12 +78,6 @@ std::unique_ptr<PartitionMap> MappedRangePartitionMap::Clone() const {
 OwnershipMap::OwnershipMap(std::unique_ptr<PartitionMap> base)
     : base_(std::move(base)) {}
 
-NodeId OwnershipMap::Owner(Key key) const {
-  auto it = key_overlay_.find(key);
-  if (it != key_overlay_.end()) return it->second;
-  return Home(key);
-}
-
 NodeId OwnershipMap::Home(Key key) const {
   if (!intervals_.empty()) {
     auto it = intervals_.upper_bound(key);
@@ -98,10 +92,35 @@ NodeId OwnershipMap::Home(Key key) const {
 }
 
 void OwnershipMap::SetKeyOwner(Key key, NodeId node) {
+  assert(node != kInvalidNode);
+  if (key >= key_overlay_.size()) key_overlay_.resize(key + 1, kInvalidNode);
+  if (key_overlay_[key] == kInvalidNode) ++num_key_overrides_;
   key_overlay_[key] = node;
 }
 
-void OwnershipMap::ClearKeyOwner(Key key) { key_overlay_.erase(key); }
+void OwnershipMap::ClearKeyOwner(Key key) {
+  if (!HasKeyOverride(key)) return;
+  key_overlay_[key] = kInvalidNode;
+  --num_key_overrides_;
+}
+
+std::vector<std::pair<Key, NodeId>> OwnershipMap::ExportKeyOverlay() const {
+  std::vector<std::pair<Key, NodeId>> out;
+  out.reserve(num_key_overrides_);
+  for (Key key = 0; key < key_overlay_.size(); ++key) {
+    if (key_overlay_[key] != kInvalidNode) {
+      out.emplace_back(key, key_overlay_[key]);
+    }
+  }
+  return out;
+}
+
+void OwnershipMap::RestoreKeyOverlay(
+    const std::vector<std::pair<Key, NodeId>>& overlay) {
+  std::fill(key_overlay_.begin(), key_overlay_.end(), kInvalidNode);
+  num_key_overrides_ = 0;
+  for (const auto& [key, node] : overlay) SetKeyOwner(key, node);
+}
 
 std::vector<std::tuple<Key, Key, NodeId>> OwnershipMap::ExportIntervals()
     const {

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace hermes::partition {
@@ -96,7 +95,9 @@ class MappedRangePartitionMap : public PartitionMap {
 /// Live ownership view used by every scheduler: a static base map, an
 /// interval overlay for coarse-grained (cold/Clay) reassignments, and a
 /// per-key overlay for fine-grained (fusion) placements. Lookup order:
-/// per-key overlay, interval overlay, base.
+/// per-key overlay, interval overlay, base. Keys are dense, so the per-key
+/// overlay is a vector indexed by key (kInvalidNode = no override) that
+/// grows to the largest key ever placed.
 class OwnershipMap {
  public:
   explicit OwnershipMap(std::unique_ptr<PartitionMap> base);
@@ -104,7 +105,12 @@ class OwnershipMap {
   OwnershipMap(const OwnershipMap&) = delete;
   OwnershipMap& operator=(const OwnershipMap&) = delete;
 
-  NodeId Owner(Key key) const;
+  NodeId Owner(Key key) const {
+    if (key < key_overlay_.size() && key_overlay_[key] != kInvalidNode) {
+      return key_overlay_[key];
+    }
+    return Home(key);
+  }
 
   /// Home of a key: interval overlay then base (ignores fusion placements).
   /// Evicted fusion-table records migrate back here.
@@ -113,7 +119,9 @@ class OwnershipMap {
   /// Fine-grained placement (fusion-table bookkeeping writes through here).
   void SetKeyOwner(Key key, NodeId node);
   void ClearKeyOwner(Key key);
-  bool HasKeyOverride(Key key) const { return key_overlay_.contains(key); }
+  bool HasKeyOverride(Key key) const {
+    return key < key_overlay_.size() && key_overlay_[key] != kInvalidNode;
+  }
 
   /// Coarse-grained reassignment of [lo, hi] (inclusive), splitting any
   /// overlapping interval entries.
@@ -123,21 +131,22 @@ class OwnershipMap {
   std::vector<std::tuple<Key, Key, NodeId>> ExportIntervals() const;
   void RestoreIntervals(const std::vector<std::tuple<Key, Key, NodeId>>& iv);
 
-  const FlatMap<Key, NodeId>& key_overlay() const {
-    return key_overlay_;
-  }
-  void RestoreKeyOverlay(FlatMap<Key, NodeId> overlay) {
-    key_overlay_ = std::move(overlay);
-  }
+  /// Per-key overlay as (key, owner) pairs in ascending key order, for
+  /// checkpointing.
+  std::vector<std::pair<Key, NodeId>> ExportKeyOverlay() const;
+  void RestoreKeyOverlay(const std::vector<std::pair<Key, NodeId>>& overlay);
 
   const PartitionMap& base() const { return *base_; }
   size_t num_interval_entries() const { return intervals_.size(); }
+  size_t num_key_overrides() const { return num_key_overrides_; }
 
  private:
   std::unique_ptr<PartitionMap> base_;
   /// lo -> (hi inclusive, owner); non-overlapping.
   std::map<Key, std::pair<Key, NodeId>> intervals_;
-  FlatMap<Key, NodeId> key_overlay_;
+  /// key -> owner, kInvalidNode where the key has no override.
+  std::vector<NodeId> key_overlay_;
+  size_t num_key_overrides_ = 0;
 };
 
 }  // namespace hermes::partition

@@ -2,9 +2,10 @@
 #define HERMES_STORAGE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 #include "storage/record_store.h"
 
@@ -17,11 +18,11 @@ namespace hermes::storage {
 struct Checkpoint {
   /// First batch id NOT covered by this checkpoint (replay starts here).
   BatchId next_batch = 0;
-  /// Per-node record stores.
-  std::vector<FlatMap<Key, Record>> stores;
+  /// Per-node record stores, each in ascending key order.
+  std::vector<std::vector<std::pair<Key, Record>>> stores;
   /// Dynamic-ownership overlay (fusion table contents + migrated ranges),
-  /// shared by all schedulers.
-  FlatMap<Key, NodeId> ownership_overlay;
+  /// shared by all schedulers, in ascending key order.
+  std::vector<std::pair<Key, NodeId>> ownership_overlay;
   /// Interval (cold-migration) overlay as (lo, hi, owner) triples.
   std::vector<std::tuple<Key, Key, NodeId>> intervals;
   /// Keys in fusion-table recency order (front = next eviction victim),

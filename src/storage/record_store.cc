@@ -1,49 +1,67 @@
 #include "storage/record_store.h"
 
+#include <cassert>
+
 #include "common/rng.h"
 
 namespace hermes::storage {
 
+RecordStore::RecordStore()
+    : owned_(std::make_unique<RecordTable>()), table_(owned_.get()), node_(0) {}
+
 void RecordStore::Insert(Key key, const Record& record) {
-  records_[key] = record;
+  if (key >= table_->num_keys()) table_->Reserve(key + 1);
+  NodeId& loc = table_->location_[key];
+  assert((loc == kInvalidNode || loc == node_) &&
+         "record singularity: key is already located at another node");
+  if (loc != node_) ++size_;
+  loc = node_;
+  table_->records_[key] = record;
 }
 
 std::optional<Record> RecordStore::Extract(Key key) {
-  auto it = records_.find(key);
-  if (it == records_.end()) return std::nullopt;
-  Record r = it->second;
-  records_.erase(it);
-  return r;
-}
-
-const Record* RecordStore::Get(Key key) const {
-  auto it = records_.find(key);
-  return it == records_.end() ? nullptr : &it->second;
+  if (!Contains(key)) return std::nullopt;
+  table_->location_[key] = kInvalidNode;
+  --size_;
+  return table_->records_[key];
 }
 
 bool RecordStore::ApplyWrite(Key key, TxnId writer) {
-  auto it = records_.find(key);
-  if (it == records_.end()) return false;
-  Record& r = it->second;
+  if (!Contains(key)) return false;
+  Record& r = table_->records_[key];
   r.value = Mix64(r.value ^ Mix64(writer) ^ Mix64(key));
   r.last_writer = writer;
   ++r.version;
   return true;
 }
 
-void RecordStore::Restore(Key key, const Record& pre_image) {
-  records_[key] = pre_image;
+void RecordStore::Clear() {
+  for (NodeId& loc : table_->location_) {
+    if (loc == node_) loc = kInvalidNode;
+  }
+  size_ = 0;
 }
 
 uint64_t RecordStore::Checksum() const {
-  // XOR of per-record digests is order-insensitive, so two stores with the
-  // same contents hash equal regardless of hash-map iteration order.
   uint64_t sum = 0;
-  // detlint:allow(unordered-iter) order-insensitive XOR fold, not a decision
-  for (const auto& [key, r] : records_) {
-    sum ^= Mix64(Mix64(key) ^ r.value ^ (static_cast<uint64_t>(r.version) << 32));
+  for (Key key = 0; key < table_->num_keys(); ++key) {
+    if (Contains(key)) sum ^= RecordDigest(key, table_->records_[key]);
   }
   return sum;
+}
+
+std::vector<std::pair<Key, Record>> RecordStore::records() const {
+  std::vector<std::pair<Key, Record>> out;
+  out.reserve(size_);
+  for (Key key = 0; key < table_->num_keys(); ++key) {
+    if (Contains(key)) out.emplace_back(key, table_->records_[key]);
+  }
+  return out;
+}
+
+uint64_t RecordDigest(Key key, const Record& record) {
+  return Mix64(Mix64(key) ^ record.value ^
+               (static_cast<uint64_t>(record.version) << 32));
 }
 
 }  // namespace hermes::storage

@@ -2,9 +2,11 @@
 #define HERMES_STORAGE_RECORD_STORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
-#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace hermes::storage {
@@ -23,31 +25,72 @@ struct Record {
   uint32_t version = 0;
 };
 
-/// Per-node main-memory table: key -> Record. A record is present in
-/// exactly one node's store at any instant; migrations Extract() it from
-/// the source and Insert() it at the destination when the simulated
-/// message lands.
+/// Cluster-wide record table indexed by key. Keys are dense (the cluster
+/// loads exactly 0..num_records-1), so one vector holds every record and a
+/// parallel vector holds its location: the node that stores it, or
+/// kInvalidNode while it is in flight between nodes (or not loaded). One
+/// location per key makes record singularity structural. Each node's
+/// RecordStore is a view of this table.
+class RecordTable {
+ public:
+  /// Grows the table to hold keys [0, num_keys). Never shrinks. Sizing it
+  /// once up front keeps Get() pointers stable for the whole run.
+  void Reserve(size_t num_keys) {
+    if (num_keys <= location_.size()) return;
+    records_.resize(num_keys);
+    location_.resize(num_keys, kInvalidNode);
+  }
+
+  size_t num_keys() const { return location_.size(); }
+
+  /// Node currently storing `key`, or kInvalidNode.
+  NodeId location(Key key) const {
+    return key < location_.size() ? location_[key] : kInvalidNode;
+  }
+
+  /// The stored record of a key whose location is not kInvalidNode.
+  const Record& record(Key key) const { return records_[key]; }
+
+ private:
+  friend class RecordStore;
+
+  std::vector<Record> records_;
+  std::vector<NodeId> location_;
+};
+
+/// One node's main-memory table: the keys of a RecordTable located at this
+/// node. A record is present in exactly one node's store at any instant;
+/// migrations Extract() it from the source (it is then in flight) and
+/// Insert() it at the destination when the simulated message lands.
 class RecordStore {
  public:
-  RecordStore() = default;
+  /// A standalone store over a private table (unit tests, serial
+  /// references, offline replay).
+  RecordStore();
+  /// Node `node`'s view of a shared table.
+  RecordStore(RecordTable* table, NodeId node) : table_(table), node_(node) {}
 
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
 
   /// Loads a record during initial population or migration arrival.
-  /// Overwrites any existing entry.
+  /// Overwrites this node's existing entry; the key must not be located
+  /// at another node (asserted: a double insert would duplicate it).
   void Insert(Key key, const Record& record);
 
   /// Removes the record (it migrated away). Returns the removed record, or
   /// nullopt if the key was not present.
   std::optional<Record> Extract(Key key);
 
-  bool Contains(Key key) const { return records_.contains(key); }
+  bool Contains(Key key) const { return table_->location(key) == node_; }
 
-  /// Returns the record, or nullptr if not stored on this node. The pointer
-  /// is valid until the next Insert, Extract, Restore or Clear on this
-  /// store (the table is a FlatMap: both inserts and erases move entries).
-  const Record* Get(Key key) const;
+  /// Returns the record, or nullptr if not stored on this node. The table
+  /// is sized once when the cluster loads, so the pointer stays valid
+  /// across other keys' inserts and extracts; it is invalidated only by
+  /// this key leaving the node or by a table that grows.
+  const Record* Get(Key key) const {
+    return Contains(key) ? &table_->records_[key] : nullptr;
+  }
 
   /// Applies a committed write: fingerprint is folded with the writer id.
   /// Returns false if the key is not present (engine bug — callers treat
@@ -55,24 +98,34 @@ class RecordStore {
   bool ApplyWrite(Key key, TxnId writer);
 
   /// Reverts a write using the pre-image captured in the undo log.
-  void Restore(Key key, const Record& pre_image);
+  void Restore(Key key, const Record& pre_image) { Insert(key, pre_image); }
 
   /// Drops every record. Models a node crash losing its (volatile)
   /// main-memory table; only the fault injector calls this, immediately
   /// followed by a checkpoint+replay rebuild before the node serves again.
-  void Clear() { records_.clear(); }
+  /// O(keys): it walks the whole table.
+  void Clear();
 
-  size_t size() const { return records_.size(); }
+  size_t size() const { return size_; }
 
   /// Order-insensitive fingerprint of the whole store (for determinism and
   /// recovery equivalence checks).
   uint64_t Checksum() const;
 
-  const FlatMap<Key, Record>& records() const { return records_; }
+  /// This node's records in ascending key order (for checkpointing).
+  std::vector<std::pair<Key, Record>> records() const;
 
  private:
-  FlatMap<Key, Record> records_;
+  /// Set only for a standalone store.
+  std::unique_ptr<RecordTable> owned_;
+  RecordTable* table_;
+  NodeId node_;
+  size_t size_ = 0;
 };
+
+/// Digest of one stored record, shared by every order-insensitive store
+/// fold (RecordStore::Checksum, the cluster's whole-table folds).
+uint64_t RecordDigest(Key key, const Record& record);
 
 }  // namespace hermes::storage
 

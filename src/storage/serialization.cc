@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -174,6 +175,16 @@ Status ReadTxn(Reader& r, TxnRequest* txn) {
   return Status::Ok();
 }
 
+/// Checkpoint stores and overlays are written in strictly ascending key
+/// order; a reader that finds otherwise has a corrupt file.
+template <typename V>
+bool KeysAscend(const std::vector<std::pair<Key, V>>& entries) {
+  return std::adjacent_find(entries.begin(), entries.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == entries.end();
+}
+
 }  // namespace
 
 Status WriteCommandLog(const CommandLog& log, const std::string& path) {
@@ -224,37 +235,22 @@ Status WriteCheckpoint(const Checkpoint& checkpoint,
   w.U64(checkpoint.next_batch);
   w.U64(checkpoint.next_txn_id);
   // Checkpoint files must be byte-identical across replicas (and across
-  // HERMES_HASH_SALT values), so hash-map contents are written in sorted
-  // key order, never in iteration order.
+  // HERMES_HASH_SALT values); stores and the overlay are already in
+  // ascending key order, so they are written as they are.
   w.U64(checkpoint.stores.size());
-  std::vector<Key> keys;
-  for (const FlatMap<Key, Record>& store : checkpoint.stores) {
-    keys.clear();
-    keys.reserve(store.size());
-    // detlint:allow(unordered-iter) key collection, sorted before writing
-    for (const auto& [key, record] : store) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
+  for (const auto& store : checkpoint.stores) {
     w.U64(store.size());
-    for (Key key : keys) {
-      const Record& record = store.at(key);
+    for (const auto& [key, record] : store) {
       w.U64(key);
       w.U64(record.value);
       w.U64(record.last_writer);
       w.U64(record.version);
     }
   }
-  keys.clear();
-  keys.reserve(checkpoint.ownership_overlay.size());
-  // detlint:allow(unordered-iter) key collection, sorted before writing
-  for (const auto& [key, node] : checkpoint.ownership_overlay) {
-    (void)node;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
   w.U64(checkpoint.ownership_overlay.size());
-  for (Key key : keys) {
+  for (const auto& [key, node] : checkpoint.ownership_overlay) {
     w.U64(key);
-    w.I64(checkpoint.ownership_overlay.at(key));
+    w.I64(node);
   }
   w.U64(checkpoint.intervals.size());
   for (const auto& [lo, hi, node] : checkpoint.intervals) {
@@ -285,28 +281,33 @@ Status ReadCheckpoint(const std::string& path, Checkpoint* checkpoint) {
   for (auto& store : checkpoint->stores) {
     uint64_t records;
     HERMES_RETURN_IF_ERROR(r.Count(&records));
-    store.reserve(records);
-    for (uint64_t i = 0; i < records; ++i) {
-      Key key;
-      Record record;
+    store.resize(records);
+    for (auto& [key, record] : store) {
       uint64_t version;
       HERMES_RETURN_IF_ERROR(r.U64(&key));
       HERMES_RETURN_IF_ERROR(r.U64(&record.value));
       HERMES_RETURN_IF_ERROR(r.U64(&record.last_writer));
       HERMES_RETURN_IF_ERROR(r.U64(&version));
       record.version = static_cast<uint32_t>(version);
-      store[key] = record;
+    }
+    if (!KeysAscend(store)) {
+      return Status::FailedPrecondition(path + ": store keys out of order");
     }
   }
   uint64_t count;
   int64_t node;
   HERMES_RETURN_IF_ERROR(r.Count(&count));
-  checkpoint->ownership_overlay.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    Key key;
+  checkpoint->ownership_overlay.resize(count);
+  for (auto& [key, owner] : checkpoint->ownership_overlay) {
     HERMES_RETURN_IF_ERROR(r.U64(&key));
     HERMES_RETURN_IF_ERROR(r.I64(&node));
-    checkpoint->ownership_overlay[key] = static_cast<NodeId>(node);
+    if (node < 0 || node > std::numeric_limits<NodeId>::max()) {
+      return Status::FailedPrecondition(path + ": invalid overlay owner");
+    }
+    owner = static_cast<NodeId>(node);
+  }
+  if (!KeysAscend(checkpoint->ownership_overlay)) {
+    return Status::FailedPrecondition(path + ": overlay keys out of order");
   }
   HERMES_RETURN_IF_ERROR(r.Count(&count));
   checkpoint->intervals.resize(count);

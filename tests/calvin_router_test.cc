@@ -101,7 +101,7 @@ TEST_F(CalvinRouterTest, PreservesBatchOrder) {
 TEST_F(CalvinRouterTest, NeverTouchesOwnership) {
   (void)router_.RouteBatch(
       MakeBatch({MakeTxn(1, {10, 90}, {10, 90}), MakeTxn(2, {5, 50}, {5})}));
-  EXPECT_TRUE(ownership_.key_overlay().empty());
+  EXPECT_EQ(ownership_.num_key_overrides(), 0u);
 }
 
 TEST_F(CalvinRouterTest, RmwKeyAtMasterShipsToOtherMasters) {

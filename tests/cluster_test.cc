@@ -242,5 +242,17 @@ TEST(ClusterDeathTest, NonzeroSimThreadsAborts) {
   EXPECT_DEATH(MakeCluster(config, RouterKind::kHermes), "sim\\.threads");
 }
 
+#ifndef NDEBUG
+// Keys are dense: per-key state is indexed by key, so a request naming a
+// key at or beyond num_records is refused at Submit in Debug builds.
+TEST(ClusterDeathTest, KeyBeyondNumRecordsAborts) {
+  const ClusterConfig config = SmallConfig();
+  auto cluster = MakeCluster(config, RouterKind::kHermes);
+  TxnRequest txn;
+  txn.read_set = {1, config.num_records};
+  EXPECT_DEATH(cluster->Submit(txn), "keys are dense");
+}
+#endif
+
 }  // namespace
 }  // namespace hermes

@@ -114,7 +114,7 @@ TEST(FusionTableTest, ExportRestoreRoundTripsOrder) {
   table.Put(3, 7, &evicted);
   table.Lookup(1, true);
 
-  FlatMap<Key, NodeId> entries = {{1, 5}, {2, 6}, {3, 7}};
+  const std::vector<std::pair<Key, NodeId>> entries = {{1, 5}, {2, 6}, {3, 7}};
   FusionTable restored(3, EvictionPolicy::kLru);
   restored.Restore(entries, table.ExportOrder());
   EXPECT_EQ(restored.Checksum(), table.Checksum());

@@ -75,7 +75,7 @@ TEST_F(GStoreRouterTest, ReadOnlyRemoteKeysAlsoCheckOut) {
 
 TEST_F(GStoreRouterTest, OwnershipMapNeverChanges) {
   (void)router_.RouteBatch(MakeBatch({MakeTxn(1, {10, 90}, {10, 90})}));
-  EXPECT_TRUE(ownership_.key_overlay().empty());
+  EXPECT_EQ(ownership_.num_key_overrides(), 0u);
   EXPECT_EQ(ownership_.Owner(90), 3);
 }
 

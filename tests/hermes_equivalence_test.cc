@@ -7,7 +7,6 @@
 // ownership overlays must match exactly — across random workloads,
 // chunk-migration / provisioning barriers, and every ablation switch.
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -64,13 +63,6 @@ void ExpectStatsEqual(const HermesRouter::Stats& a,
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.reroutes, b.reroutes);
   EXPECT_EQ(a.reorders, b.reorders);
-}
-
-std::vector<std::pair<Key, NodeId>> SortedOverlay(const OwnershipMap& map) {
-  std::vector<std::pair<Key, NodeId>> out(map.key_overlay().begin(),
-                                          map.key_overlay().end());
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 /// One seeded random workload: several batches of skew-heavy regular
@@ -183,7 +175,8 @@ void CheckEquivalence(uint64_t seed, const HermesConfig& base_config,
     EXPECT_EQ(ref.fusion_table().Checksum(), opt.fusion_table().Checksum());
     EXPECT_EQ(ref.fusion_table().ExportOrder(),
               opt.fusion_table().ExportOrder());
-    EXPECT_EQ(SortedOverlay(ownership_ref), SortedOverlay(ownership_opt));
+    EXPECT_EQ(ownership_ref.ExportKeyOverlay(),
+              ownership_opt.ExportKeyOverlay());
     if (::testing::Test::HasFailure()) return;  // first divergence is enough
   }
 }

@@ -191,7 +191,7 @@ TEST(IntegrationTest, FusionTableCapBoundsOverlay) {
   ASSERT_NE(cluster.fusion_table(), nullptr);
   EXPECT_LE(cluster.fusion_table()->size(), 100u);
   // Overlay only holds fusion entries once everything drained.
-  EXPECT_LE(cluster.ownership().key_overlay().size(), 100u);
+  EXPECT_LE(cluster.ownership().num_key_overrides(), 100u);
   EXPECT_GT(cluster.metrics().total_commits(), 100u);
 }
 

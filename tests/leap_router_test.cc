@@ -92,7 +92,7 @@ TEST_F(LeapRouterTest, MigrationBackHomeClearsOverlay) {
   // Majority now at node 3: record migrates home; overlay entry dropped.
   (void)router_.RouteBatch(MakeBatch({MakeTxn(2, {80, 81, 90}, {90})}));
   EXPECT_EQ(ownership_.Owner(90), 3);
-  EXPECT_TRUE(ownership_.key_overlay().empty());
+  EXPECT_EQ(ownership_.num_key_overrides(), 0u);
 }
 
 }  // namespace

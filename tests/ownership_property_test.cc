@@ -4,6 +4,8 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,10 +73,19 @@ TEST_P(OwnershipPropertyTest, MatchesReferenceModel) {
     ASSERT_EQ(map.Home(k), ref.home[k]) << "key " << k;
   }
 
-  // Export/restore round-trips the interval state.
+  // The key overlay export lists exactly the reference overrides, in
+  // ascending key order.
+  const std::vector<std::pair<Key, NodeId>> overlay = map.ExportKeyOverlay();
+  const std::map<Key, NodeId> ordered(ref.overlay.begin(), ref.overlay.end());
+  const std::vector<std::pair<Key, NodeId>> expected(ordered.begin(),
+                                                     ordered.end());
+  EXPECT_EQ(overlay, expected);
+  EXPECT_EQ(map.num_key_overrides(), ref.overlay.size());
+
+  // Export/restore round-trips the interval and key-overlay state.
   OwnershipMap copy(std::make_unique<RangePartitionMap>(kKeys, kNodes));
   copy.RestoreIntervals(map.ExportIntervals());
-  copy.RestoreKeyOverlay(map.key_overlay());
+  copy.RestoreKeyOverlay(overlay);
   for (Key k = 0; k < kKeys; ++k) {
     ASSERT_EQ(copy.Owner(k), map.Owner(k)) << "key " << k;
   }

@@ -1,6 +1,8 @@
 #include "partition/partition_map.h"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +79,47 @@ TEST(OwnershipMapTest, KeyOverlayWinsOverBase) {
   EXPECT_EQ(map.Home(5), 0);  // home ignores the per-key overlay
   map.ClearKeyOwner(5);
   EXPECT_EQ(map.Owner(5), 0);
+}
+
+TEST(OwnershipMapTest, DenseKeyOverlayCountsAndExportsInKeyOrder) {
+  OwnershipMap map(std::make_unique<RangePartitionMap>(100, 4));
+  EXPECT_EQ(map.num_key_overrides(), 0u);
+  EXPECT_TRUE(map.ExportKeyOverlay().empty());
+  map.SetKeyOwner(90, 1);
+  map.SetKeyOwner(3, 2);
+  map.SetKeyOwner(40, 3);
+  map.SetKeyOwner(3, 1);  // re-placing a key is not a new override
+  EXPECT_EQ(map.num_key_overrides(), 3u);
+  EXPECT_TRUE(map.HasKeyOverride(40));
+  EXPECT_FALSE(map.HasKeyOverride(41));
+  EXPECT_FALSE(map.HasKeyOverride(1'000'000));  // beyond the overlay
+  EXPECT_EQ(map.Owner(1'000'000), 3);
+  const std::vector<std::pair<Key, NodeId>> expected = {
+      {3, 1}, {40, 3}, {90, 1}};
+  EXPECT_EQ(map.ExportKeyOverlay(), expected);
+
+  map.ClearKeyOwner(40);
+  map.ClearKeyOwner(40);  // clearing twice is a no-op
+  map.ClearKeyOwner(77);  // never set
+  EXPECT_EQ(map.num_key_overrides(), 2u);
+  EXPECT_FALSE(map.HasKeyOverride(40));
+  EXPECT_EQ(map.Owner(40), 1);  // back to its home range
+  const std::vector<std::pair<Key, NodeId>> after = {{3, 1}, {90, 1}};
+  EXPECT_EQ(map.ExportKeyOverlay(), after);
+}
+
+TEST(OwnershipMapTest, KeyOverlayRestoreRoundTrips) {
+  OwnershipMap map(std::make_unique<RangePartitionMap>(100, 4));
+  map.SetKeyOwner(10, 3);
+  map.SetKeyOwner(60, 0);
+  const auto exported = map.ExportKeyOverlay();
+
+  OwnershipMap other(std::make_unique<RangePartitionMap>(100, 4));
+  other.SetKeyOwner(99, 0);  // stale entry the restore must drop
+  other.RestoreKeyOverlay(exported);
+  EXPECT_EQ(other.num_key_overrides(), 2u);
+  EXPECT_EQ(other.ExportKeyOverlay(), exported);
+  for (Key k = 0; k < 100; ++k) EXPECT_EQ(map.Owner(k), other.Owner(k)) << k;
 }
 
 TEST(OwnershipMapTest, IntervalOverlayRehomes) {

@@ -1,5 +1,9 @@
 #include "storage/record_store.h"
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace hermes::storage {
@@ -88,6 +92,97 @@ TEST(RecordStoreTest, EmptyChecksumIsZero) {
   RecordStore store;
   EXPECT_EQ(store.Checksum(), 0u);
 }
+
+TEST(RecordStoreViewTest, InsertIsVisibleOnlyAtItsNode) {
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1);
+  n0.Insert(5, Record{.value = 42});
+  EXPECT_TRUE(n0.Contains(5));
+  EXPECT_FALSE(n1.Contains(5));
+  EXPECT_EQ(n1.Get(5), nullptr);
+  EXPECT_FALSE(n1.Extract(5).has_value());
+  EXPECT_FALSE(n1.ApplyWrite(5, 9));
+  EXPECT_EQ(table.location(5), 0);
+}
+
+TEST(RecordStoreViewTest, ExtractThenInsertMovesTheKey) {
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1);
+  n0.Insert(5, Record{.value = 42});
+  const std::optional<Record> moved = n0.Extract(5);
+  ASSERT_TRUE(moved.has_value());
+  EXPECT_EQ(table.location(5), kInvalidNode);  // in flight
+  EXPECT_FALSE(n0.Contains(5));
+  EXPECT_FALSE(n1.Contains(5));
+  n1.Insert(5, *moved);
+  EXPECT_FALSE(n0.Contains(5));
+  ASSERT_TRUE(n1.Contains(5));
+  EXPECT_EQ(n1.Get(5)->value, 42u);
+  EXPECT_EQ(table.location(5), 1);
+  EXPECT_EQ(n0.size(), 0u);
+  EXPECT_EQ(n1.size(), 1u);
+}
+
+TEST(RecordStoreViewTest, ClearDropsOnlyItsOwnKeys) {
+  RecordTable table;
+  table.Reserve(10);
+  RecordStore n0(&table, 0), n1(&table, 1);
+  for (Key k = 0; k < 10; ++k) {
+    (k % 2 == 0 ? n0 : n1).Insert(k, Record{.value = k});
+  }
+  EXPECT_EQ(n0.size(), 5u);
+  EXPECT_EQ(n1.size(), 5u);
+  n0.Insert(4, Record{.value = 99});  // overwrite at the same node
+  EXPECT_EQ(n0.size(), 5u);
+
+  n0.Clear();
+  EXPECT_EQ(n0.size(), 0u);
+  EXPECT_EQ(n1.size(), 5u);
+  for (Key k = 0; k < 10; ++k) {
+    EXPECT_FALSE(n0.Contains(k)) << k;
+    EXPECT_EQ(n1.Contains(k), k % 2 == 1) << k;
+  }
+  EXPECT_EQ(n0.Checksum(), 0u);
+}
+
+TEST(RecordStoreViewTest, RecordsExportInAscendingKeyOrder) {
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1);
+  for (Key k : {9u, 2u, 7u, 0u, 4u}) n0.Insert(k, Record{.value = k + 100});
+  n1.Insert(3, Record{.value = 1});
+  const std::vector<std::pair<Key, Record>> records = n0.records();
+  ASSERT_EQ(records.size(), 5u);
+  const Key expected[] = {0, 2, 4, 7, 9};
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].first, expected[i]);
+    EXPECT_EQ(records[i].second.value, expected[i] + 100);
+  }
+}
+
+TEST(RecordStoreViewTest, GetPointerSurvivesOtherKeysMoving) {
+  RecordTable table;
+  table.Reserve(100);
+  RecordStore n0(&table, 0), n1(&table, 1);
+  for (Key k = 0; k < 100; ++k) n0.Insert(k, Record{.value = k});
+  const Record* r = n0.Get(50);
+  for (Key k = 0; k < 100; k += 3) {
+    if (k == 50) continue;
+    n1.Insert(k, *n0.Extract(k));
+  }
+  EXPECT_EQ(r, n0.Get(50));
+  EXPECT_EQ(r->value, 50u);
+}
+
+#ifndef NDEBUG
+TEST(RecordStoreViewDeathTest, InsertOfKeyLocatedElsewhereAborts) {
+  // Record singularity: a key stored at node 0 cannot also be inserted at
+  // node 1 without first being extracted.
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1);
+  n0.Insert(5, Record{.value = 42});
+  EXPECT_DEATH(n1.Insert(5, Record{.value = 43}), "record singularity");
+}
+#endif
 
 }  // namespace
 }  // namespace hermes::storage

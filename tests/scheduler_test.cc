@@ -27,7 +27,7 @@ class SchedulerTest : public ::testing::Test {
                    [](const TxnRequest&) { return nullptr; }) {
     config_.costs.route_linear_us = 50;
     for (NodeId i = 0; i < 2; ++i) {
-      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2));
+      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2, &records_));
     }
     for (Key k = 0; k < 100; ++k) {
       nodes_[k / 50]->store().Insert(k, storage::Record{.value = k});
@@ -52,6 +52,7 @@ class SchedulerTest : public ::testing::Test {
   routing::CalvinRouter router_;
   Metrics metrics_;
   net::Wire wire_;
+  storage::RecordTable records_;
   std::vector<std::unique_ptr<Node>> nodes_;
   TxnExecutor executor_;
   storage::CommandLog log_;

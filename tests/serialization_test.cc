@@ -1,11 +1,19 @@
 #include "storage/serialization.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/cluster.h"
+#include "partition/partition_map.h"
+#include "workload/client.h"
+#include "workload/ycsb.h"
 
 namespace hermes::storage {
 namespace {
@@ -143,13 +151,15 @@ TEST(SerializationTest, CheckpointRoundTrips) {
   cp.stores.resize(3);
   Rng rng(7);
   for (auto& store : cp.stores) {
+    std::map<Key, Record> records;
     for (int i = 0; i < 50; ++i) {
       Record record;
       record.value = rng.Next();
       record.last_writer = rng.Next();
       record.version = static_cast<uint32_t>(rng.NextBounded(100));
-      store[rng.NextBounded(100'000)] = record;
+      records[rng.NextBounded(100'000)] = record;
     }
+    store.assign(records.begin(), records.end());
   }
   cp.ownership_overlay = {{5, 2}, {17, 0}};
   cp.intervals = {{100, 199, 1}, {300, 350, 2}};
@@ -186,6 +196,74 @@ TEST(SerializationTest, CheckpointImplausibleCountRejected) {
   std::fclose(f);
   Checkpoint restored;
   EXPECT_FALSE(ReadCheckpoint(path, &restored).ok());
+}
+
+TEST(SerializationTest, MalformedCheckpointEntriesRejected) {
+  // Stores are written as given; a reader must refuse one whose keys do
+  // not strictly ascend, since restore relies on key order.
+  Checkpoint cp;
+  cp.stores = {{{7, Record{.value = 1}}, {3, Record{.value = 2}}}};
+  const std::string path = TempPath("order.bin");
+  ASSERT_TRUE(WriteCheckpoint(cp, path).ok());
+  Checkpoint restored;
+  EXPECT_FALSE(ReadCheckpoint(path, &restored).ok());
+
+  Checkpoint dup;
+  dup.ownership_overlay = {{5, 1}, {5, 2}};
+  ASSERT_TRUE(WriteCheckpoint(dup, path).ok());
+  EXPECT_FALSE(ReadCheckpoint(path, &restored).ok());
+
+  // An overlay entry names a node; kInvalidNode is "no override" and is
+  // never written.
+  Checkpoint unowned;
+  unowned.ownership_overlay = {{5, kInvalidNode}};
+  ASSERT_TRUE(WriteCheckpoint(unowned, path).ok());
+  EXPECT_FALSE(ReadCheckpoint(path, &restored).ok());
+}
+
+/// FNV-1a over a file's bytes.
+uint64_t FileFnv1a(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  uint64_t h = 14695981039346656037ULL;
+  for (auto it = std::istreambuf_iterator<char>(in);
+       it != std::istreambuf_iterator<char>(); ++it) {
+    h = (h ^ static_cast<unsigned char>(*it)) * 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(SerializationTest, ClusterCheckpointBytesArePinned) {
+  // Pins the on-disk format end to end: a checkpoint of a loaded Hermes
+  // cluster that has run fusion migrations (non-empty key overlay and
+  // fusion order) must serialize to exactly these bytes. Any change to
+  // the layout, the record order or the overlay order moves the hash.
+  ClusterConfig config;
+  config.num_nodes = 3;
+  config.num_records = 2'000;
+  config.hermes.fusion_table_capacity = 100;
+  engine::Cluster cluster(config, engine::RouterKind::kHermes,
+                          std::make_unique<partition::RangePartitionMap>(
+                              config.num_records, config.num_nodes));
+  cluster.Load();
+  workload::YcsbConfig wl;
+  wl.num_records = config.num_records;
+  wl.num_partitions = config.num_nodes;
+  wl.seed = 21;
+  workload::YcsbWorkload gen(wl, nullptr);
+  workload::ClosedLoopDriver driver(
+      &cluster, 8, [&gen](int, SimTime now) { return gen.Next(now); });
+  driver.set_stop_time(MsToSim(100));
+  driver.Start();
+  cluster.RunUntil(MsToSim(100));
+  cluster.Drain();
+
+  const Checkpoint cp = cluster.TakeCheckpoint();
+  ASSERT_FALSE(cp.ownership_overlay.empty());
+  ASSERT_FALSE(cp.fusion_order.empty());
+  ASSERT_EQ(cp.stores.size(), 3u);
+  const std::string path = TempPath("pinned_ckpt.bin");
+  ASSERT_TRUE(WriteCheckpoint(cp, path).ok());
+  EXPECT_EQ(FileFnv1a(path), 0x5e148aaa1211d490ULL);
 }
 
 }  // namespace

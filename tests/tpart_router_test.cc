@@ -73,7 +73,7 @@ TEST_F(TPartRouterTest, WritebackResetsAcrossBatches) {
 
 TEST_F(TPartRouterTest, OwnershipMapUntouched) {
   (void)router_.RouteBatch(MakeBatch({MakeTxn(1, {10, 90}, {10, 90})}));
-  EXPECT_TRUE(ownership_.key_overlay().empty());
+  EXPECT_EQ(ownership_.num_key_overrides(), 0u);
 }
 
 TEST_F(TPartRouterTest, BalancesLoadUnderCap) {
