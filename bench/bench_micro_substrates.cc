@@ -51,16 +51,17 @@ void BM_LockManagerContendedQueue(benchmark::State& state) {
   std::vector<TxnId> granted;
   TxnId next = 0;
   constexpr int kDepth = 64;
+  const hermes::storage::LockRequest one_key[] = {{1, true}};
   for (TxnId t = 0; t < kDepth; ++t) {
     granted.clear();
-    lm.Acquire(next++, {{1, true}}, &granted);
+    lm.Acquire(next++, one_key, &granted);
   }
   TxnId oldest = 0;
   for (auto _ : state) {
     granted.clear();
     lm.Release(oldest++, &granted);
     granted.clear();
-    lm.Acquire(next++, {{1, true}}, &granted);
+    lm.Acquire(next++, one_key, &granted);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -7,16 +7,32 @@
 #include <memory>
 #include <tuple>
 
+#if defined(__SANITIZE_ADDRESS__)
+#define HERMES_ASAN_SHELLS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HERMES_ASAN_SHELLS 1
+#endif
+#endif
+#ifdef HERMES_ASAN_SHELLS
+#include <sanitizer/asan_interface.h>
+#define HERMES_POISON_SHELL(p) ASAN_POISON_MEMORY_REGION((p), sizeof(*(p)))
+#define HERMES_UNPOISON_SHELL(p) ASAN_UNPOISON_MEMORY_REGION((p), sizeof(*(p)))
+#else
+#define HERMES_POISON_SHELL(p) ((void)(p))
+#define HERMES_UNPOISON_SHELL(p) ((void)(p))
+#endif
+
 namespace hermes::engine {
 namespace {
 
 using routing::Access;
 using routing::RoutedTxn;
 
-std::vector<Key> SortedUnique(std::vector<Key> keys) {
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
+template <typename T>
+void SortUnique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 /// Packs one planned access into a TraceEvent arg: new-owner node in the
@@ -42,6 +58,19 @@ State& SortedEntry(std::vector<std::pair<NodeId, State>>& states,
   return it->second;
 }
 
+/// Same for a vector of states that carry their own `node` field.
+template <typename State>
+State& SortedEntry(std::vector<State>& states, NodeId node) {
+  auto it = std::lower_bound(
+      states.begin(), states.end(), node,
+      [](const State& e, NodeId n) { return e.node < n; });
+  if (it == states.end() || it->node != node) {
+    it = states.emplace(it);
+    it->node = node;
+  }
+  return *it;
+}
+
 }  // namespace
 
 TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
@@ -49,9 +78,44 @@ TxnExecutor::TxnExecutor(sim::Simulator* sim, net::Wire* wire,
                          std::vector<std::unique_ptr<Node>>* nodes)
     : sim_(sim), net_(wire), metrics_(metrics), costs_(costs), nodes_(nodes) {}
 
+TxnExecutor::~TxnExecutor() {
+  for (auto& shell : idle_shells_) HERMES_UNPOISON_SHELL(shell.get());
+}
+
+std::unique_ptr<TxnExecutor::Active> TxnExecutor::TakeShell() {
+  if (idle_shells_.empty()) return std::make_unique<Active>();
+  std::unique_ptr<Active> shell = std::move(idle_shells_.back());
+  idle_shells_.pop_back();
+  HERMES_UNPOISON_SHELL(shell.get());
+  return shell;
+}
+
+void TxnExecutor::RetireActive(TxnId id) {
+  auto it = actives_.find(id);
+  assert(it != actives_.end());
+  std::unique_ptr<Active> shell = std::move(it->second);
+  actives_.erase(it);
+  // Reset every field, releasing the plan, the client callback, the flat
+  // per-transaction arrays and any stalled continuations; only the small
+  // per-node, per-master and write-key buffers keep their capacity.
+  Active& a = *shell;
+  std::vector<NodeState> nodes = std::move(a.nodes);
+  std::vector<MasterState> masters = std::move(a.masters);
+  std::vector<Key> write_keys = std::move(a.write_keys);
+  a = Active{};
+  nodes.clear();
+  masters.clear();
+  write_keys.clear();
+  a.nodes = std::move(nodes);
+  a.masters = std::move(masters);
+  a.write_keys = std::move(write_keys);
+  HERMES_POISON_SHELL(shell.get());
+  idle_shells_.push_back(std::move(shell));
+}
+
 TxnExecutor::NodeState* TxnExecutor::StateFor(Active& a, NodeId node) {
-  for (auto& [id, state] : a.nodes) {
-    if (id == node) return &state;
+  for (NodeState& state : a.nodes) {
+    if (state.node == node) return &state;
   }
   return nullptr;
 }
@@ -63,7 +127,7 @@ TxnExecutor::MasterState* TxnExecutor::MasterFor(Active& a, NodeId node) {
   return nullptr;
 }
 
-bool TxnExecutor::IsMaster(const Active& a, NodeId node) const {
+bool TxnExecutor::IsMaster(const Active& a, NodeId node) {
   for (const auto& m : a.masters) {
     if (m.node == node) return true;
   }
@@ -95,40 +159,94 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
     }
   }
 
-  auto owned_active = std::make_unique<Active>();
-  Active& a = *owned_active;
+  std::unique_ptr<Active> shell = TakeShell();
+  Active& a = *shell;
   a.plan = std::move(plan);
   a.on_commit = std::move(on_commit);
   a.dispatch_time = sim_->Now();
-  a.write_keys = SortedUnique(a.plan.txn.write_set);
-  a.masters.reserve(a.plan.masters.size());
+  a.write_keys.assign(a.plan.txn.write_set.begin(),
+                      a.plan.txn.write_set.end());
+  SortUnique(a.write_keys);
   for (NodeId m : a.plan.masters) a.masters.push_back(MasterState{m});
 
-  // Group lock requests and owned accesses per involved node, kept in
-  // ascending node order.
+  // Migration fence: a record moving to a master that will write it is
+  // exclusively locked at the destination until commit, so transactions
+  // routed there later in the total order cannot read it early.
   const bool regular = a.plan.txn.kind == TxnKind::kRegular;
-  for (const Access& acc : a.plan.accesses) {
-    NodeState& owner_state = SortedEntry(a.nodes, acc.owner);
-    owner_state.owned.push_back(acc);
-    owner_state.lock_requests.push_back(
-        storage::LockRequest{acc.key, acc.is_write});
-    // Migration fence: a record moving to a master that will write it is
-    // exclusively locked at the destination until commit, so transactions
-    // routed there later in the total order cannot read it early.
-    if (regular && acc.new_owner != kInvalidNode &&
-        acc.new_owner != acc.owner && IsMaster(a, acc.new_owner)) {
-      SortedEntry(a.nodes, acc.new_owner)
-          .lock_requests.push_back(storage::LockRequest{acc.key, true});
-    }
+  auto fenced = [&a, regular](const Access& acc) {
+    return regular && acc.new_owner != kInvalidNode &&
+           acc.new_owner != acc.owner && IsMaster(a, acc.new_owner);
+  };
+
+  // The involved nodes, in ascending order: owners, fence destinations and
+  // masters. The `*_end` fields count each node's entries for now.
+  const std::vector<Access>& accesses = a.plan.accesses;
+  for (const Access& acc : accesses) {
+    NodeState& owner = SortedEntry(a.nodes, acc.owner);
+    ++owner.owned_end;
+    ++owner.lock_end;
+    if (fenced(acc)) ++SortedEntry(a.nodes, acc.new_owner).lock_end;
   }
   for (const auto& m : a.masters) SortedEntry(a.nodes, m.node).is_master = true;
+  uint32_t owned_at = 0;
+  uint32_t lock_at = 0;
+  for (NodeState& state : a.nodes) {
+    state.owned_begin = owned_at;
+    owned_at += state.owned_end;
+    state.owned_end = state.owned_begin;
+    state.lock_begin = lock_at;
+    lock_at += state.lock_end;
+    state.lock_end = state.lock_begin;
+  }
+
+  // Group lock requests and owned accesses per involved node.
+  a.owned.resize(accesses.size());
+  std::vector<storage::LockRequest> reqs = lock_pool_.Take();
+  reqs.resize(lock_at);
+  for (uint32_t i = 0; i < accesses.size(); ++i) {
+    const Access& acc = accesses[i];
+    NodeState& owner = *StateFor(a, acc.owner);
+    a.owned[owner.owned_end++] = i;
+    reqs[owner.lock_end++] = storage::LockRequest{acc.key, acc.is_write};
+    if (fenced(acc)) {
+      NodeState& dest = *StateFor(a, acc.new_owner);
+      reqs[dest.lock_end++] = storage::LockRequest{acc.key, true};
+    }
+  }
+  // Deduplicate lock requests per node (a key can appear as both a normal
+  // access and a fence/eviction access): exclusive wins. Each node's run
+  // is compacted toward the front, then copied out at its exact size.
+  uint32_t kept = 0;
+  for (NodeState& state : a.nodes) {
+    auto first = reqs.begin() + state.lock_begin;
+    auto last = reqs.begin() + state.lock_end;
+    std::sort(first, last,
+              [](const storage::LockRequest& x, const storage::LockRequest& y) {
+                if (x.key != y.key) return x.key < y.key;
+                return x.exclusive > y.exclusive;
+              });
+    last = std::unique(first, last,
+                       [](const storage::LockRequest& x,
+                          const storage::LockRequest& y) {
+                         return x.key == y.key;
+                       });
+    const auto n = static_cast<uint32_t>(last - first);
+    std::move(first, last, reqs.begin() + kept);
+    state.lock_begin = kept;
+    state.lock_end = kept + n;
+    kept += n;
+  }
+  a.lock_requests.assign(reqs.begin(), reqs.begin() + kept);
+  lock_pool_.Give(std::move(reqs));
 
   // Count expected shipments per master: one message per (source node,
   // master) pair with at least one shipped access.
-  std::vector<NodeId> targets;
-  for (auto& [node, state] : a.nodes) {
+  std::vector<NodeId> targets = node_pool_.Take();
+  for (const NodeState& state : a.nodes) {
+    const NodeId node = state.node;
     targets.clear();
-    for (const Access& acc : state.owned) {
+    for (uint32_t i : OwnedOf(a, state)) {
+      const Access& acc = accesses[i];
       if (!acc.ship_to_master) continue;
       if (acc.new_owner != kInvalidNode && acc.new_owner != node &&
           IsMaster(a, acc.new_owner)) {
@@ -142,50 +260,32 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
         if (m.node != node) targets.push_back(m.node);
       }
     }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()),
-                  targets.end());
+    SortUnique(targets);
     for (NodeId t : targets) {
       MasterState* m = MasterFor(a, t);
       if (m != nullptr) ++m->pending_messages;
     }
+    const std::span<const uint32_t> owned = OwnedOf(a, state);
+    if (std::any_of(owned.begin(), owned.end(), [&](uint32_t i) {
+          return Ships(a, accesses[i], node);
+        })) {
+      ++a.participants_pending;
+    }
   }
+  node_pool_.Give(std::move(targets));
 
   a.distributed = a.nodes.size() > 1;
-
-  // Deduplicate lock requests per node (a key can appear as both a normal
-  // access and a fence/eviction access): exclusive wins.
-  for (auto& [node, state] : a.nodes) {
-    (void)node;
-    auto& reqs = state.lock_requests;
-    std::sort(reqs.begin(), reqs.end(),
-              [](const storage::LockRequest& x, const storage::LockRequest& y) {
-                if (x.key != y.key) return x.key < y.key;
-                return x.exclusive > y.exclusive;
-              });
-    reqs.erase(std::unique(reqs.begin(), reqs.end(),
-                           [](const storage::LockRequest& x,
-                              const storage::LockRequest& y) {
-                             return x.key == y.key;
-                           }),
-               reqs.end());
-  }
-
-  for (const auto& [node, state] : a.nodes) {
-    if (NodeWillSend(a, state, node)) ++a.participants_pending;
-  }
-
-  actives_[id] = std::move(owned_active);
+  actives_[id] = std::move(shell);
 
   // Enqueue all lock requests in total order (ascending node id within the
   // transaction; Dispatch itself is called in total order).
-  std::vector<TxnId> granted;
-  for (auto& [node, state] : a.nodes) {
-    state.acquire_time = sim_->Now();
+  std::vector<TxnId> granted = granted_pool_.Take();
+  for (const NodeState& state : a.nodes) {
     granted.clear();
-    NodeAt(node).locks().Acquire(id, state.lock_requests, &granted);
-    ProcessGrants(node, granted);
+    NodeAt(state.node).locks().Acquire(id, LocksOf(a, state), &granted);
+    ProcessGrants(state.node, granted);
   }
+  granted_pool_.Give(std::move(granted));
 }
 
 void TxnExecutor::ProcessGrants(NodeId node,
@@ -197,16 +297,11 @@ void TxnExecutor::ProcessGrants(NodeId node,
   }
 }
 
-bool TxnExecutor::NodeWillSend(const Active& a, const NodeState& state,
-                               NodeId node) const {
-  for (const Access& acc : state.owned) {
-    const bool migrates =
-        acc.new_owner != kInvalidNode && acc.new_owner != node;
-    const bool ships = acc.ship_to_master &&
-                       (a.masters.size() > 1 || a.masters[0].node != node);
-    if (migrates || ships) return true;
-  }
-  return false;
+bool TxnExecutor::Ships(const Active& a, const Access& acc, NodeId node) {
+  const bool migrates = acc.new_owner != kInvalidNode && acc.new_owner != node;
+  const bool copies = acc.ship_to_master &&
+                      (a.masters.size() > 1 || a.masters[0].node != node);
+  return migrates || copies;
 }
 
 void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
@@ -229,61 +324,59 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   state->grant_time = sim_->Now();
 
   // Participant side: ship records once they are physically present.
-  std::vector<Key> needed;
-  needed.reserve(state->owned.size());
-  for (const Access& acc : state->owned) {
-    const bool migrates =
-        acc.new_owner != kInvalidNode && acc.new_owner != node;
-    const bool ships = acc.ship_to_master &&
-                       (a.masters.size() > 1 || a.masters[0].node != node);
-    if (migrates || ships) needed.push_back(acc.key);
-  }
+  const std::vector<Access>& accesses = a.plan.accesses;
   const TxnId id = a.plan.txn.id;
-  if (NodeWillSend(a, *state, node)) {
-    WaitPresence(node, SortedUnique(std::move(needed)),
-                 [this, id, node]() {
-                   auto it = actives_.find(id);
-                   if (it == actives_.end()) return;
-                   StartParticipant(*it->second, node);
-                 });
+  std::vector<Key> needed = key_pool_.Take();
+  for (uint32_t i : OwnedOf(a, *state)) {
+    if (Ships(a, accesses[i], node)) needed.push_back(accesses[i].key);
   }
+  if (!needed.empty()) {
+    SortUnique(needed);
+    WaitPresence(node, needed, [this, id, node]() {
+      auto it = actives_.find(id);
+      if (it == actives_.end()) return;
+      StartParticipant(*it->second, node);
+    });
+  }
+  key_pool_.Give(std::move(needed));
 
   // Master side: check local presence, then readiness. Replica reads wait
   // on the lease copy instead of the primary store (the primary lives
   // elsewhere); both waits share one countdown so local_present flips
   // exactly once.
-  MasterState* m = MasterFor(a, node);
-  if (m != nullptr) {
-    std::vector<Key> local;
-    std::vector<Key> replica;
-    local.reserve(state->owned.size());
-    for (const Access& acc : state->owned) {
-      if (acc.replica_read && lease_mgr_ != nullptr) {
-        replica.push_back(acc.key);
-      } else {
-        local.push_back(acc.key);
-      }
+  if (MasterFor(a, node) == nullptr) return;
+  std::vector<Key> local = key_pool_.Take();
+  std::vector<Key> replica = key_pool_.Take();
+  for (uint32_t i : OwnedOf(a, *state)) {
+    const Access& acc = accesses[i];
+    if (acc.replica_read && lease_mgr_ != nullptr) {
+      replica.push_back(acc.key);
+    } else {
+      local.push_back(acc.key);
     }
-    auto present = [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      Active& act = *it->second;
-      MasterState* ms = MasterFor(act, node);
-      ms->local_present = true;
-      CheckMasterReady(act, *ms);
-    };
-    if (replica.empty()) {
-      WaitPresence(node, SortedUnique(std::move(local)), present);
-      return;
-    }
+  }
+  SortUnique(local);
+  auto present = [this, id, node]() {
+    auto it = actives_.find(id);
+    if (it == actives_.end()) return;
+    Active& act = *it->second;
+    MasterState* ms = MasterFor(act, node);
+    ms->local_present = true;
+    CheckMasterReady(act, *ms);
+  };
+  if (replica.empty()) {
+    WaitPresence(node, local, present);
+  } else {
+    SortUnique(replica);
     auto remaining = std::make_shared<int>(2);
     auto both_present = [remaining, present]() {
       if (--*remaining == 0) present();
     };
-    lease_mgr_->WaitCopies(node, SortedUnique(std::move(replica)),
-                           both_present);
-    WaitPresence(node, SortedUnique(std::move(local)), both_present);
+    lease_mgr_->WaitCopies(node, replica, both_present);
+    WaitPresence(node, local, both_present);
   }
+  key_pool_.Give(std::move(local));
+  key_pool_.Give(std::move(replica));
 }
 
 void TxnExecutor::StartParticipant(Active& a, NodeId node) {
@@ -297,15 +390,11 @@ void TxnExecutor::StartParticipant(Active& a, NodeId node) {
     return;
   }
   // Local storage reads for everything this node ships, on a worker.
-  NodeState* state = StateFor(a, node);
-  size_t ops = 0;
-  for (const Access& acc : state->owned) {
-    const bool involved =
-        (acc.new_owner != kInvalidNode && acc.new_owner != node) ||
-        (acc.ship_to_master &&
-         (a.masters.size() > 1 || a.masters[0].node != node));
-    if (involved) ++ops;
-  }
+  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, node));
+  const auto ops = static_cast<size_t>(
+      std::count_if(owned.begin(), owned.end(), [&](uint32_t i) {
+        return Ships(a, a.plan.accesses[i], node);
+      }));
   const TxnId id = a.plan.txn.id;
   NodeAt(node).workers().Submit(
       costs_->storage_op_us * ops, [this, id, node]() {
@@ -327,20 +416,18 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     });
     return;
   }
-  NodeState* state = StateFor(a, node);
+  const NodeState* state = StateFor(a, node);
   Node& src = NodeAt(node);
+  const std::vector<Access>& accesses = a.plan.accesses;
 
   // Build one message per destination: read copies to masters, record
   // moves to their new owners. Copies are snapshotted before any move
   // extracts the record.
-  struct Shipment {
-    std::vector<std::pair<Key, storage::Record>> moves;
-    uint64_t bytes = 0;
-    bool to_master = false;
-  };
-  std::vector<std::pair<NodeId, Shipment>> shipments;  // sorted by node
+  // Sorted by destination node.
+  std::vector<std::pair<NodeId, Shipment>> shipments = shipment_pool_.Take();
 
-  for (const Access& acc : state->owned) {
+  for (uint32_t i : OwnedOf(a, *state)) {
+    const Access& acc = accesses[i];
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     const bool migrates_to_master =
@@ -356,7 +443,8 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
       s.to_master = true;
     }
   }
-  for (const Access& acc : state->owned) {
+  for (uint32_t i : OwnedOf(a, *state)) {
+    const Access& acc = accesses[i];
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     if (!migrates) continue;
@@ -400,12 +488,13 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
                  }
                });
   }
+  shipment_pool_.Give(std::move(shipments));
   // Early release: participants that are not masters give their locks up
   // right after shipping (their part of the transaction is over). Lock
   // state is node-local, so the release and its grant chain stay on this
   // lane; the shared bookkeeping (metrics, participant counter, possible
   // completion) rides the epoch barrier at the same virtual time.
-  std::vector<TxnId> granted;
+  std::vector<TxnId> granted = granted_pool_.Take();
   if (!state->is_master) {
     src.locks().Release(id, &granted);
   }
@@ -415,9 +504,10 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     if (it == actives_.end()) return;
     Active& act = *it->second;
     --act.participants_pending;
-    MaybeComplete(act);  // may destroy `act`
+    MaybeComplete(act);  // may retire `act`
   });
   ProcessGrants(node, granted);
+  granted_pool_.Give(std::move(granted));
 }
 
 void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
@@ -453,15 +543,13 @@ void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
 void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   // Execution cost: fixed logic + per-record logic + local storage ops.
   const bool single_master = a.masters.size() == 1;
-  const NodeState* state = StateFor(a, m.node);
-  size_t local_ops = state->owned.size();
-  for (Key k : a.write_keys) {
-    (void)k;
-    if (single_master) ++local_ops;  // every write applies here
-  }
-  if (!single_master) {
-    for (const Access& acc : state->owned) {
-      if (acc.is_write) ++local_ops;
+  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, m.node));
+  size_t local_ops = owned.size();
+  if (single_master) {
+    local_ops += a.write_keys.size();  // every write applies here
+  } else {
+    for (uint32_t i : owned) {
+      if (a.plan.accesses[i].is_write) ++local_ops;
     }
   }
   const SimTime cost = costs_->txn_logic_us +
@@ -484,23 +572,22 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
   Node& node = NodeAt(m.node);
   const TxnId id = a.plan.txn.id;
   const bool single_master = a.masters.size() == 1;
+  // A single master applies every write; with several, each write applies
+  // at the master that owns its key.
+  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, m.node));
+  auto applies_here = [&](Key k) {
+    return single_master ||
+           std::any_of(owned.begin(), owned.end(), [&](uint32_t i) {
+             const Access& acc = a.plan.accesses[i];
+             return acc.key == k && acc.is_write;
+           });
+  };
 
   if (a.plan.txn.kind == TxnKind::kRegular) {
     // Apply writes with UNDO pre-images; a user abort rolls them back but
     // the migration plan already executed (§4.2).
     for (Key k : a.write_keys) {
-      bool applies_here = single_master;
-      if (!single_master) {
-        const NodeState* state = StateFor(a, m.node);
-        applies_here = false;
-        for (const Access& acc : state->owned) {
-          if (acc.key == k && acc.is_write) {
-            applies_here = true;
-            break;
-          }
-        }
-      }
-      if (!applies_here) continue;
+      if (!applies_here(k)) continue;
       const storage::Record* pre = node.store().Get(k);
       assert(pre != nullptr && "write target not present at master");
       node.undo().RecordPreImage(id, k, *pre);
@@ -525,18 +612,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
       !a.plan.txn.user_abort) {
     uint64_t fanout_work = 0;
     for (Key k : a.write_keys) {
-      bool applies_here = single_master;
-      if (!single_master) {
-        const NodeState* state = StateFor(a, m.node);
-        applies_here = false;
-        for (const Access& acc : state->owned) {
-          if (acc.key == k && acc.is_write) {
-            applies_here = true;
-            break;
-          }
-        }
-      }
-      if (!applies_here) continue;
+      if (!applies_here(k)) continue;
       const std::vector<NodeId>* holders = lease_mgr_->HoldersOf(k);
       if (holders == nullptr) continue;
       const storage::Record* rec = node.store().Get(k);
@@ -566,7 +642,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
     if (fanout_work > 0) node.workers().Submit(fanout_work, [] {});
   }
 
-  std::vector<TxnId> granted;
+  std::vector<TxnId> granted = granted_pool_.Take();
   node.locks().Release(id, &granted);
   m.done = true;
   const NodeId master_node = m.node;
@@ -576,6 +652,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
   // grant chain is node-local and stays on this lane.
   sim_->Defer([this, id]() { OnMasterDone(id); });
   ProcessGrants(master_node, granted);
+  granted_pool_.Give(std::move(granted));
 }
 
 void TxnExecutor::OnMasterDone(TxnId id) {
@@ -585,14 +662,14 @@ void TxnExecutor::OnMasterDone(TxnId id) {
   ++a.masters_done;
   if (a.masters_done == static_cast<int>(a.masters.size())) {
     Acknowledge(a);
-    MaybeComplete(a);  // may destroy `a`
+    MaybeComplete(a);  // may retire `a`
   }
 }
 
 void TxnExecutor::MaybeComplete(Active& a) {
   if (a.acked && a.participants_pending == 0) {
     frozen_ids_.erase(a.plan.txn.id);
-    actives_.erase(a.plan.txn.id);  // destroys `a`
+    RetireActive(a.plan.txn.id);  // `a` is a parked shell from here on
   }
 }
 
@@ -604,7 +681,8 @@ void TxnExecutor::Acknowledge(Active& a) {
   // the receiver deserializes and re-inserts it — this is the overhead
   // data fusion avoids (§6.3).
   uint64_t returns = 0;
-  std::map<NodeId, uint64_t> send_work;
+  // Per-sender worker time, sorted by node.
+  std::vector<std::pair<NodeId, uint64_t>> send_work = work_pool_.Take();
   for (const routing::ReturnShipment& r : a.plan.on_commit_returns) {
     auto rec = NodeAt(r.from).store().Extract(r.key);
     assert(rec.has_value() && "returning a record that is not present");
@@ -612,7 +690,7 @@ void TxnExecutor::Acknowledge(Active& a) {
                  a.plan.txn.id, r.key, static_cast<uint32_t>(r.to));
     TrackInFlight(r.key, r.from, r.to, a.plan.txn.id, *rec);
     ++returns;
-    send_work[r.from] += costs_->storage_op_us;
+    SortedEntry(send_work, r.from) += costs_->storage_op_us;
     net_->Send(r.from, r.to, costs_->record_bytes, TrafficClass::kBulk,
                [this, r, record = *rec]() {
                  if (!NodeDead(r.to)) {
@@ -626,6 +704,7 @@ void TxnExecutor::Acknowledge(Active& a) {
   for (const auto& [node, work] : send_work) {
     NodeAt(node).workers().Submit(work, [] {});
   }
+  work_pool_.Give(std::move(send_work));
   if (returns > 0) metrics_->RecordMigrations(sim_->Now(), returns);
 
   TxnResult result;
@@ -639,10 +718,7 @@ void TxnExecutor::Acknowledge(Active& a) {
   // Lock wait: time from dispatch until the (last) master held its locks.
   SimTime lock_wait = 0;
   for (const auto& m : a.masters) {
-    const NodeState* state = nullptr;
-    for (const auto& [id, st] : a.nodes) {
-      if (id == m.node) state = &st;
-    }
+    const NodeState* state = StateFor(a, m.node);
     if (state != nullptr && state->grant_time > a.dispatch_time) {
       lock_wait = std::max(lock_wait, state->grant_time - a.dispatch_time);
     }
@@ -722,20 +798,24 @@ std::string TxnExecutor::DebugString() const {
   std::sort(ids.begin(), ids.end());
   for (TxnId id : ids) {
     const auto& a = actives_.at(id);
+    size_t stalled = 0;
+    for (const auto& [node, thunks] : a->stalled) stalled += thunks.size();
     std::snprintf(buf, sizeof(buf),
-                  "txn %llu kind=%d attempt=%u%s%s:\n",
+                  "txn %llu kind=%d attempt=%u%s%s stalled=%zu:\n",
                   static_cast<unsigned long long>(id),
                   static_cast<int>(a->plan.txn.kind), a->plan.txn.attempt,
                   a->plan.txn.retry_of != kInvalidTxn ? " retry" : "",
-                  a->frozen ? " FROZEN" : "");
+                  a->frozen ? " FROZEN" : "", stalled);
     out += buf;
-    for (const auto& [node, st] : a->nodes) {
+    for (const NodeState& st : a->nodes) {
+      const NodeId node = st.node;
       std::snprintf(buf, sizeof(buf),
-                    "  node %d granted=%d master=%d locks=%zu owned=%zu\n",
-                    node, st.granted, st.is_master, st.lock_requests.size(),
-                    st.owned.size());
+                    "  node %d granted=%d master=%d locks=%u owned=%u\n",
+                    node, st.granted, st.is_master,
+                    st.lock_end - st.lock_begin, st.owned_end - st.owned_begin);
       out += buf;
-      for (const auto& acc : st.owned) {
+      for (uint32_t i : OwnedOf(*a, st)) {
+        const Access& acc = a->plan.accesses[i];
         if ((*nodes_)[node]->store().Contains(acc.key)) continue;
         NodeId actually = kInvalidNode;
         for (const auto& n : *nodes_) {
@@ -798,24 +878,35 @@ TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
   return presence_waiters_[idx];
 }
 
-void TxnExecutor::WaitPresence(NodeId node, std::vector<Key> keys,
+void TxnExecutor::WaitPresence(NodeId node, std::span<const Key> keys,
                                sim::Callback ready) {
   const storage::RecordStore& store = NodeAt(node).store();
-  std::erase_if(keys, [&store](Key k) { return store.Contains(k); });
-  if (keys.empty()) {
+  size_t missing = 0;
+  Key last_missing = 0;
+  for (Key k : keys) {
+    if (!store.Contains(k)) {
+      ++missing;
+      last_missing = k;
+    }
+  }
+  if (missing == 0) {
     ready();
     return;
   }
   PresenceShardMap& shard = PresenceShard(node);
-  if (keys.size() == 1) {
-    shard[keys[0]].push_back(std::move(ready));
+  if (missing == 1) {
+    shard[last_missing].push_back(std::move(ready));
     return;
   }
-  auto remaining = std::make_shared<size_t>(keys.size());
-  auto shared_ready = std::make_shared<sim::Callback>(std::move(ready));
+  struct Countdown {
+    size_t remaining;
+    sim::Callback ready;
+  };
+  auto countdown = std::make_shared<Countdown>(missing, std::move(ready));
   for (Key k : keys) {
-    shard[k].push_back([remaining, shared_ready]() {
-      if (--*remaining == 0) (*shared_ready)();
+    if (store.Contains(k)) continue;
+    shard[k].push_back([countdown]() {
+      if (--countdown->remaining == 0) countdown->ready();
     });
   }
 }
@@ -911,7 +1002,8 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
   }
   if (from == kInvalidNode) return;
   const NodeId src = from;
-  WaitPresence(src, {key}, [this, key, src, holder, txn]() {
+  WaitPresence(src, std::span<const Key>(&key, 1),
+               [this, key, src, holder, txn]() {
     const storage::Record* rec = NodeAt(src).store().Get(key);
     if (rec == nullptr) {
       // An earlier waiter in the same wake list (a migration's presence
@@ -1147,7 +1239,7 @@ void TxnExecutor::AbortActive(Active& a) {
       displaced_[k] = acc.owner;
     }
   }
-  stranded = SortedUnique(std::move(stranded));
+  SortUnique(stranded);
   // A stranded key breaks the record's custody chain: the rejoin reship
   // jumps the record to its final ownership position, so every already-
   // dispatched transaction expecting it at an intermediate live waypoint
@@ -1177,18 +1269,17 @@ void TxnExecutor::AbortActive(Active& a) {
   // Release locks (granted or queued) at every involved node; grants are
   // processed only after the transaction is gone.
   std::vector<std::pair<NodeId, std::vector<TxnId>>> grants;
-  for (auto& [node, state] : a.nodes) {
-    (void)state;
+  for (const NodeState& state : a.nodes) {
     std::vector<TxnId> g;
-    NodeAt(node).locks().Release(id, &g);
-    if (!g.empty()) grants.emplace_back(node, std::move(g));
+    NodeAt(state.node).locks().Release(id, &g);
+    if (!g.empty()) grants.emplace_back(state.node, std::move(g));
   }
   aborted_.Add();
   if (ledger_ != nullptr) ledger_->RecordWatchdogAbort();
-  TxnRequest txn = a.plan.txn;
+  TxnRequest txn = std::move(a.plan.txn);
   CommitCallback cb = std::move(a.on_commit);
   frozen_ids_.erase(id);
-  actives_.erase(id);  // destroys `a`
+  RetireActive(id);  // `a` is a parked shell from here on
   for (auto& [node, g] : grants) ProcessGrants(node, g);
   if (degraded_abort_) {
     degraded_abort_(std::move(txn), std::move(cb), std::move(stranded));

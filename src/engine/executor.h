@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "common/flat_map.h"
 #include "common/membership.h"
 #include "common/types.h"
+#include "common/vector_pool.h"
 #include "engine/degraded.h"
 #include "engine/metrics.h"
 #include "engine/node.h"
@@ -72,6 +74,8 @@ class TxnExecutor {
   TxnExecutor(sim::Simulator* sim, net::Wire* wire, Metrics* metrics,
               const CostModel* costs,
               std::vector<std::unique_ptr<Node>>* nodes);
+
+  ~TxnExecutor();
 
   TxnExecutor(const TxnExecutor&) = delete;
   TxnExecutor& operator=(const TxnExecutor&) = delete;
@@ -139,6 +143,9 @@ class TxnExecutor {
   /// Number of transactions currently in flight.
   size_t inflight() const { return actives_.size(); }
 
+  /// Transaction-state shells parked in the free list, ready for reuse.
+  size_t idle_shells() const { return idle_shells_.size(); }
+
   uint64_t committed() const { return committed_.value(); }
   uint64_t aborted() const { return aborted_.value(); }
 
@@ -178,12 +185,17 @@ class TxnExecutor {
   std::string DebugString() const;
 
  private:
+  /// One involved node's slice of a transaction: its lock requests are
+  /// `Active::lock_requests[lock_begin, lock_end)` and the accesses it owns
+  /// are `Active::owned[owned_begin, owned_end)`.
   struct NodeState {
-    std::vector<storage::LockRequest> lock_requests;
-    std::vector<routing::Access> owned;  ///< accesses with owner == node
+    NodeId node = kInvalidNode;
+    uint32_t lock_begin = 0;
+    uint32_t lock_end = 0;
+    uint32_t owned_begin = 0;
+    uint32_t owned_end = 0;
     bool is_master = false;
     bool granted = false;
-    SimTime acquire_time = 0;
     SimTime grant_time = 0;
   };
   struct MasterState {
@@ -200,13 +212,21 @@ class TxnExecutor {
     SimTime remote_wait_us = 0;
     SimTime exec_us = 0;
   };
+  /// One transaction's state from Dispatch to completion. A pooled shell:
+  /// completion hands it back to `idle_shells_` (see RetireActive).
   struct Active {
     routing::RoutedTxn plan;
     CommitCallback on_commit;
     SimTime dispatch_time = 0;
-    std::vector<std::pair<NodeId, NodeState>> nodes;  // sorted by node id
+    std::vector<NodeState> nodes;  ///< sorted by node id
     std::vector<MasterState> masters;
-    std::vector<Key> write_keys;  ///< dedup of plan.txn.write_set
+    std::vector<Key> write_keys;  ///< plan.txn.write_set, sorted and unique
+    /// Every node's deduplicated lock requests, grouped in `nodes` order.
+    /// Sized exactly at dispatch and released at completion.
+    std::vector<storage::LockRequest> lock_requests;
+    /// Indices into plan.accesses, grouped by owner in `nodes` order (plan
+    /// order within a node). Sized exactly, released at completion.
+    std::vector<uint32_t> owned;
     int masters_done = 0;
     /// Participant send phases not yet completed. The client ack does not
     /// wait for them (an eviction migrates after the transaction returns,
@@ -224,15 +244,41 @@ class TxnExecutor {
     /// order — the deterministic event order the freezes fired in).
     std::map<NodeId, std::vector<sim::Callback>> stalled;
   };
+  /// One participant message under construction: records moving to the
+  /// destination plus the bytes of any read copies riding along.
+  struct Shipment {
+    std::vector<std::pair<Key, storage::Record>> moves;
+    uint64_t bytes = 0;
+    bool to_master = false;
+  };
 
   Node& NodeAt(NodeId id) { return *(*nodes_)[id]; }
   NodeState* StateFor(Active& a, NodeId node);
   MasterState* MasterFor(Active& a, NodeId node);
-  bool IsMaster(const Active& a, NodeId node) const;
+  static bool IsMaster(const Active& a, NodeId node);
+  /// The indices into `a.plan.accesses` that `state`'s node owns.
+  static std::span<const uint32_t> OwnedOf(const Active& a,
+                                           const NodeState& state) {
+    return std::span<const uint32_t>(a.owned).subspan(
+        state.owned_begin, state.owned_end - state.owned_begin);
+  }
 
-  /// True iff `state`'s node must run a participant send phase.
-  bool NodeWillSend(const Active& a, const NodeState& state,
-                    NodeId node) const;
+  /// `state`'s node's deduplicated lock requests.
+  static std::span<const storage::LockRequest> LocksOf(
+      const Active& a, const NodeState& state) {
+    return std::span<const storage::LockRequest>(a.lock_requests)
+        .subspan(state.lock_begin, state.lock_end - state.lock_begin);
+  }
+
+  /// True iff `acc`, owned by `node`, makes that node ship: the record
+  /// migrates away, or a master elsewhere needs a read copy.
+  static bool Ships(const Active& a, const routing::Access& acc, NodeId node);
+
+  /// A reset shell from the free list (or a new one).
+  std::unique_ptr<Active> TakeShell();
+  /// Erases `id` from the transaction table and parks its shell in the
+  /// free list. Exclusive context only.
+  void RetireActive(TxnId id);
 
   void OnNodeGranted(Active& a, NodeId node);
   void StartParticipant(Active& a, NodeId node);
@@ -248,7 +294,7 @@ class TxnExecutor {
   /// Client acknowledgment + return shipments, fired once when every
   /// master has committed. Exclusive context only.
   void Acknowledge(Active& a);
-  /// Destroys the transaction state once masters and participants are all
+  /// Retires the transaction state once masters and participants are all
   /// done. Touches cross-node per-txn state, so exclusive context only.
   void MaybeComplete(Active& a);
 
@@ -300,8 +346,10 @@ class TxnExecutor {
                      const storage::Record& record);
 
   /// Runs `ready` once every key in `keys` is physically present in
-  /// `node`'s store (immediately if they already are).
-  void WaitPresence(NodeId node, std::vector<Key> keys, sim::Callback ready);
+  /// `node`'s store (immediately if they already are). `keys` is read
+  /// before returning and not kept.
+  void WaitPresence(NodeId node, std::span<const Key> keys,
+                    sim::Callback ready);
   /// Inserts an arriving record and wakes presence waiters.
   void DeliverRecord(NodeId node, Key key, const storage::Record& record);
 
@@ -315,8 +363,25 @@ class TxnExecutor {
 
   /// Transaction table. Inserted on dispatch and erased on completion or
   /// abort, both in exclusive context. Values are boxed so an `Active&`
-  /// survives the backward-shift moves of other entries' erases.
+  /// survives the backward-shift moves of other entries' erases. An erased
+  /// transaction's shell goes to `idle_shells_` and the next Dispatch
+  /// reuses it, so an `Active&` is valid only until its transaction
+  /// retires: every continuation captures the TxnId and re-finds its
+  /// transaction here. Ids are never reused, so a stale continuation finds
+  /// nothing and returns.
   FlatMap<TxnId, std::unique_ptr<Active>> actives_;
+  /// Retired shells, reset but keeping the capacity of their `nodes`,
+  /// `masters` and `write_keys`. Poisoned under ASan while parked.
+  std::vector<std::unique_ptr<Active>> idle_shells_;
+
+  /// Per-event scratch. A call takes a buffer out by move and gives it
+  /// back when done, so a nested call simply gets a fresh vector.
+  VectorPool<TxnId> granted_pool_;
+  VectorPool<Key> key_pool_;
+  VectorPool<NodeId> node_pool_;
+  VectorPool<storage::LockRequest> lock_pool_;
+  VectorPool<std::pair<NodeId, Shipment>> shipment_pool_;
+  VectorPool<std::pair<NodeId, uint64_t>> work_pool_;
 
   using PresenceShardMap = FlatMap<Key, std::vector<sim::Callback>>;
   /// Presence waiters, sharded per node: shard `n` is touched only by node

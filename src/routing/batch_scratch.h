@@ -27,6 +27,9 @@ struct Span {
 /// which is a pure function of the batch contents (deterministic across
 /// scheduler replicas).
 ///
+/// Keys are dense (record ids), so Seal ranks them in a bitmap indexed by
+/// key: one bit per key, sized by the largest key seen.
+///
 /// All storage is reused across batches — `BeginBatch` clears sizes but
 /// keeps capacity, so steady-state interning performs no heap allocation.
 ///
@@ -75,6 +78,12 @@ class KeyInterner {
   std::vector<Key> arena_;    // concatenated sorted-unique key sets
   std::vector<int32_t> ids_;  // arena_ translated to dense ids (after Seal)
   std::vector<Key> uniq_;     // id -> key, sorted ascending
+  // Seal scratch, all-zero between calls: bit k of bits_ marks key k, and
+  // rank_[w] is the number of marked keys below word w. touched_ lists the
+  // words Seal marked, so it clears only those.
+  std::vector<uint64_t> bits_;
+  std::vector<int32_t> rank_;
+  std::vector<size_t> touched_;
 };
 
 /// Reusable compressed-sparse-row adjacency: `num_lists` lists of int32

@@ -4,7 +4,7 @@
 
 namespace hermes::storage {
 
-void LockManager::Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
+void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
                           std::vector<TxnId>* newly_granted) {
   assert(!txns_.contains(txn) && "Acquire called twice for one txn");
   // `state` stays valid: nothing below inserts into or erases from txns_.

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -38,7 +39,7 @@ class LockManager {
   ///
   /// Duplicate keys within `reqs` are the caller's bug; the strongest mode
   /// must be pre-merged (a read-modify-write key is one exclusive lock).
-  void Acquire(TxnId txn, const std::vector<LockRequest>& reqs,
+  void Acquire(TxnId txn, std::span<const LockRequest> reqs,
                std::vector<TxnId>* newly_granted);
 
   /// Releases every lock `txn` holds or waits for on this node, granting
