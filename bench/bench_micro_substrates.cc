@@ -2,6 +2,7 @@
 // conservative ordered lock manager, fusion table, Zipfian generators,
 // simulator event heap, and record store.
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -22,6 +23,7 @@ using hermes::Rng;
 using hermes::TxnId;
 
 void BM_LockManagerAcquireRelease(benchmark::State& state) {
+  constexpr Key kKeys = 100'000;
   const int keys_per_txn = static_cast<int>(state.range(0));
   hermes::storage::LockManager lm;
   Rng rng(1);
@@ -31,10 +33,13 @@ void BM_LockManagerAcquireRelease(benchmark::State& state) {
     const TxnId txn = next++;
     std::vector<hermes::storage::LockRequest> reqs;
     reqs.reserve(keys_per_txn);
-    for (int i = 0; i < keys_per_txn; ++i) {
-      reqs.push_back({rng.NextBounded(100'000) * keys_per_txn +
-                          static_cast<Key>(i),
-                      (i & 1) != 0});
+    // Distinct keys from a dense space, as the cluster locks them.
+    while (static_cast<int>(reqs.size()) < keys_per_txn) {
+      const Key key = rng.NextBounded(kKeys);
+      if (std::none_of(reqs.begin(), reqs.end(),
+                       [key](const auto& r) { return r.key == key; })) {
+        reqs.push_back({key, (reqs.size() & 1) != 0});
+      }
     }
     granted.clear();
     lm.Acquire(txn, reqs, &granted);

@@ -15,10 +15,11 @@
 namespace hermes {
 
 /// Salted open-addressing hash map for the sparse or bounded tables on the
-/// simulator's hot path (lock tables, the undo log, the executor's
-/// transaction table and presence shards, pending callbacks, the fusion
-/// table). Per-key state over the dense key space (records, the ownership
-/// overlay) is a plain vector indexed by key instead.
+/// simulator's hot path (the lock manager's transaction index, the undo
+/// log, the executor's transaction table and presence shards, pending
+/// callbacks, the fusion table). Per-key state over the dense key space
+/// (records, lock-queue heads, the ownership overlay) is a plain vector
+/// indexed by key instead.
 /// Linear probing over one power-of-two slot array, backward-shift erase
 /// (no tombstones, so a long-lived entry never degrades later probes), and
 /// the same detail::SaltAndFinalize mixing as HashMap: HERMES_HASH_SALT

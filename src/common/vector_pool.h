@@ -7,9 +7,9 @@
 namespace hermes {
 
 /// Emptied vectors kept with their capacity, for tables whose entries are
-/// short-lived vectors (lock queues, per-transaction key lists, undo
-/// entries): once the pool holds as many vectors as the table's peak
-/// population, taking and giving back never touches the heap.
+/// short-lived vectors (undo entries, the executor's per-event scratch):
+/// once the pool holds as many vectors as the table's peak population,
+/// taking and giving back never touches the heap.
 template <typename T>
 class VectorPool {
  public:

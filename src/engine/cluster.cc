@@ -72,7 +72,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   nodes_.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(i, &sim_, config_.workers_per_node,
-                                            &records_));
+                                            &records_, &locks_));
   }
   sim_.set_decision_digest(&digest_);
   if (kind_ == RouterKind::kHermes) {
@@ -300,12 +300,13 @@ NodeId Cluster::AppendNode() {
   tracer_.EnsureNode(id);
   lease_mgr_.EnsureNode(id);
   nodes_.push_back(std::make_unique<Node>(id, &sim_, config_.workers_per_node,
-                                          &records_));
+                                          &records_, &locks_));
   return id;
 }
 
 void Cluster::Load() {
   records_.Reserve(config_.num_records);
+  locks_.Reserve(config_.num_records);
   for (Key k = 0; k < config_.num_records; ++k) {
     const NodeId owner = ownership_.Owner(k);
     assert(owner >= 0 && owner < num_nodes());
@@ -579,6 +580,7 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
     static_cast<core::HermesRouter*>(router_.get())->ResetReplication();
   }
   records_.Reserve(config_.num_records);
+  locks_.Reserve(config_.num_records);
   for (size_t i = 0; i < checkpoint.stores.size(); ++i) {
     for (const auto& [key, record] : checkpoint.stores[i]) {
       nodes_[i]->store().Insert(key, record);

@@ -403,8 +403,10 @@ class Cluster {
   Metrics metrics_;
   /// Declared before executor_ (which sends through it).
   net::Wire wire_;
-  /// Every record of the cluster; each node's store is a view of it.
+  /// Every record and every lock queue of the cluster; each node's store
+  /// and lock manager are views of them.
   storage::RecordTable records_;
+  storage::LockTable locks_;
   std::vector<std::unique_ptr<Node>> nodes_;
   partition::OwnershipMap ownership_;
   std::unique_ptr<routing::Router> router_;

@@ -12,14 +12,14 @@
 
 namespace hermes::engine {
 
-/// One simulated server node: its data partition (a view of the
-/// cluster-wide record table), lock table, undo log, and executor workers.
+/// One simulated server node: its data partition and lock queues (views of
+/// the cluster-wide record and lock tables), undo log, and executor workers.
 /// All engine data structures are real; only time (worker occupancy, wire
 /// delays) is simulated.
 class Node {
  public:
   Node(NodeId id, sim::Simulator* sim, int num_workers,
-       storage::RecordTable* records);
+       storage::RecordTable* records, storage::LockTable* locks);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

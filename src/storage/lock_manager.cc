@@ -4,14 +4,56 @@
 
 namespace hermes::storage {
 
+uint32_t LockTable::FindOrAdd(Key key, NodeId node) {
+  if (key >= head_.size()) Reserve(key + 1);
+  for (uint32_t q = head_[key]; q != kNone; q = slab_[q].next) {
+    if (slab_[q].node == node) return q;
+  }
+  uint32_t q = free_;
+  if (q != kNone) {
+    free_ = slab_[q].next;
+  } else {
+    q = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
+  }
+  Queue& queue = slab_[q];
+  queue.key = key;
+  queue.node = node;
+  queue.next = head_[key];
+  head_[key] = q;
+  return q;
+}
+
+void LockTable::Unlink(uint32_t q) {
+  Queue& queue = slab_[q];
+  assert(queue.waiters.empty());
+  uint32_t* link = &head_[queue.key];
+  while (*link != q) link = &slab_[*link].next;
+  *link = queue.next;
+  queue.next = free_;
+  free_ = q;
+}
+
+LockManager::LockManager()
+    : owned_(std::make_unique<LockTable>()), table_(owned_.get()), node_(0) {}
+
 void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
                           std::vector<TxnId>* newly_granted) {
-  assert(!txns_.contains(txn) && "Acquire called twice for one txn");
-  // `state` stays valid: nothing below inserts into or erases from txns_.
-  TxnState& state = txns_[txn];
-  state.keys = spare_keys_.Take();
-  state.keys.reserve(reqs.size());
+  assert(!index_.contains(txn) && "Acquire called twice for one txn");
+  uint32_t slot;
+  if (!free_txns_.empty()) {
+    slot = free_txns_.back();
+    free_txns_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(txns_.size());
+    txns_.emplace_back();
+  }
+  index_.try_emplace(txn, slot);
+  // `state` stays valid: nothing below grows txns_.
+  TxnState& state = txns_[slot];
+  state.id = txn;
   state.pending = reqs.size();
+  state.queues.reserve(reqs.size());
   if (reqs.empty()) {
     newly_granted->push_back(txn);
     return;
@@ -20,11 +62,11 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
     if (--state.pending == 0) newly_granted->push_back(txn);
   };
   for (const LockRequest& req : reqs) {
-    state.keys.push_back(req.key);
-    auto [qit, fresh] = queues_.try_emplace(req.key);
-    std::vector<Waiter>& queue = qit->second;
-    if (fresh) queue = spare_queues_.Take();
-    queue.push_back(Waiter{txn, req.exclusive, /*granted=*/false});
+    const uint32_t q = table_->FindOrAdd(req.key, node_);
+    state.queues.push_back(q);
+    std::vector<Waiter>& queue = table_->slab_[q].waiters;
+    if (queue.empty()) ++active_keys_;
+    queue.push_back(Waiter{slot, req.exclusive, /*granted=*/false});
     if (queue.size() == 1) {
       // Only occupant: grant immediately.
       queue.front().granted = true;
@@ -48,28 +90,29 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
 }
 
 void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return;
-  std::vector<Key> keys = std::move(it->second.keys);
-  txns_.erase(it);
-  for (Key key : keys) {
-    auto qit = queues_.find(key);
-    if (qit == queues_.end()) continue;
-    std::vector<Waiter>& queue = qit->second;
+  auto it = index_.find(txn);
+  if (it == index_.end()) return;
+  const uint32_t slot = it->second;
+  index_.erase(it);
+  // Grants below touch other slots only, and nothing grows txns_.
+  std::vector<uint32_t>& handles = txns_[slot].queues;
+  for (uint32_t q : handles) {
+    std::vector<Waiter>& queue = table_->slab_[q].waiters;
     for (auto w = queue.begin(); w != queue.end(); ++w) {
-      if (w->txn == txn) {
+      if (w->txn_slot == slot) {
         queue.erase(w);
         break;
       }
     }
     if (queue.empty()) {
-      spare_queues_.Give(std::move(queue));
-      queues_.erase(qit);
+      table_->Unlink(q);
+      --active_keys_;
     } else {
       GrantFront(queue, newly_granted);
     }
   }
-  spare_keys_.Give(std::move(keys));
+  handles.clear();
+  free_txns_.push_back(slot);
 }
 
 void LockManager::GrantFront(std::vector<Waiter>& queue,
@@ -77,7 +120,7 @@ void LockManager::GrantFront(std::vector<Waiter>& queue,
   if (queue.front().exclusive) {
     if (!queue.front().granted) {
       queue.front().granted = true;
-      NoteGranted(queue.front().txn, newly_granted);
+      NoteGranted(queue.front().txn_slot, newly_granted);
     }
     return;
   }
@@ -86,20 +129,21 @@ void LockManager::GrantFront(std::vector<Waiter>& queue,
     if (w.exclusive) break;
     if (!w.granted) {
       w.granted = true;
-      NoteGranted(w.txn, newly_granted);
+      NoteGranted(w.txn_slot, newly_granted);
     }
   }
 }
 
-void LockManager::NoteGranted(TxnId txn, std::vector<TxnId>* newly_granted) {
-  TxnState& state = txns_.at(txn);
+void LockManager::NoteGranted(uint32_t slot,
+                              std::vector<TxnId>* newly_granted) {
+  TxnState& state = txns_[slot];
   if (state.pending > 0) --state.pending;
-  if (state.pending == 0) newly_granted->push_back(txn);
+  if (state.pending == 0) newly_granted->push_back(state.id);
 }
 
 bool LockManager::HoldsAll(TxnId txn) const {
-  auto it = txns_.find(txn);
-  return it != txns_.end() && it->second.pending == 0;
+  auto it = index_.find(txn);
+  return it != index_.end() && txns_[it->second].pending == 0;
 }
 
 }  // namespace hermes::storage

@@ -62,6 +62,7 @@ TEST_P(ClusterSweepTest, RunsCleanly) {
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     total += cluster.node(n).store().size();
     EXPECT_EQ(cluster.node(n).locks().num_txns(), 0u) << "node " << n;
+    EXPECT_EQ(cluster.node(n).locks().num_active_keys(), 0u) << "node " << n;
     EXPECT_EQ(cluster.node(n).undo().active_txns(), 0u) << "node " << n;
   }
   EXPECT_EQ(total, config.num_records);

@@ -101,17 +101,19 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
   GTEST_SKIP() << "allocation counts are pinned for unsanitized builds only";
 #else
   // The virtual-time schedule is deterministic, so both counts are exact.
-  // Before pooled shells and reused per-event buffers this window took
-  // kParentAllocs allocations.
+  // Before key-indexed lock queues (per-node FlatMap lock tables with
+  // pooled queue and key vectors) this window took kParentAllocs
+  // allocations; before pooled transaction shells, 74382.
   constexpr uint64_t kCommits = 2494;
-  constexpr uint64_t kAllocs = 47151;        // 18.91 per commit
-  constexpr uint64_t kParentAllocs = 74382;  // 29.82 per commit
+  constexpr uint64_t kAllocs = 47117;        // 18.89 per commit
+  constexpr uint64_t kParentAllocs = 47151;  // 18.91 per commit
   EXPECT_EQ(commits, kCommits);
   EXPECT_EQ(allocs, kAllocs)
       << "allocations per commit: " << per_commit << " now, "
       << static_cast<double>(kAllocs) / kCommits << " pinned, "
       << static_cast<double>(kParentAllocs) / kCommits
-      << " before pooled transaction state";
+      << " before key-indexed lock queues (" << kParentAllocs
+      << " allocations)";
 #endif
 }
 

@@ -22,7 +22,7 @@ class ExecutorTest : public ::testing::Test {
         wire_(&sim_, &costs_, &net_config_, 4),
         executor_(&sim_, &wire_, &metrics_, &costs_, &nodes_) {
     for (NodeId i = 0; i < 4; ++i) {
-      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2, &records_));
+      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2, &records_, &locks_));
     }
     // Records 0..99 on node 0, 100..199 on node 1, etc.
     for (Key k = 0; k < 400; ++k) {
@@ -50,6 +50,7 @@ class ExecutorTest : public ::testing::Test {
   NetConfig net_config_;
   net::Wire wire_;
   storage::RecordTable records_;
+  storage::LockTable locks_;
   std::vector<std::unique_ptr<Node>> nodes_;
   TxnExecutor executor_;
 };

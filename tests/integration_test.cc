@@ -224,6 +224,7 @@ TEST(IntegrationTest, AbortsDoNotLeakLocksOrRecords) {
   EXPECT_EQ(cluster.executor().inflight(), 0u);
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     EXPECT_EQ(cluster.node(n).locks().num_txns(), 0u);
+    EXPECT_EQ(cluster.node(n).locks().num_active_keys(), 0u);
     EXPECT_EQ(cluster.node(n).undo().active_txns(), 0u);
   }
   uint64_t total = 0;

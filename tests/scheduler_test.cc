@@ -27,7 +27,7 @@ class SchedulerTest : public ::testing::Test {
                    [](const TxnRequest&) { return nullptr; }) {
     config_.costs.route_linear_us = 50;
     for (NodeId i = 0; i < 2; ++i) {
-      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2, &records_));
+      nodes_.push_back(std::make_unique<Node>(i, &sim_, 2, &records_, &locks_));
     }
     for (Key k = 0; k < 100; ++k) {
       nodes_[k / 50]->store().Insert(k, storage::Record{.value = k});
@@ -53,6 +53,7 @@ class SchedulerTest : public ::testing::Test {
   Metrics metrics_;
   net::Wire wire_;
   storage::RecordTable records_;
+  storage::LockTable locks_;
   std::vector<std::unique_ptr<Node>> nodes_;
   TxnExecutor executor_;
   storage::CommandLog log_;
