@@ -4,10 +4,9 @@
 // CPU per batch (amortized to microseconds per transaction).
 //
 // `scripts/bench_routing.sh` runs this binary and emits BENCH_routing.json;
-// EXPERIMENTS.md records the numbers. The *Reference benchmarks run the
-// same workloads through the O(b²·n) reference implementation
-// (HermesConfig::use_reference_routing), so one binary measures the
-// before/after of the interned/bucketed fast path.
+// EXPERIMENTS.md records the numbers. Only shipped routers run here: the
+// O(b²·n) transcription of Algorithm 1 is the oracle of
+// tests/hermes_equivalence_test.cc, not a production path.
 
 #include <atomic>
 #include <cstdlib>
@@ -26,10 +25,9 @@
 // ---------------------------------------------------------------------------
 // Heap-allocation counter: global operator new/delete overrides so the
 // steady-state benchmarks can report allocations per routed batch. The
-// optimized router's Steps 1–3 run entirely out of reusable scratch, so
-// its count is exactly the RoutePlan output materialization (RoutedTxn
-// copies and access vectors); the reference implementation adds its
-// per-batch map/vector churn on top.
+// router's Steps 1–3 run entirely out of reusable scratch, so its count
+// is exactly the RoutePlan output materialization (RoutedTxn copies and
+// access vectors).
 // ---------------------------------------------------------------------------
 namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
@@ -59,6 +57,9 @@ using hermes::HermesConfig;
 using hermes::Key;
 using hermes::Rng;
 using hermes::TxnRequest;
+using hermes::core::HermesRouter;
+using hermes::partition::OwnershipMap;
+using hermes::routing::Router;
 
 Batch MakeBatch(size_t b, uint64_t records, int reads_per_txn,
                 uint64_t seed) {
@@ -105,166 +106,114 @@ Batch MakeContendedWriteBatch(size_t b, uint64_t records, int reads_per_txn,
   return batch;
 }
 
-HermesConfig BenchConfig(uint64_t records, bool reference) {
+HermesConfig BenchConfig(uint64_t records) {
   HermesConfig config;
   config.fusion_table_capacity = records / 40;
-  config.use_reference_routing = reference;
   return config;
 }
 
-void RunHermesRouteBatch(benchmark::State& state, bool reference) {
-  const int n = static_cast<int>(state.range(0));
-  const size_t b = static_cast<size_t>(state.range(1));
-  const uint64_t records = 1'000'000;
-  CostModel costs;
-  hermes::partition::OwnershipMap ownership(
+OwnershipMap RangeOwnership(uint64_t records, int n) {
+  return OwnershipMap(
       std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  hermes::core::HermesRouter router(&ownership, &costs, n,
-                                    BenchConfig(records, reference));
+}
 
+/// The timed loop shared by the fresh-batch benchmarks: each iteration
+/// generates one batch with `make(seed)` (seeds 7, 8, ...) and routes it.
+template <typename MakeFn>
+void RouteFreshBatches(benchmark::State& state, Router& router, size_t b,
+                       MakeFn make) {
   uint64_t seed = 7;
   for (auto _ : state) {
-    Batch batch = MakeBatch(b, records, 4, seed++);
+    Batch batch = make(seed++);
     benchmark::DoNotOptimize(router.RouteBatch(batch));
   }
   state.SetItemsProcessed(state.iterations() * b);
 }
 
 void BM_HermesRouteBatch(benchmark::State& state) {
-  RunHermesRouteBatch(state, /*reference=*/false);
+  const int n = static_cast<int>(state.range(0));
+  const size_t b = static_cast<size_t>(state.range(1));
+  const uint64_t records = 1'000'000;
+  CostModel costs;
+  OwnershipMap ownership = RangeOwnership(records, n);
+  HermesRouter router(&ownership, &costs, n, BenchConfig(records));
+  RouteFreshBatches(state, router, b, [&](uint64_t seed) {
+    return MakeBatch(b, records, 4, seed);
+  });
 }
 BENCHMARK(BM_HermesRouteBatch)
     ->ArgsProduct({{4, 10, 20}, {100, 1000}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_HermesRouteBatchReference(benchmark::State& state) {
-  RunHermesRouteBatch(state, /*reference=*/true);
-}
-BENCHMARK(BM_HermesRouteBatchReference)
-    ->Args({20, 100})
-    ->Args({20, 1000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CalvinRouteBatch(benchmark::State& state) {
+// Look-back baselines on the same workload (n=20).
+template <typename BaselineRouter>
+void RunBaselineRouteBatch(benchmark::State& state) {
   const int n = 20;
   const size_t b = static_cast<size_t>(state.range(0));
   const uint64_t records = 1'000'000;
   CostModel costs;
-  hermes::partition::OwnershipMap ownership(
-      std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  hermes::routing::CalvinRouter router(&ownership, &costs, n);
+  OwnershipMap ownership = RangeOwnership(records, n);
+  BaselineRouter router(&ownership, &costs, n);
+  RouteFreshBatches(state, router, b, [&](uint64_t seed) {
+    return MakeBatch(b, records, 4, seed);
+  });
+}
 
-  uint64_t seed = 7;
-  for (auto _ : state) {
-    Batch batch = MakeBatch(b, records, 4, seed++);
-    benchmark::DoNotOptimize(router.RouteBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * b);
+void BM_CalvinRouteBatch(benchmark::State& state) {
+  RunBaselineRouteBatch<hermes::routing::CalvinRouter>(state);
 }
 BENCHMARK(BM_CalvinRouteBatch)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_TPartRouteBatch(benchmark::State& state) {
-  const int n = 20;
-  const size_t b = static_cast<size_t>(state.range(0));
-  const uint64_t records = 1'000'000;
-  CostModel costs;
-  hermes::partition::OwnershipMap ownership(
-      std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  hermes::routing::TPartRouter router(&ownership, &costs, n);
-
-  uint64_t seed = 7;
-  for (auto _ : state) {
-    Batch batch = MakeBatch(b, records, 4, seed++);
-    benchmark::DoNotOptimize(router.RouteBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * b);
+  RunBaselineRouteBatch<hermes::routing::TPartRouter>(state);
 }
 BENCHMARK(BM_TPartRouteBatch)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Hot-key contention: many transactions share few keys, stressing the
 // reorder/reroute machinery (step 3 does the most work here).
-void RunHermesContended(benchmark::State& state, bool reference) {
+void BM_HermesRouteBatchContended(benchmark::State& state) {
   const int n = 20;
   const size_t b = 1000;
   const uint64_t records = 1000;  // tiny key space: heavy conflicts
   CostModel costs;
-  hermes::partition::OwnershipMap ownership(
-      std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  HermesConfig config;
-  config.use_reference_routing = reference;
-  hermes::core::HermesRouter router(&ownership, &costs, n, config);
-
-  uint64_t seed = 7;
-  for (auto _ : state) {
-    Batch batch = MakeBatch(b, records, 4, seed++);
-    benchmark::DoNotOptimize(router.RouteBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * b);
-}
-
-void BM_HermesRouteBatchContended(benchmark::State& state) {
-  RunHermesContended(state, /*reference=*/false);
+  OwnershipMap ownership = RangeOwnership(records, n);
+  HermesRouter router(&ownership, &costs, n, HermesConfig{});
+  RouteFreshBatches(state, router, b, [&](uint64_t seed) {
+    return MakeBatch(b, records, 4, seed);
+  });
 }
 BENCHMARK(BM_HermesRouteBatchContended)->Unit(benchmark::kMillisecond);
 
-void BM_HermesRouteBatchContendedReference(benchmark::State& state) {
-  RunHermesContended(state, /*reference=*/true);
-}
-BENCHMARK(BM_HermesRouteBatchContendedReference)
-    ->Unit(benchmark::kMillisecond);
-
 // Contended *writes*: multiple hot write keys per transaction force the
 // Step-1 fusion rescoring (every placement moves keys with long reader
-// and writer lists) and long Step-3 windows — the worst case for the
-// reference implementation's rescans.
-void RunHermesContendedWrites(benchmark::State& state, bool reference) {
+// and writer lists) and long Step-3 windows — the worst case for a
+// rescanning implementation.
+void BM_HermesRouteBatchContendedWrites(benchmark::State& state) {
   const int n = 20;
   const size_t b = 1000;
   const uint64_t records = 100'000;
   const uint64_t hot_pool = 64;
   CostModel costs;
-  hermes::partition::OwnershipMap ownership(
-      std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  HermesConfig config;
-  config.use_reference_routing = reference;
-  hermes::core::HermesRouter router(&ownership, &costs, n, config);
-
-  uint64_t seed = 7;
-  for (auto _ : state) {
-    Batch batch = MakeContendedWriteBatch(b, records, 4, 3, hot_pool, seed++);
-    benchmark::DoNotOptimize(router.RouteBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * b);
-}
-
-void BM_HermesRouteBatchContendedWrites(benchmark::State& state) {
-  RunHermesContendedWrites(state, /*reference=*/false);
+  OwnershipMap ownership = RangeOwnership(records, n);
+  HermesRouter router(&ownership, &costs, n, HermesConfig{});
+  RouteFreshBatches(state, router, b, [&](uint64_t seed) {
+    return MakeContendedWriteBatch(b, records, 4, 3, hot_pool, seed);
+  });
 }
 BENCHMARK(BM_HermesRouteBatchContendedWrites)->Unit(benchmark::kMillisecond);
 
-void BM_HermesRouteBatchContendedWritesReference(benchmark::State& state) {
-  RunHermesContendedWrites(state, /*reference=*/true);
-}
-BENCHMARK(BM_HermesRouteBatchContendedWritesReference)
-    ->Unit(benchmark::kMillisecond);
-
 // Steady-state allocation audit: batches are pre-generated and the router
 // warmed up, so the timing loop measures routing alone and
-// `allocs_per_batch` counts heap allocations per RouteBatch call. For the
-// optimized router this is exactly the RoutePlan output (plan/access
-// vectors and TxnRequest copies) — Steps 1–3 allocate nothing once the
-// scratch capacity is warm. The Reference twin shows the per-batch
-// map/vector churn this PR removed (both paths build identical plans, so
-// the output allocations cancel in the comparison).
-void RunHermesSteadyState(benchmark::State& state, bool reference) {
+// `allocs_per_batch` counts heap allocations per RouteBatch call. This is
+// exactly the RoutePlan output (plan/access vectors and TxnRequest copies)
+// — Steps 1–3 allocate nothing once the scratch capacity is warm.
+void BM_HermesRouteBatchSteadyState(benchmark::State& state) {
   const int n = 20;
   const size_t b = 1000;
   const uint64_t records = 1'000'000;
   CostModel costs;
-  hermes::partition::OwnershipMap ownership(
-      std::make_unique<hermes::partition::RangePartitionMap>(records, n));
-  hermes::core::HermesRouter router(&ownership, &costs, n,
-                                    BenchConfig(records, reference));
+  OwnershipMap ownership = RangeOwnership(records, n);
+  HermesRouter router(&ownership, &costs, n, BenchConfig(records));
 
   std::vector<Batch> pool;
   for (uint64_t seed = 7; seed < 15; ++seed) {
@@ -289,17 +238,7 @@ void RunHermesSteadyState(benchmark::State& state, bool reference) {
                    : static_cast<double>(after - before) /
                          static_cast<double>(batches);
 }
-
-void BM_HermesRouteBatchSteadyState(benchmark::State& state) {
-  RunHermesSteadyState(state, /*reference=*/false);
-}
 BENCHMARK(BM_HermesRouteBatchSteadyState)->Unit(benchmark::kMillisecond);
-
-void BM_HermesRouteBatchSteadyStateReference(benchmark::State& state) {
-  RunHermesSteadyState(state, /*reference=*/true);
-}
-BENCHMARK(BM_HermesRouteBatchSteadyStateReference)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

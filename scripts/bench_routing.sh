@@ -1,9 +1,7 @@
 #!/usr/bin/env sh
 # Runs the routing microbenchmarks and emits BENCH_routing.json (google-
-# benchmark JSON). The binary includes *Reference benchmarks that route
-# the same workloads with HermesConfig::use_reference_routing, so the
-# JSON carries before/after numbers for the optimized hot path in one run
-# (see EXPERIMENTS.md "Routing cost").
+# benchmark JSON; see EXPERIMENTS.md "Routing cost"). Exits non-zero when
+# the output holds no benchmark results (e.g. FILTER matched nothing).
 #
 # Usage: scripts/bench_routing.sh
 #   BUILD_DIR  cmake build tree containing bench/ (default: build)
@@ -29,4 +27,10 @@ fi
   --benchmark_repetitions="$REPS" \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json
+# The binary exits 0 even when FILTER matches nothing; every result entry
+# carries a "run_name".
+if ! grep -q '"run_name"' "$OUT" 2>/dev/null; then
+  echo "error: $OUT holds no benchmark results (FILTER='$FILTER')" >&2
+  exit 1
+fi
 echo "wrote $OUT"

@@ -57,13 +57,6 @@ struct HermesConfig {
   /// (the trivial even split always exists, so this is a safety valve).
   int max_delta = 64;
 
-  /// Route with the straightforward O(b²·n) reference implementation of
-  /// Steps 1–3 instead of the interned/bucketed fast path. The two are
-  /// bit-for-bit equivalent (enforced by hermes_equivalence_test); the
-  /// reference exists as the equivalence oracle, for debugging, and for
-  /// before/after benchmarking.
-  bool use_reference_routing = false;
-
   // --- Ablation switches (all true in the paper's algorithm). ---
   /// Step 1 reorders transactions; off = keep the sequencer order and only
   /// choose routes (isolates the benefit of reordering, e.g. the Fig. 3

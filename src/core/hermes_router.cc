@@ -5,23 +5,12 @@
 #include <cmath>
 #include <span>
 
-#include "common/hash.h"
-
 namespace hermes::core {
 namespace {
 
 using routing::Access;
 using routing::RoutedTxn;
 using routing::RoutePlan;
-
-/// Sorted, deduplicated copy of a key list (reference path only; the
-/// optimized path dedups in place inside the interner's arena).
-std::vector<Key> SortedUnique(const std::vector<Key>& keys) {
-  std::vector<Key> out = keys;
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
 }  // namespace
 
@@ -85,20 +74,26 @@ RoutePlan HermesRouter::RouteBatch(const Batch& batch) {
 
 void HermesRouter::RouteSegment(const std::vector<const TxnRequest*>& txns,
                                 std::vector<RoutedTxn>* out) {
-  if (config_.use_reference_routing) {
-    RouteSegmentReference(txns, out);
-  } else {
-    RouteSegmentOptimized(txns, out);
+  if (txns.empty()) return;
+  std::vector<int32_t>& order = scratch_.order;
+  std::vector<NodeId>& route = scratch_.route;
+  stats_.reroutes += PlaceSegment(txns, &order, &route);
+
+  // Materialize plans in B' order against the live ownership map.
+  for (size_t p = 0; p < order.size(); ++p) {
+    const int32_t j = order[p];
+    if (j != static_cast<int32_t>(p)) ++stats_.reorders;
+    out->push_back(Materialize(*txns[j], route[j]));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Optimized implementation.
+// Placement (Steps 1–3).
 //
-// The reference implementation below is O(b²·n) per segment: every Step-1
-// placement rescans all b candidates, and all per-key state (`view`,
-// `readers_of`, `pos_readers`, ...) lives in per-batch hash maps.
-// This path computes the bit-for-bit identical plan in
+// The direct transcription of Algorithm 1 (hermes_equivalence_test's
+// oracle) is O(b²·n) per segment: every Step-1 placement rescans all b
+// candidates, and all per-key state lives in per-batch hash maps.
+// This path computes the bit-for-bit identical placement in
 // O((K + b + R)·log + R·n) where K is the number of distinct keys and R the
 // number of fusion rescores:
 //  - keys are interned to dense ids once, turning every map lookup into a
@@ -113,10 +108,13 @@ void HermesRouter::RouteSegment(const std::vector<const TxnRequest*>& txns,
 //  - all working state lives in scratch_, cleared (not freed) between
 //    batches: steady-state routing performs no heap allocation.
 // ---------------------------------------------------------------------------
-void HermesRouter::RouteSegmentOptimized(
-    const std::vector<const TxnRequest*>& txns, std::vector<RoutedTxn>* out) {
+uint64_t HermesRouter::PlaceSegment(const std::vector<const TxnRequest*>& txns,
+                                    std::vector<int32_t>* order_out,
+                                    std::vector<NodeId>* route_out) {
   const int32_t b = static_cast<int32_t>(txns.size());
-  if (b == 0) return;
+  std::vector<int32_t>& order = *order_out;
+  std::vector<NodeId>& route = *route_out;
+  uint64_t reroutes = 0;
   // Route over the alive subset of active nodes (== active_nodes_ unless
   // degraded mode marked a node down); dead nodes never appear as a
   // candidate destination, so new batches route around the victim.
@@ -238,8 +236,8 @@ void HermesRouter::RouteSegmentOptimized(
     for (int32_t j = 0; j < b; ++j) s.bucket_queue.Push(s.best_remote[j], j);
   }
 
-  s.order.clear();
-  s.route.assign(b, kInvalidNode);
+  order.clear();
+  route.assign(b, kInvalidNode);
   s.route_idx.assign(b, -1);
 
   auto rescore = [&](int32_t t, int32_t old_idx, int32_t new_idx,
@@ -265,9 +263,9 @@ void HermesRouter::RouteSegmentOptimized(
     s.placed[pick] = 1;
     const int32_t x_idx = s.best_idx[pick];
     const NodeId x = nodes[x_idx];
-    s.route[pick] = x;
+    route[pick] = x;
     s.route_idx[pick] = x_idx;
-    s.order.push_back(pick);
+    order.push_back(pick);
 
     // Data fusion: the write-set keys of the placed transaction move to
     // its route, which re-scores transactions that touch those keys.
@@ -299,7 +297,7 @@ void HermesRouter::RouteSegmentOptimized(
     s.pos_readers.Reset(num_keys);
     s.pos_writers.Reset(num_keys);
     for (int32_t p = 0; p < b; ++p) {
-      const int32_t j = s.order[p];
+      const int32_t j = order[p];
       for (int32_t id : s.interner.IdsOf(s.read_span[j])) {
         s.pos_readers.CountItem(id);
       }
@@ -310,7 +308,7 @@ void HermesRouter::RouteSegmentOptimized(
     s.pos_readers.CommitCounts();
     s.pos_writers.CommitCounts();
     for (int32_t p = 0; p < b; ++p) {
-      const int32_t j = s.order[p];
+      const int32_t j = order[p];
       for (int32_t id : s.interner.IdsOf(s.read_span[j])) {
         s.pos_readers.Fill(id, p);
       }
@@ -324,7 +322,7 @@ void HermesRouter::RouteSegmentOptimized(
     auto owner_idx_at = [&](int32_t pos, int32_t id) -> int32_t {
       const auto ws = s.pos_writers.Items(id);
       const auto lb = std::lower_bound(ws.begin(), ws.end(), pos);
-      if (lb != ws.begin()) return s.route_idx[s.order[*std::prev(lb)]];
+      if (lb != ws.begin()) return s.route_idx[order[*std::prev(lb)]];
       return s.base_owner_idx[id];
     };
 
@@ -332,7 +330,7 @@ void HermesRouter::RouteSegmentOptimized(
       bool still_over = false;
       for (int32_t step = 0; step < b; ++step) {
         const int32_t p = config_.backward_pass ? b - 1 - step : step;
-        const int32_t j = s.order[p];
+        const int32_t j = order[p];
         const int32_t from_idx = s.route_idx[j];
         if (s.load[from_idx] <= theta) continue;  // not overloaded
 
@@ -356,7 +354,7 @@ void HermesRouter::RouteSegmentOptimized(
           const auto rs = s.pos_readers.Items(id);
           for (auto it = std::upper_bound(rs.begin(), rs.end(), p);
                it != rs.end() && *it <= limit; ++it) {
-            ++s.edge_hist[s.route_idx[s.order[*it]]];
+            ++s.edge_hist[s.route_idx[order[*it]]];
           }
         }
 
@@ -374,9 +372,9 @@ void HermesRouter::RouteSegmentOptimized(
         if (best_u >= 0 && best_cost <= delta) {
           --s.load[from_idx];
           ++s.load[best_u];
-          s.route[j] = nodes[best_u];
+          route[j] = nodes[best_u];
           s.route_idx[j] = best_u;
-          ++stats_.reroutes;
+          ++reroutes;
         }
       }
       for (int32_t i = 0; i < n; ++i) still_over |= s.load[i] > theta;
@@ -384,250 +382,7 @@ void HermesRouter::RouteSegmentOptimized(
     }
   }
 
-  // ---- Final pass: materialize plans against the live ownership map. ----
-  for (int32_t p = 0; p < b; ++p) {
-    const int32_t j = s.order[p];
-    if (j != p) ++stats_.reorders;
-    out->push_back(Materialize(*txns[j], s.route[j]));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the straightforward transcription of Algorithm 1,
-// kept as the oracle for hermes_equivalence_test (and selectable via
-// HermesConfig::use_reference_routing for debugging / benchmarking).
-// ---------------------------------------------------------------------------
-void HermesRouter::RouteSegmentReference(
-    const std::vector<const TxnRequest*>& txns, std::vector<RoutedTxn>* out) {
-  const size_t b = txns.size();
-  if (b == 0) return;
-  // Same alive-filtered candidate set as the optimized path (the two
-  // must stay bit-for-bit identical).
-  const std::vector<NodeId>& nodes = candidate_nodes();
-  const int n = static_cast<int>(nodes.size());
-  assert(n > 0);
-
-  // Dense index over candidate nodes (sorted ascending).
-  HashMap<NodeId, int> node_index;
-  for (int i = 0; i < n; ++i) node_index[nodes[i]] = i;
-
-  // ---- Step 1: order and route requests by minimizing remote reads. ----
-  struct Cand {
-    std::vector<Key> reads;
-    std::vector<Key> writes;
-    std::vector<int> read_cnt;   // local read-set keys per active node
-    std::vector<int> write_cnt;  // local write-set keys per active node
-    int best_idx = 0;
-    int best_remote = 0;
-    bool placed = false;
-  };
-  std::vector<Cand> cands(b);
-
-  // Placements made so far in this segment (write keys follow their route).
-  HashMap<Key, NodeId> view;
-  auto view_owner = [&](Key k) -> NodeId {
-    auto it = view.find(k);
-    return it != view.end() ? it->second : ownership_->Owner(k);
-  };
-
-  HashMap<Key, std::vector<int>> readers_of;
-  HashMap<Key, std::vector<int>> writers_of;
-
-  auto compute_best = [&](Cand& c) {
-    int best_idx = 0;
-    int best_remote = static_cast<int>(c.reads.size()) + 1;
-    int best_wlocal = -1;
-    for (int i = 0; i < n; ++i) {
-      const int remote = static_cast<int>(c.reads.size()) - c.read_cnt[i];
-      const int wlocal = c.write_cnt[i];
-      // Ties: prefer more local write keys, then the lower node id (scan
-      // order is ascending node id, so strict improvement keeps it).
-      if (remote < best_remote ||
-          (remote == best_remote && wlocal > best_wlocal)) {
-        best_remote = remote;
-        best_wlocal = wlocal;
-        best_idx = i;
-      }
-    }
-    c.best_idx = best_idx;
-    c.best_remote = best_remote;
-  };
-
-  for (size_t j = 0; j < b; ++j) {
-    Cand& c = cands[j];
-    c.reads = SortedUnique(txns[j]->read_set);
-    c.writes = SortedUnique(txns[j]->write_set);
-    c.read_cnt.assign(n, 0);
-    c.write_cnt.assign(n, 0);
-    for (Key k : c.reads) {
-      readers_of[k].push_back(static_cast<int>(j));
-      auto it = node_index.find(view_owner(k));
-      if (it != node_index.end()) ++c.read_cnt[it->second];
-    }
-    for (Key k : c.writes) {
-      writers_of[k].push_back(static_cast<int>(j));
-      auto it = node_index.find(view_owner(k));
-      if (it != node_index.end()) ++c.write_cnt[it->second];
-    }
-    compute_best(c);
-  }
-
-  std::vector<int> order;      // candidate index by position in B'
-  std::vector<NodeId> route;   // route by candidate index
-  order.reserve(b);
-  route.assign(b, kInvalidNode);
-
-  for (size_t step = 0; step < b; ++step) {
-    // Pick the unplaced candidate with the fewest remote reads; ties go to
-    // the earliest submission (stable, deterministic). With reordering
-    // ablated, transactions are placed in sequencer order.
-    int pick = -1;
-    if (config_.enable_reorder) {
-      for (size_t j = 0; j < b; ++j) {
-        if (cands[j].placed) continue;
-        if (pick < 0 || cands[j].best_remote < cands[pick].best_remote) {
-          pick = static_cast<int>(j);
-        }
-      }
-    } else {
-      pick = static_cast<int>(step);
-    }
-    Cand& c = cands[pick];
-    c.placed = true;
-    const NodeId x = nodes[c.best_idx];
-    route[pick] = x;
-    order.push_back(pick);
-
-    // Data fusion: the write-set keys of the placed transaction move to
-    // its route, which re-scores transactions that touch those keys.
-    // Lookups use find(): operator[] would insert empty lists for
-    // write-only keys from inside the hot loop (wasted churn, and a map
-    // mutation the optimized path has no reason to mirror).
-    for (Key k : c.writes) {
-      const NodeId old_owner = view_owner(k);
-      if (old_owner == x) continue;
-      view[k] = x;
-      const auto old_it = node_index.find(old_owner);
-      const int old_idx = old_it == node_index.end() ? -1 : old_it->second;
-      const int new_idx = c.best_idx;
-      if (const auto rit = readers_of.find(k); rit != readers_of.end()) {
-        for (int r : rit->second) {
-          if (cands[r].placed) continue;
-          if (old_idx >= 0) --cands[r].read_cnt[old_idx];
-          ++cands[r].read_cnt[new_idx];
-          compute_best(cands[r]);
-        }
-      }
-      if (const auto wit = writers_of.find(k); wit != writers_of.end()) {
-        for (int w : wit->second) {
-          if (cands[w].placed) continue;
-          if (old_idx >= 0) --cands[w].write_cnt[old_idx];
-          ++cands[w].write_cnt[new_idx];
-          compute_best(cands[w]);
-        }
-      }
-    }
-  }
-
-  // ---- Step 2: loads, threshold, overloaded / underloaded sets. ----
-  // theta = ceil(b/n * (1 + alpha)); the ceiling guarantees the trivial
-  // even split is always feasible.
-  const auto theta = static_cast<int64_t>(
-      std::ceil(static_cast<double>(b) / n * (1.0 + config_.alpha)));
-  std::vector<int64_t> load(n, 0);
-  for (size_t j = 0; j < b; ++j) ++load[node_index[route[j]]];
-
-  auto overloaded = [&](int idx) { return load[idx] > theta; };
-  auto underloaded = [&](int idx) { return load[idx] < theta; };
-  bool any_over = false;
-  for (int i = 0; i < n; ++i) any_over |= overloaded(i);
-
-  // ---- Step 3: backward rerouting off overloaded nodes. ----
-  if (any_over && config_.enable_rebalance) {
-    // Reader / writer positions per key, in B' position order.
-    HashMap<Key, std::vector<int>> pos_readers;
-    HashMap<Key, std::vector<int>> pos_writers;
-    for (size_t p = 0; p < b; ++p) {
-      const Cand& c = cands[order[p]];
-      for (Key k : c.reads) pos_readers[k].push_back(static_cast<int>(p));
-      for (Key k : c.writes) pos_writers[k].push_back(static_cast<int>(p));
-    }
-    auto owner_at = [&](int pos, Key k) -> NodeId {
-      // Placement of k just before position pos: latest earlier writer's
-      // route, else the pre-batch owner.
-      auto it = pos_writers.find(k);
-      if (it != pos_writers.end()) {
-        const auto& ws = it->second;
-        auto lb = std::lower_bound(ws.begin(), ws.end(), pos);
-        if (lb != ws.begin()) return route[order[*std::prev(lb)]];
-      }
-      return ownership_->Owner(k);
-    };
-    // Extra remote edges if the txn at `pos` moved from its route to `to`.
-    auto added_edges = [&](int pos, NodeId to) -> int {
-      const int j = order[pos];
-      const NodeId from = route[j];
-      int added = 0;
-      for (Key k : cands[j].reads) {
-        const NodeId at = owner_at(pos, k);
-        added += static_cast<int>(at != to) - static_cast<int>(at != from);
-      }
-      for (Key k : cands[j].writes) {
-        // find(), not operator[]: the map must not grow mid-scan (the
-        // entry always exists — this txn writes k, so k was indexed).
-        const auto wit = pos_writers.find(k);
-        assert(wit != pos_writers.end());
-        const auto& ws = wit->second;
-        auto self = std::upper_bound(ws.begin(), ws.end(), pos);
-        const int limit = self == ws.end() ? static_cast<int>(b) : *self;
-        auto rit = pos_readers.find(k);
-        if (rit == pos_readers.end()) continue;
-        for (int q : rit->second) {
-          if (q <= pos) continue;
-          if (q > limit) break;
-          const NodeId rq = route[order[q]];
-          added += static_cast<int>(rq != to) - static_cast<int>(rq != from);
-        }
-      }
-      return added;
-    };
-
-    for (int delta = 1; delta <= config_.max_delta; ++delta) {
-      bool still_over = false;
-      for (int step = 0; step < static_cast<int>(b); ++step) {
-        const int p = config_.backward_pass ? static_cast<int>(b) - 1 - step
-                                            : step;
-        const int j = order[p];
-        const int from_idx = node_index[route[j]];
-        if (!overloaded(from_idx)) continue;
-        int best_cost = 0;
-        int best_u = -1;
-        for (int u = 0; u < n; ++u) {
-          if (!underloaded(u)) continue;
-          const int cost = added_edges(p, nodes[u]);
-          if (best_u < 0 || cost < best_cost) {
-            best_u = u;
-            best_cost = cost;
-          }
-        }
-        if (best_u >= 0 && best_cost <= delta) {
-          --load[from_idx];
-          ++load[best_u];
-          route[j] = nodes[best_u];
-          ++stats_.reroutes;
-        }
-      }
-      for (int i = 0; i < n; ++i) still_over |= overloaded(i);
-      if (!still_over) break;
-    }
-  }
-
-  // ---- Final pass: materialize plans against the live ownership map. ----
-  for (size_t p = 0; p < b; ++p) {
-    const int j = order[p];
-    if (j != static_cast<int>(p)) ++stats_.reorders;
-    out->push_back(Materialize(*txns[j], route[j]));
-  }
+  return reroutes;
 }
 
 RoutedTxn HermesRouter::Materialize(const TxnRequest& txn, NodeId x) {
@@ -788,7 +543,5 @@ RoutedTxn HermesRouter::PlanProvisioning(const TxnRequest& txn) {
   OnRemoveNode(leaver);
   return rt;
 }
-
-void HermesRouter::OnRemoveNode(NodeId node) { Router::OnRemoveNode(node); }
 
 }  // namespace hermes::core

@@ -41,8 +41,6 @@ class HermesRouter : public routing::Router {
   routing::RoutePlan RouteBatch(const Batch& batch) override;
   std::string name() const override { return "hermes"; }
 
-  void OnRemoveNode(NodeId node) override;
-
   const FusionTable& fusion_table() const { return fusion_table_; }
   FusionTable& mutable_fusion_table() { return fusion_table_; }
 
@@ -78,23 +76,31 @@ class HermesRouter : public routing::Router {
     fusion_table_.set_tracer(tracer);
   }
 
+ protected:
+  /// Steps 1–3 of Algorithm 1 for one non-empty segment of regular
+  /// transactions: writes `order_out` (candidate index by B' position)
+  /// and `route_out` (route per candidate index) and returns the number
+  /// of Step-3 reroutes. Reads the pre-batch placement from ownership_
+  /// and changes no routing state (only scratch), so RouteSegment can
+  /// materialize the result.
+  ///
+  /// The shipped placement is O(b log b + R·n): keys interned to dense
+  /// ids, Step 1 selection via a lazy bucket queue, all per-batch state in
+  /// scratch_ (cleared, not freed, between batches — zero steady-state
+  /// allocation). hermes_equivalence_test overrides it with the direct
+  /// O(b²·n) transcription of Algorithm 1 and checks the two agree.
+  virtual uint64_t PlaceSegment(const std::vector<const TxnRequest*>& txns,
+                                std::vector<int32_t>* order_out,
+                                std::vector<NodeId>* route_out);
+
+  const HermesConfig& config() const { return config_; }
+
  private:
   /// Routes one run of regular transactions (special transactions act as
-  /// segment barriers) and appends the plans. Dispatches to the optimized
-  /// implementation unless `config_.use_reference_routing` is set.
+  /// segment barriers) and appends the plans: PlaceSegment, then
+  /// Materialize in B' order.
   void RouteSegment(const std::vector<const TxnRequest*>& txns,
                     std::vector<routing::RoutedTxn>* out);
-
-  /// O(b log b + R·n) fast path: keys interned to dense ids, Step 1
-  /// selection via a lazy bucket queue, all per-batch state in scratch_
-  /// (cleared, not freed, between batches — zero steady-state allocation).
-  void RouteSegmentOptimized(const std::vector<const TxnRequest*>& txns,
-                             std::vector<routing::RoutedTxn>* out);
-
-  /// Straightforward O(b²·n) reference (the original implementation),
-  /// kept as the equivalence-test oracle.
-  void RouteSegmentReference(const std::vector<const TxnRequest*>& txns,
-                             std::vector<routing::RoutedTxn>* out);
 
   /// Materializes the plan for one placed transaction against the live
   /// ownership map and applies its fusion-table updates (including
@@ -119,10 +125,10 @@ class HermesRouter : public routing::Router {
   /// (scratch; cleared per batch).
   std::vector<routing::ReplicaOp> lease_ops_;
 
-  /// Per-batch working set of the optimized RouteSegment and Materialize,
-  /// owned by the router so capacity persists across batches. Every
-  /// container is reset with clear()/assign() — steady-state routing does
-  /// no heap allocation on the hot path.
+  /// Per-batch working set of PlaceSegment and Materialize, owned by the
+  /// router so capacity persists across batches. Every container is reset
+  /// with clear()/assign() — steady-state routing does no heap allocation
+  /// on the hot path.
   struct RouterScratch {
     routing::KeyInterner interner;
     // Per-candidate key sets as arena spans (reads, then writes).
@@ -145,7 +151,8 @@ class HermesRouter : public routing::Router {
     std::vector<int32_t> best_remote;
     std::vector<uint8_t> placed;
     routing::BucketQueue bucket_queue;
-    // Step-1 output: candidate index by B' position; route per candidate.
+    // Placement output: candidate index by B' position; route per
+    // candidate (and its dense node index).
     std::vector<int32_t> order;
     std::vector<NodeId> route;
     std::vector<int32_t> route_idx;

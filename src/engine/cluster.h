@@ -283,6 +283,10 @@ class Cluster {
   RouterKind kind() const { return kind_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(NodeId id) { return *nodes_[id]; }
+  /// The cluster-wide record table: each key's one location (a node, or
+  /// kInvalidNode while in flight) and record. Nodes mutate it only
+  /// through their RecordStore views.
+  const storage::RecordTable& record_table() const { return records_; }
   /// Total executor workers across all nodes (for CPU utilization).
   int total_workers() const;
   /// Fusion table, or nullptr unless running the Hermes router.

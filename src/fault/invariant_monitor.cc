@@ -27,35 +27,19 @@ bool InvariantMonitor::CheckRecordSingularity(engine::Cluster& cluster,
                                               const std::string& context) {
   const size_t before = failures_.size();
   const auto& inflight = cluster.executor().inflight_records();
+  const storage::RecordTable& table = cluster.record_table();
   char buf[256];
   for (Key k = 0; k < num_records_; ++k) {
-    int copies = 0;
-    NodeId first = kInvalidNode, second = kInvalidNode;
-    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-      if (!cluster.node(n).store().Contains(k)) continue;
-      if (copies == 0) {
-        first = n;
-      } else {
-        second = n;
-      }
-      ++copies;
-    }
+    const NodeId at = table.location(k);
     const bool riding = inflight.contains(k);
-    if (copies == 1 && !riding) continue;
-    if (copies == 0 && riding) continue;
-    if (copies > 1) {
-      std::snprintf(buf, sizeof(buf),
-                    "[%s] singularity: key %llu present on %d nodes "
-                    "(e.g. %d and %d)",
-                    context.c_str(), static_cast<unsigned long long>(k),
-                    copies, first, second);
-    } else if (copies == 1 && riding) {
+    if ((at != kInvalidNode) != riding) continue;  // located xor in flight
+    if (riding) {
       const auto& r = inflight.at(k);
       std::snprintf(buf, sizeof(buf),
                     "[%s] singularity: key %llu present on node %d AND in "
                     "flight %d->%d",
-                    context.c_str(), static_cast<unsigned long long>(k),
-                    first, r.from, r.to);
+                    context.c_str(), static_cast<unsigned long long>(k), at,
+                    r.from, r.to);
     } else {
       std::snprintf(buf, sizeof(buf),
                     "[%s] singularity: key %llu absent everywhere and not "
@@ -79,16 +63,12 @@ bool InvariantMonitor::CheckNoLostRecords(engine::Cluster& cluster,
                   cluster.executor().inflight_records().size());
     Fail(buf);
   }
+  const storage::RecordTable& table = cluster.record_table();
   for (Key k = 0; k < num_records_; ++k) {
-    int copies = 0;
-    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-      if (cluster.node(n).store().Contains(k)) ++copies;
-    }
-    if (copies == 1) continue;
+    if (table.location(k) != kInvalidNode) continue;
     std::snprintf(buf, sizeof(buf),
-                  "[%s] key %llu has %d copies at quiescence (expected 1)",
-                  context.c_str(), static_cast<unsigned long long>(k),
-                  copies);
+                  "[%s] key %llu is on no node at quiescence (lost record)",
+                  context.c_str(), static_cast<unsigned long long>(k));
     Fail(buf);
   }
   return failures_.size() == before;
@@ -225,17 +205,13 @@ bool InvariantMonitor::CheckReplicaCoherence(engine::Cluster& cluster,
   const size_t before = failures_.size();
   char buf[256];
   const auto& inflight = cluster.executor().inflight_records();
+  const storage::RecordTable& table = cluster.record_table();
   // SnapshotCopies is sorted by (node, key), so the failure list is
   // deterministic across hash salts.
   for (const auto& [node, key, copy] : cluster.lease_manager().SnapshotCopies()) {
-    const storage::Record* primary = nullptr;
-    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-      const storage::Record* r = cluster.node(n).store().Get(key);
-      if (r != nullptr) {
-        primary = r;
-        break;  // record singularity: at most one store holds the key
-      }
-    }
+    const storage::Record* primary = table.location(key) != kInvalidNode
+                                         ? &table.record(key)
+                                         : nullptr;
     if (primary == nullptr) {
       const auto it = inflight.find(key);
       if (it == inflight.end()) {

@@ -18,8 +18,9 @@ namespace hermes::fault {
 /// can assert `monitor.ok()` once and print everything that went wrong.
 ///
 /// All checks probe the dense key space 0..num_records-1 through the
-/// deterministic store/executor accessors — no unordered iteration, so the
-/// monitor itself cannot perturb or depend on hash order.
+/// cluster's record table (one location per key) and the executor's
+/// in-flight table — no unordered iteration, so the monitor itself cannot
+/// perturb or depend on hash order.
 class InvariantMonitor {
  public:
   using MapFactory =
@@ -28,14 +29,14 @@ class InvariantMonitor {
   explicit InvariantMonitor(uint64_t num_records)
       : num_records_(num_records) {}
 
-  /// Record singularity: every key is present in exactly one node's store,
-  /// or absent everywhere but registered in the executor's in-flight
-  /// table. Callable at any instant, including mid-outage.
+  /// Record singularity: every key is located at a node and not in
+  /// flight, or located nowhere but registered in the executor's
+  /// in-flight table. Callable at any instant, including mid-outage.
   bool CheckRecordSingularity(engine::Cluster& cluster,
                               const std::string& context);
 
-  /// Quiescent completeness: nothing in flight and every key present
-  /// exactly once. Call after Drain() — a missing key here is a lost
+  /// Quiescent completeness: nothing in flight and every key located at
+  /// a node. Call after Drain() — a missing key here is a lost
   /// record (e.g. a committed write discarded by a crash and never
   /// rebuilt).
   bool CheckNoLostRecords(engine::Cluster& cluster,
@@ -73,11 +74,11 @@ class InvariantMonitor {
 
   /// Replica-lease coherence (DESIGN.md §5 "Replica leases"): every copy
   /// the lease manager holds matches its primary record bit-for-bit
-  /// (value and version). The primary is located through the same
-  /// singularity probe the other checks use — stores first, then the
-  /// executor's in-flight table. Call at quiescence; a quiesced copy that
-  /// disagrees with its primary means a commit fan-out was lost,
-  /// reordered past version-max, or applied to a lapsed lease.
+  /// (value and version). The primary is the record at the key's
+  /// record-table location, else the executor's in-flight copy. Call at
+  /// quiescence; a quiesced copy that disagrees with its primary means a
+  /// commit fan-out was lost, reordered past version-max, or applied to a
+  /// lapsed lease.
   bool CheckReplicaCoherence(engine::Cluster& cluster,
                              const std::string& context);
 

@@ -282,5 +282,45 @@ TEST(FaultInjectionTest, InFlightRecordsAppearInExecutorDebugString) {
   EXPECT_TRUE(cluster.executor().inflight_records().empty());
 }
 
+// The monitors catch what they check for: on a drained cluster, a record
+// extracted from its store behind the executor's back is located nowhere
+// and not in flight, so both record checks fail and name the key.
+TEST(FaultInjectionTest, MonitorsReportARecordExtractedBehindTheExecutor) {
+  const ClusterConfig config = ChaosClusterConfig();
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
+  cluster.Load();
+
+  workload::YcsbConfig wl;
+  wl.num_records = config.num_records;
+  wl.num_partitions = config.num_nodes;
+  wl.seed = 99;
+  workload::YcsbWorkload gen(wl, nullptr);
+  workload::ClosedLoopDriver driver(
+      &cluster, 8, [&gen](int, SimTime now) { return gen.Next(now); });
+  driver.set_stop_time(MsToSim(50));
+  driver.Start();
+  cluster.RunUntil(MsToSim(50));
+  cluster.Drain();
+  ASSERT_GT(cluster.metrics().total_commits(), 0u);
+
+  InvariantMonitor monitor(config.num_records);
+  ASSERT_TRUE(monitor.CheckRecordSingularity(cluster, "drained"));
+  ASSERT_TRUE(monitor.CheckNoLostRecords(cluster, "drained"));
+
+  const Key victim = 4321;
+  const NodeId at = cluster.record_table().location(victim);
+  ASSERT_NE(at, kInvalidNode);
+  ASSERT_TRUE(cluster.node(at).store().Extract(victim).has_value());
+
+  EXPECT_FALSE(monitor.CheckRecordSingularity(cluster, "extracted"));
+  EXPECT_FALSE(monitor.CheckNoLostRecords(cluster, "extracted"));
+  ASSERT_EQ(monitor.failures().size(), 2u) << monitor.FailureReport();
+  EXPECT_EQ(monitor.failures()[0],
+            "[extracted] singularity: key 4321 absent everywhere and not in "
+            "flight");
+  EXPECT_EQ(monitor.failures()[1],
+            "[extracted] key 4321 is on no node at quiescence (lost record)");
+}
+
 }  // namespace
 }  // namespace hermes
