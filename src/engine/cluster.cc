@@ -8,6 +8,7 @@
 
 #include "common/env.h"
 #include "common/rng.h"
+#include "migration/squall.h"
 #include "obs/export.h"
 #include "routing/calvin_router.h"
 #include "routing/gstore_router.h"
@@ -455,26 +456,12 @@ SimTime Cluster::Drain() {
   return sim_.Now();
 }
 
-TxnRequest Cluster::MakeChunkTxn(Key lo, Key hi, NodeId target) const {
-  TxnRequest txn;
-  txn.kind = TxnKind::kChunkMigration;
-  txn.migration_target = target;
-  txn.write_set.reserve(hi - lo + 1);
-  for (Key k = lo; k <= hi; ++k) txn.write_set.push_back(k);
-  return txn;
-}
-
 void Cluster::SubmitMigrationPlan(
     const std::vector<routing::ClumpMove>& moves, bool replace_pending) {
   if (replace_pending) chunk_queue_.clear();
-  const uint64_t chunk = std::max<uint64_t>(config_.migration_chunk_records, 1);
-  for (const routing::ClumpMove& mv : moves) {
-    for (Key lo = mv.lo; lo <= mv.hi;) {
-      const Key hi = std::min(mv.hi, lo + chunk - 1);
-      chunk_queue_.push_back(MakeChunkTxn(lo, hi, mv.target));
-      if (hi == mv.hi) break;
-      lo = hi + 1;
-    }
+  for (TxnRequest& txn : migration::BuildChunkTransactions(
+           moves, config_.migration_chunk_records)) {
+    chunk_queue_.push_back(std::move(txn));
   }
   SubmitNextChunk();
 }
@@ -505,28 +492,20 @@ NodeId Cluster::AddNode(const std::vector<RangeMove>& cold_plan,
                         bool migrate_cold) {
   const NodeId id = AppendNode();
   wire_.Grow(id + 1);
-
-  TxnRequest marker;
-  marker.kind = TxnKind::kAddNode;
-  marker.migration_target = id;
-  marker.range_moves = cold_plan;
-  Submit(std::move(marker));
-
-  if (migrate_cold) {
-    std::vector<routing::ClumpMove> moves;
-    moves.reserve(cold_plan.size());
-    for (const RangeMove& mv : cold_plan) {
-      moves.push_back(routing::ClumpMove{mv.lo, mv.hi, mv.target});
-    }
-    SubmitMigrationPlan(moves);
-  }
+  SubmitProvisioning(TxnKind::kAddNode, id, cold_plan, migrate_cold);
   return id;
 }
 
 void Cluster::RemoveNode(NodeId node, const std::vector<RangeMove>& cold_plan,
                          bool migrate_cold) {
+  SubmitProvisioning(TxnKind::kRemoveNode, node, cold_plan, migrate_cold);
+}
+
+void Cluster::SubmitProvisioning(TxnKind kind, NodeId node,
+                                 const std::vector<RangeMove>& cold_plan,
+                                 bool migrate_cold) {
   TxnRequest marker;
-  marker.kind = TxnKind::kRemoveNode;
+  marker.kind = kind;
   marker.migration_target = node;
   marker.range_moves = cold_plan;
   Submit(std::move(marker));
@@ -689,6 +668,10 @@ void Cluster::RejoinNoStall(NodeId node) {
                       membership_.epoch(), degraded_seq_++});
   HERMES_TRACE(&tracer_, obs::EventKind::kRejoin, node, kInvalidTxn,
                static_cast<Key>(-1), membership_.epoch());
+  FinishRejoin(node);
+}
+
+void Cluster::FinishRejoin(NodeId node) {
   // Leases lapse again (epoch changed): stale copies granted under the
   // degraded membership must not survive into the healed cluster. The
   // router re-grants from fresh counters at the next batch boundary.
@@ -773,13 +756,7 @@ Key Cluster::BlockingKey(const TxnRequest& txn) const {
 bool Cluster::TxnBlocked(const TxnRequest& txn) const {
   switch (txn.kind) {
     case TxnKind::kRegular:
-      for (Key k : txn.read_set) {
-        if (KeyBlocked(k)) return true;
-      }
-      for (Key k : txn.write_set) {
-        if (KeyBlocked(k)) return true;
-      }
-      return false;
+      return BlockingKey(txn) != static_cast<Key>(-1);
     case TxnKind::kChunkMigration:
       if (!membership_.alive(txn.migration_target)) return true;
       for (Key k : txn.write_set) {
@@ -976,20 +953,10 @@ void Cluster::ApplyScheduledEventsBefore(BatchId id) {
       // it placement_digest — matches the live run.
       lease_mgr_.LapseAll();
     } else {
+      // Watchdog aborts are not re-derived: the recorded abort stream
+      // already replays them as §4.2 user-aborts.
       membership_.MarkUp(e.node);
-      lease_mgr_.LapseAll();
-      // Mirror the live rejoin path: the recorded schedule flips the
-      // shared membership view, so replay's executor runs the same
-      // dead-node gates as live — its suppressed shipments must flush and
-      // its stalled machines must resume here too, or transactions that
-      // froze during replay (the flip timing differs from live, so the
-      // frozen sets differ) would wedge instead of converging to the
-      // same final state. Watchdog aborts are NOT re-derived: the
-      // recorded abort stream already replays them as §4.2 user-aborts.
-      executor_.OnNodeUp(e.node);
-      ReconcileDisplaced();
-      stranded_.clear();
-      ReleaseParked();
+      FinishRejoin(e.node);
     }
   }
 }

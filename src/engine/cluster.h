@@ -351,7 +351,11 @@ class Cluster {
   void SampleWindow();
   void SubmitNextChunk();
   void ArmClayTick();
-  TxnRequest MakeChunkTxn(Key lo, Key hi, NodeId target) const;
+  /// AddNode/RemoveNode's shared tail: submits the provisioning marker
+  /// and, with `migrate_cold`, the cold plan's chunk migrations.
+  void SubmitProvisioning(TxnKind kind, NodeId node,
+                          const std::vector<RangeMove>& cold_plan,
+                          bool migrate_cold);
 
   // --- Degraded mode internals. ---
   /// Scheduler batch filter: drops/parks/retries transactions that cannot
@@ -378,6 +382,13 @@ class Cluster {
   /// Reships every record whose physical node diverged from the
   /// ownership map during the outage (rejoin reconciliation).
   void ReconcileDisplaced();
+  /// The rejoin tail shared by RejoinNoStall and replay's recorded
+  /// rejoin, after MarkUp: lapse leases, flush suppressed shipments and
+  /// resume stalled machines, reconcile displaced records, unblock
+  /// stranded keys, route the parked queue. Replay must run the same
+  /// steps, or transactions that froze during replay would wedge instead
+  /// of converging to the live run's final state.
+  void FinishRejoin(NodeId node);
   /// Routes the parking queue (FIFO); entries re-park if still blocked.
   void ReleaseParked();
   /// Replay cursor: applies scheduled membership events and recorded

@@ -448,14 +448,12 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
     if (!migrates) continue;
-    auto rec = src.store().Extract(acc.key);
-    assert(rec.has_value() && "migrating a record that is not present");
+    src.store().Ship(acc.key, acc.new_owner);
     HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, node, a.plan.txn.id,
                  acc.key, static_cast<uint32_t>(acc.new_owner));
     Shipment& s = SortedEntry(shipments, acc.new_owner);
-    s.moves.emplace_back(acc.key, *rec);
+    s.moves.push_back(acc.key);
     s.bytes += costs_->record_bytes;
-    TrackInFlight(acc.key, node, acc.new_owner, a.plan.txn.id, *rec);
     if (acc.ship_to_master && IsMaster(a, acc.new_owner)) s.to_master = true;
   }
 
@@ -470,11 +468,9 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   for (auto& [dest, shipment] : shipments) {
     migrated += shipment.moves.size();
     net_->Send(node, dest, shipment.bytes, ship_cls,
-               [this, id, dest, moves = std::move(shipment.moves),
+               [this, id, node, dest, moves = std::move(shipment.moves),
                 notify_master = shipment.to_master]() {
-                 for (const auto& [key, rec] : moves) {
-                   DeliverRecord(dest, key, rec);
-                 }
+                 for (Key key : moves) DeliverRecord(dest, key, node, id);
                  auto it = actives_.find(id);
                  if (it == actives_.end()) return;
                  if (notify_master) {
@@ -684,21 +680,19 @@ void TxnExecutor::Acknowledge(Active& a) {
   // Per-sender worker time, sorted by node.
   std::vector<std::pair<NodeId, uint64_t>> send_work = work_pool_.Take();
   for (const routing::ReturnShipment& r : a.plan.on_commit_returns) {
-    auto rec = NodeAt(r.from).store().Extract(r.key);
-    assert(rec.has_value() && "returning a record that is not present");
+    NodeAt(r.from).store().Ship(r.key, r.to);
     HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, r.from,
                  a.plan.txn.id, r.key, static_cast<uint32_t>(r.to));
-    TrackInFlight(r.key, r.from, r.to, a.plan.txn.id, *rec);
     ++returns;
     SortedEntry(send_work, r.from) += costs_->storage_op_us;
     net_->Send(r.from, r.to, costs_->record_bytes, TrafficClass::kBulk,
-               [this, r, record = *rec]() {
+               [this, r, id = a.plan.txn.id]() {
                  if (!NodeDead(r.to)) {
                    NodeAt(r.to).workers().Submit(
                        costs_->storage_op_us + costs_->msg_processing_us,
                        [] {});
                  }
-                 DeliverRecord(r.to, r.key, record);
+                 DeliverRecord(r.to, r.key, r.from, id);
                });
   }
   for (const auto& [node, work] : send_work) {
@@ -817,10 +811,7 @@ std::string TxnExecutor::DebugString() const {
       for (uint32_t i : OwnedOf(*a, st)) {
         const Access& acc = a->plan.accesses[i];
         if ((*nodes_)[node]->store().Contains(acc.key)) continue;
-        NodeId actually = kInvalidNode;
-        for (const auto& n : *nodes_) {
-          if (n->store().Contains(acc.key)) actually = n->id();
-        }
+        const NodeId actually = Records().location(acc.key);
         std::snprintf(buf, sizeof(buf),
                       "    MISSING key=%llu (w=%d ship=%d new=%d) actually at "
                       "node %d\n",
@@ -850,12 +841,21 @@ std::string TxnExecutor::DebugString() const {
                   node, static_cast<unsigned long long>(key), count);
     out += buf;
   }
-  for (const auto& [key, r] : inflight_records_) {
-    std::snprintf(buf, sizeof(buf),
-                  "in flight: key=%llu node %d -> node %d (txn %llu)%s\n",
-                  static_cast<unsigned long long>(key), r.from, r.to,
-                  static_cast<unsigned long long>(r.txn),
-                  r.suppressed ? " SUPPRESSED" : "");
+  const storage::RecordTable& records = Records();
+  for (Key key = 0; key < records.num_keys(); ++key) {
+    const NodeId to = records.in_flight_to(key);
+    if (to == kInvalidNode) continue;
+    const auto s = suppressed_.find(key);
+    if (s == suppressed_.end()) {
+      std::snprintf(buf, sizeof(buf), "in flight: key=%llu -> node %d\n",
+                    static_cast<unsigned long long>(key), to);
+    } else {
+      std::snprintf(buf, sizeof(buf),
+                    "in flight: key=%llu node %d -> node %d (txn %llu) "
+                    "SUPPRESSED\n",
+                    static_cast<unsigned long long>(key), s->second.from, to,
+                    static_cast<unsigned long long>(s->second.carrier));
+    }
     out += buf;
   }
   for (const auto& [key, node] : displaced_) {
@@ -980,25 +980,17 @@ void TxnExecutor::ResumeStalled(NodeId node) {
 void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
                                       TxnId txn) {
   // Locate the primary: at the routed source, else follow an in-flight
-  // migration to its destination, else (displaced during an outage) scan
-  // the stores in node order. The copy is a snapshot — the primary is
+  // migration to its destination, else wherever the table locates it
+  // (displaced during an outage). The copy is a snapshot — the primary is
   // never extracted, so record singularity is untouched. If the record
   // never materializes at `src` (crash mid-flight), the waiter idles
   // harmlessly: the membership epoch change lapses the lease and wakes
   // every read blocked on the copy.
   NodeId from = source;
   if (from == kInvalidNode || !NodeAt(from).store().Contains(key)) {
-    const auto it = inflight_records_.find(key);
-    if (it != inflight_records_.end()) {
-      from = it->second.to;
-    } else {
-      for (const auto& n : *nodes_) {
-        if (n->store().Contains(key)) {
-          from = n->id();
-          break;
-        }
-      }
-    }
+    const NodeId to = Records().in_flight_to(key);
+    const NodeId at = to != kInvalidNode ? to : Records().location(key);
+    if (at != kInvalidNode) from = at;
   }
   if (from == kInvalidNode) return;
   const NodeId src = from;
@@ -1009,8 +1001,8 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
       // An earlier waiter in the same wake list (a migration's presence
       // wait) re-extracted the record before this one ran. Dropping the
       // install would wedge every read waiting on the copy, so re-resolve
-      // from exclusive context — the barrier runs after TrackInFlight's
-      // deferred bookkeeping, so the retry sees the new destination.
+      // from exclusive context, where the record table shows the new
+      // destination.
       sim_->Defer([this, key, holder, txn]() {
         const std::vector<NodeId>* holders = lease_mgr_->HoldersOf(key);
         if (holders == nullptr ||
@@ -1042,59 +1034,33 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
   });
 }
 
-void TxnExecutor::TrackInFlight(Key key, NodeId from, NodeId to, TxnId txn,
-                                const storage::Record& record) {
-  // The in-flight table is written only in exclusive context; extraction
-  // on a node lane defers the bookkeeping to the barrier (same virtual
-  // time — the record was already physically Extract()ed by the caller).
-  sim_->Defer([this, key, from, to, txn, record]() {
-    assert(!inflight_records_.contains(key) &&
-           "record extracted twice without an intervening delivery");
-    inflight_records_[key] = InFlightRecord{from, to, txn, record};
-  });
-}
-
-void TxnExecutor::DeliverRecord(NodeId node, Key key,
-                                const storage::Record& record) {
+void TxnExecutor::DeliverRecord(NodeId node, Key key, NodeId from,
+                                TxnId carrier) {
   if (NodeDead(node)) {
     // The destination died while the record was on the wire. Suppress the
-    // delivery (the record stays in inflight_records_, so singularity
+    // delivery (the record stays in flight in the table, so singularity
     // holds) and arm a deterministic reclaim: after reclaim_timeout_us
-    // the sender re-inserts the record and notes the divergence from the
+    // the sender lands the record back and notes the divergence from the
     // ownership map; if the node rejoins first, OnNodeUp flushes it.
-    // Suppression mutates shared state (the in-flight table, the frozen
+    // Suppression mutates shared state (the suppressed set, the frozen
     // index), so it rides the barrier when the delivery ran lane-side.
-    sim_->Defer([this, node, key]() {
-      auto it = inflight_records_.find(key);
-      if (it == inflight_records_.end()) return;
-      InFlightRecord& entry = it->second;
-      if (entry.suppressed) return;
-      entry.suppressed = true;
-      HERMES_TRACE(tracer_, obs::EventKind::kRecordSuppress, node, entry.txn,
+    sim_->Defer([this, node, key, from, carrier]() {
+      assert(Records().in_flight_to(key) == node &&
+             !suppressed_.contains(key) &&
+             "one message carries a shipped key, so it is suppressed once");
+      suppressed_[key] = Suppressed{from, node, carrier};
+      HERMES_TRACE(tracer_, obs::EventKind::kRecordSuppress, node, carrier,
                    key);
       // Freeze the carrying transaction: its shipment will never complete.
-      const TxnId carrier = entry.txn;
       auto at = actives_.find(carrier);
       if (at != actives_.end()) Freeze(*at->second);
-      const SimTime timeout =
-          degraded_ != nullptr ? degraded_->reclaim_timeout_us : 2000;
-      sim_->Schedule(timeout,
+      sim_->Schedule(degraded_->reclaim_timeout_us,
                      [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     });
     return;
   }
-  if (HERMES_TRACE_ACTIVE(tracer_)) {
-    // Read-only lookup: lanes may read the in-flight table (all writes are
-    // barrier-serialized), and this delivery's entry was inserted at an
-    // earlier barrier — the wire time is positive.
-    auto carrier = inflight_records_.find(key);
-    tracer_->Record(obs::EventKind::kRecordDeliver, node,
-                    carrier != inflight_records_.end() ? carrier->second.txn
-                                                       : kInvalidTxn,
-                    key);
-  }
-  sim_->Defer([this, key]() { inflight_records_.erase(key); });
-  NodeAt(node).store().Insert(key, record);
+  HERMES_TRACE(tracer_, obs::EventKind::kRecordDeliver, node, carrier, key);
+  NodeAt(node).store().Land(key);
   PresenceShardMap& shard = PresenceShard(node);
   auto it = shard.find(key);
   if (it == shard.end()) return;
@@ -1104,30 +1070,27 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key,
 }
 
 void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
-  auto rit = inflight_records_.find(key);
-  if (rit == inflight_records_.end()) return;  // flushed at rejoin
-  const InFlightRecord e = rit->second;
-  if (!e.suppressed || e.txn != carrier) return;  // re-extracted since
+  auto sit = suppressed_.find(key);
+  if (sit == suppressed_.end()) return;  // flushed at rejoin
+  const Suppressed e = sit->second;
+  if (e.carrier != carrier) return;  // re-shipped since
   if (!NodeDead(e.to)) return;  // rejoined; OnNodeUp owns the flush
   if (NodeDead(e.from)) {
     // Overlapping fault windows: the source is down too (a detector
     // suspect while the destination's crash outage is still open).
-    // Handing the payload to DeliverRecord now would hit its suppress
-    // branch with no in-flight entry left to park it in and the record
-    // would vanish. Keep the entry suppressed and retry one timeout
+    // Landing the record there now would only hit DeliverRecord's
+    // suppress branch again. Keep it suppressed and retry one timeout
     // later; whichever side comes back first resolves it (OnNodeUp
     // flushes on the destination's rejoin).
-    const SimTime timeout =
-        degraded_ != nullptr ? degraded_->reclaim_timeout_us : 2000;
-    sim_->Schedule(timeout,
+    sim_->Schedule(degraded_->reclaim_timeout_us,
                    [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     return;
   }
-  inflight_records_.erase(rit);
+  suppressed_.erase(sit);
   displaced_[key] = e.from;
   if (ledger_ != nullptr) ledger_->RecordReclaim();
   HERMES_TRACE(tracer_, obs::EventKind::kRecordReclaim, e.from, carrier, key);
-  DeliverRecord(e.from, key, e.record);
+  DeliverRecord(e.from, key, e.from, kInvalidTxn);
 }
 
 void TxnExecutor::EnableDegraded(const MembershipView* membership,
@@ -1148,9 +1111,8 @@ void TxnExecutor::OnNodeDown(NodeId node) {
   // sweep below reclassifies them. One chain per outage window.
   if (watchdog_armed_) return;
   watchdog_armed_ = true;
-  const SimTime deadline =
-      degraded_ != nullptr ? degraded_->watchdog_deadline_us : 5000;
-  sim_->Schedule(deadline, [this]() { WatchdogSweep(); });
+  sim_->Schedule(degraded_->watchdog_deadline_us,
+                 [this]() { WatchdogSweep(); });
 }
 
 void TxnExecutor::OnNodeUp(NodeId node) {
@@ -1159,15 +1121,15 @@ void TxnExecutor::OnNodeUp(NodeId node) {
   // state a fault-free replay produces. Reclaim timers still pending
   // find their entry gone and no-op. std::map keeps the order total.
   std::vector<Key> flush;
-  for (const auto& [key, e] : inflight_records_) {
-    if (e.suppressed && e.to == node) flush.push_back(key);
+  for (const auto& [key, e] : suppressed_) {
+    if (e.to == node) flush.push_back(key);
   }
   for (Key k : flush) {
-    auto it = inflight_records_.find(k);
-    assert(it != inflight_records_.end());
-    const InFlightRecord e = it->second;
-    inflight_records_.erase(it);
-    DeliverRecord(e.to, k, e.record);
+    auto it = suppressed_.find(k);
+    assert(it != suppressed_.end());
+    const NodeId from = it->second.from;
+    suppressed_.erase(it);
+    DeliverRecord(node, k, from, kInvalidTxn);
   }
   // Then re-drive the machines the node's dead gates stalled. A stalled
   // participant may carry a planned migration whose ownership change is
@@ -1190,9 +1152,8 @@ void TxnExecutor::WatchdogSweep() {
     AbortActive(*it->second);
   }
   if (membership_ != nullptr && membership_->any_down()) {
-    const SimTime period =
-        degraded_ != nullptr ? degraded_->watchdog_period_us : 5000;
-    sim_->Schedule(period, [this]() { WatchdogSweep(); });
+    sim_->Schedule(degraded_->watchdog_period_us,
+                   [this]() { WatchdogSweep(); });
   } else {
     // One final sweep always runs after rejoin (this one), catching
     // transactions frozen between the last in-outage sweep and MarkUp.
@@ -1218,7 +1179,8 @@ void TxnExecutor::AbortActive(Active& a) {
   for (const Access& acc : a.plan.accesses) {
     if (acc.new_owner == kInvalidNode || acc.new_owner == acc.owner) continue;
     const Key k = acc.key;
-    if (inflight_records_.contains(k)) continue;  // delivery/reclaim owns it
+    // Delivery (or reclaim) owns a record still in flight.
+    if (Records().in_flight_to(k) != kInvalidNode) continue;
     if (NodeAt(acc.new_owner).store().Contains(k)) continue;  // landed
     if (!NodeAt(acc.owner).store().Contains(k)) continue;     // moved since
     const bool src_alive = !NodeDead(acc.owner);
@@ -1287,20 +1249,18 @@ void TxnExecutor::AbortActive(Active& a) {
 }
 
 void TxnExecutor::ReshipRecord(Key key, NodeId from, NodeId to) {
-  auto rec = NodeAt(from).store().Extract(key);
-  assert(rec.has_value() && "reshipping a record that is not present");
+  NodeAt(from).store().Ship(key, to);
   HERMES_TRACE(tracer_, obs::EventKind::kRecordReship, from, kInvalidTxn, key,
                static_cast<uint32_t>(to));
-  TrackInFlight(key, from, to, kInvalidTxn, *rec);
   if (ledger_ != nullptr) ledger_->RecordReship();
   NodeAt(from).workers().Submit(costs_->storage_op_us, [] {});
   net_->Send(from, to, costs_->record_bytes, TrafficClass::kBulk,
-             [this, key, to, record = *rec]() {
+             [this, key, from, to]() {
                if (!NodeDead(to)) {
                  NodeAt(to).workers().Submit(
                      costs_->storage_op_us + costs_->msg_processing_us, [] {});
                }
-               DeliverRecord(to, key, record);
+               DeliverRecord(to, key, from, kInvalidTxn);
              });
 }
 

@@ -48,9 +48,10 @@ struct TxnResult {
 ///     transaction's writes commit.
 ///  2. Participant nodes, once their local locks are granted and their
 ///     records physically present, read the records on a worker and ship
-///     them to the master(s); records that migrate are extracted at the
-///     source when sent and inserted at the destination when the message
-///     lands. Participants then release their locks (early release).
+///     them to the master(s); records that migrate are shipped from the
+///     source when sent (the record table marks them in flight) and land
+///     at the destination when the message arrives. Participants then
+///     release their locks (early release).
 ///  3. A master executes the transaction logic on a worker once its local
 ///     locks are granted and every shipped record has arrived, applies its
 ///     writes (with UNDO pre-images; user aborts roll back but still honor
@@ -126,9 +127,9 @@ class TxnExecutor {
 
   /// Moves a record whose physical location diverged from the ownership
   /// map (stranded by a watchdog abort or reclaimed mid-flight) to where
-  /// ownership says it lives: extract at `from`, one network hop, insert
-  /// at `to`, waking presence waiters. Record singularity holds
-  /// throughout (the record rides inflight_records_ while moving).
+  /// ownership says it lives: ship from `from`, one network hop, land at
+  /// `to`, waking presence waiters. Record singularity holds throughout
+  /// (the record table marks it in flight toward `to` while it moves).
   void ReshipRecord(Key key, NodeId from, NodeId to);
 
   /// Keys whose physical location diverged from the ownership map during
@@ -153,35 +154,10 @@ class TxnExecutor {
   /// ever writes events into it; no execution decision reads it back.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// One record currently extracted from its source store and riding a
-  /// simulated message: absent from every store until delivery.
-  struct InFlightRecord {
-    NodeId from = kInvalidNode;
-    NodeId to = kInvalidNode;
-    /// Transaction whose shipment (migration or return) carries the record
-    /// (kInvalidTxn for degraded-mode reships).
-    TxnId txn = kInvalidTxn;
-    /// Payload, kept so a shipment suppressed at a dead destination can be
-    /// reclaimed by the sender or flushed at rejoin.
-    storage::Record record;
-    /// True once delivery was suppressed because the destination died
-    /// mid-flight; a reclaim timer (or the rejoin flush) resolves it.
-    bool suppressed = false;
-  };
-
-  /// Records extracted-but-undelivered right now, keyed by record key.
-  /// A std::map so iteration order is deterministic without suppressions.
-  /// This is the executor's half of the record-singularity invariant: at
-  /// any instant every key is either in exactly one store or listed here;
-  /// the fault InvariantMonitor checks exactly that, and DebugString()
-  /// prints this table so a chaos-found violation is diagnosable.
-  const std::map<Key, InFlightRecord>& inflight_records() const {
-    return inflight_records_;
-  }
-
   /// Diagnostic rendering of in-flight transactions and what they wait on
   /// (lock grants, remote messages, record presence), plus every record
-  /// currently believed to be in flight with its source/destination nodes.
+  /// the table shows in flight with its destination (and, for a suppressed
+  /// shipment, its source and carrier).
   std::string DebugString() const;
 
  private:
@@ -244,15 +220,21 @@ class TxnExecutor {
     /// order — the deterministic event order the freezes fired in).
     std::map<NodeId, std::vector<sim::Callback>> stalled;
   };
-  /// One participant message under construction: records moving to the
-  /// destination plus the bytes of any read copies riding along.
+  /// One participant message under construction: keys of the records
+  /// moving to the destination plus the bytes of any read copies riding
+  /// along. The payloads stay in the record table while in flight.
   struct Shipment {
-    std::vector<std::pair<Key, storage::Record>> moves;
+    std::vector<Key> moves;
     uint64_t bytes = 0;
     bool to_master = false;
   };
 
   Node& NodeAt(NodeId id) { return *(*nodes_)[id]; }
+  /// The cluster-wide record table every node's store is a view of: each
+  /// key's one location, in flight included.
+  const storage::RecordTable& Records() const {
+    return nodes_->front()->store().table();
+  }
   NodeState* StateFor(Active& a, NodeId node);
   MasterState* MasterFor(Active& a, NodeId node);
   static bool IsMaster(const Active& a, NodeId node);
@@ -319,7 +301,7 @@ class TxnExecutor {
   /// transaction (sorted by id), re-arming while any node is down.
   /// Scheduled on the control lane only, never called lane-side.
   void WatchdogSweep();
-  /// Reclaim timer body: returns a suppressed in-flight record to its
+  /// Reclaim timer body: lands a suppressed in-flight record back at its
   /// source once the destination has been down for reclaim_timeout_us.
   /// Re-arms itself while the SOURCE is also down (overlapping fault
   /// windows — e.g. a partition suspect while a crashed node is out):
@@ -339,19 +321,16 @@ class TxnExecutor {
   /// it through the lease manager. Dispatch-time (exclusive) entry point.
   void StartReplicaInstall(Key key, NodeId source, NodeId holder, TxnId txn);
 
-  /// Registers a record as extracted at `from` and riding a message to
-  /// `to` (cleared again by DeliverRecord). The table write lands at the
-  /// epoch barrier when called lane-side (same virtual time).
-  void TrackInFlight(Key key, NodeId from, NodeId to, TxnId txn,
-                     const storage::Record& record);
-
   /// Runs `ready` once every key in `keys` is physically present in
   /// `node`'s store (immediately if they already are). `keys` is read
   /// before returning and not kept.
   void WaitPresence(NodeId node, std::span<const Key> keys,
                     sim::Callback ready);
-  /// Inserts an arriving record and wakes presence waiters.
-  void DeliverRecord(NodeId node, Key key, const storage::Record& record);
+  /// Lands an arriving record at `node` and wakes presence waiters. `from`
+  /// is the node that shipped it and `carrier` the transaction whose
+  /// shipment carries it (kInvalidTxn for reships, reclaims and rejoin
+  /// flushes); a delivery to a dead node is suppressed under both.
+  void DeliverRecord(NodeId node, Key key, NodeId from, TxnId carrier);
 
   void ProcessGrants(NodeId node, const std::vector<TxnId>& granted);
 
@@ -389,10 +368,6 @@ class TxnExecutor {
   std::vector<PresenceShardMap> presence_waiters_;
   PresenceShardMap& PresenceShard(NodeId node);
 
-  /// Written only in exclusive context (extract/delivery bookkeeping rides
-  /// the epoch barrier); lanes may read it (trace carrier lookups).
-  std::map<Key, InFlightRecord> inflight_records_;
-
   obs::Counter committed_;
   obs::Counter aborted_;
   obs::Tracer* tracer_ = nullptr;
@@ -415,6 +390,17 @@ class TxnExecutor {
   /// outage (reclaimed or stranded records). std::map: the rejoin
   /// reconciliation iterates it in key order.
   std::map<Key, NodeId> displaced_;
+  /// A shipment whose delivery was suppressed because its destination
+  /// died mid-flight. The record stays in flight toward `to` in the table;
+  /// a reclaim timer lands it back at `from`, or the rejoin flush at `to`.
+  struct Suppressed {
+    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+    TxnId carrier = kInvalidTxn;
+  };
+  /// Suppressed shipments by key, written in exclusive context only.
+  /// std::map: the rejoin flush lands them in key order.
+  std::map<Key, Suppressed> suppressed_;
 };
 
 }  // namespace hermes::engine

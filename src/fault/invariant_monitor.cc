@@ -26,26 +26,15 @@ std::string InvariantMonitor::FailureReport() const {
 bool InvariantMonitor::CheckRecordSingularity(engine::Cluster& cluster,
                                               const std::string& context) {
   const size_t before = failures_.size();
-  const auto& inflight = cluster.executor().inflight_records();
   const storage::RecordTable& table = cluster.record_table();
   char buf[256];
   for (Key k = 0; k < num_records_; ++k) {
-    const NodeId at = table.location(k);
-    const bool riding = inflight.contains(k);
-    if ((at != kInvalidNode) != riding) continue;  // located xor in flight
-    if (riding) {
-      const auto& r = inflight.at(k);
-      std::snprintf(buf, sizeof(buf),
-                    "[%s] singularity: key %llu present on node %d AND in "
-                    "flight %d->%d",
-                    context.c_str(), static_cast<unsigned long long>(k), at,
-                    r.from, r.to);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "[%s] singularity: key %llu absent everywhere and not "
-                    "in flight",
-                    context.c_str(), static_cast<unsigned long long>(k));
-    }
+    if (table.location(k) != kInvalidNode) continue;
+    if (table.in_flight_to(k) != kInvalidNode) continue;
+    std::snprintf(buf, sizeof(buf),
+                  "[%s] singularity: key %llu absent everywhere and not "
+                  "in flight",
+                  context.c_str(), static_cast<unsigned long long>(k));
     Fail(buf);
   }
   return failures_.size() == before;
@@ -55,20 +44,24 @@ bool InvariantMonitor::CheckNoLostRecords(engine::Cluster& cluster,
                                           const std::string& context) {
   const size_t before = failures_.size();
   char buf[256];
-  if (!cluster.executor().inflight_records().empty()) {
-    std::snprintf(buf, sizeof(buf),
-                  "[%s] lost-records check called with %zu records still in "
-                  "flight (not quiescent)",
-                  context.c_str(),
-                  cluster.executor().inflight_records().size());
-    Fail(buf);
-  }
   const storage::RecordTable& table = cluster.record_table();
+  size_t in_flight = 0;
   for (Key k = 0; k < num_records_; ++k) {
     if (table.location(k) != kInvalidNode) continue;
+    if (table.in_flight_to(k) != kInvalidNode) {
+      ++in_flight;
+      continue;
+    }
     std::snprintf(buf, sizeof(buf),
                   "[%s] key %llu is on no node at quiescence (lost record)",
                   context.c_str(), static_cast<unsigned long long>(k));
+    Fail(buf);
+  }
+  if (in_flight > 0) {
+    std::snprintf(buf, sizeof(buf),
+                  "[%s] lost-records check called with %zu records still in "
+                  "flight (not quiescent)",
+                  context.c_str(), in_flight);
     Fail(buf);
   }
   return failures_.size() == before;
@@ -204,36 +197,31 @@ bool InvariantMonitor::CheckReplicaCoherence(engine::Cluster& cluster,
                                              const std::string& context) {
   const size_t before = failures_.size();
   char buf[256];
-  const auto& inflight = cluster.executor().inflight_records();
   const storage::RecordTable& table = cluster.record_table();
   // SnapshotCopies is sorted by (node, key), so the failure list is
   // deterministic across hash salts.
   for (const auto& [node, key, copy] : cluster.lease_manager().SnapshotCopies()) {
-    const storage::Record* primary = table.location(key) != kInvalidNode
-                                         ? &table.record(key)
-                                         : nullptr;
-    if (primary == nullptr) {
-      const auto it = inflight.find(key);
-      if (it == inflight.end()) {
-        std::snprintf(buf, sizeof(buf),
-                      "[%s] replica coherence: key %llu has a copy on node "
-                      "%d but no primary anywhere",
-                      context.c_str(), static_cast<unsigned long long>(key),
-                      node);
-        Fail(buf);
-        continue;
-      }
-      primary = &it->second.record;
+    // An in-flight primary keeps its payload in the table.
+    if (table.location(key) == kInvalidNode &&
+        table.in_flight_to(key) == kInvalidNode) {
+      std::snprintf(buf, sizeof(buf),
+                    "[%s] replica coherence: key %llu has a copy on node "
+                    "%d but no primary anywhere",
+                    context.c_str(), static_cast<unsigned long long>(key),
+                    node);
+      Fail(buf);
+      continue;
     }
-    if (primary->value != copy.value || primary->version != copy.version) {
+    const storage::Record& primary = table.record(key);
+    if (primary.value != copy.value || primary.version != copy.version) {
       std::snprintf(buf, sizeof(buf),
                     "[%s] replica coherence: key %llu copy on node %d is "
                     "(value=%016llx v%u) but primary is (value=%016llx v%u)",
                     context.c_str(), static_cast<unsigned long long>(key),
                     node, static_cast<unsigned long long>(copy.value),
                     copy.version,
-                    static_cast<unsigned long long>(primary->value),
-                    primary->version);
+                    static_cast<unsigned long long>(primary.value),
+                    primary.version);
       Fail(buf);
     }
   }

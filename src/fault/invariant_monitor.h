@@ -29,9 +29,11 @@ class InvariantMonitor {
   explicit InvariantMonitor(uint64_t num_records)
       : num_records_(num_records) {}
 
-  /// Record singularity: every key is located at a node and not in
-  /// flight, or located nowhere but registered in the executor's
-  /// in-flight table. Callable at any instant, including mid-outage.
+  /// Record singularity: every key is located at a node or in flight
+  /// toward one. The record table holds one location per key, so "present
+  /// twice" or "present and in flight" cannot be expressed; what is left to
+  /// catch is a key that is neither. Callable at any instant, including
+  /// mid-outage.
   bool CheckRecordSingularity(engine::Cluster& cluster,
                               const std::string& context);
 
@@ -74,8 +76,8 @@ class InvariantMonitor {
 
   /// Replica-lease coherence (DESIGN.md §5 "Replica leases"): every copy
   /// the lease manager holds matches its primary record bit-for-bit
-  /// (value and version). The primary is the record at the key's
-  /// record-table location, else the executor's in-flight copy. Call at
+  /// (value and version). The primary is the key's record in the record
+  /// table, whether it is stored at a node or in flight. Call at
   /// quiescence; a quiesced copy that disagrees with its primary means a
   /// commit fan-out was lost, reordered past version-max, or applied to a
   /// lapsed lease.

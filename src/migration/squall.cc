@@ -5,8 +5,7 @@
 namespace hermes::migration {
 
 std::vector<TxnRequest> BuildChunkTransactions(
-    const std::vector<routing::ClumpMove>& moves, uint64_t chunk_records,
-    obs::Tracer* tracer) {
+    const std::vector<routing::ClumpMove>& moves, uint64_t chunk_records) {
   const uint64_t chunk = std::max<uint64_t>(chunk_records, 1);
   std::vector<TxnRequest> txns;
   for (const routing::ClumpMove& mv : moves) {
@@ -17,8 +16,6 @@ std::vector<TxnRequest> BuildChunkTransactions(
       txn.migration_target = mv.target;
       txn.write_set.reserve(hi - lo + 1);
       for (Key k = lo; k <= hi; ++k) txn.write_set.push_back(k);
-      HERMES_TRACE(tracer, obs::EventKind::kChunkMigration, mv.target,
-                   kInvalidTxn, lo, hi - lo + 1);
       txns.push_back(std::move(txn));
       if (hi == mv.hi) break;
       lo = hi + 1;

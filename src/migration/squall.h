@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/trace.h"
 #include "routing/clay_planner.h"
 #include "txn/transaction.h"
 
@@ -18,13 +17,10 @@ namespace hermes::migration {
 /// transactions the paper measures in Fig. 14; under Hermes the router
 /// skips fusion-table (hot) keys, so chunks only ever carry cold records.
 ///
-/// Splits `moves` into chunk transactions of at most `chunk_records` keys.
-/// With a tracer, emits one kChunkMigration event per chunk built (node =
-/// destination, key = chunk's low key, arg = chunk size) — observation
-/// only, the chunking is identical with or without it.
+/// Splits `moves` into chunk transactions of at most `chunk_records` keys
+/// (at least one), in plan order.
 std::vector<TxnRequest> BuildChunkTransactions(
-    const std::vector<routing::ClumpMove>& moves, uint64_t chunk_records,
-    obs::Tracer* tracer = nullptr);
+    const std::vector<routing::ClumpMove>& moves, uint64_t chunk_records);
 
 }  // namespace hermes::migration
 

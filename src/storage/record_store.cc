@@ -13,7 +13,7 @@ void RecordStore::Insert(Key key, const Record& record) {
   if (key >= table_->num_keys()) table_->Reserve(key + 1);
   NodeId& loc = table_->location_[key];
   assert((loc == kInvalidNode || loc == node_) &&
-         "record singularity: key is already located at another node");
+         "record singularity: key is located at another node or in flight");
   if (loc != node_) ++size_;
   loc = node_;
   table_->records_[key] = record;
@@ -24,6 +24,20 @@ std::optional<Record> RecordStore::Extract(Key key) {
   table_->location_[key] = kInvalidNode;
   --size_;
   return table_->records_[key];
+}
+
+void RecordStore::Ship(Key key, NodeId to) {
+  assert(Contains(key) && "shipping a record that is not present");
+  assert(to >= 0 && to != node_ && "a shipment must leave this node");
+  table_->location_[key] = RecordTable::InFlightCode(to);
+  --size_;
+}
+
+void RecordStore::Land(Key key) {
+  assert(table_->in_flight_to(key) != kInvalidNode &&
+         "landing a record that is not in flight");
+  table_->location_[key] = node_;
+  ++size_;
 }
 
 bool RecordStore::ApplyWrite(Key key, TxnId writer) {

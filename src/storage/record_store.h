@@ -27,10 +27,11 @@ struct Record {
 
 /// Cluster-wide record table indexed by key. Keys are dense (the cluster
 /// loads exactly 0..num_records-1), so one vector holds every record and a
-/// parallel vector holds its location: the node that stores it, or
-/// kInvalidNode while it is in flight between nodes (or not loaded). One
-/// location per key makes record singularity structural. Each node's
-/// RecordStore is a view of this table.
+/// parallel vector holds its location: the node that stores it, the node it
+/// is in flight toward, or neither (not loaded, or extracted outright). One
+/// location per key makes record singularity structural, in flight
+/// included: a shipped record keeps its payload here until it lands. Each
+/// node's RecordStore is a view of this table.
 class RecordTable {
  public:
   /// Grows the table to hold keys [0, num_keys). Never shrinks. Sizing it
@@ -43,16 +44,27 @@ class RecordTable {
 
   size_t num_keys() const { return location_.size(); }
 
-  /// Node currently storing `key`, or kInvalidNode.
+  /// Node currently storing `key`, or kInvalidNode (in flight or absent).
   NodeId location(Key key) const {
-    return key < location_.size() ? location_[key] : kInvalidNode;
+    const NodeId loc = key < location_.size() ? location_[key] : kInvalidNode;
+    return loc >= 0 ? loc : kInvalidNode;
   }
 
-  /// The stored record of a key whose location is not kInvalidNode.
+  /// Node a shipped `key` is in flight toward, or kInvalidNode.
+  NodeId in_flight_to(Key key) const {
+    const NodeId loc = key < location_.size() ? location_[key] : kInvalidNode;
+    return loc < kInvalidNode ? kInvalidNode - 1 - loc : kInvalidNode;
+  }
+
+  /// The record of a key that is stored somewhere or in flight.
   const Record& record(Key key) const { return records_[key]; }
 
  private:
   friend class RecordStore;
+
+  /// location_ codes below kInvalidNode mean "in flight toward node d":
+  /// kInvalidNode - 1 - d, so one int32 per key holds all three states.
+  static NodeId InFlightCode(NodeId to) { return kInvalidNode - 1 - to; }
 
   std::vector<Record> records_;
   std::vector<NodeId> location_;
@@ -60,8 +72,9 @@ class RecordTable {
 
 /// One node's main-memory table: the keys of a RecordTable located at this
 /// node. A record is present in exactly one node's store at any instant;
-/// migrations Extract() it from the source (it is then in flight) and
-/// Insert() it at the destination when the simulated message lands.
+/// migrations Ship() it from the source (it is then in flight, payload
+/// still in the table) and Land() it at the destination when the simulated
+/// message arrives.
 class RecordStore {
  public:
   /// A standalone store over a private table (unit tests, serial
@@ -73,16 +86,29 @@ class RecordStore {
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
 
-  /// Loads a record during initial population or migration arrival.
+  /// Loads a record (initial population, checkpoint restore, undo).
   /// Overwrites this node's existing entry; the key must not be located
-  /// at another node (asserted: a double insert would duplicate it).
+  /// at another node nor in flight (asserted: that would duplicate it).
   void Insert(Key key, const Record& record);
 
-  /// Removes the record (it migrated away). Returns the removed record, or
-  /// nullopt if the key was not present.
+  /// Removes the record outright; it is then located nowhere and not in
+  /// flight. Returns the removed record, or nullopt if the key was not
+  /// present.
   std::optional<Record> Extract(Key key);
 
+  /// Marks a key stored here as in flight toward node `to` (another node).
+  /// The payload stays in the table until Land().
+  void Ship(Key key, NodeId to);
+
+  /// Stores an in-flight key here: at its destination, or back at its
+  /// source when a suppressed shipment is reclaimed. The payload is the
+  /// one it was shipped with.
+  void Land(Key key);
+
   bool Contains(Key key) const { return table_->location(key) == node_; }
+
+  /// The table this store is a view of (shared by every node's store).
+  const RecordTable& table() const { return *table_; }
 
   /// Returns the record, or nullptr if not stored on this node. The table
   /// is sized once when the cluster loads, so the pointer stays valid

@@ -28,6 +28,15 @@ using fault::FaultPlanConfig;
 using fault::InvariantMonitor;
 using fault::RangeMapFactory;
 
+/// The lowest key the record table shows in flight, or kNoKey.
+constexpr Key kNoKey = static_cast<Key>(-1);
+Key LowestInFlightKey(const storage::RecordTable& table) {
+  for (Key k = 0; k < table.num_keys(); ++k) {
+    if (table.in_flight_to(k) != kInvalidNode) return k;
+  }
+  return kNoKey;
+}
+
 TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
   const ClusterConfig config = oracle::DegradedConfig();
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
@@ -206,10 +215,22 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
-TEST(DegradedModeTest, InFlightRecordTowardVictimIsReclaimed) {
-  // A record extracted toward the victim before the crash is suppressed
-  // on delivery and reclaimed by the source after the deterministic
-  // timeout — record singularity holds throughout.
+/// What CrashShippedRecordDestination observed.
+struct VictimRun {
+  Key key = kNoKey;  ///< the lowest in-flight key when the victim died
+  NodeId victim = kInvalidNode;
+  NodeId in_flight_to_before_rejoin = kInvalidNode;
+  NodeId location_after_rejoin = kInvalidNode;
+  std::string debug_before_rejoin;
+  uint64_t reclaims = 0;
+};
+
+/// Steps a skewed YCSB run until a record is mid-wire, crashes (no-stall)
+/// the destination of the lowest in-flight key, and rejoins it
+/// `outage_us` later. The record checks run on `monitor` throughout, and
+/// the degraded oracle at the drained end.
+VictimRun CrashShippedRecordDestination(SimTime outage_us,
+                                        InvariantMonitor* monitor) {
   const ClusterConfig config = oracle::DegradedConfig();
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
@@ -224,29 +245,63 @@ TEST(DegradedModeTest, InFlightRecordTowardVictimIsReclaimed) {
   driver.set_stop_time(MsToSim(150));
   driver.Start();
 
-  // Step until a record is mid-wire, then kill its destination.
-  NodeId victim = kInvalidNode;
-  for (SimTime t = 100; t <= MsToSim(100) && victim == kInvalidNode;
-       t += 100) {
+  VictimRun run;
+  const storage::RecordTable& table = cluster.record_table();
+  for (SimTime t = 100; t <= MsToSim(100) && run.key == kNoKey; t += 100) {
     cluster.RunUntil(t);
-    if (cluster.executor().inflight_records().empty()) continue;
-    victim = cluster.executor().inflight_records().begin()->second.to;
+    run.key = LowestInFlightKey(table);
   }
-  ASSERT_NE(victim, kInvalidNode) << "no record was ever mid-wire";
-  cluster.CrashNoStall(victim);
+  if (run.key == kNoKey) return run;
+  run.victim = table.in_flight_to(run.key);
+  cluster.CrashNoStall(run.victim);
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "mid-outage"));
-  cluster.RunUntil(cluster.Now() +
-                   config.degraded.reclaim_timeout_us * 4);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "post-reclaim"));
+  monitor->CheckRecordSingularity(cluster, "mid-outage");
+  cluster.RunUntil(cluster.Now() + outage_us);
+  monitor->CheckRecordSingularity(cluster, "before rejoin");
+  run.in_flight_to_before_rejoin = table.in_flight_to(run.key);
+  run.debug_before_rejoin = cluster.executor().DebugString();
 
-  cluster.RejoinNoStall(victim);
+  cluster.RejoinNoStall(run.victim);
+  run.location_after_rejoin = table.location(run.key);
+  monitor->CheckRecordSingularity(cluster, "rejoined");
   cluster.RunUntil(MsToSim(150));
   cluster.Drain();
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
+  run.reclaims = cluster.degraded_ledger().reclaims();
+  monitor->CheckRecordSingularity(cluster, "final");
+  monitor->CheckNoLostRecords(cluster, "final");
+  monitor->CheckDegradedOracle(cluster, RouterKind::kHermes,
+                               RangeMapFactory(config), "final");
+  return run;
+}
+
+TEST(DegradedModeTest, ShippedRecordTowardVictimIsReclaimed) {
+  // A record shipped toward the victim before the crash is suppressed on
+  // delivery and reclaimed by the source after the deterministic
+  // timeout — record singularity holds throughout.
+  const ClusterConfig config = oracle::DegradedConfig();
+  InvariantMonitor monitor(config.num_records);
+  const VictimRun run = CrashShippedRecordDestination(
+      config.degraded.reclaim_timeout_us * 4, &monitor);
+  ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
+  EXPECT_GT(run.reclaims, 0u);
+  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+}
+
+TEST(DegradedModeTest, ShippedRecordTowardVictimLandsWhenItRejoinsFirst) {
+  // The victim rejoins before reclaim_timeout_us: the suppressed shipment
+  // stays in flight toward it, and the rejoin flush lands the record at
+  // its destination, so no reclaim ever fires.
+  const ClusterConfig config = oracle::DegradedConfig();
+  InvariantMonitor monitor(config.num_records);
+  const VictimRun run = CrashShippedRecordDestination(
+      config.degraded.reclaim_timeout_us / 2, &monitor);
+  ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
+  EXPECT_EQ(run.in_flight_to_before_rejoin, run.victim);
+  EXPECT_NE(run.debug_before_rejoin.find("SUPPRESSED"), std::string::npos)
+      << run.debug_before_rejoin;
+  EXPECT_EQ(run.location_after_rejoin, run.victim)
+      << "the rejoin flush lands it";
+  EXPECT_EQ(run.reclaims, 0u);
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 

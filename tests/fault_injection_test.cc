@@ -246,11 +246,11 @@ TEST(FaultInjectionTest, MidFlightFailoverKeepsReplicasConsistent) {
       << monitor.FailureReport();
 }
 
-TEST(FaultInjectionTest, InFlightRecordsAppearInExecutorDebugString) {
-  // Satellite: TxnExecutor::DebugString lists extracted-but-undelivered
-  // records with their source and destination nodes. Step the simulation
-  // in small increments until a migration is mid-wire and check both the
-  // table and its rendering.
+TEST(FaultInjectionTest, ShippedRecordsAppearInExecutorDebugString) {
+  // TxnExecutor::DebugString lists shipped-but-undelivered records with
+  // their destination nodes. Step the simulation in small increments until
+  // a migration is mid-wire (the lowest in-flight key) and check both the
+  // record table and the rendering.
   const ClusterConfig config = ChaosClusterConfig();
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
@@ -265,21 +265,36 @@ TEST(FaultInjectionTest, InFlightRecordsAppearInExecutorDebugString) {
   driver.set_stop_time(MsToSim(200));
   driver.Start();
 
+  const storage::RecordTable& table = cluster.record_table();
+  auto lowest_in_flight = [&table]() {
+    for (Key k = 0; k < table.num_keys(); ++k) {
+      if (table.in_flight_to(k) != kInvalidNode) return k;
+    }
+    return static_cast<Key>(-1);
+  };
   bool seen = false;
   for (SimTime t = 100; t <= MsToSim(200) && !seen; t += 100) {
     cluster.RunUntil(t);
-    if (cluster.executor().inflight_records().empty()) continue;
+    const Key key = lowest_in_flight();
+    if (key == static_cast<Key>(-1)) continue;
     seen = true;
-    const auto& [key, rec] = *cluster.executor().inflight_records().begin();
-    EXPECT_NE(rec.from, rec.to);
-    EXPECT_FALSE(cluster.node(rec.from).store().Contains(key))
-        << "in-flight record still present at its source";
+    const NodeId to = table.in_flight_to(key);
+    EXPECT_GE(to, 0);
+    EXPECT_LT(to, cluster.num_nodes());
+    EXPECT_EQ(table.location(key), kInvalidNode);
+    for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
+      EXPECT_FALSE(cluster.node(n).store().Contains(key))
+          << "in-flight record present at node " << n;
+    }
     const std::string debug = cluster.executor().DebugString();
-    EXPECT_NE(debug.find("in flight: key="), std::string::npos) << debug;
+    EXPECT_NE(debug.find("in flight: key=" + std::to_string(key) +
+                         " -> node " + std::to_string(to)),
+              std::string::npos)
+        << debug;
   }
   EXPECT_TRUE(seen) << "the skewed YCSB run never had a record mid-wire";
   cluster.Drain();
-  EXPECT_TRUE(cluster.executor().inflight_records().empty());
+  EXPECT_EQ(lowest_in_flight(), static_cast<Key>(-1));
 }
 
 // The monitors catch what they check for: on a drained cluster, a record

@@ -111,7 +111,8 @@ TEST(RecordStoreViewTest, ExtractThenInsertMovesTheKey) {
   n0.Insert(5, Record{.value = 42});
   const std::optional<Record> moved = n0.Extract(5);
   ASSERT_TRUE(moved.has_value());
-  EXPECT_EQ(table.location(5), kInvalidNode);  // in flight
+  EXPECT_EQ(table.location(5), kInvalidNode);
+  EXPECT_EQ(table.in_flight_to(5), kInvalidNode);  // extracted, not shipped
   EXPECT_FALSE(n0.Contains(5));
   EXPECT_FALSE(n1.Contains(5));
   n1.Insert(5, *moved);
@@ -121,6 +122,50 @@ TEST(RecordStoreViewTest, ExtractThenInsertMovesTheKey) {
   EXPECT_EQ(table.location(5), 1);
   EXPECT_EQ(n0.size(), 0u);
   EXPECT_EQ(n1.size(), 1u);
+}
+
+TEST(RecordStoreViewTest, ShippedKeyIsInFlightUntilItLands) {
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1), n2(&table, 2);
+  n0.Insert(5, Record{.value = 42, .last_writer = 7, .version = 3});
+  n0.Insert(6, Record{.value = 1});
+  const uint64_t sum_before = n0.Checksum();
+  const uint64_t sum_of_6 = [] {
+    RecordStore only6;
+    only6.Insert(6, Record{.value = 1});
+    return only6.Checksum();
+  }();
+
+  n0.Ship(5, 2);
+  EXPECT_EQ(table.location(5), kInvalidNode);
+  EXPECT_EQ(table.in_flight_to(5), 2);
+  for (const RecordStore* view : {&n0, &n1, &n2}) {
+    EXPECT_FALSE(view->Contains(5));
+    EXPECT_EQ(view->Get(5), nullptr);
+  }
+  EXPECT_EQ(n0.size(), 1u);
+  EXPECT_EQ(n0.Checksum(), sum_of_6);
+  ASSERT_EQ(n0.records().size(), 1u);
+  EXPECT_EQ(n0.records()[0].first, 6u);
+  EXPECT_EQ(n2.records().size(), 0u);
+
+  n2.Land(5);
+  EXPECT_EQ(table.location(5), 2);
+  EXPECT_EQ(table.in_flight_to(5), kInvalidNode);
+  ASSERT_TRUE(n2.Contains(5));
+  EXPECT_EQ(n2.Get(5)->value, 42u);
+  EXPECT_EQ(n2.Get(5)->last_writer, 7u);
+  EXPECT_EQ(n2.Get(5)->version, 3u);
+  EXPECT_EQ(n2.size(), 1u);
+
+  // A reclaimed shipment lands back at its source with the same payload.
+  n2.Ship(5, 1);
+  EXPECT_EQ(table.in_flight_to(5), 1);
+  n0.Land(5);
+  EXPECT_EQ(table.location(5), 0);
+  EXPECT_EQ(n0.size(), 2u);
+  EXPECT_EQ(n2.size(), 0u);
+  EXPECT_EQ(n0.Checksum(), sum_before);
 }
 
 TEST(RecordStoreViewTest, ClearDropsOnlyItsOwnKeys) {
@@ -180,6 +225,16 @@ TEST(RecordStoreViewDeathTest, InsertOfKeyLocatedElsewhereAborts) {
   RecordTable table;
   RecordStore n0(&table, 0), n1(&table, 1);
   n0.Insert(5, Record{.value = 42});
+  EXPECT_DEATH(n1.Insert(5, Record{.value = 43}), "record singularity");
+}
+
+TEST(RecordStoreViewDeathTest, InsertOfKeyInFlightAborts) {
+  // A shipped key keeps its payload in the table until it lands; an
+  // Insert meanwhile would overwrite it.
+  RecordTable table;
+  RecordStore n0(&table, 0), n1(&table, 1);
+  n0.Insert(5, Record{.value = 42});
+  n0.Ship(5, 1);
   EXPECT_DEATH(n1.Insert(5, Record{.value = 43}), "record singularity");
 }
 #endif
