@@ -325,6 +325,17 @@ void ExpectStatsEqual(const HermesRouter::Stats& a,
   EXPECT_EQ(a.reorders, b.reorders);
 }
 
+/// The ownership overlay is the only owner record a fused key needs: every
+/// key in the fusion table is owned, per the overlay, where the table
+/// places it.
+void ExpectFusedKeysInOverlay(const HermesRouter& router,
+                              const OwnershipMap& ownership) {
+  for (Key k : router.fusion_table().ExportOrder()) {
+    EXPECT_EQ(router.fusion_table().Peek(k), ownership.Owner(k))
+        << "fused key " << k;
+  }
+}
+
 /// One seeded random workload: several batches of skew-heavy regular
 /// transactions, optionally interleaved with chunk-migration and
 /// add/remove-node barriers (which reset reorder segments and mutate the
@@ -443,6 +454,8 @@ void CheckEquivalence(uint64_t seed, const HermesConfig& config,
       }
     }
     ExpectStatsEqual(ref.stats(), opt.stats());
+    ExpectFusedKeysInOverlay(ref, ownership_ref);
+    ExpectFusedKeysInOverlay(opt, ownership_opt);
     EXPECT_EQ(ref.fusion_table().Checksum(), opt.fusion_table().Checksum());
     EXPECT_EQ(ref.fusion_table().ExportOrder(),
               opt.fusion_table().ExportOrder());
