@@ -1,29 +1,27 @@
 #ifndef HERMES_CORE_FUSION_TABLE_H_
 #define HERMES_CORE_FUSION_TABLE_H_
 
-#include <functional>
-#include <list>
-#include <optional>
-#include <span>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "common/config.h"
-#include "common/digest.h"
 #include "common/flat_map.h"
-#include "common/hash.h"
 #include "common/types.h"
-#include "obs/trace.h"
 
 namespace hermes::core {
 
-/// The fusion table (§3.1, §4.1): a bounded lookup table of
-/// (hot record key -> partition) pairs, logically replicated on every
+/// The fusion table (§3.1, §4.1): the bounded set of hot record keys
+/// placed away from their home partitions, logically replicated on every
 /// scheduler. Replicas are never synchronized over the network — each
 /// scheduler derives identical contents by running the deterministic
 /// prescient routing over the same totally ordered input, so this class
 /// must be strictly deterministic: eviction order is FIFO or LRU over an
 /// explicit recency list, never hash-map iteration order.
+///
+/// The table holds keys and their recency only. A fused key's partition
+/// is its entry in the ownership map's per-key overlay
+/// (partition::OwnershipMap::Owner), which the router writes alongside
+/// every Put and Erase and clears on eviction.
 ///
 /// When an insertion pushes the table past capacity, the eviction victims
 /// are returned to the caller; the router appends them to the current
@@ -31,94 +29,103 @@ namespace hermes::core {
 /// partitions (§4.1).
 class FusionTable {
  public:
-  /// `capacity` == 0 means unbounded (used by the LEAP baseline, which
-  /// fuses without ever evicting).
+  /// `capacity` == 0 means unbounded: keys are fused and never evicted
+  /// (bench_ablation_hermes's "unbounded" row).
   FusionTable(size_t capacity, EvictionPolicy policy);
 
   FusionTable(const FusionTable&) = delete;
   FusionTable& operator=(const FusionTable&) = delete;
 
-  /// Current placement of `key`, if tracked. Under LRU, a hit refreshes
-  /// the key's recency when `touch` is true (routing lookups touch;
-  /// diagnostic reads must not).
-  std::optional<NodeId> Lookup(Key key, bool touch);
+  /// Whether `key` is tracked; never perturbs recency.
+  bool Contains(Key key) const { return index_.contains(key); }
 
-  /// Read-only lookup (never perturbs recency).
-  std::optional<NodeId> Peek(Key key) const;
+  /// A routing read of `key`: under LRU a tracked key becomes the most
+  /// recent; otherwise a no-op.
+  void Touch(Key key) {
+    if (policy_ != EvictionPolicy::kLru) return;
+    if (const auto it = index_.find(key); it != index_.end()) {
+      MoveToBack(it->second);
+    }
+  }
 
-  /// Inserts or updates `key -> node` and refreshes recency. Entries
-  /// evicted to respect capacity are appended to `*evicted` (the freshly
-  /// touched key is never its own victim).
-  void Put(Key key, NodeId node, std::vector<Key>* evicted);
-
-  /// Like Put, but keys in `pinned` are skipped as eviction victims (the
-  /// router pins the current transaction's write-set: those records are
-  /// mid-migration to the master and must not simultaneously be shipped
-  /// home). If every entry is pinned the table temporarily overflows.
-  void PutPinned(Key key, NodeId node, const HashSet<Key>& pinned,
-                 std::vector<Key>* evicted);
-
-  /// PutPinned over a sorted pinned-key span (binary-searched), so callers
-  /// routing in a hot loop need not build a hash set per transaction.
-  void PutPinned(Key key, NodeId node, std::span<const Key> sorted_pinned,
-                 std::vector<Key>* evicted);
+  /// Tracks `key` (a tracked key refreshes its recency under LRU), then
+  /// evicts in recency order while the table is over capacity, appending
+  /// each victim to `*evicted`. A victim for which `keep(victim)` is true
+  /// (the router's pinned write keys and degraded-mode test) keeps its
+  /// slot and recency; `keep` must be a pure function of deterministic
+  /// state. If every entry is kept the table temporarily overflows.
+  template <typename KeepFn>
+  void Put(Key key, KeepFn&& keep, std::vector<Key>* evicted) {
+    const auto [it, inserted] = index_.try_emplace(key, 0u);
+    if (inserted) {
+      it->second = Append(key);
+    } else if (policy_ == EvictionPolicy::kLru) {
+      MoveToBack(it->second);
+    }
+    if (capacity_ == 0) return;
+    for (uint32_t slot = head_; index_.size() > capacity_ && slot != kNil;) {
+      const uint32_t next = links_[slot].next;
+      const Key victim = links_[slot].key;
+      if (!keep(victim)) {
+        Remove(slot);
+        index_.erase(victim);
+        evicted->push_back(victim);
+      }
+      slot = next;
+    }
+  }
 
   /// Drops `key` (its record migrated back home or left with its node).
-  void Erase(Key key);
+  void Erase(Key key) {
+    if (const auto it = index_.find(key); it != index_.end()) {
+      Remove(it->second);
+      index_.erase(it);
+    }
+  }
 
-  size_t size() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
+  size_t size() const { return index_.size(); }
 
   /// Keys in eviction order (front = next victim), for checkpointing.
   std::vector<Key> ExportOrder() const;
 
-  /// Rebuilds contents and order from a checkpoint: `entries` is the
-  /// ownership overlay in ascending key order and holds every key of
-  /// `order`.
-  void Restore(const std::vector<std::pair<Key, NodeId>>& entries,
-               const std::vector<Key>& order);
-
-  /// Order-insensitive digest of the table contents; used by determinism
-  /// tests to compare scheduler replicas.
-  uint64_t Checksum() const;
-
-  /// Attaches a decision digest: every eviction victim is mixed in, in
-  /// eviction order (evictions are routing decisions — they append
-  /// migration accesses to the current transaction's plan).
-  void set_digest(DecisionDigest* digest) { digest_ = digest; }
-
-  /// Attaches the passive tracer: evictions emit kFusionEvict events
-  /// (write-only; no table or eviction decision reads tracer state).
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-  /// Eviction eligibility filter (nullptr = everything evictable). Used
-  /// by degraded mode: a key whose homeward migration would ship toward a
-  /// dead node keeps its slot until that node rejoins. The filter must be
-  /// a pure function of deterministic state (membership epoch + static
-  /// homes), never of hash order or wall clock.
-  void set_eviction_filter(std::function<bool(Key)> evictable) {
-    evictable_ = std::move(evictable);
-  }
+  /// Rebuilds the table from a checkpoint's recency order (front = next
+  /// victim). Throws std::invalid_argument if a key repeats.
+  void Restore(const std::vector<Key>& order);
 
  private:
-  struct Entry {
-    NodeId node;
-    std::list<Key>::iterator pos;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /// One recency-list node. Free slab slots are chained through `next`.
+  struct Link {
+    Key key;
+    uint32_t prev;
+    uint32_t next;
   };
 
-  void TouchEntry(Entry& entry, Key key);
-
-  template <typename PinnedFn>
-  void PutPinnedImpl(Key key, NodeId node, PinnedFn&& is_pinned,
-                     std::vector<Key>* evicted);
+  /// Takes a free slab slot (or grows the slab) for `key` and links it
+  /// as the most recent entry.
+  uint32_t Append(Key key);
+  void PushBack(uint32_t slot);
+  void Unlink(uint32_t slot);
+  void MoveToBack(uint32_t slot) {
+    if (slot == tail_) return;
+    Unlink(slot);
+    PushBack(slot);
+  }
+  /// Unlinks `slot` and returns it to the free list.
+  void Remove(uint32_t slot) {
+    Unlink(slot);
+    links_[slot].next = free_;
+    free_ = slot;
+  }
 
   size_t capacity_;
   EvictionPolicy policy_;
-  std::list<Key> order_;  // front = oldest / next eviction victim
-  FlatMap<Key, Entry> entries_;
-  DecisionDigest* digest_ = nullptr;
-  obs::Tracer* tracer_ = nullptr;
-  std::function<bool(Key)> evictable_;
+  std::vector<Link> links_;  ///< slab of recency-list nodes
+  uint32_t head_ = kNil;     ///< oldest / next eviction victim
+  uint32_t tail_ = kNil;     ///< most recent
+  uint32_t free_ = kNil;     ///< first free slab slot
+  FlatMap<Key, uint32_t> index_;  ///< key -> slab slot
 };
 
 }  // namespace hermes::core

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <span>
+#include <stdexcept>
+
+#include "common/rng.h"
 
 namespace hermes::core {
 namespace {
@@ -19,15 +21,7 @@ HermesRouter::HermesRouter(partition::OwnershipMap* ownership,
                            const HermesConfig& config)
     : Router(ownership, costs, num_nodes),
       config_(config),
-      fusion_table_(config.fusion_table_capacity, config.eviction_policy) {
-  // Degraded mode: never pick an eviction victim whose homeward shipment
-  // would touch a dead node (either end). Such entries keep their slot
-  // until the node rejoins; with no membership view installed the filter
-  // always passes, so fault-free routing is unchanged.
-  fusion_table_.set_eviction_filter([this](Key k) {
-    return NodeAlive(ownership_->Owner(k)) && NodeAlive(ownership_->Home(k));
-  });
-}
+      fusion_table_(config.fusion_table_capacity, config.eviction_policy) {}
 
 RoutePlan HermesRouter::RouteBatch(const Batch& batch) {
   RoutePlan plan;
@@ -431,38 +425,50 @@ RoutedTxn HermesRouter::Materialize(const TxnRequest& txn, NodeId x) {
   }
 
   // Fusion-table maintenance: write keys now live at the route (entries
-  // exist only for keys away from home); read hits refresh LRU recency.
-  // The transaction's own write keys are pinned against eviction — they
-  // are mid-migration to the master and cannot also ship home. `merged`
-  // is key-sorted, so the filtered write-key list stays sorted and the
-  // fusion table can binary-search it.
+  // exist only for keys away from home, and the overlay holds their
+  // owner); read hits refresh LRU recency. An eviction victim keeps its
+  // slot if it is one of the transaction's own write keys (mid-migration
+  // to the master, it cannot also ship home) or, in degraded mode, if its
+  // homeward shipment would touch a dead node (either end) — it waits for
+  // the node to rejoin. With no membership view installed every node is
+  // alive, so fault-free routing only pins. `merged` is key-sorted, so
+  // the filtered write-key list stays sorted for binary search.
   auto& pinned = scratch_.pinned;
   pinned.clear();
   for (const auto& [k, is_write] : merged) {
     if (is_write) pinned.push_back(k);
   }
+  const auto keep = [&](Key victim) {
+    return std::binary_search(pinned.begin(), pinned.end(), victim) ||
+           !NodeAlive(ownership_->Owner(victim)) ||
+           !NodeAlive(ownership_->Home(victim));
+  };
   auto& evicted = scratch_.evicted;
   evicted.clear();
   for (const auto& [k, is_write] : merged) {
     if (!is_write) {
-      fusion_table_.Lookup(k, /*touch=*/true);
+      fusion_table_.Touch(k);
       continue;
     }
     if (ownership_->Home(k) == x) {
       fusion_table_.Erase(k);
       ownership_->ClearKeyOwner(k);
     } else {
-      fusion_table_.PutPinned(k, x, std::span<const Key>(pinned), &evicted);
+      fusion_table_.Put(k, keep, &evicted);
       ownership_->SetKeyOwner(k, x);
     }
   }
 
   // Evicted keys migrate back home, appended to this transaction's plan
   // (§4.1); the client-visible commit does not wait for these shipments.
+  // A victim is never a write key of this transaction, so its overlay
+  // entry still names the owner it had when it was evicted.
   for (Key ev : evicted) {
     ++stats_.evictions;
     const NodeId cur = ownership_->Owner(ev);
     const NodeId home = ownership_->Home(ev);
+    HERMES_TRACE(tracer_, obs::EventKind::kFusionEvict, cur, kInvalidTxn, ev);
+    if (digest_ != nullptr) digest_->Mix(ev);
     ownership_->ClearKeyOwner(ev);
     if (cur == home) continue;
     Access a;
@@ -495,7 +501,7 @@ RoutedTxn HermesRouter::PlanChunkMigration(const TxnRequest& txn) {
     // Hot keys tracked by the fusion table are skipped: they keep moving
     // with normal traffic and the chunk transaction never touches them,
     // so cold migration does not interfere with hot-data access (§3.3).
-    if (fusion_table_.Peek(k).has_value()) continue;
+    if (fusion_table_.Contains(k)) continue;
     const NodeId cur = ownership_->Owner(k);
     if (cur == dst) continue;
     rt.accesses.push_back(Access{k, cur, /*is_write=*/true,
@@ -530,7 +536,7 @@ RoutedTxn HermesRouter::PlanProvisioning(const TxnRequest& txn) {
     return ownership_->Home(k);
   };
   for (Key k : fusion_table_.ExportOrder()) {
-    if (fusion_table_.Peek(k) != leaver) continue;
+    if (ownership_->Owner(k) != leaver) continue;
     const NodeId dest = dest_for(k);
     fusion_table_.Erase(k);
     if (dest == leaver) continue;
@@ -542,6 +548,23 @@ RoutedTxn HermesRouter::PlanProvisioning(const TxnRequest& txn) {
   }
   OnRemoveNode(leaver);
   return rt;
+}
+
+void HermesRouter::RestoreFusionTable(const std::vector<Key>& order) {
+  for (Key k : order) {
+    if (!ownership_->HasKeyOverride(k)) {
+      throw std::out_of_range("fusion-table key missing from the overlay");
+    }
+  }
+  fusion_table_.Restore(order);
+}
+
+uint64_t HermesRouter::FusionChecksum() const {
+  uint64_t sum = 0;
+  for (Key k : fusion_table_.ExportOrder()) {
+    sum ^= Mix64(Mix64(k) ^ static_cast<uint64_t>(ownership_->Owner(k) + 7));
+  }
+  return sum;
 }
 
 }  // namespace hermes::core

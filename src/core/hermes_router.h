@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/digest.h"
 #include "core/fusion_table.h"
 #include "core/lease_table.h"
+#include "obs/trace.h"
 #include "routing/batch_scratch.h"
 #include "routing/router.h"
 
@@ -42,7 +44,20 @@ class HermesRouter : public routing::Router {
   std::string name() const override { return "hermes"; }
 
   const FusionTable& fusion_table() const { return fusion_table_; }
-  FusionTable& mutable_fusion_table() { return fusion_table_; }
+
+  /// Rebuilds the fusion table from a checkpoint's recency order, after
+  /// the ownership overlay it refers to has been restored. Throws
+  /// std::out_of_range if a key has no overlay entry.
+  void RestoreFusionTable(const std::vector<Key>& order);
+
+  /// Order-insensitive digest of the fused keys and their owners; used by
+  /// determinism tests to compare scheduler replicas.
+  uint64_t FusionChecksum() const;
+
+  /// Attaches a decision digest: every fusion-table eviction victim is
+  /// mixed in, in eviction order (evictions are routing decisions — they
+  /// append migration accesses to the current transaction's plan).
+  void set_digest(DecisionDigest* digest) { digest_ = digest; }
 
   /// Enables replica-lease decisions (DESIGN.md §5 "Replica leases").
   /// `config` must outlive the router; decisions stay a pure function of
@@ -67,14 +82,11 @@ class HermesRouter : public routing::Router {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Installs the passive tracer on the router and its fusion table:
-  /// evictions, chunk migrations and provisioning markers emit events.
-  /// Strictly write-only — no routing decision reads tracer state (the
-  /// detlint obs-decision rule audits this directory for exactly that).
-  void set_tracer(obs::Tracer* tracer) {
-    tracer_ = tracer;
-    fusion_table_.set_tracer(tracer);
-  }
+  /// Installs the passive tracer: fusion-table evictions, chunk
+  /// migrations and provisioning markers emit events. Strictly write-only
+  /// — no routing decision reads tracer state (the detlint obs-decision
+  /// rule audits this directory for exactly that).
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  protected:
   /// Steps 1–3 of Algorithm 1 for one non-empty segment of regular
@@ -120,6 +132,7 @@ class HermesRouter : public routing::Router {
   FusionTable fusion_table_;
   LeaseTable lease_table_;
   Stats stats_;
+  DecisionDigest* digest_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   /// Batch-boundary lease ops, attached to the batch's first routed txn
   /// (scratch; cleared per batch).

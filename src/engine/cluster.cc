@@ -52,6 +52,9 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
       wire_(&sim_, &config_.costs, &config_.net, config.num_nodes),
       ownership_(std::move(initial_partitioning)),
       router_(MakeRouter(kind, &ownership_, config_)),
+      hermes_(kind == RouterKind::kHermes
+                  ? static_cast<core::HermesRouter*>(router_.get())
+                  : nullptr),
       lease_mgr_(config.num_nodes),
       executor_(&sim_, &wire_, &metrics_, &config_.costs, &nodes_),
       sequencer_(&sim_, &config_,
@@ -76,11 +79,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
                                             &records_, &locks_));
   }
   sim_.set_decision_digest(&digest_);
-  if (kind_ == RouterKind::kHermes) {
-    static_cast<core::HermesRouter*>(router_.get())
-        ->mutable_fusion_table()
-        .set_digest(&digest_);
-  }
+  if (hermes_ != nullptr) hermes_->set_digest(&digest_);
   // Degraded-mode wiring. Inert while every node is alive: the candidate
   // set degenerates to active_nodes_, the batch filter takes its fast
   // path, and no executor gate fires — fault-free digests are unchanged.
@@ -111,15 +110,12 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   }
   executor_.set_tracer(&tracer_);
   scheduler_.set_tracer(&tracer_);
-  if (kind_ == RouterKind::kHermes) {
-    static_cast<core::HermesRouter*>(router_.get())->set_tracer(&tracer_);
-  }
+  if (hermes_ != nullptr) hermes_->set_tracer(&tracer_);
   // Replica-lease wiring (DESIGN.md §5 "Replica leases"). Only the Hermes
   // router grants leases; with replication disabled the manager stays
   // empty and every hook below is a no-op.
   if (replication_enabled()) {
-    static_cast<core::HermesRouter*>(router_.get())
-        ->EnableReplication(&config_.replication);
+    hermes_->EnableReplication(&config_.replication);
     executor_.set_lease_manager(&lease_mgr_);
     lease_mgr_.set_tracer(&tracer_);
   }
@@ -241,8 +237,8 @@ void Cluster::RegisterTelemetry() {
       return wire_.MergedQueueDelay(TrafficClass::kBulk).Snapshot();
     });
   }
-  if (kind_ == RouterKind::kHermes) {
-    const auto* router = static_cast<const core::HermesRouter*>(router_.get());
+  if (hermes_ != nullptr) {
+    const core::HermesRouter* router = hermes_;
     telemetry_.RegisterGauge("hermes_fusion_table_size", [router] {
       return static_cast<int64_t>(router->fusion_table().size());
     });
@@ -538,11 +534,8 @@ storage::Checkpoint Cluster::TakeCheckpoint() const {
   cp.ownership_overlay = ownership_.ExportKeyOverlay();
   cp.intervals = ownership_.ExportIntervals();
   cp.active_nodes = router_->active_nodes();
-  if (kind_ == RouterKind::kHermes) {
-    cp.fusion_order =
-        static_cast<const core::HermesRouter*>(router_.get())
-            ->fusion_table()
-            .ExportOrder();
+  if (hermes_ != nullptr) {
+    cp.fusion_order = hermes_->fusion_table().ExportOrder();
   }
   return cp;
 }
@@ -556,7 +549,7 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
   // did from its own start.
   if (replication_enabled()) {
     lease_mgr_.LapseAll();
-    static_cast<core::HermesRouter*>(router_.get())->ResetReplication();
+    hermes_->ResetReplication();
   }
   records_.Reserve(config_.num_records);
   locks_.Reserve(config_.num_records);
@@ -568,11 +561,7 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
   ownership_.RestoreKeyOverlay(checkpoint.ownership_overlay);
   ownership_.RestoreIntervals(checkpoint.intervals);
   router_->RestoreActiveNodes(checkpoint.active_nodes);
-  if (kind_ == RouterKind::kHermes) {
-    static_cast<core::HermesRouter*>(router_.get())
-        ->mutable_fusion_table()
-        .Restore(checkpoint.ownership_overlay, checkpoint.fusion_order);
-  }
+  if (hermes_ != nullptr) hermes_->RestoreFusionTable(checkpoint.fusion_order);
   sequencer_.RestoreCounters(checkpoint.next_batch, checkpoint.next_txn_id);
 }
 
@@ -629,12 +618,6 @@ int Cluster::total_workers() const {
   int total = 0;
   for (const auto& node : nodes_) total += node->workers().num_workers();
   return total;
-}
-
-const core::FusionTable* Cluster::fusion_table() const {
-  if (kind_ != RouterKind::kHermes) return nullptr;
-  return &static_cast<const core::HermesRouter*>(router_.get())
-              ->fusion_table();
 }
 
 // --- Degraded mode (no-stall crash handling). ---

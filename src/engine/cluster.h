@@ -16,7 +16,6 @@
 #include "common/types.h"
 #include "engine/degraded.h"
 #include "engine/failure_detector.h"
-#include "core/fusion_table.h"
 #include "core/hermes_router.h"
 #include "engine/executor.h"
 #include "engine/metrics.h"
@@ -289,8 +288,9 @@ class Cluster {
   const storage::RecordTable& record_table() const { return records_; }
   /// Total executor workers across all nodes (for CPU utilization).
   int total_workers() const;
-  /// Fusion table, or nullptr unless running the Hermes router.
-  const core::FusionTable* fusion_table() const;
+  /// The Hermes router (its fusion table, stats and fusion checksum), or
+  /// nullptr unless running it.
+  const core::HermesRouter* hermes_router() const { return hermes_; }
 
   /// Running digest over the cluster's decision stream: router placements,
   /// fusion-table evictions, and every event-queue pop. Identical seeded
@@ -425,6 +425,8 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   partition::OwnershipMap ownership_;
   std::unique_ptr<routing::Router> router_;
+  /// router_ as the Hermes router, or nullptr for the other kinds.
+  core::HermesRouter* hermes_;
   storage::CommandLog command_log_;
   /// Declared before executor_ (which holds a pointer into it when
   /// replication is enabled) so copies outlive executor teardown.

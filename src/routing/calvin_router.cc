@@ -1,9 +1,6 @@
 #include "routing/calvin_router.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/hash.h"
 
 namespace hermes::routing {
 
@@ -39,29 +36,27 @@ RoutedTxn CalvinRouter::RouteOne(const TxnRequest& txn) {
   // the transaction logic (Calvin's deterministic execution runs the code
   // on all participants; each applies only its local writes). This is the
   // multi-master scheme's resource cost the paper contrasts with
-  // single-master routing.
-  const auto merged = MergedAccessSet(txn);
-  std::map<NodeId, int> owners;
-  for (const auto& [k, is_write] : merged) {
-    (void)is_write;
-    ++owners[OwnerOf(k)];
-  }
-  rt.masters.reserve(owners.size());
-  for (const auto& [node, count] : owners) {
-    (void)count;
-    rt.masters.push_back(node);
-  }
+  // single-master routing. Masters are listed in ascending node order.
+  MergedAccessSetInto(txn, &merged_);
+  masters_.clear();
+  for (const auto& access : merged_) masters_.push_back(OwnerOf(access.first));
+  std::sort(masters_.begin(), masters_.end());
+  masters_.erase(std::unique(masters_.begin(), masters_.end()), masters_.end());
+  rt.masters.assign(masters_.begin(), masters_.end());
 
-  HashSet<Key> read_keys(txn.read_set.begin(), txn.read_set.end());
-  rt.accesses.reserve(merged.size());
-  for (const auto& [k, is_write] : merged) {
+  read_keys_.assign(txn.read_set.begin(), txn.read_set.end());
+  std::sort(read_keys_.begin(), read_keys_.end());
+  rt.accesses.reserve(merged_.size());
+  for (const auto& [k, is_write] : merged_) {
     Access a;
     a.key = k;
     a.owner = OwnerOf(k);
     a.is_write = is_write;
     // A record is shipped iff some other master needs its value for the
     // transaction logic (blind writes ship nothing).
-    a.ship_to_master = read_keys.contains(k) && rt.masters.size() > 1;
+    a.ship_to_master =
+        rt.masters.size() > 1 &&
+        std::binary_search(read_keys_.begin(), read_keys_.end(), k);
     rt.accesses.push_back(a);
   }
   return rt;

@@ -15,7 +15,9 @@ void ClayPlanner::Observe(const TxnRequest& txn) {
   ++observed_;
   auto note = [&](Key k) {
     ++range_heat_[k / config_.range_size];
-    ++node_load_[ownership_->Owner(k)];
+    const auto owner = static_cast<size_t>(ownership_->Owner(k));
+    if (owner >= node_load_.size()) node_load_.resize(owner + 1, 0);
+    ++node_load_[owner];
   };
   for (Key k : txn.read_set) note(k);
   for (Key k : txn.write_set) note(k);
@@ -33,19 +35,18 @@ std::vector<ClumpMove> ClayPlanner::MaybePlan(SimTime now, int num_nodes) {
     return plan;
   }
 
-  // Identify hottest and coldest nodes from the window statistics.
+  // Identify hottest and coldest nodes from the window statistics. The
+  // ascending scan with a strict `>` breaks load ties to the lowest node.
   uint64_t total = 0;
-  // detlint:allow(unordered-iter) order-insensitive commutative sum
-  for (const auto& [node, load] : node_load_) total += load;
+  for (uint64_t load : node_load_) total += load;
   const double avg = static_cast<double>(total) / num_nodes;
 
   NodeId hottest = 0;
   uint64_t hottest_load = 0;
-  // detlint:allow(unordered-iter) max under total order (load desc, node asc)
-  for (const auto& [node, load] : node_load_) {
-    if (load > hottest_load || (load == hottest_load && node < hottest)) {
-      hottest = node;
-      hottest_load = load;
+  for (size_t node = 0; node < node_load_.size(); ++node) {
+    if (node_load_[node] > hottest_load) {
+      hottest = static_cast<NodeId>(node);
+      hottest_load = node_load_[node];
     }
   }
   if (static_cast<double>(hottest_load) <= avg * (1.0 + config_.overload_slack)) {
@@ -57,8 +58,9 @@ std::vector<ClumpMove> ClayPlanner::MaybePlan(SimTime now, int num_nodes) {
   NodeId coldest = kInvalidNode;
   uint64_t coldest_load = UINT64_MAX;
   for (NodeId node = 0; node < num_nodes; ++node) {
-    auto it = node_load_.find(node);
-    const uint64_t load = it == node_load_.end() ? 0 : it->second;
+    const uint64_t load = static_cast<size_t>(node) < node_load_.size()
+                              ? node_load_[node]
+                              : 0;
     if (load < coldest_load) {
       coldest = node;
       coldest_load = load;

@@ -63,7 +63,8 @@ class ClayPlanner {
   uint64_t num_ranges_;
   SimTime window_start_ = 0;
   HashMap<uint64_t, uint64_t> range_heat_;
-  HashMap<NodeId, uint64_t> node_load_;
+  /// Observed accesses per owning node, by node id.
+  std::vector<uint64_t> node_load_;
   uint64_t observed_ = 0;
   uint64_t plans_produced_ = 0;
 };

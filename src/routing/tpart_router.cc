@@ -22,8 +22,13 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
   const auto theta = static_cast<int64_t>(std::ceil(
       static_cast<double>(batch.txns.size()) / (n == 0 ? 1 : n) *
       (1.0 + alpha_)));
-  HashMap<NodeId, int64_t> load;
-  for (NodeId node : active_nodes_) load[node] = 0;
+  /// Transactions routed to each node in this batch, by node id (grown
+  /// when a provisioning marker adds a node mid-batch).
+  std::vector<int64_t> load;
+  auto load_of = [&load](NodeId node) -> int64_t& {
+    if (static_cast<size_t>(node) >= load.size()) load.resize(node + 1, 0);
+    return load[node];
+  };
 
   /// Where each key is currently readable within this batch: a written key
   /// moves to its writer's master (forward pushing); untouched keys sit at
@@ -74,7 +79,7 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
         (void)is_write;
         if (source_of(k) != cand) ++remote;
       }
-      const bool capped = load[cand] >= theta;
+      const bool capped = load_of(cand) >= theta;
       const int score = remote + (capped ? kCapPenalty : 0);
       if (score < best_score ||
           (score == best_score && best_capped && !capped)) {
@@ -83,7 +88,7 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
         best_capped = capped;
       }
     }
-    ++load[best];
+    ++load_of(best);
 
     RoutedTxn rt;
     rt.txn = txn;

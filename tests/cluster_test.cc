@@ -158,9 +158,9 @@ TEST(ClusterTest, EmptyAccessSetTxnCommits) {
 TEST(ClusterTest, FusionTableOnlyForHermes) {
   const ClusterConfig config = SmallConfig();
   auto calvin = MakeCluster(config, RouterKind::kCalvin);
-  EXPECT_EQ(calvin->fusion_table(), nullptr);
+  EXPECT_EQ(calvin->hermes_router(), nullptr);
   auto hermes = MakeCluster(config, RouterKind::kHermes);
-  EXPECT_NE(hermes->fusion_table(), nullptr);
+  EXPECT_NE(hermes->hermes_router(), nullptr);
 }
 
 TEST(ClusterTest, MaxBatchSizeSplitsLoad) {

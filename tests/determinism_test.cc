@@ -55,8 +55,8 @@ uint64_t RunYcsbOnce(const Scenario& s, uint64_t* commits) {
   cluster.Drain();
   *commits = cluster.metrics().total_commits();
   uint64_t checksum = cluster.StateChecksum();
-  if (const auto* ft = cluster.fusion_table()) {
-    checksum ^= ft->Checksum();
+  if (const auto* hermes = cluster.hermes_router()) {
+    checksum ^= hermes->FusionChecksum();
   }
   return checksum;
 }

@@ -1,10 +1,9 @@
 // Model-based property test: FusionTable against straightforward
-// reference implementations of LRU and FIFO bounded maps, under random
+// reference implementations of LRU and FIFO bounded key sets, under random
 // operation sequences.
 
+#include <algorithm>
 #include <list>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,43 +14,43 @@
 namespace hermes::core {
 namespace {
 
-/// Reference bounded map: an explicit list-of-keys implementation kept
-/// deliberately naive (O(n) operations) so its correctness is obvious.
+/// Reference bounded key set: an explicit list of keys kept deliberately
+/// naive (O(n) operations) so its correctness is obvious.
 class ReferenceTable {
  public:
   ReferenceTable(size_t capacity, EvictionPolicy policy)
       : capacity_(capacity), policy_(policy) {}
 
-  std::optional<NodeId> Lookup(Key key, bool touch) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    if (touch && policy_ == EvictionPolicy::kLru) MoveToBack(key);
-    return it->second;
+  bool Contains(Key key) const {
+    return std::find(order_.begin(), order_.end(), key) != order_.end();
   }
 
-  void Put(Key key, NodeId node, std::vector<Key>* evicted) {
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      it->second = node;
-      if (policy_ == EvictionPolicy::kLru) MoveToBack(key);
-    } else {
+  void Touch(Key key) {
+    if (Contains(key) && policy_ == EvictionPolicy::kLru) MoveToBack(key);
+  }
+
+  void Put(Key key, const std::vector<Key>& kept, std::vector<Key>* evicted) {
+    if (!Contains(key)) {
       order_.push_back(key);
-      map_[key] = node;
+    } else if (policy_ == EvictionPolicy::kLru) {
+      MoveToBack(key);
     }
     if (capacity_ == 0) return;
-    while (map_.size() > capacity_) {
-      const Key victim = order_.front();
-      order_.pop_front();
-      map_.erase(victim);
-      evicted->push_back(victim);
+    for (auto it = order_.begin();
+         order_.size() > capacity_ && it != order_.end();) {
+      if (std::find(kept.begin(), kept.end(), *it) != kept.end()) {
+        ++it;
+        continue;
+      }
+      evicted->push_back(*it);
+      it = order_.erase(it);
     }
   }
 
-  void Erase(Key key) {
-    if (map_.erase(key) > 0) order_.remove(key);
-  }
+  void Erase(Key key) { order_.remove(key); }
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return order_.size(); }
+  std::vector<Key> Order() const { return {order_.begin(), order_.end()}; }
 
  private:
   void MoveToBack(Key key) {
@@ -61,8 +60,7 @@ class ReferenceTable {
 
   size_t capacity_;
   EvictionPolicy policy_;
-  std::list<Key> order_;
-  std::unordered_map<Key, NodeId> map_;
+  std::list<Key> order_;  // front = next eviction victim
 };
 
 struct Param {
@@ -84,20 +82,32 @@ TEST_P(FusionTablePropertyTest, MatchesReferenceModel) {
     const Key key = rng.NextBounded(kKeySpace);
     const int op = static_cast<int>(rng.NextBounded(10));
     if (op < 5) {
-      const NodeId node = static_cast<NodeId>(rng.NextBounded(8));
+      // Keep (pin) up to three random keys, sometimes the put key itself.
+      std::vector<Key> kept;
+      const auto num_kept = rng.NextBounded(4);
+      for (uint64_t i = 0; i < num_kept; ++i) {
+        kept.push_back(rng.NextBounded(kKeySpace));
+      }
+      const auto keep = [&kept](Key k) {
+        return std::find(kept.begin(), kept.end(), k) != kept.end();
+      };
       std::vector<Key> ev1, ev2;
-      table.Put(key, node, &ev1);
-      reference.Put(key, node, &ev2);
+      table.Put(key, keep, &ev1);
+      reference.Put(key, kept, &ev2);
       ASSERT_EQ(ev1, ev2) << "step " << step;
     } else if (op < 8) {
-      const bool touch = (op == 5);
-      ASSERT_EQ(table.Lookup(key, touch), reference.Lookup(key, touch))
+      if (op == 5) {
+        table.Touch(key);
+        reference.Touch(key);
+      }
+      ASSERT_EQ(table.Contains(key), reference.Contains(key))
           << "step " << step;
     } else {
       table.Erase(key);
       reference.Erase(key);
     }
     ASSERT_EQ(table.size(), reference.size()) << "step " << step;
+    ASSERT_EQ(table.ExportOrder(), reference.Order()) << "step " << step;
   }
 }
 

@@ -1,39 +1,54 @@
 #include "core/fusion_table.h"
 
-#include "common/hash.h"
+#include <algorithm>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 namespace hermes::core {
 namespace {
 
-TEST(FusionTableTest, PutAndLookup) {
+/// Put's keep predicate for a table with no pinned or protected keys.
+bool KeepNone(Key) { return false; }
+
+/// Put's keep predicate keeping every key of `pinned`.
+auto KeepPinned(std::vector<Key> pinned) {
+  return [pinned = std::move(pinned)](Key k) {
+    return std::find(pinned.begin(), pinned.end(), k) != pinned.end();
+  };
+}
+
+TEST(FusionTableTest, PutAndContains) {
   FusionTable table(10, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 3, &evicted);
+  table.Put(1, KeepNone, &evicted);
   EXPECT_TRUE(evicted.empty());
-  EXPECT_EQ(table.Lookup(1, false), 3);
-  EXPECT_EQ(table.Peek(1), 3);
-  EXPECT_FALSE(table.Peek(2).has_value());
+  EXPECT_TRUE(table.Contains(1));
+  EXPECT_FALSE(table.Contains(2));
+  table.Touch(2);  // untracked: no-op
+  EXPECT_FALSE(table.Contains(2));
+  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(FusionTableTest, PutUpdatesExisting) {
   FusionTable table(10, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 3, &evicted);
-  table.Put(1, 2, &evicted);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.Peek(1), 2);
+  table.Put(1, KeepNone, &evicted);
+  table.Put(2, KeepNone, &evicted);
+  table.Put(1, KeepNone, &evicted);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{2, 1}));
 }
 
 TEST(FusionTableTest, FifoEvictsOldestInsertion) {
   FusionTable table(3, EvictionPolicy::kFifo);
   std::vector<Key> evicted;
-  for (Key k = 1; k <= 3; ++k) table.Put(k, 0, &evicted);
+  for (Key k = 1; k <= 3; ++k) table.Put(k, KeepNone, &evicted);
   // Touch key 1 (FIFO ignores recency).
-  table.Lookup(1, true);
-  table.Put(1, 1, &evicted);  // update does not refresh FIFO slot
-  table.Put(4, 0, &evicted);
+  table.Touch(1);
+  table.Put(1, KeepNone, &evicted);  // update does not refresh FIFO slot
+  table.Put(4, KeepNone, &evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 1u);
 }
@@ -41,20 +56,20 @@ TEST(FusionTableTest, FifoEvictsOldestInsertion) {
 TEST(FusionTableTest, LruEvictsLeastRecentlyUsed) {
   FusionTable table(3, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  for (Key k = 1; k <= 3; ++k) table.Put(k, 0, &evicted);
-  table.Lookup(1, true);  // 1 is now most recent; 2 is LRU
-  table.Put(4, 0, &evicted);
+  for (Key k = 1; k <= 3; ++k) table.Put(k, KeepNone, &evicted);
+  table.Touch(1);  // 1 is now most recent; 2 is LRU
+  table.Put(4, KeepNone, &evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 2u);
 }
 
-TEST(FusionTableTest, UntouchedLookupDoesNotRefreshLru) {
+TEST(FusionTableTest, ContainsDoesNotRefreshLru) {
   FusionTable table(2, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 0, &evicted);
-  table.Put(2, 0, &evicted);
-  table.Lookup(1, /*touch=*/false);
-  table.Put(3, 0, &evicted);
+  table.Put(1, KeepNone, &evicted);
+  table.Put(2, KeepNone, &evicted);
+  EXPECT_TRUE(table.Contains(1));
+  table.Put(3, KeepNone, &evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 1u);  // 1 stayed oldest
 }
@@ -62,7 +77,7 @@ TEST(FusionTableTest, UntouchedLookupDoesNotRefreshLru) {
 TEST(FusionTableTest, UnboundedNeverEvicts) {
   FusionTable table(0, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  for (Key k = 0; k < 10'000; ++k) table.Put(k, 0, &evicted);
+  for (Key k = 0; k < 10'000; ++k) table.Put(k, KeepNone, &evicted);
   EXPECT_TRUE(evicted.empty());
   EXPECT_EQ(table.size(), 10'000u);
 }
@@ -70,38 +85,62 @@ TEST(FusionTableTest, UnboundedNeverEvicts) {
 TEST(FusionTableTest, EraseRemovesEntry) {
   FusionTable table(4, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 0, &evicted);
+  table.Put(1, KeepNone, &evicted);
   table.Erase(1);
-  EXPECT_FALSE(table.Peek(1).has_value());
+  EXPECT_FALSE(table.Contains(1));
   EXPECT_EQ(table.size(), 0u);
   table.Erase(1);  // idempotent
+}
+
+// Erased slots are reused from the free list; the recency order stays
+// intact through middle, head and tail removals.
+TEST(FusionTableTest, EraseAnywhereKeepsOrderAndReusesSlots) {
+  FusionTable table(0, EvictionPolicy::kLru);
+  std::vector<Key> evicted;
+  for (Key k = 1; k <= 5; ++k) table.Put(k, KeepNone, &evicted);
+  table.Erase(3);  // middle
+  table.Erase(1);  // head
+  table.Erase(5);  // tail
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{2, 4}));
+  table.Put(6, KeepNone, &evicted);
+  table.Put(7, KeepNone, &evicted);
+  table.Touch(2);
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{4, 6, 7, 2}));
+  table.Erase(4);
+  table.Erase(6);
+  table.Erase(7);
+  table.Erase(2);
+  EXPECT_TRUE(table.ExportOrder().empty());
+  table.Put(8, KeepNone, &evicted);
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{8}));
 }
 
 TEST(FusionTableTest, PinnedKeysSurviveEviction) {
   FusionTable table(3, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 0, &evicted);
-  table.Put(2, 0, &evicted);
-  table.Put(3, 0, &evicted);
-  HashSet<Key> pinned = {1, 2};
-  table.PutPinned(4, 0, pinned, &evicted);
+  table.Put(1, KeepNone, &evicted);
+  table.Put(2, KeepNone, &evicted);
+  table.Put(3, KeepNone, &evicted);
+  table.Put(4, KeepPinned({1, 2}), &evicted);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0], 3u);  // oldest non-pinned
-  EXPECT_TRUE(table.Peek(1).has_value());
-  EXPECT_TRUE(table.Peek(2).has_value());
+  EXPECT_TRUE(table.Contains(1));
+  EXPECT_TRUE(table.Contains(2));
+  // Kept keys keep their recency: 1 is still the next victim.
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{1, 2, 4}));
 }
 
 TEST(FusionTableTest, AllPinnedAllowsTemporaryOverflow) {
   FusionTable table(2, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  HashSet<Key> pinned = {1, 2, 3};
-  table.PutPinned(1, 0, pinned, &evicted);
-  table.PutPinned(2, 0, pinned, &evicted);
-  table.PutPinned(3, 0, pinned, &evicted);
+  const auto pinned = KeepPinned({1, 2, 3});
+  table.Put(1, pinned, &evicted);
+  table.Put(2, pinned, &evicted);
+  table.Put(3, pinned, &evicted);
   EXPECT_TRUE(evicted.empty());
   EXPECT_EQ(table.size(), 3u);
   // Next unpinned insert sheds the overflow.
-  table.PutPinned(4, 0, HashSet<Key>{}, &evicted);
+  table.Put(4, KeepNone, &evicted);
   EXPECT_EQ(evicted.size(), 2u);
   EXPECT_EQ(table.size(), 2u);
 }
@@ -109,46 +148,43 @@ TEST(FusionTableTest, AllPinnedAllowsTemporaryOverflow) {
 TEST(FusionTableTest, ExportRestoreRoundTripsOrder) {
   FusionTable table(3, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  table.Put(1, 5, &evicted);
-  table.Put(2, 6, &evicted);
-  table.Put(3, 7, &evicted);
-  table.Lookup(1, true);
+  table.Put(1, KeepNone, &evicted);
+  table.Put(2, KeepNone, &evicted);
+  table.Put(3, KeepNone, &evicted);
+  table.Touch(1);
 
-  const std::vector<std::pair<Key, NodeId>> entries = {{1, 5}, {2, 6}, {3, 7}};
   FusionTable restored(3, EvictionPolicy::kLru);
-  restored.Restore(entries, table.ExportOrder());
-  EXPECT_EQ(restored.Checksum(), table.Checksum());
+  restored.Restore(table.ExportOrder());
+  EXPECT_EQ(restored.ExportOrder(), table.ExportOrder());
+  EXPECT_EQ(restored.size(), 3u);
 
   // Both evict the same victim next.
   std::vector<Key> ev1, ev2;
-  table.Put(9, 0, &ev1);
-  restored.Put(9, 0, &ev2);
+  table.Put(9, KeepNone, &ev1);
+  restored.Put(9, KeepNone, &ev2);
   EXPECT_EQ(ev1, ev2);
 }
 
-TEST(FusionTableTest, ChecksumIgnoresOrderButNotContents) {
-  FusionTable a(0, EvictionPolicy::kLru), b(0, EvictionPolicy::kLru);
+TEST(FusionTableTest, RestoreReplacesContentsAndRejectsRepeats) {
+  FusionTable table(4, EvictionPolicy::kLru);
   std::vector<Key> evicted;
-  a.Put(1, 2, &evicted);
-  a.Put(3, 4, &evicted);
-  b.Put(3, 4, &evicted);
-  b.Put(1, 2, &evicted);
-  EXPECT_EQ(a.Checksum(), b.Checksum());
-  b.Put(1, 9, &evicted);
-  EXPECT_NE(a.Checksum(), b.Checksum());
+  table.Put(5, KeepNone, &evicted);
+  table.Restore({7, 8});
+  EXPECT_FALSE(table.Contains(5));
+  EXPECT_EQ(table.ExportOrder(), (std::vector<Key>{7, 8}));
+  EXPECT_THROW(table.Restore({1, 2, 1}), std::invalid_argument);
 }
 
 TEST(FusionTableTest, MultipleEvictionsInOnePut) {
   FusionTable table(5, EvictionPolicy::kFifo);
   std::vector<Key> evicted;
-  for (Key k = 0; k < 5; ++k) table.Put(k, 0, &evicted);
-  HashSet<Key> pinned;
+  for (Key k = 0; k < 5; ++k) table.Put(k, KeepNone, &evicted);
   // Overflow by restoring a larger state is impossible; emulate via
   // pinned overflow then release.
-  table.PutPinned(5, 0, {0, 1, 2, 3, 4, 5}, &evicted);
+  table.Put(5, KeepPinned({0, 1, 2, 3, 4, 5}), &evicted);
   EXPECT_TRUE(evicted.empty());
-  table.Put(6, 0, &evicted);
-  EXPECT_EQ(evicted.size(), 2u);  // sheds down to capacity
+  table.Put(6, KeepNone, &evicted);
+  EXPECT_EQ(evicted, (std::vector<Key>{0, 1}));  // sheds down to capacity
 }
 
 }  // namespace

@@ -90,11 +90,12 @@ TEST_F(PaperExampleTest, ReproducesFigure5) {
   EXPECT_EQ(migrations, 2);
   EXPECT_EQ(router.stats().reroutes, 2u);
 
-  // The fusion table tracks C at its final placement (node 0).
-  EXPECT_EQ(router.fusion_table().Peek(kC), 0);
+  // The fusion table tracks C; the overlay holds its final placement
+  // (node 0).
+  EXPECT_TRUE(router.fusion_table().Contains(kC));
   EXPECT_EQ(ownership_.Owner(kC), 0);
   // D was written at its home; no fusion entry.
-  EXPECT_FALSE(router.fusion_table().Peek(kD).has_value());
+  EXPECT_FALSE(router.fusion_table().Contains(kD));
 }
 
 TEST_F(PaperExampleTest, LoadConstraintRespected) {
@@ -182,7 +183,7 @@ TEST(HermesRouterTest, EvictionAppendsHomeMigration) {
     }
   }
   EXPECT_TRUE(saw_eviction);
-  EXPECT_FALSE(router.fusion_table().Peek(90).has_value());
+  EXPECT_FALSE(router.fusion_table().Contains(90));
   EXPECT_EQ(ownership.Owner(90), 3);
   EXPECT_GE(router.stats().evictions, 1u);
 }
@@ -199,7 +200,25 @@ TEST(HermesRouterTest, WriteRoutedHomeDropsFusionEntry) {
   ASSERT_EQ(ownership.Owner(90), 0);
   (void)router.RouteBatch(MakeBatch({MakeTxn(2, {91, 92, 90}, {90})}));
   EXPECT_EQ(ownership.Owner(90), 3);  // back home with node-3 neighbors
-  EXPECT_FALSE(router.fusion_table().Peek(90).has_value());
+  EXPECT_FALSE(router.fusion_table().Contains(90));
+}
+
+// The fusion checksum folds each fused key with its owner as the overlay
+// records it: order-insensitive (XOR), sensitive to every owner.
+TEST(HermesRouterTest, FusionChecksumFoldsFusedKeysWithOverlayOwners) {
+  OwnershipMap ownership(std::make_unique<RangePartitionMap>(100, 4));
+  CostModel costs;
+  HermesConfig config;
+  config.alpha = 8.0;
+  HermesRouter router(&ownership, &costs, 4, config);
+  EXPECT_EQ(router.FusionChecksum(), 0u);
+
+  (void)router.RouteBatch(MakeBatch({MakeTxn(1, {10, 11, 90}, {90})}));
+  ASSERT_TRUE(router.fusion_table().Contains(90));
+  ASSERT_EQ(ownership.Owner(90), 0);
+  EXPECT_EQ(router.FusionChecksum(), Mix64(Mix64(90) ^ 7u));
+  ownership.SetKeyOwner(90, 1);
+  EXPECT_EQ(router.FusionChecksum(), Mix64(Mix64(90) ^ 8u));
 }
 
 TEST(HermesRouterTest, DeterministicAcrossReplicas) {
@@ -228,7 +247,7 @@ TEST(HermesRouterTest, DeterministicAcrossReplicas) {
         }
       }
     }
-    return digest ^ router.fusion_table().Checksum();
+    return digest ^ router.FusionChecksum();
   };
   EXPECT_EQ(run(0), run(1));
 }

@@ -188,8 +188,8 @@ TEST(IntegrationTest, FusionTableCapBoundsOverlay) {
   cluster.RunUntil(SecToSim(2));
   cluster.Drain();
 
-  ASSERT_NE(cluster.fusion_table(), nullptr);
-  EXPECT_LE(cluster.fusion_table()->size(), 100u);
+  ASSERT_NE(cluster.hermes_router(), nullptr);
+  EXPECT_LE(cluster.hermes_router()->fusion_table().size(), 100u);
   // Overlay only holds fusion entries once everything drained.
   EXPECT_LE(cluster.ownership().num_key_overrides(), 100u);
   EXPECT_GT(cluster.metrics().total_commits(), 100u);

@@ -3,6 +3,7 @@
 // guarantees the rebuilt cluster matches the pre-crash state bit for bit.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -58,14 +59,43 @@ TEST(RecoveryTest, ReplayFromCheckpointReproducesState) {
   const storage::Checkpoint checkpoint = primary.TakeCheckpoint();
   RunPhase(&primary, &gen, MsToSim(600));
   const uint64_t pre_crash = primary.StateChecksum();
-  const uint64_t pre_crash_fusion = primary.fusion_table()->Checksum();
+  const uint64_t pre_crash_fusion = primary.hermes_router()->FusionChecksum();
 
   // Replacement: restore + replay the suffix of the command log.
   auto recovered =
       engine::RecoverCluster(config, RouterKind::kHermes, BaseMap(config),
                              checkpoint, primary.command_log());
   EXPECT_EQ(recovered->StateChecksum(), pre_crash);
-  EXPECT_EQ(recovered->fusion_table()->Checksum(), pre_crash_fusion);
+  EXPECT_EQ(recovered->hermes_router()->FusionChecksum(), pre_crash_fusion);
+}
+
+// The fusion table holds keys only; their owners come from the restored
+// ownership overlay, so a checkpoint naming a fused key the overlay lacks
+// is corrupt and must be rejected rather than silently restored.
+TEST(RecoveryTest, RestoreRejectsFusedKeyMissingFromOverlay) {
+  const ClusterConfig config = RecoveryConfig();
+  workload::YcsbConfig wl;
+  wl.num_records = config.num_records;
+  wl.num_partitions = config.num_nodes;
+  wl.seed = 777;
+  Cluster primary(config, RouterKind::kHermes, BaseMap(config));
+  primary.Load();
+  workload::YcsbWorkload gen(wl, nullptr);
+  RunPhase(&primary, &gen, MsToSim(300));
+  storage::Checkpoint checkpoint = primary.TakeCheckpoint();
+  ASSERT_FALSE(checkpoint.fusion_order.empty());
+
+  // The overlay is in ascending key order: the first gap is a key with no
+  // overlay entry.
+  Key orphan = 0;
+  for (const auto& [key, node] : checkpoint.ownership_overlay) {
+    (void)node;
+    if (key != orphan) break;
+    ++orphan;
+  }
+  checkpoint.fusion_order.push_back(orphan);
+  Cluster restored(config, RouterKind::kHermes, BaseMap(config));
+  EXPECT_THROW(restored.RestoreFromCheckpoint(checkpoint), std::out_of_range);
 }
 
 TEST(RecoveryTest, CheckpointAloneIsNotEnough) {
@@ -211,8 +241,8 @@ TEST(RecoveryTest, MidElasticCheckpointReplaysInFlightMigration) {
                              checkpoint, primary.command_log());
   EXPECT_EQ(recovered->num_nodes(), 5);
   EXPECT_EQ(recovered->StateChecksum(), primary.StateChecksum());
-  EXPECT_EQ(recovered->fusion_table()->Checksum(),
-            primary.fusion_table()->Checksum());
+  EXPECT_EQ(recovered->hermes_router()->FusionChecksum(),
+            primary.hermes_router()->FusionChecksum());
 
   // Digest equality vs a full-replay oracle: the routing-decision stream
   // of the live elastic run is reproduced bit for bit from the log alone.
