@@ -1,6 +1,6 @@
 // Microbenchmarks for the substrate data structures (google-benchmark):
 // conservative ordered lock manager, fusion table, Zipfian generators,
-// simulator event heap, and record store.
+// simulator event queue, and record store.
 
 #include <algorithm>
 #include <memory>
@@ -20,6 +20,7 @@ namespace {
 using hermes::EvictionPolicy;
 using hermes::Key;
 using hermes::Rng;
+using hermes::SimTime;
 using hermes::TxnId;
 
 void BM_LockManagerAcquireRelease(benchmark::State& state) {
@@ -112,7 +113,7 @@ void BM_ZipfianNext(benchmark::State& state) {
 BENCHMARK(BM_ZipfianNext)->Arg(1'000'000)->Arg(200'000'000);
 
 // Self-rescheduling chains spread over ten node lanes, each firing again
-// 1-1000 us after it ran: the heap holds one entry per chain, as under a
+// 1-1000 us after it ran: the queue holds one entry per chain, as under a
 // cluster's steady state. Items are executed events.
 struct SimChains {
   hermes::sim::Simulator sim;
@@ -136,6 +137,38 @@ void BM_SimulatorChains(benchmark::State& state) {
       static_cast<int64_t>(chains.sim.events_executed() - start));
 }
 BENCHMARK(BM_SimulatorChains);
+
+// Chains that collide: each fires again at the same timestamp (a quarter of
+// the time), at a multiple of 100 us within 1 ms (so a few dozen chains
+// share each such timestamp: a same-time burst), or, once in 64 fires, two
+// to five wheel spans ahead (the far heap). Items are executed events.
+struct SimBursts {
+  hermes::sim::Simulator sim;
+  Rng rng{7};
+
+  void Fire() {
+    constexpr SimTime kSpan = hermes::sim::Simulator::kWheelSpan;
+    const uint64_t r = rng.NextBounded(64);
+    const SimTime delay = r < 16    ? 0
+                          : r < 63 ? 100 * (1 + rng.NextBounded(10))
+                                   : (2 + rng.NextBounded(4)) * kSpan;
+    sim.Schedule(delay, [this] { Fire(); });
+  }
+};
+
+void BM_SimulatorBursts(benchmark::State& state) {
+  SimBursts bursts;
+  bursts.sim.ConfigureLanes(10);
+  for (int i = 0; i < 1024; ++i) {
+    bursts.sim.ScheduleOnLane(i % 10, 100 * bursts.rng.NextBounded(10),
+                              [&bursts] { bursts.Fire(); });
+  }
+  const uint64_t start = bursts.sim.events_executed();
+  for (auto _ : state) bursts.sim.RunUntil(bursts.sim.Now() + 100);
+  state.SetItemsProcessed(
+      static_cast<int64_t>(bursts.sim.events_executed() - start));
+}
+BENCHMARK(BM_SimulatorBursts);
 
 void BM_RecordStoreApplyWrite(benchmark::State& state) {
   hermes::storage::RecordStore store;

@@ -1,8 +1,8 @@
 #ifndef HERMES_SIM_SIMULATOR_H_
 #define HERMES_SIM_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "common/digest.h"
@@ -15,13 +15,13 @@ namespace hermes::sim {
 /// sequencing, routing, shared bookkeeping.
 inline constexpr int kControlLane = -1;
 
-/// Discrete-event simulation driver: a virtual clock plus one event heap.
+/// Discrete-event simulation driver: a virtual clock plus one event queue.
 /// Components schedule closures at relative or absolute simulated times;
 /// Run*() advances the clock epoch by epoch.
 ///
 /// Epoch schedule: every event is tagged with a lane — the *control* lane
 /// or one lane per simulated node — and takes the next sequence number of
-/// that lane. The heap pops in (time, lane, seq) order with the control
+/// that lane. The queue pops in (time, lane, seq) order with the control
 /// lane first, so each distinct virtual timestamp T runs in rounds of:
 ///
 ///   1. Control slice — every control event at T, exclusively (it may
@@ -40,6 +40,26 @@ inline constexpr int kControlLane = -1;
 /// only to their own lane (a larger seq). Each pop is mixed into the
 /// decision digest as it runs; lane events never mix that digest
 /// themselves, so the mix order is the (time, lane, seq) order.
+///
+/// The queue is a timing wheel (Varghese & Lauck, SOSP 1987). Each pending
+/// event is a slab node whose closure is moved in once at push and out
+/// once at pop (only the slab's amortised growth relocates it); freed
+/// slots are recycled through a free list. A push lands in one of three
+/// places:
+///
+///   - at the current time: the *due* heap, keyed by the packed
+///     (lane, seq) order alone;
+///   - within (now, now + kWheelSpan): the wheel bucket `when %
+///     kWheelSpan`, found through a two-level occupancy bitmap;
+///   - later: the *far* heap of (when, order, slot) keys.
+///
+/// Invariant: every wheel node lies in [now, now + kWheelSpan), so a
+/// bucket holds a single timestamp. Reaching time T moves T's bucket and
+/// the far-heap entries at T into the due heap, and pushes at T join it
+/// while T drains, so a burst of k same-time events costs O(k log k). A
+/// wheel push is O(1), finding the next time reads at most the four
+/// summary words and two bitmap words, and a far push or collection costs
+/// O(log f) in the f events more than a span ahead.
 ///
 /// Everything runs on the calling thread. The staging fixes the total
 /// order every digest pins: a lane's cross-node effects land at the
@@ -93,7 +113,7 @@ class Simulator {
   /// simulator.
   bool in_lane_context() const { return lane_ != kControlLane; }
 
-  /// Runs events until the heap is empty or the next event is later than
+  /// Runs events until the queue is empty or the next event is later than
   /// `deadline`; the clock ends at min(deadline, last event time).
   void RunUntil(SimTime deadline);
 
@@ -107,22 +127,35 @@ class Simulator {
   /// firing order.
   void set_decision_digest(DecisionDigest* digest) { digest_ = digest; }
 
-  bool idle() const { return heap_.empty(); }
+  bool idle() const { return pending_ == 0; }
+
+  /// Width of the timing wheel in microseconds: pushes due within
+  /// (now, now + kWheelSpan) take a wheel bucket, later ones the far heap.
+  static constexpr SimTime kWheelSpan = SimTime{1} << 14;
 
  private:
-  /// One pending event. `order` packs the rest of the key as
-  /// (lane + 1) << 48 | seq, so the control lane sorts first.
-  struct Entry {
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+  static constexpr size_t kWheelWords = kWheelSpan / 64;
+  static constexpr size_t kSummaryWords = (kWheelWords + 63) / 64;
+
+  /// One pending event. `order` packs the rest of its key as
+  /// (lane + 1) << 48 | seq, so the control lane sorts first; `next` links
+  /// the node into its wheel bucket or the free list.
+  struct Node {
+    Callback fn;
+    uint64_t order = 0;
+    uint32_t next = kNoSlot;
+  };
+  /// A due-heap entry: every due event is at the current time.
+  struct DueKey {
+    uint64_t order;
+    uint32_t slot;
+  };
+  /// A far-heap entry.
+  struct FarKey {
     SimTime when;
     uint64_t order;
-    // Mutable so the closure can be moved out of the heap's const top().
-    mutable Callback fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.order > b.order;
-    }
+    uint32_t slot;
   };
 
   /// One staged operation from a lane event: either a push to another
@@ -137,10 +170,36 @@ class Simulator {
   void RunLoop(SimTime deadline, bool run_all);
   /// Mixes one pop into the decision digest; lane kControlLane tags 0.
   void MixPop(SimTime when, int lane, uint64_t seq);
-  /// Pushes into the heap with the lane's next seq (no staging).
-  void PushDirect(int lane, SimTime when, Callback fn);
+  /// Clamps, falls back to control, and stages or queues: the body of
+  /// every Schedule* call.
+  void Push(int lane, SimTime when, Callback&& fn);
+  /// Queues `fn` with the lane's next seq (no staging). `when` >= now_.
+  void PushDirect(int lane, SimTime when, Callback&& fn);
+  /// Earliest pending time after now_ in the wheel and far heap, or
+  /// kSimTimeMax when both are empty.
+  SimTime NextTime() const;
+  /// First occupied wheel bucket at index >= `from`, or kWheelSpan.
+  size_t FindBucket(size_t from) const;
+  /// Moves now_'s wheel bucket and far-heap entries into the due heap.
+  void CollectDue();
+  void PushDue(uint64_t order, uint32_t slot);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  /// Event slab; free slots chain through Node::next from free_.
+  std::vector<Node> nodes_;
+  uint32_t free_ = kNoSlot;
+  /// Live events: due, wheel and far together.
+  size_t pending_ = 0;
+  /// Min-heap on order of the events at now_.
+  std::vector<DueKey> due_;
+  /// Head slot of each wheel bucket; meaningful only where the bucket's
+  /// occupancy bit is set.
+  std::vector<uint32_t> buckets_ = std::vector<uint32_t>(kWheelSpan);
+  /// Occupancy: bit i of words_ marks bucket i, bit w of summary_ marks a
+  /// non-zero words_[w].
+  uint64_t words_[kWheelWords] = {};
+  uint64_t summary_[kSummaryWords] = {};
+  /// Min-heap on when of the events beyond the wheel at push time.
+  std::vector<FarKey> far_;
   /// Next seq per lane, indexed lane + 1 (control at 0).
   std::vector<uint64_t> next_seq_ = std::vector<uint64_t>(1, 0);
   /// The running round's staged operations, in staging order.
