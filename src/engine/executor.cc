@@ -467,22 +467,27 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   uint64_t migrated = 0;
   for (auto& [dest, shipment] : shipments) {
     migrated += shipment.moves.size();
-    net_->Send(node, dest, shipment.bytes, ship_cls,
-               [this, id, node, dest, moves = std::move(shipment.moves),
-                notify_master = shipment.to_master]() {
-                 for (Key key : moves) DeliverRecord(dest, key, node, id);
-                 auto it = actives_.find(id);
-                 if (it == actives_.end()) return;
-                 if (notify_master) {
-                   MasterState* m = MasterFor(*it->second, dest);
-                   if (m != nullptr) {
-                     assert(m->pending_messages > 0);
-                     --m->pending_messages;
-                     ++m->messages_received;
-                     CheckMasterReady(*it->second, *m);
-                   }
-                 }
-               });
+    // The master flag rides the destination's low bit, so the closure fits
+    // sim::Callback's inline buffer and the send does not allocate it.
+    const uint32_t to = static_cast<uint32_t>(dest) << 1 |
+                        static_cast<uint32_t>(shipment.to_master);
+    auto deliver = [this, id, node, to, moves = std::move(shipment.moves)]() {
+      const auto to_node = static_cast<NodeId>(to >> 1);
+      for (Key key : moves) DeliverRecord(to_node, key, node, id);
+      auto it = actives_.find(id);
+      if (it == actives_.end()) return;
+      if ((to & 1) != 0) {
+        MasterState* m = MasterFor(*it->second, to_node);
+        if (m != nullptr) {
+          assert(m->pending_messages > 0);
+          --m->pending_messages;
+          ++m->messages_received;
+          CheckMasterReady(*it->second, *m);
+        }
+      }
+    };
+    static_assert(sizeof(deliver) <= sim::Callback::kInlineBytes);
+    net_->Send(node, dest, shipment.bytes, ship_cls, std::move(deliver));
   }
   shipment_pool_.Give(std::move(shipments));
   // Early release: participants that are not masters give their locks up

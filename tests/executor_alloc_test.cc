@@ -101,20 +101,20 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
   GTEST_SKIP() << "allocation counts are pinned for unsanitized builds only";
 #else
   // The virtual-time schedule is deterministic, so both counts are exact.
-  // Before Calvin's RouteOne reused router-owned scratch (it built a
-  // std::map of masters, a HashSet of read keys and a merged access-set
-  // vector per transaction) this window took kParentAllocs allocations;
-  // before key-indexed lock queues, 47151; before pooled transaction
-  // shells, 74382.
+  // Before FinishParticipant's per-destination send closure fit
+  // sim::Callback's inline buffer (it heap-allocated once per shipment)
+  // this window took kParentAllocs allocations; before Calvin's RouteOne
+  // reused router-owned scratch, 47117; before key-indexed lock queues,
+  // 47151; before pooled transaction shells, 74382.
   constexpr uint64_t kCommits = 2494;
-  constexpr uint64_t kAllocs = 33630;        // 13.48 per commit
-  constexpr uint64_t kParentAllocs = 47117;  // 18.89 per commit
+  constexpr uint64_t kAllocs = 31723;        // 12.72 per commit
+  constexpr uint64_t kParentAllocs = 33630;  // 13.48 per commit
   EXPECT_EQ(commits, kCommits);
   EXPECT_EQ(allocs, kAllocs)
       << "allocations per commit: " << per_commit << " now, "
       << static_cast<double>(kAllocs) / kCommits << " pinned, "
       << static_cast<double>(kParentAllocs) / kCommits
-      << " before Calvin routing scratch (" << kParentAllocs
+      << " before the inline participant-send closure (" << kParentAllocs
       << " allocations)";
 #endif
 }
