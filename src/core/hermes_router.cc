@@ -502,7 +502,10 @@ RoutedTxn HermesRouter::PlanChunkMigration(const TxnRequest& txn) {
     // with normal traffic and the chunk transaction never touches them,
     // so cold migration does not interfere with hot-data access (§3.3).
     if (fusion_table_.Contains(k)) continue;
+    // Any other key lands at dst, its new home, so a per-key placement left
+    // by a node removal must not outlive the range move.
     const NodeId cur = ownership_->Owner(k);
+    ownership_->ClearKeyOwner(k);
     if (cur == dst) continue;
     rt.accesses.push_back(Access{k, cur, /*is_write=*/true,
                                  /*ship_to_master=*/true,
@@ -535,12 +538,18 @@ RoutedTxn HermesRouter::PlanProvisioning(const TxnRequest& txn) {
     }
     return ownership_->Home(k);
   };
+  // Each such key leaves the fusion table, so it keeps an overlay entry
+  // only while dest is not its home (a chunk migration later re-homes it).
   for (Key k : fusion_table_.ExportOrder()) {
     if (ownership_->Owner(k) != leaver) continue;
     const NodeId dest = dest_for(k);
     fusion_table_.Erase(k);
+    if (dest == ownership_->Home(k)) {
+      ownership_->ClearKeyOwner(k);
+    } else {
+      ownership_->SetKeyOwner(k, dest);
+    }
     if (dest == leaver) continue;
-    ownership_->SetKeyOwner(k, dest);
     rt.accesses.push_back(Access{k, leaver, /*is_write=*/true,
                                  /*ship_to_master=*/false,
                                  /*new_owner=*/dest});

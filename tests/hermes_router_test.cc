@@ -341,6 +341,72 @@ TEST(HermesRouterTest, RemoveNodeMarkerEvictsItsFusionEntries) {
   EXPECT_EQ(ownership.Owner(0), 0);
 }
 
+// Owner() must name where the plans put each record, through a node
+// removal and the chunk migrations that empty the leaver. Before the
+// batches below, key 5 (home 0) is fused onto node 2 and then re-homed
+// there by a chunk migration that skips it, so at the removal its
+// destination is the leaver itself; key 10 (home 0) is fused onto node 2
+// and ships home at the removal; key 40 (home 1) is fused onto node 2 too.
+// Every batch's plan is replayed into a record-location model: each move
+// must start where the model holds the record, and afterwards every key's
+// Owner() must equal the model.
+TEST(HermesRouterTest, OwnerFollowsRecordsThroughRemovalAndChunkMigrations) {
+  constexpr Key kKeys = 90;  // nodes 0, 1, 2 own 0-29, 30-59, 60-89
+  OwnershipMap ownership(std::make_unique<RangePartitionMap>(kKeys, 3));
+  CostModel costs;
+  HermesConfig config;
+  config.alpha = 8.0;
+  HermesRouter router(&ownership, &costs, 3, config);
+
+  std::vector<NodeId> where(kKeys);
+  for (Key k = 0; k < kKeys; ++k) where[k] = ownership.Owner(k);
+  TxnId next_id = 1;
+  auto route = [&](std::vector<TxnRequest> txns, const char* step) {
+    SCOPED_TRACE(step);
+    for (TxnRequest& t : txns) t.id = next_id++;
+    const RoutePlan plan = router.RouteBatch(MakeBatch(std::move(txns)));
+    for (const RoutedTxn& rt : plan.txns) {
+      for (const auto& acc : rt.accesses) {
+        if (acc.new_owner == kInvalidNode || acc.new_owner == acc.owner) {
+          continue;
+        }
+        EXPECT_EQ(acc.owner, where[acc.key]) << "key " << acc.key;
+        where[acc.key] = acc.new_owner;
+      }
+    }
+    for (Key k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(ownership.Owner(k), where[k]) << "key " << k;
+    }
+  };
+  auto chunk = [](Key lo, Key hi, NodeId target) {
+    TxnRequest t;
+    t.kind = TxnKind::kChunkMigration;
+    t.migration_target = target;
+    for (Key k = lo; k <= hi; ++k) t.write_set.push_back(k);
+    return t;
+  };
+
+  route({MakeTxn(0, {60, 61, 5}, {5}), MakeTxn(0, {62, 63, 10}, {10}),
+         MakeTxn(0, {64, 65, 40}, {40})},
+        "fuse 5, 10 and 40 onto node 2");
+  ASSERT_EQ(ownership.Owner(5), 2);
+  ASSERT_EQ(ownership.Owner(10), 2);
+  ASSERT_EQ(ownership.Owner(40), 2);
+  route({chunk(0, 9, 2)}, "re-home 0-9 on node 2 under fused key 5");
+  ASSERT_EQ(ownership.Home(5), 2);
+
+  TxnRequest removal;
+  removal.kind = TxnKind::kRemoveNode;
+  removal.migration_target = 2;
+  removal.range_moves = {{60, 89, 1}};
+  route({removal}, "remove node 2");
+  // The removal unfused all three keys, and each now sits at its home.
+  EXPECT_EQ(ownership.num_key_overrides(), 0u);
+  route({chunk(0, 9, 0), chunk(60, 89, 1)}, "empty the leaver");
+  route({chunk(0, 9, 1)}, "move 0-9 again");
+  route({chunk(10, 19, 1), chunk(30, 59, 0)}, "move 10's and 40's ranges");
+}
+
 TEST(HermesRouterTest, ReadsDoNotMigrateRecords) {
   OwnershipMap ownership(std::make_unique<RangePartitionMap>(100, 4));
   CostModel costs;
