@@ -1,9 +1,13 @@
 #include "routing/clay_planner.h"
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "digest_oracle.h"
 #include "partition/partition_map.h"
 
 namespace hermes::routing {
@@ -90,6 +94,52 @@ TEST(ClayPlannerTest, SingleNodeClusterNeverPlans) {
   ClayPlanner clay(&map, 100, SmallClay());
   for (int i = 0; i < 100; ++i) clay.Observe(TxnOn(1, 2));
   EXPECT_TRUE(clay.MaybePlan(2000, 1).empty());
+}
+
+/// (window, lo, target) of every move over six seeded windows. Only even
+/// ranges see traffic, so every node owns ranges with zero heat; node 0's
+/// keys draw most of it, so node 0 stays hot and its cold ranges are
+/// candidates whenever the coldest node cannot absorb the excess. Each
+/// plan is applied before the next window.
+std::vector<std::tuple<int, Key, NodeId>> SeededPlanSequence() {
+  OwnershipMap map(std::make_unique<RangePartitionMap>(1000, 4));
+  ClayConfig config = SmallClay();
+  config.range_size = 10;  // 100 ranges, 25 per node
+  ClayPlanner clay(&map, 1000, config);
+  Rng rng(2021);
+  auto key = [&rng] {
+    const Key k =
+        rng.NextBounded(4) == 0 ? rng.NextBounded(1000) : rng.NextBounded(250);
+    return (k / 20) * 20 + k % 10;  // fold into an even range
+  };
+  std::vector<std::tuple<int, Key, NodeId>> moves;
+  for (int window = 1; window <= 6; ++window) {
+    for (int i = 0; i < 400; ++i) {
+      const Key a = key();
+      clay.Observe(TxnOn(a, key()));
+    }
+    for (const ClumpMove& mv : clay.MaybePlan(window * 1000, 4)) {
+      EXPECT_EQ(mv.hi, mv.lo + 9);
+      moves.emplace_back(window, mv.lo, mv.target);
+      map.SetRangeOwner(mv.lo, mv.hi, mv.target);
+    }
+  }
+  return moves;
+}
+
+// Golden plan sequence, identical under two hash salts: the planner's
+// output is a function of the trace alone.
+TEST(ClayPlannerTest, SeededPlanSequenceIsPinned) {
+  const std::vector<std::tuple<int, Key, NodeId>> want = {
+      {1, 160, 1}, {1, 200, 1}, {1, 180, 1}, {2, 20, 3},  {2, 60, 3},
+      {2, 80, 3},  {3, 100, 2}, {3, 120, 2}, {3, 40, 2},  {4, 700, 0},
+      {4, 540, 0}, {4, 660, 0}, {4, 580, 0}, {4, 640, 0}, {4, 740, 0},
+      {4, 720, 0}, {5, 220, 2}, {6, 160, 0}};
+  for (uint64_t salt : {uint64_t{1}, uint64_t{0xdeadbeefcafef00d}}) {
+    oracle::SaltGuard guard(salt);
+    const auto got = SeededPlanSequence();
+    EXPECT_EQ(got, want) << "salt " << salt;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include "routing/metis_lite.h"
 
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "digest_oracle.h"
 
 namespace hermes::routing {
 namespace {
@@ -120,6 +122,39 @@ TEST(MetisLiteTest, RefinementImprovesCut) {
   EXPECT_LE(g.CutWeight(with), g.CutWeight(without));
   // The communities should largely end up separated.
   EXPECT_LE(g.CutWeight(with), 100u);
+}
+
+// Golden assignment of a seeded 300-vertex graph with uneven vertex
+// weights and parallel edges, large enough to coarsen several levels
+// (each level merges parallel coarse edges). Pinned as an order-sensitive
+// fingerprint plus the cut, under two hash salts.
+TEST(MetisLiteTest, SeededPartitionIsPinned) {
+  Rng rng(4242);
+  Graph g;
+  g.vertex_weight.assign(300, 0);
+  for (uint64_t& w : g.vertex_weight) w = 1 + rng.NextBounded(4);
+  g.adj.assign(300, {});
+  for (int e = 0; e < 1500; ++e) {
+    const auto a = static_cast<uint32_t>(rng.NextBounded(300));
+    // Mostly local edges, so matching finds heavy neighbourhoods.
+    const auto b = static_cast<uint32_t>(
+        e % 4 == 0 ? rng.NextBounded(300)
+                   : (a + 1 + rng.NextBounded(8)) % 300);
+    if (a == b) continue;
+    const uint64_t w = 1 + rng.NextBounded(9);
+    g.adj[a].emplace_back(b, w);
+    g.adj[b].emplace_back(a, w);
+  }
+  for (uint64_t salt : {uint64_t{1}, uint64_t{0xdeadbeefcafef00d}}) {
+    oracle::SaltGuard guard(salt);
+    const std::vector<int> part = PartitionGraph(g, 5, 0.1);
+    uint64_t fingerprint = 0;
+    for (int p : part) {
+      fingerprint = Mix64(fingerprint ^ static_cast<uint64_t>(p));
+    }
+    EXPECT_EQ(fingerprint, 0xdb74eaf5d3504849ULL) << "salt " << salt;
+    EXPECT_EQ(g.CutWeight(part), 1777u) << "salt " << salt;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "routing/schism_partitioner.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "digest_oracle.h"
 
 namespace hermes::routing {
 namespace {
@@ -80,6 +83,39 @@ TEST(SchismPartitionerTest, EmptyTraceStillCoversAllPartitions) {
   for (Key k = 0; k < 1000; k += 100) {
     EXPECT_GE(map->Owner(k), 0);
     EXPECT_LT(map->Owner(k), 4);
+  }
+}
+
+// Golden owners for a seeded trace over 40 ranges (enough for MetisLite
+// to coarsen): uniform pairs, triples drawn from eight co-access groups,
+// and a few keys past the last range, which Partition() ignores. The
+// owners are identical under two hash salts.
+TEST(SchismPartitionerTest, SeededPartitionIsPinned) {
+  const std::vector<NodeId> want = {
+      0, 2, 2, 1, 1, 3, 3, 0, 0, 2, 0, 1, 0, 3, 3, 1, 0, 2, 0, 2,
+      1, 3, 3, 1, 0, 2, 0, 2, 1, 3, 3, 1, 0, 2, 2, 2, 1, 3, 3, 1};
+  for (uint64_t salt : {uint64_t{1}, uint64_t{0xdeadbeefcafef00d}}) {
+    oracle::SaltGuard guard(salt);
+    SchismPartitioner schism(4000, 100);
+    Rng rng(77);
+    for (int i = 0; i < 3000; ++i) {
+      if (i % 3 == 0) {
+        schism.Observe(TxnOn({rng.NextBounded(4000), rng.NextBounded(4000)}));
+        continue;
+      }
+      const Key group = rng.NextBounded(8);
+      std::vector<Key> keys;
+      for (int j = 0; j < 3; ++j) {
+        keys.push_back((group + 8 * rng.NextBounded(5)) * 100 +
+                       rng.NextBounded(100));
+      }
+      if (i % 100 == 1) keys.push_back(4000 + rng.NextBounded(500));
+      schism.Observe(TxnOn(keys));
+    }
+    const auto map = schism.Partition(4);
+    std::vector<NodeId> got;
+    for (Key r = 0; r < 40; ++r) got.push_back(map->Owner(r * 100));
+    EXPECT_EQ(got, want) << "salt " << salt;
   }
 }
 

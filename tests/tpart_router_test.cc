@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "digest_oracle.h"
 #include "partition/partition_map.h"
 
 namespace hermes::routing {
@@ -126,6 +128,81 @@ TEST_F(TPartRouterTest, NonConflictingTxnsStillBalance) {
   std::vector<int> load(4, 0);
   for (const auto& rt : plan.txns) ++load[rt.masters[0]];
   for (int l : load) EXPECT_LE(l, 4);
+}
+
+/// Order-sensitive fingerprint of every routing decision in `plan`: each
+/// transaction's master and accesses, then its write-backs in emission
+/// order.
+uint64_t Fingerprint(const RoutePlan& plan) {
+  uint64_t h = 0;
+  auto mix = [&h](uint64_t v) { h = Mix64(h ^ v); };
+  for (const RoutedTxn& rt : plan.txns) {
+    mix(rt.txn.id);
+    mix(static_cast<uint64_t>(rt.masters.at(0)));
+    for (const Access& a : rt.accesses) {
+      mix(a.key);
+      mix(static_cast<uint64_t>(a.owner));
+      mix(static_cast<uint64_t>(a.new_owner));
+      mix(uint64_t{a.is_write} << 1 | uint64_t{a.ship_to_master});
+    }
+    for (const ReturnShipment& r : rt.on_commit_returns) {
+      mix(r.key);
+      mix(static_cast<uint64_t>(r.from));
+      mix(static_cast<uint64_t>(r.to));
+    }
+  }
+  return h;
+}
+
+// Golden plans for three seeded batches with heavy in-batch conflicts on
+// a hot key set, so many records are borrowed, pushed onward and written
+// back. Pinned under two hash salts, including the write-back order.
+TEST(TPartRouterGoldenTest, SeededBatchesArePinned) {
+  const std::vector<uint64_t> want_fingerprints = {
+      0x608fa0122514e35e, 0x50068eb9e48c3e22, 0x7da199498c5eb046};
+  // The first batch's write-backs as (plan index, key); the last user of
+  // 194 and 291 returns both, in key order.
+  const std::vector<std::pair<size_t, Key>> want_writebacks = {
+      {0, 827},  {2, 901},  {8, 263},  {9, 355},  {10, 744},
+      {15, 112}, {32, 176}, {38, 485}, {40, 470}, {42, 420},
+      {44, 995}, {49, 194}, {49, 291}};
+  for (uint64_t salt : {uint64_t{1}, uint64_t{0xdeadbeefcafef00d}}) {
+    oracle::SaltGuard guard(salt);
+    OwnershipMap ownership(std::make_unique<RangePartitionMap>(1000, 4));
+    CostModel costs;
+    TPartRouter router(&ownership, &costs, 4);
+    Rng rng(99);
+    auto key = [&rng] {
+      return rng.NextBounded(3) == 0 ? rng.NextBounded(1000)
+                                     : rng.NextBounded(10) * 97;
+    };
+    std::vector<uint64_t> fingerprints;
+    std::vector<std::pair<size_t, Key>> first_writebacks;
+    TxnId id = 1;
+    for (int b = 0; b < 3; ++b) {
+      std::vector<TxnRequest> txns;
+      for (int i = 0; i < 50; ++i, ++id) {
+        std::vector<Key> reads = {key(), key(), key()};
+        std::vector<Key> writes;
+        for (uint64_t w = rng.NextBounded(3); w > 0; --w) {
+          writes.push_back(key());
+        }
+        txns.push_back(MakeTxn(id, std::move(reads), std::move(writes)));
+      }
+      const RoutePlan plan = router.RouteBatch(MakeBatch(std::move(txns)));
+      fingerprints.push_back(Fingerprint(plan));
+      if (b > 0) continue;
+      for (size_t t = 0; t < plan.txns.size(); ++t) {
+        for (const ReturnShipment& r : plan.txns[t].on_commit_returns) {
+          first_writebacks.emplace_back(t, r.key);
+        }
+      }
+    }
+    EXPECT_EQ(fingerprints, want_fingerprints) << "salt " << salt;
+    EXPECT_EQ(first_writebacks, want_writebacks) << "salt " << salt;
+    EXPECT_EQ(router.forward_pushes(), 28u) << "salt " << salt;
+    EXPECT_EQ(router.writebacks(), 44u) << "salt " << salt;
+  }
 }
 
 }  // namespace
