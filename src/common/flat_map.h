@@ -1,12 +1,13 @@
 #ifndef HERMES_COMMON_FLAT_MAP_H_
 #define HERMES_COMMON_FLAT_MAP_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <iterator>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -14,18 +15,23 @@
 
 namespace hermes {
 
-/// Salted open-addressing hash map for the sparse or bounded tables on the
-/// simulator's hot path (the lock manager's transaction index, the undo
-/// log, the executor's transaction table and presence shards, pending
-/// callbacks, the fusion table). Per-key state over the dense key space
-/// (records, lock-queue heads, the ownership overlay) is a plain vector
-/// indexed by key instead.
+/// Test-only window onto a FlatMap's slot order (defined in the tests, not
+/// in the library), so tests can check that the salt permutes it.
+struct FlatMapPeer;
+
+/// The library's one hash container: a salted open-addressing map for the
+/// sparse or bounded tables (the lock manager's transaction index, the
+/// undo log, the executor's transaction table and presence shards, pending
+/// callbacks, the fusion table, the baselines' edge maps). Per-key state
+/// over the dense key space (records, lock-queue heads, the ownership
+/// overlay) and range-indexed state are plain vectors instead.
 /// Linear probing over one power-of-two slot array, backward-shift erase
 /// (no tombstones, so a long-lived entry never degrades later probes), and
-/// the same detail::SaltAndFinalize mixing as HashMap: HERMES_HASH_SALT
-/// permutes iteration order exactly as it does for the node-based tables,
-/// so the digest oracles keep catching order leaks, and detlint's
-/// unordered-iter rule covers iteration over it.
+/// detail::SaltAndFinalize mixing, so HERMES_HASH_SALT permutes slot order.
+///
+/// Slot order is unreachable: there is no begin(), so a range-for over a
+/// FlatMap does not compile, and SortedKeys() is the one way to visit every
+/// entry. end() exists only as find()'s "absent" sentinel.
 ///
 /// Differences from std::unordered_map that callers must respect:
 ///  - ANY insert or erase invalidates every iterator and reference into
@@ -33,7 +39,6 @@ namespace hermes {
 ///    values behind a unique_ptr when a reference must survive them.
 ///  - Keys and values must be default-constructible and movable; a free
 ///    slot holds a default-constructed pair.
-///  - No erase during iteration.
 template <typename K, typename V, typename Hash = std::hash<K>,
           typename Eq = std::equal_to<K>>
 class FlatMap {
@@ -42,48 +47,30 @@ class FlatMap {
     bool used = false;
   };
 
+  /// A handle on one entry, as returned by find() and try_emplace(). It
+  /// does not advance: there is no order to advance in.
   template <bool kConst>
   class Iter {
     using SlotPtr = std::conditional_t<kConst, const Slot*, Slot*>;
+    using Pair = std::conditional_t<kConst, const std::pair<K, V>,
+                                    std::pair<K, V>>;
 
    public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = std::pair<K, V>;
-    using difference_type = std::ptrdiff_t;
-    using reference =
-        std::conditional_t<kConst, const value_type&, value_type&>;
-    using pointer = std::conditional_t<kConst, const value_type*, value_type*>;
-
     Iter() = default;
-    Iter(SlotPtr slot, SlotPtr end) : slot_(slot), end_(end) { Skip(); }
+    explicit Iter(SlotPtr slot) : slot_(slot) {}
     operator Iter<true>() const  // NOLINT: iterator -> const_iterator
       requires(!kConst)
     {
-      return Iter<true>(slot_, end_);
+      return Iter<true>(slot_);
     }
 
-    reference operator*() const { return slot_->kv; }
-    pointer operator->() const { return &slot_->kv; }
-    Iter& operator++() {
-      ++slot_;
-      Skip();
-      return *this;
-    }
-    Iter operator++(int) {
-      Iter old = *this;
-      ++*this;
-      return old;
-    }
+    Pair& operator*() const { return slot_->kv; }
+    Pair* operator->() const { return &slot_->kv; }
     bool operator==(const Iter& o) const { return slot_ == o.slot_; }
-    bool operator!=(const Iter& o) const { return slot_ != o.slot_; }
 
    private:
     friend class FlatMap;
-    void Skip() {
-      while (slot_ != end_ && !slot_->used) ++slot_;
-    }
     SlotPtr slot_ = nullptr;
-    SlotPtr end_ = nullptr;
   };
 
  public:
@@ -116,24 +103,18 @@ class FlatMap {
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return slots_.size(); }
 
-  iterator begin() { return {slots_.data(), slots_.data() + slots_.size()}; }
-  iterator end() { return EndIt(); }
-  const_iterator begin() const {
-    return {slots_.data(), slots_.data() + slots_.size()};
-  }
+  iterator end() { return iterator(slots_.data() + slots_.size()); }
   const_iterator end() const {
-    const Slot* e = slots_.data() + slots_.size();
-    return {e, e};
+    return const_iterator(slots_.data() + slots_.size());
   }
 
   iterator find(const K& key) {
     const size_t i = Probe(key);
-    return i == kNone ? EndIt() : At(i);
+    return i == kNone ? end() : iterator(&slots_[i]);
   }
   const_iterator find(const K& key) const {
     const size_t i = Probe(key);
-    if (i == kNone) return end();
-    return {slots_.data() + i, slots_.data() + slots_.size()};
+    return i == kNone ? end() : const_iterator(&slots_[i]);
   }
   bool contains(const K& key) const { return Probe(key) != kNone; }
 
@@ -155,7 +136,7 @@ class FlatMap {
   template <typename... Args>
   std::pair<iterator, bool> try_emplace(const K& key, Args&&... args) {
     size_t i = Locate(key);
-    if (slots_[i].used) return {At(i), false};
+    if (slots_[i].used) return {iterator(&slots_[i]), false};
     if ((size_ + 1) * 4 > slots_.size() * 3) {
       Rehash(slots_.size() * 2);
       i = Locate(key);
@@ -165,7 +146,7 @@ class FlatMap {
     s.kv.second = V(std::forward<Args>(args)...);
     s.used = true;
     ++size_;
-    return {At(i), true};
+    return {iterator(&s), true};
   }
 
   size_t erase(const K& key) {
@@ -193,27 +174,33 @@ class FlatMap {
     if (cap != slots_.size()) Rehash(cap);
   }
 
+  /// Every key, ascending: the one way to visit the whole map.
+  std::vector<K> SortedKeys() const {
+    std::vector<K> keys;
+    keys.reserve(size_);
+    for (const Slot& s : slots_) {
+      if (s.used) keys.push_back(s.kv.first);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
   /// Same contents (order-insensitive).
   friend bool operator==(const FlatMap& a, const FlatMap& b) {
     if (a.size_ != b.size_) return false;
-    for (const value_type& kv : a) {
-      const auto it = b.find(kv.first);
-      if (it == b.end() || !(it->second == kv.second)) return false;
+    for (const Slot& s : a.slots_) {
+      if (!s.used) continue;
+      const size_t i = b.Probe(s.kv.first);
+      if (i == kNone || !(b.slots_[i].kv.second == s.kv.second)) return false;
     }
     return true;
   }
 
  private:
+  friend struct FlatMapPeer;
+
   static constexpr size_t kNone = ~size_t{0};
   static constexpr size_t kMinCapacity = 8;
-
-  iterator At(size_t i) {
-    return {slots_.data() + i, slots_.data() + slots_.size()};
-  }
-  iterator EndIt() {
-    Slot* e = slots_.data() + slots_.size();
-    return {e, e};
-  }
 
   size_t Home(const K& key) const {
     return static_cast<size_t>(

@@ -715,7 +715,7 @@ void Cluster::SetReplayMembershipSchedule(const DegradedSchedule& schedule) {
   assert(degraded_schedule_.empty() && "schedule already installed");
   degraded_schedule_ = schedule;
   for (const AbortRecord& r : schedule.aborts) {
-    replay_abort_ids_.insert(r.txn);
+    replay_abort_ids_[r.txn] = true;
   }
 }
 

@@ -10,7 +10,6 @@
 #include "common/config.h"
 #include "common/digest.h"
 #include "common/flat_map.h"
-#include "common/hash.h"
 #include "common/membership.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -483,9 +482,9 @@ class Cluster {
   uint64_t degraded_seq_ = 0;
   size_t replay_event_cursor_ = 0;
   size_t replay_abort_cursor_ = 0;
-  /// Transactions the replay must flip to §4.2 user aborts (contains-only
-  /// lookups; never iterated).
-  HashSet<TxnId> replay_abort_ids_;
+  /// Transactions the replay must flip to §4.2 user aborts, as a set (the
+  /// value is unused).
+  FlatMap<TxnId, bool> replay_abort_ids_;
 };
 
 }  // namespace hermes::engine

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <tuple>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define HERMES_ASAN_SHELLS 1
@@ -790,12 +789,7 @@ void TxnExecutor::Acknowledge(Active& a) {
 std::string TxnExecutor::DebugString() const {
   std::string out;
   char buf[256];
-  std::vector<TxnId> ids;
-  ids.reserve(actives_.size());
-  // detlint:allow(unordered-iter) id collection, sorted just below
-  for (const auto& [id, a] : actives_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  for (TxnId id : ids) {
+  for (TxnId id : actives_.SortedKeys()) {
     const auto& a = actives_.at(id);
     size_t stalled = 0;
     for (const auto& [node, thunks] : a->stalled) stalled += thunks.size();
@@ -833,18 +827,14 @@ std::string TxnExecutor::DebugString() const {
       out += buf;
     }
   }
-  // Sorted so the diagnostic is stable across runs and hash salts.
-  std::vector<std::tuple<NodeId, Key, size_t>> waits;
   for (size_t node = 0; node < presence_waiters_.size(); ++node) {
-    for (const auto& [key, waiters] : presence_waiters_[node]) {
-      waits.emplace_back(static_cast<NodeId>(node), key, waiters.size());
+    const PresenceShardMap& shard = presence_waiters_[node];
+    for (Key key : shard.SortedKeys()) {
+      std::snprintf(buf, sizeof(buf),
+                    "presence wait: node=%zu key=%llu (%zu)\n", node,
+                    static_cast<unsigned long long>(key), shard.at(key).size());
+      out += buf;
     }
-  }
-  std::sort(waits.begin(), waits.end());
-  for (const auto& [node, key, count] : waits) {
-    std::snprintf(buf, sizeof(buf), "presence wait: node=%d key=%llu (%zu)\n",
-                  node, static_cast<unsigned long long>(key), count);
-    out += buf;
   }
   const storage::RecordTable& records = Records();
   for (Key key = 0; key < records.num_keys(); ++key) {
@@ -1220,17 +1210,16 @@ void TxnExecutor::AbortActive(Active& a) {
   // present at their master).
   if (!stranded.empty()) {
     std::vector<TxnId> dependents;
-    // detlint:allow(unordered-iter) id collection, sorted below
-    for (const auto& [oid, other] : actives_) {
-      if (oid == id || other->acked || other->frozen) continue;
-      for (const Access& oacc : other->plan.accesses) {
+    for (TxnId oid : actives_.SortedKeys()) {
+      const Active& other = *actives_.at(oid);
+      if (oid == id || other.acked || other.frozen) continue;
+      for (const Access& oacc : other.plan.accesses) {
         if (std::binary_search(stranded.begin(), stranded.end(), oacc.key)) {
           dependents.push_back(oid);
           break;
         }
       }
     }
-    std::sort(dependents.begin(), dependents.end());
     for (TxnId d : dependents) Freeze(*actives_.at(d));
   }
   // Release locks (granted or queued) at every involved node; grants are

@@ -7,14 +7,16 @@ namespace hermes::routing {
 ClayPlanner::ClayPlanner(const partition::OwnershipMap* ownership,
                          uint64_t num_records, ClayConfig config)
     : ownership_(ownership), config_(config) {
-  num_ranges_ = (num_records + config_.range_size - 1) / config_.range_size;
-  if (num_ranges_ == 0) num_ranges_ = 1;
+  range_heat_.reserve((num_records + config_.range_size - 1) /
+                      config_.range_size);
 }
 
 void ClayPlanner::Observe(const TxnRequest& txn) {
   ++observed_;
   auto note = [&](Key k) {
-    ++range_heat_[k / config_.range_size];
+    const auto range = static_cast<size_t>(k / config_.range_size);
+    if (range >= range_heat_.size()) range_heat_.resize(range + 1, 0);
+    ++range_heat_[range];
     const auto owner = static_cast<size_t>(ownership_->Owner(k));
     if (owner >= node_load_.size()) node_load_.resize(owner + 1, 0);
     ++node_load_[owner];
@@ -71,10 +73,12 @@ std::vector<ClumpMove> ClayPlanner::MaybePlan(SimTime now, int num_nodes) {
   // the predicted load excess is covered (or the coldest node would
   // itself become overloaded).
   std::vector<std::pair<uint64_t, uint64_t>> hot_ranges;  // (heat, range)
-  // detlint:allow(unordered-iter) collection only; sorted by total order below
-  for (const auto& [range, heat] : range_heat_) {
-    const Key probe = range * config_.range_size;
-    if (ownership_->Owner(probe) == hottest) hot_ranges.emplace_back(heat, range);
+  for (uint64_t range = 0; range < range_heat_.size(); ++range) {
+    const uint64_t heat = range_heat_[range];
+    if (heat == 0) continue;  // untouched this window: never a clump
+    if (ownership_->Owner(range * config_.range_size) == hottest) {
+      hot_ranges.emplace_back(heat, range);
+    }
   }
   std::sort(hot_ranges.begin(), hot_ranges.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/types.h"
 #include "partition/partition_map.h"
 #include "txn/transaction.h"
@@ -60,9 +59,9 @@ class ClayPlanner {
  private:
   const partition::OwnershipMap* ownership_;
   ClayConfig config_;
-  uint64_t num_ranges_;
   SimTime window_start_ = 0;
-  HashMap<uint64_t, uint64_t> range_heat_;
+  /// Observed accesses per range, by range id (grown on demand).
+  std::vector<uint64_t> range_heat_;
   /// Observed accesses per owning node, by node id.
   std::vector<uint64_t> node_load_;
   uint64_t observed_ = 0;

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <numeric>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 
 namespace hermes::routing {
 namespace {
@@ -188,7 +188,7 @@ std::vector<int> PartitionRecursive(const Graph& g, int k, uint64_t cap,
   for (uint32_t v = 0; v < n; ++v) {
     coarse.vertex_weight[coarse_id[v]] += g.vertex_weight[v];
   }
-  HashMap<uint64_t, uint64_t> edges;
+  FlatMap<uint64_t, uint64_t> edges;  // (a << 32 | b) -> weight, a < b
   for (uint32_t v = 0; v < n; ++v) {
     for (const auto& [u, w] : g.adj[v]) {
       const uint32_t a = coarse_id[v];
@@ -197,15 +197,14 @@ std::vector<int> PartitionRecursive(const Graph& g, int k, uint64_t cap,
       edges[(static_cast<uint64_t>(a) << 32) | b] += w;
     }
   }
-  // detlint:allow(unordered-iter) adjacency fill; every list is sorted below
-  for (const auto& [packed, w] : edges) {
+  // Ascending (a, b) pairs with a < b reach each vertex's list as its lower
+  // neighbours, then its higher ones: every list comes out sorted.
+  for (uint64_t packed : edges.SortedKeys()) {
     const auto a = static_cast<uint32_t>(packed >> 32);
     const auto b = static_cast<uint32_t>(packed & 0xffffffffULL);
+    const uint64_t w = edges.at(packed);
     coarse.adj[a].emplace_back(b, w);
     coarse.adj[b].emplace_back(a, w);
-  }
-  for (auto& neighbors : coarse.adj) {
-    std::sort(neighbors.begin(), neighbors.end());
   }
 
   // Partition the coarse graph, project back, refine at this level.

@@ -12,6 +12,7 @@ SchismPartitioner::SchismPartitioner(uint64_t num_records,
     : num_records_(num_records), range_size_(range_size) {
   num_ranges_ = (num_records_ + range_size_ - 1) / range_size_;
   if (num_ranges_ == 0) num_ranges_ = 1;
+  range_weight_.assign(num_ranges_, 1);
 }
 
 void SchismPartitioner::Observe(const TxnRequest& txn) {
@@ -22,6 +23,9 @@ void SchismPartitioner::Observe(const TxnRequest& txn) {
   for (Key k : txn.write_set) ranges.push_back(k / range_size_);
   std::sort(ranges.begin(), ranges.end());
   ranges.erase(std::unique(ranges.begin(), ranges.end()), ranges.end());
+  // Keys past the last range have no vertex in the graph.
+  ranges.erase(std::lower_bound(ranges.begin(), ranges.end(), num_ranges_),
+               ranges.end());
   for (uint64_t r : ranges) ++range_weight_[r];
   for (size_t i = 0; i < ranges.size(); ++i) {
     for (size_t j = i + 1; j < ranges.size(); ++j) {
@@ -31,7 +35,7 @@ void SchismPartitioner::Observe(const TxnRequest& txn) {
 }
 
 void SchismPartitioner::Reset() {
-  range_weight_.clear();
+  range_weight_.assign(num_ranges_, 1);
   edge_weight_.clear();
   observed_ = 0;
 }
@@ -39,23 +43,16 @@ void SchismPartitioner::Reset() {
 std::unique_ptr<partition::PartitionMap> SchismPartitioner::Partition(
     int num_partitions, double imbalance) const {
   Graph graph;
-  graph.vertex_weight.assign(num_ranges_, 1);  // never leave a range weightless
+  graph.vertex_weight = range_weight_;
   graph.adj.assign(num_ranges_, {});
-  // detlint:allow(unordered-iter) commutative sums into indexed slots
-  for (const auto& [range, weight] : range_weight_) {
-    if (range < num_ranges_) graph.vertex_weight[range] += weight;
-  }
-  // detlint:allow(unordered-iter) adjacency fill; every list is sorted below
-  for (const auto& [packed, weight] : edge_weight_) {
+  // Ascending (lo, hi) pairs with lo < hi reach each range's list as its
+  // lower neighbours, then its higher ones: every list comes out sorted.
+  for (uint64_t packed : edge_weight_.SortedKeys()) {
     const auto a = static_cast<uint32_t>(packed >> 32);
     const auto b = static_cast<uint32_t>(packed & 0xffffffffULL);
-    if (a >= num_ranges_ || b >= num_ranges_) continue;
+    const uint64_t weight = edge_weight_.at(packed);
     graph.adj[a].emplace_back(b, weight);
     graph.adj[b].emplace_back(a, weight);
-  }
-  // Deterministic adjacency order (hash-map insertion order is not).
-  for (auto& neighbors : graph.adj) {
-    std::sort(neighbors.begin(), neighbors.end());
   }
 
   const std::vector<int> assignment =

@@ -3,8 +3,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 #include "partition/partition_map.h"
 #include "txn/transaction.h"
 
@@ -40,9 +41,11 @@ class SchismPartitioner {
   uint64_t num_records_;
   uint64_t range_size_;
   uint64_t num_ranges_;
-  HashMap<uint64_t, uint64_t> range_weight_;
+  /// Vertex weight of each range, by range id: 1 plus the transactions
+  /// touching it, so no range is weightless.
+  std::vector<uint64_t> range_weight_;
   /// (lo_range << 32 | hi_range) -> co-access count.
-  HashMap<uint64_t, uint64_t> edge_weight_;
+  FlatMap<uint64_t, uint64_t> edge_weight_;
   uint64_t observed_ = 0;
 };
 

@@ -1,11 +1,10 @@
 #include "routing/tpart_router.h"
 
-#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_map.h"
 
 namespace hermes::routing {
 
@@ -33,7 +32,7 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
   /// Where each key is currently readable within this batch: a written key
   /// moves to its writer's master (forward pushing); untouched keys sit at
   /// their static home.
-  HashMap<Key, NodeId> holder;
+  FlatMap<Key, NodeId> holder;
   /// Home partition of each borrowed key, the plan index of its last
   /// in-batch accessor (which performs the write-back), and whether that
   /// accessor writes the key.
@@ -42,7 +41,7 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
     size_t last_user;
     bool last_writes = false;
   };
-  HashMap<Key, Borrow> borrowed;
+  FlatMap<Key, Borrow> borrowed;
 
   auto source_of = [&](Key k) -> NodeId {
     auto it = holder.find(k);
@@ -123,18 +122,8 @@ RoutePlan TPartRouter::RouteBatch(const Batch& batch) {
   }
 
   // Write-backs: each borrowed record ships from its final holder to its
-  // home once the last transaction that used it commits. Iterate in key
-  // order so replicas emit identical plans (hash-map order is not
-  // deterministic across processes).
-  std::vector<Key> borrowed_keys;
-  borrowed_keys.reserve(borrowed.size());
-  // detlint:allow(unordered-iter) key collection, sorted before use
-  for (const auto& [k, info] : borrowed) {
-    (void)info;
-    borrowed_keys.push_back(k);
-  }
-  std::sort(borrowed_keys.begin(), borrowed_keys.end());
-  for (Key k : borrowed_keys) {
+  // home once the last transaction that used it commits, in key order.
+  for (Key k : borrowed.SortedKeys()) {
     const Borrow& info = borrowed.at(k);
     const NodeId final_holder = holder.at(k);
     if (final_holder == info.home) continue;

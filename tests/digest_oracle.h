@@ -4,11 +4,13 @@
 // The digest oracle: every cluster lifetime whose outcome must be
 // bit-identical under every hash salt, registered as one scenario row.
 //
-// The salt permutes the bucket (and so iteration) order of every
-// hermes::HashMap/HashSet without changing their contents, so any place
-// where iteration order leaks into a routing, fusion, migration, fault or
-// trace decision shows up as two Profiles that differ. digest_oracle_test
-// runs every row's seeds under every in-process salt;
+// The salt permutes the slot order of every hermes::FlatMap without
+// changing its contents. FlatMap cannot be iterated, so slot order cannot
+// reach a decision directly; any other path by which hashing reaches a
+// routing, fusion, migration, fault or trace decision shows up as two
+// Profiles that differ. FlatMapPeer (below) is the tests' one window onto
+// slot order, so they can check that the salt really permutes it.
+// digest_oracle_test runs every row's seeds under every in-process salt;
 // scripts/check_determinism.sh reruns the rows' profile seeds under
 // several HERMES_HASH_SALT environments. A new subsystem adds a row here,
 // not another harness.
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/flat_map.h"
 #include "common/hash.h"
 #include "fault/fault_plan.h"
 
@@ -144,5 +147,22 @@ ClusterConfig PartitionConfig();
 ClusterConfig LeaseConfig();
 
 }  // namespace hermes::oracle
+
+namespace hermes {
+
+/// Test-side friend of FlatMap: its entries in slot order, which the
+/// library itself cannot observe.
+struct FlatMapPeer {
+  template <typename K, typename V>
+  static std::vector<std::pair<K, V>> SlotOrder(const FlatMap<K, V>& m) {
+    std::vector<std::pair<K, V>> out;
+    for (const auto& slot : m.slots_) {
+      if (slot.used) out.push_back(slot.kv);
+    }
+    return out;
+  }
+};
+
+}  // namespace hermes
 
 #endif  // HERMES_TESTS_DIGEST_ORACLE_H_

@@ -104,23 +104,22 @@ TEST(DigestOracleSelfTest, SaltDependentRowFails) {
 
 // The salt really perturbs hashing — otherwise every row proves nothing.
 TEST(HashSaltTest, SaltChangesHashValues) {
-  Salted<std::hash<uint64_t>> hasher;
-  const size_t h1 = [&] {
+  const uint64_t h1 = [] {
     SaltGuard guard(1);
-    return hasher(uint64_t{42});
+    return detail::SaltAndFinalize(42);
   }();
   SaltGuard guard(2);
-  EXPECT_NE(h1, hasher(uint64_t{42}));
+  EXPECT_NE(h1, detail::SaltAndFinalize(42));
 }
 
-TEST(HashSaltTest, SaltPermutesIterationOrder) {
+TEST(HashSaltTest, SaltPermutesSlotOrder) {
   // With enough elements, at least one pair of salts must disagree on
-  // iteration order; if all three agreed the perturbation would be
+  // FlatMap slot order; if all three agreed the perturbation would be
   // toothless. (Contents are identical regardless.)
   const auto orders = UnderEachSalt([](size_t) {
-    HashSet<uint64_t> s;
-    for (uint64_t i = 0; i < 256; ++i) s.insert(i);
-    return std::vector<uint64_t>(s.begin(), s.end());
+    FlatMap<uint64_t, uint64_t> m;
+    for (uint64_t i = 0; i < 256; ++i) m[i] = i;
+    return FlatMapPeer::SlotOrder(m);
   });
   EXPECT_TRUE(orders[0] != orders[1] || orders[1] != orders[2]);
 }

@@ -4,17 +4,23 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "digest_oracle.h"
 
 namespace hermes {
 namespace {
 
 using Map = FlatMap<uint64_t, uint64_t>;
+
+// Slot order is unreachable from library code: a range-for over a FlatMap
+// does not compile.
+static_assert(!std::ranges::range<Map>);
 
 /// Home slot of `key` in a table of `capacity` slots — the probe start
 /// FlatMap computes (salted hash, masked).
@@ -25,9 +31,15 @@ size_t HomeOf(uint64_t key, size_t capacity) {
 }
 
 std::vector<std::pair<uint64_t, uint64_t>> Sorted(const Map& m) {
-  std::vector<std::pair<uint64_t, uint64_t>> out(m.begin(), m.end());
-  std::sort(out.begin(), out.end());
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (uint64_t k : m.SortedKeys()) out.emplace_back(k, m.at(k));
   return out;
+}
+
+std::vector<uint64_t> KeysInSlotOrder(const Map& m) {
+  std::vector<uint64_t> keys;
+  for (const auto& [k, v] : FlatMapPeer::SlotOrder(m)) keys.push_back(k);
+  return keys;
 }
 
 void ExpectSameContents(const Map& m, const std::map<uint64_t, uint64_t>& ref) {
@@ -89,9 +101,9 @@ TEST(FlatMapTest, MatchesStdMapUnderRandomOps) {
   }
 }
 
-// Probe runs that start at the last slots wrap to slot 0; iteration walks
-// slots in index order, so the wrapped entries come first. Erasing the
-// run's head must shift the wrapped entries back across the boundary.
+// Probe runs that start at the last slots wrap to slot 0, so in slot order
+// the wrapped entries come first. Erasing the run's head must shift the
+// wrapped entries back across the boundary.
 TEST(FlatMapTest, ProbeRunsWrapPastTheEnd) {
   Map m;
   m.reserve(8);
@@ -103,34 +115,28 @@ TEST(FlatMapTest, ProbeRunsWrapPastTheEnd) {
   for (size_t i = 0; i < tail.size(); ++i) m[tail[i]] = i;
   ASSERT_EQ(m.capacity(), cap);
   // Slots: [0]=tail[1], [1]=tail[2], ..., [cap-1]=tail[0].
-  std::vector<uint64_t> order;
-  for (const auto& [k, v] : m) order.push_back(k);
-  EXPECT_EQ(order, (std::vector<uint64_t>{tail[1], tail[2], tail[0]}));
+  EXPECT_EQ(KeysInSlotOrder(m),
+            (std::vector<uint64_t>{tail[1], tail[2], tail[0]}));
 
   m.erase(tail[0]);
   // tail[1] shifted back into the last slot, tail[2] into slot 0.
-  order.clear();
-  for (const auto& [k, v] : m) order.push_back(k);
-  EXPECT_EQ(order, (std::vector<uint64_t>{tail[2], tail[1]}));
+  EXPECT_EQ(KeysInSlotOrder(m), (std::vector<uint64_t>{tail[2], tail[1]}));
   EXPECT_EQ(m.at(tail[1]), 1u);
   EXPECT_EQ(m.at(tail[2]), 2u);
   EXPECT_FALSE(m.contains(tail[0]));
 }
 
-// The salt permutes iteration order but never contents: the property the
+// The salt permutes slot order but never contents: the property the
 // digest oracles rely on to surface order leaks.
 TEST(FlatMapTest, SaltsPermuteOrderNotContents) {
-  const uint64_t saved = HashSalt();
   auto build = [](uint64_t salt) {
-    SetHashSalt(salt);
+    oracle::SaltGuard guard(salt);
     Map m;
     for (uint64_t k = 0; k < 1000; ++k) m[k] = k * 7;
-    std::vector<std::pair<uint64_t, uint64_t>> order(m.begin(), m.end());
-    return order;
+    return FlatMapPeer::SlotOrder(m);
   };
   const auto a = build(12345);
   const auto b = build(0xdeadbeef);
-  SetHashSalt(saved);
   EXPECT_NE(a, b);
   auto sa = a, sb = b;
   std::sort(sa.begin(), sa.end());
@@ -158,7 +164,8 @@ TEST(FlatMapTest, LongLivedTxnIdSurvivesChurn) {
 }
 
 TEST(FlatMapTest, CopyMoveCompareAndClear) {
-  Map m = {{5, 2}, {17, 0}, {99, 3}};
+  Map m = {{99, 3}, {5, 2}, {17, 0}};
+  EXPECT_EQ(m.SortedKeys(), (std::vector<uint64_t>{5, 17, 99}));
   Map copy = m;
   EXPECT_EQ(copy, m);
   copy[17] = 1;

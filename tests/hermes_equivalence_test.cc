@@ -14,12 +14,12 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "common/membership.h"
 #include "common/rng.h"
 #include "core/hermes_router.h"
@@ -67,7 +67,7 @@ uint64_t ReferenceHermesRouter::PlaceSegment(
   assert(n > 0);
 
   // Dense index over candidate nodes (sorted ascending).
-  HashMap<NodeId, int> node_index;
+  std::unordered_map<NodeId, int> node_index;
   for (int i = 0; i < n; ++i) node_index[nodes[i]] = i;
 
   // ---- Step 1: order and route requests by minimizing remote reads. ----
@@ -83,14 +83,14 @@ uint64_t ReferenceHermesRouter::PlaceSegment(
   std::vector<Cand> cands(b);
 
   // Placements made so far in this segment (write keys follow their route).
-  HashMap<Key, NodeId> view;
+  std::unordered_map<Key, NodeId> view;
   auto view_owner = [&](Key k) -> NodeId {
     auto it = view.find(k);
     return it != view.end() ? it->second : ownership_->Owner(k);
   };
 
-  HashMap<Key, std::vector<int>> readers_of;
-  HashMap<Key, std::vector<int>> writers_of;
+  std::unordered_map<Key, std::vector<int>> readers_of;
+  std::unordered_map<Key, std::vector<int>> writers_of;
 
   auto compute_best = [&](Cand& c) {
     int best_idx = 0;
@@ -205,8 +205,8 @@ uint64_t ReferenceHermesRouter::PlaceSegment(
   // ---- Step 3: backward rerouting off overloaded nodes. ----
   if (any_over && config().enable_rebalance) {
     // Reader / writer positions per key, in B' position order.
-    HashMap<Key, std::vector<int>> pos_readers;
-    HashMap<Key, std::vector<int>> pos_writers;
+    std::unordered_map<Key, std::vector<int>> pos_readers;
+    std::unordered_map<Key, std::vector<int>> pos_writers;
     for (size_t p = 0; p < b; ++p) {
       const Cand& c = cands[order[p]];
       for (Key k : c.reads) pos_readers[k].push_back(static_cast<int>(p));

@@ -32,8 +32,8 @@ const std::map<std::string, std::string>& Catalog() {
        "iteration over a hash container: order is unspecified and "
        "salt-dependent, so it may not feed a decision"},
       {"raw-unordered",
-       "direct std::unordered_map/set instead of the salted "
-       "hermes::HashMap/HashSet aliases (common/hash.h)"},
+       "direct std::unordered_map/set instead of the salted, "
+       "non-iterable hermes::FlatMap (common/flat_map.h)"},
       {"std-rand",
        "std::rand/srand: global hidden state, unseeded; all randomness "
        "flows through seeded hermes::Rng"},
