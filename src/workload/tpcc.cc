@@ -79,14 +79,19 @@ TxnRequest TpccWorkload::NewOrder(int w) {
   txn.tag = kTpccNewOrderTag;
   const int d = static_cast<int>(rng_.NextBounded(10));
 
+  const Key customer = CustomerKey(
+      w, d, static_cast<int>(rng_.NextBounded(config_.customers_per_district)));
+
+  // 5-15 order lines; each reads+writes one stock row, 1% remote. Both sets
+  // are sized exactly once `lines` is known, so a request kept in the
+  // command log carries no growth slack.
+  const int lines = 5 + static_cast<int>(rng_.NextBounded(11));
+  txn.read_set.reserve(3 + lines);
+  txn.write_set.reserve(2 + 2 * lines);
   txn.read_set.push_back(WarehouseKey(w));
   txn.read_set.push_back(DistrictKey(w, d));  // D_NEXT_O_ID: read + write
   txn.write_set.push_back(DistrictKey(w, d));
-  txn.read_set.push_back(CustomerKey(
-      w, d, static_cast<int>(rng_.NextBounded(config_.customers_per_district))));
-
-  // 5-15 order lines; each reads+writes one stock row, 1% remote.
-  const int lines = 5 + static_cast<int>(rng_.NextBounded(11));
+  txn.read_set.push_back(customer);
   for (int l = 0; l < lines; ++l) {
     int supply_w = w;
     if (config_.num_warehouses > 1 &&
@@ -134,6 +139,8 @@ TxnRequest TpccWorkload::Payment(int w) {
       static_cast<int>(rng_.NextBounded(config_.customers_per_district));
 
   // W_YTD, D_YTD, C_BALANCE are all read-modify-write.
+  txn.read_set.reserve(3);
+  txn.write_set.reserve(3);
   for (Key k : {WarehouseKey(w), DistrictKey(w, d), CustomerKey(cust_w, d, c)}) {
     txn.read_set.push_back(k);
     txn.write_set.push_back(k);
