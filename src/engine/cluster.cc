@@ -87,7 +87,8 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   scheduler_.set_batch_filter(
       [this](BatchId id, std::vector<TxnRequest>* txns) {
         ClassifyBatch(id, txns);
-      });
+      },
+      [this] { return BatchFilterArmed(); });
   executor_.EnableDegraded(
       &membership_, &config_.degraded, &degraded_ledger_,
       [this](TxnRequest txn, TxnExecutor::CommitCallback cb,
@@ -330,13 +331,19 @@ void Cluster::Submit(TxnRequest txn, TxnExecutor::CommitCallback on_commit) {
 void Cluster::SubmitSequenced(TxnRequest txn,
                               TxnExecutor::CommitCallback on_commit) {
   // One network hop from the client to its sequencer.
-  sim_.Schedule(config_.costs.net_latency_us,
-                [this, txn = std::move(txn),
-                 cb = std::move(on_commit)]() mutable {
-                  const TxnId id = sequencer_.next_txn_id();
-                  sequencer_.Submit(std::move(txn));
-                  if (cb) pending_callbacks_[id] = std::move(cb);
-                });
+  SequenceAfter(config_.costs.net_latency_us, std::move(txn),
+                std::move(on_commit));
+}
+
+void Cluster::SequenceAfter(SimTime delay, TxnRequest txn,
+                            TxnExecutor::CommitCallback on_commit) {
+  const uint32_t slot = hops_.Put(Hop{std::move(txn), std::move(on_commit)});
+  sim_.Schedule(delay, [this, slot]() {
+    Hop hop = hops_.Take(slot);
+    const TxnId id = sequencer_.next_txn_id();
+    sequencer_.Submit(std::move(hop.txn));
+    if (hop.cb) pending_callbacks_.Insert(id, std::move(hop.cb));
+  });
 }
 
 void Cluster::SubmitWithReconnaissance(
@@ -361,8 +368,9 @@ void Cluster::SubmitWithReconnaissance(
   }
   const bool stale = ollp_rng_->NextDouble() < config_.ollp_stale_prob;
   const SimTime probe_done = 2 * config_.costs.net_latency_us + max_probe;
-  sim_.Schedule(probe_done, [this, txn = std::move(txn),
-                             cb = std::move(on_commit), stale]() mutable {
+  sim_.Schedule(probe_done, sim::Boxed([this, txn = std::move(txn),
+                                        cb = std::move(on_commit),
+                                        stale]() mutable {
     txn.requires_reconnaissance = false;
     if (!stale) {
       SubmitSequenced(std::move(txn), std::move(cb));
@@ -379,7 +387,7 @@ void Cluster::SubmitWithReconnaissance(
                      cb = std::move(cb)](const TxnResult&) mutable {
                       SubmitSequenced(std::move(txn), std::move(cb));
                     });
-  });
+  }));
 }
 
 void Cluster::OnBatchSequenced(Batch&& batch) {
@@ -403,11 +411,7 @@ void Cluster::InjectBatch(const Batch& batch) {
 }
 
 TxnExecutor::CommitCallback Cluster::ResolveCallback(const TxnRequest& txn) {
-  auto it = pending_callbacks_.find(txn.id);
-  if (it == pending_callbacks_.end()) return nullptr;
-  TxnExecutor::CommitCallback cb = std::move(it->second);
-  pending_callbacks_.erase(it);
-  return cb;
+  return pending_callbacks_.Take(txn.id);
 }
 
 void Cluster::SampleWindow() {
@@ -562,6 +566,9 @@ void Cluster::RestoreFromCheckpoint(const storage::Checkpoint& checkpoint) {
   ownership_.RestoreIntervals(checkpoint.intervals);
   router_->RestoreActiveNodes(checkpoint.active_nodes);
   if (hermes_ != nullptr) hermes_->RestoreFusionTable(checkpoint.fusion_order);
+  // Ids continue from the checkpoint's counter. Nothing is pending yet, so
+  // the first callback registered after the restore sets the ring's base.
+  assert(pending_callbacks_.empty() && "restore into a fresh cluster");
   sequencer_.RestoreCounters(checkpoint.next_batch, checkpoint.next_txn_id);
 }
 
@@ -715,8 +722,9 @@ void Cluster::SetReplayMembershipSchedule(const DegradedSchedule& schedule) {
   assert(degraded_schedule_.empty() && "schedule already installed");
   degraded_schedule_ = schedule;
   for (const AbortRecord& r : schedule.aborts) {
-    replay_abort_ids_[r.txn] = true;
+    replay_abort_ids_.push_back(r.txn);
   }
+  std::sort(replay_abort_ids_.begin(), replay_abort_ids_.end());
 }
 
 bool Cluster::KeyBlocked(Key key) const {
@@ -756,9 +764,13 @@ bool Cluster::TxnBlocked(const TxnRequest& txn) const {
   return false;
 }
 
+bool Cluster::BatchFilterArmed() const {
+  return !replay_abort_ids_.empty() || membership_.any_down() ||
+         !stranded_.empty();
+}
+
 void Cluster::ClassifyBatch(BatchId /*id*/, std::vector<TxnRequest>* txns) {
   const bool flip_aborts = !replay_abort_ids_.empty();
-  if (!flip_aborts && !membership_.any_down() && stranded_.empty()) return;
 
   std::vector<TxnRequest> keep;
   keep.reserve(txns->size());
@@ -768,7 +780,8 @@ void Cluster::ClassifyBatch(BatchId /*id*/, std::vector<TxnRequest>* txns) {
     // event has not applied yet — it routes identically and executes as a
     // §4.2 user abort: writes roll back, planned migrations still happen.
     // MixPlacement does not digest user_abort, so placements align.
-    if (flip_aborts && replay_abort_ids_.contains(txn.id)) {
+    if (flip_aborts && std::binary_search(replay_abort_ids_.begin(),
+                                          replay_abort_ids_.end(), txn.id)) {
       txn.user_abort = true;
     }
     if (!TxnBlocked(txn)) {
@@ -823,9 +836,9 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
     result.id = blocked_id;
     result.aborted = true;
     sim_.Schedule(config_.costs.net_latency_us,
-                  [cb = std::move(cb), result]() {
+                  sim::Boxed([cb = std::move(cb), result]() {
                     if (cb) cb(result);
-                  });
+                  }));
     return;
   }
   const SimTime delay = RetryDelay(retry_of, txn.attempt);
@@ -836,13 +849,10 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
       RetryRecord{blocked_id, retry_of, txn.attempt, epoch, delay, false});
   txn.attempt += 1;
   txn.retry_of = retry_of;
-  sim_.Schedule(delay, [this, txn = std::move(txn),
-                        cb = std::move(cb)]() mutable {
-    txn.submit_time = sim_.Now();
-    const TxnId new_id = sequencer_.next_txn_id();
-    sequencer_.Submit(std::move(txn));
-    if (cb) pending_callbacks_[new_id] = std::move(cb);
-  });
+  // The retry re-enters the sequencer after the backoff, stamped as
+  // submitted then, and registers its callback under its new id.
+  txn.submit_time = sim_.Now() + delay;
+  SequenceAfter(delay, std::move(txn), std::move(cb));
 }
 
 void Cluster::OnWatchdogAbort(TxnRequest txn, TxnExecutor::CommitCallback cb,
@@ -874,9 +884,9 @@ void Cluster::OnWatchdogAbort(TxnRequest txn, TxnExecutor::CommitCallback cb,
   result.id = txn.id;
   result.aborted = true;
   sim_.Schedule(config_.costs.net_latency_us,
-                [cb = std::move(cb), result]() {
+                sim::Boxed([cb = std::move(cb), result]() {
                   if (cb) cb(result);
-                });
+                }));
 }
 
 void Cluster::ReconcileDisplaced() {

@@ -9,9 +9,10 @@
 
 #include "common/config.h"
 #include "common/digest.h"
-#include "common/flat_map.h"
+#include "common/id_ring.h"
 #include "common/membership.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "common/types.h"
 #include "engine/degraded.h"
 #include "engine/failure_detector.h"
@@ -345,6 +346,10 @@ class Cluster {
                                 TxnExecutor::CommitCallback on_commit);
   void SubmitSequenced(TxnRequest txn,
                        TxnExecutor::CommitCallback on_commit);
+  /// Hands `txn` to the sequencer `delay` from now and registers
+  /// `on_commit` under the id it receives there.
+  void SequenceAfter(SimTime delay, TxnRequest txn,
+                     TxnExecutor::CommitCallback on_commit);
   void OnBatchSequenced(Batch&& batch);
   TxnExecutor::CommitCallback ResolveCallback(const TxnRequest& txn);
   void SampleWindow();
@@ -362,6 +367,10 @@ class Cluster {
   /// the original batch, so a replay fed the schedule refilters
   /// identically.
   void ClassifyBatch(BatchId id, std::vector<TxnRequest>* txns);
+  /// True when ClassifyBatch may rewrite a batch: a replay with recorded
+  /// aborts to flip, a node down, or stranded keys. Otherwise the
+  /// scheduler skips the filter and moves the batch into the command log.
+  bool BatchFilterArmed() const;
   bool KeyBlocked(Key key) const;
   bool TxnBlocked(const TxnRequest& txn) const;
   Key BlockingKey(const TxnRequest& txn) const;
@@ -434,7 +443,19 @@ class Cluster {
   Sequencer sequencer_;
   Scheduler scheduler_;
 
-  FlatMap<TxnId, TxnExecutor::CommitCallback> pending_callbacks_;
+  /// A request on its way to the sequencer, parked in `hops_` while the
+  /// hop event (which captures only its slot) is queued.
+  struct Hop {
+    TxnRequest txn;
+    TxnExecutor::CommitCallback cb;
+  };
+  SlotPool<Hop> hops_;
+  /// Client callbacks by transaction id, registered when the sequencer
+  /// assigns the id and taken when the scheduler dispatches the
+  /// transaction. Ids are dense and increasing, so this is a ring indexed
+  /// by `id - base`; a parked chunk migration keeps its old id's slot
+  /// until the rejoin releases it.
+  IdRing<TxnExecutor::CommitCallback> pending_callbacks_;
 
   std::deque<TxnRequest> chunk_queue_;
   bool chunk_in_flight_ = false;
@@ -482,9 +503,8 @@ class Cluster {
   uint64_t degraded_seq_ = 0;
   size_t replay_event_cursor_ = 0;
   size_t replay_abort_cursor_ = 0;
-  /// Transactions the replay must flip to §4.2 user aborts, as a set (the
-  /// value is unused).
-  FlatMap<TxnId, bool> replay_abort_ids_;
+  /// Transactions the replay must flip to §4.2 user aborts, sorted.
+  std::vector<TxnId> replay_abort_ids_;
 };
 
 }  // namespace hermes::engine

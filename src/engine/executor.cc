@@ -90,24 +90,25 @@ std::unique_ptr<TxnExecutor::Active> TxnExecutor::TakeShell() {
 }
 
 void TxnExecutor::RetireActive(TxnId id) {
-  auto it = actives_.find(id);
-  assert(it != actives_.end());
-  std::unique_ptr<Active> shell = std::move(it->second);
-  actives_.erase(it);
-  // Reset every field, releasing the plan, the client callback, the flat
-  // per-transaction arrays and any stalled continuations; only the small
-  // per-node, per-master and write-key buffers keep their capacity.
+  std::unique_ptr<Active> shell = actives_.Take(id);
+  assert(shell != nullptr);
+  // Reset every field, releasing the plan, the client callback and any
+  // stalled continuations; the small per-node, per-master, write-key and
+  // owned-index buffers keep their capacity.
   Active& a = *shell;
   std::vector<NodeState> nodes = std::move(a.nodes);
   std::vector<MasterState> masters = std::move(a.masters);
   std::vector<Key> write_keys = std::move(a.write_keys);
+  std::vector<uint32_t> owned = std::move(a.owned);
   a = Active{};
   nodes.clear();
   masters.clear();
   write_keys.clear();
+  owned.clear();
   a.nodes = std::move(nodes);
   a.masters = std::move(masters);
   a.write_keys = std::move(write_keys);
+  a.owned = std::move(owned);
   HERMES_POISON_SHELL(shell.get());
   idle_shells_.push_back(std::move(shell));
 }
@@ -178,65 +179,29 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
   };
 
   // The involved nodes, in ascending order: owners, fence destinations and
-  // masters. The `*_end` fields count each node's entries for now.
+  // masters. `owned_end` counts each node's accesses for now.
   const std::vector<Access>& accesses = a.plan.accesses;
+  bool any_fence = false;
   for (const Access& acc : accesses) {
-    NodeState& owner = SortedEntry(a.nodes, acc.owner);
-    ++owner.owned_end;
-    ++owner.lock_end;
-    if (fenced(acc)) ++SortedEntry(a.nodes, acc.new_owner).lock_end;
+    ++SortedEntry(a.nodes, acc.owner).owned_end;
+    if (fenced(acc)) {
+      SortedEntry(a.nodes, acc.new_owner);
+      any_fence = true;
+    }
   }
   for (const auto& m : a.masters) SortedEntry(a.nodes, m.node).is_master = true;
   uint32_t owned_at = 0;
-  uint32_t lock_at = 0;
   for (NodeState& state : a.nodes) {
     state.owned_begin = owned_at;
     owned_at += state.owned_end;
     state.owned_end = state.owned_begin;
-    state.lock_begin = lock_at;
-    lock_at += state.lock_end;
-    state.lock_end = state.lock_begin;
   }
 
-  // Group lock requests and owned accesses per involved node.
+  // Group owned accesses per involved node.
   a.owned.resize(accesses.size());
-  std::vector<storage::LockRequest> reqs = lock_pool_.Take();
-  reqs.resize(lock_at);
   for (uint32_t i = 0; i < accesses.size(); ++i) {
-    const Access& acc = accesses[i];
-    NodeState& owner = *StateFor(a, acc.owner);
-    a.owned[owner.owned_end++] = i;
-    reqs[owner.lock_end++] = storage::LockRequest{acc.key, acc.is_write};
-    if (fenced(acc)) {
-      NodeState& dest = *StateFor(a, acc.new_owner);
-      reqs[dest.lock_end++] = storage::LockRequest{acc.key, true};
-    }
+    a.owned[StateFor(a, accesses[i].owner)->owned_end++] = i;
   }
-  // Deduplicate lock requests per node (a key can appear as both a normal
-  // access and a fence/eviction access): exclusive wins. Each node's run
-  // is compacted toward the front, then copied out at its exact size.
-  uint32_t kept = 0;
-  for (NodeState& state : a.nodes) {
-    auto first = reqs.begin() + state.lock_begin;
-    auto last = reqs.begin() + state.lock_end;
-    std::sort(first, last,
-              [](const storage::LockRequest& x, const storage::LockRequest& y) {
-                if (x.key != y.key) return x.key < y.key;
-                return x.exclusive > y.exclusive;
-              });
-    last = std::unique(first, last,
-                       [](const storage::LockRequest& x,
-                          const storage::LockRequest& y) {
-                         return x.key == y.key;
-                       });
-    const auto n = static_cast<uint32_t>(last - first);
-    std::move(first, last, reqs.begin() + kept);
-    state.lock_begin = kept;
-    state.lock_end = kept + n;
-    kept += n;
-  }
-  a.lock_requests.assign(reqs.begin(), reqs.begin() + kept);
-  lock_pool_.Give(std::move(reqs));
 
   // Count expected shipments per master: one message per (source node,
   // master) pair with at least one shipped access.
@@ -274,25 +239,51 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
   node_pool_.Give(std::move(targets));
 
   a.distributed = a.nodes.size() > 1;
-  actives_[id] = std::move(shell);
+  actives_.Insert(id, std::move(shell));
 
   // Enqueue all lock requests in total order (ascending node id within the
-  // transaction; Dispatch itself is called in total order).
+  // transaction; Dispatch itself is called in total order). Each node's
+  // requests are built in scratch and deduplicated (a key can appear as
+  // both a normal access and a fence/eviction access): exclusive wins.
+  std::vector<storage::LockRequest> reqs = lock_pool_.Take();
   std::vector<TxnId> granted = granted_pool_.Take();
-  for (const NodeState& state : a.nodes) {
+  for (NodeState& state : a.nodes) {
+    reqs.clear();
+    for (uint32_t i : OwnedOf(a, state)) {
+      const Access& acc = accesses[i];
+      reqs.push_back(storage::LockRequest{acc.key, acc.is_write});
+    }
+    if (any_fence) {
+      for (const Access& acc : accesses) {
+        if (acc.new_owner == state.node && fenced(acc)) {
+          reqs.push_back(storage::LockRequest{acc.key, true});
+        }
+      }
+    }
+    std::sort(reqs.begin(), reqs.end(),
+              [](const storage::LockRequest& x, const storage::LockRequest& y) {
+                if (x.key != y.key) return x.key < y.key;
+                return x.exclusive > y.exclusive;
+              });
+    reqs.erase(std::unique(reqs.begin(), reqs.end(),
+                           [](const storage::LockRequest& x,
+                              const storage::LockRequest& y) {
+                             return x.key == y.key;
+                           }),
+               reqs.end());
+    state.locks = static_cast<uint32_t>(reqs.size());
     granted.clear();
-    NodeAt(state.node).locks().Acquire(id, LocksOf(a, state), &granted);
+    NodeAt(state.node).locks().Acquire(id, reqs, &granted);
     ProcessGrants(state.node, granted);
   }
+  lock_pool_.Give(std::move(reqs));
   granted_pool_.Give(std::move(granted));
 }
 
 void TxnExecutor::ProcessGrants(NodeId node,
                                 const std::vector<TxnId>& granted) {
   for (TxnId t : granted) {
-    auto it = actives_.find(t);
-    if (it == actives_.end()) continue;
-    OnNodeGranted(*it->second, node);
+    if (Active* a = Live(t)) OnNodeGranted(*a, node);
   }
 }
 
@@ -313,9 +304,7 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
     // the watchdog reclassifies it first.
     const TxnId id = a.plan.txn.id;
     FreezeStalled(a, node, [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      OnNodeGranted(*it->second, node);
+      if (Active* act = Live(id)) OnNodeGranted(*act, node);
     });
     return;
   }
@@ -332,9 +321,7 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   if (!needed.empty()) {
     SortUnique(needed);
     WaitPresence(node, needed, [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      StartParticipant(*it->second, node);
+      if (Active* act = Live(id)) StartParticipant(*act, node);
     });
   }
   key_pool_.Give(std::move(needed));
@@ -356,12 +343,11 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   }
   SortUnique(local);
   auto present = [this, id, node]() {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    Active& act = *it->second;
-    MasterState* ms = MasterFor(act, node);
+    Active* act = Live(id);
+    if (act == nullptr) return;
+    MasterState* ms = MasterFor(*act, node);
     ms->local_present = true;
-    CheckMasterReady(act, *ms);
+    CheckMasterReady(*act, *ms);
   };
   if (replica.empty()) {
     WaitPresence(node, local, present);
@@ -382,9 +368,7 @@ void TxnExecutor::StartParticipant(Active& a, NodeId node) {
   if (NodeDead(node)) {  // died between grant and record presence
     const TxnId stall_id = a.plan.txn.id;
     FreezeStalled(a, node, [this, stall_id, node]() {
-      auto it = actives_.find(stall_id);
-      if (it == actives_.end()) return;
-      StartParticipant(*it->second, node);
+      if (Active* act = Live(stall_id)) StartParticipant(*act, node);
     });
     return;
   }
@@ -397,9 +381,7 @@ void TxnExecutor::StartParticipant(Active& a, NodeId node) {
   const TxnId id = a.plan.txn.id;
   NodeAt(node).workers().Submit(
       costs_->storage_op_us * ops, [this, id, node]() {
-        auto it = actives_.find(id);
-        if (it == actives_.end()) return;
-        FinishParticipant(*it->second, node);
+        if (Active* act = Live(id)) FinishParticipant(*act, node);
       });
 }
 
@@ -409,9 +391,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     // resumed machine re-runs the whole send phase safely.
     const TxnId stall_id = a.plan.txn.id;
     FreezeStalled(a, node, [this, stall_id, node]() {
-      auto it = actives_.find(stall_id);
-      if (it == actives_.end()) return;
-      FinishParticipant(*it->second, node);
+      if (Active* act = Live(stall_id)) FinishParticipant(*act, node);
     });
     return;
   }
@@ -451,6 +431,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     HERMES_TRACE(tracer_, obs::EventKind::kRecordExtract, node, a.plan.txn.id,
                  acc.key, static_cast<uint32_t>(acc.new_owner));
     Shipment& s = SortedEntry(shipments, acc.new_owner);
+    if (s.moves.empty()) s.moves = key_pool_.Take();
     s.moves.push_back(acc.key);
     s.bytes += costs_->record_bytes;
     if (acc.ship_to_master && IsMaster(a, acc.new_owner)) s.to_master = true;
@@ -470,19 +451,19 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     // sim::Callback's inline buffer and the send does not allocate it.
     const uint32_t to = static_cast<uint32_t>(dest) << 1 |
                         static_cast<uint32_t>(shipment.to_master);
-    auto deliver = [this, id, node, to, moves = std::move(shipment.moves)]() {
+    auto deliver = [this, id, node, to,
+                    moves = std::move(shipment.moves)]() mutable {
       const auto to_node = static_cast<NodeId>(to >> 1);
       for (Key key : moves) DeliverRecord(to_node, key, node, id);
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      if ((to & 1) != 0) {
-        MasterState* m = MasterFor(*it->second, to_node);
-        if (m != nullptr) {
-          assert(m->pending_messages > 0);
-          --m->pending_messages;
-          ++m->messages_received;
-          CheckMasterReady(*it->second, *m);
-        }
+      key_pool_.Give(std::move(moves));
+      Active* act = Live(id);
+      if (act == nullptr || (to & 1) == 0) return;
+      MasterState* m = MasterFor(*act, to_node);
+      if (m != nullptr) {
+        assert(m->pending_messages > 0);
+        --m->pending_messages;
+        ++m->messages_received;
+        CheckMasterReady(*act, *m);
       }
     };
     static_assert(sizeof(deliver) <= sim::Callback::kInlineBytes);
@@ -500,11 +481,10 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   }
   sim_->Defer([this, id, migrated]() {
     if (migrated > 0) metrics_->RecordMigrations(sim_->Now(), migrated);
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    Active& act = *it->second;
-    --act.participants_pending;
-    MaybeComplete(act);  // may retire `act`
+    Active* act = Live(id);
+    if (act == nullptr) return;
+    --act->participants_pending;
+    MaybeComplete(*act);  // may retire `act`
   });
   ProcessGrants(node, granted);
   granted_pool_.Give(std::move(granted));
@@ -520,10 +500,10 @@ void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
     const TxnId id = a.plan.txn.id;
     const NodeId node = m.node;
     FreezeStalled(a, node, [this, id, node]() {
-      auto it = actives_.find(id);
-      if (it == actives_.end()) return;
-      MasterState* ms = MasterFor(*it->second, node);
-      if (ms != nullptr) CheckMasterReady(*it->second, *ms);
+      Active* act = Live(id);
+      if (act == nullptr) return;
+      MasterState* ms = MasterFor(*act, node);
+      if (ms != nullptr) CheckMasterReady(*act, *ms);
     });
     return;
   }
@@ -560,11 +540,9 @@ void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   const TxnId id = a.plan.txn.id;
   const NodeId node = m.node;
   NodeAt(node).workers().Submit(cost, [this, id, node]() {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    Active& act = *it->second;
-    MasterState* ms = MasterFor(act, node);
-    CommitMaster(act, *ms);
+    Active* act = Live(id);
+    if (act == nullptr) return;
+    CommitMaster(*act, *MasterFor(*act, node));
   });
 }
 
@@ -630,13 +608,19 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
         // epoch's sequenced batch stream, so the refresh costs it one
         // storage op, not a point-to-point RPC deserialization (only the
         // initial install pays msg_processing for its fetch).
+        // The snapshot rides field by field so the 32-bit version and
+        // holder share a word and the closure fits sim::Callback inline.
+        auto refresh = [this, k, id, value = snapshot.value,
+                        writer = snapshot.last_writer,
+                        version = snapshot.version, h]() {
+          if (NodeDead(h)) return;
+          NodeAt(h).workers().Submit(costs_->storage_op_us, [] {});
+          lease_mgr_->ApplyCopy(h, k, storage::Record{value, writer, version},
+                                /*install=*/false, id);
+        };
+        static_assert(sizeof(refresh) <= sim::Callback::kInlineBytes);
         net_->Send(m.node, h, costs_->record_bytes, TrafficClass::kBulk,
-                   [this, k, h, id, snapshot]() {
-                     if (NodeDead(h)) return;
-                     NodeAt(h).workers().Submit(costs_->storage_op_us, [] {});
-                     lease_mgr_->ApplyCopy(h, k, snapshot,
-                                           /*install=*/false, id);
-                   });
+                   std::move(refresh));
       }
     }
     if (fanout_work > 0) node.workers().Submit(fanout_work, [] {});
@@ -656,9 +640,9 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
 }
 
 void TxnExecutor::OnMasterDone(TxnId id) {
-  auto it = actives_.find(id);
-  if (it == actives_.end()) return;
-  Active& a = *it->second;
+  Active* live = Live(id);
+  if (live == nullptr) return;
+  Active& a = *live;
   ++a.masters_done;
   if (a.masters_done == static_cast<int>(a.masters.size())) {
     Acknowledge(a);
@@ -752,9 +736,6 @@ void TxnExecutor::Acknowledge(Active& a) {
                         at, result.latency.storage_us);
   }
 
-  const bool regular = a.plan.txn.kind == TxnKind::kRegular;
-  CommitCallback cb = std::move(a.on_commit);
-  const SimTime submit = a.plan.txn.submit_time;
   if (result.aborted) {
     aborted_.Add();
   } else {
@@ -763,34 +744,38 @@ void TxnExecutor::Acknowledge(Active& a) {
   a.acked = true;
 
   // Client acknowledgment is one network hop away.
-  const SimTime ack_delay = costs_->net_latency_us;
-  sim_->Schedule(ack_delay, [this, result, cb = std::move(cb), submit,
-                             regular, master]() mutable {
-    result.latency.total_us = sim_->Now() > submit ? sim_->Now() - submit : 0;
-    const SimTime accounted =
-        result.latency.scheduling_us + result.latency.lock_wait_us +
-        result.latency.remote_wait_us + result.latency.storage_us;
-    result.latency.other_us =
-        result.latency.total_us > accounted
-            ? result.latency.total_us - accounted
-            : 0;
-    if (regular) {
-      metrics_->RecordCommit(sim_->Now(), result.latency, result.distributed,
-                             result.aborted);
-    }
-    HERMES_TRACE(tracer_,
-                 result.aborted ? obs::EventKind::kTxnAbort
-                                : obs::EventKind::kTxnCommit,
-                 master, result.id, kNoKey, result.latency.total_us);
-    if (cb) cb(result);
-  });
+  const uint32_t slot = acks_.Put(
+      Ack{result, std::move(a.on_commit), a.plan.txn.submit_time, master,
+          a.plan.txn.kind == TxnKind::kRegular});
+  sim_->Schedule(costs_->net_latency_us, [this, slot]() { DeliverAck(slot); });
+}
+
+void TxnExecutor::DeliverAck(uint32_t slot) {
+  Ack ack = acks_.Take(slot);
+  TxnResult& result = ack.result;
+  const SimTime now = sim_->Now();
+  result.latency.total_us = now > ack.submit ? now - ack.submit : 0;
+  const SimTime accounted =
+      result.latency.scheduling_us + result.latency.lock_wait_us +
+      result.latency.remote_wait_us + result.latency.storage_us;
+  result.latency.other_us =
+      result.latency.total_us > accounted ? result.latency.total_us - accounted
+                                          : 0;
+  if (ack.regular) {
+    metrics_->RecordCommit(now, result.latency, result.distributed,
+                           result.aborted);
+  }
+  HERMES_TRACE(tracer_,
+               result.aborted ? obs::EventKind::kTxnAbort
+                              : obs::EventKind::kTxnCommit,
+               ack.master, result.id, kNoKey, result.latency.total_us);
+  if (ack.cb) ack.cb(result);
 }
 
 std::string TxnExecutor::DebugString() const {
   std::string out;
   char buf[256];
-  for (TxnId id : actives_.SortedKeys()) {
-    const auto& a = actives_.at(id);
+  actives_.ForEach([&](TxnId id, const std::unique_ptr<Active>& a) {
     size_t stalled = 0;
     for (const auto& [node, thunks] : a->stalled) stalled += thunks.size();
     std::snprintf(buf, sizeof(buf),
@@ -804,8 +789,8 @@ std::string TxnExecutor::DebugString() const {
       const NodeId node = st.node;
       std::snprintf(buf, sizeof(buf),
                     "  node %d granted=%d master=%d locks=%u owned=%u\n",
-                    node, st.granted, st.is_master,
-                    st.lock_end - st.lock_begin, st.owned_end - st.owned_begin);
+                    node, st.granted, st.is_master, st.locks,
+                    st.owned_end - st.owned_begin);
       out += buf;
       for (uint32_t i : OwnedOf(*a, st)) {
         const Access& acc = a->plan.accesses[i];
@@ -826,7 +811,7 @@ std::string TxnExecutor::DebugString() const {
                     m.done);
       out += buf;
     }
-  }
+  });
   for (size_t node = 0; node < presence_waiters_.size(); ++node) {
     const PresenceShardMap& shard = presence_waiters_[node];
     for (Key key : shard.SortedKeys()) {
@@ -913,9 +898,9 @@ void TxnExecutor::Freeze(Active& a) {
   // the transaction may complete at the same barrier.
   const TxnId id = a.plan.txn.id;
   sim_->Defer([this, id]() {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    it->second->frozen = true;
+    Active* a = Live(id);
+    if (a == nullptr) return;
+    a->frozen = true;
     frozen_ids_.insert(id);
   });
 }
@@ -925,13 +910,16 @@ void TxnExecutor::FreezeStalled(Active& a, NodeId node,
   // Same barrier discipline as Freeze(); additionally parks the abandoned
   // continuation under the dead node so ResumeStalled can re-drive it.
   const TxnId id = a.plan.txn.id;
-  sim_->Defer([this, id, node, resume = std::move(resume)]() mutable {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) return;
-    it->second->frozen = true;
-    frozen_ids_.insert(id);
-    it->second->stalled[node].push_back(std::move(resume));
-  });
+  // The resume continuation makes the closure too large to sit inline;
+  // freezes happen only while a node is down.
+  sim_->Defer(sim::Boxed(
+      [this, id, node, resume = std::move(resume)]() mutable {
+        Active* live = Live(id);
+        if (live == nullptr) return;
+        live->frozen = true;
+        frozen_ids_.insert(id);
+        live->stalled[node].push_back(std::move(resume));
+      }));
 }
 
 void TxnExecutor::ResumeStalled(NodeId node) {
@@ -940,12 +928,12 @@ void TxnExecutor::ResumeStalled(NodeId node) {
   // while later ids still wait their turn.
   const std::vector<TxnId> frozen(frozen_ids_.begin(), frozen_ids_.end());
   for (TxnId id : frozen) {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) {
+    Active* live = Live(id);
+    if (live == nullptr) {
       frozen_ids_.erase(id);
       continue;
     }
-    Active& a = *it->second;
+    Active& a = *live;
     // Only acknowledged transactions resume. Their writes are already
     // committed in serial order — what stalled is pure record shipment,
     // which lands correctly at any later time (destinations presence-wait
@@ -1018,14 +1006,19 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
       lease_mgr_->ApplyCopy(holder, key, snapshot, /*install=*/true, txn);
       return;
     }
+    // Field by field, like CommitMaster's refresh, to fit inline.
+    auto install = [this, key, txn, value = snapshot.value,
+                    writer = snapshot.last_writer, version = snapshot.version,
+                    holder]() {
+      if (NodeDead(holder)) return;
+      NodeAt(holder).workers().Submit(costs_->msg_processing_us, [] {});
+      lease_mgr_->ApplyCopy(holder, key,
+                            storage::Record{value, writer, version},
+                            /*install=*/true, txn);
+    };
+    static_assert(sizeof(install) <= sim::Callback::kInlineBytes);
     net_->Send(src, holder, costs_->record_bytes, TrafficClass::kBulk,
-               [this, key, holder, txn, snapshot]() {
-                 if (NodeDead(holder)) return;
-                 NodeAt(holder).workers().Submit(costs_->msg_processing_us,
-                                                 [] {});
-                 lease_mgr_->ApplyCopy(holder, key, snapshot,
-                                       /*install=*/true, txn);
-               });
+               std::move(install));
   });
 }
 
@@ -1047,8 +1040,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key, NodeId from,
       HERMES_TRACE(tracer_, obs::EventKind::kRecordSuppress, node, carrier,
                    key);
       // Freeze the carrying transaction: its shipment will never complete.
-      auto at = actives_.find(carrier);
-      if (at != actives_.end()) Freeze(*at->second);
+      if (Active* a = Live(carrier)) Freeze(*a);
       sim_->Schedule(degraded_->reclaim_timeout_us,
                      [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     });
@@ -1137,14 +1129,12 @@ void TxnExecutor::OnNodeUp(NodeId node) {
 }
 
 void TxnExecutor::WatchdogSweep() {
-  // frozen_ids_ is a sorted index maintained by Freeze(): iterating it
-  // instead of the salted actives_ map keeps the abort order total.
+  // frozen_ids_ is a sorted index maintained by Freeze(), so the abort
+  // order is total.
   const std::vector<TxnId> doomed(frozen_ids_.begin(), frozen_ids_.end());
   for (TxnId id : doomed) {
-    auto it = actives_.find(id);
-    if (it == actives_.end()) continue;
-    if (it->second->acked) continue;
-    AbortActive(*it->second);
+    Active* a = Live(id);
+    if (a != nullptr && !a->acked) AbortActive(*a);
   }
   if (membership_ != nullptr && membership_->any_down()) {
     sim_->Schedule(degraded_->watchdog_period_us,
@@ -1209,18 +1199,15 @@ void TxnExecutor::AbortActive(Active& a) {
   // committed before the strand (the record cannot be both stranded and
   // present at their master).
   if (!stranded.empty()) {
-    std::vector<TxnId> dependents;
-    for (TxnId oid : actives_.SortedKeys()) {
-      const Active& other = *actives_.at(oid);
-      if (oid == id || other.acked || other.frozen) continue;
-      for (const Access& oacc : other.plan.accesses) {
+    actives_.ForEach([&](TxnId oid, const std::unique_ptr<Active>& other) {
+      if (oid == id || other->acked || other->frozen) return;
+      for (const Access& oacc : other->plan.accesses) {
         if (std::binary_search(stranded.begin(), stranded.end(), oacc.key)) {
-          dependents.push_back(oid);
-          break;
+          Freeze(*other);
+          return;
         }
       }
-    }
-    for (TxnId d : dependents) Freeze(*actives_.at(d));
+    });
   }
   // Release locks (granted or queued) at every involved node; grants are
   // processed only after the transaction is gone.

@@ -12,7 +12,9 @@
 
 #include "common/config.h"
 #include "common/flat_map.h"
+#include "common/id_ring.h"
 #include "common/membership.h"
+#include "common/slot_pool.h"
 #include "common/types.h"
 #include "common/vector_pool.h"
 #include "engine/degraded.h"
@@ -161,13 +163,12 @@ class TxnExecutor {
   std::string DebugString() const;
 
  private:
-  /// One involved node's slice of a transaction: its lock requests are
-  /// `Active::lock_requests[lock_begin, lock_end)` and the accesses it owns
-  /// are `Active::owned[owned_begin, owned_end)`.
+  /// One involved node's slice of a transaction: it took `locks`
+  /// deduplicated lock requests at dispatch, and the accesses it owns are
+  /// `Active::owned[owned_begin, owned_end)`.
   struct NodeState {
     NodeId node = kInvalidNode;
-    uint32_t lock_begin = 0;
-    uint32_t lock_end = 0;
+    uint32_t locks = 0;
     uint32_t owned_begin = 0;
     uint32_t owned_end = 0;
     bool is_master = false;
@@ -189,7 +190,9 @@ class TxnExecutor {
     SimTime exec_us = 0;
   };
   /// One transaction's state from Dispatch to completion. A pooled shell:
-  /// completion hands it back to `idle_shells_` (see RetireActive).
+  /// completion hands it back to `idle_shells_` (see RetireActive). Its
+  /// lock requests are not kept: Dispatch builds each node's in scratch
+  /// and the lock manager copies them.
   struct Active {
     routing::RoutedTxn plan;
     CommitCallback on_commit;
@@ -197,11 +200,8 @@ class TxnExecutor {
     std::vector<NodeState> nodes;  ///< sorted by node id
     std::vector<MasterState> masters;
     std::vector<Key> write_keys;  ///< plan.txn.write_set, sorted and unique
-    /// Every node's deduplicated lock requests, grouped in `nodes` order.
-    /// Sized exactly at dispatch and released at completion.
-    std::vector<storage::LockRequest> lock_requests;
     /// Indices into plan.accesses, grouped by owner in `nodes` order (plan
-    /// order within a node). Sized exactly, released at completion.
+    /// order within a node). Keeps its capacity across shell reuse.
     std::vector<uint32_t> owned;
     int masters_done = 0;
     /// Participant send phases not yet completed. The client ack does not
@@ -221,8 +221,9 @@ class TxnExecutor {
     std::map<NodeId, std::vector<sim::Callback>> stalled;
   };
   /// One participant message under construction: keys of the records
-  /// moving to the destination plus the bytes of any read copies riding
-  /// along. The payloads stay in the record table while in flight.
+  /// moving to the destination (a `key_pool_` vector, given back when the
+  /// message is delivered) plus the bytes of any read copies riding along.
+  /// The payloads stay in the record table while in flight.
   struct Shipment {
     std::vector<Key> moves;
     uint64_t bytes = 0;
@@ -245,13 +246,6 @@ class TxnExecutor {
         state.owned_begin, state.owned_end - state.owned_begin);
   }
 
-  /// `state`'s node's deduplicated lock requests.
-  static std::span<const storage::LockRequest> LocksOf(
-      const Active& a, const NodeState& state) {
-    return std::span<const storage::LockRequest>(a.lock_requests)
-        .subspan(state.lock_begin, state.lock_end - state.lock_begin);
-  }
-
   /// True iff `acc`, owned by `node`, makes that node ship: the record
   /// migrates away, or a master elsewhere needs a read copy.
   static bool Ships(const Active& a, const routing::Access& acc, NodeId node);
@@ -261,6 +255,11 @@ class TxnExecutor {
   /// Erases `id` from the transaction table and parks its shell in the
   /// free list. Exclusive context only.
   void RetireActive(TxnId id);
+  /// The in-flight transaction `id`, or nullptr once it has retired.
+  Active* Live(TxnId id) {
+    std::unique_ptr<Active>* a = actives_.Find(id);
+    return a != nullptr ? a->get() : nullptr;
+  }
 
   void OnNodeGranted(Active& a, NodeId node);
   void StartParticipant(Active& a, NodeId node);
@@ -340,21 +339,39 @@ class TxnExecutor {
   const CostModel* costs_;
   std::vector<std::unique_ptr<Node>>* nodes_;
 
-  /// Transaction table. Inserted on dispatch and erased on completion or
-  /// abort, both in exclusive context. Values are boxed so an `Active&`
-  /// survives the backward-shift moves of other entries' erases. An erased
-  /// transaction's shell goes to `idle_shells_` and the next Dispatch
-  /// reuses it, so an `Active&` is valid only until its transaction
-  /// retires: every continuation captures the TxnId and re-finds its
-  /// transaction here. Ids are never reused, so a stale continuation finds
-  /// nothing and returns.
-  FlatMap<TxnId, std::unique_ptr<Active>> actives_;
+  /// Transaction table, a ring indexed by `id - base` (ids are dense and
+  /// dispatched mostly in order; a parked transaction released after an
+  /// outage re-enters below the base). Inserted on dispatch and taken on
+  /// completion or abort, both in exclusive context. Values are boxed so
+  /// an `Active&` survives the ring's growth. A retired transaction's
+  /// shell goes to `idle_shells_` and the next Dispatch reuses it, so an
+  /// `Active&` is valid only until its transaction retires: every
+  /// continuation captures the TxnId and re-finds its transaction with
+  /// Live(). Ids are never reused, so a stale continuation finds nothing
+  /// and returns.
+  IdRing<std::unique_ptr<Active>> actives_;
   /// Retired shells, reset but keeping the capacity of their `nodes`,
-  /// `masters` and `write_keys`. Poisoned under ASan while parked.
+  /// `masters`, `write_keys` and `owned`. Poisoned under ASan while parked.
   std::vector<std::unique_ptr<Active>> idle_shells_;
 
+  /// One client acknowledgment on its network hop, parked in `acks_`
+  /// while the ack event (which captures only its slot) is queued.
+  struct Ack {
+    TxnResult result;
+    CommitCallback cb;
+    SimTime submit = 0;
+    NodeId master = kInvalidNode;
+    bool regular = false;
+  };
+  SlotPool<Ack> acks_;
+  /// Ack event body: completes the latency breakdown, records the commit
+  /// and runs the client callback.
+  void DeliverAck(uint32_t slot);
+
   /// Per-event scratch. A call takes a buffer out by move and gives it
-  /// back when done, so a nested call simply gets a fresh vector.
+  /// back when done, so a nested call simply gets a fresh vector. Dispatch
+  /// builds each node's lock requests in `lock_pool_`; shipped key lists
+  /// ride their message and return to `key_pool_` on delivery.
   VectorPool<TxnId> granted_pool_;
   VectorPool<Key> key_pool_;
   VectorPool<NodeId> node_pool_;
@@ -383,8 +400,7 @@ class TxnExecutor {
   /// final sweep after rejoin to clear stragglers frozen just before it).
   bool watchdog_armed_ = false;
   /// Ids of frozen transactions, maintained by Freeze()/erasure. The
-  /// watchdog iterates this sorted index instead of the salted actives_
-  /// map, so the abort order is total by construction.
+  /// watchdog visits only these, in id order.
   std::set<TxnId> frozen_ids_;
   /// Keys whose physical node diverged from the ownership map during an
   /// outage (reclaimed or stranded records). std::map: the rejoin

@@ -69,14 +69,20 @@ void Scheduler::RouteParked(BatchId release_id,
 }
 
 void Scheduler::Process(Batch&& batch, bool log) {
-  if (log && config_->enable_command_log) command_log_->Append(batch);
+  const bool keep = log && config_->enable_command_log;
   if (log) batches_routed_.Add();
 
   // Classification happens after logging: the log keeps the original
   // batch, the filter is a deterministic function of (batch contents,
-  // membership schedule), so replay refilters identically.
-  if (filter_) filter_(batch.id, &batch.txns);
-  if (batch.txns.empty()) return;
+  // membership schedule), so replay refilters identically. Only a batch
+  // the filter may rewrite is copied into the log here; any other is
+  // moved in once routing has read it.
+  const bool filtering = filter_ && filter_armed_();
+  if (filtering) {
+    if (keep) command_log_->Append(batch);
+    filter_(batch.id, &batch.txns);
+    if (batch.txns.empty()) return;
+  }
 
   // The routing algorithm runs now (its decisions are a pure function of
   // the router state at this point in the total order); its CPU cost plus
@@ -91,15 +97,14 @@ void Scheduler::Process(Batch&& batch, bool log) {
     }
   }
   const SimTime log_cost =
-      log && config_->enable_command_log
-          ? config_->costs.log_entry_us * batch.txns.size()
-          : 0;
+      keep ? config_->costs.log_entry_us * batch.txns.size() : 0;
   const SimTime start = std::max(sim_->Now(), busy_until_);
   const SimTime dispatch_at = start + plan.routing_cost_us + log_cost;
   busy_until_ = dispatch_at;
   HERMES_TRACE_SPAN(tracer_, obs::EventKind::kBatchRouted, kInvalidNode,
                     batch.id, static_cast<Key>(-1), start,
                     dispatch_at - start, batch.txns.size());
+  if (keep && !filtering) command_log_->Append(std::move(batch));
 
   sim_->ScheduleAt(dispatch_at, [this, plan = std::move(plan)]() mutable {
     for (routing::RoutedTxn& rt : plan.txns) {

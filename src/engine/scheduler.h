@@ -36,6 +36,10 @@ class Scheduler {
   /// cluster); the command log keeps the original batch, so a replay fed
   /// the same membership schedule reproduces the same filtering.
   using BatchFilter = std::function<void(BatchId, std::vector<TxnRequest>*)>;
+  /// True when the batch filter may rewrite the next batch. While it is
+  /// false the filter is skipped, and the batch is moved into the command
+  /// log after routing rather than copied into it before.
+  using FilterArmed = std::function<bool()>;
 
   /// `digest`, when non-null, receives every routing decision (txn id,
   /// masters, per-access placement) the moment a batch is routed.
@@ -68,7 +72,10 @@ class Scheduler {
     observer_ = std::move(observer);
   }
 
-  void set_batch_filter(BatchFilter filter) { filter_ = std::move(filter); }
+  void set_batch_filter(BatchFilter filter, FilterArmed armed) {
+    filter_ = std::move(filter);
+    filter_armed_ = std::move(armed);
+  }
 
   /// Installs the passive tracer (null = tracing off); the scheduler
   /// emits one kBatchRouted span per routed batch.
@@ -92,6 +99,7 @@ class Scheduler {
   DecisionDigest* placement_digest_;
   DispatchObserver observer_;
   BatchFilter filter_;
+  FilterArmed filter_armed_;
   obs::Tracer* tracer_ = nullptr;
   SimTime busy_until_ = 0;
   obs::Counter batches_routed_;

@@ -149,19 +149,22 @@ void Wire::Transmit(NodeId src, NodeId dst, uint64_t payload_bytes,
 void Wire::ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                             uint64_t delivered, SimTime wire, bool was_held,
                             sim::Callback cb) {
-  sim_->ScheduleOnLane(
-      static_cast<int>(dst), wire,
-      [this, src, dst, bytes, delivered, was_held,
-       cb = std::move(cb)]() mutable {
-        Link& link = links_[src][dst];
-        // A released message must never land under a still-live cut: the
-        // pen only drains on heal, so a nonzero count means a release
-        // raced a re-cut (the partition oracle asserts zero).
-        if (was_held && link.cut) ++cut_deliveries_;
-        link.bytes_received += bytes * delivered;
-        link.messages_received += delivered;
-        cb();
-      });
+  const uint32_t slot = deliveries_.Put(
+      Delivery{src, dst, was_held, bytes, delivered, std::move(cb)});
+  sim_->ScheduleOnLane(static_cast<int>(dst), wire,
+                       [this, slot]() { Deliver(slot); });
+}
+
+void Wire::Deliver(uint32_t slot) {
+  Delivery d = deliveries_.Take(slot);
+  Link& link = links_[d.src][d.dst];
+  // A released message must never land under a still-live cut: the pen
+  // only drains on heal, so a nonzero count means a release raced a
+  // re-cut (the partition oracle asserts zero).
+  if (d.was_held && link.cut) ++cut_deliveries_;
+  link.bytes_received += d.bytes * d.delivered;
+  link.messages_received += d.delivered;
+  d.cb();
 }
 
 void Wire::AppendEnvelope(NodeId src, NodeId dst, uint64_t payload_bytes,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/slot_pool.h"
 #include "common/types.h"
 #include "obs/telemetry.h"
 #include "sim/callback.h"
@@ -263,6 +264,9 @@ class Wire {
   void ScheduleDelivery(NodeId src, NodeId dst, uint64_t bytes,
                         uint64_t delivered, SimTime wire, bool was_held,
                         sim::Callback cb);
+  /// Delivery event body: charges the receive counters of the slab entry
+  /// `slot` and runs its callback.
+  void Deliver(uint32_t slot);
 
   /// Serializer occupancy of one wire message, in virtual microseconds.
   SimTime SerializationTime(uint64_t wire_bytes) const;
@@ -287,10 +291,23 @@ class Wire {
   /// the destination lane; link state is the source's row).
   void ReturnCredit(NodeId src, NodeId dst, uint64_t wire_bytes);
 
+  /// One message on the wire. The delivery event captures only its slot
+  /// in `deliveries_`, so it fits sim::Callback's inline buffer.
+  struct Delivery {
+    NodeId src = kInvalidNode;
+    NodeId dst = kInvalidNode;
+    bool was_held = false;
+    uint64_t bytes = 0;
+    uint64_t delivered = 0;  ///< copies to charge the receiver
+    sim::Callback cb;
+  };
+
   sim::Simulator* sim_;
   const CostModel* costs_;
   const NetConfig* config_;
   std::vector<std::vector<Link>> links_;
+  /// Messages on the wire, by delivery-event slot.
+  SlotPool<Delivery> deliveries_;
   PerturbationFn perturb_;
   int cut_links_ = 0;
   uint64_t messages_held_total_ = 0;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -10,14 +11,23 @@
 namespace hermes::sim {
 
 /// Move-only `void()` closure with a 48-byte inline buffer: the event,
-/// message and waiter callbacks of the simulator. Captures up to 48 bytes
-/// (a `this` pointer plus five words) live inline, so scheduling an event
-/// does not allocate; larger captures go to the heap. Unlike
-/// std::function it accepts move-only captures (a moved vector of
-/// shipments, another Callback) and never copies one.
+/// message and waiter callbacks of the simulator. Captures live inline (a
+/// `this` pointer plus five words at most), so scheduling an event never
+/// allocates behind the caller's back: a larger closure does not compile.
+/// A cold path that needs one wraps it in sim::Boxed, which makes its one
+/// heap allocation visible at the call site. Unlike std::function it
+/// accepts move-only captures (a moved vector of shipments; another
+/// Callback, through sim::Boxed) and never copies one.
 class Callback {
  public:
   static constexpr size_t kInlineBytes = 48;
+
+  /// True when a callable of type `D` fits the inline buffer, i.e. when
+  /// Callback accepts it without sim::Boxed.
+  template <typename D>
+  static constexpr bool kFits = sizeof(D) <= kInlineBytes &&
+                                alignof(D) <= alignof(void*) &&
+                                std::is_nothrow_move_constructible_v<D>;
 
   Callback() noexcept = default;
   Callback(std::nullptr_t) noexcept {}  // NOLINT: implicit like std::function
@@ -26,13 +36,12 @@ class Callback {
             typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
                                         std::is_invocable_r_v<void, D&>>>
   Callback(F&& f) {  // NOLINT: implicit from any callable
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    static_assert(kFits<D>,
+                  "closure does not fit sim::Callback's 48-byte inline "
+                  "buffer: shrink its captures, or wrap a cold-path closure "
+                  "in sim::Boxed");
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   Callback(Callback&& o) noexcept { StealFrom(o); }
@@ -67,12 +76,7 @@ class Callback {
   };
 
   template <typename D>
-  static constexpr bool kFitsInline =
-      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(void*) &&
-      std::is_nothrow_move_constructible_v<D>;
-
-  template <typename D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* buf) { (*static_cast<D*>(buf))(); },
       std::is_trivially_copyable_v<D>
           ? nullptr
@@ -83,12 +87,6 @@ class Callback {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* buf) noexcept { static_cast<D*>(buf)->~D(); }};
-
-  // The heap variant stores a D* in the buffer: relocation is a byte copy.
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* buf) { (**static_cast<D**>(buf))(); }, nullptr,
-      [](void* buf) noexcept { delete *static_cast<D**>(buf); }};
 
   void StealFrom(Callback& o) noexcept {
     ops_ = o.ops_;
@@ -109,6 +107,17 @@ class Callback {
   alignas(void*) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+/// Moves `f` into one heap box and returns a pointer-sized closure that
+/// runs it, for a closure too large for Callback's inline buffer. Meant for
+/// cold paths (retries, reconnaissance, tests): `grep sim::Boxed` lists
+/// every event that allocates.
+template <typename F>
+auto Boxed(F&& f) {
+  return [box = std::make_unique<std::decay_t<F>>(std::forward<F>(f))]() {
+    (*box)();
+  };
+}
 
 }  // namespace hermes::sim
 

@@ -2,6 +2,7 @@
 #define HERMES_STORAGE_COMMAND_LOG_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -23,6 +24,7 @@ class CommandLog {
   CommandLog& operator=(const CommandLog&) = delete;
 
   void Append(const Batch& batch) { batches_.push_back(batch); }
+  void Append(Batch&& batch) { batches_.push_back(std::move(batch)); }
 
   const std::vector<Batch>& batches() const { return batches_; }
 

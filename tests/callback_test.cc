@@ -17,7 +17,7 @@ int g_alive = 0;
 /// Counts how often the owning instance is destroyed; moved-from copies
 /// do not count there, but every object, moved-from or not, must still be
 /// destroyed once (g_alive). `Pad` bytes push the closure past the inline
-/// buffer.
+/// buffer, where Callback accepts it only through Boxed.
 template <size_t Pad>
 struct Tracked {
   int* destroyed;
@@ -43,16 +43,30 @@ struct Tracked {
 
 using SmallTracked = Tracked<8>;
 using LargeTracked = Tracked<128>;
-static_assert(sizeof(SmallTracked) <= Callback::kInlineBytes);
-static_assert(sizeof(LargeTracked) > Callback::kInlineBytes);
+static_assert(Callback::kFits<SmallTracked>);
+static_assert(!Callback::kFits<LargeTracked>);
+// A boxed closure is one pointer, whatever it holds.
+using BoxedLarge = decltype(Boxed(std::declval<LargeTracked>()));
+static_assert(Callback::kFits<BoxedLarge>);
+static_assert(sizeof(BoxedLarge) == sizeof(void*));
+// A closure holding another Callback is over the buffer by the inner
+// callback's ops pointer, so nesting needs a box.
+static_assert(sizeof(Callback) > Callback::kInlineBytes);
 
-template <typename T>
+SmallTracked MakeSmall(int* destroyed, int* calls) {
+  return SmallTracked(destroyed, calls);
+}
+BoxedLarge MakeBoxed(int* destroyed, int* calls) {
+  return Boxed(LargeTracked(destroyed, calls));
+}
+
+template <auto kMake>
 void ExpectDestroyedOnceAcrossMoves() {
   g_alive = 0;
   int destroyed = 0;
   int calls = 0;
   {
-    Callback a(T(&destroyed, &calls));
+    Callback a(kMake(&destroyed, &calls));
     a();
     Callback b(std::move(a));
     EXPECT_FALSE(static_cast<bool>(a));  // NOLINT: moved-from is empty
@@ -72,11 +86,27 @@ void ExpectDestroyedOnceAcrossMoves() {
 }
 
 TEST(CallbackTest, InlineCaptureDestroyedExactlyOnce) {
-  ExpectDestroyedOnceAcrossMoves<SmallTracked>();
+  ExpectDestroyedOnceAcrossMoves<MakeSmall>();
 }
 
-TEST(CallbackTest, HeapCaptureDestroyedExactlyOnce) {
-  ExpectDestroyedOnceAcrossMoves<LargeTracked>();
+TEST(CallbackTest, BoxedCaptureDestroyedExactlyOnce) {
+  ExpectDestroyedOnceAcrossMoves<MakeBoxed>();
+}
+
+TEST(CallbackTest, BoxedKeepsMutableStateAndMoveOnlyCaptures) {
+  // A large mutable closure keeps its state across calls inside the box,
+  // and a move-only capture moves in with it.
+  std::vector<int> seen;
+  auto owned = std::make_unique<int>(5);
+  std::array<char, 96> pad{};
+  Callback a(Boxed([p = std::move(owned), n = 0, pad, &seen]() mutable {
+    seen.push_back(*p + n++ + pad[0]);
+  }));
+  a();
+  Callback b = std::move(a);
+  b();
+  b();
+  EXPECT_EQ(seen, (std::vector<int>{5, 6, 7}));
 }
 
 TEST(CallbackTest, AssignmentDestroysThePreviousClosure) {
@@ -84,7 +114,7 @@ TEST(CallbackTest, AssignmentDestroysThePreviousClosure) {
   int destroyed = 0;
   int calls = 0;
   Callback a(SmallTracked(&destroyed, &calls));
-  a = Callback(LargeTracked(&destroyed, &calls));
+  a = Callback(Boxed(LargeTracked(&destroyed, &calls)));
   EXPECT_EQ(destroyed, 1);
   a = nullptr;
   EXPECT_EQ(destroyed, 2);
@@ -107,9 +137,9 @@ TEST(CallbackTest, MoveOnlyAndNonTrivialCaptures) {
   d();
   EXPECT_EQ(sum, (std::vector<int>{1, 2, 3}));
 
-  // A Callback nests inside another closure.
+  // A Callback nests inside another closure, through a box.
   Callback inner([&seen] { seen = 11; });
-  Callback outer([inner = std::move(inner)]() mutable { inner(); });
+  Callback outer(Boxed([inner = std::move(inner)]() mutable { inner(); }));
   outer();
   EXPECT_EQ(seen, 11);
 }

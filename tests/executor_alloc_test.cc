@@ -2,10 +2,12 @@
 //
 // The executor keeps per-transaction state in pooled shells and reuses its
 // per-event buffers, so a steady-state closed loop allocates a fixed,
-// deterministic number of times per commit. The first test pins that
-// count; the second checks that a watchdog-aborted transaction's shell,
-// recycled with stalled continuations still pointing at its id, serves
-// later transactions without harm.
+// deterministic number of times per commit. The first two tests pin that
+// count, on Calvin (locks and the event queue) and on Hermes with fusion
+// migrations (participant shipments, their pooled key lists and the wire's
+// delivery slab); the third checks that a watchdog-aborted transaction's
+// shell, recycled with stalled continuations still pointing at its id,
+// serves later transactions without harm.
 
 #include <cstdint>
 #include <cstdio>
@@ -60,17 +62,18 @@ using engine::RouterKind;
 
 uint64_t HeapAllocs() { return g_heap_allocs; }
 
-TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
-  // A small Calvin cluster (static ranges, no migrations) under a closed
-  // YCSB loop with half the transactions distributed: the executor,
-  // lock manager and event heap do the work, as on google_calvin.
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 4'000;
-  config.workers_per_node = 2;
-  Cluster cluster(config, RouterKind::kCalvin,
-                  std::make_unique<partition::RangePartitionMap>(
-                      config.num_records, config.num_nodes));
+/// Allocations and commits over [300 ms, 600 ms) of a closed YCSB loop
+/// (200 clients, half the transactions distributed) on `cluster`, after a
+/// warm-up that brings every pool and table to its working size.
+struct Window {
+  uint64_t allocs = 0;
+  uint64_t commits = 0;
+  uint64_t migrations = 0;  ///< records the router moved (Hermes only)
+  double per_commit() const { return static_cast<double>(allocs) / commits; }
+};
+
+Window MeasureWindow(Cluster& cluster) {
+  const ClusterConfig& config = cluster.config();
   cluster.Load();
 
   workload::YcsbConfig wl;
@@ -84,39 +87,85 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
       &cluster, 200, [&gen](int, SimTime now) { return gen.Next(now); });
   driver.Start();
 
-  // Warm up until every pool and table has reached its working size.
   cluster.RunUntil(MsToSim(300));
+  Window w;
   const uint64_t allocs_before = HeapAllocs();
   const uint64_t commits_before = cluster.metrics().total_commits();
+  const auto migrations = [&cluster]() -> uint64_t {
+    const core::HermesRouter* router = cluster.hermes_router();
+    return router != nullptr ? router->stats().migrations : 0;
+  };
+  const uint64_t migrations_before = migrations();
   cluster.RunUntil(MsToSim(600));
-  const uint64_t allocs = HeapAllocs() - allocs_before;
-  const uint64_t commits = cluster.metrics().total_commits() - commits_before;
-  ASSERT_GT(commits, 1000u);
-  const double per_commit = static_cast<double>(allocs) / commits;
-  std::printf("allocs=%llu commits=%llu allocs_per_commit=%.3f\n",
-              static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(commits), per_commit);
+  w.allocs = HeapAllocs() - allocs_before;
+  w.commits = cluster.metrics().total_commits() - commits_before;
+  w.migrations = migrations() - migrations_before;
+  std::printf("allocs=%llu commits=%llu migrations=%llu "
+              "allocs_per_commit=%.3f\n",
+              static_cast<unsigned long long>(w.allocs),
+              static_cast<unsigned long long>(w.commits),
+              static_cast<unsigned long long>(w.migrations), w.per_commit());
+  return w;
+}
 
+/// Checks a window against its pin. `parent_allocs` is the count before
+/// the id rings and pooled hop, ack and delivery slots, so a failure shows
+/// how far a change moved from both.
+void ExpectPinned(const Window& w, uint64_t commits, uint64_t allocs,
+                  uint64_t parent_allocs) {
 #ifdef HERMES_TEST_SANITIZED
+  (void)w, (void)commits, (void)allocs, (void)parent_allocs;
   GTEST_SKIP() << "allocation counts are pinned for unsanitized builds only";
 #else
   // The virtual-time schedule is deterministic, so both counts are exact.
-  // Before FinishParticipant's per-destination send closure fit
-  // sim::Callback's inline buffer (it heap-allocated once per shipment)
-  // this window took kParentAllocs allocations; before Calvin's RouteOne
-  // reused router-owned scratch, 47117; before key-indexed lock queues,
-  // 47151; before pooled transaction shells, 74382.
-  constexpr uint64_t kCommits = 2494;
-  constexpr uint64_t kAllocs = 31723;        // 12.72 per commit
-  constexpr uint64_t kParentAllocs = 33630;  // 13.48 per commit
-  EXPECT_EQ(commits, kCommits);
-  EXPECT_EQ(allocs, kAllocs)
-      << "allocations per commit: " << per_commit << " now, "
-      << static_cast<double>(kAllocs) / kCommits << " pinned, "
-      << static_cast<double>(kParentAllocs) / kCommits
-      << " before the inline participant-send closure (" << kParentAllocs
-      << " allocations)";
+  EXPECT_EQ(w.commits, commits);
+  EXPECT_EQ(w.allocs, allocs)
+      << "allocations per commit: " << w.per_commit() << " now, "
+      << static_cast<double>(allocs) / commits << " pinned, "
+      << static_cast<double>(parent_allocs) / commits
+      << " before the id rings and pooled hop, ack and delivery slots ("
+      << parent_allocs << " allocations)";
 #endif
+}
+
+TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
+  // A small Calvin cluster (static ranges, no migrations): the executor,
+  // lock manager and event queue do the work, as on google_calvin.
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.num_records = 4'000;
+  config.workers_per_node = 2;
+  Cluster cluster(config, RouterKind::kCalvin,
+                  std::make_unique<partition::RangePartitionMap>(
+                      config.num_records, config.num_nodes));
+  const Window w = MeasureWindow(cluster);
+  ASSERT_GT(w.commits, 1000u);
+  // Earlier counts of this window: 33630 before FinishParticipant's send
+  // closure fit sim::Callback inline, 47117 before Calvin's RouteOne
+  // reused router-owned scratch, 47151 before key-indexed lock queues,
+  // 74382 before pooled transaction shells.
+  ExpectPinned(w, /*commits=*/2494, /*allocs=*/16027,  // 6.43 per commit
+               /*parent_allocs=*/31723);               // 12.72 per commit
+}
+
+TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
+  // The same loop on Hermes with a small fusion table: distributed
+  // transactions migrate records to their master and evictions send them
+  // on, so participant shipments carry key lists and every message takes
+  // a delivery slot, as on google_hermes.
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.num_records = 4'000;
+  config.workers_per_node = 2;
+  config.hermes.fusion_table_capacity = 200;
+  Cluster cluster(config, RouterKind::kHermes,
+                  std::make_unique<partition::RangePartitionMap>(
+                      config.num_records, config.num_nodes));
+  const Window w = MeasureWindow(cluster);
+  ASSERT_GT(w.commits, 1000u);
+  ASSERT_GT(w.migrations, 1000u);
+  ExpectPinned(w, /*commits=*/3443, /*allocs=*/23115,  // 6.71 per commit
+               /*parent_allocs=*/46055);               // 13.38 per commit
 }
 
 TEST(ExecutorAllocTest, WatchdogAbortedShellIsReusedByLaterTransactions) {
