@@ -39,9 +39,6 @@ class IdRing {
     T& slot = At(id - base_);
     return slot ? &slot : nullptr;
   }
-  const T* Find(TxnId id) const {
-    return const_cast<IdRing*>(this)->Find(id);
-  }
 
   /// Stores `value`, which must be non-empty, as the entry for `id`, which
   /// must have none.
@@ -104,8 +101,8 @@ class IdRing {
   /// (from the lowest to the highest entry; 0 when empty).
   TxnId base() const { return base_; }
   size_t span() const { return span_; }
-  /// Slots allocated: the smallest power of two that held the widest
-  /// window so far.
+  /// Slots allocated: the smallest power of two (16 at least) that held
+  /// the widest window so far.
   size_t capacity() const { return slots_.size(); }
 
  private:
