@@ -142,7 +142,7 @@ ClusterConfig BenchConfig(Mode mode) {
   config.num_records = 20'000;
   config.hermes.fusion_table_capacity = 500;
   // Partition runs need the heartbeat detector to degrade membership; the
-  // other modes keep it off so their telemetry/digest surface is the same
+  // other modes keep it off so their counter/digest surface is the same
   // as before the detector existed.
   config.detector.enabled = mode == Mode::kPartition;
   return config;

@@ -223,9 +223,6 @@ struct ClusterConfig {
   HermesConfig hermes;
   /// Number of records moved by one cold-migration chunk transaction.
   size_t migration_chunk_records = 1000;
-  /// Whether to append every sequenced batch to the command log
-  /// (required for recovery replay; costs log_entry_us per txn).
-  bool enable_command_log = true;
   /// Probability that an OLLP reconnaissance prediction is stale by the
   /// time the transaction executes, forcing a deterministic abort and one
   /// retry (§2.1). Drawn from the cluster's seeded RNG.

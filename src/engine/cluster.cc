@@ -123,173 +123,6 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   if (config_.detector.enabled) {
     detector_ = std::make_unique<FailureDetector>(this, config_.detector);
   }
-  RegisterTelemetry();
-}
-
-void Cluster::RegisterTelemetry() {
-  // All closures read live engine state that is itself salt-invariant, so
-  // TelemetryText() is byte-identical across reruns and hash salts.
-  telemetry_.RegisterCounter("hermes_txn_committed_total",
-                             [this] { return executor_.committed(); });
-  telemetry_.RegisterCounter("hermes_txn_aborted_total",
-                             [this] { return executor_.aborted(); });
-  telemetry_.RegisterCounter("hermes_batches_routed_total",
-                             [this] { return scheduler_.batches_routed(); });
-  telemetry_.RegisterCounter("hermes_ollp_reconnaissance_total",
-                             [this] { return ollp_recons_; });
-  telemetry_.RegisterCounter("hermes_ollp_retries_total",
-                             [this] { return ollp_retries_; });
-  telemetry_.RegisterCounter("hermes_degraded_parked_total", [this] {
-    return degraded_ledger_.parked_total();
-  });
-  telemetry_.RegisterCounter("hermes_degraded_retries_total", [this] {
-    return degraded_ledger_.retries_scheduled();
-  });
-  telemetry_.RegisterCounter("hermes_degraded_unavailable_total", [this] {
-    return degraded_ledger_.unavailable_aborts();
-  });
-  telemetry_.RegisterCounter("hermes_degraded_watchdog_aborts_total", [this] {
-    return degraded_ledger_.watchdog_aborts();
-  });
-  telemetry_.RegisterCounter("hermes_degraded_reclaims_total", [this] {
-    return degraded_ledger_.reclaims();
-  });
-  telemetry_.RegisterCounter("hermes_degraded_reships_total", [this] {
-    return degraded_ledger_.reships();
-  });
-  telemetry_.RegisterCounter("hermes_trace_events_total",
-                             [this] { return tracer_.total_recorded(); });
-  telemetry_.RegisterGauge("hermes_trace_dropped", [this] {
-    return static_cast<int64_t>(tracer_.total_dropped());
-  });
-  telemetry_.RegisterGauge("hermes_txn_inflight", [this] {
-    return static_cast<int64_t>(executor_.inflight());
-  });
-  telemetry_.RegisterGauge("hermes_degraded_parked", [this] {
-    return static_cast<int64_t>(parked_.size());
-  });
-  telemetry_.RegisterGauge("hermes_membership_epoch", [this] {
-    return static_cast<int64_t>(membership_.epoch());
-  });
-  telemetry_.RegisterGauge("hermes_net_bytes_sent_total", [this] {
-    return static_cast<int64_t>(wire_.total_bytes());
-  });
-  telemetry_.RegisterGauge("hermes_net_bytes_received_total", [this] {
-    return static_cast<int64_t>(wire_.total_bytes_received());
-  });
-  telemetry_.RegisterGauge("hermes_sim_events_executed_total", [this] {
-    return static_cast<int64_t>(sim_.events_executed());
-  });
-  telemetry_.RegisterHistogram("hermes_txn_latency_us", [this] {
-    return metrics_.latency_histogram().Snapshot();
-  });
-  // Partition/detector metrics exist only when the detector is enabled,
-  // so the existing TelemetryText goldens are unchanged for every other
-  // configuration (same gating pattern as the lease metrics below).
-  if (config_.detector.enabled) {
-    telemetry_.RegisterCounter("hermes_partition_cuts_total",
-                               [this] { return partitions_cut_; });
-    telemetry_.RegisterCounter("hermes_partition_heals_total",
-                               [this] { return partitions_healed_; });
-    telemetry_.RegisterCounter("hermes_partition_messages_held_total",
-                               [this] { return wire_.total_held(); });
-    telemetry_.RegisterGauge("hermes_partition_messages_held", [this] {
-      return static_cast<int64_t>(wire_.messages_held());
-    });
-    telemetry_.RegisterCounter("hermes_detector_heartbeat_misses_total", [this] {
-      return detector_->heartbeat_misses();
-    });
-    telemetry_.RegisterCounter("hermes_detector_suspects_total",
-                               [this] { return detector_->suspects(); });
-    telemetry_.RegisterCounter("hermes_detector_restores_total",
-                               [this] { return detector_->restores(); });
-  }
-  // Wire-substrate metrics exist only when the substrate is enabled, so
-  // the existing TelemetryText goldens are unchanged for every other
-  // configuration (same gating pattern as the detector metrics above).
-  if (config_.net.enabled) {
-    telemetry_.RegisterCounter("hermes_wire_envelopes_total",
-                               [this] { return wire_.envelopes_sent(); });
-    telemetry_.RegisterCounter("hermes_wire_coalesced_messages_total", [this] {
-      return wire_.coalesced_messages();
-    });
-    telemetry_.RegisterCounter("hermes_wire_fg_transmits_total", [this] {
-      return wire_.transmits(TrafficClass::kForeground);
-    });
-    telemetry_.RegisterCounter("hermes_wire_bulk_transmits_total", [this] {
-      return wire_.transmits(TrafficClass::kBulk);
-    });
-    telemetry_.RegisterCounter("hermes_wire_credit_stalls_total",
-                               [this] { return wire_.credit_stalls(); });
-    telemetry_.RegisterGauge("hermes_wire_queued", [this] {
-      return static_cast<int64_t>(wire_.queued_now());
-    });
-    telemetry_.RegisterGauge("hermes_net_fg_bytes_sent_total", [this] {
-      return static_cast<int64_t>(
-          wire_.class_bytes_sent(TrafficClass::kForeground));
-    });
-    telemetry_.RegisterGauge("hermes_net_bulk_bytes_sent_total", [this] {
-      return static_cast<int64_t>(wire_.class_bytes_sent(TrafficClass::kBulk));
-    });
-    telemetry_.RegisterHistogram("hermes_wire_fg_queue_delay_us", [this] {
-      return wire_.MergedQueueDelay(TrafficClass::kForeground).Snapshot();
-    });
-    telemetry_.RegisterHistogram("hermes_wire_bulk_queue_delay_us", [this] {
-      return wire_.MergedQueueDelay(TrafficClass::kBulk).Snapshot();
-    });
-  }
-  if (hermes_ != nullptr) {
-    const core::HermesRouter* router = hermes_;
-    telemetry_.RegisterGauge("hermes_fusion_table_size", [router] {
-      return static_cast<int64_t>(router->fusion_table().size());
-    });
-    telemetry_.RegisterCounter("hermes_router_routed_txns_total", [router] {
-      return router->stats().routed_txns;
-    });
-    telemetry_.RegisterCounter("hermes_router_remote_reads_total", [router] {
-      return router->stats().remote_reads;
-    });
-    telemetry_.RegisterCounter("hermes_router_migrations_total", [router] {
-      return router->stats().migrations;
-    });
-    telemetry_.RegisterCounter("hermes_router_evictions_total", [router] {
-      return router->stats().evictions;
-    });
-    telemetry_.RegisterCounter("hermes_router_reroutes_total", [router] {
-      return router->stats().reroutes;
-    });
-    telemetry_.RegisterCounter("hermes_router_reorders_total", [router] {
-      return router->stats().reorders;
-    });
-    // Lease metrics exist only when replication is on, so the existing
-    // TelemetryText goldens are unchanged for every other configuration.
-    if (config_.replication.enabled) {
-      telemetry_.RegisterCounter("hermes_replica_reads_total", [router] {
-        return router->stats().replica_reads;
-      });
-      telemetry_.RegisterCounter("hermes_lease_grants_total", [router] {
-        return router->lease_table().stats().grants;
-      });
-      telemetry_.RegisterCounter("hermes_lease_revokes_total", [router] {
-        return router->lease_table().stats().revokes;
-      });
-      telemetry_.RegisterCounter("hermes_lease_lapses_total", [router] {
-        return router->lease_table().stats().lapses;
-      });
-      telemetry_.RegisterCounter("hermes_replica_installs_total",
-                                 [this] { return lease_mgr_.installs(); });
-      telemetry_.RegisterCounter("hermes_replica_updates_total",
-                                 [this] { return lease_mgr_.updates(); });
-      telemetry_.RegisterCounter("hermes_replica_stale_drops_total",
-                                 [this] { return lease_mgr_.stale_drops(); });
-      telemetry_.RegisterGauge("hermes_replica_copies", [this] {
-        return static_cast<int64_t>(lease_mgr_.num_copies());
-      });
-      telemetry_.RegisterGauge("hermes_leases_active", [this] {
-        return static_cast<int64_t>(lease_mgr_.num_leased_keys());
-      });
-    }
-  }
 }
 
 NodeId Cluster::AppendNode() {
@@ -798,7 +631,7 @@ void Cluster::ClassifyBatch(BatchId /*id*/, std::vector<TxnRequest>* txns) {
       // client-visible and must run exactly once, after the outage.
       HERMES_TRACE(&tracer_, obs::EventKind::kPark, kInvalidNode, txn.id,
                    BlockingKey(txn), epoch);
-      degraded_ledger_.RecordPark(txn.id, epoch);
+      degraded_ledger_.RecordPark();
       parked_.push_back(ParkedTxn{std::move(txn), epoch});
     }
   }

@@ -23,7 +23,6 @@
 #include "engine/scheduler.h"
 #include "engine/sequencer.h"
 #include "net/wire.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "partition/partition_map.h"
 #include "replication/lease_manager.h"
@@ -175,9 +174,6 @@ class Cluster {
   FailureDetector* failure_detector() { return detector_.get(); }
   const FailureDetector* failure_detector() const { return detector_.get(); }
 
-  uint64_t partitions_cut() const { return partitions_cut_; }
-  uint64_t partitions_healed() const { return partitions_healed_; }
-
   /// Installs a recorded degraded schedule before ReplayBatches: the
   /// replay applies the same membership transitions at the same batch
   /// boundaries and flips recorded watchdog aborts into §4.2 user aborts,
@@ -316,11 +312,6 @@ class Cluster {
   obs::Tracer& tracer() { return tracer_; }
   const obs::Tracer& tracer() const { return tracer_; }
 
-  /// Named counters/gauges/histograms over the live engine state, with
-  /// deterministic sorted export (TelemetryText()).
-  obs::Registry& telemetry() { return telemetry_; }
-  const obs::Registry& telemetry() const { return telemetry_; }
-
   /// FNV-1a digest over the trace-event stream: each per-node ring keeps
   /// an order-sensitive digest, folded here in node order (same pattern as
   /// decision_digest). Two traced runs match iff they recorded identical
@@ -332,8 +323,6 @@ class Cluster {
   std::string TraceJson() const;
   /// Writes TraceJson() to `path`; false on I/O error.
   bool DumpTrace(const std::string& path) const;
-  /// Prometheus text exposition of the telemetry registry.
-  std::string TelemetryText() const { return telemetry_.PrometheusText(); }
 
  private:
   /// One transaction waiting out an outage in the parking queue.
@@ -404,10 +393,6 @@ class Cluster {
   /// the scheduler's batch filter, which executes between events.
   void ApplyScheduledEventsBefore(BatchId id);
 
-  /// Registers every telemetry metric (closures over live fields); runs
-  /// once at the end of construction.
-  void RegisterTelemetry();
-
   /// Appends one physical node (lane, trace ring, lease slot and a view of
   /// the record table) after construction; the caller grows the wire.
   NodeId AppendNode();
@@ -421,7 +406,6 @@ class Cluster {
   /// Declared with the digests, before every component that holds a
   /// pointer into it, for the same lifetime reason.
   obs::Tracer tracer_;
-  obs::Registry telemetry_;
   sim::Simulator sim_;
   Metrics metrics_;
   /// Declared before executor_ (which sends through it).

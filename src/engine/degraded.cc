@@ -1,5 +1,6 @@
 #include "engine/degraded.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace hermes::engine {
@@ -22,6 +23,12 @@ uint64_t DegradedLedger::RetryDigest() const {
   return h;
 }
 
+uint64_t DegradedLedger::unavailable_aborts() const {
+  return static_cast<uint64_t>(
+      std::count_if(transcript_.begin(), transcript_.end(),
+                    [](const RetryRecord& r) { return r.exhausted; }));
+}
+
 std::string DegradedLedger::DebugString() const {
   std::string out;
   char buf[160];
@@ -29,12 +36,12 @@ std::string DegradedLedger::DebugString() const {
                 "degraded: parked=%llu retries=%llu unavailable=%llu "
                 "watchdog_aborts=%llu reclaims=%llu reships=%llu "
                 "retry_digest=%016llx\n",
-                static_cast<unsigned long long>(parked_total_.value()),
-                static_cast<unsigned long long>(retries_scheduled_.value()),
-                static_cast<unsigned long long>(unavailable_aborts_.value()),
-                static_cast<unsigned long long>(watchdog_aborts_.value()),
-                static_cast<unsigned long long>(reclaims_.value()),
-                static_cast<unsigned long long>(reships_.value()),
+                static_cast<unsigned long long>(parked_total_),
+                static_cast<unsigned long long>(retries_scheduled()),
+                static_cast<unsigned long long>(unavailable_aborts()),
+                static_cast<unsigned long long>(watchdog_aborts_),
+                static_cast<unsigned long long>(reclaims_),
+                static_cast<unsigned long long>(reships_),
                 static_cast<unsigned long long>(RetryDigest()));
   out += buf;
   // Transcript entries are already in classification order (a total

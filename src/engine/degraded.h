@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/telemetry.h"
 #include "txn/transaction.h"
 
 namespace hermes::engine {
@@ -32,30 +31,23 @@ struct RetryRecord {
 /// into a decision.
 class DegradedLedger {
  public:
-  void RecordRetry(const RetryRecord& r) {
-    transcript_.push_back(r);
-    if (r.exhausted) {
-      unavailable_aborts_.Add();
-    } else {
-      retries_scheduled_.Add();
-    }
-  }
-  void RecordPark(TxnId txn, uint32_t epoch) {
-    (void)txn;
-    (void)epoch;
-    parked_total_.Add();
-  }
-  void RecordWatchdogAbort() { watchdog_aborts_.Add(); }
-  void RecordReclaim() { reclaims_.Add(); }
-  void RecordReship() { reships_.Add(); }
+  void RecordRetry(const RetryRecord& r) { transcript_.push_back(r); }
+  void RecordPark() { ++parked_total_; }
+  void RecordWatchdogAbort() { ++watchdog_aborts_; }
+  void RecordReclaim() { ++reclaims_; }
+  void RecordReship() { ++reships_; }
 
   const std::vector<RetryRecord>& transcript() const { return transcript_; }
-  uint64_t parked_total() const { return parked_total_.value(); }
-  uint64_t retries_scheduled() const { return retries_scheduled_.value(); }
-  uint64_t unavailable_aborts() const { return unavailable_aborts_.value(); }
-  uint64_t watchdog_aborts() const { return watchdog_aborts_.value(); }
-  uint64_t reclaims() const { return reclaims_.value(); }
-  uint64_t reships() const { return reships_.value(); }
+  uint64_t parked_total() const { return parked_total_; }
+  /// Transcript entries that scheduled a retry.
+  uint64_t retries_scheduled() const {
+    return transcript_.size() - unavailable_aborts();
+  }
+  /// Transcript entries that exhausted their attempts.
+  uint64_t unavailable_aborts() const;
+  uint64_t watchdog_aborts() const { return watchdog_aborts_; }
+  uint64_t reclaims() const { return reclaims_; }
+  uint64_t reships() const { return reships_; }
 
   /// FNV-1a fold of the transcript in recorded order; chaos tests assert
   /// it is bit-identical across salts.
@@ -65,14 +57,10 @@ class DegradedLedger {
 
  private:
   std::vector<RetryRecord> transcript_;
-  // obs::Counter so the cluster's telemetry registry exports these under
-  // their hermes_degraded_* names without a parallel set of fields.
-  obs::Counter parked_total_;
-  obs::Counter retries_scheduled_;
-  obs::Counter unavailable_aborts_;
-  obs::Counter watchdog_aborts_;
-  obs::Counter reclaims_;
-  obs::Counter reships_;
+  uint64_t parked_total_ = 0;
+  uint64_t watchdog_aborts_ = 0;
+  uint64_t reclaims_ = 0;
+  uint64_t reships_ = 0;
 };
 
 }  // namespace hermes::engine

@@ -737,9 +737,9 @@ void TxnExecutor::Acknowledge(Active& a) {
   }
 
   if (result.aborted) {
-    aborted_.Add();
+    ++aborted_;
   } else {
-    committed_.Add();
+    ++committed_;
   }
   a.acked = true;
 
@@ -1217,7 +1217,7 @@ void TxnExecutor::AbortActive(Active& a) {
     NodeAt(state.node).locks().Release(id, &g);
     if (!g.empty()) grants.emplace_back(state.node, std::move(g));
   }
-  aborted_.Add();
+  ++aborted_;
   if (ledger_ != nullptr) ledger_->RecordWatchdogAbort();
   TxnRequest txn = std::move(a.plan.txn);
   CommitCallback cb = std::move(a.on_commit);

@@ -21,7 +21,6 @@
 #include "engine/metrics.h"
 #include "engine/node.h"
 #include "net/wire.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "replication/lease_manager.h"
 #include "routing/router.h"
@@ -149,8 +148,8 @@ class TxnExecutor {
   /// Transaction-state shells parked in the free list, ready for reuse.
   size_t idle_shells() const { return idle_shells_.size(); }
 
-  uint64_t committed() const { return committed_.value(); }
-  uint64_t aborted() const { return aborted_.value(); }
+  uint64_t committed() const { return committed_; }
+  uint64_t aborted() const { return aborted_; }
 
   /// Installs the passive tracer (null = tracing off). The executor only
   /// ever writes events into it; no execution decision reads it back.
@@ -385,8 +384,8 @@ class TxnExecutor {
   std::vector<PresenceShardMap> presence_waiters_;
   PresenceShardMap& PresenceShard(NodeId node);
 
-  obs::Counter committed_;
-  obs::Counter aborted_;
+  uint64_t committed_ = 0;
+  uint64_t aborted_ = 0;
   obs::Tracer* tracer_ = nullptr;
   /// Replica-lease mechanism (null = disabled; see set_lease_manager).
   replication::LeaseManager* lease_mgr_ = nullptr;

@@ -69,7 +69,7 @@ void FailureDetector::Tick() {
         continue;
       }
       miss_[i][j] = std::min(miss_[i][j] + 1, config_.miss_threshold);
-      heartbeat_misses_.Add();
+      ++heartbeat_misses_;
       HERMES_TRACE(tracer, obs::EventKind::kHeartbeatMiss, i, kInvalidTxn,
                    static_cast<Key>(miss_[i][j]), static_cast<uint64_t>(j));
     }
@@ -121,7 +121,7 @@ void FailureDetector::Tick() {
       if (++confirm_[i] >= config_.confirm_threshold) {
         confirm_[i] = 0;
         detector_down_.erase(i);
-        restores_.Add();
+        ++restores_;
         cluster_->RejoinNoStall(i);
         HERMES_TRACE(tracer, obs::EventKind::kDetectorRestore, i, kInvalidTxn,
                      static_cast<Key>(-1), cluster_->membership().epoch());
@@ -130,7 +130,7 @@ void FailureDetector::Tick() {
       confirm_[i] = 0;
       if (!suspected && cluster_->membership().alive(i)) {
         detector_down_.insert(i);
-        suspects_.Add();
+        ++suspects_;
         cluster_->CrashNoStall(i);
         HERMES_TRACE(tracer, obs::EventKind::kDetectorSuspect, i, kInvalidTxn,
                      static_cast<Key>(-1), cluster_->membership().epoch());
@@ -165,9 +165,9 @@ std::string FailureDetector::DebugString() const {
                 "detector: armed=%d ticks=%llu misses=%llu suspects=%llu "
                 "restores=%llu\n",
                 armed_ ? 1 : 0, static_cast<unsigned long long>(ticks_),
-                static_cast<unsigned long long>(heartbeat_misses_.value()),
-                static_cast<unsigned long long>(suspects_.value()),
-                static_cast<unsigned long long>(restores_.value()));
+                static_cast<unsigned long long>(heartbeat_misses_),
+                static_cast<unsigned long long>(suspects_),
+                static_cast<unsigned long long>(restores_));
   out += buf;
   out += "  suspected:";
   for (NodeId node : detector_down_) {

@@ -9,7 +9,6 @@
 
 #include "common/config.h"
 #include "common/types.h"
-#include "obs/telemetry.h"
 
 namespace hermes::engine {
 
@@ -63,9 +62,9 @@ class FailureDetector {
 
   bool armed() const { return armed_; }
   uint64_t ticks() const { return ticks_; }
-  uint64_t heartbeat_misses() const { return heartbeat_misses_.value(); }
-  uint64_t suspects() const { return suspects_.value(); }
-  uint64_t restores() const { return restores_.value(); }
+  uint64_t heartbeat_misses() const { return heartbeat_misses_; }
+  uint64_t suspects() const { return suspects_; }
+  uint64_t restores() const { return restores_; }
   /// Nodes currently marked down by this detector (sorted).
   const std::set<NodeId>& suspected() const { return detector_down_; }
 
@@ -98,9 +97,9 @@ class FailureDetector {
   /// process is alive — partitioned, not crashed).
   std::set<NodeId> detector_down_;
 
-  obs::Counter heartbeat_misses_;
-  obs::Counter suspects_;
-  obs::Counter restores_;
+  uint64_t heartbeat_misses_ = 0;
+  uint64_t suspects_ = 0;
+  uint64_t restores_ = 0;
 };
 
 }  // namespace hermes::engine

@@ -69,8 +69,7 @@ void Scheduler::RouteParked(BatchId release_id,
 }
 
 void Scheduler::Process(Batch&& batch, bool log) {
-  const bool keep = log && config_->enable_command_log;
-  if (log) batches_routed_.Add();
+  if (log) ++batches_routed_;
 
   // Classification happens after logging: the log keeps the original
   // batch, the filter is a deterministic function of (batch contents,
@@ -79,7 +78,7 @@ void Scheduler::Process(Batch&& batch, bool log) {
   // moved in once routing has read it.
   const bool filtering = filter_ && filter_armed_();
   if (filtering) {
-    if (keep) command_log_->Append(batch);
+    if (log) command_log_->Append(batch);
     filter_(batch.id, &batch.txns);
     if (batch.txns.empty()) return;
   }
@@ -97,18 +96,17 @@ void Scheduler::Process(Batch&& batch, bool log) {
     }
   }
   const SimTime log_cost =
-      keep ? config_->costs.log_entry_us * batch.txns.size() : 0;
+      log ? config_->costs.log_entry_us * batch.txns.size() : 0;
   const SimTime start = std::max(sim_->Now(), busy_until_);
   const SimTime dispatch_at = start + plan.routing_cost_us + log_cost;
   busy_until_ = dispatch_at;
   HERMES_TRACE_SPAN(tracer_, obs::EventKind::kBatchRouted, kInvalidNode,
                     batch.id, static_cast<Key>(-1), start,
                     dispatch_at - start, batch.txns.size());
-  if (keep && !filtering) command_log_->Append(std::move(batch));
+  if (log && !filtering) command_log_->Append(std::move(batch));
 
   sim_->ScheduleAt(dispatch_at, [this, plan = std::move(plan)]() mutable {
     for (routing::RoutedTxn& rt : plan.txns) {
-      if (observer_) observer_(rt);
       TxnExecutor::CommitCallback cb = resolver_(rt.txn);
       executor_->Dispatch(std::move(rt), std::move(cb));
     }

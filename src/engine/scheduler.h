@@ -27,9 +27,6 @@ class Scheduler {
   /// synthesized transactions).
   using CallbackResolver =
       std::function<TxnExecutor::CommitCallback(const TxnRequest&)>;
-  /// Invoked for every transaction as it is dispatched (Clay's workload
-  /// monitor taps in here).
-  using DispatchObserver = std::function<void(const routing::RoutedTxn&)>;
   /// Degraded-mode classification hook, invoked after the batch is logged
   /// but before it is routed. May remove transactions that cannot run
   /// under the current membership (they are parked or retried by the
@@ -68,10 +65,6 @@ class Scheduler {
   /// filter; it is NOT a command-log batch id.
   void RouteParked(BatchId release_id, std::vector<TxnRequest>&& txns);
 
-  void set_observer(DispatchObserver observer) {
-    observer_ = std::move(observer);
-  }
-
   void set_batch_filter(BatchFilter filter, FilterArmed armed) {
     filter_ = std::move(filter);
     filter_armed_ = std::move(armed);
@@ -82,7 +75,7 @@ class Scheduler {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   SimTime busy_until() const { return busy_until_; }
-  uint64_t batches_routed() const { return batches_routed_.value(); }
+  uint64_t batches_routed() const { return batches_routed_; }
 
  private:
   /// Shared tail of OnBatch / RouteParked: filter, route, digest,
@@ -97,12 +90,11 @@ class Scheduler {
   CallbackResolver resolver_;
   DecisionDigest* digest_;
   DecisionDigest* placement_digest_;
-  DispatchObserver observer_;
   BatchFilter filter_;
   FilterArmed filter_armed_;
   obs::Tracer* tracer_ = nullptr;
   SimTime busy_until_ = 0;
-  obs::Counter batches_routed_;
+  uint64_t batches_routed_ = 0;
 };
 
 }  // namespace hermes::engine

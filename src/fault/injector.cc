@@ -30,8 +30,6 @@ bool HasPartitions(const FaultPlan& plan) {
 FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
                              MapFactory map_factory)
     : cluster_(cluster), plan_(plan), map_factory_(std::move(map_factory)) {
-  assert(cluster_->config().enable_command_log &&
-         "crash recovery replays the command log; enable it");
   for (const FaultEvent& e : plan_.events) {
     (void)e;
     assert(e.kind != FaultEvent::Kind::kFailover &&
@@ -152,7 +150,7 @@ void FaultInjector::MaybeRefreshCheckpoint() {
   }
   checkpoint_ = cluster_->TakeCheckpoint();
   refresh_pending_ = false;
-  checkpoint_refreshes_.Add();
+  ++checkpoint_refreshes_;
 }
 
 void FaultInjector::RunUntil(SimTime deadline) {
@@ -354,7 +352,7 @@ void FaultInjector::ApplyRejoinNoStall(const FaultEvent& event) {
 
 void FaultInjector::ApplyFailover() {
   group_->FailoverNow();
-  failovers_applied_.Add();
+  ++failovers_applied_;
 }
 
 void FaultInjector::ApplyPartitionStart(const FaultEvent& event) {

@@ -12,7 +12,6 @@
 #include "fault/fault_plan.h"
 #include "fault/invariant_monitor.h"
 #include "fault/link_chaos.h"
-#include "obs/telemetry.h"
 #include "partition/partition_map.h"
 #include "storage/checkpoint.h"
 
@@ -102,8 +101,7 @@ class FaultInjector {
 
   /// Single-cluster mode (kCrash/kRejoin events; kFailover events are
   /// rejected). The cluster must be Load()ed and idle: the constructor
-  /// takes the initial checkpoint recovery rebuilds from, and requires
-  /// config.enable_command_log.
+  /// takes the initial checkpoint recovery rebuilds from.
   FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
                 MapFactory map_factory);
 
@@ -134,17 +132,13 @@ class FaultInjector {
   SimTime Now() const;
   const std::vector<RecoveryStats>& recoveries() const { return recoveries_; }
   const std::vector<PartitionStats>& partitions() const { return partitions_; }
-  int failovers_applied() const {
-    return static_cast<int>(failovers_applied_.value());
-  }
+  int failovers_applied() const { return failovers_applied_; }
   size_t events_applied() const { return next_event_; }
   const FaultPlan& plan() const { return plan_; }
 
   /// Deferred-refresh observability (single-cluster mode).
   bool refresh_pending() const { return refresh_pending_; }
-  int checkpoint_refreshes() const {
-    return static_cast<int>(checkpoint_refreshes_.value());
-  }
+  int checkpoint_refreshes() const { return checkpoint_refreshes_; }
   /// First batch the next replay would have to process: a refreshed
   /// checkpoint pushes this forward, shortening that replay.
   BatchId baseline_next_batch() const { return checkpoint_.next_batch; }
@@ -175,13 +169,13 @@ class FaultInjector {
   bool down_no_stall_ = false;
   SimTime drained_at_ = 0;
   std::vector<RecoveryStats> recoveries_;
-  obs::Counter failovers_applied_;
+  int failovers_applied_ = 0;
   /// Deferred checkpoint refresh (degraded mode): a no-stall rejoin under
   /// load has no quiescent point to snapshot at, so the refresh is armed
   /// and retaken at the next quiescent window instead of silently keeping
   /// the stale baseline (which would lengthen every later replay).
   bool refresh_pending_ = false;
-  obs::Counter checkpoint_refreshes_;
+  int checkpoint_refreshes_ = 0;
   bool had_no_stall_ = false;
 
   // --- Partition state (single-cluster mode). ---

@@ -6,7 +6,6 @@ namespace hermes::fault {
 
 void InvariantMonitor::Fail(std::string message) {
   failures_.push_back(std::move(message));
-  violations_.Add();
   // Passive observability: the monitor writes the violation into the
   // trace stream (cluster scope, arg = running failure count) but never
   // reads anything back — detection stays side-effect-free for decisions.

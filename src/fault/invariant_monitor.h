@@ -99,10 +99,9 @@ class InvariantMonitor {
 
   /// Observability taps (strictly passive, satellite of DESIGN.md §5
   /// "Observability"): when attached, every Fail() also records a
-  /// kInvariantViolation trace event and bumps the counter — so a chaos
-  /// run's trace shows WHEN a check failed, not just that it did.
+  /// kInvariantViolation trace event — so a chaos run's trace shows WHEN
+  /// a check failed, not just that it did.
   void AttachTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  uint64_t violations() const { return violations_.value(); }
 
   bool ok() const { return failures_.empty(); }
   const std::vector<std::string>& failures() const { return failures_; }
@@ -114,7 +113,6 @@ class InvariantMonitor {
   uint64_t num_records_;
   std::vector<std::string> failures_;
   obs::Tracer* tracer_ = nullptr;
-  obs::Counter violations_;
 };
 
 }  // namespace hermes::fault

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace hermes::obs {

@@ -1,24 +1,8 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 namespace hermes::obs {
-
-namespace {
-
-void Append(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(n));
-}
-
-}  // namespace
 
 Histogram::Histogram() : buckets_(kBuckets, 0) {}
 
@@ -72,59 +56,6 @@ HistogramSnapshot Histogram::Snapshot() const {
     snap.sum += UpperBound(b) * buckets_[b];
   }
   return snap;
-}
-
-void Registry::RegisterCounter(std::string name,
-                               std::function<uint64_t()> read) {
-  counters_[std::move(name)] = std::move(read);
-}
-
-void Registry::RegisterGauge(std::string name, std::function<int64_t()> read) {
-  gauges_[std::move(name)] = std::move(read);
-}
-
-void Registry::RegisterHistogram(std::string name,
-                                 std::function<HistogramSnapshot()> read) {
-  histograms_[std::move(name)] = std::move(read);
-}
-
-std::vector<std::pair<std::string, int64_t>> Registry::Snapshot() const {
-  std::vector<std::pair<std::string, int64_t>> out;
-  out.reserve(counters_.size() + gauges_.size());
-  for (const auto& [name, read] : counters_) {
-    out.emplace_back(name, static_cast<int64_t>(read()));
-  }
-  for (const auto& [name, read] : gauges_) {
-    out.emplace_back(name, read());
-  }
-  return out;
-}
-
-std::string Registry::PrometheusText() const {
-  std::string out;
-  for (const auto& [name, read] : counters_) {
-    Append(&out, "# TYPE %s counter\n", name.c_str());
-    Append(&out, "%s %" PRIu64 "\n", name.c_str(), read());
-  }
-  for (const auto& [name, read] : gauges_) {
-    Append(&out, "# TYPE %s gauge\n", name.c_str());
-    Append(&out, "%s %" PRId64 "\n", name.c_str(), read());
-  }
-  for (const auto& [name, read] : histograms_) {
-    const HistogramSnapshot snap = read();
-    Append(&out, "# TYPE %s histogram\n", name.c_str());
-    uint64_t cumulative = 0;
-    for (const auto& [bound, count] : snap.buckets) {
-      cumulative += count;
-      Append(&out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n", name.c_str(),
-             bound, cumulative);
-    }
-    Append(&out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", name.c_str(),
-           snap.count);
-    Append(&out, "%s_sum %" PRIu64 "\n", name.c_str(), snap.sum);
-    Append(&out, "%s_count %" PRIu64 "\n", name.c_str(), snap.count);
-  }
-  return out;
 }
 
 }  // namespace hermes::obs

@@ -210,18 +210,9 @@ class Tracer {
 }  // namespace hermes::obs
 
 // Trace macros. Arguments after the tracer pointer are NOT evaluated when
-// the tracer is inactive (or compiled out), so call sites may compute
-// event payloads inline without a guard of their own. Multi-event loops
-// should still guard with HERMES_TRACE_ACTIVE and call Record() directly.
-#if defined(HERMES_OBS_DISABLED)
-#define HERMES_TRACE_ACTIVE(tracer) false
-#define HERMES_TRACE(tracer, ...) \
-  do {                            \
-  } while (0)
-#define HERMES_TRACE_SPAN(tracer, ...) \
-  do {                                 \
-  } while (0)
-#else
+// the tracer is inactive, so call sites may compute event payloads inline
+// without a guard of their own. Multi-event loops should still guard with
+// HERMES_TRACE_ACTIVE and call Record() directly.
 #define HERMES_TRACE_ACTIVE(tracer) ((tracer) != nullptr && (tracer)->active())
 #define HERMES_TRACE(tracer, ...)                          \
   do {                                                     \
@@ -235,6 +226,5 @@ class Tracer {
       (tracer)->RecordSpan(__VA_ARGS__);                   \
     }                                                      \
   } while (0)
-#endif
 
 #endif  // HERMES_OBS_TRACE_H_

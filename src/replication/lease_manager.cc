@@ -122,12 +122,9 @@ bool LeaseManager::Holds(Key key, NodeId node) const {
 void LeaseManager::ApplyCopy(NodeId node, Key key,
                              const storage::Record& record, bool install,
                              TxnId txn) {
+  // Revoked or lapsed while the snapshot was on the wire.
+  if (!Holds(key, node)) return;
   NodeShard& shard = Shard(node);
-  if (!Holds(key, node)) {
-    // Revoked or lapsed while the snapshot was on the wire.
-    ++shard.stale_drops;
-    return;
-  }
   const auto [it, inserted] = shard.copy_records.try_emplace(key, record);
   if (!inserted && record.version >= it->second.version) it->second = record;
   if (install) {
@@ -235,12 +232,6 @@ uint64_t LeaseManager::installs() const {
 uint64_t LeaseManager::updates() const {
   uint64_t n = 0;
   for (const NodeShard& s : shards_) n += s.updates;
-  return n;
-}
-
-uint64_t LeaseManager::stale_drops() const {
-  uint64_t n = 0;
-  for (const NodeShard& s : shards_) n += s.stale_drops;
   return n;
 }
 

@@ -114,11 +114,9 @@ class LeaseManager {
 
   uint64_t installs() const;
   uint64_t updates() const;
-  uint64_t stale_drops() const;
   uint64_t revokes() const { return revokes_; }
   uint64_t lapses() const { return lapses_; }
   size_t num_copies() const;
-  size_t num_leased_keys() const { return holders_.size(); }
 
   /// Sorted diagnostic: leases, copies and outstanding copy-waiters.
   std::string DebugString() const;
@@ -133,7 +131,6 @@ class LeaseManager {
     FlatMap<Key, std::vector<sim::Callback>> copy_waiters;
     uint64_t installs = 0;
     uint64_t updates = 0;
-    uint64_t stale_drops = 0;
   };
 
   NodeShard& Shard(NodeId node) { return shards_[static_cast<size_t>(node)]; }

@@ -26,12 +26,18 @@ using fault::InvariantMonitor;
 using fault::RangeMapFactory;
 
 void AddTrace(Profile& p, const Cluster& cluster) {
+  const core::HermesRouter& router = *cluster.hermes_router();
   p.Hex("trace", cluster.trace_digest().value())
       .Count("trace_count", cluster.trace_digest().count())
       .Count("events", cluster.tracer().total_recorded())
       .Count("trace_dropped", cluster.tracer().total_dropped())
       .Blob("trace_json", cluster.TraceJson())
-      .Blob("telemetry", cluster.TelemetryText());
+      // Counters that neither the digests nor the trace determine.
+      .Unprinted("bytes_sent", cluster.wire().total_bytes())
+      .Unprinted("bytes_received", cluster.wire().total_bytes_received())
+      .Unprinted("fusion_size", router.fusion_table().size())
+      .Unprinted("reroutes", router.stats().reroutes)
+      .Unprinted("reorders", router.stats().reorders);
 }
 
 // decision: skewed YCSB on the Hermes router with a small fusion table
@@ -375,6 +381,10 @@ Profile& Profile::List(std::string key, const std::vector<uint64_t>& values) {
 
 Profile& Profile::Blob(std::string key, std::string text) {
   return Add(std::move(key), std::move(text), 0, false);
+}
+
+Profile& Profile::Unprinted(std::string key, uint64_t value) {
+  return Add(std::move(key), std::to_string(value), value, false);
 }
 
 uint64_t Profile::Get(std::string_view key) const {

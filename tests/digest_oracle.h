@@ -31,13 +31,15 @@ namespace hermes::oracle {
 
 /// The outcome of one lifetime: an ordered list of key=value fields plus
 /// the invariant monitors' verdict. Printed fields form the PROFILE line;
-/// blobs (export texts) are compared but never printed.
+/// blobs (export texts) and unprinted counts are compared but never
+/// printed.
 class Profile {
  public:
   Profile& Hex(std::string key, uint64_t value);    ///< key=%016llx
   Profile& Count(std::string key, uint64_t value);  ///< key=%llu
   Profile& List(std::string key, const std::vector<uint64_t>& values);
   Profile& Blob(std::string key, std::string text);
+  Profile& Unprinted(std::string key, uint64_t value);  ///< unprinted Count
 
   /// Numeric value of a Hex/Count field (a List's sum); 0 when absent.
   uint64_t Get(std::string_view key) const;
@@ -130,7 +132,8 @@ auto UnderEachSalt(Run run) {
 /// The chaos lifetime: a seeded crash/rejoin plan plus link chaos against
 /// seeded skewed YCSB. no_stall switches to kCrashNoStall plus a seeded
 /// chunk-migration wave; traced turns the tracer on and adds the trace
-/// digest and both export texts to the Profile.
+/// digest, its JSON export and the counters no digest covers to the
+/// Profile.
 struct ChaosOptions {
   bool no_stall = false;
   bool traced = false;

@@ -1,9 +1,8 @@
 // Unit tests for the observability subsystem (src/obs/): trace ring
-// bounds, tracer enable/mirror semantics, the trace digest, the telemetry
-// registry's sorted export, the shared Histogram's bucketing and edge
-// cases, and the Chrome trace_event JSON shape. The
-// end-to-end properties (bit-identical traces across salts, chaos/degraded
-// coverage) live in trace_determinism_test.
+// bounds, tracer enable/mirror semantics, the trace digest, the shared
+// Histogram's bucketing and edge cases, and the Chrome trace_event JSON
+// shape. The end-to-end properties (bit-identical traces across salts,
+// chaos/degraded coverage) live in trace_determinism_test.
 #include "obs/export.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -162,59 +161,6 @@ TEST(EventKindTest, NamesAndSpanKinds) {
   EXPECT_TRUE(IsSpan(EventKind::kBatchRouted));
   EXPECT_FALSE(IsSpan(EventKind::kTxnCommit));
   EXPECT_FALSE(IsSpan(EventKind::kFusionEvict));
-}
-
-TEST(RegistryTest, SnapshotIsNameSortedAcrossRegistrationOrder) {
-  Registry reg;
-  uint64_t b = 2, a = 1;
-  int64_t g = -3;
-  reg.RegisterCounter("hermes_zeta_total", [&b] { return b; });
-  reg.RegisterCounter("hermes_alpha_total", [&a] { return a; });
-  reg.RegisterGauge("hermes_mid_gauge", [&g] { return g; });
-
-  const auto snap = reg.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].first, "hermes_alpha_total");
-  EXPECT_EQ(snap[0].second, 1);
-  EXPECT_EQ(snap[1].first, "hermes_zeta_total");
-  EXPECT_EQ(snap[1].second, 2);
-  EXPECT_EQ(snap[2].first, "hermes_mid_gauge");
-  EXPECT_EQ(snap[2].second, -3);
-
-  // Closures read live values: no re-registration needed after updates.
-  a = 10;
-  EXPECT_EQ(reg.Snapshot()[0].second, 10);
-}
-
-TEST(RegistryTest, PrometheusTextShape) {
-  Registry reg;
-  reg.RegisterCounter("hermes_commits_total", [] { return uint64_t{7}; });
-  reg.RegisterGauge("hermes_inflight", [] { return int64_t{2}; });
-  reg.RegisterHistogram("hermes_latency_us", [] {
-    HistogramSnapshot h;
-    h.count = 3;
-    h.sum = 60;
-    h.buckets = {{10, 1}, {20, 2}};
-    return h;
-  });
-
-  const std::string text = reg.PrometheusText();
-  EXPECT_NE(text.find("# TYPE hermes_commits_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("hermes_commits_total 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE hermes_inflight gauge"), std::string::npos);
-  EXPECT_NE(text.find("hermes_inflight 2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE hermes_latency_us histogram"),
-            std::string::npos);
-  // Cumulative buckets: le="20" counts the le="10" bucket too.
-  EXPECT_NE(text.find("hermes_latency_us_bucket{le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("hermes_latency_us_bucket{le=\"20\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("hermes_latency_us_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("hermes_latency_us_sum 60"), std::string::npos);
-  EXPECT_NE(text.find("hermes_latency_us_count 3"), std::string::npos);
 }
 
 TEST(HistogramTest, PercentilesApproximateDistribution) {

@@ -96,22 +96,5 @@ TEST_F(SchedulerTest, PipelineBacklogsSequentially) {
   EXPECT_EQ(executor_.committed(), 20u);
 }
 
-TEST_F(SchedulerTest, ObserverSeesEveryRoutedTxn) {
-  int observed = 0;
-  scheduler_.set_observer(
-      [&observed](const routing::RoutedTxn&) { ++observed; });
-  scheduler_.OnBatch(MakeBatch(0, 7));
-  sim_.RunAll();
-  EXPECT_EQ(observed, 7);
-}
-
-TEST_F(SchedulerTest, CommandLogDisabledSkipsAppend) {
-  config_.enable_command_log = false;
-  scheduler_.OnBatch(MakeBatch(0, 3));
-  sim_.RunAll();
-  EXPECT_EQ(log_.size(), 0u);
-  EXPECT_EQ(executor_.committed(), 3u);
-}
-
 }  // namespace
 }  // namespace hermes::engine

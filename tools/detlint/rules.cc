@@ -50,7 +50,7 @@ const std::map<std::string, std::string>& Catalog() {
        "raw threading primitive: the simulator runs every event on one "
        "thread, so no code needs real concurrency"},
       {"obs-decision",
-       "tracer/telemetry state feeding a decision in src/core/ or "
+       "tracer state feeding a decision in src/core/ or "
        "src/routing/: observability is write-only by contract"},
       {"include-hygiene",
        "include (direct or transitive through project headers) of a "
