@@ -21,8 +21,8 @@ struct FlatMapPeer;
 
 /// The library's one hash container: a salted open-addressing map for the
 /// sparse or bounded tables (the lock manager's transaction index, the
-/// undo log, the executor's presence shards, the fusion table, the
-/// baselines' edge maps). Per-key state over the dense key space (records,
+/// executor's presence shards, the fusion table, the baselines' edge
+/// maps, the lease manager's holders and copies). Per-key state over the dense key space (records,
 /// lock-queue heads, the ownership overlay) and range-indexed state are
 /// plain vectors, and tables keyed by the dense transaction id are IdRings.
 /// Linear probing over one power-of-two slot array, backward-shift erase

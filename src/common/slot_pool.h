@@ -1,6 +1,7 @@
 #ifndef HERMES_COMMON_SLOT_POOL_H_
 #define HERMES_COMMON_SLOT_POOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -35,6 +36,12 @@ class SlotPool {
     free_.push_back(slot);
     return out;
   }
+
+  /// The payload parked in `slot`, in place; valid until the next Put.
+  T& operator[](uint32_t slot) { return slots_[slot]; }
+
+  /// Number of parked payloads.
+  size_t size() const { return slots_.size() - free_.size(); }
 
  private:
   std::vector<T> slots_;

@@ -6,10 +6,9 @@
 
 namespace hermes {
 
-/// Emptied vectors kept with their capacity, for tables whose entries are
-/// short-lived vectors (undo entries, the executor's per-event scratch):
-/// once the pool holds as many vectors as the table's peak population,
-/// taking and giving back never touches the heap.
+/// Emptied vectors kept with their capacity, for short-lived vectors (the
+/// executor's per-event scratch): once the pool holds as many vectors as
+/// are ever out at once, taking and giving back never touches the heap.
 template <typename T>
 class VectorPool {
  public:

@@ -353,12 +353,9 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
     WaitPresence(node, local, present);
   } else {
     SortUnique(replica);
-    auto remaining = std::make_shared<int>(2);
-    auto both_present = [remaining, present]() {
-      if (--*remaining == 0) present();
-    };
-    lease_mgr_->WaitCopies(node, replica, both_present);
-    WaitPresence(node, local, both_present);
+    const uint32_t both = countdowns_.Start(2, present);
+    lease_mgr_->WaitCopies(node, replica, countdowns_.Waiter(both));
+    WaitPresence(node, local, countdowns_.Waiter(both));
   }
   key_pool_.Give(std::move(local));
   key_pool_.Give(std::move(replica));
@@ -878,16 +875,9 @@ void TxnExecutor::WaitPresence(NodeId node, std::span<const Key> keys,
     shard[last_missing].push_back(std::move(ready));
     return;
   }
-  struct Countdown {
-    size_t remaining;
-    sim::Callback ready;
-  };
-  auto countdown = std::make_shared<Countdown>(missing, std::move(ready));
+  const uint32_t slot = countdowns_.Start(missing, std::move(ready));
   for (Key k : keys) {
-    if (store.Contains(k)) continue;
-    shard[k].push_back([countdown]() {
-      if (--countdown->remaining == 0) countdown->ready();
-    });
+    if (!store.Contains(k)) shard[k].push_back(countdowns_.Waiter(slot));
   }
 }
 

@@ -148,6 +148,10 @@ class TxnExecutor {
   /// Transaction-state shells parked in the free list, ready for reuse.
   size_t idle_shells() const { return idle_shells_.size(); }
 
+  /// Presence waits on several keys (or on a replica copy and local
+  /// records) still counting down; none once the simulator drains.
+  size_t pending_countdowns() const { return countdowns_.size(); }
+
   uint64_t committed() const { return committed_; }
   uint64_t aborted() const { return aborted_; }
 
@@ -366,6 +370,9 @@ class TxnExecutor {
   /// Ack event body: completes the latency breakdown, records the commit
   /// and runs the client callback.
   void DeliverAck(uint32_t slot);
+  /// WaitPresence's countdowns over several missing keys, and a master's
+  /// wait on both its replica copies and its local records.
+  sim::Countdowns countdowns_;
 
   /// Per-event scratch. A call takes a buffer out by move and gives it
   /// back when done, so a nested call simply gets a fresh vector. Dispatch

@@ -8,7 +8,7 @@
 namespace hermes::partition {
 
 RangePartitionMap::RangePartitionMap(uint64_t num_records, int num_partitions)
-    : num_records_(num_records), num_partitions_(num_partitions) {
+    : num_partitions_(num_partitions) {
   assert(num_partitions > 0);
   range_size_ = (num_records + num_partitions - 1) / num_partitions;
   if (range_size_ == 0) range_size_ = 1;
@@ -19,21 +19,14 @@ NodeId RangePartitionMap::Owner(Key key) const {
   return std::min<NodeId>(node, num_partitions_ - 1);
 }
 
-std::unique_ptr<PartitionMap> RangePartitionMap::Clone() const {
-  return std::make_unique<RangePartitionMap>(num_records_, num_partitions_);
-}
-
-HashPartitionMap::HashPartitionMap(uint64_t num_records, int num_partitions)
-    : num_records_(num_records), num_partitions_(num_partitions) {
+HashPartitionMap::HashPartitionMap(uint64_t /*num_records*/,
+                                   int num_partitions)
+    : num_partitions_(num_partitions) {
   assert(num_partitions > 0);
 }
 
 NodeId HashPartitionMap::Owner(Key key) const {
   return static_cast<NodeId>(Mix64(key) % num_partitions_);
-}
-
-std::unique_ptr<PartitionMap> HashPartitionMap::Clone() const {
-  return std::make_unique<HashPartitionMap>(num_records_, num_partitions_);
 }
 
 CustomRangePartitionMap::CustomRangePartitionMap(std::vector<Key> bounds)
@@ -50,10 +43,6 @@ NodeId CustomRangePartitionMap::Owner(Key key) const {
   return std::min(node, static_cast<NodeId>(bounds_.size()) - 2);
 }
 
-std::unique_ptr<PartitionMap> CustomRangePartitionMap::Clone() const {
-  return std::make_unique<CustomRangePartitionMap>(bounds_);
-}
-
 MappedRangePartitionMap::MappedRangePartitionMap(uint64_t range_size,
                                                  std::vector<NodeId> owners,
                                                  int num_partitions)
@@ -68,11 +57,6 @@ NodeId MappedRangePartitionMap::Owner(Key key) const {
   const uint64_t range = key / range_size_;
   if (range >= owners_.size()) return owners_.back();
   return owners_[range];
-}
-
-std::unique_ptr<PartitionMap> MappedRangePartitionMap::Clone() const {
-  return std::make_unique<MappedRangePartitionMap>(range_size_, owners_,
-                                                   num_partitions_);
 }
 
 OwnershipMap::OwnershipMap(std::unique_ptr<PartitionMap> base)

@@ -20,8 +20,6 @@ class PartitionMap {
   virtual NodeId Owner(Key key) const = 0;
 
   virtual int num_partitions() const = 0;
-
-  virtual std::unique_ptr<PartitionMap> Clone() const = 0;
 };
 
 /// Equal-width contiguous ranges: key k lives on k / range_size (the
@@ -32,10 +30,8 @@ class RangePartitionMap : public PartitionMap {
 
   NodeId Owner(Key key) const override;
   int num_partitions() const override { return num_partitions_; }
-  std::unique_ptr<PartitionMap> Clone() const override;
 
  private:
-  uint64_t num_records_;
   int num_partitions_;
   uint64_t range_size_;
 };
@@ -48,10 +44,8 @@ class HashPartitionMap : public PartitionMap {
 
   NodeId Owner(Key key) const override;
   int num_partitions() const override { return num_partitions_; }
-  std::unique_ptr<PartitionMap> Clone() const override;
 
  private:
-  uint64_t num_records_;
   int num_partitions_;
 };
 
@@ -68,7 +62,6 @@ class CustomRangePartitionMap : public PartitionMap {
   int num_partitions() const override {
     return static_cast<int>(bounds_.size()) - 1;
   }
-  std::unique_ptr<PartitionMap> Clone() const override;
 
  private:
   std::vector<Key> bounds_;
@@ -84,7 +77,6 @@ class MappedRangePartitionMap : public PartitionMap {
 
   NodeId Owner(Key key) const override;
   int num_partitions() const override { return num_partitions_; }
-  std::unique_ptr<PartitionMap> Clone() const override;
 
  private:
   uint64_t range_size_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <memory>
 
 #include "common/rng.h"
 
@@ -48,40 +47,6 @@ std::vector<sim::Callback> LeaseManager::TakeWaiters(NodeId node, Key key) {
   std::vector<sim::Callback> list = std::move(wit->second);
   shard.copy_waiters.erase(wit);
   return list;
-}
-
-void LeaseManager::LapseNode(NodeId node) {
-  // Wake everything parked at this node, in key order, once its leases
-  // are gone: the reads degrade to plain local reads (the read path never
-  // consumes the copy's bytes, only its modeled latency), so waking on
-  // lapse cannot change any value.
-  std::vector<sim::Callback> woken;
-  for (auto kit = leased_keys_.begin(); kit != leased_keys_.end();) {
-    const Key key = *kit;
-    const auto hit = holders_.find(key);
-    std::vector<NodeId>& set = hit->second;
-    const auto sit = std::lower_bound(set.begin(), set.end(), node);
-    if (sit != set.end() && *sit == node) {
-      set.erase(sit);
-      ++lapses_;
-      HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, node, kInvalidTxn,
-                   key, /*arg=*/1);
-      for (sim::Callback& w : TakeWaiters(node, key)) {
-        woken.push_back(std::move(w));
-      }
-    }
-    if (set.empty()) {
-      holders_.erase(hit);
-      kit = leased_keys_.erase(kit);
-    } else {
-      ++kit;
-    }
-  }
-  if (static_cast<size_t>(node) >= shards_.size()) return;
-  NodeShard& shard = Shard(node);
-  assert(shard.copy_waiters.empty());
-  shard.copy_records.clear();
-  for (sim::Callback& w : woken) w();
 }
 
 void LeaseManager::LapseAll() {
@@ -170,16 +135,9 @@ void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
     shard.copy_waiters[only].push_back(std::move(ready));
     return;
   }
-  struct Countdown {
-    size_t remaining;
-    sim::Callback ready;
-  };
-  auto countdown = std::make_shared<Countdown>(count, std::move(ready));
+  const uint32_t slot = countdowns_.Start(count, std::move(ready));
   for (Key k : keys) {
-    if (!missing(k)) continue;
-    shard.copy_waiters[k].push_back([countdown]() {
-      if (--countdown->remaining == 0) countdown->ready();
-    });
+    if (missing(k)) shard.copy_waiters[k].push_back(countdowns_.Waiter(slot));
   }
 }
 

@@ -30,8 +30,8 @@ namespace hermes::replication {
 ///
 /// Lane discipline (the epoch schedule's ownership rules):
 ///  - `holders_` is written only in exclusive context (BeginInstall /
-///    Revoke / LapseNode / LapseAll run from dispatch or membership
-///    transitions) and read lane-side (commit fan-out, ApplyCopy's
+///    Revoke / LapseAll run from dispatch or membership transitions)
+///    and read lane-side (commit fan-out, ApplyCopy's
 ///    staleness check) — the epoch barrier serializes writers, the same
 ///    pattern the executor uses for its in-flight table.
 ///  - Each per-node shard (copies + waiters) is touched only by that
@@ -66,12 +66,6 @@ class LeaseManager {
   /// read degrades to the plain local read it would have been without the
   /// lease, so nothing ever blocks on a copy that will not arrive.
   void Revoke(Key key, NodeId holder);
-
-  /// Crash/rejoin lapse of one node: every lease it holds is dropped and
-  /// its waiters are woken. Called at membership transitions (live and
-  /// replayed), keeping the engine state a pure function of the membership
-  /// schedule.
-  void LapseNode(NodeId node);
 
   /// Drops every lease, copy and waiter (membership transition or
   /// checkpoint restore). The router's LeaseTable lapses on the same
@@ -118,6 +112,10 @@ class LeaseManager {
   uint64_t lapses() const { return lapses_; }
   size_t num_copies() const;
 
+  /// Copy waits on several keys still counting down; none once the
+  /// simulator drains.
+  size_t pending_countdowns() const { return countdowns_.size(); }
+
   /// Sorted diagnostic: leases, copies and outstanding copy-waiters.
   std::string DebugString() const;
 
@@ -151,6 +149,8 @@ class LeaseManager {
   /// The keys of holders_, in key order.
   std::set<Key> leased_keys_;
   std::vector<NodeShard> shards_;
+  /// WaitCopies' countdowns over several missing copies.
+  sim::Countdowns countdowns_;
   uint64_t revokes_ = 0;
   uint64_t lapses_ = 0;
   obs::Tracer* tracer_ = nullptr;

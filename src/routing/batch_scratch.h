@@ -46,7 +46,7 @@ class KeyInterner {
 
   /// Copies `keys` into the arena, sorts and dedups in place, and returns
   /// the arena span of the deduplicated set.
-  Span AddSet(const std::vector<Key>& keys) {
+  Span AddSet(std::span<const Key> keys) {
     const auto begin = static_cast<int32_t>(arena_.size());
     arena_.insert(arena_.end(), keys.begin(), keys.end());
     auto first = arena_.begin() + begin;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/inline_vec.h"
 #include "common/membership.h"
 #include "common/types.h"
 #include "partition/partition_map.h"
@@ -64,8 +65,8 @@ struct RoutedTxn {
   TxnRequest txn;
   /// Nodes that run the transaction logic. Exactly one for single-master
   /// schemes (Hermes, G-Store, LEAP, T-Part); every write-owning node for
-  /// vanilla Calvin's multi-master scheme.
-  std::vector<NodeId> masters;
+  /// vanilla Calvin's multi-master scheme. Inline up to four nodes.
+  InlineVec<NodeId> masters;
   std::vector<Access> accesses;
   std::vector<ReturnShipment> on_commit_returns;
   /// Lease grants/revokes decided while routing this transaction's batch

@@ -2,11 +2,14 @@
 #define HERMES_SIM_CALLBACK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
+
+#include "common/slot_pool.h"
 
 namespace hermes::sim {
 
@@ -118,6 +121,41 @@ auto Boxed(F&& f) {
     (*box)();
   };
 }
+
+/// Callbacks that run once several waiters have all fired (a presence or
+/// copy wait on more than one missing key). Each waiter captures `{this,
+/// slot}`, which fits Callback's inline buffer, and the last one to fire
+/// frees the slot before running the callback, so once the pool has held
+/// its peak population a countdown never allocates.
+class Countdowns {
+ public:
+  Countdowns() = default;
+  Countdowns(const Countdowns&) = delete;
+  Countdowns& operator=(const Countdowns&) = delete;
+
+  /// Parks `ready` until `waiters` (at least one) of the slot's Waiter
+  /// callbacks have run.
+  uint32_t Start(size_t waiters, Callback ready) {
+    return slots_.Put(Entry{waiters, std::move(ready)});
+  }
+
+  /// A waiter that counts `slot` down once when run.
+  Callback Waiter(uint32_t slot) {
+    return [this, slot]() {
+      if (--slots_[slot].remaining == 0) slots_.Take(slot).ready();
+    };
+  }
+
+  /// Countdowns still waiting.
+  size_t size() const { return slots_.size(); }
+
+ private:
+  struct Entry {
+    size_t remaining = 0;
+    Callback ready;
+  };
+  SlotPool<Entry> slots_;
+};
 
 }  // namespace hermes::sim
 

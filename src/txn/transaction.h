@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_vec.h"
 #include "common/types.h"
 
 namespace hermes {
@@ -35,20 +36,22 @@ struct RangeMove {
 /// Keys in `write_set` may also appear in `read_set` (read-modify-write);
 /// keys only in `write_set` are blind writes.
 struct TxnRequest {
+  // Fields run from widest to narrowest, so the struct has no padding but
+  // its tail: the command log keeps every request.
   TxnId id = kInvalidTxn;
-  TxnKind kind = TxnKind::kRegular;
-  std::vector<Key> read_set;
-  std::vector<Key> write_set;
-  /// True if the user logic deterministically aborts this transaction
-  /// (e.g. insufficient stock); aborted transactions still perform their
-  /// planned migrations (§4.2).
-  bool user_abort = false;
-  /// True if the read/write sets cannot be derived from the stored
-  /// procedure up front: the cluster first runs an OLLP reconnaissance
-  /// read (Calvin's Optimistic Lock Location Prediction) to discover
-  /// them, and deterministically aborts + retries if the prediction went
-  /// stale by execution time (§2.1).
-  bool requires_reconnaissance = false;
+  /// Simulated time the client issued the request.
+  SimTime submit_time = 0;
+  /// Id of the original submission this retry descends from (kInvalidTxn
+  /// for first submissions); anchors the deterministic backoff draw.
+  TxnId retry_of = kInvalidTxn;
+  /// Inline up to two keys each: the paper's 2-record transactions keep
+  /// both sets inside the request.
+  InlineVec<Key> read_set;
+  InlineVec<Key> write_set;
+  /// For provisioning markers: where each of the subject node's ranges
+  /// will be re-homed (lets schedulers evict hot records to their future
+  /// homes deterministically).
+  std::vector<RangeMove> range_moves;
   /// Client that issued the request (closed-loop driver bookkeeping);
   /// -1 for synthesized transactions.
   int32_t client = -1;
@@ -60,22 +63,25 @@ struct TxnRequest {
   /// For kChunkMigration / provisioning markers: the migration target
   /// (chunk destination, added node, or leaving node respectively).
   NodeId migration_target = kInvalidNode;
-  /// For provisioning markers: where each of the subject node's ranges
-  /// will be re-homed (lets schedulers evict hot records to their future
-  /// homes deterministically).
-  std::vector<RangeMove> range_moves;
-  /// Simulated time the client issued the request.
-  SimTime submit_time = 0;
   /// Degraded-mode retry generation: 0 for the first submission, +1 per
   /// deterministic re-enqueue after a dead-node classification.
   uint32_t attempt = 0;
-  /// Id of the original submission this retry descends from (kInvalidTxn
-  /// for first submissions); anchors the deterministic backoff draw.
-  TxnId retry_of = kInvalidTxn;
+  TxnKind kind = TxnKind::kRegular;
+  /// True if the user logic deterministically aborts this transaction
+  /// (e.g. insufficient stock); aborted transactions still perform their
+  /// planned migrations (§4.2).
+  bool user_abort = false;
+  /// True if the read/write sets cannot be derived from the stored
+  /// procedure up front: the cluster first runs an OLLP reconnaissance
+  /// read (Calvin's Optimistic Lock Location Prediction) to discover
+  /// them, and deterministically aborts + retries if the prediction went
+  /// stale by execution time (§2.1).
+  bool requires_reconnaissance = false;
 
   /// Number of distinct storage operations this transaction performs.
   size_t NumOps() const { return read_set.size() + write_set.size(); }
 };
+static_assert(sizeof(TxnRequest) <= 120);
 
 /// A sequenced batch: the unit the total-order protocol orders and the unit
 /// the prescient router analyzes.

@@ -34,7 +34,8 @@ TxnRequest MultiTenantWorkload::Next(SimTime now) {
     tenant = pick;
   }
 
-  std::vector<Key> keys;
+  TxnRequest txn;
+  InlineVec<Key>& keys = txn.read_set;
   keys.reserve(config_.records_per_txn);
   const Key base = static_cast<Key>(tenant) * config_.records_per_tenant;
   for (int i = 0; i < config_.records_per_txn; ++i) {
@@ -42,9 +43,6 @@ TxnRequest MultiTenantWorkload::Next(SimTime now) {
   }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  TxnRequest txn;
-  txn.read_set = keys;
   txn.write_set = keys;  // read, modify, write
   txn.tag = tenant;
   txn.home_sequencer = static_cast<NodeId>(tenant / config_.tenants_per_node);

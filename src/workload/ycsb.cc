@@ -69,7 +69,7 @@ TxnRequest YcsbWorkload::Next(SimTime now) {
   const uint64_t global_count = distributed ? std::max<uint64_t>(length / 2, 1) : 0;
   const uint64_t local_count = std::max<uint64_t>(length - global_count, 1);
 
-  std::vector<Key> keys;
+  InlineVec<Key>& keys = txn.read_set;
   keys.reserve(local_count + global_count);
   for (uint64_t i = 0; i < local_count; ++i) keys.push_back(LocalKey(partition));
   const uint64_t peak = GlobalPeak(now);
@@ -79,8 +79,6 @@ TxnRequest YcsbWorkload::Next(SimTime now) {
   }
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  txn.read_set = keys;
   if (read_write) txn.write_set = keys;
   txn.tag = partition;
   txn.home_sequencer = static_cast<NodeId>(partition);

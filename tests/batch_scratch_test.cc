@@ -57,8 +57,8 @@ void ExpectMatchesReference(KeyInterner& interner,
 TEST(KeyInternerTest, IdsAreDenseAndAscendWithKeys) {
   KeyInterner interner;
   interner.BeginBatch();
-  const Span a = interner.AddSet({127, 0, 64});
-  const Span b = interner.AddSet({63, 64, 5});
+  const Span a = interner.AddSet(std::vector<Key>{127, 0, 64});
+  const Span b = interner.AddSet(std::vector<Key>{63, 64, 5});
   interner.Seal();
   ASSERT_EQ(interner.num_keys(), 5);
   const std::vector<Key> order = {0, 5, 63, 64, 127};

@@ -15,8 +15,8 @@ using partition::RangePartitionMap;
 TxnRequest MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
   TxnRequest txn;
   txn.id = id;
-  txn.read_set = std::move(reads);
-  txn.write_set = std::move(writes);
+  txn.read_set.assign(reads.begin(), reads.end());
+  txn.write_set.assign(writes.begin(), writes.end());
   return txn;
 }
 
@@ -42,7 +42,7 @@ TEST_F(CalvinRouterTest, MultiMasterForDistributedWrites) {
   RoutePlan plan =
       router_.RouteBatch(MakeBatch({MakeTxn(1, {10, 90}, {10, 90})}));
   ASSERT_EQ(plan.txns.size(), 1u);
-  EXPECT_EQ(plan.txns[0].masters, (std::vector<NodeId>{0, 3}));
+  EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{0, 3}));
   // Each read ships to the remote master; nothing migrates.
   for (const auto& acc : plan.txns[0].accesses) {
     EXPECT_TRUE(acc.ship_to_master);
@@ -53,7 +53,7 @@ TEST_F(CalvinRouterTest, MultiMasterForDistributedWrites) {
 TEST_F(CalvinRouterTest, SingleNodeTxnHasOneMasterNoShipping) {
   RoutePlan plan =
       router_.RouteBatch(MakeBatch({MakeTxn(1, {10, 11}, {10})}));
-  EXPECT_EQ(plan.txns[0].masters, (std::vector<NodeId>{0}));
+  EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{0}));
   for (const auto& acc : plan.txns[0].accesses) {
     EXPECT_FALSE(acc.ship_to_master);
   }
@@ -64,7 +64,7 @@ TEST_F(CalvinRouterTest, ReadOnlyDistributedRunsOnAllOwners) {
   // read record is multicast to the other participants.
   RoutePlan plan =
       router_.RouteBatch(MakeBatch({MakeTxn(1, {80, 81, 10}, {})}));
-  EXPECT_EQ(plan.txns[0].masters, (std::vector<NodeId>{0, 3}));
+  EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{0, 3}));
   for (const auto& acc : plan.txns[0].accesses) {
     EXPECT_TRUE(acc.ship_to_master);
   }
@@ -72,7 +72,7 @@ TEST_F(CalvinRouterTest, ReadOnlyDistributedRunsOnAllOwners) {
 
 TEST_F(CalvinRouterTest, LocalReadOnlySingleMasterNoShipping) {
   RoutePlan plan = router_.RouteBatch(MakeBatch({MakeTxn(1, {80, 81}, {})}));
-  EXPECT_EQ(plan.txns[0].masters, (std::vector<NodeId>{3}));
+  EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{3}));
   for (const auto& acc : plan.txns[0].accesses) {
     EXPECT_FALSE(acc.ship_to_master);
   }
@@ -122,7 +122,7 @@ TEST_F(CalvinRouterTest, ChunkMigrationRehomesRange) {
   chunk.migration_target = 2;
   for (Key k = 0; k < 5; ++k) chunk.write_set.push_back(k);
   RoutePlan plan = router_.RouteBatch(MakeBatch({chunk}));
-  EXPECT_EQ(plan.txns[0].masters, (std::vector<NodeId>{2}));
+  EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{2}));
   EXPECT_EQ(plan.txns[0].accesses.size(), 5u);
   EXPECT_EQ(ownership_.Owner(3), 2);
   EXPECT_EQ(ownership_.Owner(5), 0);

@@ -58,6 +58,7 @@ TEST_P(ClusterSweepTest, RunsCleanly) {
 
   EXPECT_GT(cluster.metrics().total_commits(), 50u);
   EXPECT_EQ(cluster.executor().inflight(), 0u);
+  EXPECT_EQ(cluster.executor().pending_countdowns(), 0u);
   uint64_t total = 0;
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     total += cluster.node(n).store().size();

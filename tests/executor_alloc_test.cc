@@ -109,8 +109,8 @@ Window MeasureWindow(Cluster& cluster) {
 }
 
 /// Checks a window against its pin. `parent_allocs` is the count before
-/// the id rings and pooled hop, ack and delivery slots, so a failure shows
-/// how far a change moved from both.
+/// transactions kept their key sets and master lists inline, so a failure
+/// shows how far a change moved from both.
 void ExpectPinned(const Window& w, uint64_t commits, uint64_t allocs,
                   uint64_t parent_allocs) {
 #ifdef HERMES_TEST_SANITIZED
@@ -123,8 +123,8 @@ void ExpectPinned(const Window& w, uint64_t commits, uint64_t allocs,
       << "allocations per commit: " << w.per_commit() << " now, "
       << static_cast<double>(allocs) / commits << " pinned, "
       << static_cast<double>(parent_allocs) / commits
-      << " before the id rings and pooled hop, ack and delivery slots ("
-      << parent_allocs << " allocations)";
+      << " before inline key sets and master lists (" << parent_allocs
+      << " allocations)";
 #endif
 }
 
@@ -140,12 +140,13 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
                       config.num_records, config.num_nodes));
   const Window w = MeasureWindow(cluster);
   ASSERT_GT(w.commits, 1000u);
-  // Earlier counts of this window: 33630 before FinishParticipant's send
+  // Earlier counts of this window: 31723 before the id rings and pooled
+  // hop, ack and delivery slots, 33630 before FinishParticipant's send
   // closure fit sim::Callback inline, 47117 before Calvin's RouteOne
   // reused router-owned scratch, 47151 before key-indexed lock queues,
   // 74382 before pooled transaction shells.
-  ExpectPinned(w, /*commits=*/2494, /*allocs=*/16027,  // 6.43 per commit
-               /*parent_allocs=*/31723);               // 12.72 per commit
+  ExpectPinned(w, /*commits=*/2494, /*allocs=*/3331,  // 1.34 per commit
+               /*parent_allocs=*/16027);              // 6.43 per commit
 }
 
 TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
@@ -164,8 +165,9 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
   const Window w = MeasureWindow(cluster);
   ASSERT_GT(w.commits, 1000u);
   ASSERT_GT(w.migrations, 1000u);
-  ExpectPinned(w, /*commits=*/3443, /*allocs=*/23115,  // 6.71 per commit
-               /*parent_allocs=*/46055);               // 13.38 per commit
+  // 46055 before the id rings and pooled hop, ack and delivery slots.
+  ExpectPinned(w, /*commits=*/3443, /*allocs=*/5600,  // 1.63 per commit
+               /*parent_allocs=*/23115);              // 6.71 per commit
 }
 
 TEST(ExecutorAllocTest, WatchdogAbortedShellIsReusedByLaterTransactions) {

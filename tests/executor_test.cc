@@ -35,7 +35,7 @@ class ExecutorTest : public ::testing::Test {
                          std::vector<Key> write_set = {}) {
     RoutedTxn rt;
     rt.txn.id = id;
-    rt.txn.write_set = std::move(write_set);
+    rt.txn.write_set.assign(write_set.begin(), write_set.end());
     for (const Access& a : accesses) {
       rt.txn.read_set.push_back(a.key);
     }

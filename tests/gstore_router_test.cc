@@ -15,8 +15,8 @@ using partition::RangePartitionMap;
 TxnRequest MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
   TxnRequest txn;
   txn.id = id;
-  txn.read_set = std::move(reads);
-  txn.write_set = std::move(writes);
+  txn.read_set.assign(reads.begin(), reads.end());
+  txn.write_set.assign(writes.begin(), writes.end());
   return txn;
 }
 
@@ -42,7 +42,7 @@ TEST_F(GStoreRouterTest, GroupsPullToMajorityOwnerAndReturn) {
       router_.RouteBatch(MakeBatch({MakeTxn(1, {10, 11, 90}, {90})}));
   ASSERT_EQ(plan.txns.size(), 1u);
   const RoutedTxn& rt = plan.txns[0];
-  EXPECT_EQ(rt.masters, (std::vector<NodeId>{0}));
+  EXPECT_EQ(rt.masters, (InlineVec<NodeId>{0}));
 
   // Key 90 checks out to node 0 (exclusively, even though it is also
   // read) and returns home on commit.

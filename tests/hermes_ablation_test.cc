@@ -20,8 +20,8 @@ using routing::RoutedTxn;
 TxnRequest MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
   TxnRequest txn;
   txn.id = id;
-  txn.read_set = std::move(reads);
-  txn.write_set = std::move(writes);
+  txn.read_set.assign(reads.begin(), reads.end());
+  txn.write_set.assign(writes.begin(), writes.end());
   return txn;
 }
 

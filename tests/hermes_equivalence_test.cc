@@ -14,6 +14,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,8 +35,8 @@ using routing::RoutedTxn;
 using routing::RoutePlan;
 
 /// Sorted, deduplicated copy of a key list.
-std::vector<Key> SortedUnique(const std::vector<Key>& keys) {
-  std::vector<Key> out = keys;
+std::vector<Key> SortedUnique(std::span<const Key> keys) {
+  std::vector<Key> out(keys.begin(), keys.end());
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

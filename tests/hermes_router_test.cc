@@ -24,8 +24,8 @@ constexpr Key kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
 TxnRequest MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
   TxnRequest txn;
   txn.id = id;
-  txn.read_set = std::move(reads);
-  txn.write_set = std::move(writes);
+  txn.read_set.assign(reads.begin(), reads.end());
+  txn.write_set.assign(writes.begin(), writes.end());
   return txn;
 }
 

@@ -37,8 +37,8 @@ std::unique_ptr<Cluster> MakeCluster(const ClusterConfig& config) {
 
 TxnRequest OllpTxn(std::vector<Key> keys) {
   TxnRequest txn;
-  txn.read_set = keys;
-  txn.write_set = std::move(keys);
+  txn.read_set.assign(keys.begin(), keys.end());
+  txn.write_set = txn.read_set;
   txn.requires_reconnaissance = true;
   return txn;
 }

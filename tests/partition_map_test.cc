@@ -65,12 +65,6 @@ TEST(MappedRangePartitionMapTest, MapsRangesArbitrarily) {
   EXPECT_EQ(map.Owner(1000), 2);  // past the table: last entry
 }
 
-TEST(PartitionMapTest, CloneBehavesIdentically) {
-  CustomRangePartitionMap map({0, 10, 50, 100});
-  auto clone = map.Clone();
-  for (Key k = 0; k < 120; ++k) EXPECT_EQ(map.Owner(k), clone->Owner(k));
-}
-
 TEST(OwnershipMapTest, KeyOverlayWinsOverBase) {
   OwnershipMap map(std::make_unique<RangePartitionMap>(100, 4));
   EXPECT_EQ(map.Owner(5), 0);

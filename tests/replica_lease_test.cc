@@ -18,6 +18,7 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
+#include "replication/lease_manager.h"
 #include "workload/client.h"
 #include "workload/scenarios.h"
 #include "workload/ycsb.h"
@@ -51,6 +52,41 @@ void DriveReadHeavy(Cluster& cluster, double write_fraction, SimTime horizon,
   driver.Start();
   cluster.RunUntil(horizon);
   cluster.Drain();
+  // Every wait on several copies or records has counted down and freed
+  // its slot.
+  EXPECT_EQ(cluster.executor().pending_countdowns(), 0u);
+  EXPECT_EQ(cluster.lease_manager().pending_countdowns(), 0u);
+}
+
+// A master waiting on several missing copies runs once, when the last one
+// lands or stops being leased to it (revoke or lapse), and the countdown's
+// slot is freed then.
+TEST(LeaseManagerTest, WaitCopiesCountsDownSeveralMissingCopies) {
+  replication::LeaseManager mgr(/*num_nodes=*/2);
+  for (Key k : {1, 2, 3, 4, 5}) mgr.BeginInstall(k, /*holder=*/1, /*source=*/0);
+  const storage::Record rec{.value = 9, .version = 1};
+
+  int ready = 0;
+  mgr.WaitCopies(1, {1, 2, 3}, [&ready]() { ++ready; });
+  EXPECT_EQ(mgr.pending_countdowns(), 1u);
+  mgr.ApplyCopy(1, 1, rec, /*install=*/true, /*txn=*/0);
+  mgr.ApplyCopy(1, 2, rec, /*install=*/true, /*txn=*/0);
+  EXPECT_EQ(ready, 0);
+  mgr.Revoke(3, 1);  // the last one is revoked, not installed
+  EXPECT_EQ(ready, 1);
+  EXPECT_EQ(mgr.pending_countdowns(), 0u);
+
+  // Copies already present do not count; a lapse wakes the rest at once.
+  mgr.WaitCopies(1, {1, 4, 5}, [&ready]() { ++ready; });
+  EXPECT_EQ(mgr.pending_countdowns(), 1u);
+  mgr.LapseAll();
+  EXPECT_EQ(ready, 2);
+  EXPECT_EQ(mgr.pending_countdowns(), 0u);
+
+  // Nothing is leased any more: runs immediately, no countdown.
+  mgr.WaitCopies(1, {1, 2}, [&ready]() { ++ready; });
+  EXPECT_EQ(ready, 3);
+  EXPECT_EQ(mgr.pending_countdowns(), 0u);
 }
 
 // A read-mostly skewed workload earns leases, absorbs remote reads into

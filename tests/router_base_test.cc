@@ -97,7 +97,7 @@ TEST_F(RouterBaseTest, DefaultChunkPlanMovesColdRange) {
   chunk.migration_target = 3;
   for (Key k = 10; k < 20; ++k) chunk.write_set.push_back(k);
   const RoutedTxn rt = router_.PlanChunkMigrationDefault(chunk);
-  EXPECT_EQ(rt.masters, (std::vector<NodeId>{3}));
+  EXPECT_EQ(rt.masters, (InlineVec<NodeId>{3}));
   EXPECT_EQ(rt.accesses.size(), 10u);
   for (const auto& acc : rt.accesses) {
     EXPECT_EQ(acc.owner, 0);

@@ -12,7 +12,7 @@ namespace {
 
 TxnRequest TxnOn(std::vector<Key> keys) {
   TxnRequest txn;
-  txn.read_set = keys;
+  txn.read_set.assign(keys.begin(), keys.end());
   txn.write_set = {keys.front()};
   return txn;
 }

@@ -45,7 +45,7 @@ uint64_t SerialReference(const ClusterConfig& config,
     if (txn.kind != TxnKind::kRegular || txn.user_abort) continue;
     // Writes fold the writer id exactly as the executor does; duplicate
     // keys in a write-set count once (executors deduplicate).
-    std::vector<Key> writes = txn.write_set;
+    std::vector<Key> writes(txn.write_set.begin(), txn.write_set.end());
     std::sort(writes.begin(), writes.end());
     writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
     for (Key k : writes) store.ApplyWrite(k, txn.id);

@@ -232,6 +232,36 @@ uint64_t FileFnv1a(const std::string& path) {
   return h;
 }
 
+TEST(SerializationTest, KeySetsOfEverySizeRoundTrip) {
+  // Up to two keys sit inside the request, more spill to the heap; every
+  // size writes and reads the same bytes (pinned).
+  Batch batch;
+  batch.id = 7;
+  for (const Key n : {0, 1, 2, 3, 5}) {
+    TxnRequest txn;
+    txn.id = 100 + n;
+    for (Key k = 0; k < n; ++k) txn.read_set.push_back(1000 * n + k);
+    for (Key k = n; k < 5; ++k) txn.write_set.push_back(1000 * n + k);
+    batch.txns.push_back(std::move(txn));
+  }
+  CommandLog log;
+  log.Append(std::move(batch));
+  const std::string path = TempPath("key_sets.bin");
+  ASSERT_TRUE(WriteCommandLog(log, path).ok());
+  EXPECT_EQ(FileFnv1a(path), 0x6c7d6e0ac0881282ULL);
+
+  CommandLog restored;
+  ASSERT_TRUE(ReadCommandLog(path, &restored).ok());
+  ASSERT_EQ(restored.size(), 1u);
+  const std::vector<TxnRequest>& want = log.batches()[0].txns;
+  const std::vector<TxnRequest>& got = restored.batches()[0].txns;
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < want.size(); ++t) {
+    EXPECT_TRUE(TxnEq(want[t], got[t])) << "txn " << t;
+    EXPECT_EQ(got[t].read_set.size(), t < 3 ? t : 2 * t - 3);
+  }
+}
+
 TEST(SerializationTest, ClusterCheckpointBytesArePinned) {
   // Pins the on-disk format end to end: a checkpoint of a loaded Hermes
   // cluster that has run fusion migrations (non-empty key overlay and

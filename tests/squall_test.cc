@@ -43,7 +43,7 @@ TEST(SquallTest, ZeroChunkSizeClampedToOne) {
 TEST(SquallTest, SingleKeyRange) {
   const auto txns = BuildChunkTransactions({{7, 7, 2}}, 1000);
   ASSERT_EQ(txns.size(), 1u);
-  EXPECT_EQ(txns[0].write_set, (std::vector<Key>{7}));
+  EXPECT_EQ(txns[0].write_set, (InlineVec<Key>{7}));
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ using partition::RangePartitionMap;
 TxnRequest MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
   TxnRequest txn;
   txn.id = id;
-  txn.read_set = std::move(reads);
-  txn.write_set = std::move(writes);
+  txn.read_set.assign(reads.begin(), reads.end());
+  txn.write_set.assign(writes.begin(), writes.end());
   return txn;
 }
 
@@ -138,7 +138,7 @@ uint64_t Fingerprint(const RoutePlan& plan) {
   auto mix = [&h](uint64_t v) { h = Mix64(h ^ v); };
   for (const RoutedTxn& rt : plan.txns) {
     mix(rt.txn.id);
-    mix(static_cast<uint64_t>(rt.masters.at(0)));
+    mix(static_cast<uint64_t>(rt.masters[0]));
     for (const Access& a : rt.accesses) {
       mix(a.key);
       mix(static_cast<uint64_t>(a.owner));
