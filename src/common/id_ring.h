@@ -34,11 +34,12 @@ template <typename T>
 class IdRing {
  public:
   /// The entry for `id`, or nullptr when it has none.
-  T* Find(TxnId id) {
+  const T* Find(TxnId id) const {
     if (id < base_ || id - base_ >= span_) return nullptr;
-    T& slot = At(id - base_);
+    const T& slot = slots_[(head_ + (id - base_)) & (slots_.size() - 1)];
     return slot ? &slot : nullptr;
   }
+  T* Find(TxnId id) { return const_cast<T*>(std::as_const(*this).Find(id)); }
 
   /// Stores `value`, which must be non-empty, as the entry for `id`, which
   /// must have none.

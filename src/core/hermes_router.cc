@@ -486,7 +486,7 @@ RoutedTxn HermesRouter::Materialize(const TxnRequest& txn, NodeId x) {
 RoutedTxn HermesRouter::PlanChunkMigration(const TxnRequest& txn) {
   RoutedTxn rt;
   rt.txn = txn;
-  const NodeId dst = txn.migration_target;
+  const NodeId dst = txn.migration_target();
   rt.masters = {dst};
   Key lo = 0, hi = 0;
   bool first = true;
@@ -521,19 +521,19 @@ RoutedTxn HermesRouter::PlanProvisioning(const TxnRequest& txn) {
   RoutedTxn rt;
   rt.txn = txn;
   rt.masters = {active_nodes_.empty() ? 0 : active_nodes_.front()};
-  HERMES_TRACE(tracer_, obs::EventKind::kNodeProvision, txn.migration_target,
+  HERMES_TRACE(tracer_, obs::EventKind::kNodeProvision, txn.migration_target(),
                txn.id, static_cast<Key>(-1),
                static_cast<uint64_t>(txn.kind));
   if (txn.kind == TxnKind::kAddNode) {
-    OnAddNode(txn.migration_target);
+    OnAddNode(txn.migration_target());
     return rt;
   }
   // Removal: hot records on the leaving node are re-homed via data fusion
   // — each fusion entry pointing at the leaver ships to the node that will
   // own its range (from the marker's range plan), or its current home.
-  const NodeId leaver = txn.migration_target;
+  const NodeId leaver = txn.migration_target();
   auto dest_for = [&](Key k) -> NodeId {
-    for (const auto& mv : txn.range_moves) {
+    for (const auto& mv : txn.range_moves()) {
       if (k >= mv.lo && k <= mv.hi) return mv.target;
     }
     return ownership_->Home(k);

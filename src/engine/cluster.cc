@@ -305,7 +305,7 @@ void Cluster::SubmitNextChunk() {
   TxnRequest txn = std::move(chunk_queue_.front());
   chunk_queue_.pop_front();
   HERMES_TRACE(&tracer_, obs::EventKind::kChunkMigration,
-               txn.migration_target, kInvalidTxn,
+               txn.migration_target(), kInvalidTxn,
                txn.write_set.empty() ? static_cast<Key>(-1)
                                      : txn.write_set.front(),
                txn.write_set.size());
@@ -339,8 +339,8 @@ void Cluster::SubmitProvisioning(TxnKind kind, NodeId node,
                                  bool migrate_cold) {
   TxnRequest marker;
   marker.kind = kind;
-  marker.migration_target = node;
-  marker.range_moves = cold_plan;
+  marker.mutable_extras().migration_target = node;
+  marker.mutable_extras().range_moves = cold_plan;
   Submit(std::move(marker));
 
   if (migrate_cold) {
@@ -415,8 +415,8 @@ void Cluster::ReplayBatches(const std::vector<Batch>& batches) {
     // the marker is routed.
     for (const TxnRequest& txn : batch.txns) {
       if (txn.kind == TxnKind::kAddNode &&
-          txn.migration_target >= num_nodes()) {
-        while (num_nodes() <= txn.migration_target) AppendNode();
+          txn.migration_target() >= num_nodes()) {
+        while (num_nodes() <= txn.migration_target()) AppendNode();
         wire_.Grow(num_nodes());
       }
     }
@@ -582,7 +582,7 @@ bool Cluster::TxnBlocked(const TxnRequest& txn) const {
     case TxnKind::kRegular:
       return BlockingKey(txn) != static_cast<Key>(-1);
     case TxnKind::kChunkMigration:
-      if (!membership_.alive(txn.migration_target)) return true;
+      if (!membership_.alive(txn.migration_target())) return true;
       for (Key k : txn.write_set) {
         if (KeyBlocked(k)) return true;
       }
@@ -654,17 +654,18 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
                                   TxnExecutor::CommitCallback cb,
                                   uint32_t epoch) {
   const TxnId blocked_id = txn.id;
+  const uint32_t attempt = txn.attempt();
   const TxnId retry_of =
-      txn.retry_of != kInvalidTxn ? txn.retry_of : txn.id;
-  if (txn.attempt >= config_.degraded.max_retries) {
+      txn.retry_of() != kInvalidTxn ? txn.retry_of() : txn.id;
+  if (attempt >= config_.degraded.max_retries) {
     // Attempts exhausted: a deterministic UNAVAILABLE abort reaches the
     // client one network hop from now. The transaction performed no
     // writes (it never dispatched, or was UNDO-aborted un-acked), so
     // dropping it loses nothing.
     HERMES_TRACE(&tracer_, obs::EventKind::kUnavailable, kInvalidNode,
-                 blocked_id, BlockingKey(txn), txn.attempt);
+                 blocked_id, BlockingKey(txn), attempt);
     degraded_ledger_.RecordRetry(
-        RetryRecord{blocked_id, retry_of, txn.attempt, epoch, 0, true});
+        RetryRecord{blocked_id, retry_of, attempt, epoch, 0, true});
     TxnResult result;
     result.id = blocked_id;
     result.aborted = true;
@@ -674,14 +675,15 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
                   }));
     return;
   }
-  const SimTime delay = RetryDelay(retry_of, txn.attempt);
+  const SimTime delay = RetryDelay(retry_of, attempt);
   HERMES_TRACE_SPAN(&tracer_, obs::EventKind::kRetry, kInvalidNode,
                     blocked_id, BlockingKey(txn), sim_.Now(), delay,
-                    txn.attempt);
+                    attempt);
   degraded_ledger_.RecordRetry(
-      RetryRecord{blocked_id, retry_of, txn.attempt, epoch, delay, false});
-  txn.attempt += 1;
-  txn.retry_of = retry_of;
+      RetryRecord{blocked_id, retry_of, attempt, epoch, delay, false});
+  TxnRequest::Extras& extras = txn.mutable_extras();
+  extras.attempt = attempt + 1;
+  extras.retry_of = retry_of;
   // The retry re-enters the sequencer after the backoff, stamped as
   // submitted then, and registers its callback under its new id.
   txn.submit_time = sim_.Now() + delay;
@@ -796,7 +798,7 @@ std::string Cluster::DegradedDebugString() const {
     std::snprintf(buf, sizeof(buf),
                   "parked txn=%llu kind=%d attempt=%u epoch=%u\n",
                   static_cast<unsigned long long>(p.txn.id),
-                  static_cast<int>(p.txn.kind), p.txn.attempt, p.epoch);
+                  static_cast<int>(p.txn.kind), p.txn.attempt(), p.epoch);
     out += buf;
   }
   for (Key k : stranded_) {

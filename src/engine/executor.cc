@@ -778,8 +778,8 @@ std::string TxnExecutor::DebugString() const {
     std::snprintf(buf, sizeof(buf),
                   "txn %llu kind=%d attempt=%u%s%s stalled=%zu:\n",
                   static_cast<unsigned long long>(id),
-                  static_cast<int>(a->plan.txn.kind), a->plan.txn.attempt,
-                  a->plan.txn.retry_of != kInvalidTxn ? " retry" : "",
+                  static_cast<int>(a->plan.txn.kind), a->plan.txn.attempt(),
+                  a->plan.txn.retry_of() != kInvalidTxn ? " retry" : "",
                   a->frozen ? " FROZEN" : "", stalled);
     out += buf;
     for (const NodeState& st : a->nodes) {

@@ -13,7 +13,7 @@ std::vector<TxnRequest> BuildChunkTransactions(
       const Key hi = std::min(mv.hi, lo + chunk - 1);
       TxnRequest txn;
       txn.kind = TxnKind::kChunkMigration;
-      txn.migration_target = mv.target;
+      txn.mutable_extras().migration_target = mv.target;
       txn.write_set.reserve(hi - lo + 1);
       for (Key k = lo; k <= hi; ++k) txn.write_set.push_back(k);
       txns.push_back(std::move(txn));

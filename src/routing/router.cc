@@ -116,7 +116,7 @@ SimTime Router::AnalysisCost(size_t batch_size) const {
 RoutedTxn Router::PlanChunkMigrationDefault(const TxnRequest& txn) {
   RoutedTxn rt;
   rt.txn = txn;
-  const NodeId dst = txn.migration_target;
+  const NodeId dst = txn.migration_target();
   rt.masters = {dst};
   bool first = true;
   Key lo = 0, hi = 0;
@@ -142,9 +142,9 @@ RoutedTxn Router::PlanProvisioningDefault(const TxnRequest& txn) {
   RoutedTxn rt;
   rt.txn = txn;
   if (txn.kind == TxnKind::kAddNode) {
-    OnAddNode(txn.migration_target);
+    OnAddNode(txn.migration_target());
   } else {
-    OnRemoveNode(txn.migration_target);
+    OnRemoveNode(txn.migration_target());
   }
   // Master the marker on the first *live* active node so a marker routed
   // during a degraded window never lands on a crashed node (identical to

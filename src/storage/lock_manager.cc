@@ -39,7 +39,7 @@ LockManager::LockManager()
 
 void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
                           std::vector<TxnId>* newly_granted) {
-  assert(!index_.contains(txn) && "Acquire called twice for one txn");
+  assert(index_.Find(txn) == nullptr && "Acquire called twice for one txn");
   uint32_t slot;
   if (!free_txns_.empty()) {
     slot = free_txns_.back();
@@ -48,7 +48,7 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
     slot = static_cast<uint32_t>(txns_.size());
     txns_.emplace_back();
   }
-  index_.try_emplace(txn, slot);
+  index_.Insert(txn, slot + 1);
   // `state` stays valid: nothing below grows txns_.
   TxnState& state = txns_[slot];
   state.id = txn;
@@ -64,7 +64,7 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
   for (const LockRequest& req : reqs) {
     const uint32_t q = table_->FindOrAdd(req.key, node_);
     state.queues.push_back(q);
-    std::vector<Waiter>& queue = table_->slab_[q].waiters;
+    InlineVec<Waiter>& queue = table_->slab_[q].waiters;
     if (queue.empty()) ++active_keys_;
     queue.push_back(Waiter{slot, req.exclusive, /*granted=*/false});
     if (queue.size() == 1) {
@@ -90,17 +90,16 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
 }
 
 void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
-  auto it = index_.find(txn);
-  if (it == index_.end()) return;
-  const uint32_t slot = it->second;
-  index_.erase(it);
+  const uint32_t entry = index_.Take(txn);
+  if (entry == 0) return;
+  const uint32_t slot = entry - 1;
   // Grants below touch other slots only, and nothing grows txns_.
-  std::vector<uint32_t>& handles = txns_[slot].queues;
+  InlineVec<uint32_t>& handles = txns_[slot].queues;
   for (uint32_t q : handles) {
-    std::vector<Waiter>& queue = table_->slab_[q].waiters;
-    for (auto w = queue.begin(); w != queue.end(); ++w) {
+    InlineVec<Waiter>& queue = table_->slab_[q].waiters;
+    for (Waiter* w = queue.begin(); w != queue.end(); ++w) {
       if (w->txn_slot == slot) {
-        queue.erase(w);
+        queue.erase(w, w + 1);
         break;
       }
     }
@@ -115,7 +114,7 @@ void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
   free_txns_.push_back(slot);
 }
 
-void LockManager::GrantFront(std::vector<Waiter>& queue,
+void LockManager::GrantFront(InlineVec<Waiter>& queue,
                              std::vector<TxnId>* newly_granted) {
   if (queue.front().exclusive) {
     if (!queue.front().granted) {
@@ -142,8 +141,8 @@ void LockManager::NoteGranted(uint32_t slot,
 }
 
 bool LockManager::HoldsAll(TxnId txn) const {
-  auto it = index_.find(txn);
-  return it != index_.end() && txns_[it->second].pending == 0;
+  const uint32_t* entry = index_.Find(txn);
+  return entry != nullptr && txns_[*entry - 1].pending == 0;
 }
 
 }  // namespace hermes::storage

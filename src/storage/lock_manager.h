@@ -7,7 +7,8 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_map.h"
+#include "common/id_ring.h"
+#include "common/inline_vec.h"
 #include "common/types.h"
 
 namespace hermes::storage {
@@ -60,7 +61,9 @@ class LockTable {
     Key key = 0;
     NodeId node = kInvalidNode;
     uint32_t next = kNone;
-    std::vector<Waiter> waiters;
+    /// Inline up to two waiters: most keys are locked by one transaction
+    /// at a time.
+    InlineVec<Waiter> waiters;
   };
 
   /// Slot of `node`'s queue for `key`, linking a new empty one into the
@@ -89,8 +92,8 @@ class LockTable {
 /// Each transaction's state sits in a slab slot holding handles to its
 /// queues in request order, so Release walks its queues without a key
 /// lookup and a waiter reaches its transaction through the slot. The
-/// transaction index (TxnId -> slot) is probed only on entry to Acquire,
-/// Release and HoldsAll.
+/// transaction index (TxnId -> slot) is an IdRing, read only on entry to
+/// Acquire, Release and HoldsAll: a subtraction and a mask, no hash.
 class LockManager {
  public:
   /// A standalone lock manager over a private table (unit tests, offline
@@ -134,14 +137,14 @@ class LockManager {
   struct TxnState {
     TxnId id = kInvalidTxn;
     size_t pending = 0;
-    /// Handles of this transaction's queues, in request order. A freed
-    /// slot keeps the capacity.
-    std::vector<uint32_t> queues;
+    /// Handles of this transaction's queues, in request order (inline up
+    /// to four). A freed slot keeps the capacity.
+    InlineVec<uint32_t> queues;
   };
 
   /// Grants the longest grantable prefix of `queue`; appends transactions
   /// that became fully granted to `*newly_granted`.
-  void GrantFront(std::vector<Waiter>& queue,
+  void GrantFront(InlineVec<Waiter>& queue,
                   std::vector<TxnId>* newly_granted);
 
   void NoteGranted(uint32_t slot, std::vector<TxnId>* newly_granted);
@@ -150,7 +153,8 @@ class LockManager {
   std::unique_ptr<LockTable> owned_;
   LockTable* table_;
   NodeId node_;
-  FlatMap<TxnId, uint32_t> index_;
+  /// Slot + 1 of each known transaction (0 is the ring's empty entry).
+  IdRing<uint32_t> index_;
   std::vector<TxnState> txns_;
   std::vector<uint32_t> free_txns_;
   size_t active_keys_ = 0;

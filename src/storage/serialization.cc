@@ -122,12 +122,12 @@ void WriteTxn(Writer& w, const TxnRequest& txn) {
   w.I64(txn.client);
   w.I64(txn.tag);
   w.I64(txn.home_sequencer);
-  w.I64(txn.migration_target);
+  w.I64(txn.migration_target());
   w.U64(txn.submit_time);
-  w.U64(txn.attempt);
-  w.U64(txn.retry_of);
-  w.U64(txn.range_moves.size());
-  for (const RangeMove& mv : txn.range_moves) {
+  w.U64(txn.attempt());
+  w.U64(txn.retry_of());
+  w.U64(txn.range_moves().size());
+  for (const RangeMove& mv : txn.range_moves()) {
     w.U64(mv.lo);
     w.U64(mv.hi);
     w.I64(mv.target);
@@ -158,20 +158,24 @@ Status ReadTxn(Reader& r, TxnRequest* txn) {
   txn->tag = static_cast<int32_t>(i);
   HERMES_RETURN_IF_ERROR(r.I64(&i));
   txn->home_sequencer = static_cast<NodeId>(i);
+  TxnRequest::Extras extras;
   HERMES_RETURN_IF_ERROR(r.I64(&i));
-  txn->migration_target = static_cast<NodeId>(i);
+  extras.migration_target = static_cast<NodeId>(i);
   HERMES_RETURN_IF_ERROR(r.U64(&txn->submit_time));
   HERMES_RETURN_IF_ERROR(r.U64(&u));
-  txn->attempt = static_cast<uint32_t>(u);
-  HERMES_RETURN_IF_ERROR(r.U64(&txn->retry_of));
+  extras.attempt = static_cast<uint32_t>(u);
+  HERMES_RETURN_IF_ERROR(r.U64(&extras.retry_of));
   HERMES_RETURN_IF_ERROR(r.Count(&u));
-  txn->range_moves.resize(u);
-  for (RangeMove& mv : txn->range_moves) {
+  extras.range_moves.resize(u);
+  for (RangeMove& mv : extras.range_moves) {
     HERMES_RETURN_IF_ERROR(r.U64(&mv.lo));
     HERMES_RETURN_IF_ERROR(r.U64(&mv.hi));
     HERMES_RETURN_IF_ERROR(r.I64(&i));
     mv.target = static_cast<NodeId>(i);
   }
+  // A request read back boxes its cold fields only if one is set, so a
+  // replayed log of ordinary requests holds no boxes.
+  if (extras != kNoTxnExtras) txn->mutable_extras() = std::move(extras);
   return Status::Ok();
 }
 
@@ -223,7 +227,7 @@ Status ReadCommandLog(const std::string& path, CommandLog* log) {
     for (TxnRequest& txn : batch.txns) {
       HERMES_RETURN_IF_ERROR(ReadTxn(r, &txn));
     }
-    log->Append(batch);
+    log->Append(std::move(batch));
   }
   return Status::Ok();
 }

@@ -31,6 +31,7 @@ ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
   assert(theta > 0 && theta < 1);
   zetan_ = Zeta(n, theta);
   zeta2_ = Zeta(2, theta);
+  one_threshold_ = 1.0 + std::pow(0.5, theta);
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta2_ / zetan_);
@@ -40,7 +41,7 @@ uint64_t ZipfianGenerator::Next(Rng& rng) const {
   const double u = rng.NextDouble();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < one_threshold_) return 1;
   const auto v = static_cast<uint64_t>(
       static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return std::min(v, n_ - 1);

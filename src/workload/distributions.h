@@ -28,6 +28,8 @@ class ZipfianGenerator {
   double theta_;
   double zetan_;
   double zeta2_;
+  /// 1 + 0.5^theta: a draw with u * zetan below it (and at least 1) is 1.
+  double one_threshold_;
   double alpha_;
   double eta_;
 };

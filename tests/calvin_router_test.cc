@@ -119,7 +119,7 @@ TEST_F(CalvinRouterTest, ChunkMigrationRehomesRange) {
   TxnRequest chunk;
   chunk.id = 7;
   chunk.kind = TxnKind::kChunkMigration;
-  chunk.migration_target = 2;
+  chunk.mutable_extras().migration_target = 2;
   for (Key k = 0; k < 5; ++k) chunk.write_set.push_back(k);
   RoutePlan plan = router_.RouteBatch(MakeBatch({chunk}));
   EXPECT_EQ(plan.txns[0].masters, (InlineVec<NodeId>{2}));
@@ -131,13 +131,13 @@ TEST_F(CalvinRouterTest, ChunkMigrationRehomesRange) {
 TEST_F(CalvinRouterTest, ProvisioningMarkersAdjustActiveSet) {
   TxnRequest add;
   add.kind = TxnKind::kAddNode;
-  add.migration_target = 4;
+  add.mutable_extras().migration_target = 4;
   (void)router_.RouteBatch(MakeBatch({add}));
   EXPECT_EQ(router_.num_active_nodes(), 5);
 
   TxnRequest remove;
   remove.kind = TxnKind::kRemoveNode;
-  remove.migration_target = 1;
+  remove.mutable_extras().migration_target = 1;
   (void)router_.RouteBatch(MakeBatch({remove}));
   EXPECT_EQ(router_.num_active_nodes(), 4);
 }

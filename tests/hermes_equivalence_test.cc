@@ -380,7 +380,7 @@ std::vector<Batch> MakeWorkload(uint64_t seed, int num_nodes,
         TxnRequest chunk;
         chunk.id = next_id++;
         chunk.kind = TxnKind::kChunkMigration;
-        chunk.migration_target =
+        chunk.mutable_extras().migration_target =
             static_cast<NodeId>(rng.NextBounded(num_nodes));
         const Key lo = rng.NextBounded(records / 2);
         for (Key k = lo; k < lo + 20; ++k) chunk.write_set.push_back(k);
@@ -392,15 +392,17 @@ std::vector<Batch> MakeWorkload(uint64_t seed, int num_nodes,
         TxnRequest add;
         add.id = next_id++;
         add.kind = TxnKind::kAddNode;
-        add.migration_target = static_cast<NodeId>(num_nodes);
+        add.mutable_extras().migration_target =
+            static_cast<NodeId>(num_nodes);
         batch.txns.insert(batch.txns.begin() + 3, std::move(add));
       }
       if (b == 4) {
         TxnRequest rm;
         rm.id = next_id++;
         rm.kind = TxnKind::kRemoveNode;
-        rm.migration_target = static_cast<NodeId>(num_nodes);
-        rm.range_moves = {{0, records, 0}};
+        TxnRequest::Extras& extras = rm.mutable_extras();
+        extras.migration_target = static_cast<NodeId>(num_nodes);
+        extras.range_moves = {{0, records, 0}};
         batch.txns.insert(batch.txns.begin() + batch.txns.size() / 3,
                           std::move(rm));
       }

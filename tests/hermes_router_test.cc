@@ -266,7 +266,7 @@ TEST(HermesRouterTest, ChunkMigrationSkipsHotKeys) {
   TxnRequest chunk;
   chunk.id = 2;
   chunk.kind = TxnKind::kChunkMigration;
-  chunk.migration_target = 2;
+  chunk.mutable_extras().migration_target = 2;
   for (Key k = 0; k < 10; ++k) chunk.write_set.push_back(k);
   RoutePlan plan = router.RouteBatch(MakeBatch({chunk}));
 
@@ -295,7 +295,7 @@ TEST(HermesRouterTest, AddNodeMarkerActivatesNode) {
   TxnRequest marker;
   marker.id = 1;
   marker.kind = TxnKind::kAddNode;
-  marker.migration_target = 3;
+  marker.mutable_extras().migration_target = 3;
   (void)router.RouteBatch(MakeBatch({marker}));
   EXPECT_EQ(router.num_active_nodes(), 4);
 
@@ -322,8 +322,8 @@ TEST(HermesRouterTest, RemoveNodeMarkerEvictsItsFusionEntries) {
   TxnRequest marker;
   marker.id = 2;
   marker.kind = TxnKind::kRemoveNode;
-  marker.migration_target = 2;
-  marker.range_moves = {{60, 89, 1}};
+  marker.mutable_extras().migration_target = 2;
+  marker.mutable_extras().range_moves = {{60, 89, 1}};
   RoutePlan plan = router.RouteBatch(MakeBatch({marker}));
 
   EXPECT_EQ(router.num_active_nodes(), 2);
@@ -381,7 +381,7 @@ TEST(HermesRouterTest, OwnerFollowsRecordsThroughRemovalAndChunkMigrations) {
   auto chunk = [](Key lo, Key hi, NodeId target) {
     TxnRequest t;
     t.kind = TxnKind::kChunkMigration;
-    t.migration_target = target;
+    t.mutable_extras().migration_target = target;
     for (Key k = lo; k <= hi; ++k) t.write_set.push_back(k);
     return t;
   };
@@ -397,8 +397,8 @@ TEST(HermesRouterTest, OwnerFollowsRecordsThroughRemovalAndChunkMigrations) {
 
   TxnRequest removal;
   removal.kind = TxnKind::kRemoveNode;
-  removal.migration_target = 2;
-  removal.range_moves = {{60, 89, 1}};
+  removal.mutable_extras().migration_target = 2;
+  removal.mutable_extras().range_moves = {{60, 89, 1}};
   route({removal}, "remove node 2");
   // The removal unfused all three keys, and each now sits at its home.
   EXPECT_EQ(ownership.num_key_overrides(), 0u);
@@ -438,7 +438,7 @@ TEST(HermesRouterTest, SpecialTxnsActAsReorderBarriers) {
   TxnRequest marker;
   marker.id = 100;
   marker.kind = TxnKind::kAddNode;
-  marker.migration_target = 4;
+  marker.mutable_extras().migration_target = 4;
 
   // Regular txns on both sides of the marker: reordering must not cross it.
   Batch batch = MakeBatch({

@@ -190,6 +190,10 @@ class ReferenceLockManager {
     }
   }
 
+  bool HoldsAll(TxnId txn) const {
+    auto it = txns_.find(txn);
+    return it != txns_.end() && it->second.pending == 0;
+  }
   size_t num_txns() const { return txns_.size(); }
   size_t num_active_keys() const { return queues_.size(); }
 
@@ -236,9 +240,19 @@ TEST_P(SharedLockTableDifferentialTest, MatchesPerNodeReferenceCallByCall) {
       ASSERT_EQ(nodes[m]->num_active_keys(), refs[m].num_active_keys())
           << "node " << m;
     }
+    ASSERT_EQ(nodes[n]->HoldsAll(txn), refs[n].HoldsAll(txn))
+        << op << " txn " << txn << " node " << n;
+    for (const auto& [t, m] : live) {
+      ASSERT_EQ(nodes[m]->HoldsAll(t), refs[m].HoldsAll(t))
+          << "txn " << t << " node " << m;
+    }
   };
 
-  TxnId next = 0;
+  // Ids count up from `next`; now and then a parked transaction re-enters
+  // with an id from `parked`, below every id issued so far, so each node's
+  // transaction index grows below its base.
+  TxnId next = 1000;
+  TxnId parked = 999;
   for (int step = 0; step < kSteps; ++step) {
     const bool do_acquire =
         live.empty() ||
@@ -247,7 +261,7 @@ TEST_P(SharedLockTableDifferentialTest, MatchesPerNodeReferenceCallByCall) {
       // One transaction on 1-3 nodes; with a small key space, the same key
       // is often queued at two or three nodes at once (the migration
       // fence case).
-      const TxnId txn = next++;
+      const TxnId txn = rng.NextBounded(40) == 0 ? parked-- : next++;
       const int fanout = 1 + static_cast<int>(rng.NextBounded(kNodes));
       std::set<NodeId> at;
       while (static_cast<int>(at.size()) < fanout) {
@@ -274,6 +288,16 @@ TEST_P(SharedLockTableDifferentialTest, MatchesPerNodeReferenceCallByCall) {
         check(n, "Acquire", txn);
         live.emplace_back(txn, n);
       }
+    } else if (rng.NextBounded(20) == 0) {
+      // Release of an id no node knows: one not issued yet, or one below
+      // every issued id. Nothing changes.
+      const TxnId txn = rng.NextBounded(2) == 0 ? next : parked;
+      const auto n = static_cast<NodeId>(rng.NextBounded(kNodes));
+      got.clear();
+      want.clear();
+      nodes[n]->Release(txn, &got);
+      refs[n].Release(txn, &want);
+      check(n, "Release of an unknown id", txn);
     } else {
       // Release at one node, granted or still waiting (a watchdog abort
       // releases waiters too).

@@ -94,7 +94,7 @@ TEST_F(RouterBaseTest, RestoreActiveNodes) {
 TEST_F(RouterBaseTest, DefaultChunkPlanMovesColdRange) {
   TxnRequest chunk;
   chunk.kind = TxnKind::kChunkMigration;
-  chunk.migration_target = 3;
+  chunk.mutable_extras().migration_target = 3;
   for (Key k = 10; k < 20; ++k) chunk.write_set.push_back(k);
   const RoutedTxn rt = router_.PlanChunkMigrationDefault(chunk);
   EXPECT_EQ(rt.masters, (InlineVec<NodeId>{3}));
@@ -111,7 +111,7 @@ TEST_F(RouterBaseTest, DefaultChunkPlanSkipsKeysAlreadyAtTarget) {
   ownership_.SetKeyOwner(12, 3);
   TxnRequest chunk;
   chunk.kind = TxnKind::kChunkMigration;
-  chunk.migration_target = 3;
+  chunk.mutable_extras().migration_target = 3;
   for (Key k = 10; k < 15; ++k) chunk.write_set.push_back(k);
   const RoutedTxn rt = router_.PlanChunkMigrationDefault(chunk);
   EXPECT_EQ(rt.accesses.size(), 4u);  // key 12 already there
@@ -120,13 +120,13 @@ TEST_F(RouterBaseTest, DefaultChunkPlanSkipsKeysAlreadyAtTarget) {
 TEST_F(RouterBaseTest, ProvisioningDefaultsAdjustActiveSet) {
   TxnRequest add;
   add.kind = TxnKind::kAddNode;
-  add.migration_target = 7;
+  add.mutable_extras().migration_target = 7;
   (void)router_.PlanProvisioningDefault(add);
   EXPECT_EQ(router_.num_active_nodes(), 5);
 
   TxnRequest remove;
   remove.kind = TxnKind::kRemoveNode;
-  remove.migration_target = 7;
+  remove.mutable_extras().migration_target = 7;
   const RoutedTxn rt = router_.PlanProvisioningDefault(remove);
   EXPECT_EQ(router_.num_active_nodes(), 4);
   EXPECT_TRUE(rt.accesses.empty());

@@ -38,9 +38,14 @@ Batch SampleBatch(BatchId id, int txns, uint64_t seed) {
     txn.client = i;
     txn.tag = -i;
     txn.home_sequencer = i % 4;
-    txn.migration_target = i % 3;
     txn.submit_time = 17 * i;
-    if (i % 6 == 0) txn.range_moves.push_back(RangeMove{10, 20, 2});
+    TxnRequest::Extras& extras = txn.mutable_extras();
+    extras.migration_target = i % 3;
+    if (i % 6 == 0) extras.range_moves.push_back(RangeMove{10, 20, 2});
+    if (i % 5 == 2) {
+      extras.attempt = 1 + i % 3;
+      extras.retry_of = id * 100;
+    }
     batch.txns.push_back(std::move(txn));
   }
   return batch;
@@ -52,9 +57,129 @@ bool TxnEq(const TxnRequest& a, const TxnRequest& b) {
          a.requires_reconnaissance == b.requires_reconnaissance &&
          a.client == b.client && a.tag == b.tag &&
          a.home_sequencer == b.home_sequencer &&
-         a.migration_target == b.migration_target &&
          a.submit_time == b.submit_time &&
-         a.range_moves.size() == b.range_moves.size();
+         a.migration_target() == b.migration_target() &&
+         a.attempt() == b.attempt() && a.retry_of() == b.retry_of() &&
+         a.range_moves() == b.range_moves();
+}
+
+/// A request with hot and cold fields set.
+TxnRequest RequestWithExtras() {
+  TxnRequest txn;
+  txn.id = 9;
+  txn.kind = TxnKind::kRemoveNode;
+  txn.read_set = {1, 2, 3};
+  txn.write_set = {4};
+  txn.client = 5;
+  TxnRequest::Extras& extras = txn.mutable_extras();
+  extras.migration_target = 2;
+  extras.range_moves = {{10, 19, 1}, {20, 29, 0}};
+  extras.attempt = 3;
+  extras.retry_of = 7;
+  return txn;
+}
+
+TEST(SerializationTest, RegularRequestHasNoExtras) {
+  const TxnRequest txn{};
+  EXPECT_FALSE(txn.has_extras());
+  EXPECT_EQ(txn.migration_target(), kInvalidNode);
+  EXPECT_EQ(txn.retry_of(), kInvalidTxn);
+  EXPECT_EQ(txn.attempt(), 0u);
+  EXPECT_TRUE(txn.range_moves().empty());
+}
+
+TEST(SerializationTest, RequestCopiesOwnTheirExtras) {
+  const TxnRequest original = RequestWithExtras();
+
+  // A deep copy: changing it leaves the source alone.
+  TxnRequest copy(original);
+  ASSERT_TRUE(copy.has_extras());
+  EXPECT_TRUE(TxnEq(copy, original));
+  copy.mutable_extras().range_moves.push_back(RangeMove{30, 39, 2});
+  copy.mutable_extras().attempt = 4;
+  copy.read_set.push_back(6);
+  EXPECT_EQ(original.range_moves().size(), 2u);
+  EXPECT_EQ(original.attempt(), 3u);
+  EXPECT_EQ(original.read_set.size(), 3u);
+
+  // Assignment over a request with a box, over one without, and from one
+  // without a box, which drops the target's.
+  copy = original;
+  EXPECT_TRUE(TxnEq(copy, original));
+  TxnRequest plain;
+  plain = original;
+  EXPECT_TRUE(TxnEq(plain, original));
+  plain.mutable_extras().migration_target = 0;
+  EXPECT_EQ(original.migration_target(), 2);
+  const TxnRequest empty{};
+  plain = empty;
+  EXPECT_FALSE(plain.has_extras());
+  EXPECT_TRUE(TxnEq(plain, empty));
+  const TxnRequest plain_copy(empty);
+  EXPECT_FALSE(plain_copy.has_extras());
+
+  // Self-assignment keeps everything.
+  TxnRequest& alias = copy;
+  copy = alias;
+  EXPECT_TRUE(TxnEq(copy, original));
+
+  // A move takes the box and leaves the source without one.
+  TxnRequest moved(std::move(copy));
+  EXPECT_TRUE(TxnEq(moved, original));
+  EXPECT_FALSE(copy.has_extras());  // NOLINT(bugprone-use-after-move)
+  TxnRequest target;
+  target = std::move(moved);
+  EXPECT_TRUE(TxnEq(target, original));
+  EXPECT_FALSE(moved.has_extras());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(SerializationTest, ColdFieldsRoundTripOnlyWhereSet) {
+  // A marker, a degraded retry and a chunk migration each come back with
+  // their cold fields; a regular request comes back without a box.
+  Batch batch;
+  batch.id = 3;
+  TxnRequest marker;
+  marker.id = 1;
+  marker.kind = TxnKind::kAddNode;
+  marker.mutable_extras().migration_target = 4;
+  marker.mutable_extras().range_moves = {{0, 99, 4}, {500, 599, 4}};
+  TxnRequest retry;
+  retry.id = 2;
+  retry.write_set = {8};
+  retry.mutable_extras().attempt = 2;
+  retry.mutable_extras().retry_of = 1;
+  TxnRequest chunk;
+  chunk.id = 3;
+  chunk.kind = TxnKind::kChunkMigration;
+  chunk.write_set = {100, 101, 102};
+  chunk.mutable_extras().migration_target = 1;
+  TxnRequest regular;
+  regular.id = 4;
+  regular.read_set = {5, 6};
+  regular.write_set = {6};
+  // A box holding only defaults writes the same bytes as no box and is
+  // not recreated on the way back.
+  TxnRequest defaults = regular;
+  defaults.id = 5;
+  defaults.mutable_extras();
+  batch.txns = {marker, retry, chunk, regular, defaults};
+  CommandLog log;
+  log.Append(std::move(batch));
+  const std::string path = TempPath("cold_fields.bin");
+  ASSERT_TRUE(WriteCommandLog(log, path).ok());
+
+  CommandLog restored;
+  ASSERT_TRUE(ReadCommandLog(path, &restored).ok());
+  const std::vector<TxnRequest>& got = restored.batches()[0].txns;
+  ASSERT_EQ(got.size(), 5u);
+  for (size_t t = 0; t < got.size(); ++t) {
+    EXPECT_TRUE(TxnEq(got[t], log.batches()[0].txns[t])) << "txn " << t;
+    EXPECT_EQ(got[t].has_extras(), t < 3) << "txn " << t;
+  }
+  EXPECT_EQ(got[0].range_moves(), marker.range_moves());
+  EXPECT_EQ(got[1].attempt(), 2u);
+  EXPECT_EQ(got[1].retry_of(), 1u);
+  EXPECT_EQ(got[2].migration_target(), 1);
 }
 
 TEST(SerializationTest, CommandLogRoundTrips) {
@@ -258,6 +383,7 @@ TEST(SerializationTest, KeySetsOfEverySizeRoundTrip) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t t = 0; t < want.size(); ++t) {
     EXPECT_TRUE(TxnEq(want[t], got[t])) << "txn " << t;
+    EXPECT_FALSE(got[t].has_extras()) << "txn " << t;
     EXPECT_EQ(got[t].read_set.size(), t < 3 ? t : 2 * t - 3);
   }
 }

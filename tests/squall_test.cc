@@ -13,7 +13,7 @@ TEST(SquallTest, SplitsMovesIntoChunks) {
   EXPECT_EQ(txns[2].write_set.size(), 500u);
   for (const auto& t : txns) {
     EXPECT_EQ(t.kind, TxnKind::kChunkMigration);
-    EXPECT_EQ(t.migration_target, 3);
+    EXPECT_EQ(t.migration_target(), 3);
   }
   EXPECT_EQ(txns[0].write_set.front(), 0u);
   EXPECT_EQ(txns[2].write_set.back(), 2499u);
@@ -31,8 +31,8 @@ TEST(SquallTest, ExactMultipleProducesFullChunks) {
 TEST(SquallTest, MultipleMovesConcatenate) {
   const auto txns = BuildChunkTransactions({{0, 9, 1}, {100, 109, 2}}, 100);
   ASSERT_EQ(txns.size(), 2u);
-  EXPECT_EQ(txns[0].migration_target, 1);
-  EXPECT_EQ(txns[1].migration_target, 2);
+  EXPECT_EQ(txns[0].migration_target(), 1);
+  EXPECT_EQ(txns[1].migration_target(), 2);
 }
 
 TEST(SquallTest, ZeroChunkSizeClampedToOne) {
