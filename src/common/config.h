@@ -31,14 +31,10 @@ struct CostModel {
   uint32_t message_overhead_bytes = 64;
   /// Round trip to the total-order (Zab) leader for batch sequencing.
   SimTime total_order_us = 400;
-  /// Scheduler cost of routing one transaction (linear term).
+  /// Scheduler cost of routing one transaction (linear term). The
+  /// quadratic term and the command-log cost are constants next to their
+  /// readers (routing/router.cc, engine/scheduler.cc).
   SimTime route_linear_us = 1;
-  /// Scheduler cost per transaction-pair interaction in a batch
-  /// (quadratic term; makes oversized batches clog the scheduler,
-  /// reproducing the Fig. 10 trade-off).
-  double route_quadratic_us = 0.04;
-  /// Cost to persist one command-log entry.
-  SimTime log_entry_us = 1;
 };
 
 /// Policy for evicting entries from a bounded fusion table (§4.1). Both
@@ -53,9 +49,6 @@ struct HermesConfig {
   /// 0 means unbounded.
   size_t fusion_table_capacity = 0;
   EvictionPolicy eviction_policy = EvictionPolicy::kLru;
-  /// Upper bound on delta relaxation rounds in step 3 before giving up
-  /// (the trivial even split always exists, so this is a safety valve).
-  int max_delta = 64;
 
   // --- Ablation switches (all true in the paper's algorithm). ---
   /// Step 1 reorders transactions; off = keep the sequencer order and only
@@ -98,55 +91,17 @@ struct ReplicationConfig {
   size_t max_leases = 64;
 };
 
-/// Degraded-mode (no-stall crash) parameters. Every value feeds a pure
-/// function of (txn id, attempt, config) or of virtual time, so retry
-/// slots, watchdog sweeps and reclaim deadlines are identical across
-/// hash salts and across live vs. replay runs.
-struct DegradedConfig {
-  /// Retries a blocked regular transaction gets before the cluster
-  /// returns a deterministic UNAVAILABLE abort to the client.
-  uint32_t max_retries = 3;
-  /// Exponential backoff base: delay(attempt) =
-  /// min(base << attempt, cap) + jitter, in virtual microseconds.
-  SimTime retry_backoff_base_us = 2000;
-  SimTime retry_backoff_cap_us = 64'000;
-  /// Deterministic "jitter" drawn as Mix64(txn id ^ attempt) % (j + 1):
-  /// decorrelates retry slots without consulting any RNG stream.
-  SimTime retry_jitter_us = 1000;
-  /// Virtual time an executor presence-wait may point at a dead node
-  /// before the watchdog aborts the waiter.
-  SimTime watchdog_deadline_us = 5000;
-  /// Watchdog re-sweep period while any node is down.
-  SimTime watchdog_period_us = 5000;
-  /// Timeout after which a record shipped toward a node that died in
-  /// flight is reclaimed by re-inserting it at the sender.
-  SimTime reclaim_timeout_us = 2000;
-  /// Virtual cost charged per replayed batch when a no-stall victim
-  /// rebuilds in the background (the stall model measures this live;
-  /// degraded mode charges it without pausing intake).
-  SimTime replay_us_per_batch = 150;
-};
-
-/// Heartbeat failure-detector parameters (partition-aware degraded mode;
+/// Heartbeat failure-detector switch (partition-aware degraded mode;
 /// DESIGN.md §5 "Partitions & failure detection"). The detector ticks on
 /// the control lane in virtual time: every decision it makes — miss
 /// counts, suspicion, restore — is a pure function of (tick index, link
-/// reachability, config), so detector-driven membership epochs are
-/// identical across hash salts.
+/// reachability), so detector-driven membership epochs are identical
+/// across hash salts. Its period and thresholds are constants in
+/// engine/failure_detector.h.
 struct DetectorConfig {
   /// Master switch. Off by default: no tick chain is ever armed and the
   /// cluster behaves exactly as before (digests unchanged).
   bool enabled = false;
-  /// Virtual time between heartbeat rounds.
-  SimTime heartbeat_period_us = 2500;
-  /// Consecutive missed heartbeats on a directed link before that
-  /// direction is considered unhealthy. Detection latency is
-  /// miss_threshold * heartbeat_period_us after a cut.
-  int miss_threshold = 3;
-  /// Consecutive healthy rounds a suspected node must string together
-  /// after a heal before it is marked up again (hysteresis against a
-  /// flapping or gray link re-admitting a peer too early).
-  int confirm_threshold = 2;
 };
 
 /// Wire-substrate (src/net/) parameters: bounded-bandwidth links, envelope
@@ -185,16 +140,14 @@ struct NetConfig {
 };
 
 /// Observability (src/obs/) parameters. Tracing is strictly passive —
-/// nothing here may change a decision — so these knobs only affect what
+/// nothing here may change a decision — so this knob only affects what
 /// gets recorded, never what the cluster does.
 struct ObsConfig {
-  /// Record span/instant events into the per-node trace rings. Off by
-  /// default: a disabled tracer costs one null check per trace site.
-  /// The HERMES_TRACE env var (any non-"0" value) also enables it.
+  /// Record span/instant events into the per-node trace rings
+  /// (obs::kTraceRingCapacity events each). Off by default: a disabled
+  /// tracer costs one null check per trace site. The HERMES_TRACE env var
+  /// (any non-"0" value) also enables it.
   bool trace_enabled = false;
-  /// Capacity of each per-node event ring; older events are overwritten
-  /// (and counted in the drop counter) once a ring fills.
-  size_t trace_ring_capacity = 1 << 15;
 };
 
 /// Simulator (src/sim/) parameters. Compatibility stub: the simulator runs
@@ -227,7 +180,8 @@ struct ClusterConfig {
   /// time the transaction executes, forcing a deterministic abort and one
   /// retry (§2.1). Drawn from the cluster's seeded RNG.
   double ollp_stale_prob = 0.05;
-  DegradedConfig degraded;
+  /// Degraded mode (no-stall crashes) has no knobs: its retry, watchdog
+  /// and reclaim timings are constants in engine/degraded.h.
   DetectorConfig detector;
   ReplicationConfig replication;
   NetConfig net;

@@ -164,8 +164,11 @@ class InlineVec {
     other.cap_ = kInline;
   }
 
+  // `heap_` starts null so data() never reads an indeterminate pointer:
+  // it selects `inline_` for an inline vector, but the compiler may load
+  // both arms.
   union {
-    T* heap_;
+    T* heap_ = nullptr;
     T inline_[kInline];
   };
   uint32_t size_ = 0;

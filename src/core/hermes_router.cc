@@ -320,7 +320,7 @@ uint64_t HermesRouter::PlaceSegment(const std::vector<const TxnRequest*>& txns,
       return s.base_owner_idx[id];
     };
 
-    for (int delta = 1; delta <= config_.max_delta; ++delta) {
+    for (int delta = 1; delta <= kMaxDelta; ++delta) {
       bool still_over = false;
       for (int32_t step = 0; step < b; ++step) {
         const int32_t p = config_.backward_pass ? b - 1 - step : step;

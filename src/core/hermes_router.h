@@ -15,6 +15,10 @@
 
 namespace hermes::core {
 
+/// Upper bound on delta relaxation rounds in step 3 before giving up (the
+/// trivial even split always exists, so this is a safety valve).
+inline constexpr int kMaxDelta = 64;
+
 /// The prescient transaction routing algorithm (paper §3.2, Algorithm 1)
 /// plus fusion-table maintenance (§3.1, §4.1) and provisioning support
 /// (§3.3).

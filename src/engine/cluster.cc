@@ -59,7 +59,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
       executor_(&sim_, &wire_, &metrics_, &config_.costs, &nodes_),
       sequencer_(&sim_, &config_,
                  [this](Batch&& batch) { OnBatchSequenced(std::move(batch)); }),
-      scheduler_(&sim_, router_.get(), &executor_, &command_log_, &config_,
+      scheduler_(&sim_, router_.get(), &executor_, &command_log_,
                  [this](const TxnRequest& txn) { return ResolveCallback(txn); },
                  &digest_, &placement_digest_) {
   // Epoch schedule (DESIGN.md §5 "Epoch schedule"): one event lane per
@@ -90,7 +90,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
       },
       [this] { return BatchFilterArmed(); });
   executor_.EnableDegraded(
-      &membership_, &config_.degraded, &degraded_ledger_,
+      &membership_, &degraded_ledger_,
       [this](TxnRequest txn, TxnExecutor::CommitCallback cb,
              std::vector<Key> stranded) {
         OnWatchdogAbort(std::move(txn), std::move(cb), std::move(stranded));
@@ -101,7 +101,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
   // HERMES_TRACE_KEY=<key> mirrors one key's events to stderr.
   // Rings are pre-sized so lane-side Record() calls never grow the ring
   // vector (EnsureNode grows it in exclusive context).
-  tracer_.Configure(config_.obs.trace_ring_capacity,
+  tracer_.Configure(obs::kTraceRingCapacity,
                     static_cast<size_t>(config_.num_nodes));
   tracer_.set_clock([this] { return sim_.Now(); });
   if (config_.obs.trace_enabled) tracer_.set_enabled(true);
@@ -121,7 +121,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
     lease_mgr_.set_tracer(&tracer_);
   }
   if (config_.detector.enabled) {
-    detector_ = std::make_unique<FailureDetector>(this, config_.detector);
+    detector_ = std::make_unique<FailureDetector>(this);
   }
 }
 
@@ -229,18 +229,12 @@ void Cluster::OnBatchSequenced(Batch&& batch) {
   next_expected_batch_ = batch.id + 1;
   HERMES_TRACE(&tracer_, obs::EventKind::kBatchSequenced, kInvalidNode,
                batch.id, static_cast<Key>(-1), batch.txns.size());
-  if (batch_tap_) batch_tap_(batch);
   if (clay_) {
     for (const TxnRequest& txn : batch.txns) {
       if (txn.kind == TxnKind::kRegular) clay_->Observe(txn);
     }
   }
   scheduler_.OnBatch(std::move(batch));
-}
-
-void Cluster::InjectBatch(const Batch& batch) {
-  Batch copy = batch;
-  scheduler_.OnBatch(std::move(copy));
 }
 
 TxnExecutor::CommitCallback Cluster::ResolveCallback(const TxnRequest& txn) {
@@ -639,14 +633,11 @@ void Cluster::ClassifyBatch(BatchId /*id*/, std::vector<TxnRequest>* txns) {
 }
 
 SimTime Cluster::RetryDelay(TxnId retry_of, uint32_t attempt) const {
-  const DegradedConfig& d = config_.degraded;
   const SimTime backoff =
-      std::min(d.retry_backoff_base_us << attempt, d.retry_backoff_cap_us);
+      std::min(kRetryBackoffBaseUs << attempt, kRetryBackoffCapUs);
   const SimTime jitter =
-      d.retry_jitter_us == 0
-          ? 0
-          : Mix64(retry_of ^ (0x9e3779b97f4a7c15ULL * (attempt + 1))) %
-                (d.retry_jitter_us + 1);
+      Mix64(retry_of ^ (0x9e3779b97f4a7c15ULL * (attempt + 1))) %
+      (kRetryJitterUs + 1);
   return backoff + jitter;
 }
 
@@ -657,7 +648,7 @@ void Cluster::ScheduleRetryOrFail(TxnRequest txn,
   const uint32_t attempt = txn.attempt();
   const TxnId retry_of =
       txn.retry_of() != kInvalidTxn ? txn.retry_of() : txn.id;
-  if (attempt >= config_.degraded.max_retries) {
+  if (attempt >= kMaxRetries) {
     // Attempts exhausted: a deterministic UNAVAILABLE abort reaches the
     // client one network hop from now. The transaction performed no
     // writes (it never dispatched, or was UNDO-aborted un-acked), so
@@ -825,10 +816,6 @@ std::string Cluster::DegradedDebugString() const {
 
 std::string Cluster::TraceJson() const {
   return obs::ChromeTraceJson(tracer_, config_.workers_per_node);
-}
-
-bool Cluster::DumpTrace(const std::string& path) const {
-  return obs::WriteChromeTrace(tracer_, path, config_.workers_per_node);
 }
 
 }  // namespace hermes::engine

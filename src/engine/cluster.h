@@ -85,24 +85,6 @@ class Cluster {
   uint64_t ollp_reconnaissance_count() const { return ollp_recons_; }
   uint64_t ollp_retry_count() const { return ollp_retries_; }
 
-  // --- Replication hooks (used by engine::ReplicaGroup). ---
-
-  /// Called with every batch the moment it is totally ordered; a replica
-  /// group taps this to fan batches out to standby replicas.
-  void set_batch_tap(std::function<void(const Batch&)> tap) {
-    batch_tap_ = std::move(tap);
-  }
-
-  /// Feeds an externally sequenced batch directly to this cluster's
-  /// scheduler (standby replicas replay the primary's input stream).
-  void InjectBatch(const Batch& batch);
-
-  /// Continues the total order from external counters (a promoted standby
-  /// picks up where the failed primary stopped).
-  void RestoreSequencerCounters(BatchId next_batch, TxnId next_txn) {
-    sequencer_.RestoreCounters(next_batch, next_txn);
-  }
-
   // --- Fault-injection hooks (used by fault::FaultInjector). ---
 
   /// Stops the sequencer from cutting batches: submissions accumulate but
@@ -120,9 +102,9 @@ class Cluster {
   // sets), already-ordered transactions touching it are deterministically
   // parked (chunk migrations, provisioning markers) or retried with a
   // deterministic virtual-time backoff (regular transactions, bounded by
-  // DegradedConfig::max_retries, then an UNAVAILABLE abort to the
-  // client), and the executor watchdog UNDO-aborts transactions frozen
-  // mid-flight at the dead node. Every decision is a pure function of
+  // kMaxRetries, then an UNAVAILABLE abort to the client), and the
+  // executor watchdog UNDO-aborts transactions frozen mid-flight at the
+  // dead node. Every decision is a pure function of
   // (fault plan, config, total order): the recorded DegradedSchedule
   // replays the run bit-identically.
 
@@ -241,6 +223,14 @@ class Cluster {
   /// pre-crash state.
   void ReplayBatches(const std::vector<Batch>& batches);
 
+  /// Continues the total order from external counters. Replay does not
+  /// run the sequencer, so a cluster rebuilt from another's command log
+  /// (a standby taking over from a failed primary) sets the ids the
+  /// failed cluster would have assigned next before it takes requests.
+  void RestoreSequencerCounters(BatchId next_batch, TxnId next_txn) {
+    sequencer_.RestoreCounters(next_batch, next_txn);
+  }
+
   /// Placement-sensitive checksum over all stores (replica equality).
   uint64_t StateChecksum() const;
 
@@ -321,8 +311,6 @@ class Cluster {
 
   /// Renders the trace as Chrome trace_event JSON (Perfetto-loadable).
   std::string TraceJson() const;
-  /// Writes TraceJson() to `path`; false on I/O error.
-  bool DumpTrace(const std::string& path) const;
 
  private:
   /// One transaction waiting out an outage in the parking queue.
@@ -456,8 +444,6 @@ class Cluster {
   std::unique_ptr<Rng> ollp_rng_;
   uint64_t ollp_recons_ = 0;
   uint64_t ollp_retries_ = 0;
-
-  std::function<void(const Batch&)> batch_tap_;
 
   // --- Partition & detector state. ---
   /// Null unless config.detector.enabled. Declared after sim_/wire_ (it

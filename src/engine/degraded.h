@@ -10,6 +10,34 @@
 
 namespace hermes::engine {
 
+// Degraded-mode (no-stall crash) timings. Every value feeds a pure
+// function of (txn id, attempt) or of virtual time, so retry slots,
+// watchdog sweeps and reclaim deadlines are identical across hash salts
+// and across live vs. replay runs.
+
+/// Retries a blocked regular transaction gets before the cluster returns
+/// a deterministic UNAVAILABLE abort to the client.
+inline constexpr uint32_t kMaxRetries = 3;
+/// Exponential backoff: delay(attempt) = min(base << attempt, cap) +
+/// jitter, in virtual microseconds.
+inline constexpr SimTime kRetryBackoffBaseUs = 2000;
+inline constexpr SimTime kRetryBackoffCapUs = 64'000;
+/// Deterministic "jitter" drawn as Mix64(txn id ^ attempt) % (j + 1):
+/// decorrelates retry slots without consulting any RNG stream.
+inline constexpr SimTime kRetryJitterUs = 1000;
+/// Virtual time an executor presence-wait may point at a dead node
+/// before the watchdog aborts the waiter.
+inline constexpr SimTime kWatchdogDeadlineUs = 5000;
+/// Watchdog re-sweep period while any node is down.
+inline constexpr SimTime kWatchdogPeriodUs = 5000;
+/// Timeout after which a record shipped toward a node that died in
+/// flight is reclaimed by re-inserting it at the sender.
+inline constexpr SimTime kReclaimTimeoutUs = 2000;
+/// Virtual cost charged per replayed batch when a no-stall victim
+/// rebuilds in the background (the stall model measures this live;
+/// degraded mode charges it without pausing intake).
+inline constexpr SimTime kReplayUsPerBatch = 150;
+
 /// One entry of the degraded-mode retry transcript: a transaction was
 /// classified as blocked by a dead node and either re-enqueued after a
 /// deterministic backoff or (attempts exhausted) returned to the client

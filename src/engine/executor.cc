@@ -1017,7 +1017,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key, NodeId from,
   if (NodeDead(node)) {
     // The destination died while the record was on the wire. Suppress the
     // delivery (the record stays in flight in the table, so singularity
-    // holds) and arm a deterministic reclaim: after reclaim_timeout_us
+    // holds) and arm a deterministic reclaim: after kReclaimTimeoutUs
     // the sender lands the record back and notes the divergence from the
     // ownership map; if the node rejoins first, OnNodeUp flushes it.
     // Suppression mutates shared state (the suppressed set, the frozen
@@ -1031,7 +1031,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key, NodeId from,
                    key);
       // Freeze the carrying transaction: its shipment will never complete.
       if (Active* a = Live(carrier)) Freeze(*a);
-      sim_->Schedule(degraded_->reclaim_timeout_us,
+      sim_->Schedule(kReclaimTimeoutUs,
                      [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     });
     return;
@@ -1059,7 +1059,7 @@ void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
     // suppress branch again. Keep it suppressed and retry one timeout
     // later; whichever side comes back first resolves it (OnNodeUp
     // flushes on the destination's rejoin).
-    sim_->Schedule(degraded_->reclaim_timeout_us,
+    sim_->Schedule(kReclaimTimeoutUs,
                    [this, key, carrier]() { ReclaimSuppressed(key, carrier); });
     return;
   }
@@ -1071,11 +1071,9 @@ void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
 }
 
 void TxnExecutor::EnableDegraded(const MembershipView* membership,
-                                 const DegradedConfig* config,
                                  DegradedLedger* ledger,
                                  DegradedAbortHandler on_abort) {
   membership_ = membership;
-  degraded_ = config;
   ledger_ = ledger;
   degraded_abort_ = std::move(on_abort);
 }
@@ -1088,8 +1086,7 @@ void TxnExecutor::OnNodeDown(NodeId node) {
   // sweep below reclassifies them. One chain per outage window.
   if (watchdog_armed_) return;
   watchdog_armed_ = true;
-  sim_->Schedule(degraded_->watchdog_deadline_us,
-                 [this]() { WatchdogSweep(); });
+  sim_->Schedule(kWatchdogDeadlineUs, [this]() { WatchdogSweep(); });
 }
 
 void TxnExecutor::OnNodeUp(NodeId node) {
@@ -1127,8 +1124,7 @@ void TxnExecutor::WatchdogSweep() {
     if (a != nullptr && !a->acked) AbortActive(*a);
   }
   if (membership_ != nullptr && membership_->any_down()) {
-    sim_->Schedule(degraded_->watchdog_period_us,
-                   [this]() { WatchdogSweep(); });
+    sim_->Schedule(kWatchdogPeriodUs, [this]() { WatchdogSweep(); });
   } else {
     // One final sweep always runs after rejoin (this one), catching
     // transactions frozen between the last in-outage sweep and MarkUp.

@@ -111,8 +111,7 @@ class TxnExecutor {
   /// dead-node gates (null = every node alive, all gates inert);
   /// `ledger` records watchdog/reclaim/reship bookkeeping.
   void EnableDegraded(const MembershipView* membership,
-                      const DegradedConfig* config, DegradedLedger* ledger,
-                      DegradedAbortHandler on_abort);
+                      DegradedLedger* ledger, DegradedAbortHandler on_abort);
 
   /// Arms the watchdog after the cluster marks `node` down. Transactions
   /// freeze lazily as their events reach the dead node; the watchdog
@@ -304,7 +303,7 @@ class TxnExecutor {
   /// Scheduled on the control lane only, never called lane-side.
   void WatchdogSweep();
   /// Reclaim timer body: lands a suppressed in-flight record back at its
-  /// source once the destination has been down for reclaim_timeout_us.
+  /// source once the destination has been down for kReclaimTimeoutUs.
   /// Re-arms itself while the SOURCE is also down (overlapping fault
   /// windows — e.g. a partition suspect while a crashed node is out):
   /// reclaiming to a dead node would drop the payload. Scheduled on the
@@ -399,7 +398,6 @@ class TxnExecutor {
 
   // --- Degraded-mode state (all null/empty unless EnableDegraded ran). ---
   const MembershipView* membership_ = nullptr;
-  const DegradedConfig* degraded_ = nullptr;
   DegradedLedger* ledger_ = nullptr;
   DegradedAbortHandler degraded_abort_;
   /// A single watchdog chain is armed while any node is down (plus one

@@ -8,13 +8,7 @@
 
 namespace hermes::engine {
 
-FailureDetector::FailureDetector(Cluster* cluster,
-                                 const DetectorConfig& config)
-    : cluster_(cluster), config_(config) {
-  assert(config_.heartbeat_period_us > 0);
-  assert(config_.miss_threshold > 0);
-  assert(config_.confirm_threshold > 0);
-}
+FailureDetector::FailureDetector(Cluster* cluster) : cluster_(cluster) {}
 
 void FailureDetector::EnsureSize(int num_nodes) {
   const size_t n = static_cast<size_t>(num_nodes);
@@ -39,8 +33,7 @@ void FailureDetector::Arm(SimTime active_until) {
   armed_ = true;
   // Scheduled from exclusive context, so the tick lands on the control
   // lane and runs in the exclusive slice of its epoch.
-  cluster_->simulator().Schedule(config_.heartbeat_period_us,
-                                 [this] { Tick(); });
+  cluster_->simulator().Schedule(kHeartbeatPeriodUs, [this] { Tick(); });
 }
 
 void FailureDetector::Tick() {
@@ -68,7 +61,7 @@ void FailureDetector::Tick() {
         miss_[i][j] = 0;
         continue;
       }
-      miss_[i][j] = std::min(miss_[i][j] + 1, config_.miss_threshold);
+      miss_[i][j] = std::min(miss_[i][j] + 1, kMissThreshold);
       ++heartbeat_misses_;
       HERMES_TRACE(tracer, obs::EventKind::kHeartbeatMiss, i, kInvalidTxn,
                    static_cast<Key>(miss_[i][j]), static_cast<uint64_t>(j));
@@ -95,8 +88,8 @@ void FailureDetector::Tick() {
       ++comp_size[c];
       for (NodeId v = 0; v < n; ++v) {
         if (v == u || !Responsive(v) || component[v] >= 0) continue;
-        const bool healthy = miss_[u][v] < config_.miss_threshold &&
-                             miss_[v][u] < config_.miss_threshold;
+        const bool healthy = miss_[u][v] < kMissThreshold &&
+                             miss_[v][u] < kMissThreshold;
         if (!healthy) continue;
         component[v] = c;
         queue.push_back(v);
@@ -118,7 +111,7 @@ void FailureDetector::Tick() {
     const bool in_primary = component[i] == primary;
     const bool suspected = detector_down_.count(i) > 0;
     if (in_primary && suspected) {
-      if (++confirm_[i] >= config_.confirm_threshold) {
+      if (++confirm_[i] >= kConfirmThreshold) {
         confirm_[i] = 0;
         detector_down_.erase(i);
         ++restores_;
@@ -151,8 +144,7 @@ void FailureDetector::Tick() {
   }
   if (net.any_cut() || !detector_down_.empty() || misses ||
       now < active_until_) {
-    cluster_->simulator().Schedule(config_.heartbeat_period_us,
-                                   [this] { Tick(); });
+    cluster_->simulator().Schedule(kHeartbeatPeriodUs, [this] { Tick(); });
   } else {
     armed_ = false;
   }

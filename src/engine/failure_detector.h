@@ -7,29 +7,39 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "common/types.h"
 
 namespace hermes::engine {
 
 class Cluster;
 
+/// Virtual time between heartbeat rounds.
+inline constexpr SimTime kHeartbeatPeriodUs = 2500;
+/// Consecutive missed heartbeats on a directed link before that direction
+/// is considered unhealthy. Detection latency is
+/// kMissThreshold * kHeartbeatPeriodUs after a cut.
+inline constexpr int kMissThreshold = 3;
+/// Consecutive healthy rounds a suspected node must string together after
+/// a heal before it is marked up again (hysteresis against a flapping or
+/// gray link re-admitting a peer too early).
+inline constexpr int kConfirmThreshold = 2;
+
 /// Deterministic heartbeat failure detector (DESIGN.md §5 "Partitions &
 /// failure detection").
 ///
-/// Every heartbeat_period_us of virtual time a tick runs on the control
+/// Every kHeartbeatPeriodUs of virtual time a tick runs on the control
 /// lane (exclusive context) and evaluates, for every ordered node pair,
 /// whether that round's heartbeat would have arrived: the link must not be
 /// cut in the network's reachability matrix, the gray-failure draw (a pure
 /// function of (chaos seed, link, tick)) must not eat it, and both
 /// endpoints must be responsive. Consecutive misses beyond
-/// miss_threshold make a direction unhealthy; a node pair is mutually
+/// kMissThreshold make a direction unhealthy; a node pair is mutually
 /// healthy only when both directions are. Responsive nodes outside the
 /// primary component (largest, ties broken by lowest member id — never
 /// hash order) of the mutual-health graph are converted into the SAME
 /// membership-epoch transitions kCrashNoStall uses, so the majority side
 /// routes around the cut while the minority side parks FIFO. When a
-/// suspected node strings together confirm_threshold healthy rounds after
+/// suspected node strings together kConfirmThreshold healthy rounds after
 /// the heal, the detector restores it through the standard rejoin path
 /// (suppressed-shipment flush, displaced-record reship, lease lapse,
 /// parked release).
@@ -50,7 +60,7 @@ class FailureDetector {
   using HeartbeatLossFn =
       std::function<bool(NodeId src, NodeId dst, uint64_t tick, SimTime now)>;
 
-  FailureDetector(Cluster* cluster, const DetectorConfig& config);
+  explicit FailureDetector(Cluster* cluster);
 
   /// Starts (or extends) the tick chain: the chain keeps running at least
   /// until `active_until`, and past that for as long as cuts, suspicions
@@ -80,14 +90,13 @@ class FailureDetector {
   bool Responsive(NodeId node) const;
 
   Cluster* cluster_;
-  DetectorConfig config_;
   HeartbeatLossFn loss_;
 
   bool armed_ = false;      ///< a tick is scheduled
   SimTime active_until_ = 0;  ///< chain keeps running until at least here
   uint64_t ticks_ = 0;
   /// miss_[src][dst]: consecutive missed heartbeats on the directed link,
-  /// clamped at miss_threshold.
+  /// clamped at kMissThreshold.
   std::vector<std::vector<int>> miss_;
   /// Consecutive healthy rounds per suspected node (restore hysteresis).
   std::vector<int> confirm_;

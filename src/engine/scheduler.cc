@@ -7,18 +7,20 @@ namespace hermes::engine {
 
 Scheduler::Scheduler(sim::Simulator* sim, routing::Router* router,
                      TxnExecutor* executor, storage::CommandLog* command_log,
-                     const ClusterConfig* config, CallbackResolver resolver,
+                     CallbackResolver resolver,
                      DecisionDigest* digest, DecisionDigest* placement_digest)
     : sim_(sim),
       router_(router),
       executor_(executor),
       command_log_(command_log),
-      config_(config),
       resolver_(std::move(resolver)),
       digest_(digest),
       placement_digest_(placement_digest) {}
 
 namespace {
+
+/// Cost to persist one command-log entry.
+constexpr SimTime kLogEntryUs = 1;
 
 /// Folds one routed transaction's placement decisions into the digest:
 /// the transaction identity, each master, and each access's (key, owner,
@@ -95,8 +97,7 @@ void Scheduler::Process(Batch&& batch, bool log) {
       MixPlacement(*placement_digest_, rt);
     }
   }
-  const SimTime log_cost =
-      log ? config_->costs.log_entry_us * batch.txns.size() : 0;
+  const SimTime log_cost = log ? kLogEntryUs * batch.txns.size() : 0;
   const SimTime start = std::max(sim_->Now(), busy_until_);
   const SimTime dispatch_at = start + plan.routing_cost_us + log_cost;
   busy_until_ = dispatch_at;

@@ -3,7 +3,6 @@
 
 #include <functional>
 
-#include "common/config.h"
 #include "common/digest.h"
 #include "engine/executor.h"
 #include "routing/router.h"
@@ -47,7 +46,7 @@ class Scheduler {
   /// timing, but never what the router decided for a given batch stream.
   Scheduler(sim::Simulator* sim, routing::Router* router,
             TxnExecutor* executor, storage::CommandLog* command_log,
-            const ClusterConfig* config, CallbackResolver resolver,
+            CallbackResolver resolver,
             DecisionDigest* digest = nullptr,
             DecisionDigest* placement_digest = nullptr);
 
@@ -86,7 +85,6 @@ class Scheduler {
   routing::Router* router_;
   TxnExecutor* executor_;
   storage::CommandLog* command_log_;
-  const ClusterConfig* config_;
   CallbackResolver resolver_;
   DecisionDigest* digest_;
   DecisionDigest* placement_digest_;

@@ -1,5 +1,8 @@
 #include "engine/sequencer.h"
 
+#include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <utility>
 
 namespace hermes::engine {
@@ -15,7 +18,7 @@ void Sequencer::Submit(TxnRequest txn) {
 }
 
 void Sequencer::ArmEpochCut() {
-  if (paused_ || cut_armed_ || pending_.empty()) return;
+  if (paused_ || cut_armed_ || pending() == 0) return;
   cut_armed_ = true;
   // Cut at the next epoch boundary (lazy arming keeps an idle cluster's
   // event queue empty so simulations can drain).
@@ -30,16 +33,20 @@ void Sequencer::ArmEpochCut() {
 }
 
 void Sequencer::CutBatch() {
-  if (pending_.empty()) return;
+  if (pending() == 0) return;
   Batch batch;
   batch.id = next_batch_id_++;
   const size_t limit = config_->max_batch_size == 0
-                           ? pending_.size()
-                           : std::min(pending_.size(), config_->max_batch_size);
-  batch.txns.reserve(limit);
-  for (size_t i = 0; i < limit; ++i) {
-    batch.txns.push_back(std::move(pending_.front()));
-    pending_.pop_front();
+                           ? pending()
+                           : std::min(pending(), config_->max_batch_size);
+  const auto first = pending_.begin() + static_cast<std::ptrdiff_t>(head_);
+  head_ += limit;
+  const auto last = pending_.begin() + static_cast<std::ptrdiff_t>(head_);
+  batch.txns.assign(std::make_move_iterator(first),
+                    std::make_move_iterator(last));
+  if (2 * head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(), last);
+    head_ = 0;
   }
   // Total ordering: one leader round trip before schedulers see the batch.
   const SimTime deliver_at = sim_->Now() + config_->costs.total_order_us;

@@ -1,8 +1,8 @@
 #ifndef HERMES_ENGINE_SEQUENCER_H_
 #define HERMES_ENGINE_SEQUENCER_H_
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "common/config.h"
 #include "common/types.h"
@@ -60,7 +60,7 @@ class Sequencer {
     next_txn_id_ = next_txn;
   }
 
-  size_t pending() const { return pending_.size(); }
+  size_t pending() const { return pending_.size() - head_; }
 
  private:
   void ArmEpochCut();
@@ -69,7 +69,13 @@ class Sequencer {
   sim::Simulator* sim_;
   const ClusterConfig* config_;
   BatchCallback on_sequenced_;
-  std::deque<TxnRequest> pending_;
+  /// Arrival-order queue; the requests before `head_` were already cut.
+  /// The cut prefix is erased once it is at least half the vector, which
+  /// keeps the capacity (a steady load queues requests without
+  /// allocating) and moves each request at most once more under a
+  /// max_batch_size backlog.
+  std::vector<TxnRequest> pending_;
+  size_t head_ = 0;
   BatchId next_batch_id_ = 0;
   TxnId next_txn_id_ = 0;
   bool cut_armed_ = false;

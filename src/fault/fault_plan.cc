@@ -71,15 +71,6 @@ FaultPlan FaultPlan::Generate(const FaultPlanConfig& config, uint64_t seed) {
     }
   }
 
-  if (config.inject_failover) {
-    // Anywhere in the middle 60% of the horizon, so batches are in flight.
-    const SimTime lo = config.horizon_us / 5;
-    const SimTime span = std::max<SimTime>(3 * config.horizon_us / 5, 1);
-    plan.events.push_back(FaultEvent{lo + rng.NextBounded(span),
-                                     FaultEvent::Kind::kFailover,
-                                     kInvalidNode});
-  }
-
   // Partition/gray victims come from nodes no crash cycle touches: the
   // failure detector marks the minority side down via the same membership
   // path kCrashNoStall uses, and a node must never be marked down twice.
@@ -173,10 +164,7 @@ std::string FaultPlan::DebugString() const {
                                  ? "crash-nostall"
                                  : e.kind == FaultEvent::Kind::kPartitionStart
                                        ? "partition-start"
-                                       : e.kind ==
-                                                 FaultEvent::Kind::kPartitionHeal
-                                             ? "partition-heal"
-                                             : "failover";
+                                       : "partition-heal";
     if (e.kind == FaultEvent::Kind::kPartitionStart ||
         e.kind == FaultEvent::Kind::kPartitionHeal) {
       std::snprintf(buf, sizeof(buf), "  t=%llu %s node=%d mode=%s\n",

@@ -68,7 +68,6 @@ struct FaultEvent {
   enum class Kind {
     kCrash,         ///< node loses its volatile store; cluster intake stalls
     kRejoin,        ///< crashed node rebuilds from checkpoint + log replay
-    kFailover,      ///< replica-group primary dies mid-flight, standby promoted
     kCrashNoStall,  ///< node dies but the cluster keeps sequencing: routers
                     ///< route around it, ordered txns touching it are parked
                     ///< or retried deterministically (degraded mode)
@@ -80,7 +79,7 @@ struct FaultEvent {
   };
   SimTime at = 0;
   Kind kind = Kind::kCrash;
-  /// Crashed/rejoining/partitioned node; ignored for kFailover.
+  /// Crashed/rejoining/partitioned node.
   NodeId node = kInvalidNode;
   /// Cut shape for kPartitionStart (a heal always removes every cut the
   /// matching start installed); ignored for other kinds.
@@ -102,8 +101,6 @@ struct FaultPlanConfig {
   int crash_cycles = 1;
   SimTime min_outage_us = MsToSim(50);
   SimTime max_outage_us = MsToSim(400);
-  /// Schedule one mid-run primary failover (replica-group runs only).
-  bool inject_failover = false;
   /// Emit kCrashNoStall instead of kCrash: the cluster degrades (keeps
   /// sequencing around the victim) instead of stalling intake.
   bool no_stall = false;

@@ -30,14 +30,9 @@ bool HasPartitions(const FaultPlan& plan) {
 FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
                              MapFactory map_factory)
     : cluster_(cluster), plan_(plan), map_factory_(std::move(map_factory)) {
-  for (const FaultEvent& e : plan_.events) {
-    (void)e;
-    assert(e.kind != FaultEvent::Kind::kFailover &&
-           "failover events need the ReplicaGroup constructor");
-  }
   if (HasLinkChaos(plan_.link)) {
-    chaos_.push_back(std::make_unique<LinkChaos>(plan_.link, plan_.seed));
-    chaos_.back()->Install(&cluster_->wire());
+    chaos_ = std::make_unique<LinkChaos>(plan_.link, plan_.seed);
+    chaos_->Install(&cluster_->wire());
   }
   if (HasPartitions(plan_)) {
     assert(cluster_->config().detector.enabled &&
@@ -60,8 +55,8 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
     // The detector's heartbeat stream shares the chaos seed: a gray link
     // eats heartbeats with gray_heartbeat_drop_prob, keyed by (seed, link,
     // tick) — a pure function, so detector epochs replay exactly.
-    if (!chaos_.empty()) {
-      LinkChaos* chaos = chaos_.back().get();
+    if (chaos_ != nullptr) {
+      LinkChaos* chaos = chaos_.get();
       cluster_->failure_detector()->set_heartbeat_loss(
           [chaos](NodeId src, NodeId dst, uint64_t tick, SimTime now) {
             return chaos->HeartbeatDropped(src, dst, tick, now);
@@ -74,31 +69,12 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
       engine::Cluster* cluster = cluster_;
       const SimTime until =
           plan_.link.gray_until_us +
-          static_cast<SimTime>(cluster_->config().detector.miss_threshold +
-                               cluster_->config().detector.confirm_threshold +
-                               2) *
-              cluster_->config().detector.heartbeat_period_us;
+          static_cast<SimTime>(engine::kMissThreshold +
+                               engine::kConfirmThreshold + 2) *
+              engine::kHeartbeatPeriodUs;
       cluster_->simulator().Schedule(
           plan_.link.gray_from_us,
           [cluster, until] { cluster->ArmDetector(until); });
-    }
-  }
-}
-
-FaultInjector::FaultInjector(engine::ReplicaGroup* group,
-                             const FaultPlan& plan)
-    : group_(group), plan_(plan) {
-  for (const FaultEvent& e : plan_.events) {
-    (void)e;
-    assert(e.kind == FaultEvent::Kind::kFailover &&
-           "crash/rejoin events need the single-cluster constructor");
-  }
-  if (HasLinkChaos(plan_.link)) {
-    // One independently seeded fabric per replica (each is its own DC).
-    for (int r = 0; r < group_->num_replicas(); ++r) {
-      chaos_.push_back(std::make_unique<LinkChaos>(
-          plan_.link, Mix64(plan_.seed ^ (static_cast<uint64_t>(r) + 1))));
-      chaos_.back()->Install(&group_->replica(r).wire());
     }
   }
 }
@@ -111,35 +87,25 @@ FaultInjector::MapFactory RangeMapFactory(const ClusterConfig& config) {
   };
 }
 
-SimTime FaultInjector::Now() const {
-  return cluster_ != nullptr
-             ? cluster_->Now()
-             : group_->replica(group_->primary_index()).Now();
-}
-
 void FaultInjector::AdvanceTo(SimTime t) {
-  if (cluster_ != nullptr) {
-    // While a deferred checkpoint refresh is armed, step in metrics
-    // windows so a quiescent gap between submission waves is noticed and
-    // snapshotted instead of being leapt over in one RunUntil call.
-    if (refresh_pending_) {
-      const SimTime window =
-          std::max<SimTime>(1, cluster_->metrics().window_us());
-      while (refresh_pending_ && cluster_->Now() < t) {
-        const SimTime next =
-            std::min(t, ((cluster_->Now() / window) + 1) * window);
-        cluster_->RunUntil(next);
-        MaybeRefreshCheckpoint();
-      }
+  // While a deferred checkpoint refresh is armed, step in metrics windows
+  // so a quiescent gap between submission waves is noticed and
+  // snapshotted instead of being leapt over in one RunUntil call.
+  if (refresh_pending_) {
+    const SimTime window =
+        std::max<SimTime>(1, cluster_->metrics().window_us());
+    while (refresh_pending_ && cluster_->Now() < t) {
+      const SimTime next =
+          std::min(t, ((cluster_->Now() / window) + 1) * window);
+      cluster_->RunUntil(next);
+      MaybeRefreshCheckpoint();
     }
-    if (cluster_->Now() < t) cluster_->RunUntil(t);
-  } else {
-    if (Now() < t) group_->RunUntil(t);
   }
+  if (cluster_->Now() < t) cluster_->RunUntil(t);
 }
 
 void FaultInjector::MaybeRefreshCheckpoint() {
-  if (!refresh_pending_ || cluster_ == nullptr) return;
+  if (!refresh_pending_) return;
   if (down_node_ != kInvalidNode) return;
   // Quiescent means nothing in flight and no scheduled event. With intake
   // unpaused that also implies no pending submissions (a pending
@@ -171,24 +137,19 @@ SimTime FaultInjector::Drain() {
     Apply(event);
     ++next_event_;
   }
-  if (cluster_ != nullptr) {
-    const SimTime t = cluster_->Drain();
-    MaybeRefreshCheckpoint();
-    if (monitor_ != nullptr && (had_partition_ || plan_.link.has_gray())) {
-      // Subsumes the degraded oracle: the partition check delegates to it
-      // whenever the run recorded membership transitions (detector fired
-      // or scripted no-stall crashes rode along).
-      monitor_->CheckPartitionOracle(*cluster_, cluster_->kind(),
-                                     map_factory_,
-                                     "post-drain partition oracle");
-    } else if (monitor_ != nullptr && had_no_stall_) {
-      monitor_->CheckDegradedOracle(*cluster_, cluster_->kind(), map_factory_,
-                                    "post-drain degraded oracle");
-    }
-    return t;
+  const SimTime t = cluster_->Drain();
+  MaybeRefreshCheckpoint();
+  if (monitor_ != nullptr && (had_partition_ || plan_.link.has_gray())) {
+    // Subsumes the degraded oracle: the partition check delegates to it
+    // whenever the run recorded membership transitions (detector fired or
+    // scripted no-stall crashes rode along).
+    monitor_->CheckPartitionOracle(*cluster_, cluster_->kind(), map_factory_,
+                                   "post-drain partition oracle");
+  } else if (monitor_ != nullptr && had_no_stall_) {
+    monitor_->CheckDegradedOracle(*cluster_, cluster_->kind(), map_factory_,
+                                  "post-drain degraded oracle");
   }
-  group_->Drain();
-  return Now();
+  return t;
 }
 
 void FaultInjector::Apply(const FaultEvent& event) {
@@ -206,9 +167,6 @@ void FaultInjector::Apply(const FaultEvent& event) {
     case FaultEvent::Kind::kCrashNoStall:
       ApplyCrashNoStall(event);
       break;
-    case FaultEvent::Kind::kFailover:
-      ApplyFailover();
-      break;
     case FaultEvent::Kind::kPartitionStart:
       ApplyPartitionStart(event);
       break;
@@ -219,7 +177,7 @@ void FaultInjector::Apply(const FaultEvent& event) {
 }
 
 void FaultInjector::RunMonitor(const char* what) {
-  if (monitor_ == nullptr || cluster_ == nullptr) return;
+  if (monitor_ == nullptr) return;
   char context[64];
   std::snprintf(context, sizeof(context), "%s t=%llu", what,
                 static_cast<unsigned long long>(Now()));
@@ -335,7 +293,7 @@ void FaultInjector::ApplyRejoinNoStall(const FaultEvent& event) {
     if (b.id >= checkpoint_.next_batch) ++stats.replayed_batches;
   }
   stats.replay_us = static_cast<SimTime>(stats.replayed_batches) *
-                    cluster_->config().degraded.replay_us_per_batch;
+                    engine::kReplayUsPerBatch;
   AdvanceTo(stats.rejoin_at + stats.replay_us);
   stats.resumed_at = Now();
 
@@ -348,11 +306,6 @@ void FaultInjector::ApplyRejoinNoStall(const FaultEvent& event) {
   refresh_pending_ = true;
   MaybeRefreshCheckpoint();
   RunMonitor("rejoin-nostall");
-}
-
-void FaultInjector::ApplyFailover() {
-  group_->FailoverNow();
-  ++failovers_applied_;
 }
 
 void FaultInjector::ApplyPartitionStart(const FaultEvent& event) {

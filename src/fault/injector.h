@@ -8,7 +8,6 @@
 
 #include "common/types.h"
 #include "engine/cluster.h"
-#include "engine/replication.h"
 #include "fault/fault_plan.h"
 #include "fault/invariant_monitor.h"
 #include "fault/link_chaos.h"
@@ -50,7 +49,7 @@ struct PartitionStats {
   uint64_t held_released = 0;  ///< messages parked during this cut
 };
 
-/// Drives a Cluster (or ReplicaGroup) through a FaultPlan in virtual time.
+/// Drives a Cluster through a FaultPlan in virtual time.
 ///
 /// Crash model — stall-and-rebuild: this prototype hosts exactly one
 /// partition per node with no intra-group partition replication (replicas
@@ -73,10 +72,7 @@ struct PartitionStats {
 ///      UNDO-aborted and retried on a deterministic backoff, and the
 ///      matching kRejoin charges the background replay cost before the
 ///      node serves again (no drain, no intake pause at any point).
-///   4. kFailover (ReplicaGroup mode): the primary dies mid-flight with NO
-///      drain; a standby is promoted on the already-fanned-out batch
-///      stream (ReplicaGroup::FailoverNow).
-///   5. kPartitionStart/kPartitionHeal (DESIGN.md §5 "Partitions & failure
+///   4. kPartitionStart/kPartitionHeal (DESIGN.md §5 "Partitions & failure
 ///      detection"): the victim's links are cut in the network's
 ///      reachability matrix (two-sided or one-way per the event's mode);
 ///      payloads sent into the cut park in per-link FIFO pens and release
@@ -99,17 +95,10 @@ class FaultInjector {
   using MapFactory =
       std::function<std::unique_ptr<partition::PartitionMap>()>;
 
-  /// Single-cluster mode (kCrash/kRejoin events; kFailover events are
-  /// rejected). The cluster must be Load()ed and idle: the constructor
-  /// takes the initial checkpoint recovery rebuilds from.
+  /// The cluster must be Load()ed and idle: the constructor takes the
+  /// initial checkpoint recovery rebuilds from.
   FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
                 MapFactory map_factory);
-
-  /// Replica-group mode (kFailover events; kCrash/kRejoin are rejected —
-  /// intra-replica node crashes are a single-cluster concern). Installs an
-  /// independently seeded LinkChaos per replica (each replica is its own
-  /// data center with its own fabric).
-  FaultInjector(engine::ReplicaGroup* group, const FaultPlan& plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -121,22 +110,21 @@ class FaultInjector {
   void RunUntil(SimTime deadline);
 
   /// Applies any remaining events (a crashed node is always rejoined so
-  /// the run ends whole), then drains the cluster/group.
+  /// the run ends whole), then drains the cluster.
   SimTime Drain();
 
   /// Runs the monitor's record-singularity check at every whole-state
   /// point: after a crash's drain (before the store is discarded) and
-  /// after a rejoin's rebuild. Single-cluster mode only.
+  /// after a rejoin's rebuild.
   void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
 
-  SimTime Now() const;
+  SimTime Now() const { return cluster_->Now(); }
   const std::vector<RecoveryStats>& recoveries() const { return recoveries_; }
   const std::vector<PartitionStats>& partitions() const { return partitions_; }
-  int failovers_applied() const { return failovers_applied_; }
   size_t events_applied() const { return next_event_; }
   const FaultPlan& plan() const { return plan_; }
 
-  /// Deferred-refresh observability (single-cluster mode).
+  /// Deferred-refresh observability.
   bool refresh_pending() const { return refresh_pending_; }
   int checkpoint_refreshes() const { return checkpoint_refreshes_; }
   /// First batch the next replay would have to process: a refreshed
@@ -150,17 +138,15 @@ class FaultInjector {
   void ApplyRejoin(const FaultEvent& event);
   void ApplyCrashNoStall(const FaultEvent& event);
   void ApplyRejoinNoStall(const FaultEvent& event);
-  void ApplyFailover();
   void ApplyPartitionStart(const FaultEvent& event);
   void ApplyPartitionHeal(const FaultEvent& event);
   void AdvanceTo(SimTime t);
   void MaybeRefreshCheckpoint();
 
-  engine::Cluster* cluster_ = nullptr;
-  engine::ReplicaGroup* group_ = nullptr;
+  engine::Cluster* cluster_;
   FaultPlan plan_;
   MapFactory map_factory_;
-  std::vector<std::unique_ptr<LinkChaos>> chaos_;
+  std::unique_ptr<LinkChaos> chaos_;
   storage::Checkpoint checkpoint_;
   InvariantMonitor* monitor_ = nullptr;
 
@@ -169,7 +155,6 @@ class FaultInjector {
   bool down_no_stall_ = false;
   SimTime drained_at_ = 0;
   std::vector<RecoveryStats> recoveries_;
-  int failovers_applied_ = 0;
   /// Deferred checkpoint refresh (degraded mode): a no-stall rejoin under
   /// load has no quiescent point to snapshot at, so the refresh is armed
   /// and retaken at the next quiescent window instead of silently keeping
@@ -178,7 +163,7 @@ class FaultInjector {
   int checkpoint_refreshes_ = 0;
   bool had_no_stall_ = false;
 
-  // --- Partition state (single-cluster mode). ---
+  // --- Partition state. ---
   NodeId partitioned_node_ = kInvalidNode;
   uint64_t held_at_cut_ = 0;  ///< Wire::total_held() when the cut landed
   std::vector<PartitionStats> partitions_;

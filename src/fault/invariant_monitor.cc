@@ -227,22 +227,4 @@ bool InvariantMonitor::CheckReplicaCoherence(engine::Cluster& cluster,
   return failures_.size() == before;
 }
 
-bool InvariantMonitor::CheckReplicaChecksums(engine::ReplicaGroup& group,
-                                             const std::string& context) {
-  const size_t before = failures_.size();
-  if (!group.ReplicasConsistent()) {
-    char buf[256];
-    std::string detail;
-    for (int r = 0; r < group.num_replicas(); ++r) {
-      if (!group.alive(r)) continue;
-      std::snprintf(buf, sizeof(buf), " replica%d=%016llx", r,
-                    static_cast<unsigned long long>(
-                        group.replica(r).StateChecksum()));
-      detail += buf;
-    }
-    Fail("[" + context + "] replica checksums diverged:" + detail);
-  }
-  return failures_.size() == before;
-}
-
 }  // namespace hermes::fault

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "engine/cluster.h"
-#include "engine/replication.h"
 #include "partition/partition_map.h"
 
 namespace hermes::fault {
@@ -69,10 +68,6 @@ class InvariantMonitor {
   bool CheckDegradedOracle(engine::Cluster& live, engine::RouterKind kind,
                            const MapFactory& map_factory,
                            const std::string& context);
-
-  /// All live replicas hold bit-identical stores (call after Drain()).
-  bool CheckReplicaChecksums(engine::ReplicaGroup& group,
-                             const std::string& context);
 
   /// Replica-lease coherence (DESIGN.md §5 "Replica leases"): every copy
   /// the lease manager holds matches its primary record bit-for-bit

@@ -92,14 +92,4 @@ std::string ChromeTraceJson(const Tracer& tracer, int lanes) {
   return out;
 }
 
-bool WriteChromeTrace(const Tracer& tracer, const std::string& path,
-                      int lanes) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = ChromeTraceJson(tracer, lanes);
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  return written == json.size() && closed;
-}
-
 }  // namespace hermes::obs

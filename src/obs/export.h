@@ -19,10 +19,6 @@ namespace hermes::obs {
 /// HERMES_HASH_SALT values whenever the trace digest matches.
 std::string ChromeTraceJson(const Tracer& tracer, int lanes = 4);
 
-/// Writes ChromeTraceJson(tracer) to `path`. Returns false on I/O error.
-bool WriteChromeTrace(const Tracer& tracer, const std::string& path,
-                      int lanes = 4);
-
 }  // namespace hermes::obs
 
 #endif  // HERMES_OBS_EXPORT_H_

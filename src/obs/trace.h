@@ -122,6 +122,10 @@ struct TraceRing {
   size_t head_ = 0;  ///< oldest element once the ring wrapped
 };
 
+/// Events each per-node ring holds before it overwrites the oldest (and
+/// counts the drop). The cluster configures every tracer with it.
+inline constexpr size_t kTraceRingCapacity = 1 << 15;
+
 /// Deterministic structured tracer over virtual time.
 ///
 /// Strictly passive: components write events in, nothing in `src/` reads
@@ -203,7 +207,7 @@ class Tracer {
   std::function<SimTime()> now_;
   bool enabled_ = false;
   Key mirror_key_ = kNoMirror;
-  size_t ring_capacity_ = 1 << 15;
+  size_t ring_capacity_ = kTraceRingCapacity;
   std::vector<TraceRing> rings_;
 };
 

@@ -102,13 +102,21 @@ NodeId Router::MajorityOwner(const TxnRequest& txn) const {
   return best;
 }
 
+namespace {
+
+/// Scheduler cost per transaction-pair interaction in a batch: the
+/// quadratic term that makes oversized batches clog the scheduler,
+/// reproducing the Fig. 10 trade-off.
+constexpr double kRouteQuadraticUs = 0.04;
+
+}  // namespace
+
 SimTime Router::LinearCost(size_t batch_size) const {
   return costs_->route_linear_us * batch_size;
 }
 
 SimTime Router::AnalysisCost(size_t batch_size) const {
-  const double quad = costs_->route_quadratic_us *
-                      static_cast<double>(batch_size) *
+  const double quad = kRouteQuadraticUs * static_cast<double>(batch_size) *
                       static_cast<double>(batch_size);
   return LinearCost(batch_size) + static_cast<SimTime>(std::llround(quad));
 }

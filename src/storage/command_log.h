@@ -15,7 +15,7 @@ namespace hermes::storage {
 /// the (deterministic) router and executors from a checkpoint reproduces
 /// the exact post-crash state, including fusion-table contents and
 /// in-flight cold migrations. The prototype keeps the log in memory; the
-/// cost model charges log_entry_us per transaction for persistence.
+/// scheduler charges kLogEntryUs per transaction for persistence.
 class CommandLog {
  public:
   CommandLog() = default;

@@ -281,20 +281,20 @@ TEST(DegradedModeTest, ShippedRecordTowardVictimIsReclaimed) {
   const ClusterConfig config = oracle::DegradedConfig();
   InvariantMonitor monitor(config.num_records);
   const VictimRun run = CrashShippedRecordDestination(
-      config.degraded.reclaim_timeout_us * 4, &monitor);
+      engine::kReclaimTimeoutUs * 4, &monitor);
   ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
   EXPECT_GT(run.reclaims, 0u);
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
 TEST(DegradedModeTest, ShippedRecordTowardVictimLandsWhenItRejoinsFirst) {
-  // The victim rejoins before reclaim_timeout_us: the suppressed shipment
+  // The victim rejoins before kReclaimTimeoutUs: the suppressed shipment
   // stays in flight toward it, and the rejoin flush lands the record at
   // its destination, so no reclaim ever fires.
   const ClusterConfig config = oracle::DegradedConfig();
   InvariantMonitor monitor(config.num_records);
   const VictimRun run = CrashShippedRecordDestination(
-      config.degraded.reclaim_timeout_us / 2, &monitor);
+      engine::kReclaimTimeoutUs / 2, &monitor);
   ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
   EXPECT_EQ(run.in_flight_to_before_rejoin, run.victim);
   EXPECT_NE(run.debug_before_rejoin.find("SUPPRESSED"), std::string::npos)

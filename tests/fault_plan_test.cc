@@ -129,19 +129,6 @@ TEST(FaultPlanTest, NoStallFlagOnlyChangesEventKinds) {
       << b.DebugString();
 }
 
-TEST(FaultPlanTest, FailoverLandsMidRun) {
-  FaultPlanConfig config = BaseConfig();
-  config.crash_cycles = 0;
-  config.inject_failover = true;
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    const FaultPlan plan = FaultPlan::Generate(config, seed);
-    ASSERT_EQ(plan.events.size(), 1u);
-    EXPECT_EQ(plan.events[0].kind, FaultEvent::Kind::kFailover);
-    EXPECT_GE(plan.events[0].at, config.horizon_us / 5);
-    EXPECT_LT(plan.events[0].at, 4 * config.horizon_us / 5);
-  }
-}
-
 TEST(FaultPlanTest, LinkConfigCarriedThrough) {
   FaultPlanConfig config = BaseConfig();
   config.link.drop_prob = 0.05;

@@ -253,7 +253,7 @@ uint64_t ReferenceHermesRouter::PlaceSegment(
       return added;
     };
 
-    for (int delta = 1; delta <= config().max_delta; ++delta) {
+    for (int delta = 1; delta <= kMaxDelta; ++delta) {
       bool still_over = false;
       for (int step = 0; step < static_cast<int>(b); ++step) {
         const int p = config().backward_pass ? static_cast<int>(b) - 1 - step

@@ -19,8 +19,8 @@ using engine::RouterKind;
 using fault::RangeMapFactory;
 
 // The detector alone — no injector, no workload: a hand-built cut must
-// convert into membership epochs after exactly miss_threshold heartbeats,
-// and the heal must restore membership after confirm_threshold clean
+// convert into membership epochs after exactly kMissThreshold heartbeats,
+// and the heal must restore membership after kConfirmThreshold clean
 // rounds. Timing is pure virtual arithmetic, so the expectations are
 // exact.
 TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
@@ -36,17 +36,17 @@ TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
   EXPECT_TRUE(cluster.failure_detector()->armed());
   EXPECT_TRUE(cluster.membership().alive(2));
 
-  // miss_threshold ticks in, node 2 leaves the primary component.
-  const SimTime period = config.detector.heartbeat_period_us;
-  cluster.RunUntil(period * config.detector.miss_threshold + 1);
+  // kMissThreshold ticks in, node 2 leaves the primary component.
+  const SimTime period = engine::kHeartbeatPeriodUs;
+  cluster.RunUntil(period * engine::kMissThreshold + 1);
   EXPECT_FALSE(cluster.membership().alive(2));
   EXPECT_EQ(cluster.failure_detector()->suspects(), 1u);
   EXPECT_EQ(cluster.failure_detector()->suspected().count(2), 1u);
 
   cluster.PartitionHeal(2);
-  // confirm_threshold clean rounds later the node is restored.
+  // kConfirmThreshold clean rounds later the node is restored.
   cluster.RunUntil(cluster.Now() +
-                   period * (config.detector.confirm_threshold + 1) + 1);
+                   period * (engine::kConfirmThreshold + 1) + 1);
   EXPECT_TRUE(cluster.membership().alive(2));
   EXPECT_EQ(cluster.failure_detector()->restores(), 1u);
   EXPECT_TRUE(cluster.failure_detector()->suspected().empty());
@@ -68,13 +68,13 @@ TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
   EXPECT_TRUE(cluster.wire().reachable(1, 0));
   EXPECT_FALSE(cluster.wire().reachable(0, 1));
 
-  const SimTime period = config.detector.heartbeat_period_us;
-  cluster.RunUntil(period * config.detector.miss_threshold + 1);
+  const SimTime period = engine::kHeartbeatPeriodUs;
+  cluster.RunUntil(period * engine::kMissThreshold + 1);
   EXPECT_FALSE(cluster.membership().alive(1));
 
   cluster.PartitionHeal(1);
   cluster.RunUntil(cluster.Now() +
-                   period * (config.detector.confirm_threshold + 1) + 1);
+                   period * (engine::kConfirmThreshold + 1) + 1);
   EXPECT_TRUE(cluster.membership().alive(1));
   cluster.Drain();
 }

@@ -1,12 +1,14 @@
-// Tests for deterministic replication (§2.1): standby replicas fed the
-// primary's totally ordered batch stream converge to identical state, and
-// failover promotes a standby without losing the total order.
+// Tests for deterministic replication (§2.1): a standby fed the primary's
+// totally ordered input is a command-log replay. A cluster rebuilt by
+// RecoverCluster from the primary's base checkpoint and command log holds
+// the primary's exact state, and once RestoreSequencerCounters continues
+// the total order it serves in the failed primary's place.
 
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "engine/replication.h"
+#include "engine/recovery.h"
 #include "partition/partition_map.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
@@ -15,7 +17,6 @@ namespace hermes {
 namespace {
 
 using engine::Cluster;
-using engine::ReplicaGroup;
 using engine::RouterKind;
 
 ClusterConfig SmallConfig() {
@@ -26,106 +27,152 @@ ClusterConfig SmallConfig() {
   return config;
 }
 
-ReplicaGroup::MapFactory RangeFactory(const ClusterConfig& config) {
-  const uint64_t records = config.num_records;
-  const int nodes = config.num_nodes;
-  return [records, nodes] {
-    return std::make_unique<partition::RangePartitionMap>(records, nodes);
-  };
+std::unique_ptr<partition::PartitionMap> RangeMap(const ClusterConfig& config) {
+  return std::make_unique<partition::RangePartitionMap>(config.num_records,
+                                                        config.num_nodes);
+}
+
+std::unique_ptr<Cluster> LoadedCluster(const ClusterConfig& config,
+                                       RouterKind kind) {
+  auto cluster = std::make_unique<Cluster>(config, kind, RangeMap(config));
+  cluster->Load();
+  return cluster;
+}
+
+workload::YcsbWorkload Ycsb(const ClusterConfig& config, uint64_t seed) {
+  workload::YcsbConfig wl;
+  wl.num_records = config.num_records;
+  wl.num_partitions = config.num_nodes;
+  wl.seed = seed;
+  return workload::YcsbWorkload(wl, nullptr);
+}
+
+/// The standby of `primary`, ready to take over: the base checkpoint
+/// replayed with every batch the primary sequenced, its sequencer
+/// continuing after the last of them.
+std::unique_ptr<Cluster> Standby(const Cluster& primary,
+                                 const storage::Checkpoint& base) {
+  std::unique_ptr<Cluster> standby = engine::RecoverCluster(
+      primary.config(), primary.kind(), RangeMap(primary.config()), base,
+      primary.command_log());
+  const Batch& last = primary.command_log().batches().back();
+  standby->RestoreSequencerCounters(last.id + 1, last.txns.back().id + 1);
+  return standby;
 }
 
 TEST(ReplicationTest, StandbyConvergesToPrimaryState) {
   const ClusterConfig config = SmallConfig();
-  ReplicaGroup group(config, RouterKind::kHermes, RangeFactory(config), 2);
-  group.Load();
+  std::unique_ptr<Cluster> primary = LoadedCluster(config, RouterKind::kHermes);
+  const storage::Checkpoint base = primary->TakeCheckpoint();
 
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 101;
-  workload::YcsbWorkload gen(wl, nullptr);
+  workload::YcsbWorkload gen = Ycsb(config, 101);
   workload::ClosedLoopDriver driver(
-      &group.replica(0), 16,
-      [&gen](int, SimTime now) { return gen.Next(now); });
+      primary.get(), 16, [&gen](int, SimTime now) { return gen.Next(now); });
   driver.set_stop_time(SecToSim(1));
   driver.Start();
-  group.RunUntil(SecToSim(1));
-  group.Drain();
+  primary->RunUntil(SecToSim(1));
+  primary->Drain();
 
-  EXPECT_GT(group.replica(0).metrics().total_commits(), 100u);
-  // The standby executed the same stream...
-  EXPECT_EQ(group.replica(1).metrics().total_commits(),
-            group.replica(0).metrics().total_commits());
-  // ...and holds bit-identical state.
-  EXPECT_TRUE(group.ReplicasConsistent());
+  const std::unique_ptr<Cluster> standby = Standby(*primary, base);
+  EXPECT_GT(primary->metrics().total_commits(), 100u);
+  // The standby executed the same stream and holds bit-identical state.
+  EXPECT_EQ(standby->metrics().total_commits(),
+            primary->metrics().total_commits());
+  EXPECT_EQ(standby->StateChecksum(), primary->StateChecksum());
 }
 
 TEST(ReplicationTest, FailoverContinuesService) {
   const ClusterConfig config = SmallConfig();
-  ReplicaGroup group(config, RouterKind::kHermes, RangeFactory(config), 2);
-  group.Load();
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 103;
-  workload::YcsbWorkload gen(wl, nullptr);
+  std::unique_ptr<Cluster> primary = LoadedCluster(config, RouterKind::kHermes);
+  const storage::Checkpoint base = primary->TakeCheckpoint();
+  workload::YcsbWorkload gen = Ycsb(config, 103);
 
   // Phase 1 on the original primary.
-  for (int i = 0; i < 50; ++i) group.Submit(gen.Next(0));
-  group.RunUntil(MsToSim(300));
-  group.Drain();
-
-  const int new_primary = group.Failover();
-  EXPECT_EQ(new_primary, 1);
-  EXPECT_EQ(group.primary_index(), 1);
+  for (int i = 0; i < 50; ++i) primary->Submit(gen.Next(0));
+  primary->RunUntil(MsToSim(300));
+  primary->Drain();
 
   // Phase 2 on the promoted standby: service continues.
+  const std::unique_ptr<Cluster> standby = Standby(*primary, base);
   uint64_t committed = 0;
   for (int i = 0; i < 50; ++i) {
-    group.Submit(gen.Next(group.replica(1).Now()),
-                 [&committed](const engine::TxnResult&) { ++committed; });
+    standby->Submit(gen.Next(standby->Now()),
+                    [&committed](const engine::TxnResult&) { ++committed; });
   }
-  group.RunUntil(group.replica(1).Now() + MsToSim(500));
-  group.Drain();
+  standby->RunUntil(standby->Now() + MsToSim(500));
+  standby->Drain();
   EXPECT_EQ(committed, 50u);
-  EXPECT_EQ(group.replica(1).metrics().total_commits(), 100u);
+  EXPECT_EQ(standby->metrics().total_commits(), 100u);
 }
 
 TEST(ReplicationTest, ThreeReplicasAllConverge) {
   const ClusterConfig config = SmallConfig();
-  ReplicaGroup group(config, RouterKind::kLeap, RangeFactory(config), 3);
-  group.Load();
+  std::unique_ptr<Cluster> primary = LoadedCluster(config, RouterKind::kLeap);
+  const storage::Checkpoint base = primary->TakeCheckpoint();
+  workload::YcsbWorkload gen = Ycsb(config, 107);
+  for (int i = 0; i < 200; ++i) primary->Submit(gen.Next(0));
+  primary->RunUntil(SecToSim(1));
+  primary->Drain();
 
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 107;
-  workload::YcsbWorkload gen(wl, nullptr);
-  for (int i = 0; i < 200; ++i) group.Submit(gen.Next(0));
-  group.RunUntil(SecToSim(1));
-  group.Drain();
-
-  EXPECT_TRUE(group.ReplicasConsistent());
-  EXPECT_EQ(group.replica(2).metrics().total_commits(), 200u);
+  // The third copy replays the second's log, as a standby of a standby.
+  const std::unique_ptr<Cluster> second = Standby(*primary, base);
+  const std::unique_ptr<Cluster> third = Standby(*second, base);
+  EXPECT_EQ(second->StateChecksum(), primary->StateChecksum());
+  EXPECT_EQ(third->StateChecksum(), primary->StateChecksum());
+  EXPECT_EQ(third->metrics().total_commits(), 200u);
 }
 
 TEST(ReplicationTest, FailoverPreservesDataState) {
   const ClusterConfig config = SmallConfig();
-  ReplicaGroup group(config, RouterKind::kHermes, RangeFactory(config), 2);
-  group.Load();
+  std::unique_ptr<Cluster> primary = LoadedCluster(config, RouterKind::kHermes);
+  const storage::Checkpoint base = primary->TakeCheckpoint();
 
   TxnRequest txn;
   txn.read_set = {1, 9999};
   txn.write_set = {1, 9999};
-  group.Submit(txn);
-  group.RunUntil(MsToSim(100));
-  group.Drain();
-  const uint64_t before = group.replica(0).StateChecksum();
+  primary->Submit(txn);
+  primary->RunUntil(MsToSim(100));
+  primary->Drain();
 
-  group.Failover();
-  // The promoted replica holds exactly the failed primary's state.
-  EXPECT_EQ(group.replica(1).StateChecksum(), before);
+  // The promoted standby holds exactly the failed primary's state.
+  EXPECT_EQ(Standby(*primary, base)->StateChecksum(),
+            primary->StateChecksum());
+}
+
+TEST(ReplicationTest, MidFlightFailoverLosesNoSequencedTransaction) {
+  ClusterConfig config;
+  config.num_nodes = 4;
+  config.num_records = 8'000;
+  config.hermes.fusion_table_capacity = 300;
+  std::unique_ptr<Cluster> primary = LoadedCluster(config, RouterKind::kHermes);
+  const storage::Checkpoint base = primary->TakeCheckpoint();
+  workload::YcsbWorkload gen = Ycsb(config, 31337);
+
+  // The primary dies at t=22ms, 1.6ms after a large burst is sequenced
+  // (epoch cut at 20ms + 400us total order), while the batch is still
+  // mid-pipeline (routing, logging, execution): it never finishes it.
+  primary->RunUntil(MsToSim(19));
+  for (int i = 0; i < 400; ++i) primary->Submit(gen.Next(MsToSim(19)));
+  primary->RunUntil(MsToSim(22));
+  EXPECT_LT(primary->metrics().total_commits(), 400u);
+
+  // The batch was logged when it was sequenced, so the standby replays
+  // all 400 and then serves 30 more.
+  const std::unique_ptr<Cluster> standby = Standby(*primary, base);
+  EXPECT_EQ(standby->metrics().total_commits(), 400u);
+  uint64_t committed = 0;
+  for (int i = 0; i < 30; ++i) {
+    standby->Submit(gen.Next(standby->Now()),
+                    [&committed](const engine::TxnResult&) { ++committed; });
+  }
+  standby->Drain();
+  EXPECT_EQ(committed, 30u);
+  EXPECT_EQ(standby->metrics().total_commits(), 430u);
+
+  // A standby of the promoted standby holds the same state.
+  const std::unique_ptr<Cluster> next = Standby(*standby, base);
+  EXPECT_EQ(next->metrics().total_commits(), 430u);
+  EXPECT_EQ(next->StateChecksum(), standby->StateChecksum());
 }
 
 }  // namespace

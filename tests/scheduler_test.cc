@@ -23,7 +23,7 @@ class SchedulerTest : public ::testing::Test {
         metrics_(SecToSim(1)),
         wire_(&sim_, &config_.costs, &config_.net, 2),
         executor_(&sim_, &wire_, &metrics_, &config_.costs, &nodes_),
-        scheduler_(&sim_, &router_, &executor_, &log_, &config_,
+        scheduler_(&sim_, &router_, &executor_, &log_,
                    [](const TxnRequest&) { return nullptr; }) {
     config_.costs.route_linear_us = 50;
     for (NodeId i = 0; i < 2; ++i) {

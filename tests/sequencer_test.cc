@@ -68,6 +68,11 @@ TEST(SequencerTest, MaxBatchSizeSplitsBacklog) {
   EXPECT_EQ(batches[0].txns.size(), 3u);
   EXPECT_EQ(batches[1].txns.size(), 3u);
   EXPECT_EQ(batches[2].txns.size(), 1u);
+  // The cuts keep arrival order across the queue's compaction.
+  TxnId next = 0;
+  for (const Batch& b : batches) {
+    for (const TxnRequest& t : b.txns) EXPECT_EQ(t.id, next++);
+  }
 }
 
 TEST(SequencerTest, IdleSequencerSchedulesNothing) {
