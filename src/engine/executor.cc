@@ -93,20 +93,17 @@ void TxnExecutor::RetireActive(TxnId id) {
   std::unique_ptr<Active> shell = actives_.Take(id);
   assert(shell != nullptr);
   // Reset every field, releasing the plan, the client callback and any
-  // stalled continuations; the small per-node, per-master, write-key and
-  // owned-index buffers keep their capacity.
+  // stalled steps; the small per-node, write-key and owned-index buffers
+  // keep their capacity.
   Active& a = *shell;
   std::vector<NodeState> nodes = std::move(a.nodes);
-  std::vector<MasterState> masters = std::move(a.masters);
   std::vector<Key> write_keys = std::move(a.write_keys);
   std::vector<uint32_t> owned = std::move(a.owned);
   a = Active{};
   nodes.clear();
-  masters.clear();
   write_keys.clear();
   owned.clear();
   a.nodes = std::move(nodes);
-  a.masters = std::move(masters);
   a.write_keys = std::move(write_keys);
   a.owned = std::move(owned);
   HERMES_POISON_SHELL(shell.get());
@@ -120,16 +117,9 @@ TxnExecutor::NodeState* TxnExecutor::StateFor(Active& a, NodeId node) {
   return nullptr;
 }
 
-TxnExecutor::MasterState* TxnExecutor::MasterFor(Active& a, NodeId node) {
-  for (auto& m : a.masters) {
-    if (m.node == node) return &m;
-  }
-  return nullptr;
-}
-
 bool TxnExecutor::IsMaster(const Active& a, NodeId node) {
-  for (const auto& m : a.masters) {
-    if (m.node == node) return true;
+  for (NodeId m : a.plan.masters) {
+    if (m == node) return true;
   }
   return false;
 }
@@ -167,7 +157,6 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
   a.write_keys.assign(a.plan.txn.write_set.begin(),
                       a.plan.txn.write_set.end());
   SortUnique(a.write_keys);
-  for (NodeId m : a.plan.masters) a.masters.push_back(MasterState{m});
 
   // Migration fence: a record moving to a master that will write it is
   // exclusively locked at the destination until commit, so transactions
@@ -189,7 +178,7 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
       any_fence = true;
     }
   }
-  for (const auto& m : a.masters) SortedEntry(a.nodes, m.node).is_master = true;
+  for (NodeId m : a.plan.masters) SortedEntry(a.nodes, m).is_master = true;
   uint32_t owned_at = 0;
   for (NodeState& state : a.nodes) {
     state.owned_begin = owned_at;
@@ -220,15 +209,12 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
       }
       // Read copy (including reads whose record migrates to a non-master,
       // e.g. a return-migration home): one message per remote master.
-      for (const auto& m : a.masters) {
-        if (m.node != node) targets.push_back(m.node);
+      for (NodeId m : a.plan.masters) {
+        if (m != node) targets.push_back(m);
       }
     }
     SortUnique(targets);
-    for (NodeId t : targets) {
-      MasterState* m = MasterFor(a, t);
-      if (m != nullptr) ++m->pending_messages;
-    }
+    for (NodeId t : targets) ++StateFor(a, t)->pending_messages;
     const std::span<const uint32_t> owned = OwnedOf(a, state);
     if (std::any_of(owned.begin(), owned.end(), [&](uint32_t i) {
           return Ships(a, accesses[i], node);
@@ -283,57 +269,67 @@ void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
 void TxnExecutor::ProcessGrants(NodeId node,
                                 const std::vector<TxnId>& granted) {
   for (TxnId t : granted) {
-    if (Active* a = Live(t)) OnNodeGranted(*a, node);
+    if (Active* a = Live(t)) Run(*a, node, Phase::kGrant);
   }
 }
 
 bool TxnExecutor::Ships(const Active& a, const Access& acc, NodeId node) {
   const bool migrates = acc.new_owner != kInvalidNode && acc.new_owner != node;
   const bool copies = acc.ship_to_master &&
-                      (a.masters.size() > 1 || a.masters[0].node != node);
+                      (a.plan.masters.size() > 1 || a.plan.masters[0] != node);
   return migrates || copies;
 }
 
-void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
-  NodeState* state = StateFor(a, node);
-  assert(state != nullptr && !state->granted);
-  if (NodeDead(node)) {
-    // Grant reached a dead node (its previous lock holder committed or
-    // was aborted): the transaction cannot make progress here. Leave it
-    // ungranted and stalled; rejoin re-drives the grant from the top, or
-    // the watchdog reclassifies it first.
-    const TxnId id = a.plan.txn.id;
-    FreezeStalled(a, node, [this, id, node]() {
-      if (Active* act = Live(id)) OnNodeGranted(*act, node);
-    });
+void TxnExecutor::Run(Active& a, NodeId node, Phase phase) {
+  if (phase != Phase::kCommit && NodeDead(node)) {
+    // The node died before this step: the transaction cannot progress
+    // here. Nothing of the step has happened (a send phase extracts its
+    // records all at once, below), so rejoin re-runs it from the top, or
+    // the watchdog reclassifies the transaction first. A grant stays
+    // ungranted; a master re-tests its readiness.
+    FreezeStalled(a, node, phase);
     return;
   }
-  state->granted = true;
-  state->grant_time = sim_->Now();
+  NodeState& state = *StateFor(a, node);
+  switch (phase) {
+    case Phase::kGrant:
+      return OnGranted(a, state);
+    case Phase::kRead:
+      return StartParticipant(a, state);
+    case Phase::kShip:
+      return FinishParticipant(a, state);
+    case Phase::kMasterReady:
+      return CheckMasterReady(a, state);
+    case Phase::kCommit:
+      return CommitMaster(a, state);
+  }
+}
+
+void TxnExecutor::OnGranted(Active& a, NodeState& state) {
+  assert(!state.granted);
+  const NodeId node = state.node;
+  state.granted = true;
+  state.grant_time = sim_->Now();
 
   // Participant side: ship records once they are physically present.
   const std::vector<Access>& accesses = a.plan.accesses;
   const TxnId id = a.plan.txn.id;
   std::vector<Key> needed = key_pool_.Take();
-  for (uint32_t i : OwnedOf(a, *state)) {
+  for (uint32_t i : OwnedOf(a, state)) {
     if (Ships(a, accesses[i], node)) needed.push_back(accesses[i].key);
   }
   if (!needed.empty()) {
     SortUnique(needed);
-    WaitPresence(node, needed, [this, id, node]() {
-      if (Active* act = Live(id)) StartParticipant(*act, node);
-    });
+    WaitPresence(node, needed, Resume(id, node, Phase::kRead));
   }
   key_pool_.Give(std::move(needed));
 
-  // Master side: check local presence, then readiness. Replica reads wait
-  // on the lease copy instead of the primary store (the primary lives
-  // elsewhere); both waits share one countdown so local_present flips
-  // exactly once.
-  if (MasterFor(a, node) == nullptr) return;
+  // Master side: wait for the local records, and for the lease copies of
+  // replica reads (the primary lives elsewhere), then check readiness.
+  if (!state.is_master) return;
   std::vector<Key> local = key_pool_.Take();
   std::vector<Key> replica = key_pool_.Take();
-  for (uint32_t i : OwnedOf(a, *state)) {
+  for (uint32_t i : OwnedOf(a, state)) {
     const Access& acc = accesses[i];
     if (acc.replica_read && lease_mgr_ != nullptr) {
       replica.push_back(acc.key);
@@ -345,54 +341,34 @@ void TxnExecutor::OnNodeGranted(Active& a, NodeId node) {
   auto present = [this, id, node]() {
     Active* act = Live(id);
     if (act == nullptr) return;
-    MasterState* ms = MasterFor(*act, node);
-    ms->local_present = true;
-    CheckMasterReady(*act, *ms);
+    if (--StateFor(*act, node)->presence_waits == 0) {
+      Run(*act, node, Phase::kMasterReady);
+    }
   };
-  if (replica.empty()) {
-    WaitPresence(node, local, present);
-  } else {
+  state.presence_waits = replica.empty() ? 1 : 2;
+  if (!replica.empty()) {
     SortUnique(replica);
-    const uint32_t both = countdowns_.Start(2, present);
-    lease_mgr_->WaitCopies(node, replica, countdowns_.Waiter(both));
-    WaitPresence(node, local, countdowns_.Waiter(both));
+    lease_mgr_->WaitCopies(node, replica, present);
   }
+  WaitPresence(node, local, present);
   key_pool_.Give(std::move(local));
   key_pool_.Give(std::move(replica));
 }
 
-void TxnExecutor::StartParticipant(Active& a, NodeId node) {
-  if (NodeDead(node)) {  // died between grant and record presence
-    const TxnId stall_id = a.plan.txn.id;
-    FreezeStalled(a, node, [this, stall_id, node]() {
-      if (Active* act = Live(stall_id)) StartParticipant(*act, node);
-    });
-    return;
-  }
+void TxnExecutor::StartParticipant(Active& a, NodeState& state) {
   // Local storage reads for everything this node ships, on a worker.
-  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, node));
+  const NodeId node = state.node;
+  const std::span<const uint32_t> owned = OwnedOf(a, state);
   const auto ops = static_cast<size_t>(
       std::count_if(owned.begin(), owned.end(), [&](uint32_t i) {
         return Ships(a, a.plan.accesses[i], node);
       }));
-  const TxnId id = a.plan.txn.id;
-  NodeAt(node).workers().Submit(
-      costs_->storage_op_us * ops, [this, id, node]() {
-        if (Active* act = Live(id)) FinishParticipant(*act, node);
-      });
+  NodeAt(node).workers().Submit(costs_->storage_op_us * ops,
+                                Resume(a.plan.txn.id, node, Phase::kShip));
 }
 
-void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
-  if (NodeDead(node)) {  // died while the send phase ran on a worker
-    // Nothing shipped yet (extraction happens below, all at once), so the
-    // resumed machine re-runs the whole send phase safely.
-    const TxnId stall_id = a.plan.txn.id;
-    FreezeStalled(a, node, [this, stall_id, node]() {
-      if (Active* act = Live(stall_id)) FinishParticipant(*act, node);
-    });
-    return;
-  }
-  const NodeState* state = StateFor(a, node);
+void TxnExecutor::FinishParticipant(Active& a, NodeState& state) {
+  const NodeId node = state.node;
   Node& src = NodeAt(node);
   const std::vector<Access>& accesses = a.plan.accesses;
 
@@ -402,7 +378,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   // Sorted by destination node.
   std::vector<std::pair<NodeId, Shipment>> shipments = shipment_pool_.Take();
 
-  for (uint32_t i : OwnedOf(a, *state)) {
+  for (uint32_t i : OwnedOf(a, state)) {
     const Access& acc = accesses[i];
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
@@ -412,14 +388,14 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
     // Read copy to every remote master (for records migrating to a
     // non-master destination, the copy and the move are separate
     // messages).
-    for (const auto& m : a.masters) {
-      if (m.node == node) continue;
-      Shipment& s = SortedEntry(shipments, m.node);
+    for (NodeId m : a.plan.masters) {
+      if (m == node) continue;
+      Shipment& s = SortedEntry(shipments, m);
       s.bytes += costs_->record_bytes;
       s.to_master = true;
     }
   }
-  for (uint32_t i : OwnedOf(a, *state)) {
+  for (uint32_t i : OwnedOf(a, state)) {
     const Access& acc = accesses[i];
     const bool migrates =
         acc.new_owner != kInvalidNode && acc.new_owner != node;
@@ -455,13 +431,11 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
       key_pool_.Give(std::move(moves));
       Active* act = Live(id);
       if (act == nullptr || (to & 1) == 0) return;
-      MasterState* m = MasterFor(*act, to_node);
-      if (m != nullptr) {
-        assert(m->pending_messages > 0);
-        --m->pending_messages;
-        ++m->messages_received;
-        CheckMasterReady(*act, *m);
-      }
+      NodeState& m = *StateFor(*act, to_node);
+      assert(m.is_master && m.pending_messages > 0);
+      --m.pending_messages;
+      ++m.messages_received;
+      Run(*act, to_node, Phase::kMasterReady);
     };
     static_assert(sizeof(deliver) <= sim::Callback::kInlineBytes);
     net_->Send(node, dest, shipment.bytes, ship_cls, std::move(deliver));
@@ -473,7 +447,7 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   // lane; the shared bookkeeping (metrics, participant counter, possible
   // completion) rides the epoch barrier at the same virtual time.
   std::vector<TxnId> granted = granted_pool_.Take();
-  if (!state->is_master) {
+  if (!state.is_master) {
     src.locks().Release(id, &granted);
   }
   sim_->Defer([this, id, migrated]() {
@@ -487,42 +461,20 @@ void TxnExecutor::FinishParticipant(Active& a, NodeId node) {
   granted_pool_.Give(std::move(granted));
 }
 
-void TxnExecutor::CheckMasterReady(Active& a, MasterState& m) {
-  if (NodeDead(m.node)) {
-    // The master died before starting. (A master that already started
-    // races the crash: its worker completion still commits — the rebuilt
-    // store replays that commit, so the detached-in-place image matches.)
-    // Re-checking readiness at rejoin is idempotent: started/granted/
-    // presence/pending are all re-tested.
-    const TxnId id = a.plan.txn.id;
-    const NodeId node = m.node;
-    FreezeStalled(a, node, [this, id, node]() {
-      Active* act = Live(id);
-      if (act == nullptr) return;
-      MasterState* ms = MasterFor(*act, node);
-      if (ms != nullptr) CheckMasterReady(*act, *ms);
-    });
+void TxnExecutor::CheckMasterReady(Active& a, NodeState& state) {
+  if (state.started || !state.granted || state.presence_waits > 0 ||
+      state.pending_messages > 0) {
     return;
   }
-  NodeState* state = StateFor(a, m.node);
-  if (m.started || !state->granted || !m.local_present ||
-      m.pending_messages > 0) {
-    return;
+  state.started = true;
+  const SimTime ready_time = sim_->Now();
+  if (ready_time > state.grant_time) {
+    a.remote_wait_us += ready_time - state.grant_time;
   }
-  m.started = true;
-  m.ready_time = sim_->Now();
-  if (m.ready_time > state->grant_time) {
-    m.remote_wait_us += m.ready_time - state->grant_time;
-  }
-  ExecuteMaster(a, m);
-}
-
-void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   // Execution cost: fixed logic + per-record logic + local storage ops.
-  const bool single_master = a.masters.size() == 1;
-  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, m.node));
+  const std::span<const uint32_t> owned = OwnedOf(a, state);
   size_t local_ops = owned.size();
-  if (single_master) {
+  if (a.plan.masters.size() == 1) {
     local_ops += a.write_keys.size();  // every write applies here
   } else {
     for (uint32_t i : owned) {
@@ -532,24 +484,20 @@ void TxnExecutor::ExecuteMaster(Active& a, MasterState& m) {
   const SimTime cost = costs_->txn_logic_us +
                        costs_->txn_logic_per_record_us * a.plan.txn.NumOps() +
                        costs_->storage_op_us * local_ops +
-                       costs_->msg_processing_us * m.messages_received;
-  m.exec_us += cost;
-  const TxnId id = a.plan.txn.id;
-  const NodeId node = m.node;
-  NodeAt(node).workers().Submit(cost, [this, id, node]() {
-    Active* act = Live(id);
-    if (act == nullptr) return;
-    CommitMaster(*act, *MasterFor(*act, node));
-  });
+                       costs_->msg_processing_us * state.messages_received;
+  a.exec_us += cost;
+  NodeAt(state.node).workers().Submit(
+      cost, Resume(a.plan.txn.id, state.node, Phase::kCommit));
 }
 
-void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
-  Node& node = NodeAt(m.node);
+void TxnExecutor::CommitMaster(Active& a, NodeState& state) {
+  const NodeId master_node = state.node;
+  Node& node = NodeAt(master_node);
   const TxnId id = a.plan.txn.id;
-  const bool single_master = a.masters.size() == 1;
+  const bool single_master = a.plan.masters.size() == 1;
   // A single master applies every write; with several, each write applies
   // at the master that owns its key.
-  const std::span<const uint32_t> owned = OwnedOf(a, *StateFor(a, m.node));
+  const std::span<const uint32_t> owned = OwnedOf(a, state);
   auto applies_here = [&](Key k) {
     return single_master ||
            std::any_of(owned.begin(), owned.end(), [&](uint32_t i) {
@@ -594,7 +542,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
       if (rec == nullptr) continue;
       const storage::Record snapshot = *rec;
       for (NodeId h : *holders) {
-        if (h == m.node) {
+        if (h == master_node) {
           // The primary migrated onto a holder: refresh its copy in place
           // (own lane, own shard), no network hop.
           lease_mgr_->ApplyCopy(h, k, snapshot, /*install=*/false, id);
@@ -616,7 +564,7 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
                                 /*install=*/false, id);
         };
         static_assert(sizeof(refresh) <= sim::Callback::kInlineBytes);
-        net_->Send(m.node, h, costs_->record_bytes, TrafficClass::kBulk,
+        net_->Send(master_node, h, costs_->record_bytes, TrafficClass::kBulk,
                    std::move(refresh));
       }
     }
@@ -625,8 +573,6 @@ void TxnExecutor::CommitMaster(Active& a, MasterState& m) {
 
   std::vector<TxnId> granted = granted_pool_.Take();
   node.locks().Release(id, &granted);
-  m.done = true;
-  const NodeId master_node = m.node;
   // The done-counter is shared across masters (different node lanes) and
   // the acknowledgment does cross-node work (return-shipment extracts),
   // so both run at the epoch barrier, at this same virtual time. The
@@ -641,7 +587,7 @@ void TxnExecutor::OnMasterDone(TxnId id) {
   if (live == nullptr) return;
   Active& a = *live;
   ++a.masters_done;
-  if (a.masters_done == static_cast<int>(a.masters.size())) {
+  if (a.masters_done == static_cast<int>(a.plan.masters.size())) {
     Acknowledge(a);
     MaybeComplete(a);  // may retire `a`
   }
@@ -696,23 +642,14 @@ void TxnExecutor::Acknowledge(Active& a) {
           : 0;
   // Lock wait: time from dispatch until the (last) master held its locks.
   SimTime lock_wait = 0;
-  for (const auto& m : a.masters) {
-    const NodeState* state = StateFor(a, m.node);
-    if (state != nullptr && state->grant_time > a.dispatch_time) {
-      lock_wait = std::max(lock_wait, state->grant_time - a.dispatch_time);
+  for (const NodeState& state : a.nodes) {
+    if (state.is_master && state.grant_time > a.dispatch_time) {
+      lock_wait = std::max(lock_wait, state.grant_time - a.dispatch_time);
     }
   }
   result.latency.lock_wait_us = lock_wait;
-  // Per-master contributions were accumulated on each master's own lane;
-  // summing here (exclusive context) reproduces the sequential totals.
-  SimTime remote_wait_us = 0;
-  SimTime exec_us = 0;
-  for (const auto& m : a.masters) {
-    remote_wait_us += m.remote_wait_us;
-    exec_us += m.exec_us;
-  }
-  result.latency.remote_wait_us = remote_wait_us;
-  result.latency.storage_us = exec_us;
+  result.latency.remote_wait_us = a.remote_wait_us;
+  result.latency.storage_us = a.exec_us;
 
   // Phase spans: the lifecycle timeline of §2.1, laid end to end from
   // submit time. Purely derived from the latency breakdown computed above.
@@ -773,14 +710,12 @@ std::string TxnExecutor::DebugString() const {
   std::string out;
   char buf[256];
   actives_.ForEach([&](TxnId id, const std::unique_ptr<Active>& a) {
-    size_t stalled = 0;
-    for (const auto& [node, thunks] : a->stalled) stalled += thunks.size();
     std::snprintf(buf, sizeof(buf),
                   "txn %llu kind=%d attempt=%u%s%s stalled=%zu:\n",
                   static_cast<unsigned long long>(id),
                   static_cast<int>(a->plan.txn.kind), a->plan.txn.attempt(),
                   a->plan.txn.retry_of() != kInvalidTxn ? " retry" : "",
-                  a->frozen ? " FROZEN" : "", stalled);
+                  a->frozen ? " FROZEN" : "", a->stalled.size());
     out += buf;
     for (const NodeState& st : a->nodes) {
       const NodeId node = st.node;
@@ -789,6 +724,12 @@ std::string TxnExecutor::DebugString() const {
                     node, st.granted, st.is_master, st.locks,
                     st.owned_end - st.owned_begin);
       out += buf;
+      if (st.is_master) {
+        std::snprintf(buf, sizeof(buf),
+                      "  master %d pending=%d waits=%d started=%d\n", node,
+                      st.pending_messages, st.presence_waits, st.started);
+        out += buf;
+      }
       for (uint32_t i : OwnedOf(*a, st)) {
         const Access& acc = a->plan.accesses[i];
         if ((*nodes_)[node]->store().Contains(acc.key)) continue;
@@ -801,20 +742,14 @@ std::string TxnExecutor::DebugString() const {
         out += buf;
       }
     }
-    for (const auto& m : a->masters) {
-      std::snprintf(buf, sizeof(buf),
-                    "  master %d pending=%d local=%d started=%d done=%d\n",
-                    m.node, m.pending_messages, m.local_present, m.started,
-                    m.done);
-      out += buf;
-    }
   });
-  for (size_t node = 0; node < presence_waiters_.size(); ++node) {
-    const PresenceShardMap& shard = presence_waiters_[node];
-    for (Key key : shard.SortedKeys()) {
+  for (size_t n = 0; n < presence_.num_nodes(); ++n) {
+    const auto node = static_cast<NodeId>(n);
+    for (Key key : presence_.Keys(node)) {
       std::snprintf(buf, sizeof(buf),
-                    "presence wait: node=%zu key=%llu (%zu)\n", node,
-                    static_cast<unsigned long long>(key), shard.at(key).size());
+                    "presence wait: node=%d key=%llu (%zu)\n", node,
+                    static_cast<unsigned long long>(key),
+                    presence_.Count(node, key));
       out += buf;
     }
   }
@@ -844,46 +779,17 @@ std::string TxnExecutor::DebugString() const {
   return out;
 }
 
-TxnExecutor::PresenceShardMap& TxnExecutor::PresenceShard(NodeId node) {
-  const size_t idx = static_cast<size_t>(node);
-  if (idx >= presence_waiters_.size()) {
-    // Grows on first touch of a new node's shard (nodes join at run time);
-    // callers hold a shard reference only until their next PresenceShard.
-    presence_waiters_.resize(nodes_->size() > idx + 1 ? nodes_->size()
-                                                      : idx + 1);
-  }
-  return presence_waiters_[idx];
-}
-
 void TxnExecutor::WaitPresence(NodeId node, std::span<const Key> keys,
                                sim::Callback ready) {
   const storage::RecordStore& store = NodeAt(node).store();
-  size_t missing = 0;
-  Key last_missing = 0;
-  for (Key k : keys) {
-    if (!store.Contains(k)) {
-      ++missing;
-      last_missing = k;
-    }
-  }
-  if (missing == 0) {
-    ready();
-    return;
-  }
-  PresenceShardMap& shard = PresenceShard(node);
-  if (missing == 1) {
-    shard[last_missing].push_back(std::move(ready));
-    return;
-  }
-  const uint32_t slot = countdowns_.Start(missing, std::move(ready));
-  for (Key k : keys) {
-    if (!store.Contains(k)) shard[k].push_back(countdowns_.Waiter(slot));
-  }
+  presence_.Wait(
+      node, keys, [&store](Key k) { return !store.Contains(k); },
+      std::move(ready));
 }
 
 void TxnExecutor::Freeze(Active& a) {
   // The frozen flag and the sorted watchdog index are shared across
-  // nodes; lane-side freezes (dead-node gates firing on the dead node's
+  // nodes; lane-side freezes (the dead-node gate firing on the dead node's
   // lane) land at the epoch barrier, same virtual time. Captured by id:
   // the transaction may complete at the same barrier.
   const TxnId id = a.plan.txn.id;
@@ -895,26 +801,22 @@ void TxnExecutor::Freeze(Active& a) {
   });
 }
 
-void TxnExecutor::FreezeStalled(Active& a, NodeId node,
-                                sim::Callback resume) {
-  // Same barrier discipline as Freeze(); additionally parks the abandoned
-  // continuation under the dead node so ResumeStalled can re-drive it.
+void TxnExecutor::FreezeStalled(Active& a, NodeId node, Phase phase) {
+  // Same barrier discipline as Freeze(); additionally records the stopped
+  // step so ResumeStalled can re-run it.
   const TxnId id = a.plan.txn.id;
-  // The resume continuation makes the closure too large to sit inline;
-  // freezes happen only while a node is down.
-  sim_->Defer(sim::Boxed(
-      [this, id, node, resume = std::move(resume)]() mutable {
-        Active* live = Live(id);
-        if (live == nullptr) return;
-        live->frozen = true;
-        frozen_ids_.insert(id);
-        live->stalled[node].push_back(std::move(resume));
-      }));
+  sim_->Defer([this, id, node, phase]() {
+    Active* live = Live(id);
+    if (live == nullptr) return;
+    live->frozen = true;
+    frozen_ids_.insert(id);
+    live->stalled.push_back(Stall{node, phase});
+  });
 }
 
 void TxnExecutor::ResumeStalled(NodeId node) {
   // Sorted snapshot: resume order is total regardless of hash salt, and
-  // a thunk may complete its transaction (erasing it from the live index)
+  // a step may complete its transaction (erasing it from the live index)
   // while later ids still wait their turn.
   const std::vector<TxnId> frozen(frozen_ids_.begin(), frozen_ids_.end());
   for (TxnId id : frozen) {
@@ -934,19 +836,25 @@ void TxnExecutor::ResumeStalled(NodeId node) {
     // The watchdog UNDO-aborts those (recorded, so replay flips them to
     // §4.2 user-aborts at the right log position).
     if (!a.acked) continue;
-    auto sit = a.stalled.find(node);
-    if (sit == a.stalled.end()) continue;
-    std::vector<sim::Callback> thunks = std::move(sit->second);
-    a.stalled.erase(sit);
+    // This node's steps move out, in freeze order: re-running one may
+    // freeze the transaction again, appending to `stalled`.
+    const auto mine = std::stable_partition(
+        a.stalled.begin(), a.stalled.end(),
+        [node](const Stall& st) { return st.node != node; });
+    if (mine == a.stalled.end()) continue;
+    const std::vector<Stall> steps(mine, a.stalled.end());
+    a.stalled.erase(mine, a.stalled.end());
     if (a.stalled.empty()) {
-      // No other dead gate holds this transaction; it either completes
-      // now or freezes again if a machine hits another down node.
+      // No other dead node holds this transaction; it either completes
+      // now or freezes again if a step hits another down node.
       a.frozen = false;
       frozen_ids_.erase(id);
     }
     HERMES_TRACE(tracer_, obs::EventKind::kTxnResume, node, id, kNoKey,
-                 thunks.size());
-    for (auto& t : thunks) t();  // may destroy the Active
+                 steps.size());
+    for (const Stall& st : steps) {
+      if (Active* live_now = Live(id)) Run(*live_now, node, st.phase);
+    }
   }
 }
 
@@ -1038,12 +946,7 @@ void TxnExecutor::DeliverRecord(NodeId node, Key key, NodeId from,
   }
   HERMES_TRACE(tracer_, obs::EventKind::kRecordDeliver, node, carrier, key);
   NodeAt(node).store().Land(key);
-  PresenceShardMap& shard = PresenceShard(node);
-  auto it = shard.find(key);
-  if (it == shard.end()) return;
-  std::vector<sim::Callback> waiters = std::move(it->second);
-  shard.erase(it);
-  for (auto& w : waiters) w();
+  for (sim::Callback& w : presence_.Take(node, key)) w();
 }
 
 void TxnExecutor::ReclaimSuppressed(Key key, TxnId carrier) {
@@ -1105,7 +1008,7 @@ void TxnExecutor::OnNodeUp(NodeId node) {
     suppressed_.erase(it);
     DeliverRecord(node, k, from, kInvalidTxn);
   }
-  // Then re-drive the machines the node's dead gates stalled. A stalled
+  // Then re-run the steps the dead-node gate stalled there. A stalled
   // participant may carry a planned migration whose ownership change is
   // already visible to routing — until the resumed send phase ships the
   // record, every toucher routed to the new owner presence-waits on it.
@@ -1181,7 +1084,7 @@ void TxnExecutor::AbortActive(Active& a) {
   // (in id order) so the sweep UNDO-aborts and records them; replay flips
   // them to §4.2 user-aborts at the same log position, where their writes
   // fold and roll back in serial order. Touchers at dead waypoints are
-  // already frozen by the dead-node gates; acknowledged touchers already
+  // already frozen by the dead-node gate; acknowledged touchers already
   // committed before the strand (the record cannot be both stranded and
   // present at their master).
   if (!stranded.empty()) {

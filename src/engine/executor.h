@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/config.h"
-#include "common/flat_map.h"
 #include "common/id_ring.h"
 #include "common/membership.h"
 #include "common/slot_pool.h"
@@ -25,6 +24,7 @@
 #include "replication/lease_manager.h"
 #include "routing/router.h"
 #include "sim/callback.h"
+#include "sim/key_waits.h"
 #include "sim/simulator.h"
 #include "txn/transaction.h"
 
@@ -108,7 +108,7 @@ class TxnExecutor {
       TxnRequest txn, CommitCallback cb, std::vector<Key> stranded)>;
 
   /// Installs the degraded-mode wiring. `membership` drives the
-  /// dead-node gates (null = every node alive, all gates inert);
+  /// dead-node gate (null = every node alive, the gate inert);
   /// `ledger` records watchdog/reclaim/reship bookkeeping.
   void EnableDegraded(const MembershipView* membership,
                       DegradedLedger* ledger, DegradedAbortHandler on_abort);
@@ -121,7 +121,7 @@ class TxnExecutor {
 
   /// Flushes records that were suppressed mid-flight toward `node` while
   /// it was down (their delivery resumes now; pending reclaim timers
-  /// no-op), then resumes machines stalled at the node's dead gates.
+  /// no-op), then re-runs the steps the dead-node gate stalled there.
   /// Called by the cluster at rejoin, before reconciliation.
   void OnNodeUp(NodeId node);
 
@@ -147,9 +147,9 @@ class TxnExecutor {
   /// Transaction-state shells parked in the free list, ready for reuse.
   size_t idle_shells() const { return idle_shells_.size(); }
 
-  /// Presence waits on several keys (or on a replica copy and local
-  /// records) still counting down; none once the simulator drains.
-  size_t pending_countdowns() const { return countdowns_.size(); }
+  /// Presence waits on several keys still counting down; none once the
+  /// simulator drains.
+  size_t pending_countdowns() const { return presence_.pending_countdowns(); }
 
   uint64_t committed() const { return committed_; }
   uint64_t aborted() const { return aborted_; }
@@ -165,31 +165,38 @@ class TxnExecutor {
   std::string DebugString() const;
 
  private:
+  /// The steps of one involved node's machine (§2.1). Participants go
+  /// kGrant → kRead → kShip: once their locks are granted and the records
+  /// they ship are present, they read them on a worker, then ship and
+  /// release. Masters go kGrant → kMasterReady → kCommit: once their locks
+  /// are granted, their own records (or lease copies) are present and
+  /// every shipment has arrived, they execute on a worker, then commit. A
+  /// node that is both runs both.
+  enum class Phase : uint8_t { kGrant, kRead, kShip, kMasterReady, kCommit };
+
   /// One involved node's slice of a transaction: it took `locks`
   /// deduplicated lock requests at dispatch, and the accesses it owns are
-  /// `Active::owned[owned_begin, owned_end)`.
+  /// `Active::owned[owned_begin, owned_end)`. The master fields stay zero
+  /// at a node that is not a master.
   struct NodeState {
     NodeId node = kInvalidNode;
     uint32_t locks = 0;
     uint32_t owned_begin = 0;
     uint32_t owned_end = 0;
+    uint16_t pending_messages = 0;   ///< remote shipments not yet arrived
+    uint16_t messages_received = 0;  ///< shipments processed (costs CPU)
+    /// Presence waits not yet fired: the local records, plus the lease
+    /// copies when the master has replica reads.
+    uint8_t presence_waits = 0;
     bool is_master = false;
     bool granted = false;
+    bool started = false;
     SimTime grant_time = 0;
   };
-  struct MasterState {
+  /// A step abandoned at a dead node, re-run when the node rejoins.
+  struct Stall {
     NodeId node;
-    int pending_messages = 0;   ///< remote shipments not yet arrived
-    int messages_received = 0;  ///< shipments processed (costs CPU)
-    bool local_present = false;
-    bool started = false;
-    bool done = false;
-    SimTime ready_time = 0;
-    /// Latency contributions accumulated on this master's node lane;
-    /// summed across masters by Acknowledge() (exclusive context), so no
-    /// two lanes ever write one field.
-    SimTime remote_wait_us = 0;
-    SimTime exec_us = 0;
+    Phase phase;
   };
   /// One transaction's state from Dispatch to completion. A pooled shell:
   /// completion hands it back to `idle_shells_` (see RetireActive). Its
@@ -200,27 +207,31 @@ class TxnExecutor {
     CommitCallback on_commit;
     SimTime dispatch_time = 0;
     std::vector<NodeState> nodes;  ///< sorted by node id
-    std::vector<MasterState> masters;
     std::vector<Key> write_keys;  ///< plan.txn.write_set, sorted and unique
     /// Indices into plan.accesses, grouped by owner in `nodes` order (plan
     /// order within a node). Keeps its capacity across shell reuse.
     std::vector<uint32_t> owned;
     int masters_done = 0;
+    /// Latency summed over the masters (their lanes run one at a time).
+    SimTime remote_wait_us = 0;
+    SimTime exec_us = 0;
     /// Participant send phases not yet completed. The client ack does not
     /// wait for them (an eviction migrates after the transaction returns,
     /// §4.1), but the transaction state must outlive them.
     int participants_pending = 0;
     bool acked = false;
     bool distributed = false;
-    /// Set when a dead-node gate suppressed this transaction's progress:
-    /// it cannot complete on its own until the node rejoins (the stalled
-    /// machine resumes then) or the watchdog UNDO-aborts it first.
+    /// Set when a dead node holds this transaction up (the gate stopped
+    /// a step, its shipment toward a dead node was suppressed, or a key
+    /// it touches was stranded): it cannot complete on its own until the
+    /// node rejoins (stalled steps re-run then) or the watchdog
+    /// UNDO-aborts it first.
     bool frozen = false;
-    /// Per-node continuations abandoned at a dead-node gate, re-driven in
-    /// sorted txn order when that node rejoins. A node can stall both the
-    /// participant and the master machine, hence the vector (insertion
-    /// order — the deterministic event order the freezes fired in).
-    std::map<NodeId, std::vector<sim::Callback>> stalled;
+    /// Steps abandoned at the dead-node gate, in the deterministic order
+    /// the freezes fired in; a node's steps are re-run, in sorted txn
+    /// order, when it rejoins. A node can stall both its participant and
+    /// its master step.
+    std::vector<Stall> stalled;
   };
   /// One participant message under construction: keys of the records
   /// moving to the destination (a `key_pool_` vector, given back when the
@@ -239,7 +250,6 @@ class TxnExecutor {
     return nodes_->front()->store().table();
   }
   NodeState* StateFor(Active& a, NodeId node);
-  MasterState* MasterFor(Active& a, NodeId node);
   static bool IsMaster(const Active& a, NodeId node);
   /// The indices into `a.plan.accesses` that `state`'s node owns.
   static std::span<const uint32_t> OwnedOf(const Active& a,
@@ -263,12 +273,30 @@ class TxnExecutor {
     return a != nullptr ? a->get() : nullptr;
   }
 
-  void OnNodeGranted(Active& a, NodeId node);
-  void StartParticipant(Active& a, NodeId node);
-  void FinishParticipant(Active& a, NodeId node);
-  void CheckMasterReady(Active& a, MasterState& m);
-  void ExecuteMaster(Active& a, MasterState& m);
-  void CommitMaster(Active& a, MasterState& m);
+  /// The one entry point of every per-node step. A node that is down runs
+  /// no step but kCommit (a master that started before the crash still
+  /// commits: the rebuilt store replays that commit): the step is parked
+  /// in `stalled` and the transaction frozen instead.
+  void Run(Active& a, NodeId node, Phase phase);
+  /// A callback that runs `phase` at `node` if transaction `id` is still
+  /// in flight.
+  sim::Callback Resume(TxnId id, NodeId node, Phase phase) {
+    return [this, id, node, phase]() {
+      if (Active* a = Live(id)) Run(*a, node, phase);
+    };
+  }
+  /// kGrant: waits for the records to ship and, at a master, for its own
+  /// records and lease copies.
+  void OnGranted(Active& a, NodeState& state);
+  /// kRead: reads the records to ship on a worker.
+  void StartParticipant(Active& a, NodeState& state);
+  /// kShip: ships read copies and moved records, then releases the locks
+  /// of a node that is not a master (early release).
+  void FinishParticipant(Active& a, NodeState& state);
+  /// kMasterReady: starts executing on a worker once everything arrived.
+  void CheckMasterReady(Active& a, NodeState& state);
+  /// kCommit: applies the writes, fans out lease refreshes, releases.
+  void CommitMaster(Active& a, NodeState& state);
   /// Barrier-side tail of CommitMaster: bumps masters_done and, once every
   /// master committed, acknowledges. Runs in exclusive context (Defer) —
   /// masters commit on their own node lanes, so the shared counter and the
@@ -289,12 +317,11 @@ class TxnExecutor {
   /// Defers to the epoch barrier when called lane-side (the flag and the
   /// sorted index are shared across nodes).
   void Freeze(Active& a);
-  /// Freeze() plus a resume continuation: the gate that fired records
-  /// exactly where the per-node machine stalled so ResumeStalled can
-  /// re-drive it at rejoin. Defers like Freeze().
-  void FreezeStalled(Active& a, NodeId node, sim::Callback resume);
-  /// Re-drives every machine stalled at `node`'s dead gates, in sorted
-  /// txn order, and unfreezes transactions with no remaining stalls.
+  /// Freeze() plus the step the dead-node gate stopped, so ResumeStalled
+  /// can re-run it at rejoin. Defers like Freeze().
+  void FreezeStalled(Active& a, NodeId node, Phase phase);
+  /// Re-runs every step stalled at `node`, in sorted txn order, and
+  /// unfreezes transactions with no remaining stalls.
   /// Touches cross-node per-txn state — exclusive context only (runs
   /// inside the rejoin transition, live and replay).
   void ResumeStalled(NodeId node);
@@ -353,7 +380,7 @@ class TxnExecutor {
   /// and returns.
   IdRing<std::unique_ptr<Active>> actives_;
   /// Retired shells, reset but keeping the capacity of their `nodes`,
-  /// `masters`, `write_keys` and `owned`. Poisoned under ASan while parked.
+  /// `write_keys` and `owned`. Poisoned under ASan while parked.
   std::vector<std::unique_ptr<Active>> idle_shells_;
 
   /// One client acknowledgment on its network hop, parked in `acks_`
@@ -369,9 +396,6 @@ class TxnExecutor {
   /// Ack event body: completes the latency breakdown, records the commit
   /// and runs the client callback.
   void DeliverAck(uint32_t slot);
-  /// WaitPresence's countdowns over several missing keys, and a master's
-  /// wait on both its replica copies and its local records.
-  sim::Countdowns countdowns_;
 
   /// Per-event scratch. A call takes a buffer out by move and gives it
   /// back when done, so a nested call simply gets a fresh vector. Dispatch
@@ -384,11 +408,8 @@ class TxnExecutor {
   VectorPool<std::pair<NodeId, Shipment>> shipment_pool_;
   VectorPool<std::pair<NodeId, uint64_t>> work_pool_;
 
-  using PresenceShardMap = FlatMap<Key, std::vector<sim::Callback>>;
-  /// Presence waiters, sharded per node: shard `n` is touched only by node
-  /// n's lane (or the exclusive slice). Grown on first use.
-  std::vector<PresenceShardMap> presence_waiters_;
-  PresenceShardMap& PresenceShard(NodeId node);
+  /// Record presence waiters, per node; DeliverRecord wakes them.
+  sim::KeyWaits presence_;
 
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;

@@ -39,16 +39,6 @@ void LeaseManager::Revoke(Key key, NodeId holder) {
   DropCopy(holder, key);
 }
 
-std::vector<sim::Callback> LeaseManager::TakeWaiters(NodeId node, Key key) {
-  if (static_cast<size_t>(node) >= shards_.size()) return {};
-  NodeShard& shard = Shard(node);
-  const auto wit = shard.copy_waiters.find(key);
-  if (wit == shard.copy_waiters.end()) return {};
-  std::vector<sim::Callback> list = std::move(wit->second);
-  shard.copy_waiters.erase(wit);
-  return list;
-}
-
 void LeaseManager::LapseAll() {
   // Each shard's waiters, in key order; woken shard by shard once every
   // lease is gone.
@@ -58,7 +48,7 @@ void LeaseManager::LapseAll() {
       ++lapses_;
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/1);
-      for (sim::Callback& w : TakeWaiters(holder, key)) {
+      for (sim::Callback& w : waits_.Take(holder, key)) {
         woken[static_cast<size_t>(holder)].push_back(std::move(w));
       }
     }
@@ -66,7 +56,7 @@ void LeaseManager::LapseAll() {
   holders_.clear();
   leased_keys_.clear();
   for (size_t node = 0; node < shards_.size(); ++node) {
-    assert(shards_[node].copy_waiters.empty());
+    assert(waits_.Keys(static_cast<NodeId>(node)).empty());
     shards_[node].copy_records.clear();
     for (sim::Callback& w : woken[node]) w();
   }
@@ -75,7 +65,7 @@ void LeaseManager::LapseAll() {
 void LeaseManager::DropCopy(NodeId node, Key key) {
   if (static_cast<size_t>(node) >= shards_.size()) return;
   Shard(node).copy_records.erase(key);
-  for (sim::Callback& w : TakeWaiters(node, key)) w();
+  for (sim::Callback& w : waits_.Take(node, key)) w();
 }
 
 bool LeaseManager::Holds(Key key, NodeId node) const {
@@ -101,7 +91,7 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
                install ? obs::EventKind::kReplicaInstall
                        : obs::EventKind::kReplicaUpdate,
                node, txn, key, /*arg=*/record.version);
-  for (sim::Callback& w : TakeWaiters(node, key)) w();
+  for (sim::Callback& w : waits_.Take(node, key)) w();
 }
 
 bool LeaseManager::CopyPresent(NodeId node, Key key) const {
@@ -116,29 +106,13 @@ const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
 
 void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
                               sim::Callback ready) {
-  NodeShard& shard = Shard(node);
+  const NodeShard& shard = Shard(node);
   // An unleased key never blocks: the lease was revoked after routing, and
   // the read proceeds as a plain local read.
-  const auto missing = [&](Key k) {
-    return !shard.copy_records.contains(k) && Holds(k, node);
-  };
-  size_t count = 0;
-  Key only = 0;
-  for (Key k : keys) {
-    if (missing(k) && count++ == 0) only = k;
-  }
-  if (count == 0) {
-    ready();
-    return;
-  }
-  if (count == 1) {
-    shard.copy_waiters[only].push_back(std::move(ready));
-    return;
-  }
-  const uint32_t slot = countdowns_.Start(count, std::move(ready));
-  for (Key k : keys) {
-    if (missing(k)) shard.copy_waiters[k].push_back(countdowns_.Waiter(slot));
-  }
+  waits_.Wait(
+      node, keys,
+      [&](Key k) { return !shard.copy_records.contains(k) && Holds(k, node); },
+      std::move(ready));
 }
 
 uint64_t LeaseManager::Checksum() const {
@@ -225,11 +199,11 @@ std::string LeaseManager::DebugString() const {
       out += buf;
     }
     for (Key key : leased_keys_) {
-      const auto it = shard.copy_waiters.find(key);
-      if (it == shard.copy_waiters.end()) continue;
+      const size_t waiting = waits_.Count(static_cast<NodeId>(node), key);
+      if (waiting == 0) continue;
       std::snprintf(buf, sizeof(buf),
                     "copy wait: node=%zu key=%llu (%zu)\n", node,
-                    static_cast<unsigned long long>(key), it->second.size());
+                    static_cast<unsigned long long>(key), waiting);
       out += buf;
     }
   }

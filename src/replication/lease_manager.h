@@ -11,6 +11,7 @@
 #include "common/types.h"
 #include "obs/trace.h"
 #include "sim/callback.h"
+#include "sim/key_waits.h"
 #include "storage/record_store.h"
 
 namespace hermes::replication {
@@ -34,9 +35,9 @@ namespace hermes::replication {
 ///    and read lane-side (commit fan-out, ApplyCopy's
 ///    staleness check) — the epoch barrier serializes writers, the same
 ///    pattern the executor uses for its in-flight table.
-///  - Each per-node shard (copies + waiters) is touched only by that
-///    node's lane (ApplyCopy, WaitCopies, CopyPresent) or by exclusive
-///    context; those never overlap.
+///  - Each node's copies and copy waiters are touched only by that node's
+///    lane (ApplyCopy, WaitCopies, CopyPresent) or by exclusive context;
+///    those never overlap.
 ///
 /// Storage: every per-key table is a salted FlatMap used for point lookups
 /// only. Ordered walks (lapse traces and wake order, snapshots, checksums,
@@ -114,7 +115,7 @@ class LeaseManager {
 
   /// Copy waits on several keys still counting down; none once the
   /// simulator drains.
-  size_t pending_countdowns() const { return countdowns_.size(); }
+  size_t pending_countdowns() const { return waits_.pending_countdowns(); }
 
   /// Sorted diagnostic: leases, copies and outstanding copy-waiters.
   std::string DebugString() const;
@@ -125,8 +126,6 @@ class LeaseManager {
   struct NodeShard {
     /// key -> this node's copy (point lookups; see the class comment).
     FlatMap<Key, storage::Record> copy_records;
-    /// key -> masters parked until the copy lands, in arrival order.
-    FlatMap<Key, std::vector<sim::Callback>> copy_waiters;
     uint64_t installs = 0;
     uint64_t updates = 0;
   };
@@ -139,18 +138,14 @@ class LeaseManager {
   void DropCopy(NodeId node, Key key);
   /// True iff `node` is a registered holder of `key`.
   bool Holds(Key key, NodeId node) const;
-  /// Removes and returns `node`'s waiters on `key` (empty when none).
-  /// Callers wake them only after the removal: a woken master may
-  /// re-enter WaitCopies on the same shard.
-  std::vector<sim::Callback> TakeWaiters(NodeId node, Key key);
 
   /// key -> sorted holder node ids. Exclusive-written, lane-read.
   FlatMap<Key, std::vector<NodeId>> holders_;
   /// The keys of holders_, in key order.
   std::set<Key> leased_keys_;
   std::vector<NodeShard> shards_;
-  /// WaitCopies' countdowns over several missing copies.
-  sim::Countdowns countdowns_;
+  /// Masters parked until a copy lands, per node and key.
+  sim::KeyWaits waits_;
   uint64_t revokes_ = 0;
   uint64_t lapses_ = 0;
   obs::Tracer* tracer_ = nullptr;

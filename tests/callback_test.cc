@@ -3,10 +3,13 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "sim/key_waits.h"
 
 namespace hermes::sim {
 namespace {
@@ -155,6 +158,113 @@ TEST(CallbackTest, WrapsStdFunctionAndStartsEmpty) {
   EXPECT_FALSE(static_cast<bool>(empty));
   Callback null = nullptr;
   EXPECT_FALSE(static_cast<bool>(null));
+}
+
+/// Makes every key Take()n present, the way a record landing does before
+/// its waiters run.
+struct Presence {
+  KeyWaits& waits;
+  std::set<std::pair<NodeId, Key>> present;
+
+  void Wait(NodeId node, std::vector<Key> keys, Callback ready) {
+    waits.Wait(node, keys,
+               [&](Key k) { return !present.contains({node, k}); },
+               std::move(ready));
+  }
+  /// Lands `key` at `node` and runs its waiters; returns how many ran.
+  size_t Land(NodeId node, Key key) {
+    present.insert({node, key});
+    std::vector<Callback> woken = waits.Take(node, key);
+    for (Callback& w : woken) w();
+    return woken.size();
+  }
+};
+
+TEST(KeyWaitsTest, WakesInArrivalOrder) {
+  KeyWaits waits;
+  Presence p{waits, {}};
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    p.Wait(1, {7}, [&order, i] { order.push_back(i); });
+  }
+  p.Wait(2, {7}, [&order] { order.push_back(99); });  // another node
+  EXPECT_EQ(waits.Count(1, 7), 4u);
+  EXPECT_EQ(waits.Keys(1), (std::vector<Key>{7}));
+  EXPECT_EQ(p.Land(1, 7), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_TRUE(waits.Keys(1).empty());
+  EXPECT_EQ(waits.Count(2, 7), 1u);
+}
+
+TEST(KeyWaitsTest, ZeroOneAndSeveralMissingKeys) {
+  KeyWaits waits;
+  Presence p{waits, {}};
+  p.present.insert({0, 1});
+  int ready = 0;
+
+  // Nothing missing: runs at once and parks nothing.
+  p.Wait(0, {1}, [&ready] { ++ready; });
+  EXPECT_EQ(ready, 1);
+  EXPECT_EQ(waits.num_nodes(), 0u);
+  EXPECT_EQ(waits.pending_countdowns(), 0u);
+
+  // One missing key (the present one does not count): no countdown.
+  p.Wait(0, {1, 2}, [&ready] { ++ready; });
+  EXPECT_EQ(waits.pending_countdowns(), 0u);
+  EXPECT_EQ(waits.Keys(0), (std::vector<Key>{2}));
+  p.Land(0, 2);
+  EXPECT_EQ(ready, 2);
+
+  // Several missing keys share one countdown, which runs on the last.
+  p.Wait(0, {3, 4, 5}, [&ready] { ++ready; });
+  EXPECT_EQ(waits.pending_countdowns(), 1u);
+  EXPECT_EQ(waits.Keys(0), (std::vector<Key>{3, 4, 5}));
+  p.Land(0, 5);
+  p.Land(0, 3);
+  EXPECT_EQ(ready, 2);
+  p.Land(0, 4);
+  EXPECT_EQ(ready, 3);
+  EXPECT_EQ(waits.pending_countdowns(), 0u);
+}
+
+TEST(KeyWaitsTest, WokenWaiterWaitsAgainOnItsShard) {
+  KeyWaits waits;
+  Presence p{waits, {}};
+  std::vector<int> order;
+  // The first waiter parks a new wait on the same node while its own wake
+  // list runs; that wait is not woken by the same landing.
+  p.Wait(3, {10}, [&] {
+    order.push_back(1);
+    p.Wait(3, {11, 12}, [&order] { order.push_back(3); });
+    p.Wait(3, {10}, [&order] { order.push_back(4); });  // present: runs now
+  });
+  p.Wait(3, {10}, [&order] { order.push_back(2); });
+  EXPECT_EQ(p.Land(3, 10), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 2}));
+  EXPECT_EQ(waits.pending_countdowns(), 1u);
+  p.Land(3, 11);
+  p.Land(3, 12);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 3}));
+  EXPECT_EQ(waits.pending_countdowns(), 0u);
+}
+
+TEST(KeyWaitsTest, UnseenNodeHasNoWaiters) {
+  KeyWaits waits;
+  EXPECT_TRUE(waits.Take(5, 1).empty());
+  EXPECT_TRUE(waits.Keys(5).empty());
+  EXPECT_EQ(waits.Count(5, 1), 0u);
+  EXPECT_EQ(waits.num_nodes(), 0u);
+  // A wait on a high node grows the shards; a lower node stays empty.
+  int ready = 0;
+  waits.Wait(4, std::vector<Key>{9}, [](Key) { return true; },
+             [&ready] { ++ready; });
+  EXPECT_EQ(waits.num_nodes(), 5u);
+  EXPECT_TRUE(waits.Take(2, 9).empty());
+  std::vector<Callback> woken = waits.Take(4, 9);
+  ASSERT_EQ(woken.size(), 1u);
+  woken[0]();
+  EXPECT_EQ(ready, 1);
+  EXPECT_TRUE(waits.Take(4, 9).empty());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // reproduces the same placements, state and commit/abort counts.
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "migration/provisioning.h"
+#include "obs/trace.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
 
@@ -210,6 +212,123 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
 
   InvariantMonitor monitor(config.num_records);
   EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
+  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
+                                          RangeMapFactory(config), "final"));
+  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+}
+
+TEST(DegradedModeTest, LockGrantedAtDeadNodeIsReleasedByCommitAndAbort) {
+  // Three writers of one key queue on its owner's lock. The owner dies
+  // while the first executes: a started master still commits, and its
+  // release grants the lock to the second at the dead node, which freezes
+  // there ungranted. The watchdog aborts the second; that release grants
+  // the lock to the third, again at the dead node, and the next sweep
+  // aborts it. Both releases free the lock, so after the rejoin the two
+  // retries commit and the node's lock table is empty.
+  const ClusterConfig config = oracle::DegradedConfig();
+  Cluster cluster(config, RouterKind::kCalvin, RangeMapFactory(config)());
+  cluster.Load();
+  constexpr NodeId kOwner = 2;  // owns [4000, 6000) under the range map
+  std::vector<bool> aborted;
+  for (int i = 0; i < 3; ++i) {
+    TxnRequest txn;
+    txn.write_set = {4500};
+    cluster.Submit(txn, [&aborted](const engine::TxnResult& r) {
+      aborted.push_back(r.aborted);
+    });
+  }
+  SimTime t = 0;
+  while (cluster.executor().inflight() < 3) {
+    ASSERT_LT(t, MsToSim(50)) << "the three writers were never dispatched";
+    cluster.RunUntil(++t);
+  }
+  cluster.CrashNoStall(kOwner);
+  cluster.RunUntil(t + engine::kWatchdogDeadlineUs +
+                   engine::kWatchdogPeriodUs + MsToSim(1));
+  EXPECT_EQ(cluster.executor().committed(), 1u);
+  EXPECT_EQ(cluster.degraded_ledger().watchdog_aborts(), 2u)
+      << cluster.executor().DebugString();
+
+  cluster.RejoinNoStall(kOwner);
+  cluster.Drain();
+  EXPECT_EQ(aborted, (std::vector<bool>{false, false, false}))
+      << cluster.DegradedDebugString();
+  EXPECT_EQ(cluster.executor().inflight(), 0u);
+  EXPECT_EQ(cluster.node(kOwner).locks().num_txns(), 0u);
+
+  InvariantMonitor monitor(config.num_records);
+  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
+  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kCalvin,
+                                          RangeMapFactory(config), "final"));
+  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+}
+
+TEST(DegradedModeTest, AcknowledgedEvictionStalledAtDeadNodeResumesAtRejoin) {
+  // With room for one fused key, a transaction that fuses a second key
+  // evicts the first: its plan ships that record home from the node it
+  // was fused to, a participant the master does not wait for. That node
+  // dies before it ships, so the transaction commits and is acknowledged
+  // while its send step stays stalled at the dead node (the watchdog never
+  // aborts an acknowledged transaction). The rejoin resumes the step, and
+  // the record lands at its planned owner.
+  ClusterConfig config = oracle::DegradedConfig();
+  config.hermes.fusion_table_capacity = 1;
+  config.obs.trace_enabled = true;
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
+  cluster.Load();
+  const partition::OwnershipMap& owners = cluster.ownership();
+
+  TxnRequest fuse;
+  fuse.write_set = {2500, 4500};  // homes: node 1 and node 2
+  cluster.Submit(fuse, [](const engine::TxnResult&) {});
+  cluster.Drain();
+  const Key fused = owners.Owner(2500) != owners.Home(2500) ? 2500 : 4500;
+  const NodeId holder = owners.Owner(fused);
+  const NodeId home = owners.Home(fused);
+  ASSERT_NE(holder, home) << "the first transaction fused no key";
+
+  TxnRequest evict;
+  evict.write_set = {500, 6500};  // homes: node 0 and node 3
+  TxnId evict_id = kInvalidTxn;
+  bool committed = false;
+  cluster.Submit(evict, [&](const engine::TxnResult& r) {
+    evict_id = r.id;
+    committed = !r.aborted;
+  });
+  SimTime t = cluster.Now();
+  while (cluster.executor().inflight() == 0) {
+    ASSERT_LT(t, MsToSim(100)) << "the evicting transaction never dispatched";
+    cluster.RunUntil(++t);
+  }
+  ASSERT_EQ(owners.Owner(fused), home) << "no eviction was planned";
+  cluster.CrashNoStall(holder);
+  cluster.RunUntil(t + MsToSim(10));
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(cluster.executor().inflight(), 1u);
+  EXPECT_EQ(cluster.record_table().location(fused), holder);
+  const std::string frozen = cluster.executor().DebugString();
+  EXPECT_NE(frozen.find("FROZEN stalled=1"), std::string::npos) << frozen;
+
+  cluster.RejoinNoStall(holder);
+  cluster.Drain();
+  EXPECT_EQ(cluster.executor().inflight(), 0u);
+  EXPECT_EQ(cluster.executor().pending_countdowns(), 0u);
+  EXPECT_EQ(cluster.record_table().location(fused), home);
+  EXPECT_EQ(owners.Owner(fused), home);
+  size_t resumes = 0;
+  const obs::TraceRing& ring =
+      cluster.tracer().ring(static_cast<size_t>(holder) + 1);
+  for (const obs::TraceEvent& e : ring.InOrder()) {
+    if (e.kind != obs::EventKind::kTxnResume) continue;
+    ++resumes;
+    EXPECT_EQ(e.txn, evict_id);
+    EXPECT_EQ(e.arg, 1u) << "one stalled step";
+  }
+  EXPECT_EQ(resumes, 1u);
+
+  InvariantMonitor monitor(config.num_records);
+  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
+  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
   EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
                                           RangeMapFactory(config), "final"));
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();

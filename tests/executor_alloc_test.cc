@@ -109,8 +109,9 @@ Window MeasureWindow(Cluster& cluster) {
 }
 
 /// Checks a window against its pin. `parent_allocs` is the count while
-/// the sequencer still queued requests in a std::deque, so a failure shows
-/// how far a change moved from both.
+/// each transaction kept its masters' progress in a vector of its own,
+/// beside the per-node state, so a failure shows how far a change moved
+/// from both.
 void ExpectPinned(const Window& w, uint64_t commits, uint64_t allocs,
                   uint64_t parent_allocs) {
 #ifdef HERMES_TEST_SANITIZED
@@ -123,7 +124,7 @@ void ExpectPinned(const Window& w, uint64_t commits, uint64_t allocs,
       << "allocations per commit: " << w.per_commit() << " now, "
       << static_cast<double>(allocs) / commits << " pinned, "
       << static_cast<double>(parent_allocs) / commits
-      << " with the sequencer's std::deque queue (" << parent_allocs
+      << " with a separate per-master state vector (" << parent_allocs
       << " allocations)";
 #endif
 }
@@ -140,15 +141,16 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsPerCommitArePinned) {
                       config.num_records, config.num_nodes));
   const Window w = MeasureWindow(cluster);
   ASSERT_GT(w.commits, 1000u);
-  // Earlier counts of this window: 3149 with the sequencer's std::deque
-  // queue, 3207 with the cold-field box alone, 16027 before inline key
-  // sets and master lists, 31723 before the id rings and pooled hop, ack
-  // and delivery slots, 33630 before FinishParticipant's send closure fit
-  // sim::Callback inline, 47117 before Calvin's RouteOne reused
-  // router-owned scratch, 47151 before key-indexed lock queues, 74382
-  // before pooled transaction shells.
-  ExpectPinned(w, /*commits=*/2494, /*allocs=*/2650,  // 1.06 per commit
-               /*parent_allocs=*/3149);               // 1.26 per commit
+  // Earlier counts of this window: 2650 with a separate per-master state
+  // vector, 3149 with the sequencer's std::deque queue, 3207 with the
+  // cold-field box alone, 16027 before inline key sets and master lists,
+  // 31723 before the id rings and pooled hop, ack and delivery slots,
+  // 33630 before FinishParticipant's send closure fit sim::Callback
+  // inline, 47117 before Calvin's RouteOne reused router-owned scratch,
+  // 47151 before key-indexed lock queues, 74382 before pooled transaction
+  // shells.
+  ExpectPinned(w, /*commits=*/2494, /*allocs=*/2649,  // 1.06 per commit
+               /*parent_allocs=*/2650);               // 1.06 per commit
 }
 
 TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
@@ -167,11 +169,13 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
   const Window w = MeasureWindow(cluster);
   ASSERT_GT(w.commits, 1000u);
   ASSERT_GT(w.migrations, 1000u);
-  // 5225 with the sequencer's std::deque queue, 5427 with the cold-field
-  // box alone, 23115 before inline key sets and master lists, 46055 before
-  // the id rings and pooled hop, ack and delivery slots.
+  // 4537 with a separate per-master state vector (the same: every
+  // transaction has one master), 5225 with the sequencer's std::deque
+  // queue, 5427 with the cold-field box alone, 23115 before inline key
+  // sets and master lists, 46055 before the id rings and pooled hop, ack
+  // and delivery slots.
   ExpectPinned(w, /*commits=*/3443, /*allocs=*/4537,  // 1.32 per commit
-               /*parent_allocs=*/5225);               // 1.52 per commit
+               /*parent_allocs=*/4537);               // 1.32 per commit
 }
 
 TEST(ExecutorAllocTest, WatchdogAbortedShellIsReusedByLaterTransactions) {

@@ -142,8 +142,8 @@ LexedFile Lex(std::string path, std::string virtual_path, std::string raw) {
           i = s.size();
           continue;
         }
-        const std::string closer =
-            ")" + s.substr(d, paren - d) + "\"";
+        std::string closer = ")";
+        closer.append(s, d, paren - d).append(1, '"');
         size_t close = s.find(closer, paren + 1);
         i = close == std::string::npos ? s.size() : close + closer.size();
         continue;
