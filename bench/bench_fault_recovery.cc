@@ -173,7 +173,7 @@ BenchOutcome Run(Mode mode, const Options& opts) {
   cluster.Load();
 
   std::unique_ptr<FaultInjector> injector;
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   if (mode != Mode::kFaultFree) {
     FaultPlanConfig pc;
     pc.horizon_us = kHorizon;
@@ -219,6 +219,7 @@ BenchOutcome Run(Mode mode, const Options& opts) {
     cluster.RunUntil(kHorizon);
     cluster.Drain();
   }
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
 
   BenchOutcome out;
   const auto& m = cluster.metrics();
@@ -244,9 +245,9 @@ BenchOutcome Run(Mode mode, const Options& opts) {
   if (injector) {
     out.recoveries = injector->recoveries();
     out.partitions = injector->partitions();
-    out.monitors_ok = monitor.ok();
-    if (!monitor.ok()) std::printf("%s", monitor.FailureReport().c_str());
   }
+  out.monitors_ok = monitor.ok();
+  if (!monitor.ok()) std::printf("%s", monitor.FailureReport().c_str());
   return out;
 }
 

@@ -877,24 +877,11 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
   const NodeId src = from;
   WaitPresence(src, std::span<const Key>(&key, 1),
                [this, key, src, holder, txn]() {
+    // A presence waiter runs in the delivery event that landed its key,
+    // and no waiter extracts a record in that event, so the primary is
+    // still here. Losing it would wedge every read waiting on the copy.
     const storage::Record* rec = NodeAt(src).store().Get(key);
-    if (rec == nullptr) {
-      // An earlier waiter in the same wake list (a migration's presence
-      // wait) re-extracted the record before this one ran. Dropping the
-      // install would wedge every read waiting on the copy, so re-resolve
-      // from exclusive context, where the record table shows the new
-      // destination.
-      sim_->Defer([this, key, holder, txn]() {
-        const std::vector<NodeId>* holders = lease_mgr_->HoldersOf(key);
-        if (holders == nullptr ||
-            !std::binary_search(holders->begin(), holders->end(), holder)) {
-          return;  // revoked/lapsed meanwhile: waiters were already woken
-        }
-        if (lease_mgr_->CopyPresent(holder, key)) return;
-        StartReplicaInstall(key, kInvalidNode, holder, txn);
-      });
-      return;
-    }
+    assert(rec != nullptr && "the primary left before its replica install");
     const storage::Record snapshot = *rec;
     NodeAt(src).workers().Submit(costs_->storage_op_us, [] {});
     if (src == holder) {

@@ -79,7 +79,7 @@ FaultInjector::FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
   }
 }
 
-FaultInjector::MapFactory RangeMapFactory(const ClusterConfig& config) {
+MapFactory RangeMapFactory(const ClusterConfig& config) {
   const uint64_t records = config.num_records;
   const int nodes = config.num_nodes;
   return [records, nodes] {
@@ -139,16 +139,6 @@ SimTime FaultInjector::Drain() {
   }
   const SimTime t = cluster_->Drain();
   MaybeRefreshCheckpoint();
-  if (monitor_ != nullptr && (had_partition_ || plan_.link.has_gray())) {
-    // Subsumes the degraded oracle: the partition check delegates to it
-    // whenever the run recorded membership transitions (detector fired or
-    // scripted no-stall crashes rode along).
-    monitor_->CheckPartitionOracle(*cluster_, cluster_->kind(), map_factory_,
-                                   "post-drain partition oracle");
-  } else if (monitor_ != nullptr && had_no_stall_) {
-    monitor_->CheckDegradedOracle(*cluster_, cluster_->kind(), map_factory_,
-                                  "post-drain degraded oracle");
-  }
   return t;
 }
 
@@ -271,12 +261,11 @@ void FaultInjector::ApplyCrashNoStall(const FaultEvent& event) {
   // which determinism makes bit-identical to what the node held. The
   // simulation models that by detaching the image in place (CrashNoStall
   // freezes every consumer at the node) and charging the replay cost at
-  // rejoin; the degraded oracle proves a from-scratch replay told the
+  // rejoin; CheckQuiescent's replay proves a from-scratch replay told the
   // same membership schedule reproduces the same bits.
   cluster_->CrashNoStall(event.node);
   down_node_ = event.node;
   down_no_stall_ = true;
-  had_no_stall_ = true;
   recoveries_.push_back(stats);
 }
 
@@ -322,7 +311,6 @@ void FaultInjector::ApplyPartitionStart(const FaultEvent& event) {
   RunMonitor("partition cut");
   cluster_->PartitionCut(event.node, in, out);
   partitioned_node_ = event.node;
-  had_partition_ = true;
   partitions_.push_back(stats);
 }
 

@@ -1,9 +1,7 @@
 #ifndef HERMES_FAULT_INJECTOR_H_
 #define HERMES_FAULT_INJECTOR_H_
 
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -79,9 +77,7 @@ struct PartitionStats {
 ///      on heal. The cluster's heartbeat failure detector — required for
 ///      partition plans — converts sustained unreachability into the same
 ///      membership epochs kCrashNoStall uses, and restores membership
-///      after the heal via its confirmation hysteresis. Drain() then runs
-///      the partition oracle: pens drained, nothing crossed a live cut,
-///      and the command log replays to the same placements and state.
+///      after the heal via its confirmation hysteresis.
 /// Link chaos (drops/duplicates/jitter) is installed for the whole run; a
 /// gray window (plan.link.gray_*) additionally degrades one node's links —
 /// slower, lossier, heartbeats eaten with high probability — without
@@ -89,12 +85,11 @@ struct PartitionStats {
 ///
 /// Everything is a pure function of (config, workload seed, plan seed):
 /// the chaos property test reruns plans under several hash salts and
-/// asserts bit-identical digests, commit counts and recovery times.
+/// asserts bit-identical digests, commit counts and recovery times. The
+/// injector only injects: the caller checks the drained run with
+/// InvariantMonitor::CheckQuiescent.
 class FaultInjector {
  public:
-  using MapFactory =
-      std::function<std::unique_ptr<partition::PartitionMap>()>;
-
   /// The cluster must be Load()ed and idle: the constructor takes the
   /// initial checkpoint recovery rebuilds from.
   FaultInjector(engine::Cluster* cluster, const FaultPlan& plan,
@@ -110,12 +105,13 @@ class FaultInjector {
   void RunUntil(SimTime deadline);
 
   /// Applies any remaining events (a crashed node is always rejoined so
-  /// the run ends whole), then drains the cluster.
+  /// the run ends whole), then drains the cluster. Checks nothing: the
+  /// caller runs InvariantMonitor::CheckQuiescent on the drained cluster.
   SimTime Drain();
 
-  /// Runs the monitor's record-singularity check at every whole-state
-  /// point: after a crash's drain (before the store is discarded) and
-  /// after a rejoin's rebuild.
+  /// Runs the monitor's record-singularity check at every mid-run fault
+  /// point: after a crash's drain (before the store is discarded), after
+  /// a rejoin's rebuild, and at every partition cut and heal.
   void set_monitor(InvariantMonitor* monitor) { monitor_ = monitor; }
 
   SimTime Now() const { return cluster_->Now(); }
@@ -161,18 +157,16 @@ class FaultInjector {
   /// the stale baseline (which would lengthen every later replay).
   bool refresh_pending_ = false;
   int checkpoint_refreshes_ = 0;
-  bool had_no_stall_ = false;
 
   // --- Partition state. ---
   NodeId partitioned_node_ = kInvalidNode;
   uint64_t held_at_cut_ = 0;  ///< Wire::total_held() when the cut landed
   std::vector<PartitionStats> partitions_;
-  bool had_partition_ = false;
 };
 
 /// The factory every range-partitioned fault run hands the injector and
-/// the oracles: a fresh RangePartitionMap over config's records and nodes.
-FaultInjector::MapFactory RangeMapFactory(const ClusterConfig& config);
+/// the monitor: a fresh RangePartitionMap over config's records and nodes.
+MapFactory RangeMapFactory(const ClusterConfig& config);
 
 }  // namespace hermes::fault
 

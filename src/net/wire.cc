@@ -160,7 +160,7 @@ void Wire::Deliver(uint32_t slot) {
   Link& link = links_[d.src][d.dst];
   // A released message must never land under a still-live cut: the pen
   // only drains on heal, so a nonzero count means a release raced a
-  // re-cut (the partition oracle asserts zero).
+  // re-cut (InvariantMonitor::CheckQuiescent asserts zero).
   if (d.was_held && link.cut) ++cut_deliveries_;
   link.bytes_received += d.bytes * d.delivered;
   link.messages_received += d.delivered;

@@ -132,7 +132,7 @@ class Wire {
   /// Cumulative messages ever parked (pen throughput).
   uint64_t total_held() const { return messages_held_total_; }
   /// Payloads that landed while their send-time cut was STILL up. The
-  /// partition oracle requires this to stay zero: a held message may only
+  /// quiescent check requires this to stay zero: a held message may only
   /// deliver after its heal.
   uint64_t cut_deliveries() const { return cut_deliveries_; }
 

@@ -94,11 +94,6 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
   for (sim::Callback& w : waits_.Take(node, key)) w();
 }
 
-bool LeaseManager::CopyPresent(NodeId node, Key key) const {
-  if (static_cast<size_t>(node) >= shards_.size()) return false;
-  return Shard(node).copy_records.contains(key);
-}
-
 const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
   const auto it = holders_.find(key);
   return it == holders_.end() ? nullptr : &it->second;

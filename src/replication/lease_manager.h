@@ -36,7 +36,7 @@ namespace hermes::replication {
 ///    staleness check) — the epoch barrier serializes writers, the same
 ///    pattern the executor uses for its in-flight table.
 ///  - Each node's copies and copy waiters are touched only by that node's
-///    lane (ApplyCopy, WaitCopies, CopyPresent) or by exclusive context;
+///    lane (ApplyCopy, WaitCopies) or by exclusive context;
 ///    those never overlap.
 ///
 /// Storage: every per-key table is a salted FlatMap used for point lookups
@@ -79,9 +79,6 @@ class LeaseManager {
   void ApplyCopy(NodeId node, Key key, const storage::Record& record,
                  bool install, TxnId txn);
 
-  /// True iff `node` currently has a materialized copy of `key`.
-  bool CopyPresent(NodeId node, Key key) const;
-
   /// Sorted holder set of `key`, or nullptr when unleased. Lane-safe read
   /// (see class comment); the pointer is stable until the next exclusive
   /// mutation (BeginInstall, Revoke or a lapse) of any key.
@@ -99,7 +96,7 @@ class LeaseManager {
   uint64_t Checksum() const;
 
   /// Every copy as (node, key, record), sorted by (node, key) — the
-  /// deterministic snapshot InvariantMonitor::CheckReplicaCoherence walks.
+  /// deterministic snapshot InvariantMonitor::CheckQuiescent walks.
   std::vector<std::tuple<NodeId, Key, storage::Record>> SnapshotCopies()
       const;
 

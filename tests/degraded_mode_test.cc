@@ -46,7 +46,7 @@ TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
 
   const FaultPlan plan = oracle::NoStallPlan(config, 7);
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   injector.set_monitor(&monitor);
 
   workload::YcsbConfig wl;
@@ -83,12 +83,7 @@ TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
   EXPECT_FALSE(cluster.membership().any_down());
   EXPECT_EQ(cluster.parked_count(), 0u);
 
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  // injector.Drain() already ran the degraded oracle; run it again
-  // explicitly so a failure points here.
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 
@@ -137,11 +132,10 @@ TEST(DegradedModeTest, BlockedTransactionsRetryThenCommitAfterRejoin) {
   EXPECT_EQ(resolved, 10u);
   EXPECT_EQ(aborted, 0u) << cluster.DegradedDebugString();
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "final"))
+      << monitor.FailureReport();
 }
 
 TEST(DegradedModeTest, ChunkMigrationTowardDeadNodeParksUntilRejoin) {
@@ -170,11 +164,10 @@ TEST(DegradedModeTest, ChunkMigrationTowardDeadNodeParksUntilRejoin) {
         << "chunk key " << k << " never reached its migration target";
   }
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "final"))
+      << monitor.FailureReport();
 }
 
 TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
@@ -210,11 +203,10 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
   EXPECT_EQ(cluster.node(3).store().size(), 0u);
   EXPECT_EQ(cluster.parked_count(), 0u) << cluster.DegradedDebugString();
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "final"))
+      << monitor.FailureReport();
 }
 
 TEST(DegradedModeTest, LockGrantedAtDeadNodeIsReleasedByCommitAndAbort) {
@@ -256,11 +248,10 @@ TEST(DegradedModeTest, LockGrantedAtDeadNodeIsReleasedByCommitAndAbort) {
   EXPECT_EQ(cluster.executor().inflight(), 0u);
   EXPECT_EQ(cluster.node(kOwner).locks().num_txns(), 0u);
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kCalvin,
-                                          RangeMapFactory(config), "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "final"))
+      << monitor.FailureReport();
 }
 
 TEST(DegradedModeTest, AcknowledgedEvictionStalledAtDeadNodeResumesAtRejoin) {
@@ -326,12 +317,10 @@ TEST(DegradedModeTest, AcknowledgedEvictionStalledAtDeadNodeResumesAtRejoin) {
   }
   EXPECT_EQ(resumes, 1u);
 
-  InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                          RangeMapFactory(config), "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "final"))
+      << monitor.FailureReport();
 }
 
 /// What CrashShippedRecordDestination observed.
@@ -346,8 +335,8 @@ struct VictimRun {
 
 /// Steps a skewed YCSB run until a record is mid-wire, crashes (no-stall)
 /// the destination of the lowest in-flight key, and rejoins it
-/// `outage_us` later. The record checks run on `monitor` throughout, and
-/// the degraded oracle at the drained end.
+/// `outage_us` later. Record singularity runs on `monitor` throughout, and
+/// the quiescent check at the drained end.
 VictimRun CrashShippedRecordDestination(SimTime outage_us,
                                         InvariantMonitor* monitor) {
   const ClusterConfig config = oracle::DegradedConfig();
@@ -386,10 +375,7 @@ VictimRun CrashShippedRecordDestination(SimTime outage_us,
   cluster.RunUntil(MsToSim(150));
   cluster.Drain();
   run.reclaims = cluster.degraded_ledger().reclaims();
-  monitor->CheckRecordSingularity(cluster, "final");
-  monitor->CheckNoLostRecords(cluster, "final");
-  monitor->CheckDegradedOracle(cluster, RouterKind::kHermes,
-                               RangeMapFactory(config), "final");
+  monitor->CheckQuiescent(cluster, RangeMapFactory(config), "final");
   return run;
 }
 
@@ -397,8 +383,7 @@ TEST(DegradedModeTest, ShippedRecordTowardVictimIsReclaimed) {
   // A record shipped toward the victim before the crash is suppressed on
   // delivery and reclaimed by the source after the deterministic
   // timeout — record singularity holds throughout.
-  const ClusterConfig config = oracle::DegradedConfig();
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   const VictimRun run = CrashShippedRecordDestination(
       engine::kReclaimTimeoutUs * 4, &monitor);
   ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
@@ -410,8 +395,7 @@ TEST(DegradedModeTest, ShippedRecordTowardVictimLandsWhenItRejoinsFirst) {
   // The victim rejoins before kReclaimTimeoutUs: the suppressed shipment
   // stays in flight toward it, and the rejoin flush lands the record at
   // its destination, so no reclaim ever fires.
-  const ClusterConfig config = oracle::DegradedConfig();
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   const VictimRun run = CrashShippedRecordDestination(
       engine::kReclaimTimeoutUs / 2, &monitor);
   ASSERT_NE(run.key, kNoKey) << "no record was ever mid-wire";
@@ -468,7 +452,7 @@ TEST(DegradedModeTest, DeferredCheckpointRefreshShortensNextReplay) {
   pc.no_stall = true;
   const FaultPlan plan = FaultPlan::Generate(pc, 21);
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   injector.set_monitor(&monitor);
 
   workload::YcsbConfig wl;
@@ -493,6 +477,7 @@ TEST(DegradedModeTest, DeferredCheckpointRefreshShortensNextReplay) {
   // the suffix sequenced since — not the whole history.
   EXPECT_LT(injector.recoveries()[1].replayed_batches,
             cluster.command_log().size());
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
   EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
 }
 

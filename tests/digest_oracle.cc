@@ -93,8 +93,8 @@ Profile RunDecision() {
 // degraded_retry: a kCrashNoStall plan on a 4-node cluster. The whole
 // degraded outcome — who was blocked, in which epoch, with which backoff,
 // plus the final placements and state — must be a pure function of
-// (workload seed, plan seed, config). The injector's monitor runs the
-// degraded oracle at Drain() on every salt.
+// (workload seed, plan seed, config). The quiescent check replays the log
+// under the membership schedule on every salt.
 Profile RunDegradedRetry(uint64_t seed) {
   const ClusterConfig config = DegradedConfig();
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
@@ -102,7 +102,7 @@ Profile RunDegradedRetry(uint64_t seed) {
 
   const FaultPlan plan = NoStallPlan(config, seed);
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   injector.set_monitor(&monitor);
 
   workload::YcsbConfig wl;
@@ -117,6 +117,7 @@ Profile RunDegradedRetry(uint64_t seed) {
 
   injector.RunUntil(MsToSim(300));
   injector.Drain();
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
 
   const engine::DegradedLedger& ledger = cluster.degraded_ledger();
   Profile p;
@@ -194,16 +195,15 @@ FaultPlan PartitionPlan(const ClusterConfig& config, uint64_t seed) {
 }
 
 // One partition-chaos lifetime, detector, replica leases and tracing all
-// on. deep_checks additionally runs the partition oracle (command-log
-// replay under the recorded membership schedule).
-Profile RunPartition(uint64_t plan_seed, bool deep_checks) {
+// on.
+Profile RunPartition(uint64_t plan_seed) {
   ClusterConfig config = PartitionConfig();
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
   const FaultPlan plan = PartitionPlan(config, plan_seed);
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   monitor.AttachTracer(&cluster.tracer());
   injector.set_monitor(&monitor);
 
@@ -220,13 +220,7 @@ Profile RunPartition(uint64_t plan_seed, bool deep_checks) {
   injector.RunUntil(MsToSim(120));
   injector.Drain();
 
-  monitor.CheckRecordSingularity(cluster, "final");
-  monitor.CheckNoLostRecords(cluster, "final");
-  monitor.CheckReplicaCoherence(cluster, "final");
-  if (deep_checks) {
-    monitor.CheckPartitionOracle(cluster, RouterKind::kHermes,
-                                 RangeMapFactory(config), "partition oracle");
-  }
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
 
   const engine::FailureDetector& detector = *cluster.failure_detector();
   Profile p;
@@ -330,9 +324,9 @@ std::vector<uint64_t> SeedRange(uint64_t base, int n) {
   return seeds;
 }
 
-Profile RunTrace(uint64_t seed, bool deep_checks) {
+Profile RunTrace(uint64_t seed) {
   if (seed == kTraceHealthySeed) return RunHealthy(/*traced=*/true);
-  return RunChaos(seed, deep_checks,
+  return RunChaos(seed,
                   {.no_stall = seed == kTraceDegradedSeed, .traced = true});
 }
 
@@ -430,7 +424,7 @@ std::vector<uint64_t> Salts() {
   return {HashSalt(), 0x9e3779b97f4a7c15ULL, 0xdeadbeefcafef00dULL};
 }
 
-Profile RunChaos(uint64_t plan_seed, bool deep_checks, ChaosOptions options) {
+Profile RunChaos(uint64_t plan_seed, ChaosOptions options) {
   ClusterConfig config;
   config.num_nodes = 3;
   config.num_records = 6'000;
@@ -455,7 +449,7 @@ Profile RunChaos(uint64_t plan_seed, bool deep_checks, ChaosOptions options) {
   pc.link.max_jitter_us = 300;
   const FaultPlan plan = FaultPlan::Generate(pc, plan_seed);
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor(config.num_records);
+  InvariantMonitor monitor;
   injector.set_monitor(&monitor);
 
   workload::YcsbConfig wl;
@@ -481,17 +475,7 @@ Profile RunChaos(uint64_t plan_seed, bool deep_checks, ChaosOptions options) {
   injector.RunUntil(MsToSim(120));
   injector.Drain();
 
-  monitor.CheckRecordSingularity(cluster, "final");
-  monitor.CheckNoLostRecords(cluster, "final");
-  if (deep_checks) {
-    if (options.no_stall) {
-      monitor.CheckDegradedOracle(cluster, RouterKind::kHermes,
-                                  RangeMapFactory(config), "degraded oracle");
-    } else {
-      monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                 RangeMapFactory(config), "oracle");
-    }
-  }
+  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
 
   std::vector<uint64_t> recovery_us;
   for (const fault::RecoveryStats& r : injector.recoveries()) {
@@ -609,28 +593,26 @@ ClusterConfig LeaseConfig() {
 const std::vector<Scenario>& Scenarios() {
   static const std::vector<Scenario> kScenarios = {
       {.name = "decision",
-       .run = [](uint64_t, bool) { return RunDecision(); },
+       .run = [](uint64_t) { return RunDecision(); },
        .profile_seed = 1,
        .guards = {Above("commits", 100), Above("migrations", 0),
                   Above("count", 1'000)}},
       {.name = "chaos",
-       .run = [](uint64_t seed, bool deep) { return RunChaos(seed, deep); },
+       .run = [](uint64_t seed) { return RunChaos(seed); },
        .profile_seed = kChaosSeedBase + 1000,
        .corpus = SeedRange(kChaosSeedBase, 25),
        .guards = {Above("commits", 50), kRecovered},
        .corpus_guards = {{"link chaos fired", {"dropped", "dup"}}}},
       {.name = "degraded",
        .run =
-           [](uint64_t seed, bool deep) {
-             return RunChaos(seed, deep, {.no_stall = true});
-           },
+           [](uint64_t seed) { return RunChaos(seed, {.no_stall = true}); },
        .profile_seed = kChaosSeedBase + 2000,
        .corpus = SeedRange(kChaosSeedBase, 25),
        .guards = {Above("commits", 50), kRecovered},
        .corpus_guards = {{"a plan blocked, parked or watchdog-aborted",
                           {"retries", "parked", "watchdog"}}}},
       {.name = "degraded_retry",
-       .run = [](uint64_t seed, bool) { return RunDegradedRetry(seed); },
+       .run = RunDegradedRetry,
        .profile_seed = 31,
        .guards = {Above("retries", 0)}},
       {.name = "trace",
@@ -656,7 +638,7 @@ const std::vector<Scenario>& Scenarios() {
                             Contains(json, "\"otherData\"");
                    }}}},
       {.name = "replication",
-       .run = [](uint64_t, bool) { return RunReplication(); },
+       .run = [](uint64_t) { return RunReplication(); },
        .profile_seed = 1,
        .guards = {Above("commits", 200), Above("grants", 0),
                   Above("replica_reads", 0)}},
@@ -676,7 +658,7 @@ const std::vector<Scenario>& Scenarios() {
        .corpus_guards = {{"a payload parked in a holding pen", {"held"}},
                          {"the detector suspected a node", {"suspects"}}}},
       {.name = "net",
-       .run = [](uint64_t, bool) { return RunNet(); },
+       .run = [](uint64_t) { return RunNet(); },
        .profile_seed = 1,
        .guards = {Above("commits", 50), Above("envelopes", 0),
                   Above("fg_tx", 0), Above("stalls", 0),

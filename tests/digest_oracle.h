@@ -84,9 +84,10 @@ struct CorpusGuard {
 /// One registry row.
 struct Scenario {
   const char* name = "";
-  /// (seed, deep_checks) -> Profile. deep_checks adds the command-log
-  /// replay oracle; the runner sets it on the first salt only.
-  std::function<Profile(uint64_t seed, bool deep_checks)> run{};
+  /// seed -> Profile. A faulted lifetime ends with one
+  /// InvariantMonitor::CheckQuiescent, command-log replay included, on
+  /// every salt.
+  std::function<Profile(uint64_t seed)> run{};
   uint64_t profile_seed = 0;       ///< printed by check_determinism.sh
   std::vector<uint64_t> corpus{};  ///< further seeds, run in-process only
   std::vector<Guard> guards{};     ///< checked on every seed
@@ -138,8 +139,7 @@ struct ChaosOptions {
   bool no_stall = false;
   bool traced = false;
 };
-Profile RunChaos(uint64_t plan_seed, bool deep_checks,
-                 ChaosOptions options = {});
+Profile RunChaos(uint64_t plan_seed, ChaosOptions options = {});
 
 /// Healthy skewed YCSB plus a mid-run scale-out, tracer on or off.
 Profile RunHealthy(bool traced);

@@ -1,7 +1,7 @@
 // The digest-oracle runner (rows in digest_oracle.cc): every row's seeds
-// run under every hash salt, the invariant monitors hold on every salt,
-// the replay oracle runs on the first, and every Profile must equal the
-// first salt's. The Profile tests print `PROFILE <row> <fields>` once per
+// run under every hash salt, the invariant monitors (command-log replay
+// included) hold on every salt, and every Profile must equal the first
+// salt's. The Profile tests print `PROFILE <row> <fields>` once per
 // salt; scripts/check_determinism.sh runs them under several env salts and
 // requires one field string per row across all of them.
 
@@ -23,7 +23,7 @@ namespace {
 std::vector<Profile> CheckSeed(const Scenario& row, uint64_t seed) {
   const std::vector<uint64_t> salts = Salts();
   const std::vector<Profile> runs =
-      UnderEachSalt([&](size_t i) { return row.run(seed, i == 0); });
+      UnderEachSalt([&](size_t) { return row.run(seed); });
   for (size_t i = 0; i < runs.size(); ++i) {
     EXPECT_TRUE(runs[i].monitors_ok)
         << row.name << " seed " << seed << " salt 0x" << std::hex << salts[i]
@@ -93,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, DigestCorpus,
 // The oracle must be able to fail: a row whose outcome is the salt itself
 // has to be caught, with the row and the field named.
 TEST(DigestOracleSelfTest, SaltDependentRowFails) {
-  const Scenario leaky{.name = "leaky", .run = [](uint64_t, bool) {
+  const Scenario leaky{.name = "leaky", .run = [](uint64_t) {
     Profile p;
     p.Count("commits", 1).Hex("salt", HashSalt());
     return p;

@@ -19,6 +19,7 @@
 
 #include "digest_oracle.h"
 #include "engine/cluster.h"
+#include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "workload/client.h"
 #include "workload/ycsb.h"
@@ -238,10 +239,10 @@ TEST(ExecutorAllocTest, WatchdogAbortedShellIsReusedByLaterTransactions) {
         << "transaction " << i << " did not reuse the pooled shell";
   }
 
-  fault::InvariantMonitor monitor(config.num_records);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "final"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "final"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  fault::InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(
+      cluster, fault::RangeMapFactory(config), "final"))
+      << monitor.FailureReport();
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // Failure-detector tests (DESIGN.md §5 "Partitions & failure
 // detection"): hand-built cuts, no injector and no workload, so detector
-// timing is pure virtual arithmetic. The seeded partition-chaos corpus
-// (cuts, one-way cuts, gray windows, overlapping no-stall crashes, each
-// replayed by the partition oracle and compared across hash salts) is the
+// timing is pure virtual arithmetic; plus the quiescent check's verdict on
+// a cut left up. The seeded partition-chaos corpus (cuts, one-way cuts,
+// gray windows, overlapping no-stall crashes, each checked by
+// InvariantMonitor::CheckQuiescent and compared across hash salts) is the
 // digest oracle's `partition` row (digest_oracle.cc).
+
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/injector.h"
+#include "fault/invariant_monitor.h"
 
 namespace hermes {
 namespace {
@@ -77,6 +81,36 @@ TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
                    period * (engine::kConfirmThreshold + 1) + 1);
   EXPECT_TRUE(cluster.membership().alive(1));
   cluster.Drain();
+}
+
+// A cut that is never healed fails the quiescent check: it names the cut
+// links and the payload still parked behind them, and the replay, which
+// has no cut, commits the transaction the live run never finished. The
+// detector is off, so nothing re-arms heartbeats and the drain ends with
+// the cut up.
+TEST(PartitionChaosTest, QuiescentCheckReportsAnUnhealedCut) {
+  ClusterConfig config = oracle::PartitionConfig();
+  config.detector.enabled = false;
+  config.replication.enabled = false;
+  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
+  cluster.Load();
+
+  cluster.PartitionCut(2, /*cut_inbound=*/true, /*cut_outbound=*/true);
+  TxnRequest txn;
+  txn.write_set = {100, 4500};  // homes: node 0 and node 2
+  cluster.Submit(txn, [](const engine::TxnResult&) {});
+  cluster.Drain();
+
+  fault::InvariantMonitor monitor;
+  EXPECT_FALSE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                      "unhealed"));
+  const std::string report = monitor.FailureReport();
+  for (const char* needle :
+       {"[unhealed] link 0->2 still cut", "[unhealed] link 2->0 still cut",
+        "[unhealed] 1 messages still parked in holding pens",
+        "[unhealed] commit/abort counts diverged: live=0/0 replay=1/0"}) {
+    EXPECT_NE(report.find(needle), std::string::npos) << report;
+  }
 }
 
 }  // namespace

@@ -105,11 +105,10 @@ TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
   EXPECT_GT(cluster.lease_manager().installs(), 0u);
   EXPECT_GT(cluster.lease_manager().num_copies(), 0u);
 
-  InvariantMonitor monitor(kRecords);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "read-heavy"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "read-heavy"));
-  EXPECT_TRUE(monitor.CheckReplicaCoherence(cluster, "read-heavy"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "read-heavy"))
+      << monitor.FailureReport();
 }
 
 // The global read-mostly gate: a write-heavy workload grants nothing, so
@@ -174,7 +173,7 @@ TEST(ReplicaLeaseTest, CapacityChurnIsSaltInvariant) {
   EXPECT_LE(b.leases, 8u);
 }
 
-// Satellite: the replica-coherence monitor. A clean quiesced run reports
+// Replica coherence in the quiescent check: a clean quiesced run reports
 // nothing; a deliberately corrupted copy is caught and named.
 TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
   ClusterConfig config = oracle::LeaseConfig();
@@ -185,20 +184,23 @@ TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
   const auto copies = cluster.lease_manager().SnapshotCopies();
   ASSERT_FALSE(copies.empty());
 
-  InvariantMonitor clean(kRecords);
-  EXPECT_TRUE(clean.CheckReplicaCoherence(cluster, "pre-corruption"));
-  EXPECT_TRUE(clean.ok()) << clean.FailureReport();
+  InvariantMonitor clean;
+  EXPECT_TRUE(clean.CheckQuiescent(cluster, RangeMapFactory(config),
+                                   "pre-corruption"))
+      << clean.FailureReport();
 
   const auto& [node, key, record] = copies.front();
-  (void)record;
   cluster.lease_manager().CorruptCopyForTest(node, key);
 
-  InvariantMonitor corrupted(kRecords);
-  EXPECT_FALSE(corrupted.CheckReplicaCoherence(cluster, "post-corruption"));
-  ASSERT_FALSE(corrupted.failures().empty());
-  EXPECT_NE(corrupted.failures().front().find("replica coherence"),
-            std::string::npos)
-      << corrupted.FailureReport();
+  // Only the copy is wrong: the primaries, and so the replay, still agree.
+  InvariantMonitor corrupted;
+  EXPECT_FALSE(corrupted.CheckQuiescent(cluster, RangeMapFactory(config),
+                                        "post-corruption"));
+  ASSERT_EQ(corrupted.failures().size(), 1u) << corrupted.FailureReport();
+  EXPECT_EQ(corrupted.failures().front(),
+            "[post-corruption] replica coherence: key 0 copy on node 0 is "
+            "(value=7c8151e87004bd0d v12) but primary is "
+            "(value=7c8151e8aea903e2 v12)");
 }
 
 // A crashed holder deterministically lapses every lease: engine copies
@@ -237,11 +239,10 @@ TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
   cluster.RunUntil(MsToSim(500));
   cluster.Drain();
 
-  InvariantMonitor monitor(kRecords);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "post-rejoin"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "post-rejoin"));
-  EXPECT_TRUE(monitor.CheckReplicaCoherence(cluster, "post-rejoin"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "post-rejoin"))
+      << monitor.FailureReport();
 }
 
 // Chaos with replication enabled: link chaos plus a stalling crash/rejoin
@@ -278,13 +279,10 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
 
   EXPECT_GT(Router(cluster).lease_table().stats().grants, 0u);
 
-  InvariantMonitor monitor(kRecords);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "chaos"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "chaos"));
-  EXPECT_TRUE(monitor.CheckReplicaCoherence(cluster, "chaos"));
-  EXPECT_TRUE(monitor.CheckAgainstOracle(cluster, RouterKind::kHermes,
-                                         RangeMapFactory(config), "chaos"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "chaos"))
+      << monitor.FailureReport();
 }
 
 // Satellite: the Drain() footgun. Work aimed at a node that is down
@@ -331,10 +329,10 @@ TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
   // so no fixed final home is asserted — record singularity below checks
   // every record sits exactly where ownership says.
 
-  InvariantMonitor monitor(kRecords);
-  EXPECT_TRUE(monitor.CheckRecordSingularity(cluster, "post-drain"));
-  EXPECT_TRUE(monitor.CheckNoLostRecords(cluster, "post-drain"));
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  InvariantMonitor monitor;
+  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
+                                     "post-drain"))
+      << monitor.FailureReport();
 }
 
 }  // namespace

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   const uint64_t plan_seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 20'260'000ULL;
 
-  const hermes::oracle::Profile run = hermes::oracle::RunChaos(
-      plan_seed, /*deep_checks=*/false, {.traced = true});
+  const hermes::oracle::Profile run =
+      hermes::oracle::RunChaos(plan_seed, {.traced = true});
 
   std::ofstream out(out_path, std::ios::binary);
   out << run.Text("trace_json");
