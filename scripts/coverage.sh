@@ -13,23 +13,21 @@
 # Exits with ctest's status, after reporting.
 #
 # Usage: scripts/coverage.sh [BUILD_DIR] [LABEL]   (default: build-coverage)
-# Env: JOBS (default 4) for the build and ctest.
 
 set -eu
 
 BUILD_DIR="${1:-build-coverage}"
 LABEL="${2:-}"
-JOBS="${JOBS:-4}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -S "$ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="--coverage -O0" -DCMAKE_EXE_LINKER_FLAGS="--coverage"
-cmake --build "$BUILD_DIR" -j "$JOBS"
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Counts accumulate across runs; start from zero.
 find "$BUILD_DIR" -name '*.gcda' -delete
 status=0
-(cd "$BUILD_DIR" && ctest -j "$JOBS" --output-on-failure ${LABEL:+-L "$LABEL"}) ||
+(cd "$BUILD_DIR" && ctest -j "$(nproc)" --output-on-failure ${LABEL:+-L "$LABEL"}) ||
   status=$?
 
 # Every object, run or not: gcov counts an object without a .gcda as

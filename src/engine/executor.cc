@@ -860,15 +860,16 @@ void TxnExecutor::ResumeStalled(NodeId node) {
 
 void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
                                       TxnId txn) {
-  // Locate the primary: at the routed source, else follow an in-flight
-  // migration to its destination, else wherever the table locates it
-  // (displaced during an outage). The copy is a snapshot — the primary is
-  // never extracted, so record singularity is untouched. If the record
-  // never materializes at `src` (crash mid-flight), the waiter idles
-  // harmlessly: the membership epoch change lapses the lease and wakes
-  // every read blocked on the copy.
+  // Locate the primary: at the routed source (the lease table's owner,
+  // always a node), else follow an in-flight migration to its destination,
+  // else wherever the table locates it (displaced during an outage). The
+  // copy is a snapshot — the primary is never extracted, so record
+  // singularity is untouched. If the record never materializes at `src`
+  // (crash mid-flight), the waiter idles harmlessly: the membership epoch
+  // change lapses the lease and wakes every read blocked on the copy.
+  assert(source != kInvalidNode);
   NodeId from = source;
-  if (from == kInvalidNode || !NodeAt(from).store().Contains(key)) {
+  if (!NodeAt(from).store().Contains(key)) {
     const NodeId to = Records().in_flight_to(key);
     const NodeId at = to != kInvalidNode ? to : Records().location(key);
     if (at != kInvalidNode) from = at;
@@ -880,6 +881,9 @@ void TxnExecutor::StartReplicaInstall(Key key, NodeId source, NodeId holder,
     // A presence waiter runs in the delivery event that landed its key,
     // and no waiter extracts a record in that event, so the primary is
     // still here. Losing it would wedge every read waiting on the copy.
+    // The assert fires only in builds with asserts live (Debug, the ubsan
+    // preset); a Release build that reached this case would dereference
+    // null, so a run hunting for it must use such a build.
     const storage::Record* rec = NodeAt(src).store().Get(key);
     assert(rec != nullptr && "the primary left before its replica install");
     const storage::Record snapshot = *rec;
