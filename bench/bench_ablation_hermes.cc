@@ -11,25 +11,23 @@
 //   policy       LRU vs FIFO eviction
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
 
-using hermes::ClusterConfig;
-using hermes::EvictionPolicy;
-using hermes::bench::GoogleRunParams;
-using hermes::bench::RunGoogleWorkload;
-using hermes::engine::RouterKind;
-
 namespace {
 
-double Run(std::function<void(ClusterConfig&)> tweak,
-           double fusion_frac = 0.025) {
-  GoogleRunParams params;
-  params.windows = 5;
-  params.fusion_capacity_frac = fusion_frac;
-  params.tweak = std::move(tweak);
-  return RunGoogleWorkload(RouterKind::kHermes, std::move(params))
-      .mean_throughput;
+// Hermes over five trace windows, with `keys` on top.
+double Run(const std::string& keys) {
+  return hermes::bench::Run("google horizon=20s " + keys).mean_throughput;
+}
+
+std::string Capacity(double fraction_of_db) {
+  const double records =
+      static_cast<double>(hermes::workload::Registered("google")
+                              .config.num_records);
+  return "hermes.fusion_table_capacity=" +
+         std::to_string(static_cast<size_t>(fraction_of_db * records));
 }
 
 }  // namespace
@@ -37,39 +35,35 @@ double Run(std::function<void(ClusterConfig&)> tweak,
 int main() {
   std::printf("Hermes ablations under the Google workload (txn/s)\n\n");
 
-  const double full = Run(nullptr);
+  const double full = Run("");
   std::printf("full algorithm                 %8.0f\n", full);
 
   std::printf("no step-1 reordering           %8.0f\n",
-              Run([](ClusterConfig& c) { c.hermes.enable_reorder = false; }));
+              Run("hermes.enable_reorder=0"));
   std::printf("no step-3 load balancing       %8.0f\n",
-              Run([](ClusterConfig& c) { c.hermes.enable_rebalance = false; }));
+              Run("hermes.enable_rebalance=0"));
   std::printf("forward step-3 pass            %8.0f\n",
-              Run([](ClusterConfig& c) { c.hermes.backward_pass = false; }));
+              Run("hermes.backward_pass=0"));
 
   std::printf("\nalpha sweep (load tolerance):\n");
   for (double alpha : {0.0, 0.25, 1.0, 4.0}) {
     std::printf("  alpha=%.2f                   %8.0f\n", alpha,
-                Run([alpha](ClusterConfig& c) { c.hermes.alpha = alpha; }));
+                Run("hermes.alpha=" + std::to_string(alpha)));
   }
 
+  // The full algorithm runs at 2.5% and LRU, so those rows reuse it.
   std::printf("\nfusion table capacity sweep (fraction of database):\n");
   for (double frac : {0.005, 0.025, 0.10}) {
     std::printf("  capacity=%.1f%%                %8.0f\n", frac * 100,
-                Run(nullptr, frac));
+                frac == 0.025 ? full : Run(Capacity(frac)));
   }
   std::printf("  unbounded                    %8.0f\n",
-              Run([](ClusterConfig& c) {
-                c.hermes.fusion_table_capacity = 0;
-              }));
+              Run("hermes.fusion_table_capacity=0"));
 
   std::printf("\neviction policy:\n");
-  std::printf("  LRU                          %8.0f\n", Run(nullptr));
+  std::printf("  LRU                          %8.0f\n", full);
   std::printf("  FIFO                         %8.0f\n",
-              Run([](ClusterConfig& c) {
-                c.hermes.eviction_policy = EvictionPolicy::kFifo;
-              }));
-
+              Run("hermes.eviction_policy=fifo"));
   std::printf("\nexpected shape: the full algorithm dominates; dropping "
               "rebalancing hurts most under the skewed trace; tiny fusion "
               "tables cost eviction churn; very large alpha trades balance "

@@ -15,39 +15,19 @@
 // time_to_recover_us still covers crash -> node-serves-again.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "fault/fault_plan.h"
-#include "fault/injector.h"
 #include "fault/invariant_monitor.h"
-#include "workload/client.h"
-#include "workload/ycsb.h"
 
 namespace {
 
-using hermes::ClusterConfig;
-using hermes::MsToSim;
-using hermes::SecToSim;
 using hermes::SimTime;
 using hermes::bench::PrintSeriesTable;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-using hermes::fault::FaultInjector;
-using hermes::fault::FaultPlan;
-using hermes::fault::FaultPlanConfig;
-using hermes::fault::InvariantMonitor;
 using hermes::fault::PartitionStats;
-using hermes::fault::RangeMapFactory;
 using hermes::fault::RecoveryStats;
-
-constexpr SimTime kHorizon = SecToSim(12);
-constexpr int kClients = 64;
-constexpr uint64_t kPlanSeed = 2026;
+using hermes::workload::Scenario;
 
 enum class Mode { kFaultFree, kStall, kNoStall, kPartition };
 
@@ -65,189 +45,70 @@ const char* ModeName(Mode mode) {
   return "?";
 }
 
-/// CLI flags: --seed=<n> reseeds every generated plan; --plan=<spec> is a
-/// comma-separated k=v list overriding the plan shape, e.g.
-/// --plan=crashes=1,partitions=2,one_way=0.5,gray=1,drop=0.05. Unknown
-/// keys abort (a typo silently running the default plan would be worse).
-struct Options {
-  uint64_t seed = kPlanSeed;
-  std::string plan_spec;  // verbatim, echoed into the JSON summary
-  int crash_cycles = 2;
-  int partition_cycles = 2;
-  double one_way_fraction = 0.25;
-  bool gray = false;
-  double drop_prob = 0.02;
-  double duplicate_prob = 0.01;
-  SimTime max_jitter_us = 300;
-};
-
-bool ParsePlanSpec(const std::string& spec, Options* opts) {
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    const size_t eq = kv.find('=');
-    if (eq == std::string::npos) return false;
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "crashes") {
-      opts->crash_cycles = std::atoi(val.c_str());
-    } else if (key == "partitions") {
-      opts->partition_cycles = std::atoi(val.c_str());
-    } else if (key == "one_way") {
-      opts->one_way_fraction = std::atof(val.c_str());
-    } else if (key == "gray") {
-      opts->gray = std::atoi(val.c_str()) != 0;
-    } else if (key == "drop") {
-      opts->drop_prob = std::atof(val.c_str());
-    } else if (key == "dup") {
-      opts->duplicate_prob = std::atof(val.c_str());
-    } else if (key == "jitter") {
-      opts->max_jitter_us = std::strtoull(val.c_str(), nullptr, 10);
-    } else {
-      return false;
-    }
+/// `flags` (the `recovery` scenario plus the command line) in one mode.
+/// The crash modes drop the partition cycles and the detector; the
+/// partition mode keeps one crash cycle, so the bench exercises a crash
+/// overlapping the cuts, matching the chaos tests' mixed plans.
+Scenario ForMode(Scenario s, Mode mode) {
+  switch (mode) {
+    case Mode::kFaultFree:
+      s.faults = Scenario{}.faults;
+      s.config.detector.enabled = false;
+      break;
+    case Mode::kStall:
+    case Mode::kNoStall:
+      s.faults.no_stall = mode == Mode::kNoStall;
+      s.faults.partition_cycles = 0;
+      s.faults.one_way_fraction = 0;
+      s.faults.gray = false;
+      s.config.detector.enabled = false;
+      break;
+    case Mode::kPartition:
+      s.faults.no_stall = true;
+      s.faults.crash_cycles = s.faults.crash_cycles > 0 ? 1 : 0;
+      s.config.detector.enabled = true;
+      break;
   }
-  return true;
+  return s;
 }
 
-bool ParseArgs(int argc, char** argv, Options* opts) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts->seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--plan=", 7) == 0) {
-      opts->plan_spec = arg + 7;
-      if (!ParsePlanSpec(opts->plan_spec, opts)) {
-        std::fprintf(stderr, "bad --plan spec: %s\n", arg + 7);
-        return false;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--seed=<n>] "
-                   "[--plan=crashes=N,partitions=N,one_way=F,gray=0|1,"
-                   "drop=F,dup=F,jitter=US]\n",
-                   argv[0]);
-      return false;
-    }
-  }
-  return true;
-}
-
-ClusterConfig BenchConfig(Mode mode) {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 20'000;
-  config.hermes.fusion_table_capacity = 500;
-  // Partition runs need the heartbeat detector to degrade membership; the
-  // other modes keep it off so their counter/digest surface is the same
-  // as before the detector existed.
-  config.detector.enabled = mode == Mode::kPartition;
-  return config;
-}
-
+/// One mode's drained run and its per-window series.
 struct BenchOutcome {
-  std::vector<double> commits;     // per metrics window
-  std::vector<double> sent;        // bytes sent per window
-  std::vector<double> received;    // bytes received per window
-  SimTime window_us = 1;
-  uint64_t total_commits = 0;
-  uint64_t dropped = 0;
-  uint64_t duplicated = 0;
-  uint64_t unavailable = 0;
-  uint64_t parked = 0;
-  uint64_t watchdog_aborts = 0;
-  uint64_t messages_held = 0;
-  uint64_t detector_suspects = 0;
-  uint64_t detector_restores = 0;
-  std::vector<RecoveryStats> recoveries;
-  std::vector<PartitionStats> partitions;
-  bool monitors_ok = true;
+  hermes::workload::DrainedRun run;
+  hermes::bench::RunResult series;
+  SimTime window = 0;
+
+  const hermes::engine::Cluster& cluster() const { return *run.cluster; }
+  uint64_t commits() const { return cluster().metrics().total_commits(); }
+  uint64_t held() const { return cluster().wire().total_held(); }
+  const hermes::engine::DegradedLedger& ledger() const {
+    return cluster().degraded_ledger();
+  }
+  uint64_t suspects() const {
+    const auto* detector = cluster().failure_detector();
+    return detector != nullptr ? detector->suspects() : 0;
+  }
+  uint64_t restores() const {
+    const auto* detector = cluster().failure_detector();
+    return detector != nullptr ? detector->restores() : 0;
+  }
 };
 
-BenchOutcome Run(Mode mode, const Options& opts) {
-  const ClusterConfig config = BenchConfig(mode);
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  std::unique_ptr<FaultInjector> injector;
-  InvariantMonitor monitor;
-  if (mode != Mode::kFaultFree) {
-    FaultPlanConfig pc;
-    pc.horizon_us = kHorizon;
-    pc.num_nodes = config.num_nodes;
-    pc.crash_cycles = opts.crash_cycles;
-    pc.min_outage_us = MsToSim(200);
-    pc.max_outage_us = MsToSim(800);
-    pc.no_stall = mode == Mode::kNoStall || mode == Mode::kPartition;
-    if (mode == Mode::kPartition) {
-      pc.partition_cycles = opts.partition_cycles;
-      pc.one_way_fraction = opts.one_way_fraction;
-      pc.gray = opts.gray;
-      // Partition victims draw from the non-crashed pool; keep one crash
-      // cycle so the bench exercises the overlap, matching the chaos
-      // tests' mixed plans.
-      pc.crash_cycles = opts.crash_cycles > 0 ? 1 : 0;
-    }
-    pc.link.drop_prob = opts.drop_prob;
-    pc.link.duplicate_prob = opts.duplicate_prob;
-    pc.link.max_jitter_us = opts.max_jitter_us;
-    const FaultPlan plan = FaultPlan::Generate(pc, opts.seed);
-    std::printf("%s", plan.DebugString().c_str());
-    injector = std::make_unique<FaultInjector>(&cluster, plan,
-                                               RangeMapFactory(config));
-    injector->set_monitor(&monitor);
+BenchOutcome Run(const Scenario& flags, Mode mode) {
+  const Scenario s = ForMode(flags, mode);
+  if (s.faulted()) std::printf("%s", s.Plan().DebugString().c_str());
+  BenchOutcome out{hermes::workload::RunScenario(s), {}, s.window};
+  if (!s.faulted()) {
+    // The fault-free baseline passes the same quiescent check.
+    hermes::fault::InvariantMonitor monitor;
+    monitor.CheckQuiescent(
+        *out.run.cluster, [&s] { return hermes::workload::MakePlacement(s); },
+        "final");
+    out.run.monitors_ok = monitor.ok();
+    out.run.report = monitor.FailureReport();
   }
-
-  hermes::workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 1337;
-  hermes::workload::YcsbWorkload gen(wl, nullptr);
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, kClients,
-      [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-
-  if (injector) {
-    injector->RunUntil(kHorizon);
-    injector->Drain();
-  } else {
-    cluster.RunUntil(kHorizon);
-    cluster.Drain();
-  }
-  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
-
-  BenchOutcome out;
-  const auto& m = cluster.metrics();
-  out.window_us = m.window_us();
-  const size_t windows = kHorizon / m.window_us();
-  for (size_t w = 0; w < windows; ++w) {
-    const bool have = w < m.windows().size();
-    out.commits.push_back(have ? m.windows()[w].commits : 0.0);
-    out.sent.push_back(have ? m.windows()[w].net_bytes : 0.0);
-    out.received.push_back(have ? m.windows()[w].net_bytes_received : 0.0);
-  }
-  out.total_commits = cluster.metrics().total_commits();
-  out.dropped = cluster.wire().messages_dropped();
-  out.duplicated = cluster.wire().messages_duplicated();
-  out.unavailable = cluster.degraded_ledger().unavailable_aborts();
-  out.parked = cluster.degraded_ledger().parked_total();
-  out.watchdog_aborts = cluster.degraded_ledger().watchdog_aborts();
-  out.messages_held = cluster.wire().total_held();
-  if (const auto* det = cluster.failure_detector()) {
-    out.detector_suspects = det->suspects();
-    out.detector_restores = det->restores();
-  }
-  if (injector) {
-    out.recoveries = injector->recoveries();
-    out.partitions = injector->partitions();
-  }
-  out.monitors_ok = monitor.ok();
-  if (!monitor.ok()) std::printf("%s", monitor.FailureReport().c_str());
+  out.series = hermes::bench::Measure(s, out.cluster());
+  if (!out.run.monitors_ok) std::printf("%s", out.run.report.c_str());
   return out;
 }
 
@@ -257,12 +118,15 @@ BenchOutcome Run(Mode mode, const Options& opts) {
 double OutageThroughputRatio(const BenchOutcome& faulty,
                              const BenchOutcome& baseline) {
   double f = 0.0, b = 0.0;
-  for (const RecoveryStats& r : faulty.recoveries) {
-    const size_t w0 = r.crash_at / faulty.window_us;
-    const size_t w1 = r.resumed_at / faulty.window_us;
-    for (size_t w = w0; w <= w1 && w < faulty.commits.size(); ++w) {
-      f += faulty.commits[w];
-      if (w < baseline.commits.size()) b += baseline.commits[w];
+  const std::vector<double>& commits = faulty.series.throughput;
+  const SimTime window = faulty.window;
+  for (const RecoveryStats& r : faulty.run.recoveries) {
+    for (size_t w = r.crash_at / window;
+         w <= r.resumed_at / window && w < commits.size(); ++w) {
+      f += commits[w];
+      if (w < baseline.series.throughput.size()) {
+        b += baseline.series.throughput[w];
+      }
     }
   }
   return b > 0.0 ? f / b : 0.0;
@@ -270,7 +134,7 @@ double OutageThroughputRatio(const BenchOutcome& faulty,
 
 void PrintRecoveries(const char* label, const BenchOutcome& out) {
   std::printf("\n%s recoveries (virtual time):\n", label);
-  for (const RecoveryStats& r : out.recoveries) {
+  for (const RecoveryStats& r : out.run.recoveries) {
     std::printf(
         "  node %d: crash at %.3fs, outage to %.3fs, replay %.1fms "
         "(%llu batches), stall %.1fms, recovered in %.1fms\n",
@@ -281,9 +145,9 @@ void PrintRecoveries(const char* label, const BenchOutcome& out) {
 }
 
 void PrintPartitions(const char* label, const BenchOutcome& out) {
-  if (out.partitions.empty()) return;
+  if (out.run.partitions.empty()) return;
   std::printf("\n%s partitions (virtual time):\n", label);
-  for (const PartitionStats& p : out.partitions) {
+  for (const PartitionStats& p : out.run.partitions) {
     std::printf("  node %d: %s cut at %.3fs, healed at %.3fs, "
                 "%llu messages parked\n",
                 p.node, hermes::fault::PartitionModeName(p.mode),
@@ -291,23 +155,25 @@ void PrintPartitions(const char* label, const BenchOutcome& out) {
                 static_cast<unsigned long long>(p.held_released));
   }
   std::printf("  detector: suspects=%llu restores=%llu held_total=%llu\n",
-              static_cast<unsigned long long>(out.detector_suspects),
-              static_cast<unsigned long long>(out.detector_restores),
-              static_cast<unsigned long long>(out.messages_held));
+              static_cast<unsigned long long>(out.suspects()),
+              static_cast<unsigned long long>(out.restores()),
+              static_cast<unsigned long long>(out.held()));
 }
 
-/// One-line machine-readable summary: the flags that shaped the run plus
-/// each mode's headline numbers (scripts diff these across seeds).
-void PrintJsonSummary(const Options& opts, const BenchOutcome& baseline,
+/// One-line machine-readable summary: the arguments and flags that shaped
+/// the run plus each mode's headline numbers (scripts diff these across
+/// seeds).
+void PrintJsonSummary(const std::string& args, const Scenario& flags,
+                      const BenchOutcome& baseline,
                       const BenchOutcome& stall, const BenchOutcome& degraded,
                       const BenchOutcome& partition) {
   std::printf("JSON {\"seed\":%llu,\"plan\":\"%s\","
               "\"flags\":{\"crashes\":%d,\"partitions\":%d,"
               "\"one_way\":%.3f,\"gray\":%s},\"modes\":[",
-              static_cast<unsigned long long>(opts.seed),
-              opts.plan_spec.c_str(), opts.crash_cycles,
-              opts.partition_cycles, opts.one_way_fraction,
-              opts.gray ? "true" : "false");
+              static_cast<unsigned long long>(flags.plan_seed), args.c_str(),
+              flags.faults.crash_cycles, flags.faults.partition_cycles,
+              flags.faults.one_way_fraction,
+              flags.faults.gray ? "true" : "false");
   const BenchOutcome* outs[] = {&baseline, &stall, &degraded, &partition};
   const Mode modes[] = {Mode::kFaultFree, Mode::kStall, Mode::kNoStall,
                         Mode::kPartition};
@@ -316,13 +182,15 @@ void PrintJsonSummary(const Options& opts, const BenchOutcome& baseline,
                 "\"parked\":%llu,\"held\":%llu,\"suspects\":%llu,"
                 "\"restores\":%llu,\"monitors_ok\":%s}",
                 i > 0 ? "," : "", ModeName(modes[i]),
-                static_cast<unsigned long long>(outs[i]->total_commits),
-                static_cast<unsigned long long>(outs[i]->unavailable),
-                static_cast<unsigned long long>(outs[i]->parked),
-                static_cast<unsigned long long>(outs[i]->messages_held),
-                static_cast<unsigned long long>(outs[i]->detector_suspects),
-                static_cast<unsigned long long>(outs[i]->detector_restores),
-                outs[i]->monitors_ok ? "true" : "false");
+                static_cast<unsigned long long>(outs[i]->commits()),
+                static_cast<unsigned long long>(
+                    outs[i]->ledger().unavailable_aborts()),
+                static_cast<unsigned long long>(
+                    outs[i]->ledger().parked_total()),
+                static_cast<unsigned long long>(outs[i]->held()),
+                static_cast<unsigned long long>(outs[i]->suspects()),
+                static_cast<unsigned long long>(outs[i]->restores()),
+                outs[i]->run.monitors_ok ? "true" : "false");
   }
   std::printf("]}\n");
 }
@@ -330,24 +198,40 @@ void PrintJsonSummary(const Options& opts, const BenchOutcome& baseline,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  if (!ParseArgs(argc, argv, &opts)) return 2;
+  // The arguments are scenario keys over `recovery`, e.g.
+  // `plan_seed=7 faults.partition_cycles=1 faults.gray=1`.
+  std::string args;
+  for (int i = 1; i < argc; ++i) {
+    if (i > 1) args += ' ';
+    args += argv[i];
+  }
+  std::string line = "recovery ";
+  line += args;
+  Scenario flags;
+  const hermes::Status status = Scenario::Parse(line, &flags);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\nusage: %s [key=value ...]   (keys of the "
+                 "`recovery` scenario line)\n",
+                 status.message().c_str(), argv[0]);
+    return 2;
+  }
   std::printf("Fault recovery bench: stall vs degraded crash handling vs "
               "network partitions, against a fault-free baseline "
               "(seed=%llu)\n",
-              static_cast<unsigned long long>(opts.seed));
-  BenchOutcome baseline = Run(Mode::kFaultFree, opts);
-  BenchOutcome stall = Run(Mode::kStall, opts);
-  BenchOutcome degraded = Run(Mode::kNoStall, opts);
-  BenchOutcome partition = Run(Mode::kPartition, opts);
+              static_cast<unsigned long long>(flags.plan_seed));
+  BenchOutcome baseline = Run(flags, Mode::kFaultFree);
+  BenchOutcome stall = Run(flags, Mode::kStall);
+  BenchOutcome degraded = Run(flags, Mode::kNoStall);
+  BenchOutcome partition = Run(flags, Mode::kPartition);
 
   PrintSeriesTable("throughput under chaos",
                    {"fault_free", "stall", "degraded", "partition"},
-                   {baseline.commits, stall.commits, degraded.commits,
-                    partition.commits},
+                   {baseline.series.throughput, stall.series.throughput,
+                    degraded.series.throughput, partition.series.throughput},
                    1.0, "commits per window");
   PrintSeriesTable("degraded run wire traffic", {"sent", "received"},
-                   {degraded.sent, degraded.received}, 1.0,
+                   {degraded.series.net_bytes, degraded.series.net_recv_bytes},
+                   1.0,
                    "bytes per window");
 
   PrintRecoveries(ModeName(Mode::kStall), stall);
@@ -362,31 +246,36 @@ int main(int argc, char** argv) {
               100.0 * stall_ratio, 100.0 * degraded_ratio);
   std::printf("degraded handling: parked=%llu unavailable=%llu "
               "watchdog_aborts=%llu\n",
-              static_cast<unsigned long long>(degraded.parked),
-              static_cast<unsigned long long>(degraded.unavailable),
-              static_cast<unsigned long long>(degraded.watchdog_aborts));
+              static_cast<unsigned long long>(degraded.ledger().parked_total()),
+              static_cast<unsigned long long>(
+                  degraded.ledger().unavailable_aborts()),
+              static_cast<unsigned long long>(
+                  degraded.ledger().watchdog_aborts()));
 
   std::printf("\ntotals: fault-free=%llu stall=%llu degraded=%llu "
               "dropped=%llu duplicated=%llu monitors=%s\n",
-              static_cast<unsigned long long>(baseline.total_commits),
-              static_cast<unsigned long long>(stall.total_commits),
-              static_cast<unsigned long long>(degraded.total_commits),
-              static_cast<unsigned long long>(degraded.dropped),
-              static_cast<unsigned long long>(degraded.duplicated),
-              stall.monitors_ok && degraded.monitors_ok ? "ok" : "FAILED");
+              static_cast<unsigned long long>(baseline.commits()),
+              static_cast<unsigned long long>(stall.commits()),
+              static_cast<unsigned long long>(degraded.commits()),
+              static_cast<unsigned long long>(
+                  degraded.cluster().wire().messages_dropped()),
+              static_cast<unsigned long long>(
+                  degraded.cluster().wire().messages_duplicated()),
+              stall.run.monitors_ok && degraded.run.monitors_ok ? "ok"
+                                                                : "FAILED");
   std::printf("paper shape: stall drops to ~0 during outages; degraded "
               "keeps the survivors' share (>=50%% of fault-free) and pays "
               "only retries/parking on the victim's keys; partitions park "
               "the cut's traffic and the detector degrades membership "
               "until the heal\n");
-  PrintJsonSummary(opts, baseline, stall, degraded, partition);
-  const bool ok = stall.monitors_ok && degraded.monitors_ok &&
-                  partition.monitors_ok && degraded_ratio >= 0.5;
+  PrintJsonSummary(args, flags, baseline, stall, degraded, partition);
+  const bool ok = stall.run.monitors_ok && degraded.run.monitors_ok &&
+                  partition.run.monitors_ok && degraded_ratio >= 0.5;
   if (degraded_ratio < 0.5) {
     std::printf("FAIL: degraded outage-window ratio %.1f%% < 50%%\n",
                 100.0 * degraded_ratio);
   }
-  if (!partition.monitors_ok) {
+  if (!partition.run.monitors_ok) {
     std::printf("FAIL: partition run tripped the invariant monitor\n");
   }
   return ok ? 0 : 1;

@@ -9,30 +9,24 @@
 
 #include "bench_common.h"
 
-using hermes::bench::GoogleRunParams;
 using hermes::bench::MeanOf;
 using hermes::bench::PrintSeriesTable;
-using hermes::bench::RunGoogleWorkload;
+using hermes::bench::Run;
 using hermes::bench::RunResult;
-using hermes::engine::RouterKind;
 
 int main() {
   std::printf("Fig. 2 reproduction: Calvin + {range, Clay, LEAP} under the "
               "synthetic Google workload\n");
 
-  GoogleRunParams params;
-  const double window_s = params.window_us / 1e6;
-
-  RunResult range = RunGoogleWorkload(RouterKind::kCalvin, GoogleRunParams{});
-  GoogleRunParams clay_params;
-  clay_params.enable_clay = true;
-  RunResult clay = RunGoogleWorkload(RouterKind::kCalvin, std::move(clay_params));
-  RunResult leap = RunGoogleWorkload(RouterKind::kLeap, GoogleRunParams{});
+  const RunResult range = Run("google router=calvin");
+  const RunResult clay = Run("google router=calvin clay=1");
+  const RunResult leap = Run("google router=leap");
 
   PrintSeriesTable("Fig 2: throughput over time",
                    {"range_partition", "clay", "leap"},
                    {range.throughput, clay.throughput, leap.throughput},
-                   window_s, "committed txns per window");
+                   hermes::workload::Registered("google").window / 1e6,
+                   "committed txns per window");
 
   const size_t n = range.throughput.size();
   std::printf("\nsummary (mean txn/window, windows 2..%zu):\n", n);

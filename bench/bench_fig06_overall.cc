@@ -12,67 +12,31 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "routing/schism_partitioner.h"
-#include "workload/ycsb.h"
 
-namespace {
-
-using hermes::SimTime;
-using hermes::bench::GoogleRunParams;
 using hermes::bench::MeanOf;
 using hermes::bench::PrintSeriesTable;
-using hermes::bench::RunGoogleWorkload;
+using hermes::bench::Run;
 using hermes::bench::RunResult;
-using hermes::bench::SharedTrace;
-using hermes::engine::RouterKind;
-
-/// Trains Schism offline on the trace slice [from_window, to_window).
-std::unique_ptr<hermes::partition::PartitionMap> TrainSchism(
-    const GoogleRunParams& params, int from_window, int to_window) {
-  const auto& trace =
-      SharedTrace(params.num_nodes, params.window_us, params.windows);
-  hermes::workload::YcsbConfig wl;
-  wl.num_records = params.num_records;
-  wl.num_partitions = params.num_nodes;
-  wl.hotspot_cycle_us = params.windows * params.window_us;
-  wl.seed = 999;  // offline trace, distinct from the live run
-  hermes::workload::YcsbWorkload gen(wl, &trace);
-
-  hermes::routing::SchismPartitioner schism(
-      params.num_records, std::max<uint64_t>(params.num_records / 500, 1));
-  const SimTime lo = from_window * params.window_us;
-  const SimTime hi = to_window * params.window_us;
-  const SimTime step = (hi - lo) / 20'000;
-  for (SimTime t = lo; t < hi; t += step) {
-    schism.Observe(gen.Next(t));
-  }
-  return schism.Partition(params.num_nodes);
-}
-
-}  // namespace
 
 int main() {
-  auto base = [] { return GoogleRunParams(); };
   std::printf("Fig. 6 reproduction: overall throughput under the synthetic "
               "Google workload\n");
-  const GoogleRunParams defaults;
-  const double window_s = defaults.window_us / 1e6;
-  const size_t n = defaults.windows;
+  const hermes::workload::Scenario& google =
+      hermes::workload::Registered("google");
+  const double window_s = google.window / 1e6;
+  const size_t n = google.horizon / google.window;
 
   // ---- (a) look-back approaches ----
-  RunResult calvin = RunGoogleWorkload(RouterKind::kCalvin, base());
-  GoogleRunParams clay_params = base();
-  clay_params.enable_clay = true;
-  RunResult clay = RunGoogleWorkload(RouterKind::kCalvin, std::move(clay_params));
-  GoogleRunParams schism1_params = base();
-  schism1_params.initial = TrainSchism(defaults, 1, 4);
-  RunResult schism1 =
-      RunGoogleWorkload(RouterKind::kCalvin, std::move(schism1_params));
-  GoogleRunParams schism2_params = base();
-  schism2_params.initial = TrainSchism(defaults, 7, 10);
-  RunResult schism2 =
-      RunGoogleWorkload(RouterKind::kCalvin, std::move(schism2_params));
-  RunResult hermes = RunGoogleWorkload(RouterKind::kHermes, base());
+  const RunResult calvin = Run("google router=calvin");
+  const RunResult clay = Run("google router=calvin clay=1");
+  // Schism's offline plans, trained on trace windows [1, 4) and [7, 10).
+  const RunResult schism1 =
+      Run("google router=calvin placement=schism schism_from=4s "
+          "schism_to=16s");
+  const RunResult schism2 =
+      Run("google router=calvin placement=schism schism_from=28s "
+          "schism_to=40s");
+  const RunResult hermes = Run("google");
 
   PrintSeriesTable(
       "Fig 6a: Hermes vs look-back approaches",
@@ -82,9 +46,9 @@ int main() {
       window_s, "committed txns per window");
 
   // ---- (b) on-line approaches ----
-  RunResult gstore = RunGoogleWorkload(RouterKind::kGStore, base());
-  RunResult tpart = RunGoogleWorkload(RouterKind::kTPart, base());
-  RunResult leap = RunGoogleWorkload(RouterKind::kLeap, base());
+  const RunResult gstore = Run("google router=gstore");
+  const RunResult tpart = Run("google router=tpart");
+  const RunResult leap = Run("google router=leap");
 
   PrintSeriesTable(
       "Fig 6b: Hermes vs on-line approaches",

@@ -11,42 +11,22 @@
 
 #include "bench_common.h"
 
-using hermes::bench::GoogleRunParams;
-using hermes::bench::RunGoogleWorkload;
-using hermes::bench::RunResult;
-using hermes::engine::RouterKind;
-
-namespace {
-
-GoogleRunParams ShortRun(bool clay = false) {
-  GoogleRunParams params;
-  params.windows = 6;
-  params.enable_clay = clay;
-  return params;
-}
-
-void PrintRow(const char* name, const RunResult& r) {
-  const auto& l = r.avg_latency;
-  std::printf("%-8s,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f\n",
-              name, l.scheduling_us / 1e3, l.lock_wait_us / 1e3,
-              l.storage_us / 1e3, l.remote_wait_us / 1e3, l.other_us / 1e3,
-              l.total_us / 1e3, r.latency_p50_us / 1e3,
-              r.latency_p99_us / 1e3);
-}
-
-}  // namespace
-
 int main() {
   std::printf("Fig. 7 reproduction: average latency breakdown "
               "(milliseconds)\n\n");
   std::printf("system  ,   sched,   locks, storage,  remote,   other,   "
               "total,     p50,     p99\n");
-  PrintRow("calvin", RunGoogleWorkload(RouterKind::kCalvin, ShortRun()));
-  PrintRow("clay", RunGoogleWorkload(RouterKind::kCalvin, ShortRun(true)));
-  PrintRow("gstore", RunGoogleWorkload(RouterKind::kGStore, ShortRun()));
-  PrintRow("tpart", RunGoogleWorkload(RouterKind::kTPart, ShortRun()));
-  PrintRow("leap", RunGoogleWorkload(RouterKind::kLeap, ShortRun()));
-  PrintRow("hermes", RunGoogleWorkload(RouterKind::kHermes, ShortRun()));
+  for (const hermes::bench::System& system : hermes::bench::Systems()) {
+    // Six trace windows.
+    const hermes::bench::RunResult r =
+        hermes::bench::Run("google horizon=24s " + system.keys);
+    const auto& l = r.avg_latency;
+    std::printf("%-8s,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f,%8.2f\n",
+                system.name.c_str(), l.scheduling_us / 1e3,
+                l.lock_wait_us / 1e3, l.storage_us / 1e3,
+                l.remote_wait_us / 1e3, l.other_us / 1e3, l.total_us / 1e3,
+                r.latency_p50_us / 1e3, r.latency_p99_us / 1e3);
+  }
   std::printf("\npaper shape: hermes minimizes lock+remote waits; its "
               "scheduling cost (~2ms) stays a small fraction of total\n");
   return 0;

@@ -8,51 +8,35 @@
 // dedicated migration phases.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 
-using hermes::bench::GoogleRunParams;
+using hermes::bench::Columns;
 using hermes::bench::PrintSeriesTable;
-using hermes::bench::RunGoogleWorkload;
+using hermes::bench::Run;
 using hermes::bench::RunResult;
-using hermes::engine::RouterKind;
 
 namespace {
 
 // Wire-substrate section (DESIGN.md §5 "Wire substrate"): the same
-// workload on a congested fabric. T-Part's return migrations keep a
-// steady stream of single-record bulk shipments on the wire; with the
-// substrate enabled and a slow per-link serializer, foreground messages
-// queue behind them. Envelope coalescing folds those records into fewer
-// framed messages — the saved framing headers are the difference between
-// a serializer that keeps up and one that builds a queue.
-GoogleRunParams CongestedParams(bool coalesce) {
-  GoogleRunParams params;
-  params.windows = 6;      // the queueing story stabilizes within 6 windows
-  params.num_nodes = 5;    // fewer links -> denser per-link streams
-  params.clients = 800;
-  params.length_mean = 8.0;  // multi-record returns arrive as bursts
-  params.distributed_ratio = 0.7;
-  params.tweak = [coalesce](hermes::ClusterConfig& config) {
-    // A chatty RPC fabric: small records behind a large per-message
-    // framing header, with little serializer headroom. This is where
-    // envelopes pay: every record folded into one saves a whole header
-    // (T-Part returns each record as its own bulk message).
-    config.costs.record_bytes = 128;
-    config.costs.message_overhead_bytes = 512;
-    config.net.enabled = true;
-    config.net.bytes_per_us = 1.2;
-    if (coalesce) {
-      // One sequencing epoch of returns folds per envelope; the size cap
-      // keeps head-of-line blocking near a single raw message.
-      config.net.coalesce_window_us = 10'000;
-      config.net.coalesce_max_bytes = 768;
-    } else {
-      config.net.coalesce_window_us = 0;
-    }
-  };
-  return params;
-}
+// workload on a congested fabric, over six windows on 5 nodes (fewer links,
+// denser per-link streams) with 8-record transactions (multi-record
+// returns arrive as bursts). T-Part's return migrations keep a steady
+// stream of single-record bulk shipments on the wire; with the substrate
+// enabled and a slow per-link serializer, foreground messages queue behind
+// them. The fabric is a chatty RPC one: small records behind a large
+// per-message framing header, with little serializer headroom. This is
+// where envelopes pay: every record folded into one saves a whole header
+// (T-Part returns each record as its own bulk message). Envelope
+// coalescing folds those records into fewer framed messages — the saved
+// framing headers are the difference between a serializer that keeps up
+// and one that builds a queue.
+constexpr const char* kCongested =
+    "google router=tpart clients=800 horizon=24s num_nodes=5 "
+    "costs.record_bytes=128 costs.message_overhead_bytes=512 net.enabled=1 "
+    "net.bytes_per_us=1.2 ycsb.distributed_ratio=0.7 ycsb.length_mean=8";
 
 void PrintNetLine(const char* label, const RunResult& r) {
   std::printf("NET %s fg_delay_p50_us=%llu fg_delay_p99_us=%llu "
@@ -73,62 +57,48 @@ void PrintNetLine(const char* label, const RunResult& r) {
 
 int main() {
   std::printf("Fig. 8 reproduction: CPU and network usage over time\n");
-  GoogleRunParams defaults;
-  const double window_s = defaults.window_us / 1e6;
+  const double window_s = hermes::workload::Registered("google").window / 1e6;
 
-  RunResult calvin = RunGoogleWorkload(RouterKind::kCalvin, GoogleRunParams{});
-  GoogleRunParams clay_params;
-  clay_params.enable_clay = true;
-  RunResult clay = RunGoogleWorkload(RouterKind::kCalvin, std::move(clay_params));
-  RunResult gstore = RunGoogleWorkload(RouterKind::kGStore, GoogleRunParams{});
-  RunResult tpart = RunGoogleWorkload(RouterKind::kTPart, GoogleRunParams{});
-  RunResult leap = RunGoogleWorkload(RouterKind::kLeap, GoogleRunParams{});
-  RunResult hermes = RunGoogleWorkload(RouterKind::kHermes, GoogleRunParams{});
+  std::vector<std::string> names;
+  std::vector<RunResult> runs;
+  for (const hermes::bench::System& system : hermes::bench::Systems()) {
+    names.push_back(system.name);
+    runs.push_back(Run("google " + system.keys));
+  }
 
-  auto pct = [](std::vector<double> v) {
-    for (double& x : v) x *= 100.0;
-    return v;
-  };
-  PrintSeriesTable("Fig 8a: average CPU usage",
-                   {"calvin", "clay", "gstore", "tpart", "leap", "hermes"},
-                   {pct(calvin.cpu), pct(clay.cpu), pct(gstore.cpu),
-                    pct(tpart.cpu), pct(leap.cpu), pct(hermes.cpu)},
-                   window_s, "percent of worker capacity");
+  PrintSeriesTable("Fig 8a: average CPU usage", names,
+                   Columns(runs, &RunResult::cpu, 100.0), window_s,
+                   "percent of worker capacity");
 
-  PrintSeriesTable(
-      "Fig 8b: network usage per transaction",
-      {"calvin", "clay", "gstore", "tpart", "leap", "hermes"},
-      {calvin.net_per_txn, clay.net_per_txn, gstore.net_per_txn,
-       tpart.net_per_txn, leap.net_per_txn, hermes.net_per_txn},
-      window_s, "bytes per committed txn");
+  PrintSeriesTable("Fig 8b: network usage per transaction", names,
+                   Columns(runs, &RunResult::net_per_txn), window_s,
+                   "bytes per committed txn");
 
   // Receiver-side view of the same traffic. On the fault-free runs here it
   // tracks Fig 8b modulo messages in flight across a window boundary; under
   // a chaos profile (bench_fault_recovery) the two diverge by the dropped
   // and duplicated wire attempts.
-  PrintSeriesTable(
-      "Fig 8c: network bytes received per transaction",
-      {"calvin", "clay", "gstore", "tpart", "leap", "hermes"},
-      {calvin.net_recv_per_txn, clay.net_recv_per_txn, gstore.net_recv_per_txn,
-       tpart.net_recv_per_txn, leap.net_recv_per_txn, hermes.net_recv_per_txn},
-      window_s, "bytes per committed txn");
+  PrintSeriesTable("Fig 8c: network bytes received per transaction", names,
+                   Columns(runs, &RunResult::net_recv_per_txn), window_s,
+                   "bytes per committed txn");
 
   // Fig 8d: migration traffic vs a bounded wire. Both runs below enable
   // the wire substrate with a slow serializer; they differ only in
-  // whether bulk shipments coalesce into envelopes.
-  const double net_window_s =
-      CongestedParams(false).window_us / 1e6;
-  RunResult raw =
-      RunGoogleWorkload(RouterKind::kTPart, CongestedParams(false));
-  RunResult coalesced =
-      RunGoogleWorkload(RouterKind::kTPart, CongestedParams(true));
+  // whether bulk shipments coalesce into envelopes. Coalescing folds one
+  // sequencing epoch of returns per envelope; the size cap keeps
+  // head-of-line blocking near a single raw message.
+  const RunResult raw =
+      Run(std::string(kCongested) + " net.coalesce_window_us=0");
+  const RunResult coalesced = Run(std::string(kCongested) +
+                                  " net.coalesce_window_us=10ms "
+                                  "net.coalesce_max_bytes=768");
 
   PrintSeriesTable(
       "Fig 8d: per-class wire bytes per transaction (congested fabric)",
       {"fg_raw", "bulk_raw", "fg_coalesced", "bulk_coalesced"},
       {raw.net_fg_per_txn, raw.net_bulk_per_txn, coalesced.net_fg_per_txn,
        coalesced.net_bulk_per_txn},
-      net_window_s, "bytes per committed txn");
+      window_s, "bytes per committed txn");
 
   PrintNetLine("congested_raw", raw);
   PrintNetLine("congested_coalesced", coalesced);

@@ -8,47 +8,40 @@
 // shrinks).
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
 
-using hermes::bench::GoogleRunParams;
-using hermes::bench::RunGoogleWorkload;
-using hermes::engine::RouterKind;
+using hermes::bench::Run;
+using hermes::bench::System;
 
 int main() {
   std::printf("Fig. 9 reproduction: impact of transaction length "
               "(improvement in throughput over Calvin, %%)\n\n");
-  const std::vector<std::pair<double, double>> settings = {
+  const std::vector<std::pair<int, int>> settings = {
       {5, 5}, {10, 5}, {10, 10}, {20, 5}, {20, 10}, {20, 20}};
 
   std::printf("mean_std");
-  const std::vector<std::pair<const char*, RouterKind>> systems = {
-      {"clay", RouterKind::kCalvin},  // + planner
-      {"gstore", RouterKind::kGStore},
-      {"leap", RouterKind::kLeap},
-      {"tpart", RouterKind::kTPart},
-      {"hermes", RouterKind::kHermes}};
-  for (const auto& [name, kind] : systems) std::printf(",%s", name);
+  const std::vector<System> systems = {{"clay", "router=calvin clay=1"},
+                                       {"gstore", "router=gstore"},
+                                       {"leap", "router=leap"},
+                                       {"tpart", "router=tpart"},
+                                       {"hermes", "router=hermes"}};
+  for (const System& system : systems) std::printf(",%s", system.name.c_str());
   std::printf("\n");
 
   for (const auto& [mean, stddev] : settings) {
-    auto make = [&](bool clay) {
-      GoogleRunParams params;
-      params.windows = 5;
-      params.clients = 1200;  // longer txns: keep the closed loop sane
-      params.length_mean = mean;
-      params.length_stddev = stddev;
-      params.enable_clay = clay;
-      return params;
-    };
-    const double calvin =
-        RunGoogleWorkload(RouterKind::kCalvin, make(false)).mean_throughput;
-    std::printf("(%2.0f,%2.0f)", mean, stddev);
-    for (const auto& [name, kind] : systems) {
-      const bool clay = std::string(name) == "clay";
-      const double tput = RunGoogleWorkload(kind, make(clay)).mean_throughput;
+    // Five trace windows; longer txns: keep the closed loop sane.
+    const std::string line = "google clients=1200 horizon=20s " +
+                             std::string("ycsb.length_mean=") +
+                             std::to_string(mean) + " ycsb.length_stddev=" +
+                             std::to_string(stddev) + " ";
+    const double calvin = Run(line + "router=calvin").mean_throughput;
+    std::printf("(%2d,%2d)", mean, stddev);
+    for (const System& system : systems) {
+      const double tput = Run(line + system.keys).mean_throughput;
       std::printf(",%+.0f%%", 100.0 * (tput / calvin - 1.0));
       std::fflush(stdout);
     }

@@ -9,72 +9,31 @@
 // the first node — degrade the least.
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "workload/client.h"
-#include "workload/tpcc.h"
-
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-double RunTpcc(RouterKind kind, bool enable_clay, double concentration) {
-  hermes::workload::TpccConfig tc;
-  tc.num_warehouses = 16;
-  tc.num_nodes = 8;
-  tc.hotspot_concentration = concentration;
-  hermes::workload::TpccWorkload gen(tc);
-
-  ClusterConfig config;
-  config.num_nodes = tc.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 40;  // 2.5%
-  Cluster cluster(config, kind, gen.WarehousePartitioning());
-  cluster.Load();
-  if (enable_clay) {
-    hermes::routing::ClayConfig clay;
-    clay.monitor_window_us = SecToSim(2);
-    // Clumps of 1/16 warehouse: small enough that moving one off the hot
-    // node does not just relocate the hot spot.
-    clay.range_size = gen.BlockSize() / 16;
-    cluster.EnableClay(clay);
-  }
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 1600, [&gen](int, SimTime now) { return gen.Next(now); });
-  const SimTime horizon = SecToSim(16);
-  driver.set_stop_time(horizon);
-  driver.Start();
-  cluster.RunUntil(horizon);
-  cluster.Drain();
-  return cluster.metrics().Throughput(SecToSim(6), horizon);
-}
-
-}  // namespace
 
 int main() {
   std::printf("Fig. 11 reproduction: TPC-C (New-Order+Payment) with a "
               "hot-spot concentration on node 0\n\n");
-  const std::vector<std::pair<const char*, double>> settings = {
-      {"normal", 0.0}, {"50%", 0.5}, {"80%", 0.8}, {"90%", 0.9}};
+  const std::vector<std::pair<const char*, const char*>> settings = {
+      {"normal", "0"}, {"50%", "0.5"}, {"80%", "0.8"}, {"90%", "0.9"}};
 
-  std::printf("concentration,calvin,clay,gstore,tpart,leap,hermes  "
-              "(txn/s)\n");
-  for (const auto& [label, conc] : settings) {
+  std::printf("concentration");
+  for (const auto& system : hermes::bench::Systems()) {
+    std::printf(",%s", system.name.c_str());
+  }
+  std::printf("  (txn/s)\n");
+  for (const auto& [label, concentration] : settings) {
     std::printf("%s", label);
-    std::printf(",%.0f", RunTpcc(RouterKind::kCalvin, false, conc));
-    std::printf(",%.0f", RunTpcc(RouterKind::kCalvin, true, conc));
-    std::printf(",%.0f", RunTpcc(RouterKind::kGStore, false, conc));
-    std::printf(",%.0f", RunTpcc(RouterKind::kTPart, false, conc));
-    std::printf(",%.0f", RunTpcc(RouterKind::kLeap, false, conc));
-    std::printf(",%.0f", RunTpcc(RouterKind::kHermes, false, conc));
+    for (const auto& system : hermes::bench::Systems()) {
+      std::printf(",%.0f", hermes::bench::Run("tpcc " + system.keys +
+                                              " tpcc.hotspot_concentration=" +
+                                              concentration)
+                               .mean_throughput);
+    }
     std::printf("\n");
     std::fflush(stdout);
   }

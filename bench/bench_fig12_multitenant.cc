@@ -8,86 +8,30 @@
 // batches and stays highest and most stable.
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
-
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::bench::PrintSeriesTable;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-constexpr SimTime kRotation = SecToSim(15);
-constexpr int kRotations = 4;
-constexpr SimTime kHorizon = kRotation * kRotations;
-
-std::vector<double> RunMultiTenant(RouterKind kind, bool enable_clay) {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 4;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 25'000;
-  mt.rotation_us = kRotation;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 40;
-  config.migration_chunk_records = 1000;
-  Cluster cluster(config, kind, gen.PerfectPartitioning());
-  cluster.Load();
-  if (enable_clay) {
-    hermes::routing::ClayConfig clay;
-    clay.monitor_window_us = SecToSim(3);
-    clay.range_size = mt.records_per_tenant / 5;
-    cluster.EnableClay(clay);
-  }
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 800, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-  cluster.RunUntil(kHorizon);
-  cluster.Drain();
-
-  // Per-2s throughput series.
-  std::vector<double> series;
-  const auto& windows = cluster.metrics().windows();
-  for (size_t w = 0; w + 1 < kHorizon / SecToSim(1); w += 2) {
-    double commits = 0;
-    for (size_t i = w; i < w + 2 && i < windows.size(); ++i) {
-      commits += static_cast<double>(windows[i].commits);
-    }
-    series.push_back(commits);
-  }
-  return series;
-}
-
-}  // namespace
 
 int main() {
+  const hermes::workload::Scenario& multitenant =
+      hermes::workload::Registered("multitenant");
   std::printf("Fig. 12 reproduction: multi-tenant workload, hot spot "
               "rotates every %llu s (vertical events at t=15,30,45)\n",
-              static_cast<unsigned long long>(kRotation / 1'000'000));
+              static_cast<unsigned long long>(multitenant.mt.rotation_us /
+                                              1'000'000));
 
-  const auto calvin = RunMultiTenant(RouterKind::kCalvin, false);
-  const auto clay = RunMultiTenant(RouterKind::kCalvin, true);
-  const auto gstore = RunMultiTenant(RouterKind::kGStore, false);
-  const auto tpart = RunMultiTenant(RouterKind::kTPart, false);
-  const auto leap = RunMultiTenant(RouterKind::kLeap, false);
-  const auto hermes = RunMultiTenant(RouterKind::kHermes, false);
+  std::vector<std::string> names;
+  std::vector<hermes::bench::RunResult> runs;
+  for (const auto& system : hermes::bench::Systems()) {
+    names.push_back(system.name);
+    runs.push_back(hermes::bench::Run("multitenant " + system.keys));
+  }
 
-  PrintSeriesTable("Fig 12: throughput over time",
-                   {"calvin", "clay", "gstore", "tpart", "leap", "hermes"},
-                   {calvin, clay, gstore, tpart, leap, hermes}, 2.0,
-                   "committed txns per 2s window");
+  hermes::bench::PrintSeriesTable(
+      "Fig 12: throughput over time", names,
+      hermes::bench::Columns(runs, &hermes::bench::RunResult::throughput),
+      multitenant.window / 1e6, "committed txns per 2s window");
   std::printf("\npaper shape: hermes highest and stable across rotations; "
               "clay recovers each hot spot but dips after changes; calvin "
               "lowest\n");

@@ -9,87 +9,34 @@
 // Hermes is strong across all three.
 
 #include <cstdio>
-#include <memory>
+#include <string>
+#include <utility>
 
 #include "bench_common.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
-
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-enum class Placement { kPerfect, kHash, kSkewed };
-
-double Run(RouterKind kind, bool enable_clay, Placement placement) {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 4;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 25'000;
-  mt.rotation_us = SecToSim(10'000);  // static hot spot
-  mt.hot_fraction = 0.5;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 40;
-  config.migration_chunk_records = 1000;
-
-  std::unique_ptr<hermes::partition::PartitionMap> map;
-  switch (placement) {
-    case Placement::kPerfect:
-      map = gen.PerfectPartitioning();
-      break;
-    case Placement::kHash:
-      map = gen.HashPartitioning();
-      break;
-    case Placement::kSkewed:
-      map = gen.SkewedPartitioning(7);
-      break;
-  }
-  Cluster cluster(config, kind, std::move(map));
-  cluster.Load();
-  if (enable_clay) {
-    hermes::routing::ClayConfig clay;
-    clay.monitor_window_us = SecToSim(2);
-    clay.range_size = mt.records_per_tenant / 5;
-    cluster.EnableClay(clay);
-  }
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 800, [&gen](int, SimTime now) { return gen.Next(now); });
-  const SimTime horizon = SecToSim(12);
-  driver.set_stop_time(horizon);
-  driver.Start();
-  cluster.RunUntil(horizon);
-  cluster.Drain();
-  return cluster.metrics().Throughput(SecToSim(4), horizon);
-}
-
-}  // namespace
 
 int main() {
   std::printf("Fig. 13 reproduction: impact of initial partitioning "
               "(multi-tenant workload, txn/s)\n\n");
-  std::printf("placement,calvin,clay,gstore,tpart,leap,hermes\n");
-  const std::pair<const char*, Placement> placements[] = {
-      {"perfect", Placement::kPerfect},
-      {"hash", Placement::kHash},
-      {"skewed", Placement::kSkewed}};
+  std::printf("placement");
+  for (const auto& system : hermes::bench::Systems()) {
+    std::printf(",%s", system.name.c_str());
+  }
+  std::printf("\n");
+  // A static hot spot on half the load, over 12 s after a 4 s warm-up.
+  // A perfect placement is each tenant on its own node: the range one.
+  const std::pair<const char*, const char*> placements[] = {
+      {"perfect", "range"}, {"hash", "hash"}, {"skewed", "skewed"}};
   for (const auto& [label, placement] : placements) {
     std::printf("%s", label);
-    std::printf(",%.0f", Run(RouterKind::kCalvin, false, placement));
-    std::printf(",%.0f", Run(RouterKind::kCalvin, true, placement));
-    std::printf(",%.0f", Run(RouterKind::kGStore, false, placement));
-    std::printf(",%.0f", Run(RouterKind::kTPart, false, placement));
-    std::printf(",%.0f", Run(RouterKind::kLeap, false, placement));
-    std::printf(",%.0f", Run(RouterKind::kHermes, false, placement));
+    for (const auto& system : hermes::bench::Systems()) {
+      std::printf(",%.0f",
+                  hermes::bench::Run(
+                      "multitenant " + system.keys + " placement=" +
+                      placement +
+                      " clay.monitor_window_us=2s horizon=12s window=4s "
+                      "mt.hot_fraction=0.5 mt.rotation_us=10000s")
+                      .mean_throughput);
+    }
     std::printf("\n");
     std::fflush(stdout);
   }

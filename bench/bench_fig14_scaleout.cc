@@ -16,95 +16,40 @@
 // cold migration still pays off later without hurting the early phase.
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
 
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::RangeMove;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::bench::PrintSeriesTable;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-constexpr SimTime kAddAt = SecToSim(15);
-constexpr SimTime kHorizon = SecToSim(60);
-constexpr SimTime kClayLag = SecToSim(5);  // Clay monitors before planning
-
-std::vector<double> RunScaleOut(RouterKind kind, double fusion_frac,
-                                bool migrate_cold, SimTime add_delay) {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 3;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 25'000;
-  mt.rotation_us = SecToSim(100'000);  // hot tenant stays on node 0
-  mt.hot_fraction = 0.5;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity =
-      static_cast<size_t>(fusion_frac * gen.num_records());
-  config.migration_chunk_records = 500;
-  Cluster cluster(config, kind, gen.PerfectPartitioning());
-  cluster.Load();
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 700, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-
-  cluster.RunUntil(kAddAt + add_delay);
-  // The cold plan moves the hot tenant (first quarter of node 0's keys).
-  const std::vector<RangeMove> cold_plan = {
-      {0, mt.records_per_tenant - 1, 3}};
-  cluster.AddNode(cold_plan, migrate_cold);
-  cluster.RunUntil(kHorizon);
-  cluster.Drain();
-
-  std::vector<double> series;
-  const auto& windows = cluster.metrics().windows();
-  for (size_t w = 0; w + 1 < kHorizon / SecToSim(1); w += 2) {
-    double commits = 0;
-    for (size_t i = w; i < w + 2 && i < windows.size(); ++i) {
-      commits += static_cast<double>(windows[i].commits);
-    }
-    series.push_back(commits);
-  }
-  return series;
-}
-
-}  // namespace
+using hermes::bench::Run;
 
 int main() {
+  const hermes::workload::Scenario& scaleout =
+      hermes::workload::Registered("scaleout");
   std::printf("Fig. 14 reproduction: scale-out 3 -> 4 nodes at t=%llus "
               "(hot tenant on node 0, 25%% of load)\n",
-              static_cast<unsigned long long>(kAddAt / 1'000'000));
+              static_cast<unsigned long long>(scaleout.steps[0].at /
+                                              1'000'000));
 
+  // The Squall variants run Calvin with cold chunk migration only; Clay
+  // monitors for 5 s before planning, so its node joins at t=20 s. The
+  // Hermes variants size the fusion table at 5% or 10% of the database.
   const auto squall =
-      RunScaleOut(RouterKind::kCalvin, 0.0, /*cold=*/true, 0);
+      Run("scaleout router=calvin hermes.fusion_table_capacity=0");
   const auto clay_squall =
-      RunScaleOut(RouterKind::kCalvin, 0.0, /*cold=*/true, kClayLag);
-  const auto hermes_no5 =
-      RunScaleOut(RouterKind::kHermes, 0.05, /*cold=*/false, 0);
-  const auto hermes_no10 =
-      RunScaleOut(RouterKind::kHermes, 0.10, /*cold=*/false, 0);
-  const auto hermes_cold5 =
-      RunScaleOut(RouterKind::kHermes, 0.05, /*cold=*/true, 0);
+      Run("scaleout router=calvin hermes.fusion_table_capacity=0 "
+          "steps=add@20s:0-24999>3");
+  const auto hermes_no5 = Run("scaleout steps=add@15s:0-24999>3:hot");
+  const auto hermes_no10 = Run(
+      "scaleout hermes.fusion_table_capacity=30000 "
+      "steps=add@15s:0-24999>3:hot");
+  const auto hermes_cold5 = Run("scaleout");
 
-  PrintSeriesTable("Fig 14: throughput during scale-out",
-                   {"squall", "clay_squall", "hermes_no_cold_5",
-                    "hermes_no_cold_10", "hermes_cold_5"},
-                   {squall, clay_squall, hermes_no5, hermes_no10,
-                    hermes_cold5},
-                   2.0, "committed txns per 2s window");
+  hermes::bench::PrintSeriesTable(
+      "Fig 14: throughput during scale-out",
+      {"squall", "clay_squall", "hermes_no_cold_5", "hermes_no_cold_10",
+       "hermes_cold_5"},
+      {squall.throughput, clay_squall.throughput, hermes_no5.throughput,
+       hermes_no10.throughput, hermes_cold5.throughput},
+      scaleout.window / 1e6, "committed txns per 2s window");
   std::printf("\npaper shape: squall variants dip during migration; hermes "
               "rises right after the node joins; bigger fusion table rises "
               "higher; cold migration wins in the late phase\n");

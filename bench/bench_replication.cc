@@ -9,17 +9,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/env.h"
-#include "engine/cluster.h"
-#include "partition/partition_map.h"
-#include "workload/client.h"
-#include "workload/scenarios.h"
-#include "workload/ycsb.h"
 
 namespace {
 
@@ -36,64 +30,26 @@ struct RunStats {
   uint64_t updates = 0;
 };
 
-constexpr int kNodes = 4;
-constexpr uint64_t kRecords = 10'000;
-constexpr int kClients = 1200;
-constexpr SimTime kHorizon = SecToSim(6);
-
 RunStats RunOnce(double write_fraction, bool replication) {
-  ClusterConfig config;
-  config.num_nodes = kNodes;
-  config.num_records = kRecords;
-  config.workers_per_node = 2;
-  config.seed = 42;
-  // RPC-heavy deployment: an in-memory store behind a commodity RPC stack,
-  // where receiving and deserializing a record shipment costs an order of
-  // magnitude more worker time than the storage op itself. This is the
-  // regime replica leases target — a remote read's storage op merely moves
-  // between nodes, so the whole saving is the message handling.
-  config.costs.txn_logic_us = 60;
-  config.costs.txn_logic_per_record_us = 10;
-  config.costs.storage_op_us = 15;
-  config.costs.msg_processing_us = 200;
-  config.hermes.fusion_table_capacity =
-      static_cast<size_t>(0.025 * static_cast<double>(kRecords));
-  config.replication.enabled = replication;
-  config.replication.replicas = 4;
-  config.replication.read_hot_threshold = 1;
-  config.replication.write_revoke_threshold = 32;
-  config.replication.max_leases = 4096;
-
-  engine::Cluster cluster(
-      config, engine::RouterKind::kHermes,
-      std::make_unique<partition::RangePartitionMap>(kRecords, kNodes));
-  cluster.Load();
-
-  workload::YcsbConfig wl = workload::ReadHeavySkewedYcsb(
-      kRecords, kNodes, write_fraction, /*seed=*/42);
-  workload::YcsbWorkload gen(wl, /*trace=*/nullptr);
-
-  workload::ClosedLoopDriver driver(
-      &cluster, kClients, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-  cluster.RunUntil(kHorizon);
-  cluster.Drain();
+  const workload::Scenario scenario = workload::MustParse(
+      "readhot replication.enabled=" + std::to_string(replication) +
+      " ycsb.rw_ratio=" + std::to_string(write_fraction));
+  const workload::DrainedRun run = workload::RunScenario(scenario);
+  const engine::Cluster& cluster = *run.cluster;
 
   RunStats out;
-  out.txn_per_sec = cluster.metrics().Throughput(SecToSim(1), kHorizon);
+  out.txn_per_sec = bench::Measure(scenario, cluster).mean_throughput;
   const double commits =
-      static_cast<double>(cluster.executor().committed());
+      static_cast<double>(run.cluster->executor().committed());
   out.net_per_txn =
       commits > 0
           ? static_cast<double>(cluster.wire().total_bytes()) / commits
           : 0.0;
-  const auto* router =
-      static_cast<const core::HermesRouter*>(&cluster.router());
-  out.replica_reads = router->stats().replica_reads;
-  out.migrations = router->stats().migrations;
-  out.lease_grants = router->lease_table().stats().grants;
-  out.lease_revokes = router->lease_table().stats().revokes;
+  const core::HermesRouter& router = *cluster.hermes_router();
+  out.replica_reads = router.stats().replica_reads;
+  out.migrations = router.stats().migrations;
+  out.lease_grants = router.lease_table().stats().grants;
+  out.lease_revokes = router.lease_table().stats().revokes;
   out.installs = cluster.lease_manager().installs();
   out.updates = cluster.lease_manager().updates();
   return out;
@@ -104,10 +60,13 @@ RunStats RunOnce(double write_fraction, bool replication) {
 int main() {
   const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.20, 0.35, 0.50};
 
+  const workload::Scenario& readhot = workload::Registered("readhot");
   std::printf(
       "== replica-lease crossover (hermes, read-heavy skewed ycsb, "
       "%d nodes, %llu records, %d clients) ==\n",
-      kNodes, static_cast<unsigned long long>(kRecords), kClients);
+      readhot.config.num_nodes,
+      static_cast<unsigned long long>(readhot.config.num_records),
+      readhot.clients);
   std::printf(
       "write_frac,off_txn_s,on_txn_s,speedup,off_net_per_txn,on_net_per_txn,"
       "replica_reads,lease_grants,lease_revokes,installs,updates,"

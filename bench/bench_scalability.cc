@@ -9,30 +9,27 @@
 // per-node load distribution is skewed and drifting.
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.h"
-
-using hermes::bench::GoogleRunParams;
-using hermes::bench::RunGoogleWorkload;
-using hermes::engine::RouterKind;
 
 int main() {
   std::printf("Scalability: throughput vs cluster size under the Google "
               "workload (txn/s)\n\n");
   std::printf("nodes,calvin,hermes,speedup\n");
   for (int nodes : {2, 5, 10, 20}) {
-    auto make = [nodes] {
-      GoogleRunParams params;
-      params.windows = 4;
-      params.num_nodes = nodes;
-      params.clients = 250 * nodes;
-      params.num_records = 10'000u * nodes;
-      return params;
-    };
+    // Four trace windows; clients and records scale with the nodes, and
+    // the fusion table stays at 2.5% of the database.
+    const uint64_t records = 10'000u * nodes;
+    const std::string line =
+        "google horizon=16s clients=" + std::to_string(250 * nodes) +
+        " num_nodes=" + std::to_string(nodes) +
+        " num_records=" + std::to_string(records) +
+        " hermes.fusion_table_capacity=" +
+        std::to_string(static_cast<size_t>(0.025 * records));
     const double calvin =
-        RunGoogleWorkload(RouterKind::kCalvin, make()).mean_throughput;
-    const double hermes =
-        RunGoogleWorkload(RouterKind::kHermes, make()).mean_throughput;
+        hermes::bench::Run(line + " router=calvin").mean_throughput;
+    const double hermes = hermes::bench::Run(line).mean_throughput;
     std::printf("%d,%.0f,%.0f,%.2fx\n", nodes, calvin, hermes,
                 hermes / calvin);
     std::fflush(stdout);

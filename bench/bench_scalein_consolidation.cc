@@ -6,85 +6,41 @@
 // transactions, and the survivors absorb the load.
 
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.h"
-#include "migration/provisioning.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
 
 namespace {
 
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::bench::PrintSeriesTable;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
+using hermes::workload::Scenario;
 
-constexpr SimTime kRemoveAt = SecToSim(15);
-constexpr SimTime kHorizon = SecToSim(45);
-
-std::vector<double> RunScaleIn(RouterKind kind) {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 4;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 20'000;
-  mt.rotation_us = SecToSim(100'000);
-  mt.hot_fraction = 0.4;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 20;
-  config.migration_chunk_records = 500;
-  Cluster cluster(config, kind, gen.PerfectPartitioning());
-  cluster.Load();
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 600, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-
-  cluster.RunUntil(kRemoveAt);
-  // Drain node 3: its ranges re-home round-robin across the survivors.
-  const auto plan = hermes::migration::PlanDrainNode(
-      cluster.ownership(), config.num_records, /*leaving=*/3, {0, 1, 2});
-  cluster.RemoveNode(3, plan, /*migrate_cold=*/true);
-  cluster.RunUntil(kHorizon);
-  cluster.Drain();
-
+std::vector<double> RunScaleIn(const char* line) {
+  const Scenario scenario = hermes::workload::MustParse(line);
+  const hermes::workload::DrainedRun run =
+      hermes::workload::RunScenario(scenario);
   std::printf("  [%s] node 3 records after drain: %zu\n",
-              hermes::bench::KindName(kind).c_str(),
-              cluster.node(3).store().size());
-
-  std::vector<double> series;
-  const auto& windows = cluster.metrics().windows();
-  for (size_t w = 0; w + 1 < kHorizon / SecToSim(1); w += 2) {
-    double commits = 0;
-    for (size_t i = w; i < w + 2 && i < windows.size(); ++i) {
-      commits += static_cast<double>(windows[i].commits);
-    }
-    series.push_back(commits);
-  }
-  return series;
+              hermes::engine::RouterKindName(scenario.router),
+              run.cluster->node(3).store().size());
+  return hermes::bench::Measure(scenario, *run.cluster).throughput;
 }
 
 }  // namespace
 
 int main() {
+  const Scenario& consolidation =
+      hermes::workload::Registered("consolidation");
   std::printf("Consolidation (§3.3): remove node 3 from a 4-node cluster "
               "at t=%llus\n",
-              static_cast<unsigned long long>(kRemoveAt / 1'000'000));
+              static_cast<unsigned long long>(consolidation.steps[0].at /
+                                              1'000'000));
 
-  const auto calvin = RunScaleIn(RouterKind::kCalvin);
-  const auto hermes_series = RunScaleIn(RouterKind::kHermes);
+  // Node 3's ranges re-home round-robin across the survivors.
+  const auto calvin = RunScaleIn("consolidation router=calvin");
+  const auto hermes_series = RunScaleIn("consolidation");
 
-  PrintSeriesTable("Consolidation: throughput during scale-in",
-                   {"calvin_squall", "hermes"}, {calvin, hermes_series}, 2.0,
-                   "committed txns per 2s window");
+  hermes::bench::PrintSeriesTable(
+      "Consolidation: throughput during scale-in", {"calvin_squall", "hermes"},
+      {calvin, hermes_series}, consolidation.window / 1e6,
+      "committed txns per 2s window");
   std::printf("\nexpected shape: both drop to ~3/4 capacity after the node "
               "leaves; hermes transitions smoothly (hot records leave via "
               "data fusion, chunks skip them), calvin+squall dips during "

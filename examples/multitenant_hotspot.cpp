@@ -1,67 +1,33 @@
 // Example: a multi-tenant SaaS database whose hot tenant changes as users
-// around the world wake up (§5.3.2 scenario). Shows how to build a
-// cluster, attach a Clay look-back planner to a baseline for comparison,
-// and read the per-window metrics as the hot spot rotates.
+// around the world wake up (§5.3.2 scenario). Runs the `multitenant`
+// registry entry (workload/scenarios.h) with the hot node rotating every
+// 10 s, on a baseline, a baseline with Clay's look-back planner attached,
+// LEAP and Hermes, and reads the per-window metrics as the hot spot
+// rotates.
 //
 //   ./build/examples/example_multitenant_hotspot
 
 #include <cstdio>
-#include <memory>
+#include <string>
 
-#include "engine/cluster.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
+#include "workload/scenarios.h"
 
 namespace {
 
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-constexpr SimTime kRotation = SecToSim(10);
-constexpr SimTime kHorizon = SecToSim(40);
-
-void Run(RouterKind kind, bool with_clay, const char* label) {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 4;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 25'000;
-  mt.rotation_us = kRotation;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 40;
-  Cluster cluster(config, kind, gen.PerfectPartitioning());
-  cluster.Load();
-  if (with_clay) {
-    hermes::routing::ClayConfig clay;
-    clay.monitor_window_us = SecToSim(3);
-    clay.range_size = mt.records_per_tenant / 5;
-    cluster.EnableClay(clay);
-  }
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 800, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(kHorizon);
-  driver.Start();
-  cluster.RunUntil(kHorizon);
-  cluster.Drain();
-
+void Run(const std::string& keys, const char* label) {
+  const hermes::workload::DrainedRun run =
+      hermes::workload::RunScenario(hermes::workload::MustParse(
+          "multitenant horizon=40s mt.rotation_us=10s " + keys));
+  const auto& metrics = run.cluster->metrics();
   std::printf("%-12s", label);
-  const auto& windows = cluster.metrics().windows();
-  for (size_t w = 0; w < kHorizon / SecToSim(1) && w < windows.size();
-       w += 5) {
+  const auto& windows = metrics.windows();
+  for (size_t w = 0; w < 40 && w < windows.size(); w += 5) {
     // Print every 5th one-second window.
     std::printf(" %6llu",
                 static_cast<unsigned long long>(windows[w].commits));
   }
-  std::printf("   total=%llu\n", static_cast<unsigned long long>(
-                                     cluster.metrics().total_commits()));
+  std::printf("   total=%llu\n",
+              static_cast<unsigned long long>(metrics.total_commits()));
 }
 
 }  // namespace
@@ -70,10 +36,10 @@ int main() {
   std::printf("Multi-tenant workload: 16 tenants on 4 nodes, 90%% of load "
               "on one node's tenants, hot node rotates every 10 s\n");
   std::printf("(throughput samples, txn/s at t=0,5,10,...)\n\n");
-  Run(RouterKind::kCalvin, false, "calvin");
-  Run(RouterKind::kCalvin, true, "clay");
-  Run(RouterKind::kLeap, false, "leap");
-  Run(RouterKind::kHermes, false, "hermes");
+  Run("router=calvin", "calvin");
+  Run("router=calvin clay=1", "clay");
+  Run("router=leap", "leap");
+  Run("router=hermes", "hermes");
   std::printf("\nHermes re-balances within batches, so its samples stay "
               "high across every rotation.\n");
   return 0;

@@ -1,61 +1,33 @@
-// Quickstart: build a 4-node deterministic database cluster, run a skewed
-// YCSB workload with 50% distributed transactions against both vanilla
-// Calvin routing and Hermes prescient routing, and compare throughput.
+// Quickstart: run a skewed YCSB workload with 50% distributed transactions
+// on a 4-node deterministic database cluster, against both vanilla Calvin
+// routing and Hermes prescient routing, and compare throughput. Each run
+// is one scenario line (workload/scenarios.h): a registry entry plus the
+// keys that differ from it.
 //
 //   ./build/examples/example_quickstart
 
 #include <cstdio>
-#include <memory>
+#include <string>
 
-#include "engine/cluster.h"
-#include "partition/partition_map.h"
-#include "workload/client.h"
-#include "workload/ycsb.h"
+#include "workload/scenarios.h"
 
 namespace {
 
-using hermes::ClusterConfig;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-double RunSystem(RouterKind kind, const char* label) {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 100'000;
-  config.workers_per_node = 4;
-  config.hermes.fusion_table_capacity = 2'500;  // 2.5% of the database
-
-  Cluster cluster(config, kind,
-                  std::make_unique<hermes::partition::RangePartitionMap>(
-                      config.num_records, config.num_nodes));
-  cluster.Load();
-
-  hermes::workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.distributed_ratio = 0.5;
-  wl.rw_ratio = 0.5;
-  wl.seed = 7;
-  hermes::workload::YcsbWorkload gen(wl, nullptr);
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 800, [&gen](int, SimTime now) { return gen.Next(now); });
-
-  constexpr SimTime kWarmup = SecToSim(5);
-  constexpr SimTime kMeasure = SecToSim(30);
-  driver.set_stop_time(kWarmup + kMeasure);
-  driver.Start();
-  cluster.RunUntil(kWarmup + kMeasure);
-  cluster.Drain();
-
-  const double tput = cluster.metrics().Throughput(kWarmup, kWarmup + kMeasure);
-  const auto lat = cluster.metrics().AverageLatency();
+double RunSystem(const std::string& router) {
+  const hermes::workload::DrainedRun run =
+      hermes::workload::RunScenario(hermes::workload::MustParse(
+          "default router=" + router +
+          " clients=800 horizon=35s num_records=100000 "
+          "hermes.fusion_table_capacity=2500 ycsb.seed=7"));
+  // Throughput after a 5 s warm-up.
+  const auto& metrics = run.cluster->metrics();
+  const double tput =
+      metrics.Throughput(hermes::SecToSim(5), hermes::SecToSim(35));
+  const auto lat = metrics.AverageLatency();
   std::printf(
       "%-8s  throughput: %8.0f txn/s   avg latency: %6.2f ms "
       "(lock wait %.2f ms, remote wait %.2f ms)\n",
-      label, tput, lat.total_us / 1000.0, lat.lock_wait_us / 1000.0,
+      router.c_str(), tput, lat.total_us / 1000.0, lat.lock_wait_us / 1000.0,
       lat.remote_wait_us / 1000.0);
   return tput;
 }
@@ -65,8 +37,8 @@ double RunSystem(RouterKind kind, const char* label) {
 int main() {
   std::printf("Hermes quickstart: 4 nodes, 100k records, YCSB "
               "(50%% distributed, 50%% read-write), 800 closed-loop clients\n\n");
-  const double calvin = RunSystem(RouterKind::kCalvin, "calvin");
-  const double hermes_tput = RunSystem(RouterKind::kHermes, "hermes");
+  const double calvin = RunSystem("calvin");
+  const double hermes_tput = RunSystem("hermes");
   std::printf("\nHermes / Calvin throughput ratio: %.2fx\n",
               hermes_tput / calvin);
   return 0;

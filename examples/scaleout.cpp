@@ -1,59 +1,24 @@
 // Example: dynamic machine provisioning (§3.3 / §5.4 scenario). A 3-node
 // cluster with a hot tenant adds a 4th node at runtime; the hot records
 // move with normal traffic via the fusion table while the cold range
-// migrates in chunk transactions that skip hot keys.
+// migrates in chunk transactions that skip hot keys. The run is the
+// `scaleout` registry entry (workload/scenarios.h) with 600 clients,
+// 1000-record chunks and a 40 s horizon.
 //
 //   ./build/examples/example_scaleout
 
 #include <cstdio>
-#include <memory>
 
-#include "engine/cluster.h"
-#include "workload/client.h"
-#include "workload/multitenant.h"
-
-namespace {
-
-using hermes::ClusterConfig;
-using hermes::RangeMove;
-using hermes::SecToSim;
-using hermes::SimTime;
-using hermes::engine::Cluster;
-using hermes::engine::RouterKind;
-
-}  // namespace
+#include "workload/scenarios.h"
 
 int main() {
-  hermes::workload::MultiTenantConfig mt;
-  mt.num_nodes = 3;
-  mt.tenants_per_node = 4;
-  mt.records_per_tenant = 25'000;
-  mt.rotation_us = SecToSim(100'000);  // hot tenant stays put
-  mt.hot_fraction = 0.5;
-  hermes::workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = mt.num_nodes;
-  config.num_records = gen.num_records();
-  config.workers_per_node = 2;
-  config.hermes.fusion_table_capacity = gen.num_records() / 20;  // 5%
-  config.migration_chunk_records = 1000;
-  Cluster cluster(config, RouterKind::kHermes, gen.PerfectPartitioning());
-  cluster.Load();
-
-  hermes::workload::ClosedLoopDriver driver(
-      &cluster, 600, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(SecToSim(40));
-  driver.Start();
-
   std::printf("t=0s: 3 nodes, hot tenant on node 0 (50%% of load)\n");
-  cluster.RunUntil(SecToSim(15));
   std::printf("t=15s: adding node 3; cold-migrating the hot tenant's "
               "range\n");
-  cluster.AddNode({RangeMove{0, mt.records_per_tenant - 1, 3}},
-                  /*migrate_cold=*/true);
-  cluster.RunUntil(SecToSim(40));
-  cluster.Drain();
+  const hermes::workload::DrainedRun run =
+      hermes::workload::RunScenario(hermes::workload::MustParse(
+          "scaleout clients=600 horizon=40s migration_chunk_records=1000"));
+  hermes::engine::Cluster& cluster = *run.cluster;
 
   std::printf("\nthroughput (txn/s, 5s buckets):\n");
   const auto& windows = cluster.metrics().windows();

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace hermes {
@@ -35,6 +36,8 @@ struct CostModel {
   /// quadratic term and the command-log cost are constants next to their
   /// readers (routing/router.cc, engine/scheduler.cc).
   SimTime route_linear_us = 1;
+
+  bool operator==(const CostModel&) const = default;
 };
 
 /// Policy for evicting entries from a bounded fusion table (§4.1). Both
@@ -61,6 +64,8 @@ struct HermesConfig {
   /// Step 3 walks the reordered batch backward (the paper's choice: later
   /// transactions disturb fewer subsequent reads); off = forward walk.
   bool backward_pass = true;
+
+  bool operator==(const HermesConfig&) const = default;
 };
 
 /// Replica-lease parameters (adaptive read-replication for hot keys; see
@@ -89,6 +94,8 @@ struct ReplicationConfig {
   /// granted (nothing is revoked to make room) until a write-heavy revoke
   /// or a membership lapse frees a slot.
   size_t max_leases = 64;
+
+  bool operator==(const ReplicationConfig&) const = default;
 };
 
 /// Heartbeat failure-detector switch (partition-aware degraded mode;
@@ -102,6 +109,8 @@ struct DetectorConfig {
   /// Master switch. Off by default: no tick chain is ever armed and the
   /// cluster behaves exactly as before (digests unchanged).
   bool enabled = false;
+
+  bool operator==(const DetectorConfig&) const = default;
 };
 
 /// Wire-substrate (src/net/) parameters: bounded-bandwidth links, envelope
@@ -137,6 +146,8 @@ struct NetConfig {
   /// Seals an open envelope early once its payload reaches this size;
   /// 0 means no size cap.
   uint64_t coalesce_max_bytes = 16 * 1024;
+
+  bool operator==(const NetConfig&) const = default;
 };
 
 /// Observability (src/obs/) parameters. Tracing is strictly passive —
@@ -148,15 +159,19 @@ struct ObsConfig {
   /// tracer costs one null check per trace site. The HERMES_TRACE env var
   /// (any non-"0" value) also enables it.
   bool trace_enabled = false;
+
+  bool operator==(const ObsConfig&) const = default;
 };
 
 /// Simulator (src/sim/) parameters. Compatibility stub: the simulator runs
 /// its epoch schedule sequentially on the calling thread, and `threads`
 /// remains only because the benchmark harness under ledger/ still assigns
-/// it. Its only legal value is 0 — Cluster's constructor aborts on anything
-/// else. Delete the struct once ledger/ stops setting it.
+/// it. Its only legal value is 0 (ClusterConfig::Validate). Delete the
+/// struct once ledger/ stops setting it.
 struct SimConfig {
   int threads = 0;
+
+  bool operator==(const SimConfig&) const = default;
 };
 
 /// Top-level configuration of a simulated cluster.
@@ -187,6 +202,13 @@ struct ClusterConfig {
   NetConfig net;
   ObsConfig obs;
   SimConfig sim;
+
+  /// The one rule list for values the code cannot run with; the error
+  /// names the field. Cluster's constructor aborts on an error, and
+  /// workload::Scenario::Parse returns it.
+  Status Validate() const;
+
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 }  // namespace hermes

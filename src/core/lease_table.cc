@@ -167,8 +167,7 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // install fan-out before the write stream invalidates them — stop
   // extending replication and let the revoke rules drain what is left.
   if (2 * window_writes_ >= window_reads_) return;
-  const size_t max_holders =
-      static_cast<size_t>(std::max(config_->replicas, 1));
+  const size_t max_holders = static_cast<size_t>(config_->replicas);
   for (auto it = grantable_.begin();
        it != grantable_.end() && leased_.size() < config_->max_leases;) {
     const auto [key, slot] = *it;

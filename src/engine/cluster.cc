@@ -42,11 +42,21 @@ std::unique_ptr<routing::Router> MakeRouter(
   return nullptr;
 }
 
+/// `config`, or an abort naming the first rule it breaks.
+const ClusterConfig& Validated(const ClusterConfig& config) {
+  const Status status = config.Validate();
+  if (!status.ok()) {
+    std::fprintf(stderr, "Cluster: %s\n", status.message().c_str());
+    std::abort();
+  }
+  return config;
+}
+
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
                  std::unique_ptr<partition::PartitionMap> initial_partitioning)
-    : config_(config),
+    : config_(Validated(config)),
       kind_(kind),
       metrics_(SecToSim(1)),
       wire_(&sim_, &config_.costs, &config_.net, config.num_nodes),
@@ -63,15 +73,7 @@ Cluster::Cluster(const ClusterConfig& config, RouterKind kind,
                  [this](const TxnRequest& txn) { return ResolveCallback(txn); },
                  &digest_, &placement_digest_) {
   // Epoch schedule (DESIGN.md §5 "Epoch schedule"): one event lane per
-  // node, run sequentially. sim.threads survives only as a compatibility
-  // stub; a nonzero value is refused rather than silently ignored.
-  if (config_.sim.threads != 0) {
-    std::fprintf(stderr,
-                 "Cluster: config.sim.threads = %d, but the simulator runs "
-                 "sequentially and sim.threads must be 0\n",
-                 config_.sim.threads);
-    std::abort();
-  }
+  // node, run sequentially.
   sim_.ConfigureLanes(config_.num_nodes);
   nodes_.reserve(config_.num_nodes);
   for (NodeId i = 0; i < config_.num_nodes; ++i) {

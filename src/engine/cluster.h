@@ -43,6 +43,15 @@ enum class RouterKind {
   kHermes,  ///< prescient routing + fusion table (this paper)
 };
 
+/// The router kinds' names, in enum order: the scenario line format
+/// (workload/scenarios.h) parses and prints them, and benches label their
+/// columns with them.
+inline constexpr const char* kRouterKindNames[] = {"calvin", "gstore",
+                                                   "leap", "tpart", "hermes"};
+inline const char* RouterKindName(RouterKind kind) {
+  return kRouterKindNames[static_cast<int>(kind)];
+}
+
 /// The public facade of the library: a full deterministic database
 /// cluster — sequencer, scheduler replicas running a routing algorithm,
 /// per-node storage/lock/executor stacks — driven by a discrete-event

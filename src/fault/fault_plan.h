@@ -50,6 +50,8 @@ struct LinkChaosConfig {
   bool has_gray() const {
     return gray_until_us > gray_from_us && gray_node != kInvalidNode;
   }
+
+  bool operator==(const LinkChaosConfig&) const = default;
 };
 
 /// Shape of one network partition event (which directions of the victim's
@@ -126,6 +128,8 @@ struct FaultPlanConfig {
   SimTime gray_extra_delay_us = 400;
   double gray_heartbeat_drop_prob = 0.9;
   LinkChaosConfig link;
+
+  bool operator==(const FaultPlanConfig&) const = default;
 };
 
 /// A seeded, totally ordered schedule of fault events plus the link-chaos

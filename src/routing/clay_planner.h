@@ -28,6 +28,8 @@ struct ClayConfig {
   /// implementation also uses ranges instead of per-key clumps, see its
   /// footnote 4).
   uint64_t range_size = 10'000;
+
+  bool operator==(const ClayConfig&) const = default;
 };
 
 /// Clay baseline (Serafini et al., VLDB'16; paper §5.2.1): a *look-back*

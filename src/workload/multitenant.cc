@@ -50,18 +50,6 @@ TxnRequest MultiTenantWorkload::Next(SimTime now) {
 }
 
 std::unique_ptr<partition::PartitionMap>
-MultiTenantWorkload::PerfectPartitioning() const {
-  return std::make_unique<partition::RangePartitionMap>(num_records_,
-                                                        config_.num_nodes);
-}
-
-std::unique_ptr<partition::PartitionMap>
-MultiTenantWorkload::HashPartitioning() const {
-  return std::make_unique<partition::HashPartitionMap>(num_records_,
-                                                       config_.num_nodes);
-}
-
-std::unique_ptr<partition::PartitionMap>
 MultiTenantWorkload::SkewedPartitioning(int skewed_tenants) const {
   // Node 0 takes the first `skewed_tenants` tenants; the remaining tenants
   // are split evenly across the other nodes.

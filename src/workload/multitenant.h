@@ -30,6 +30,8 @@ struct MultiTenantConfig {
   /// Records per transaction.
   int records_per_txn = 2;
   uint64_t seed = 2;
+
+  bool operator==(const MultiTenantConfig&) const = default;
 };
 
 class MultiTenantWorkload {
@@ -49,11 +51,9 @@ class MultiTenantWorkload {
   uint64_t tenant_size() const { return config_.records_per_tenant; }
   const MultiTenantConfig& config() const { return config_; }
 
-  /// Initial placements for the Fig. 13 sweep.
-  std::unique_ptr<partition::PartitionMap> PerfectPartitioning() const;
-  std::unique_ptr<partition::PartitionMap> HashPartitioning() const;
-  /// Skewed: the first `skewed_tenants` tenants all on node 0, the rest
-  /// spread over the other nodes.
+  /// The Fig. 13 skewed placement: the first `skewed_tenants` tenants all
+  /// on node 0, the rest spread over the other nodes. (Its perfect
+  /// placement is the range one, and its hash placement the hash one.)
   std::unique_ptr<partition::PartitionMap> SkewedPartitioning(
       int skewed_tenants) const;
 

@@ -44,6 +44,8 @@ struct TpccConfig {
   /// 10:10 card deck is ~52% New-Order among the two.
   double new_order_ratio = 0.52;
   uint64_t seed = 3;
+
+  bool operator==(const TpccConfig&) const = default;
 };
 
 class TpccWorkload {

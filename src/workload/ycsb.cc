@@ -85,4 +85,29 @@ TxnRequest YcsbWorkload::Next(SimTime now) {
   return txn;
 }
 
+YcsbConfig ReadHeavySkewedYcsb(uint64_t num_records, int num_partitions,
+                               double write_fraction, uint64_t seed) {
+  YcsbConfig config;
+  config.num_records = num_records;
+  config.num_partitions = num_partitions;
+  // Nearly every transaction reaches into the global hot set from its own
+  // partition, so hot-set reads arrive from all over the cluster.
+  config.distributed_ratio = 0.9;
+  config.rw_ratio = write_fraction;
+  // Mild local skew, extreme global skew: a handful of keys absorb most
+  // distributed accesses.
+  config.zipf_theta = 0.6;
+  config.global_zipf_theta = 0.99;
+  // Four records per transaction: distributed transactions split 2 local
+  // + 2 global, so a read-mostly transaction has two hot-set reads a
+  // lease can localize.
+  config.length_mean = 4.0;
+  // A hotspot cycle far longer than any bench horizon: the hot set stays
+  // put, which is when leases pay off (a fast-moving hotspot churns
+  // grants instead).
+  config.hotspot_cycle_us = 86'400ULL * 1'000'000ULL;
+  config.seed = seed;
+  return config;
+}
+
 }  // namespace hermes::workload

@@ -33,7 +33,22 @@ struct YcsbConfig {
   /// ("active users around the world in 24 hours").
   SimTime hotspot_cycle_us = 2160 * 1'000'000ULL;
   uint64_t seed = 1;
+
+  bool operator==(const YcsbConfig&) const = default;
 };
+
+/// Read-heavy skewed YCSB (DESIGN.md §5 "Replica leases"): most
+/// transactions pair a key from their own partition with a record drawn
+/// from a highly skewed, effectively stationary global hot set, and only
+/// `write_fraction` of them write. The stationary hot set is exactly the
+/// case replica leases target — without them every distributed read
+/// either ships to the hot record's master or ping-pongs it between
+/// owners; with them each partition reads its local copy. Sweeping
+/// `write_fraction` exposes the crossover where write fan-out eats the
+/// read savings (bench_replication plots it). The `readhot` scenario
+/// (workload/scenarios.h) holds the same values; ledger/ calls this.
+YcsbConfig ReadHeavySkewedYcsb(uint64_t num_records, int num_partitions,
+                               double write_fraction, uint64_t seed);
 
 /// Generates the paper's complex Google workload: local transactions pick
 /// a partition with probability proportional to the traced machine load

@@ -13,12 +13,12 @@
 
 #include <gtest/gtest.h>
 
-#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "engine/recovery.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "workload/client.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 namespace hermes {
@@ -93,7 +93,7 @@ TEST(ClusterIdRingTest, OllpStaleRetryResolvesUnderItsNewId) {
 }
 
 TEST(ClusterIdRingTest, DegradedRetryRegistersUnderANewId) {
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -134,7 +134,7 @@ TEST(ClusterIdRingTest, DegradedRetryRegistersUnderANewId) {
 }
 
 TEST(ClusterIdRingTest, ParkedChunksReenterBelowTheLiveIdsAfterRejoin) {
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 

@@ -1,11 +1,15 @@
 #include "engine/cluster.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "partition/partition_map.h"
 #include "workload/client.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 namespace hermes {
@@ -68,28 +72,17 @@ TEST_P(ClusterRouterTest, RunsYcsbToCompletion) {
 }
 
 TEST_P(ClusterRouterTest, IdenticalRunsProduceIdenticalState) {
-  const ClusterConfig config = SmallConfig();
-  uint64_t checksums[2];
-  uint64_t commits[2];
-  for (int run = 0; run < 2; ++run) {
-    auto cluster = MakeCluster(config, GetParam());
-    workload::YcsbConfig wl;
-    wl.num_records = config.num_records;
-    wl.num_partitions = config.num_nodes;
-    wl.seed = 4242;
-    workload::YcsbWorkload gen(wl, nullptr);
-    workload::ClosedLoopDriver driver(
-        cluster.get(), 16,
-        [&gen](int, SimTime now) { return gen.Next(now); });
-    driver.set_stop_time(SecToSim(1));
-    driver.Start();
-    cluster->RunUntil(SecToSim(1));
-    cluster->Drain();
-    checksums[run] = cluster->StateChecksum();
-    commits[run] = cluster->metrics().total_commits();
-  }
-  EXPECT_EQ(checksums[0], checksums[1]);
-  EXPECT_EQ(commits[0], commits[1]);
+  const std::string line = std::string("default router=") +
+                           engine::RouterKindName(GetParam()) +
+                           " clients=16 workers_per_node=2 num_records=10000 "
+                           "hermes.fusion_table_capacity=1000 ycsb.seed=4242";
+  const workload::DrainedRun a =
+      workload::RunScenario(workload::MustParse(line));
+  const workload::DrainedRun b =
+      workload::RunScenario(workload::MustParse(line));
+  EXPECT_EQ(a.cluster->StateChecksum(), b.cluster->StateChecksum());
+  EXPECT_EQ(a.cluster->metrics().total_commits(),
+            b.cluster->metrics().total_commits());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRouters, ClusterRouterTest,
@@ -256,3 +249,189 @@ TEST(ClusterDeathTest, KeyBeyondNumRecordsAborts) {
 
 }  // namespace
 }  // namespace hermes
+
+// The scenario line format (workload/scenarios.h) and the config rules it
+// checks: every registry entry round-trips through its printed line over
+// every base, a round-tripped line runs the same lifetime, Parse rejects
+// bad input naming the key, and ClusterConfig::Validate has one case per
+// rule. Parse reads text from outside the program, so this binary carries
+// the `engine` label and runs under ASan.
+
+namespace hermes::workload {
+namespace {
+
+TEST(ScenarioLineTest, EveryEntryRoundTripsOverEveryBase) {
+  for (const Scenario& entry : Registry()) {
+    EXPECT_EQ(entry.ToString(), entry.base);
+    for (const Scenario& base : Registry()) {
+      Scenario s = entry;
+      s.base = base.base;
+      Scenario parsed;
+      const Status status = Scenario::Parse(s.ToString(), &parsed);
+      ASSERT_TRUE(status.ok()) << s.ToString() << ": " << status.message();
+      EXPECT_TRUE(parsed == s) << s.ToString() << " parsed as "
+                               << parsed.ToString();
+    }
+  }
+}
+
+TEST(ScenarioLineTest, ValuesRoundTrip) {
+  const Scenario s = MustParse(
+      "default horizon=4500us window=1ms hermes.alpha=0.1 "
+      "hermes.eviction_policy=fifo net.enabled=true "
+      "steps=add@1ms:0-9>4+20-29>4:hot,remove@2ms:1,crash@3ms:2,"
+      "migrate@4ms:5-6>0");
+  EXPECT_EQ(s.horizon, 4'500u);
+  EXPECT_EQ(s.window, MsToSim(1));
+  EXPECT_EQ(s.config.hermes.alpha, 0.1);
+  EXPECT_EQ(s.config.hermes.eviction_policy, EvictionPolicy::kFifo);
+  EXPECT_TRUE(s.config.net.enabled);
+  ASSERT_EQ(s.steps.size(), 4u);
+  EXPECT_EQ(s.steps[0].moves, (std::vector<RangeMove>{{0, 9, 4}, {20, 29, 4}}));
+  EXPECT_FALSE(s.steps[0].migrate_cold);
+  EXPECT_TRUE(s.steps[1].moves.empty());
+  EXPECT_EQ(s.steps[2].kind, Step::Kind::kCrash);
+  EXPECT_EQ(s.steps[2].node, 2);
+  EXPECT_EQ(s.ToString(),
+            "default horizon=4500us window=1ms hermes.alpha=0.1 "
+            "hermes.eviction_policy=fifo net.enabled=1 "
+            "steps=add@1ms:0-9>4+20-29>4:hot,remove@2ms:1,crash@3ms:2,"
+            "migrate@4ms:5-6>0");
+}
+
+// A short run of `s`: every digest the oracle reads, so a field the line
+// format dropped shows up as a difference.
+std::vector<uint64_t> ShortRun(Scenario s) {
+  s.horizon = std::min(s.horizon, MsToSim(300));
+  s.window = std::min(s.window, s.horizon);
+  std::erase_if(s.steps, [&](const Step& step) { return step.at > s.horizon; });
+  // Outages and cuts that fit the short horizon.
+  s.faults.min_outage_us = s.faults.max_outage_us = MsToSim(20);
+  s.faults.min_partition_us = s.faults.max_partition_us = MsToSim(20);
+  const DrainedRun run = RunScenario(s);
+  const engine::Cluster& c = *run.cluster;
+  return {c.decision_digest().value(), c.placement_digest().value(),
+          c.StateChecksum(), c.metrics().total_commits(),
+          c.metrics().total_aborts(), c.ReplicaChecksum(),
+          c.trace_digest().value(), run.monitors_ok};
+}
+
+TEST(ScenarioLineTest, RoundTrippedLineRunsTheSameLifetime) {
+  for (const Scenario& entry : Registry()) {
+    if (entry.base == "default") continue;  // a million records
+    Scenario rebased = entry;
+    rebased.base = "default";
+    const Scenario parsed = MustParse(rebased.ToString());
+    EXPECT_EQ(ShortRun(entry), ShortRun(parsed)) << rebased.ToString();
+  }
+}
+
+std::string ParseError(const std::string& line) {
+  Scenario s = Registered("healthy");
+  const Status status = Scenario::Parse(line, &s);
+  if (status.ok()) return "";
+  EXPECT_TRUE(s == Registered("healthy")) << "Parse wrote on error";
+  return status.message();
+}
+
+TEST(ScenarioLineTest, RejectsUnknownBase) {
+  EXPECT_NE(ParseError("nosuch clients=1").find("nosuch"), std::string::npos);
+  EXPECT_NE(ParseError("").find("empty"), std::string::npos);
+}
+
+TEST(ScenarioLineTest, RejectsUnknownKey) {
+  EXPECT_NE(ParseError("healthy client=1").find("'client'"),
+            std::string::npos);
+  EXPECT_NE(ParseError("healthy clients").find("'clients' has no value"),
+            std::string::npos);
+  // sim.threads is a stub, not a key.
+  EXPECT_NE(ParseError("healthy sim.threads=0").find("'sim.threads'"),
+            std::string::npos);
+}
+
+TEST(ScenarioLineTest, RejectsMalformedValue) {
+  for (const char* line :
+       {"healthy clients=abc", "healthy clients=1x",
+        "healthy horizon=3h", "healthy router=spanner",
+        "healthy net.enabled=yes", "healthy hermes.alpha=",
+        "healthy steps=add@1ms", "healthy steps=crash@1ms",
+        "healthy steps=crash@1ms:2:0-1>2", "healthy steps=add@1ms:5-1>3",
+        "healthy steps=jump@1ms:1"}) {
+    const std::string key = std::string(line).substr(
+        8, std::string(line).find('=') - 8);
+    EXPECT_NE(ParseError(line).find("key '" + key + "': malformed"),
+              std::string::npos)
+        << line << " -> " << ParseError(line);
+  }
+}
+
+TEST(ScenarioLineTest, RejectsStepAfterHorizon) {
+  EXPECT_NE(ParseError("healthy steps=crash@301ms:1").find("key 'steps'"),
+            std::string::npos);
+  EXPECT_EQ(ParseError("healthy steps=crash@300ms:1"), "");
+}
+
+TEST(ScenarioLineTest, RejectsAClusterWithoutClients) {
+  EXPECT_NE(ParseError("healthy clients=0").find("key 'clients'"),
+            std::string::npos);
+  EXPECT_NE(ParseError("healthy clients=-1").find("key 'clients'"),
+            std::string::npos);
+}
+
+TEST(ScenarioLineTest, RejectsPlacementOfAnotherWorkload) {
+  EXPECT_NE(ParseError("healthy placement=warehouse").find("key 'placement'"),
+            std::string::npos);
+  EXPECT_NE(ParseError("tpcc placement=schism").find("key 'placement'"),
+            std::string::npos);
+  EXPECT_NE(ParseError("multitenant placement=skewed num_nodes=1")
+                .find("key 'placement'"),
+            std::string::npos);
+  EXPECT_EQ(ParseError("multitenant placement=skewed num_nodes=2"), "");
+}
+
+TEST(ScenarioLineTest, RejectsInvalidConfig) {
+  EXPECT_NE(ParseError("healthy num_nodes=0").find("num_nodes"),
+            std::string::npos);
+  EXPECT_NE(ParseError("healthy ollp_stale_prob=2").find("ollp_stale_prob"),
+            std::string::npos);
+}
+
+// One case per ClusterConfig::Validate rule: the field it names and a
+// value the code cannot run with.
+struct Rule {
+  const char* field;
+  void (*breaks)(ClusterConfig&);
+};
+
+class ValidateTest : public testing::TestWithParam<Rule> {};
+
+TEST_P(ValidateTest, RejectsAndNamesTheField) {
+  ClusterConfig config;
+  ASSERT_TRUE(config.Validate().ok());
+  GetParam().breaks(config);
+  const Status status = config.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.message().rfind(GetParam().field, 0), 0u)
+      << status.message();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, ValidateTest,
+    testing::Values(
+        Rule{"num_nodes", [](ClusterConfig& c) { c.num_nodes = 0; }},
+        Rule{"workers_per_node",
+             [](ClusterConfig& c) { c.workers_per_node = 0; }},
+        Rule{"epoch_us", [](ClusterConfig& c) { c.epoch_us = 0; }},
+        Rule{"num_records", [](ClusterConfig& c) { c.num_records = 0; }},
+        Rule{"migration_chunk_records",
+             [](ClusterConfig& c) { c.migration_chunk_records = 0; }},
+        Rule{"ollp_stale_prob",
+             [](ClusterConfig& c) { c.ollp_stale_prob = -0.1; }},
+        Rule{"ollp_stale_prob",
+             [](ClusterConfig& c) { c.ollp_stale_prob = 1.5; }},
+        Rule{"replication.replicas",
+             [](ClusterConfig& c) { c.replication.replicas = 0; }},
+        Rule{"sim.threads", [](ClusterConfig& c) { c.sim.threads = 1; }}));
+
+}  // namespace
+}  // namespace hermes::workload

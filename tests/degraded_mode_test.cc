@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
@@ -17,6 +16,7 @@
 #include "migration/provisioning.h"
 #include "obs/trace.h"
 #include "workload/client.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 namespace hermes {
@@ -40,11 +40,13 @@ Key LowestInFlightKey(const storage::RecordTable& table) {
 }
 
 TEST(DegradedModeTest, ClusterStaysAvailableDuringNoStallOutage) {
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
-  const FaultPlan plan = oracle::NoStallPlan(config, 7);
+  workload::Scenario outage = workload::Registered("degraded_retry");
+  outage.plan_seed = 7;
+  const FaultPlan plan = outage.Plan();
   FaultInjector injector(&cluster, plan, RangeMapFactory(config));
   InvariantMonitor monitor;
   injector.set_monitor(&monitor);
@@ -91,7 +93,7 @@ TEST(DegradedModeTest, BlockedTransactionsRetryThenCommitAfterRejoin) {
   // Every submission eventually resolves: blocked ones either commit via
   // a deterministic retry or come back as an UNAVAILABLE abort — nothing
   // hangs and nothing is silently dropped.
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -142,7 +144,7 @@ TEST(DegradedModeTest, ChunkMigrationTowardDeadNodeParksUntilRejoin) {
   // A consolidation is cut short by a crash: chunks whose target (or
   // source range) is down park in FIFO order and resume at rejoin; the
   // drain still completes and every record lands where ownership says.
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -174,7 +176,7 @@ TEST(DegradedModeTest, CrashMidConsolidationParksRemainingChunks) {
   // The inverse interleaving: the consolidation starts first, the crash
   // lands while its chunk stream is mid-flight (satellite: chaos plans
   // with crash mid-consolidation — this is the deterministic unit case).
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -217,7 +219,7 @@ TEST(DegradedModeTest, LockGrantedAtDeadNodeIsReleasedByCommitAndAbort) {
   // the lock to the third, again at the dead node, and the next sweep
   // aborts it. Both releases free the lock, so after the rejoin the two
   // retries commit and the node's lock table is empty.
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kCalvin, RangeMapFactory(config)());
   cluster.Load();
   constexpr NodeId kOwner = 2;  // owns [4000, 6000) under the range map
@@ -262,7 +264,7 @@ TEST(DegradedModeTest, AcknowledgedEvictionStalledAtDeadNodeResumesAtRejoin) {
   // while its send step stays stalled at the dead node (the watchdog never
   // aborts an acknowledged transaction). The rejoin resumes the step, and
   // the record lands at its planned owner.
-  ClusterConfig config = oracle::DegradedConfig();
+  ClusterConfig config = workload::Registered("degraded_retry").config;
   config.hermes.fusion_table_capacity = 1;
   config.obs.trace_enabled = true;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
@@ -339,7 +341,7 @@ struct VictimRun {
 /// the quiescent check at the drained end.
 VictimRun CrashShippedRecordDestination(SimTime outage_us,
                                         InvariantMonitor* monitor) {
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -412,7 +414,7 @@ TEST(DegradedModeTest, DebugStringsExposeDegradedState) {
   // Satellite: HERMES_TRACE_KEY / DebugString extensions. The degraded
   // rendering lists the retry transcript and frozen/suppressed state in
   // total order.
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -439,7 +441,7 @@ TEST(DegradedModeTest, DeferredCheckpointRefreshShortensNextReplay) {
   // Satellite: a no-stall rejoin happens under load with no quiescent
   // point; the injector arms a deferred refresh and takes it at the next
   // quiescent window, so a second outage replays a short suffix.
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 

@@ -7,23 +7,16 @@
 #include "common/rng.h"
 #include "core/hermes_router.h"
 #include "engine/cluster.h"
-#include "fault/injector.h"
-#include "fault/invariant_monitor.h"
 #include "net/wire.h"
-#include "workload/client.h"
-#include "workload/scenarios.h"
-#include "workload/ycsb.h"
 
 namespace hermes::oracle {
 namespace {
 
 using engine::Cluster;
-using engine::RouterKind;
-using fault::FaultInjector;
-using fault::FaultPlan;
-using fault::FaultPlanConfig;
-using fault::InvariantMonitor;
-using fault::RangeMapFactory;
+using workload::DrainedRun;
+using workload::Registered;
+using workload::Scenario;
+using workload::Step;
 
 void AddTrace(Profile& p, const Cluster& cluster) {
   const core::HermesRouter& router = *cluster.hermes_router();
@@ -40,42 +33,61 @@ void AddTrace(Profile& p, const Cluster& cluster) {
       .Unprinted("reorders", router.stats().reorders);
 }
 
-// decision: skewed YCSB on the Hermes router with a small fusion table
-// (forces evictions), a mid-run scale-out with cold chunk migration, and a
-// scale-in consolidation — so the digest covers routing placements,
-// fusion-table evictions, migration scheduling, and every event-queue pop
-// across all of those phases.
-Profile RunDecision() {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = 12'000;
-  config.hermes.fusion_table_capacity = 300;
-  config.migration_chunk_records = 250;
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
+Scenario Traced(Scenario s) {
+  s.config.obs.trace_enabled = true;
+  return s;
+}
 
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 20'260'805;
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 16, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(1'500));
-  driver.Start();
+// chaos: a seeded crash/rejoin plan plus link chaos against seeded YCSB.
+Scenario Chaos(uint64_t seed) {
+  Scenario s = Registered("chaos");
+  s.plan_seed = seed;
+  s.ycsb.seed = Mix64(seed ^ 0x5c5bULL);
+  return s;
+}
 
-  cluster.RunUntil(MsToSim(400));
-  // Scale out: re-home the first quarter of the keyspace onto the new
-  // node via chunk-migration transactions.
-  const NodeId added = cluster.AddNode(
-      {{0, config.num_records / 4 - 1, 3}}, /*migrate_cold=*/true);
-  cluster.RunUntil(MsToSim(900));
-  // Consolidate back: remove the node and return its ranges.
-  cluster.RemoveNode(added, {{0, config.num_records / 4 - 1, 0}},
-                     /*migrate_cold=*/true);
-  cluster.RunUntil(MsToSim(1'500));
-  cluster.Drain();
+// degraded: the chaos plan as kCrashNoStall, with a seeded chunk-migration
+// wave started at 15 ms so the crash lands mid-chunk-migration; small
+// chunks stretch the stream across the whole fault window.
+Scenario Degraded(uint64_t seed) {
+  Scenario s = Chaos(seed);
+  s.faults.no_stall = true;
+  s.config.migration_chunk_records = 300;
+  const Key lo = Mix64(seed ^ 0x6d1eULL) % (s.config.num_records - 1'500);
+  const auto target = static_cast<NodeId>(Mix64(seed ^ 0x3a7fULL) %
+                                          s.config.num_nodes);
+  s.steps = {{.at = MsToSim(15),
+              .kind = Step::Kind::kMigrate,
+              .moves = {{lo, lo + 1'199, target}}}};
+  return s;
+}
 
+// degraded_retry: the whole degraded outcome — who was blocked, in which
+// epoch, with which backoff, plus the final placements and state — is a
+// pure function of (workload seed, plan seed, config).
+Scenario DegradedRetry(uint64_t seed) {
+  Scenario s = Registered("degraded_retry");
+  s.plan_seed = seed;
+  s.ycsb.seed = Mix64(seed ^ 0xdeadULL);
+  return s;
+}
+
+// partition: every third seed adds a gray window on top.
+Scenario Partition(uint64_t seed) {
+  Scenario s = Registered("partition");
+  s.plan_seed = seed;
+  s.ycsb.seed = Mix64(seed ^ 0x9a17ULL);
+  s.faults.gray = (seed % 3) == 0;
+  return s;
+}
+
+// Fixed lifetimes ignore the seed.
+std::function<Scenario(uint64_t)> Fixed(Scenario s) {
+  return [s](uint64_t) { return s; };
+}
+
+Profile DecisionProfile(const Scenario&, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
   uint64_t migrations = 0;
   for (const auto& w : cluster.metrics().windows()) migrations += w.migrations;
   Profile p;
@@ -90,35 +102,46 @@ Profile RunDecision() {
   return p;
 }
 
-// degraded_retry: a kCrashNoStall plan on a 4-node cluster. The whole
-// degraded outcome — who was blocked, in which epoch, with which backoff,
-// plus the final placements and state — must be a pure function of
-// (workload seed, plan seed, config). The quiescent check replays the log
-// under the membership schedule on every salt.
-Profile RunDegradedRetry(uint64_t seed) {
-  const ClusterConfig config = DegradedConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
+Profile ChaosProfile(const Scenario& s, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
+  std::vector<uint64_t> recovery_us;
+  for (const fault::RecoveryStats& r : run.recoveries) {
+    recovery_us.push_back(r.time_to_recover_us());
+  }
+  const engine::DegradedLedger& ledger = cluster.degraded_ledger();
+  Profile p;
+  p.Hex("digest", cluster.decision_digest().value())
+      .Hex("placement", cluster.placement_digest().value())
+      .Hex("checksum", cluster.StateChecksum())
+      .Count("commits", cluster.metrics().total_commits());
+  const auto link = [&] {
+    p.Count("dropped", cluster.wire().messages_dropped())
+        .Count("dup", cluster.wire().messages_duplicated());
+  };
+  const auto degraded = [&] {
+    p.Hex("retry_digest", ledger.RetryDigest())
+        .Count("retries", ledger.transcript().size())
+        .Count("parked", ledger.parked_total())
+        .Count("watchdog", ledger.watchdog_aborts());
+  };
+  // Each mode prints its own fault path's counters first.
+  if (s.faults.no_stall) {
+    degraded();
+    p.List("recovery_us", recovery_us);
+    link();
+  } else {
+    link();
+    p.List("recovery_us", recovery_us);
+    degraded();
+  }
+  p.Count("count", cluster.decision_digest().count())
+      .Count("aborts", cluster.metrics().total_aborts());
+  if (s.config.obs.trace_enabled) AddTrace(p, cluster);
+  return p;
+}
 
-  const FaultPlan plan = NoStallPlan(config, seed);
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor;
-  injector.set_monitor(&monitor);
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = Mix64(seed ^ 0xdeadULL);
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 10, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(300));
-  driver.Start();
-
-  injector.RunUntil(MsToSim(300));
-  injector.Drain();
-  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
-
+Profile DegradedRetryProfile(const Scenario&, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
   const engine::DegradedLedger& ledger = cluster.degraded_ledger();
   Profile p;
   p.Hex("retry_digest", ledger.RetryDigest())
@@ -128,36 +151,20 @@ Profile RunDegradedRetry(uint64_t seed) {
       .Hex("placement", cluster.placement_digest().value())
       .Hex("checksum", cluster.StateChecksum())
       .Count("commits", cluster.metrics().total_commits());
-  p.monitors_ok = monitor.ok();
-  p.report = monitor.FailureReport();
   return p;
 }
 
-// replication: a read-heavy leased workload with a mid-run crash/rejoin
-// lapsing every lease, tracer on.
-Profile RunReplication() {
-  ClusterConfig config = LeaseConfig();
-  config.obs.trace_enabled = true;
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
+Profile TraceProfile(const Scenario& s, const DrainedRun& run) {
+  if (s.faulted()) return ChaosProfile(s, run);
+  Profile p;
+  AddTrace(p, *run.cluster);
+  p.Hex("decision", run.cluster->decision_digest().value());
+  return p;
+}
 
-  workload::YcsbConfig wl = workload::ReadHeavySkewedYcsb(
-      config.num_records, config.num_nodes, 0.05, /*seed=*/23);
-  workload::YcsbWorkload gen(wl, /*trace=*/nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 16, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(300));
-  driver.Start();
-
-  cluster.RunUntil(MsToSim(150));
-  cluster.CrashNoStall(3);  // lapse all leases mid-run...
-  cluster.RunUntil(MsToSim(180));
-  cluster.RejoinNoStall(3);  // ...and re-grant after the rejoin epoch
-  cluster.RunUntil(MsToSim(300));
-  cluster.Drain();
-
-  const auto& router =
-      *static_cast<const core::HermesRouter*>(&cluster.router());
+Profile ReplicationProfile(const Scenario&, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
+  const core::HermesRouter& router = *cluster.hermes_router();
   Profile p;
   p.Hex("decision", cluster.decision_digest().value())
       .Hex("placement", cluster.placement_digest().value())
@@ -170,58 +177,8 @@ Profile RunReplication() {
   return p;
 }
 
-// partition: every plan has one partition cycle (40% one-way) and one
-// overlapping no-stall crash cycle on a disjoint victim; every third seed
-// adds a gray window on top. Windows are long enough (>= 10ms against a
-// 2.5ms heartbeat, miss threshold 3) that the detector converts each cut
-// into membership epochs and restores them after the heal.
-FaultPlan PartitionPlan(const ClusterConfig& config, uint64_t seed) {
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(120);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(10);
-  pc.max_outage_us = MsToSim(40);
-  pc.no_stall = true;
-  pc.partition_cycles = 1;
-  pc.min_partition_us = MsToSim(15);
-  pc.max_partition_us = MsToSim(45);
-  pc.one_way_fraction = 0.4;
-  pc.gray = (seed % 3) == 0;
-  pc.link.drop_prob = 0.05;
-  pc.link.duplicate_prob = 0.03;
-  pc.link.max_jitter_us = 300;
-  return FaultPlan::Generate(pc, seed);
-}
-
-// One partition-chaos lifetime, detector, replica leases and tracing all
-// on.
-Profile RunPartition(uint64_t plan_seed) {
-  ClusterConfig config = PartitionConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  const FaultPlan plan = PartitionPlan(config, plan_seed);
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor;
-  monitor.AttachTracer(&cluster.tracer());
-  injector.set_monitor(&monitor);
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = Mix64(plan_seed ^ 0x9a17ULL);
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 8, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(120));
-  driver.Start();
-
-  injector.RunUntil(MsToSim(120));
-  injector.Drain();
-
-  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
-
+Profile PartitionProfile(const Scenario&, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
   const engine::FailureDetector& detector = *cluster.failure_detector();
   Profile p;
   p.Hex("digest", cluster.decision_digest().value())
@@ -237,60 +194,11 @@ Profile RunPartition(uint64_t plan_seed) {
       .Count("parked", cluster.degraded_ledger().parked_total())
       .Hex("retry_digest", cluster.degraded_ledger().RetryDigest())
       .Count("cut_deliveries", cluster.wire().cut_deliveries());
-  p.monitors_ok = monitor.ok();
-  p.report = monitor.FailureReport();
   return p;
 }
 
-// net: bounded-bandwidth links, envelope coalescing and credit
-// backpressure under steady YCSB, a scale-out at 150ms (lane + link growth
-// while envelopes are in flight), a two-sided cut of node 2 at 220ms
-// (transmit queues drain into the pens) healed at 260ms (pens release
-// FIFO, serialization re-measured).
-Profile RunNet() {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 6'000;
-  config.hermes.fusion_table_capacity = 250;
-  config.migration_chunk_records = 250;
-  config.obs.trace_enabled = true;
-  config.net.enabled = true;
-  // Tight enough that migration envelopes exhaust the window and stall
-  // behind their own deliveries — the backpressure path must be exercised,
-  // not just configured.
-  config.net.link_credit_bytes = 8 * 1024;
-  config.net.coalesce_window_us = 50;
-  config.net.coalesce_max_bytes = 16 * 1024;
-  // Leased-key write fan-out is the steady bulk stream that coalesces:
-  // several copies toward the same holder inside one window ride one
-  // envelope (chunk migrations are each far above the size cap).
-  config.replication.enabled = true;
-  config.replication.replicas = 3;
-  config.replication.read_hot_threshold = 2;
-  config.replication.write_revoke_threshold = 32;
-  config.replication.max_leases = 256;
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  workload::YcsbConfig wl = workload::ReadHeavySkewedYcsb(
-      config.num_records, config.num_nodes, /*write_fraction=*/0.05,
-      /*seed=*/20'260'808);
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 24, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(400));
-  driver.Start();
-
-  cluster.RunUntil(MsToSim(150));
-  cluster.AddNode({{0, config.num_records / 4 - 1, 4}},
-                  /*migrate_cold=*/true);
-  cluster.RunUntil(MsToSim(220));
-  cluster.PartitionCut(2, /*cut_inbound=*/true, /*cut_outbound=*/true);
-  cluster.RunUntil(MsToSim(260));
-  cluster.PartitionHeal(2);
-  cluster.RunUntil(MsToSim(400));
-  cluster.Drain();
-
+Profile NetProfile(const Scenario&, const DrainedRun& run) {
+  const Cluster& cluster = *run.cluster;
   const net::Wire& wire = cluster.wire();
   Profile p;
   p.Hex("digest", cluster.decision_digest().value())
@@ -318,16 +226,15 @@ constexpr uint64_t kPartitionSeedBase = 20'267'000;
 constexpr uint64_t kTraceHealthySeed = 0;
 constexpr uint64_t kTraceDegradedSeed = 20'260'003;
 
+Scenario TraceScenario(uint64_t seed) {
+  if (seed == kTraceHealthySeed) return Traced(Registered("healthy"));
+  return Traced(seed == kTraceDegradedSeed ? Degraded(seed) : Chaos(seed));
+}
+
 std::vector<uint64_t> SeedRange(uint64_t base, int n) {
   std::vector<uint64_t> seeds;
   for (int i = 0; i < n; ++i) seeds.push_back(base + i);
   return seeds;
-}
-
-Profile RunTrace(uint64_t seed) {
-  if (seed == kTraceHealthySeed) return RunHealthy(/*traced=*/true);
-  return RunChaos(seed,
-                  {.no_stall = seed == kTraceDegradedSeed, .traced = true});
 }
 
 bool Faulted(const Profile& p) { return !p.Text("recovery_us").empty(); }
@@ -424,199 +331,47 @@ std::vector<uint64_t> Salts() {
   return {HashSalt(), 0x9e3779b97f4a7c15ULL, 0xdeadbeefcafef00dULL};
 }
 
-Profile RunChaos(uint64_t plan_seed, ChaosOptions options) {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = 6'000;
-  config.hermes.fusion_table_capacity = 250;
-  config.obs.trace_enabled = options.traced;
-  // The degraded corpus runs a chunk-migration stream under the outage,
-  // so crashes land mid-chunk-migration / mid-consolidation; small
-  // chunks stretch the stream across the whole fault window.
-  if (options.no_stall) config.migration_chunk_records = 300;
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(120);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(10);
-  pc.max_outage_us = MsToSim(40);
-  pc.no_stall = options.no_stall;
-  pc.link.drop_prob = 0.05;
-  pc.link.duplicate_prob = 0.03;
-  pc.link.max_jitter_us = 300;
-  const FaultPlan plan = FaultPlan::Generate(pc, plan_seed);
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor;
-  injector.set_monitor(&monitor);
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = Mix64(plan_seed ^ 0x5c5bULL);
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 8, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(120));
-  driver.Start();
-
-  if (options.no_stall) {
-    // Start a seeded consolidation-style migration wave early so the
-    // plan's crash can land while chunks are mid-flight.
-    injector.RunUntil(MsToSim(15));
-    const Key lo = Mix64(plan_seed ^ 0x6d1eULL) %
-                   (config.num_records - 1'500);
-    const NodeId target =
-        static_cast<NodeId>(Mix64(plan_seed ^ 0x3a7fULL) % config.num_nodes);
-    cluster.SubmitMigrationPlan({{lo, lo + 1'199, target}});
-  }
-  injector.RunUntil(MsToSim(120));
-  injector.Drain();
-
-  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
-
-  std::vector<uint64_t> recovery_us;
-  for (const fault::RecoveryStats& r : injector.recoveries()) {
-    recovery_us.push_back(r.time_to_recover_us());
-  }
-  const engine::DegradedLedger& ledger = cluster.degraded_ledger();
-  Profile p;
-  p.Hex("digest", cluster.decision_digest().value())
-      .Hex("placement", cluster.placement_digest().value())
-      .Hex("checksum", cluster.StateChecksum())
-      .Count("commits", cluster.metrics().total_commits());
-  const auto link = [&] {
-    p.Count("dropped", cluster.wire().messages_dropped())
-        .Count("dup", cluster.wire().messages_duplicated());
-  };
-  const auto degraded = [&] {
-    p.Hex("retry_digest", ledger.RetryDigest())
-        .Count("retries", ledger.transcript().size())
-        .Count("parked", ledger.parked_total())
-        .Count("watchdog", ledger.watchdog_aborts());
-  };
-  // Each mode prints its own fault path's counters first.
-  if (options.no_stall) {
-    degraded();
-    p.List("recovery_us", recovery_us);
-    link();
-  } else {
-    link();
-    p.List("recovery_us", recovery_us);
-    degraded();
-  }
-  p.Count("count", cluster.decision_digest().count())
-      .Count("aborts", cluster.metrics().total_aborts());
-  if (options.traced) AddTrace(p, cluster);
-  p.monitors_ok = monitor.ok();
-  p.report = monitor.FailureReport();
+Profile RunRow(const Row& row, uint64_t seed) {
+  const Scenario scenario =
+      workload::MustParse(row.scenario(seed).ToString());
+  const DrainedRun run = workload::RunScenario(scenario);
+  Profile p = row.profile(scenario, run);
+  p.monitors_ok = run.monitors_ok;
+  p.report = run.report;
   return p;
 }
 
-Profile RunHealthy(bool traced) {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = 6'000;
-  config.hermes.fusion_table_capacity = 250;
-  config.migration_chunk_records = 300;
-  config.obs.trace_enabled = traced;
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 20'260'805;
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 8, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(MsToSim(300));
-  driver.Start();
-
-  cluster.RunUntil(MsToSim(100));
-  cluster.AddNode({{0, config.num_records / 4 - 1, 3}},
-                  /*migrate_cold=*/true);
-  cluster.RunUntil(MsToSim(300));
-  cluster.Drain();
-
-  Profile p;
-  AddTrace(p, cluster);
-  p.Hex("decision", cluster.decision_digest().value());
-  return p;
-}
-
-ClusterConfig DegradedConfig() {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 8'000;
-  config.hermes.fusion_table_capacity = 300;
-  return config;
-}
-
-FaultPlan NoStallPlan(const ClusterConfig& config, uint64_t seed) {
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(300);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(30);
-  pc.max_outage_us = MsToSim(80);
-  pc.no_stall = true;
-  return FaultPlan::Generate(pc, seed);
-}
-
-ClusterConfig PartitionConfig() {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = 6'000;
-  config.hermes.fusion_table_capacity = 250;
-  config.detector.enabled = true;
-  config.replication.enabled = true;
-  config.obs.trace_enabled = true;
-  return config;
-}
-
-ClusterConfig LeaseConfig() {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 4'000;
-  config.hermes.fusion_table_capacity = 200;
-  config.replication.enabled = true;
-  config.replication.replicas = 3;
-  config.replication.read_hot_threshold = 2;
-  config.replication.write_revoke_threshold = 32;
-  config.replication.max_leases = 256;
-  return config;
-}
-
-const std::vector<Scenario>& Scenarios() {
-  static const std::vector<Scenario> kScenarios = {
+const std::vector<Row>& Rows() {
+  static const std::vector<Row> kRows = {
       {.name = "decision",
-       .run = [](uint64_t) { return RunDecision(); },
+       .scenario = Fixed(Registered("decision")),
+       .profile = DecisionProfile,
        .profile_seed = 1,
        .guards = {Above("commits", 100), Above("migrations", 0),
                   Above("count", 1'000)}},
       {.name = "chaos",
-       .run = [](uint64_t seed) { return RunChaos(seed); },
+       .scenario = Chaos,
+       .profile = ChaosProfile,
        .profile_seed = kChaosSeedBase + 1000,
        .corpus = SeedRange(kChaosSeedBase, 25),
        .guards = {Above("commits", 50), kRecovered},
        .corpus_guards = {{"link chaos fired", {"dropped", "dup"}}}},
       {.name = "degraded",
-       .run =
-           [](uint64_t seed) { return RunChaos(seed, {.no_stall = true}); },
+       .scenario = Degraded,
+       .profile = ChaosProfile,
        .profile_seed = kChaosSeedBase + 2000,
        .corpus = SeedRange(kChaosSeedBase, 25),
        .guards = {Above("commits", 50), kRecovered},
        .corpus_guards = {{"a plan blocked, parked or watchdog-aborted",
                           {"retries", "parked", "watchdog"}}}},
       {.name = "degraded_retry",
-       .run = RunDegradedRetry,
+       .scenario = DegradedRetry,
+       .profile = DegradedRetryProfile,
        .profile_seed = 31,
        .guards = {Above("retries", 0)}},
       {.name = "trace",
-       .run = RunTrace,
+       .scenario = TraceScenario,
+       .profile = TraceProfile,
        .profile_seed = kTraceHealthySeed,
        .corpus = {kChaosSeedBase, kTraceDegradedSeed},
        .guards = {{"a healthy trace holds over 1000 events",
@@ -638,12 +393,14 @@ const std::vector<Scenario>& Scenarios() {
                             Contains(json, "\"otherData\"");
                    }}}},
       {.name = "replication",
-       .run = [](uint64_t) { return RunReplication(); },
+       .scenario = Fixed(Traced(Registered("replication"))),
+       .profile = ReplicationProfile,
        .profile_seed = 1,
        .guards = {Above("commits", 200), Above("grants", 0),
                   Above("replica_reads", 0)}},
       {.name = "partition",
-       .run = RunPartition,
+       .scenario = Partition,
+       .profile = PartitionProfile,
        .profile_seed = kPartitionSeedBase + 3000,
        .corpus = SeedRange(kPartitionSeedBase, 25),
        .guards = {Above("commits", 50),
@@ -658,7 +415,8 @@ const std::vector<Scenario>& Scenarios() {
        .corpus_guards = {{"a payload parked in a holding pen", {"held"}},
                          {"the detector suspected a node", {"suspects"}}}},
       {.name = "net",
-       .run = [](uint64_t) { return RunNet(); },
+       .scenario = Fixed(Registered("net")),
+       .profile = NetProfile,
        .profile_seed = 1,
        .guards = {Above("commits", 50), Above("envelopes", 0),
                   Above("fg_tx", 0), Above("stalls", 0),
@@ -667,7 +425,7 @@ const std::vector<Scenario>& Scenarios() {
                      return p.Get("coalesced") > p.Get("envelopes");
                    }}}},
   };
-  return kScenarios;
+  return kRows;
 }
 
 }  // namespace hermes::oracle

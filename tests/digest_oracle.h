@@ -2,7 +2,9 @@
 #define HERMES_TESTS_DIGEST_ORACLE_H_
 
 // The digest oracle: every cluster lifetime whose outcome must be
-// bit-identical under every hash salt, registered as one scenario row.
+// bit-identical under every hash salt, registered as one row: a seed ->
+// scenario line (workload/scenarios.h) plus the Profile read from the
+// drained run.
 //
 // The salt permutes the slot order of every hermes::FlatMap without
 // changing its contents. FlatMap cannot be iterated, so slot order cannot
@@ -22,10 +24,9 @@
 #include <string_view>
 #include <vector>
 
-#include "common/config.h"
 #include "common/flat_map.h"
 #include "common/hash.h"
-#include "fault/fault_plan.h"
+#include "workload/scenarios.h"
 
 namespace hermes::oracle {
 
@@ -81,21 +82,30 @@ struct CorpusGuard {
   std::vector<const char*> fields;
 };
 
-/// One registry row.
-struct Scenario {
+/// One oracle row.
+struct Row {
   const char* name = "";
-  /// seed -> Profile. A faulted lifetime ends with one
+  /// seed -> the scenario this row runs. A faulted scenario ends with one
   /// InvariantMonitor::CheckQuiescent, command-log replay included, on
   /// every salt.
-  std::function<Profile(uint64_t seed)> run{};
+  std::function<workload::Scenario(uint64_t seed)> scenario{};
+  /// The drained run's Profile.
+  std::function<Profile(const workload::Scenario&,
+                        const workload::DrainedRun&)>
+      profile{};
   uint64_t profile_seed = 0;       ///< printed by check_determinism.sh
   std::vector<uint64_t> corpus{};  ///< further seeds, run in-process only
   std::vector<Guard> guards{};     ///< checked on every seed
   std::vector<CorpusGuard> corpus_guards{};
 };
 
-/// The registry, in a fixed order.
-const std::vector<Scenario>& Scenarios();
+/// The rows, in a fixed order.
+const std::vector<Row>& Rows();
+
+/// Runs `row` at `seed` from its printed line (so every oracle run also
+/// proves the line round-trips) and returns the Profile with the monitors'
+/// verdict.
+Profile RunRow(const Row& row, uint64_t seed);
 
 /// The process salt (HERMES_HASH_SALT) first, so env salts reach the first
 /// run, then two arbitrary odd constants that scramble every bucket.
@@ -127,27 +137,6 @@ auto UnderEachSalt(Run run) {
   }
   return out;
 }
-
-// Lifetimes and configs that other tests and tools use directly.
-
-/// The chaos lifetime: a seeded crash/rejoin plan plus link chaos against
-/// seeded skewed YCSB. no_stall switches to kCrashNoStall plus a seeded
-/// chunk-migration wave; traced turns the tracer on and adds the trace
-/// digest, its JSON export and the counters no digest covers to the
-/// Profile.
-struct ChaosOptions {
-  bool no_stall = false;
-  bool traced = false;
-};
-Profile RunChaos(uint64_t plan_seed, ChaosOptions options = {});
-
-/// Healthy skewed YCSB plus a mid-run scale-out, tracer on or off.
-Profile RunHealthy(bool traced);
-
-ClusterConfig DegradedConfig();
-fault::FaultPlan NoStallPlan(const ClusterConfig& config, uint64_t seed);
-ClusterConfig PartitionConfig();
-ClusterConfig LeaseConfig();
 
 }  // namespace hermes::oracle
 

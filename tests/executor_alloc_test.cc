@@ -17,11 +17,11 @@
 
 #include <gtest/gtest.h>
 
-#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "workload/client.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 // Heap-allocation counter: global operator new/delete overrides, as in
@@ -180,7 +180,7 @@ TEST(ExecutorAllocTest, SteadyStateAllocationsWithFusionMigrationsArePinned) {
 }
 
 TEST(ExecutorAllocTest, WatchdogAbortedShellIsReusedByLaterTransactions) {
-  const ClusterConfig config = oracle::DegradedConfig();
+  const ClusterConfig config = workload::Registered("degraded_retry").config;
   Cluster cluster(config, RouterKind::kHermes,
                   std::make_unique<partition::RangePartitionMap>(
                       config.num_records, config.num_nodes));

@@ -12,6 +12,7 @@
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
 #include "workload/client.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 namespace hermes {
@@ -34,46 +35,20 @@ ClusterConfig ChaosClusterConfig() {
 }
 
 TEST(FaultInjectionTest, CrashRejoinRebuildsExactState) {
-  const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(300);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(20);
-  pc.max_outage_us = MsToSim(80);
-  const FaultPlan plan = FaultPlan::Generate(pc, 7);
-
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-  InvariantMonitor monitor;
-  injector.set_monitor(&monitor);
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 1234;
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 12, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(pc.horizon_us);
-  driver.Start();
-
-  injector.RunUntil(pc.horizon_us);
-  injector.Drain();
-
-  EXPECT_GT(cluster.metrics().total_commits(), 100u);
-  ASSERT_EQ(injector.recoveries().size(), 1u);
-  const fault::RecoveryStats& rec = injector.recoveries()[0];
+  // A stall-mode crash/rejoin cycle; RunScenario ends with the quiescent
+  // check.
+  const workload::DrainedRun run = workload::RunScenario(workload::MustParse(
+      "degraded_retry clients=12 ycsb.seed=1234 faults.min_outage_us=20ms "
+      "faults.no_stall=0 plan_seed=7"));
+  EXPECT_GT(run.cluster->metrics().total_commits(), 100u);
+  ASSERT_EQ(run.recoveries.size(), 1u);
+  const fault::RecoveryStats& rec = run.recoveries[0];
   EXPECT_GE(rec.drained_at, rec.crash_at);
   EXPECT_GE(rec.rejoin_at, rec.drained_at);
   EXPECT_GE(rec.resumed_at, rec.rejoin_at);
   EXPECT_GT(rec.replay_us, 0u) << "the rebuild should cost virtual time";
   EXPECT_GT(rec.replayed_batches, 0u);
-
-  monitor.CheckQuiescent(cluster, RangeMapFactory(config), "final");
-  EXPECT_TRUE(monitor.ok()) << monitor.FailureReport();
+  EXPECT_TRUE(run.monitors_ok) << run.report;
 }
 
 TEST(FaultInjectionTest, ServiceContinuesAfterRejoin) {
@@ -113,45 +88,19 @@ TEST(FaultInjectionTest, ServiceContinuesAfterRejoin) {
 }
 
 TEST(FaultInjectionTest, LinkChaosPreservesOracleEquality) {
-  const ClusterConfig config = ChaosClusterConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(250);
-  pc.num_nodes = config.num_nodes;
-  pc.crash_cycles = 0;
-  pc.link.drop_prob = 0.05;
-  pc.link.duplicate_prob = 0.03;
-  pc.link.max_jitter_us = 400;
-  const FaultPlan plan = FaultPlan::Generate(pc, 11);
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 555;
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 12, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(pc.horizon_us);
-  driver.Start();
-
-  injector.RunUntil(pc.horizon_us);
-  injector.Drain();
-
-  EXPECT_GT(cluster.metrics().total_commits(), 100u);
-  EXPECT_GT(cluster.wire().messages_dropped(), 0u);
-  EXPECT_GT(cluster.wire().messages_duplicated(), 0u);
+  const workload::DrainedRun run = workload::RunScenario(workload::MustParse(
+      "degraded_retry clients=12 horizon=250ms ycsb.seed=555 "
+      "faults.crash_cycles=0 faults.link.drop_prob=0.05 "
+      "faults.link.duplicate_prob=0.03 faults.link.max_jitter_us=400us "
+      "plan_seed=11"));
+  const net::Wire& wire = run.cluster->wire();
+  EXPECT_GT(run.cluster->metrics().total_commits(), 100u);
+  EXPECT_GT(wire.messages_dropped(), 0u);
+  EXPECT_GT(wire.messages_duplicated(), 0u);
   // Dropped attempts cost the sender bytes that never arrive; duplicates
   // cost both sides. Either way sent != received under chaos.
-  EXPECT_NE(cluster.wire().total_bytes(),
-            cluster.wire().total_bytes_received());
-
-  InvariantMonitor monitor;
-  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
-                                     "final"))
-      << monitor.FailureReport();
+  EXPECT_NE(wire.total_bytes(), wire.total_bytes_received());
+  EXPECT_TRUE(run.monitors_ok) << run.report;
 }
 
 TEST(FaultInjectionTest, CheckpointRefreshShortensSecondReplay) {

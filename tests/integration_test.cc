@@ -3,13 +3,14 @@
 // comparisons between routers that mirror the paper's qualitative claims.
 
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "engine/cluster.h"
 #include "partition/partition_map.h"
 #include "workload/client.h"
-#include "workload/multitenant.h"
+#include "workload/scenarios.h"
 #include "workload/ycsb.h"
 
 namespace hermes {
@@ -71,37 +72,17 @@ TEST(IntegrationTest, ClayDetectsHotNodeAndMigrates) {
 }
 
 TEST(IntegrationTest, ScaleOutSheddsLoadToNewNode) {
-  workload::MultiTenantConfig mt;
-  mt.num_nodes = 3;
-  mt.tenants_per_node = 2;
-  mt.records_per_tenant = 5000;
-  mt.hot_fraction = 0.6;
-  mt.rotation_us = SecToSim(1000);  // effectively static hot node 0
-  workload::MultiTenantWorkload gen(mt);
-
-  ClusterConfig config;
-  config.num_nodes = 3;
-  config.num_records = gen.num_records();
-  config.hermes.fusion_table_capacity = 1000;
-  config.migration_chunk_records = 500;
-  Cluster cluster(config, RouterKind::kHermes, gen.PerfectPartitioning());
-  cluster.Load();
-
-  workload::ClosedLoopDriver driver(
-      &cluster, 48, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(SecToSim(3));
-  driver.Start();
-  cluster.RunUntil(SecToSim(1));
-
-  // Add node 3 and migrate the hot tenant's range to it.
-  const NodeId added = cluster.AddNode({{0, mt.records_per_tenant - 1, 3}},
-                                       /*migrate_cold=*/true);
-  EXPECT_EQ(added, 3);
-  cluster.RunUntil(SecToSim(3));
-  cluster.Drain();
+  // A static hot node 0; node 3 joins at 1 s and takes the hot tenant.
+  const workload::DrainedRun run =
+      workload::RunScenario(workload::MustParse(
+          "scaleout clients=48 horizon=3s num_nodes=3 workers_per_node=4 "
+          "hermes.fusion_table_capacity=1000 mt.tenants_per_node=2 "
+          "mt.records_per_tenant=5000 mt.hot_fraction=0.6 "
+          "mt.rotation_us=1000s steps=add@1s:0-4999>3"));
+  Cluster& cluster = *run.cluster;
 
   // The new node ended up owning (most of) the hot tenant.
-  EXPECT_GT(cluster.node(3).store().size(), mt.records_per_tenant / 2);
+  EXPECT_GT(cluster.node(3).store().size(), 5000u / 2);
   // And it did real work after joining.
   EXPECT_GT(cluster.node(3).workers().busy_us(), 0u);
   // Conservation.
@@ -109,7 +90,7 @@ TEST(IntegrationTest, ScaleOutSheddsLoadToNewNode) {
   for (int n = 0; n < cluster.num_nodes(); ++n) {
     total += cluster.node(n).store().size();
   }
-  EXPECT_EQ(total, config.num_records);
+  EXPECT_EQ(total, cluster.config().num_records);
 }
 
 TEST(IntegrationTest, RemoveNodeDrainsIt) {
@@ -139,55 +120,24 @@ TEST(IntegrationTest, HermesBeatsCalvinOnSkewedDistributedLoad) {
   // The paper's headline claim, in miniature: under a skewed workload with
   // many distributed transactions, prescient routing beats static
   // multi-master routing.
-  auto run = [](RouterKind kind) {
-    ClusterConfig config;
-    config.num_nodes = 4;
-    config.num_records = 50'000;
-    config.hermes.fusion_table_capacity = 2000;
-    Cluster cluster(config, kind,
-                    std::make_unique<partition::RangePartitionMap>(
-                        config.num_records, config.num_nodes));
-    cluster.Load();
-    workload::YcsbConfig wl;
-    wl.num_records = config.num_records;
-    wl.num_partitions = config.num_nodes;
-    wl.distributed_ratio = 0.5;
-    wl.seed = 6;
-    workload::YcsbWorkload gen(wl, nullptr);
-    workload::ClosedLoopDriver driver(
-        &cluster, 400, [&gen](int, SimTime now) { return gen.Next(now); });
-    driver.set_stop_time(SecToSim(5));
-    driver.Start();
-    cluster.RunUntil(SecToSim(5));
-    cluster.Drain();
-    return cluster.metrics().Throughput(SecToSim(1), SecToSim(5));
+  auto run = [](const std::string& router) {
+    const workload::DrainedRun run =
+        workload::RunScenario(workload::MustParse(
+            "default router=" + router +
+            " clients=400 horizon=5s num_records=50000 "
+            "hermes.fusion_table_capacity=2000 ycsb.seed=6"));
+    return run.cluster->metrics().Throughput(SecToSim(1), SecToSim(5));
   };
-  const double calvin = run(RouterKind::kCalvin);
-  const double hermes = run(RouterKind::kHermes);
+  const double calvin = run("calvin");
+  const double hermes = run("hermes");
   EXPECT_GT(hermes, calvin * 1.15);
 }
 
 TEST(IntegrationTest, FusionTableCapBoundsOverlay) {
-  ClusterConfig config;
-  config.num_nodes = 4;
-  config.num_records = 20'000;
-  config.hermes.fusion_table_capacity = 100;
-  Cluster cluster(config, RouterKind::kHermes,
-                  std::make_unique<partition::RangePartitionMap>(
-                      config.num_records, config.num_nodes));
-  cluster.Load();
-  workload::YcsbConfig wl;
-  wl.num_records = config.num_records;
-  wl.num_partitions = config.num_nodes;
-  wl.seed = 17;
-  workload::YcsbWorkload gen(wl, nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 32, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(SecToSim(2));
-  driver.Start();
-  cluster.RunUntil(SecToSim(2));
-  cluster.Drain();
-
+  const workload::DrainedRun run = workload::RunScenario(workload::MustParse(
+      "default clients=32 horizon=2s num_records=20000 "
+      "hermes.fusion_table_capacity=100 ycsb.seed=17"));
+  Cluster& cluster = *run.cluster;
   ASSERT_NE(cluster.hermes_router(), nullptr);
   EXPECT_LE(cluster.hermes_router()->fusion_table().size(), 100u);
   // Overlay only holds fusion entries once everything drained.

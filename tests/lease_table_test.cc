@@ -88,10 +88,7 @@ class ReferenceLeaseTable {
       std::vector<NodeId> holders = {primary};
       for (NodeId n : candidates) {
         if (n == primary) continue;
-        if (holders.size() >=
-            static_cast<size_t>(std::max(config_->replicas, 1))) {
-          break;
-        }
+        if (holders.size() >= static_cast<size_t>(config_->replicas)) break;
         holders.push_back(n);
       }
       if (holders.size() < 2) continue;

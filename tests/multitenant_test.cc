@@ -1,6 +1,10 @@
 #include "workload/multitenant.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
+
+#include "partition/partition_map.h"
 
 namespace hermes::workload {
 namespace {
@@ -56,9 +60,12 @@ TEST(MultiTenantTest, ColdTenantsStillServed) {
   }
 }
 
-TEST(MultiTenantTest, PerfectPartitioningAlignsTenantsToNodes) {
+// A range placement (the scenarios' placement=range) is the perfect one:
+// each tenant on its own node.
+TEST(MultiTenantTest, RangePlacementAlignsTenantsToNodes) {
   MultiTenantWorkload gen(SmallMt());
-  auto map = gen.PerfectPartitioning();
+  auto map = std::make_unique<partition::RangePartitionMap>(
+      gen.num_records(), 4);
   for (int t = 0; t < gen.num_tenants(); ++t) {
     const Key first = static_cast<Key>(t) * gen.tenant_size();
     const Key last = first + gen.tenant_size() - 1;
@@ -83,9 +90,10 @@ TEST(MultiTenantTest, SkewedPartitioningPilesOnNodeZero) {
   for (int n = 1; n < 4; ++n) EXPECT_GT(counts[n], 0);
 }
 
-TEST(MultiTenantTest, HashPartitioningScattersTenants) {
+TEST(MultiTenantTest, HashPlacementScattersTenants) {
   MultiTenantWorkload gen(SmallMt());
-  auto map = gen.HashPartitioning();
+  auto map =
+      std::make_unique<partition::HashPartitionMap>(gen.num_records(), 4);
   // A single tenant's keys land on several nodes (creates distributed
   // transactions from an originally local workload).
   std::vector<bool> seen(4, false);

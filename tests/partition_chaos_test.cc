@@ -10,10 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include "digest_oracle.h"
 #include "engine/cluster.h"
 #include "fault/injector.h"
 #include "fault/invariant_monitor.h"
+#include "workload/scenarios.h"
 
 namespace hermes {
 namespace {
@@ -28,7 +28,7 @@ using fault::RangeMapFactory;
 // rounds. Timing is pure virtual arithmetic, so the expectations are
 // exact.
 TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
-  ClusterConfig config = oracle::PartitionConfig();
+  ClusterConfig config = workload::Registered("partition").config;
   config.replication.enabled = false;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
@@ -63,7 +63,7 @@ TEST(PartitionChaosTest, DetectorConvertsCutIntoMembershipEpochs) {
 // victim answers probes in one direction but the pair is unhealthy, so
 // the detector isolates it exactly like a two-sided cut.
 TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
-  ClusterConfig config = oracle::PartitionConfig();
+  ClusterConfig config = workload::Registered("partition").config;
   config.replication.enabled = false;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
@@ -89,7 +89,7 @@ TEST(PartitionChaosTest, OneWayCutIsolatesTheVictim) {
 // detector is off, so nothing re-arms heartbeats and the drain ends with
 // the cut up.
 TEST(PartitionChaosTest, QuiescentCheckReportsAnUnhealedCut) {
-  ClusterConfig config = oracle::PartitionConfig();
+  ClusterConfig config = workload::Registered("partition").config;
   config.detector.enabled = false;
   config.replication.enabled = false;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());

@@ -28,34 +28,26 @@ namespace {
 
 using engine::Cluster;
 using engine::RouterKind;
-using fault::FaultInjector;
-using fault::FaultPlan;
-using fault::FaultPlanConfig;
 using fault::InvariantMonitor;
 using fault::RangeMapFactory;
 
-const uint64_t kRecords = oracle::LeaseConfig().num_records;
-const int kNodes = oracle::LeaseConfig().num_nodes;
+const uint64_t kRecords =
+    workload::Registered("replication").config.num_records;
+const int kNodes = workload::Registered("replication").config.num_nodes;
 
 const core::HermesRouter& Router(Cluster& cluster) {
   return *static_cast<const core::HermesRouter*>(&cluster.router());
 }
 
-void DriveReadHeavy(Cluster& cluster, double write_fraction, SimTime horizon,
-                    int clients = 24, uint64_t seed = 11) {
-  workload::YcsbConfig wl =
-      workload::ReadHeavySkewedYcsb(kRecords, kNodes, write_fraction, seed);
-  workload::YcsbWorkload gen(wl, /*trace=*/nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, clients, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(horizon);
-  driver.Start();
-  cluster.RunUntil(horizon);
-  cluster.Drain();
+// The `replication` lifetime without its crash, plus `keys`.
+workload::DrainedRun DriveReadHeavy(const std::string& keys) {
+  workload::DrainedRun run = workload::RunScenario(workload::MustParse(
+      "replication clients=24 ycsb.seed=11 steps= " + keys));
   // Every wait on several copies or records has counted down and freed
   // its slot.
-  EXPECT_EQ(cluster.executor().pending_countdowns(), 0u);
-  EXPECT_EQ(cluster.lease_manager().pending_countdowns(), 0u);
+  EXPECT_EQ(run.cluster->executor().pending_countdowns(), 0u);
+  EXPECT_EQ(run.cluster->lease_manager().pending_countdowns(), 0u);
+  return run;
 }
 
 // A master waiting on several missing copies runs once, when the last one
@@ -92,10 +84,8 @@ TEST(LeaseManagerTest, WaitCopiesCountsDownSeveralMissingCopies) {
 // A read-mostly skewed workload earns leases, absorbs remote reads into
 // local copies, and quiesces with every copy bit-identical to its primary.
 TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
-  ClusterConfig config = oracle::LeaseConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-  DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(600));
+  const workload::DrainedRun run = DriveReadHeavy("horizon=600ms");
+  Cluster& cluster = *run.cluster;
 
   const auto& stats = Router(cluster).stats();
   const auto& lease_stats = Router(cluster).lease_table().stats();
@@ -106,29 +96,24 @@ TEST(ReplicaLeaseTest, LeasesGrantAndAbsorbReads) {
   EXPECT_GT(cluster.lease_manager().num_copies(), 0u);
 
   InvariantMonitor monitor;
-  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
-                                     "read-heavy"))
+  EXPECT_TRUE(monitor.CheckQuiescent(
+      cluster, RangeMapFactory(cluster.config()), "read-heavy"))
       << monitor.FailureReport();
 }
 
 // The global read-mostly gate: a write-heavy workload grants nothing, so
 // the replication-enabled run routes exactly like the disabled one.
 TEST(ReplicaLeaseTest, WriteHeavyWorkloadGrantsNothing) {
-  ClusterConfig on_config = oracle::LeaseConfig();
-  Cluster on(on_config, RouterKind::kHermes, RangeMapFactory(on_config)());
-  on.Load();
-  DriveReadHeavy(on, /*write_fraction=*/0.6, MsToSim(400));
-
+  const workload::DrainedRun on_run =
+      DriveReadHeavy("horizon=400ms ycsb.rw_ratio=0.6");
+  Cluster& on = *on_run.cluster;
   EXPECT_EQ(Router(on).lease_table().stats().grants, 0u);
   EXPECT_EQ(Router(on).stats().replica_reads, 0u);
   EXPECT_EQ(on.lease_manager().num_copies(), 0u);
 
-  ClusterConfig off_config = on_config;
-  off_config.replication.enabled = false;
-  Cluster off(off_config, RouterKind::kHermes, RangeMapFactory(off_config)());
-  off.Load();
-  DriveReadHeavy(off, /*write_fraction=*/0.6, MsToSim(400));
-
+  const workload::DrainedRun off_run =
+      DriveReadHeavy("horizon=400ms replication.enabled=0 ycsb.rw_ratio=0.6");
+  Cluster& off = *off_run.cluster;
   EXPECT_EQ(on.decision_digest().value(), off.decision_digest().value());
   EXPECT_EQ(on.placement_digest().value(), off.placement_digest().value());
   EXPECT_EQ(on.StateChecksum(), off.StateChecksum());
@@ -148,14 +133,12 @@ TEST(ReplicaLeaseTest, CapacityChurnIsSaltInvariant) {
   };
   const auto run = [](uint64_t salt) {
     oracle::SaltGuard guard(salt);
-    ClusterConfig config = oracle::LeaseConfig();
-    config.replication.max_leases = 8;
-    config.replication.read_hot_threshold = 1;
-    config.replication.write_revoke_threshold = 2;  // hot keys do revoke
-    Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-    cluster.Load();
-    DriveReadHeavy(cluster, /*write_fraction=*/0.15, MsToSim(400),
-                   /*clients=*/64);
+    // Hot keys do revoke (write_revoke_threshold=2).
+    const workload::DrainedRun run = DriveReadHeavy(
+        "clients=64 horizon=400ms replication.read_hot_threshold=1 "
+        "replication.write_revoke_threshold=2 replication.max_leases=8 "
+        "ycsb.rw_ratio=0.15");
+    Cluster& cluster = *run.cluster;
     Outcome out;
     out.placement = cluster.placement_digest().value();
     out.replicas = cluster.lease_manager().Checksum();
@@ -176,17 +159,15 @@ TEST(ReplicaLeaseTest, CapacityChurnIsSaltInvariant) {
 // Replica coherence in the quiescent check: a clean quiesced run reports
 // nothing; a deliberately corrupted copy is caught and named.
 TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
-  ClusterConfig config = oracle::LeaseConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-  DriveReadHeavy(cluster, /*write_fraction=*/0.05, MsToSim(400));
+  const workload::DrainedRun run = DriveReadHeavy("horizon=400ms");
+  Cluster& cluster = *run.cluster;
+  const fault::MapFactory range = RangeMapFactory(cluster.config());
 
   const auto copies = cluster.lease_manager().SnapshotCopies();
   ASSERT_FALSE(copies.empty());
 
   InvariantMonitor clean;
-  EXPECT_TRUE(clean.CheckQuiescent(cluster, RangeMapFactory(config),
-                                   "pre-corruption"))
+  EXPECT_TRUE(clean.CheckQuiescent(cluster, range, "pre-corruption"))
       << clean.FailureReport();
 
   const auto& [node, key, record] = copies.front();
@@ -194,8 +175,7 @@ TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
 
   // Only the copy is wrong: the primaries, and so the replay, still agree.
   InvariantMonitor corrupted;
-  EXPECT_FALSE(corrupted.CheckQuiescent(cluster, RangeMapFactory(config),
-                                        "post-corruption"));
+  EXPECT_FALSE(corrupted.CheckQuiescent(cluster, range, "post-corruption"));
   ASSERT_EQ(corrupted.failures().size(), 1u) << corrupted.FailureReport();
   EXPECT_EQ(corrupted.failures().front(),
             "[post-corruption] replica coherence: key 0 copy on node 0 is "
@@ -209,7 +189,7 @@ TEST(ReplicaLeaseTest, CoherenceMonitorCatchesCorruptedCopy) {
 // node is down. After rejoin the table re-grants and the run quiesces
 // coherent.
 TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
-  ClusterConfig config = oracle::LeaseConfig();
+  ClusterConfig config = workload::Registered("replication").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 
@@ -250,39 +230,13 @@ TEST(ReplicaLeaseTest, CrashedHolderLapsesLeases) {
 // placement digest equals a fault-free command-log replay, and the
 // quiesced copies match their primaries.
 TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
-  ClusterConfig config = oracle::LeaseConfig();
-  Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
-  cluster.Load();
-
-  FaultPlanConfig pc;
-  pc.horizon_us = MsToSim(400);
-  pc.num_nodes = kNodes;
-  pc.crash_cycles = 1;
-  pc.min_outage_us = MsToSim(20);
-  pc.max_outage_us = MsToSim(60);
-  pc.link.drop_prob = 0.05;
-  pc.link.duplicate_prob = 0.03;
-  pc.link.max_jitter_us = 300;
-  const FaultPlan plan = FaultPlan::Generate(pc, 29);
-  FaultInjector injector(&cluster, plan, RangeMapFactory(config));
-
-  workload::YcsbConfig wl =
-      workload::ReadHeavySkewedYcsb(kRecords, kNodes, 0.05, /*seed=*/17);
-  workload::YcsbWorkload gen(wl, /*trace=*/nullptr);
-  workload::ClosedLoopDriver driver(
-      &cluster, 16, [&gen](int, SimTime now) { return gen.Next(now); });
-  driver.set_stop_time(pc.horizon_us);
-  driver.Start();
-
-  injector.RunUntil(pc.horizon_us);
-  injector.Drain();
-
-  EXPECT_GT(Router(cluster).lease_table().stats().grants, 0u);
-
-  InvariantMonitor monitor;
-  EXPECT_TRUE(monitor.CheckQuiescent(cluster, RangeMapFactory(config),
-                                     "chaos"))
-      << monitor.FailureReport();
+  const workload::DrainedRun run = workload::RunScenario(workload::MustParse(
+      "replication horizon=400ms ycsb.seed=17 faults.crash_cycles=1 "
+      "faults.min_outage_us=20ms faults.max_outage_us=60ms "
+      "faults.link.drop_prob=0.05 faults.link.duplicate_prob=0.03 "
+      "faults.link.max_jitter_us=300us plan_seed=29 steps="));
+  EXPECT_GT(Router(*run.cluster).lease_table().stats().grants, 0u);
+  EXPECT_TRUE(run.monitors_ok) << run.report;
 }
 
 // Satellite: the Drain() footgun. Work aimed at a node that is down
@@ -294,7 +248,7 @@ TEST(ReplicaLeaseTest, ChaosPlanStaysCoherentAndReplayable) {
 // DegradedDebugString(); after the rejoin the same Drain() completes,
 // the parked set empties, and every migrated record lands.
 TEST(DrainFootgunTest, DrainRequiresRejoinFirst) {
-  ClusterConfig config = oracle::LeaseConfig();
+  ClusterConfig config = workload::Registered("replication").config;
   Cluster cluster(config, RouterKind::kHermes, RangeMapFactory(config)());
   cluster.Load();
 

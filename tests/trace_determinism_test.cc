@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "digest_oracle.h"
+#include "workload/scenarios.h"
 
 namespace hermes {
 namespace {
@@ -15,12 +15,17 @@ TEST(TraceDeterminismTest, TracingIsPassive) {
   // Same seeded workload with and without the tracer: identical decision
   // digests. This is the contract detlint's obs-decision rule audits
   // statically — here it is proven at run time.
-  const oracle::Profile traced = oracle::RunHealthy(/*traced=*/true);
-  const oracle::Profile untraced = oracle::RunHealthy(/*traced=*/false);
-  EXPECT_EQ(traced.Get("decision"), untraced.Get("decision"))
+  const workload::DrainedRun traced =
+      workload::RunScenario(workload::MustParse("healthy obs.trace_enabled=1"));
+  const workload::DrainedRun untraced =
+      workload::RunScenario(workload::MustParse("healthy"));
+  EXPECT_EQ(traced.cluster->decision_digest().value(),
+            untraced.cluster->decision_digest().value())
       << "attaching the tracer changed a decision";
-  EXPECT_EQ(untraced.Get("events"), 0u) << "disabled tracer recorded events";
-  EXPECT_EQ(untraced.Get("trace_count"), 0u);
+  EXPECT_GT(traced.cluster->tracer().total_recorded(), 0u);
+  EXPECT_EQ(untraced.cluster->tracer().total_recorded(), 0u)
+      << "disabled tracer recorded events";
+  EXPECT_EQ(untraced.cluster->trace_digest().count(), 0u);
 }
 
 }  // namespace
