@@ -23,7 +23,7 @@ int main() {
     const double tput =
         hermes::bench::Run("google horizon=20s epoch_us=" +
                            std::to_string(epoch_us) +
-                           " max_batch_size=" + std::to_string(batch))
+                           "us max_batch_size=" + std::to_string(batch))
             .mean_throughput;
     std::printf("%zu,%.0f\n", batch, tput);
     std::fflush(stdout);

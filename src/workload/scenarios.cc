@@ -31,6 +31,9 @@ constexpr const char* kStepNames[] = {"add", "remove", "crash", "rejoin",
 
 // Fig. 13's skewed placement puts the first 7 of 16 tenants on node 0.
 constexpr int kSkewedTenants = 7;
+// Schism trains on this many requests spread over its window, at least 1 us
+// apart.
+constexpr SimTime kSchismSamples = 20'000;
 
 template <typename T>
 std::string FormatValue(const T& value) {
@@ -46,10 +49,8 @@ std::string FormatValue(const T& value) {
 template <typename T>
 bool ParseValue(std::string_view text, T* out) {
   if constexpr (std::is_same_v<T, bool>) {
-    const bool yes = text == "1" || text == "true";
-    if (!yes && text != "0" && text != "false") return false;
-    *out = yes;
-    return true;
+    *out = text == "1";
+    return text == "1" || text == "0";
   } else {
     T value{};
     const auto [end, ec] =
@@ -60,8 +61,8 @@ bool ParseValue(std::string_view text, T* out) {
   }
 }
 
-/// Times print in the largest exact unit of s, ms and us; a bare number
-/// parses as microseconds.
+/// Times print in the largest exact unit of s, ms and us, and parse only
+/// with a unit (zero prints and parses bare).
 std::string FormatTime(SimTime t) {
   if (t != 0 && t % SecToSim(1) == 0) return FormatValue(t / SecToSim(1)) + "s";
   if (t != 0 && t % MsToSim(1) == 0) return FormatValue(t / MsToSim(1)) + "ms";
@@ -78,6 +79,8 @@ bool ParseTime(std::string_view text, SimTime* out) {
   } else if (text.ends_with("s")) {
     unit = SecToSim(1);
     text.remove_suffix(1);
+  } else if (text != "0") {
+    return false;
   }
   SimTime value = 0;
   if (!ParseValue(text, &value) || value > kSimTimeMax / unit) return false;
@@ -385,22 +388,28 @@ constexpr Entry kEntries[] = {
      "multitenant clients=600 horizon=45s hermes.fusion_table_capacity=16000 "
      "migration_chunk_records=500 mt.records_per_tenant=20000 "
      "mt.hot_fraction=0.4 mt.rotation_us=100000s steps=remove@15s:3"},
-    // bench_replication: ReadHeavySkewedYcsb with replica leases, behind an
+    // The read-heavy skewed YCSB shape, written once here for the lines
+    // and once as ReadHeavySkewedYcsb (workload/ycsb.h) for the ledger,
+    // which builds its workloads without scenarios: 95% of transactions
+    // only read, and 90% reach into a global hot set that never moves.
+    {"readheavy",
+     "default ycsb.distributed_ratio=0.9 ycsb.rw_ratio=0.05 "
+     "ycsb.zipf_theta=0.6 ycsb.global_zipf_theta=0.99 ycsb.length_mean=4 "
+     "ycsb.hotspot_cycle_us=86400s"},
+    // bench_replication: readheavy with replica leases, behind an
     // in-memory store and a commodity RPC stack where receiving and
     // deserializing a record shipment costs an order of magnitude more
     // worker time than the storage op itself. That is the regime replica
     // leases target: a remote read's storage op merely moves between
     // nodes, so the whole saving is the message handling.
     {"readhot",
-     "default clients=1200 horizon=6s workers_per_node=2 num_records=10000 "
-     "costs.storage_op_us=15 costs.txn_logic_us=60 "
-     "costs.txn_logic_per_record_us=10 costs.msg_processing_us=200 "
+     "readheavy clients=1200 horizon=6s workers_per_node=2 num_records=10000 "
+     "costs.storage_op_us=15us costs.txn_logic_us=60us "
+     "costs.txn_logic_per_record_us=10us costs.msg_processing_us=200us "
      "hermes.fusion_table_capacity=250 replication.enabled=1 "
      "replication.replicas=4 replication.read_hot_threshold=1 "
      "replication.write_revoke_threshold=32 replication.max_leases=4096 "
-     "ycsb.distributed_ratio=0.9 ycsb.rw_ratio=0.05 ycsb.zipf_theta=0.6 "
-     "ycsb.global_zipf_theta=0.99 ycsb.length_mean=4 "
-     "ycsb.hotspot_cycle_us=86400s ycsb.seed=42"},
+     "ycsb.seed=42"},
     // bench_fault_recovery's flags: two crash/rejoin cycles, two partition
     // cycles and link chaos over 12 s; the bench derives its four modes.
     {"recovery",
@@ -440,12 +449,10 @@ constexpr Entry kEntries[] = {
     // Leased read-heavy YCSB; node 3 crashes at 150 ms and rejoins at
     // 180 ms, lapsing every lease.
     {"replication",
-     "default clients=16 horizon=300ms num_records=4000 "
+     "readheavy clients=16 horizon=300ms num_records=4000 "
      "hermes.fusion_table_capacity=200 replication.enabled=1 "
      "replication.read_hot_threshold=2 replication.write_revoke_threshold=32 "
-     "replication.max_leases=256 ycsb.distributed_ratio=0.9 "
-     "ycsb.rw_ratio=0.05 ycsb.zipf_theta=0.6 ycsb.global_zipf_theta=0.99 "
-     "ycsb.length_mean=4 ycsb.hotspot_cycle_us=86400s ycsb.seed=23 "
+     "replication.max_leases=256 ycsb.seed=23 "
      "steps=crash@150ms:3,rejoin@180ms:3"},
     // One partition cycle (40% one-way) and one overlapping no-stall crash
     // on a disjoint victim, with the detector, replica leases and tracing
@@ -526,7 +533,7 @@ std::unique_ptr<partition::PartitionMap> TrainSchism(const Scenario& s) {
   const uint64_t records = s.config.num_records;
   routing::SchismPartitioner schism(records,
                                     std::max<uint64_t>(records / 500, 1));
-  const SimTime step = (s.schism_to - s.schism_from) / 20'000;
+  const SimTime step = (s.schism_to - s.schism_from) / kSchismSamples;
   for (SimTime t = s.schism_from; t < s.schism_to; t += step) {
     schism.Observe(gen.Next(t));
   }
@@ -596,12 +603,33 @@ Status CheckScenario(const Scenario& s) {
   const auto bad = [](const char* key, const std::string& what) {
     return Status::InvalidArgument("key '" + std::string(key) + "': " + what);
   };
+  const Status config = s.config.Validate();
+  if (!config.ok()) {
+    return Status::InvalidArgument("invalid config: " + config.message());
+  }
   if (s.clients < 1) return bad("clients", "must be at least 1");
+  // Nodes are never renumbered: an add appends one, a remove keeps its id.
+  NodeId nodes = s.config.num_nodes;
+  const uint64_t records =
+      s.steps.empty() ? 0 : Resolved(s).config.num_records;
+  SimTime last = 0;
   for (const Step& step : s.steps) {
+    const std::string what = "step " + FormatSteps({step});
     if (step.at > s.horizon) {
-      return bad("steps", "step at " + FormatTime(step.at) +
-                              " is after the horizon " +
-                              FormatTime(s.horizon));
+      return bad("steps",
+                 what + " is after the horizon " + FormatTime(s.horizon));
+    }
+    if (step.at < last) return bad("steps", what + " is out of time order");
+    last = step.at;
+    if (step.kind == Step::Kind::kAdd) ++nodes;
+    bool known = !TakesNode(step.kind) || (step.node >= 0 && step.node < nodes);
+    for (const RangeMove& m : step.moves) {
+      known = known && m.hi < records && m.target >= 0 && m.target < nodes;
+    }
+    if (!known) {
+      return bad("steps", what + " names a node or key outside the " +
+                              FormatValue(nodes) + "-node, " +
+                              FormatValue(records) + "-record cluster");
     }
   }
   const Placement p = s.placement;
@@ -613,14 +641,15 @@ Status CheckScenario(const Scenario& s) {
        s.config.num_nodes * s.mt.tenants_per_node > kSkewedTenants) ||
       (p == Placement::kSchism && s.workload <= Workload::kYcsb);
   if (!fits) return bad("placement", "does not fit the workload");
-  if (s.workload == Workload::kGoogle &&
-      (s.window == 0 || s.horizon < s.window)) {
-    return bad("window", "a google trace window must be positive and at "
-                         "most the horizon");
+  if (p == Placement::kSchism &&
+      (s.schism_to < s.schism_from ||
+       s.schism_to - s.schism_from < kSchismSamples)) {
+    return bad("schism_to", "the training window must span at least " +
+                                FormatTime(kSchismSamples));
   }
-  const Status config = s.config.Validate();
-  if (!config.ok()) {
-    return Status::InvalidArgument("invalid config: " + config.message());
+  if (s.window == 0) return bad("window", "must be positive");
+  if (s.workload == Workload::kGoogle && s.horizon < s.window) {
+    return bad("window", "a google trace window must be at most the horizon");
   }
   return Status::Ok();
 }

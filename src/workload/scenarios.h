@@ -113,8 +113,10 @@ struct Scenario {
   std::string ToString() const;
   /// Reads a line: the registry entry named by its first word, then each
   /// key in order. Rejects an unknown base or key, a malformed value, a
-  /// step after the horizon and a config ClusterConfig::Validate refuses;
-  /// each error names the key. `out` is untouched on error.
+  /// config ClusterConfig::Validate refuses, steps after the horizon, out
+  /// of time order or naming a node or key the cluster lacks, a zero
+  /// window and a Schism window under 20 ms; each error names the key.
+  /// `out` is untouched on error.
   static Status Parse(std::string_view line, Scenario* out);
 
   /// Whether RunScenario drives this scenario through a FaultInjector.

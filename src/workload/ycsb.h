@@ -45,7 +45,7 @@ struct YcsbConfig {
 /// either ships to the hot record's master or ping-pongs it between
 /// owners; with them each partition reads its local copy. Sweeping
 /// `write_fraction` exposes the crossover where write fan-out eats the
-/// read savings (bench_replication plots it). The `readhot` scenario
+/// read savings (bench_replication plots it). The `readheavy` scenario
 /// (workload/scenarios.h) holds the same values; ledger/ calls this.
 YcsbConfig ReadHeavySkewedYcsb(uint64_t num_records, int num_partitions,
                                double write_fraction, uint64_t seed);

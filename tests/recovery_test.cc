@@ -213,7 +213,7 @@ TEST(RecoveryTest, MidElasticCheckpointReplaysInFlightMigration) {
 
   // Scale out: 2500 records re-home onto the new node in 500-record
   // chunks, interleaved with the regular workload.
-  primary.AddNode({{0, 2499, 4}}, /*migrate_cold=*/true);
+  ASSERT_EQ(primary.AddNode({{0, 2499, 4}}, /*migrate_cold=*/true), 4);
   primary.RunUntil(MsToSim(225));
 
   // Checkpoint at the next batch boundary: pause intake, drain to
