@@ -88,7 +88,7 @@ struct ReplicationConfig {
   /// fall back to plain migration.
   uint32_t write_revoke_threshold = 2;
   /// Batches between counter decays (counters halve), bounding how long
-  /// stale popularity lingers.
+  /// stale popularity lingers. At least 1 (ClusterConfig::Validate).
   uint64_t window_batches = 8;
   /// Upper bound on concurrently leased keys. At the cap no new lease is
   /// granted (nothing is revoked to make room) until a write-heavy revoke

@@ -64,8 +64,8 @@ class InlineVec {
     return *this;
   }
 
-  T* data() { return on_heap() ? heap_ : inline_; }
-  const T* data() const { return on_heap() ? heap_ : inline_; }
+  T* data() { return on_heap() ? buf_.heap : buf_.items; }
+  const T* data() const { return on_heap() ? buf_.heap : buf_.items; }
   T* begin() { return data(); }
   T* end() { return data() + size_; }
   const T* begin() const { return data(); }
@@ -140,37 +140,37 @@ class InlineVec {
     T* fresh = std::allocator<T>().allocate(n);
     if (size_ != 0) std::memcpy(fresh, data(), size_ * sizeof(T));
     Release();
-    heap_ = fresh;
+    buf_.heap = fresh;
     cap_ = static_cast<uint32_t>(n);
   }
 
-  /// Frees the heap buffer, if any. Callers set `heap_` or the inline
-  /// elements and `cap_` next.
+  /// Frees the heap buffer, if any. Callers set `buf_` and `cap_` next.
   void Release() {
-    if (on_heap()) std::allocator<T>().deallocate(heap_, cap_);
+    if (on_heap()) std::allocator<T>().deallocate(buf_.heap, cap_);
   }
 
   /// Takes `other`'s elements (its buffer when on the heap) and leaves it
-  /// empty and inline, as a moved-from std::vector is empty.
+  /// empty and inline, as a moved-from std::vector is empty. One fixed-size
+  /// copy of the union moves either the heap pointer or the inline
+  /// elements: no branch and no variable-length memcpy.
   void Steal(InlineVec& other) {
-    if (other.on_heap()) {
-      heap_ = other.heap_;
-    } else {
-      std::memcpy(inline_, other.inline_, other.size_ * sizeof(T));
-    }
+    buf_ = other.buf_;
     size_ = other.size_;
     cap_ = other.cap_;
     other.size_ = 0;
     other.cap_ = kInline;
   }
 
-  // `heap_` starts null so data() never reads an indeterminate pointer:
-  // it selects `inline_` for an inline vector, but the compiler may load
-  // both arms.
-  union {
-    T* heap_ = nullptr;
-    T inline_[kInline];
+  // The whole buffer starts zeroed, so neither data() (which selects
+  // `items` for an inline vector, but the compiler may load both arms) nor
+  // Steal's copy of the union ever reads indeterminate bytes. `items`
+  // covers `heap`: it holds at least 8 bytes for every element size.
+  union Buffer {
+    T* heap;
+    T items[kInline] = {};
   };
+  static_assert(sizeof(T) * kInline >= sizeof(T*));
+  Buffer buf_;
   uint32_t size_ = 0;
   uint32_t cap_ = kInline;  ///< above kInline exactly when on the heap
 };

@@ -37,6 +37,11 @@ class SlotPool {
     return out;
   }
 
+  /// Frees `slot` without moving its payload out: a caller that consumed
+  /// the payload in place through operator[] hands the slot back here.
+  /// The moved-from payload stays until the next Put overwrites it.
+  void Free(uint32_t slot) { free_.push_back(slot); }
+
   /// The payload parked in `slot`, in place; valid until the next Put.
   T& operator[](uint32_t slot) { return slots_[slot]; }
 

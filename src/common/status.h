@@ -68,6 +68,14 @@ class Status {
 
 bool operator==(const Status& a, const Status& b);
 
+/// What a config's Validate returns for a broken rule:
+/// "<field> must <rule>, got <value>".
+template <typename T>
+Status InvalidField(const char* field, const char* rule, T value) {
+  return Status::InvalidArgument(std::string(field) + " must " + rule +
+                                 ", got " + std::to_string(value));
+}
+
 }  // namespace hermes
 
 #endif  // HERMES_COMMON_STATUS_H_

@@ -123,7 +123,7 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // observed since the last batch can newly be due. A decay window
   // halves every counter — which can tip write parity either way — so it
   // re-checks every lease.
-  if (++batches_seen_ % std::max<uint64_t>(config_->window_batches, 1) == 0) {
+  if (++batches_seen_ % config_->window_batches == 0) {
     // Window decay: halve every counter, dropping the ones that reach
     // zero, so stale popularity ages out instead of pinning leases
     // forever.

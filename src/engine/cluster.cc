@@ -163,26 +163,28 @@ void Cluster::Submit(TxnRequest txn, TxnExecutor::CommitCallback on_commit) {
   SubmitSequenced(std::move(txn), std::move(on_commit));
 }
 
-void Cluster::SubmitSequenced(TxnRequest txn,
-                              TxnExecutor::CommitCallback on_commit) {
+void Cluster::SubmitSequenced(TxnRequest&& txn,
+                              TxnExecutor::CommitCallback&& on_commit) {
   // One network hop from the client to its sequencer.
   SequenceAfter(config_.costs.net_latency_us, std::move(txn),
                 std::move(on_commit));
 }
 
-void Cluster::SequenceAfter(SimTime delay, TxnRequest txn,
-                            TxnExecutor::CommitCallback on_commit) {
+void Cluster::SequenceAfter(SimTime delay, TxnRequest&& txn,
+                            TxnExecutor::CommitCallback&& on_commit) {
   const uint32_t slot = hops_.Put(Hop{std::move(txn), std::move(on_commit)});
   sim_.Schedule(delay, [this, slot]() {
-    Hop hop = hops_.Take(slot);
+    // Consumed in place: Submit parks no hop, so `hop` stays valid.
+    Hop& hop = hops_[slot];
     const TxnId id = sequencer_.next_txn_id();
     sequencer_.Submit(std::move(hop.txn));
     if (hop.cb) pending_callbacks_.Insert(id, std::move(hop.cb));
+    hops_.Free(slot);
   });
 }
 
 void Cluster::SubmitWithReconnaissance(
-    TxnRequest txn, TxnExecutor::CommitCallback on_commit) {
+    TxnRequest&& txn, TxnExecutor::CommitCallback&& on_commit) {
   // OLLP (§2.1): a low-isolation reconnaissance read against the current
   // owners of the read-set discovers the lock locations before the
   // transaction enters the total order. The probe costs one network round

@@ -328,14 +328,14 @@ class Cluster {
     uint32_t epoch = 0;  ///< membership epoch when parked
   };
 
-  void SubmitWithReconnaissance(TxnRequest txn,
-                                TxnExecutor::CommitCallback on_commit);
-  void SubmitSequenced(TxnRequest txn,
-                       TxnExecutor::CommitCallback on_commit);
+  void SubmitWithReconnaissance(TxnRequest&& txn,
+                                TxnExecutor::CommitCallback&& on_commit);
+  void SubmitSequenced(TxnRequest&& txn,
+                       TxnExecutor::CommitCallback&& on_commit);
   /// Hands `txn` to the sequencer `delay` from now and registers
   /// `on_commit` under the id it receives there.
-  void SequenceAfter(SimTime delay, TxnRequest txn,
-                     TxnExecutor::CommitCallback on_commit);
+  void SequenceAfter(SimTime delay, TxnRequest&& txn,
+                     TxnExecutor::CommitCallback&& on_commit);
   void OnBatchSequenced(Batch&& batch);
   TxnExecutor::CommitCallback ResolveCallback(const TxnRequest& txn);
   void SampleWindow();

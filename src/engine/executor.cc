@@ -124,7 +124,7 @@ bool TxnExecutor::IsMaster(const Active& a, NodeId node) {
   return false;
 }
 
-void TxnExecutor::Dispatch(RoutedTxn plan, CommitCallback on_commit) {
+void TxnExecutor::Dispatch(RoutedTxn&& plan, CommitCallback&& on_commit) {
   const TxnId id = plan.txn.id;
   assert(!plan.masters.empty());
   if (HERMES_TRACE_ACTIVE(tracer_)) {

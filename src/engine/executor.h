@@ -87,7 +87,7 @@ class TxnExecutor {
   /// it enqueues locks at every involved node and applies replica-lease
   /// ops, both cross-node work. The plan is moved into the transaction
   /// state.
-  void Dispatch(routing::RoutedTxn plan, CommitCallback on_commit);
+  void Dispatch(routing::RoutedTxn&& plan, CommitCallback&& on_commit);
 
   /// Wires the replica-lease mechanism (null = leases off). Dispatch
   /// applies the plan's replica ops through it, masters wait on lease

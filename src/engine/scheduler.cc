@@ -1,6 +1,7 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace hermes::engine {
@@ -15,41 +16,43 @@ Scheduler::Scheduler(sim::Simulator* sim, routing::Router* router,
       command_log_(command_log),
       resolver_(std::move(resolver)),
       digest_(digest),
-      placement_digest_(placement_digest) {}
+      placement_digest_(placement_digest) {
+  assert((digest == nullptr) == (placement_digest == nullptr));
+}
 
 namespace {
 
 /// Cost to persist one command-log entry.
 constexpr SimTime kLogEntryUs = 1;
 
-/// Folds one routed transaction's placement decisions into the digest:
+/// Folds one routed transaction's placement decisions into both digests:
 /// the transaction identity, each master, and each access's (key, owner,
 /// migration target, lock mode, shipping) tuple.
-void MixPlacement(DecisionDigest& digest, const routing::RoutedTxn& rt) {
-  digest.Mix(rt.txn.id);
+void MixPlacement(DigestPairFold& fold, const routing::RoutedTxn& rt) {
+  fold.Mix(rt.txn.id);
   for (NodeId m : rt.masters) {
-    digest.Mix(static_cast<uint64_t>(static_cast<uint32_t>(m)) + 1);
+    fold.Mix(static_cast<uint64_t>(static_cast<uint32_t>(m)) + 1);
   }
   for (const routing::Access& a : rt.accesses) {
-    digest.Mix(a.key);
-    digest.Mix((static_cast<uint64_t>(static_cast<uint32_t>(a.owner)) << 32) |
-               static_cast<uint32_t>(a.new_owner));
+    fold.Mix(a.key);
+    fold.Mix((static_cast<uint64_t>(static_cast<uint32_t>(a.owner)) << 32) |
+             static_cast<uint32_t>(a.new_owner));
     // replica_read occupies bit 2, so plans without leases (every access
     // false) fold to exactly the pre-replication digest values.
-    digest.Mix((static_cast<uint64_t>(a.replica_read) << 2) |
-               (static_cast<uint64_t>(a.is_write) << 1) |
-               static_cast<uint64_t>(a.ship_to_master));
+    fold.Mix((static_cast<uint64_t>(a.replica_read) << 2) |
+             (static_cast<uint64_t>(a.is_write) << 1) |
+             static_cast<uint64_t>(a.ship_to_master));
   }
   for (const routing::ReturnShipment& s : rt.on_commit_returns) {
-    digest.Mix(s.key);
-    digest.Mix((static_cast<uint64_t>(static_cast<uint32_t>(s.from)) << 32) |
-               static_cast<uint32_t>(s.to));
+    fold.Mix(s.key);
+    fold.Mix((static_cast<uint64_t>(static_cast<uint32_t>(s.from)) << 32) |
+             static_cast<uint32_t>(s.to));
   }
   for (const routing::ReplicaOp& op : rt.replica_ops) {
-    digest.Mix(op.key);
-    digest.Mix((static_cast<uint64_t>(static_cast<uint32_t>(op.node)) << 32) |
-               static_cast<uint32_t>(op.source));
-    digest.Mix(static_cast<uint64_t>(op.kind) + 1);
+    fold.Mix(op.key);
+    fold.Mix((static_cast<uint64_t>(static_cast<uint32_t>(op.node)) << 32) |
+             static_cast<uint32_t>(op.source));
+    fold.Mix(static_cast<uint64_t>(op.kind) + 1);
   }
 }
 
@@ -90,12 +93,8 @@ void Scheduler::Process(Batch&& batch, bool log) {
   // command logging delays when the executors see the plan.
   routing::RoutePlan plan = router_->RouteBatch(batch);
   if (digest_ != nullptr) {
-    for (const routing::RoutedTxn& rt : plan.txns) MixPlacement(*digest_, rt);
-  }
-  if (placement_digest_ != nullptr) {
-    for (const routing::RoutedTxn& rt : plan.txns) {
-      MixPlacement(*placement_digest_, rt);
-    }
+    DigestPairFold fold(*digest_, *placement_digest_);
+    for (const routing::RoutedTxn& rt : plan.txns) MixPlacement(fold, rt);
   }
   const SimTime log_cost = log ? kLogEntryUs * batch.txns.size() : 0;
   const SimTime start = std::max(sim_->Now(), busy_until_);

@@ -37,13 +37,14 @@ class Scheduler {
   /// log after routing rather than copied into it before.
   using FilterArmed = std::function<bool()>;
 
-  /// `digest`, when non-null, receives every routing decision (txn id,
-  /// masters, per-access placement) the moment a batch is routed.
-  /// `placement_digest`, when non-null, receives the same stream — it backs
-  /// `Cluster::placement_digest()`, a transcript of routing decisions only
-  /// (no event-queue pops), which fault-injection monitors compare against
-  /// a fault-free oracle replaying the same command log: chaos may perturb
-  /// timing, but never what the router decided for a given batch stream.
+  /// Both digests are given or neither is. `digest` receives every routing
+  /// decision (txn id, masters, per-access placement) the moment a batch
+  /// is routed. `placement_digest` receives the same stream in the same
+  /// pass — it backs `Cluster::placement_digest()`, a transcript of
+  /// routing decisions only (no event-queue pops), which fault-injection
+  /// monitors compare against a fault-free oracle replaying the same
+  /// command log: chaos may perturb timing, but never what the router
+  /// decided for a given batch stream.
   Scheduler(sim::Simulator* sim, routing::Router* router,
             TxnExecutor* executor, storage::CommandLog* command_log,
             CallbackResolver resolver,

@@ -11,7 +11,7 @@ Sequencer::Sequencer(sim::Simulator* sim, const ClusterConfig* config,
                      BatchCallback on_sequenced)
     : sim_(sim), config_(config), on_sequenced_(std::move(on_sequenced)) {}
 
-void Sequencer::Submit(TxnRequest txn) {
+void Sequencer::Submit(TxnRequest&& txn) {
   txn.id = next_txn_id_++;
   pending_.push_back(std::move(txn));
   ArmEpochCut();

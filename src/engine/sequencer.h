@@ -32,7 +32,7 @@ class Sequencer {
 
   /// Enqueues a request (assigning its transaction id in arrival order)
   /// and arms the next epoch cut if none is pending.
-  void Submit(TxnRequest txn);
+  void Submit(TxnRequest&& txn);
 
   /// Stops cutting batches: submissions keep accumulating (and keep their
   /// arrival-order transaction ids) but never enter the total order until

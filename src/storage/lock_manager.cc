@@ -73,19 +73,16 @@ void LockManager::Acquire(TxnId txn, std::span<const LockRequest> reqs,
       grant_own();
     } else if (!req.exclusive) {
       // Shared request joins the granted group iff everything ahead of it
-      // is a granted shared lock.
-      bool all_shared_granted = true;
-      for (size_t i = 0; i + 1 < queue.size(); ++i) {
-        if (queue[i].exclusive || !queue[i].granted) {
-          all_shared_granted = false;
-          break;
-        }
-      }
-      if (all_shared_granted) {
+      // is a granted shared lock. The granted waiters are exactly the
+      // grantable prefix, so that holds iff the waiter just ahead is a
+      // granted shared lock.
+      const Waiter& ahead = queue[queue.size() - 2];
+      if (ahead.granted && !ahead.exclusive) {
         queue.back().granted = true;
         grant_own();
       }
     }
+    assert(GrantedPrefix(queue));
   }
 }
 
@@ -108,6 +105,7 @@ void LockManager::Release(TxnId txn, std::vector<TxnId>* newly_granted) {
       --active_keys_;
     } else {
       GrantFront(queue, newly_granted);
+      assert(GrantedPrefix(queue));
     }
   }
   handles.clear();
@@ -131,6 +129,21 @@ void LockManager::GrantFront(InlineVec<Waiter>& queue,
       NoteGranted(w.txn_slot, newly_granted);
     }
   }
+}
+
+bool LockManager::GrantedPrefix(const InlineVec<Waiter>& queue) {
+  // The grantable prefix: a lone exclusive front, or every shared waiter
+  // ahead of the first exclusive one.
+  size_t grantable = queue.empty() ? 0 : 1;
+  if (!queue.empty() && !queue.front().exclusive) {
+    while (grantable < queue.size() && !queue[grantable].exclusive) {
+      ++grantable;
+    }
+  }
+  for (size_t i = 0; i < queue.size(); ++i) {
+    if (queue[i].granted != (i < grantable)) return false;
+  }
+  return true;
 }
 
 void LockManager::NoteGranted(uint32_t slot,

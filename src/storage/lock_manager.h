@@ -149,6 +149,11 @@ class LockManager {
 
   void NoteGranted(uint32_t slot, std::vector<TxnId>* newly_granted);
 
+  /// True iff the granted waiters of `queue` are exactly its grantable
+  /// prefix (Debug-build check after every queue change): Acquire's O(1)
+  /// shared grant looks only at the waiter ahead, which relies on it.
+  static bool GrantedPrefix(const InlineVec<Waiter>& queue);
+
   /// Set only for a standalone lock manager.
   std::unique_ptr<LockTable> owned_;
   LockTable* table_;

@@ -5,6 +5,33 @@
 
 namespace hermes::workload {
 
+Status MultiTenantConfig::Validate() const {
+  if (num_nodes < 1) {
+    return InvalidField("num_nodes", "be at least 1", num_nodes);
+  }
+  if (tenants_per_node < 1) {
+    return InvalidField("tenants_per_node", "be at least 1",
+                        tenants_per_node);
+  }
+  if (records_per_tenant == 0) {
+    return InvalidField("records_per_tenant", "be positive",
+                        records_per_tenant);
+  }
+  if (!(zipf_theta > 0 && zipf_theta < 1)) {
+    return InvalidField("zipf_theta", "lie in (0, 1)", zipf_theta);
+  }
+  if (!(hot_fraction >= 0 && hot_fraction <= 1)) {
+    return InvalidField("hot_fraction", "lie in [0, 1]", hot_fraction);
+  }
+  if (rotation_us == 0) {
+    return InvalidField("rotation_us", "be positive", rotation_us);
+  }
+  if (records_per_txn < 1) {
+    return InvalidField("records_per_txn", "be at least 1", records_per_txn);
+  }
+  return Status::Ok();
+}
+
 MultiTenantWorkload::MultiTenantWorkload(const MultiTenantConfig& config)
     : config_(config),
       rng_(config.seed),
@@ -22,7 +49,8 @@ NodeId MultiTenantWorkload::HotNode(SimTime now) const {
 TxnRequest MultiTenantWorkload::Next(SimTime now) {
   const NodeId hot = HotNode(now);
   int tenant;
-  if (rng_.NextDouble() < config_.hot_fraction) {
+  // A one-node cluster has no other tenants to aim the cold share at.
+  if (config_.num_nodes == 1 || rng_.NextDouble() < config_.hot_fraction) {
     tenant = hot * config_.tenants_per_node +
              static_cast<int>(rng_.NextBounded(config_.tenants_per_node));
   } else {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "partition/partition_map.h"
 #include "txn/transaction.h"
@@ -30,6 +31,9 @@ struct MultiTenantConfig {
   /// Records per transaction.
   int records_per_txn = 2;
   uint64_t seed = 2;
+
+  /// The values the generator can run with; the error names the field.
+  Status Validate() const;
 
   bool operator==(const MultiTenantConfig&) const = default;
 };

@@ -607,6 +607,18 @@ Status CheckScenario(const Scenario& s) {
   if (!config.ok()) {
     return Status::InvalidArgument("invalid config: " + config.message());
   }
+  // Every workload config, whichever workload runs: a value its generator
+  // cannot run with is refused before Resolved() builds one.
+  const std::pair<const char*, Status> workloads[] = {
+      {"ycsb.", s.ycsb.Validate()},
+      {"tpcc.", s.tpcc.Validate()},
+      {"mt.", s.mt.Validate()}};
+  for (const auto& [prefix, status] : workloads) {
+    if (!status.ok()) {
+      return Status::InvalidArgument("invalid workload: " +
+                                     std::string(prefix) + status.message());
+    }
+  }
   if (s.clients < 1) return bad("clients", "must be at least 1");
   // Nodes are never renumbered: an add appends one, a remove keeps its id.
   NodeId nodes = s.config.num_nodes;

@@ -2,8 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace hermes::workload {
+
+Status TpccConfig::Validate() const {
+  const std::pair<const char*, int> counts[] = {
+      {"num_warehouses", num_warehouses},
+      {"num_nodes", num_nodes},
+      {"items", items},
+      {"customers_per_district", customers_per_district},
+      {"order_slots_per_warehouse", order_slots_per_warehouse}};
+  for (const auto& [field, value] : counts) {
+    if (value < 1) return InvalidField(field, "be at least 1", value);
+  }
+  const std::pair<const char*, double> ratios[] = {
+      {"remote_stock_ratio", remote_stock_ratio},
+      {"remote_customer_ratio", remote_customer_ratio},
+      {"hotspot_concentration", hotspot_concentration},
+      {"new_order_ratio", new_order_ratio}};
+  for (const auto& [field, value] : ratios) {
+    if (!(value >= 0 && value <= 1)) {
+      return InvalidField(field, "lie in [0, 1]", value);
+    }
+  }
+  return Status::Ok();
+}
 
 TpccWorkload::TpccWorkload(const TpccConfig& config)
     : config_(config), rng_(config.seed) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "partition/partition_map.h"
 #include "txn/transaction.h"
@@ -44,6 +45,9 @@ struct TpccConfig {
   /// 10:10 card deck is ~52% New-Order among the two.
   double new_order_ratio = 0.52;
   uint64_t seed = 3;
+
+  /// The values the generator can run with; the error names the field.
+  Status Validate() const;
 
   bool operator==(const TpccConfig&) const = default;
 };

@@ -5,6 +5,41 @@
 
 namespace hermes::workload {
 
+Status YcsbConfig::Validate() const {
+  if (num_records == 0) {
+    return InvalidField("num_records", "be positive", num_records);
+  }
+  if (num_partitions < 1) {
+    return InvalidField("num_partitions", "be at least 1", num_partitions);
+  }
+  if (!(distributed_ratio >= 0 && distributed_ratio <= 1)) {
+    return InvalidField("distributed_ratio", "lie in [0, 1]",
+                        distributed_ratio);
+  }
+  if (!(rw_ratio >= 0 && rw_ratio <= 1)) {
+    return InvalidField("rw_ratio", "lie in [0, 1]", rw_ratio);
+  }
+  // ZipfianGenerator's formulas need 0 < theta < 1.
+  if (!(zipf_theta > 0 && zipf_theta < 1)) {
+    return InvalidField("zipf_theta", "lie in (0, 1)", zipf_theta);
+  }
+  if (!(global_zipf_theta > 0 && global_zipf_theta < 1)) {
+    return InvalidField("global_zipf_theta", "lie in (0, 1)",
+                        global_zipf_theta);
+  }
+  // Next() clamps a sampled length to [1, 200]; a fixed one must lie there.
+  if (!(length_mean >= 1 && length_mean <= 200)) {
+    return InvalidField("length_mean", "lie in [1, 200]", length_mean);
+  }
+  if (!(length_stddev >= 0)) {
+    return InvalidField("length_stddev", "be non-negative", length_stddev);
+  }
+  if (hotspot_cycle_us == 0) {
+    return InvalidField("hotspot_cycle_us", "be positive", hotspot_cycle_us);
+  }
+  return Status::Ok();
+}
+
 YcsbWorkload::YcsbWorkload(const YcsbConfig& config,
                            const SyntheticGoogleTrace* trace)
     : config_(config),

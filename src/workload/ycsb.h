@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "txn/transaction.h"
 #include "workload/distributions.h"
@@ -33,6 +34,9 @@ struct YcsbConfig {
   /// ("active users around the world in 24 hours").
   SimTime hotspot_cycle_us = 2160 * 1'000'000ULL;
   uint64_t seed = 1;
+
+  /// The values the generator can run with; the error names the field.
+  Status Validate() const;
 
   bool operator==(const YcsbConfig&) const = default;
 };

@@ -368,8 +368,9 @@ TEST(ScenarioLineTest, RejectsMalformedValue) {
   }
 }
 
-// One line per rule CheckScenario adds to ClusterConfig::Validate (and two
-// of Validate's own): the error names the key, or the config field.
+// One line per rule CheckScenario adds to ClusterConfig::Validate (and three
+// of Validate's own, and some of the workload configs'): the error names
+// the key, or the config field.
 TEST(ScenarioLineTest, RejectsWhatCannotRunNamingTheKey) {
   const std::pair<const char*, const char*> cases[] = {
       // healthy: 3 nodes, 6000 records, a 300 ms horizon.
@@ -391,6 +392,17 @@ TEST(ScenarioLineTest, RejectsWhatCannotRunNamingTheKey) {
       {"google window=64s", "key 'window'"},
       {"healthy num_nodes=0", "num_nodes"},
       {"healthy ollp_stale_prob=2", "ollp_stale_prob"},
+      {"healthy replication.window_batches=0", "replication.window_batches"},
+      // Unchecked, a negative length aborts a Release build
+      // (std::bad_array_new_length) and theta = 1 runs past the
+      // generator's Debug-only assert.
+      {"determinism horizon=20ms ycsb.length_mean=-3", "ycsb.length_mean"},
+      {"healthy ycsb.zipf_theta=1", "ycsb.zipf_theta"},
+      {"healthy ycsb.rw_ratio=1.5", "ycsb.rw_ratio"},
+      {"tpcc tpcc.items=0", "tpcc.items"},
+      {"tpcc tpcc.new_order_ratio=-0.5", "tpcc.new_order_ratio"},
+      {"multitenant mt.hot_fraction=1.5", "mt.hot_fraction"},
+      {"multitenant mt.records_per_txn=0", "mt.records_per_txn"},
   };
   for (const auto& [line, key] : cases) {
     EXPECT_NE(ParseError(line).find(key), std::string::npos)
@@ -401,7 +413,10 @@ TEST(ScenarioLineTest, RejectsWhatCannotRunNamingTheKey) {
        {"healthy steps=crash@300ms:1",
         "healthy steps=add@1ms:0-5999>3,cut@1ms:3",
         "multitenant placement=skewed num_nodes=2",
-        "healthy placement=schism schism_to=20ms"}) {
+        "healthy placement=schism schism_to=20ms",
+        "healthy replication.window_batches=1",
+        "healthy ycsb.zipf_theta=0.99 ycsb.length_mean=200",
+        "tpcc tpcc.new_order_ratio=1 tpcc.items=1"}) {
     EXPECT_EQ(ParseError(line), "") << line;
   }
 }
@@ -441,6 +456,8 @@ INSTANTIATE_TEST_SUITE_P(
              [](ClusterConfig& c) { c.ollp_stale_prob = 1.5; }},
         Rule{"replication.replicas",
              [](ClusterConfig& c) { c.replication.replicas = 0; }},
+        Rule{"replication.window_batches",
+             [](ClusterConfig& c) { c.replication.window_batches = 0; }},
         Rule{"sim.threads", [](ClusterConfig& c) { c.sim.threads = 1; }}));
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -58,7 +59,7 @@ class ExecutorTest : public ::testing::Test {
 TEST_F(ExecutorTest, LocalReadOnlyTxnCommits) {
   bool done = false;
   auto rt = SingleMaster(1, 0, {{5, 0, false, false, kInvalidNode}});
-  executor_.Dispatch(rt, [&](const TxnResult& r) {
+  executor_.Dispatch(std::move(rt), [&](const TxnResult& r) {
     EXPECT_FALSE(r.aborted);
     EXPECT_FALSE(r.distributed);
     done = true;
@@ -75,7 +76,7 @@ TEST_F(ExecutorTest, RemoteReadWaitsForShipment) {
   auto rt = SingleMaster(1, 0,
                          {{5, 0, false, false, kInvalidNode},
                           {105, 1, false, true, kInvalidNode}});
-  executor_.Dispatch(rt, [&](const TxnResult& r) {
+  executor_.Dispatch(std::move(rt), [&](const TxnResult& r) {
     EXPECT_TRUE(r.distributed);
     commit_time = sim_.Now();
     done = true;
@@ -95,7 +96,7 @@ TEST_F(ExecutorTest, MigrationMovesRecordAndAppliesWrite) {
                          {{5, 0, true, false, kInvalidNode},
                           {105, 1, true, true, 0}},
                          {5, 105});
-  executor_.Dispatch(rt, nullptr);
+  executor_.Dispatch(std::move(rt), nullptr);
   sim_.RunAll();
   EXPECT_FALSE(nodes_[1]->store().Contains(105));
   ASSERT_TRUE(nodes_[0]->store().Contains(105));
@@ -108,7 +109,7 @@ TEST_F(ExecutorTest, UserAbortRollsBackWrites) {
   auto rt = SingleMaster(1, 0, {{5, 0, true, false, kInvalidNode}}, {5});
   rt.txn.user_abort = true;
   bool done = false;
-  executor_.Dispatch(rt, [&](const TxnResult& r) {
+  executor_.Dispatch(std::move(rt), [&](const TxnResult& r) {
     EXPECT_TRUE(r.aborted);
     done = true;
   });
@@ -124,7 +125,7 @@ TEST_F(ExecutorTest, OnCommitReturnShipsRecordHome) {
   auto rt = SingleMaster(1, 0,
                          {{105, 1, true, true, 0}}, {105});
   rt.on_commit_returns.push_back(routing::ReturnShipment{105, 0, 1});
-  executor_.Dispatch(rt, nullptr);
+  executor_.Dispatch(std::move(rt), nullptr);
   sim_.RunAll();
   EXPECT_FALSE(nodes_[0]->store().Contains(105));
   ASSERT_TRUE(nodes_[1]->store().Contains(105));
@@ -135,7 +136,7 @@ TEST_F(ExecutorTest, ConflictingTxnsSerializeInOrder) {
   std::vector<TxnId> commit_order;
   for (TxnId id = 1; id <= 3; ++id) {
     auto rt = SingleMaster(id, 0, {{5, 0, true, false, kInvalidNode}}, {5});
-    executor_.Dispatch(rt, [&commit_order, id](const TxnResult&) {
+    executor_.Dispatch(std::move(rt), [&commit_order, id](const TxnResult&) {
       commit_order.push_back(id);
     });
   }
@@ -150,8 +151,8 @@ TEST_F(ExecutorTest, SharedReadersProceedInParallel) {
   SimTime t1 = 0, t2 = 0;
   auto r1 = SingleMaster(1, 0, {{5, 0, false, false, kInvalidNode}});
   auto r2 = SingleMaster(2, 0, {{5, 0, false, false, kInvalidNode}});
-  executor_.Dispatch(r1, [&](const TxnResult&) { t1 = sim_.Now(); });
-  executor_.Dispatch(r2, [&](const TxnResult&) { t2 = sim_.Now(); });
+  executor_.Dispatch(std::move(r1), [&](const TxnResult&) { t1 = sim_.Now(); });
+  executor_.Dispatch(std::move(r2), [&](const TxnResult&) { t2 = sim_.Now(); });
   sim_.RunAll();
   EXPECT_EQ(t1, t2);
 }
@@ -165,7 +166,7 @@ TEST_F(ExecutorTest, MultiMasterCalvinBothApplyTheirWrites) {
   rt.accesses = {{5, 0, true, true, kInvalidNode},
                  {105, 1, true, true, kInvalidNode}};
   bool done = false;
-  executor_.Dispatch(rt, [&](const TxnResult& r) {
+  executor_.Dispatch(std::move(rt), [&](const TxnResult& r) {
     EXPECT_TRUE(r.distributed);
     done = true;
   });
@@ -184,8 +185,8 @@ TEST_F(ExecutorTest, SuccessorWaitsForInFlightMigration) {
   auto rt1 = SingleMaster(1, 0, {{105, 1, true, true, 0}}, {105});
   auto rt2 = SingleMaster(2, 0, {{105, 0, false, false, kInvalidNode}});
   uint32_t version_seen = 99;
-  executor_.Dispatch(rt1, nullptr);
-  executor_.Dispatch(rt2, [&](const TxnResult&) {
+  executor_.Dispatch(std::move(rt1), nullptr);
+  executor_.Dispatch(std::move(rt2), [&](const TxnResult&) {
     version_seen = nodes_[0]->store().Get(105)->version;
   });
   sim_.RunAll();
@@ -200,7 +201,7 @@ TEST_F(ExecutorTest, EvictionShipsAfterCommitWithoutDelayingClient) {
                           {105, 1, true, false, /*new_owner=*/2}},
                          {5});
   bool done = false;
-  executor_.Dispatch(rt, [&](const TxnResult&) { done = true; });
+  executor_.Dispatch(std::move(rt), [&](const TxnResult&) { done = true; });
   sim_.RunAll();
   EXPECT_TRUE(done);
   EXPECT_FALSE(nodes_[1]->store().Contains(105));
@@ -212,7 +213,7 @@ TEST_F(ExecutorTest, LatencyBreakdownAccountsPhases) {
   auto rt = SingleMaster(1, 0, {{105, 1, false, true, kInvalidNode}});
   rt.txn.submit_time = 0;
   LatencyBreakdown lat;
-  executor_.Dispatch(rt, [&](const TxnResult& r) { lat = r.latency; });
+  executor_.Dispatch(std::move(rt), [&](const TxnResult& r) { lat = r.latency; });
   sim_.RunAll();
   EXPECT_GT(lat.total_us, 0u);
   EXPECT_GT(lat.remote_wait_us, 0u);
@@ -230,7 +231,7 @@ TEST_F(ExecutorTest, ChunkMigrationMovesWholeChunkWithoutRewriting) {
     rt.txn.write_set.push_back(k);
     rt.accesses.push_back(Access{k, 1, true, true, 2});
   }
-  executor_.Dispatch(rt, nullptr);
+  executor_.Dispatch(std::move(rt), nullptr);
   sim_.RunAll();
   for (Key k = 100; k < 110; ++k) {
     EXPECT_FALSE(nodes_[1]->store().Contains(k));

@@ -2,8 +2,8 @@
 // TxnRequest and RoutedTxn: a seeded model test against std::vector
 // (push_back across the inline/heap boundary, reserve, resize, erase, the
 // sort + unique + erase idiom, clear, assign), copy and move in every
-// inline/heap pairing including self-assignment, and which operations
-// allocate.
+// inline/heap pairing including self-assignment and at every size, and
+// which operations allocate.
 
 #include "common/inline_vec.h"
 
@@ -225,6 +225,40 @@ TEST(InlineVecTest, CopyAndMoveInEveryInlineHeapPairing) {
       EXPECT_TRUE(move_dst.empty());
     }
   }
+}
+
+// A move copies the whole 16-byte buffer whatever the size: a partly
+// filled inline buffer, an empty vector and a moved-from one (whose buffer
+// still holds the stolen heap pointer) must all move cleanly.
+template <typename T>
+void MoveEverySize() {
+  for (size_t n = 0; n <= InlineVec<T>::kInline + 1; ++n) {
+    SCOPED_TRACE(testing::Message() << "size=" << n);
+    InlineVec<T> src;
+    std::vector<T> want;
+    for (size_t i = 0; i < n; ++i) {
+      src.push_back(static_cast<T>(10 + i));
+      want.push_back(static_cast<T>(10 + i));
+    }
+    InlineVec<T> constructed(std::move(src));
+    EXPECT_EQ(Elems(constructed), want);
+    EXPECT_TRUE(src.empty());
+
+    InlineVec<T> assigned = {static_cast<T>(1)};
+    assigned = std::move(constructed);
+    EXPECT_EQ(Elems(assigned), want);
+    EXPECT_TRUE(constructed.empty());
+
+    InlineVec<T> again(std::move(constructed));  // moved-from, moved again
+    EXPECT_TRUE(again.empty());
+    again.push_back(static_cast<T>(3));
+    EXPECT_EQ(Elems(again), std::vector<T>{static_cast<T>(3)});
+  }
+}
+
+TEST(InlineVecTest, MoveCarriesEverySizeAcrossTheBoundary) {
+  MoveEverySize<Key>();
+  MoveEverySize<NodeId>();
 }
 
 TEST(InlineVecTest, SelfAssignmentKeepsTheElements) {

@@ -51,6 +51,18 @@ TEST(MultiTenantTest, HotFractionTargetsHotNode) {
   EXPECT_NEAR(static_cast<double>(hot) / kSamples, 0.9, 0.02);
 }
 
+TEST(MultiTenantTest, OneNodeServesOnlyItsOwnTenants) {
+  MultiTenantConfig config = SmallMt();
+  config.num_nodes = 1;
+  config.hot_fraction = 0;  // no cold tenant exists to draw
+  MultiTenantWorkload gen(config);
+  for (int i = 0; i < 1000; ++i) {
+    const TxnRequest txn = gen.Next(0);
+    EXPECT_LT(txn.tag, config.tenants_per_node);
+    for (Key k : txn.read_set) EXPECT_LT(k, gen.num_records());
+  }
+}
+
 TEST(MultiTenantTest, ColdTenantsStillServed) {
   MultiTenantWorkload gen(SmallMt());
   std::vector<int> tenant_hits(gen.num_tenants(), 0);
