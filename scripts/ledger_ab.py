@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Alternating A/B pairs of two bench_ledger binaries on one workload.
+"""Alternating A/B pairs of two bench_ledger binaries, workload by workload.
 
-    scripts/ledger_ab.py PARENT_BIN CHANGE_BIN WORKLOAD PAIRS [SECONDS] [SEED]
+    scripts/ledger_ab.py PARENT_BIN CHANGE_BIN WORKLOAD[,WORKLOAD...] PAIRS
+                         [SECONDS] [SEED]
 
-Runs PAIRS pairs of `bench_ledger --mode=e2e --workload=WORKLOAD
---seconds=SECONDS --seed=SEED` (defaults: 20 s, seed 42), one run of each
-binary per pair. The order alternates between pairs (parent first, then
-change first), so a drift in host load falls on both sides alike.
+For each workload in the comma-separated list, in turn, runs PAIRS pairs of
+`bench_ledger --mode=e2e --workload=WORKLOAD --seconds=SECONDS --seed=SEED`
+(defaults: 20 s, seed 42), one run of each binary per pair. The order
+alternates between pairs (parent first, then change first), so a drift in
+host load falls on both sides alike. Each workload gets its own summary
+block, printed once its pairs are done.
 
 For the wall-clock metrics `wall_s`, `setup_s` and `peak_rss_mb` (lower is
 better) it prints the parent's and the change's medians, the change's share
@@ -15,10 +18,10 @@ of the parent's runs. A gain counts when the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than that
 range.
 
-Exit status: 0 when every run passed bench_ledger's correctness gate and the
-deterministic metrics (txn/s, latency percentiles, commit ratio, KB/txn) and
-the decision and placement digests are identical across all runs of both
-binaries; 1 otherwise; 2 on bad arguments.
+Exit status: 0 when, on every workload, every run passed bench_ledger's
+correctness gate and the deterministic metrics (txn/s, latency percentiles,
+commit ratio, KB/txn) and the decision and placement digests are identical
+across all runs of both binaries; 1 otherwise; 2 on bad arguments.
 """
 
 import json
@@ -54,18 +57,8 @@ def iqr(xs):
     return q[2] - q[0]
 
 
-def main(argv):
-    if not 5 <= len(argv) <= 7:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    parent_bin, change_bin, workload, pairs = argv[1:5]
-    seconds = argv[5] if len(argv) > 5 else "20"
-    seed = argv[6] if len(argv) > 6 else "42"
-    pairs = int(pairs)
-    if pairs < 1:
-        print("error: PAIRS must be at least 1", file=sys.stderr)
-        return 2
-
+def compare(parent_bin, change_bin, workload, pairs, seconds, seed):
+    """Runs and summarises one workload's pairs; returns its exit status."""
     runs = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -108,6 +101,32 @@ def main(argv):
     if status == 0:
         print("deterministic metrics and digests identical: %s" %
               reference[1])
+    return status
+
+
+def main(argv):
+    if not 5 <= len(argv) <= 7:
+        print(" ".join(line.strip() for line in
+                       __doc__.strip().splitlines()[2:4]), file=sys.stderr)
+        return 2
+    parent_bin, change_bin, workloads, pairs = argv[1:5]
+    seconds = argv[5] if len(argv) > 5 else "20"
+    seed = argv[6] if len(argv) > 6 else "42"
+    pairs = int(pairs)
+    workloads = workloads.split(",")
+    if pairs < 1:
+        print("error: PAIRS must be at least 1", file=sys.stderr)
+        return 2
+    if "" in workloads:
+        print("error: empty workload name in '%s'" % argv[3], file=sys.stderr)
+        return 2
+
+    status = 0
+    for i, workload in enumerate(workloads):
+        if i > 0:
+            print()
+        status |= compare(parent_bin, change_bin, workload, pairs, seconds,
+                          seed)
     return status
 
 

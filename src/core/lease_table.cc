@@ -8,23 +8,24 @@ using routing::ReplicaOp;
 using routing::ReplicaOpKind;
 
 LeaseTable::Entry& LeaseTable::Touch(Key key) {
-  const auto [it, inserted] = slot_of_.try_emplace(key, 0u);
-  if (inserted) {
+  if (key >= slot_of_.size()) slot_of_.resize(key + 1, kNoSlot);
+  uint32_t& slot = slot_of_[key];
+  if (slot == kNoSlot) {
     if (free_slots_.empty()) {
-      it->second = static_cast<uint32_t>(entries_.size());
+      slot = static_cast<uint32_t>(entries_.size());
       entries_.emplace_back();
     } else {
-      it->second = free_slots_.back();
+      slot = free_slots_.back();
       free_slots_.pop_back();
     }
-    Entry& e = entries_[it->second];
+    Entry& e = entries_[slot];
     e.key = key;
     e.live = true;
   }
-  Entry& e = entries_[it->second];
+  Entry& e = entries_[slot];
   if (!e.touched) {
     e.touched = true;
-    touched_.push_back(it->second);
+    touched_.push_back(slot);
   }
   return e;
 }
@@ -50,15 +51,11 @@ bool LeaseTable::RevokeDue(const Entry& e) const {
          (e.writes >= 4 && e.writes >= e.reads);
 }
 
-void LeaseTable::RefreshGrantable(uint32_t slot) {
-  Entry& e = entries_[slot];
-  const bool want = e.holders.empty() && GrantEligible(e);
-  if (want == e.grantable) return;
-  e.grantable = want;
-  if (want) {
-    grantable_.emplace(e.key, slot);
+void LeaseTable::RefreshGrantable(const Entry& e) {
+  if (e.holders.empty() && GrantEligible(e)) {
+    grantable_.Set(e.key);
   } else {
-    grantable_.erase(e.key);
+    grantable_.Clear(e.key);
   }
 }
 
@@ -84,13 +81,13 @@ void LeaseTable::Decay() {
     e.writes /= 2;
     e.touched = false;
     if (e.reads == 0 && e.writes == 0 && e.holders.empty()) {
-      if (e.grantable) grantable_.erase(e.key);
-      slot_of_.erase(e.key);
+      grantable_.Clear(e.key);
+      slot_of_[e.key] = kNoSlot;
       e = Entry{};
       free_slots_.push_back(slot);
       continue;
     }
-    RefreshGrantable(slot);
+    RefreshGrantable(e);
   }
   // The sweep re-derived every entry; nothing is pending any more.
   touched_.clear();
@@ -109,11 +106,12 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // the same schedule in live and replayed runs.
   if (membership_epoch != last_epoch_) {
     last_epoch_ = membership_epoch;
-    for (const auto& [key, slot] : leased_) {
+    leased_.ForEach([&](Key key) {
+      const uint32_t slot = slot_of_[key];
       DropLease(slot, ops);
       ++stats_.lapses;
-      RefreshGrantable(slot);
-    }
+      RefreshGrantable(entries_[slot]);
+    });
     leased_.clear();
   }
 
@@ -128,15 +126,13 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
     // zero, so stale popularity ages out instead of pinning leases
     // forever.
     Decay();
-    for (auto it = leased_.begin(); it != leased_.end();) {
-      if (RevokeDue(entries_[it->second])) {
-        DropLease(it->second, ops);
-        ++stats_.revokes;
-        it = leased_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    leased_.ForEach([&](Key key) {
+      const uint32_t slot = slot_of_[key];
+      if (!RevokeDue(entries_[slot])) return;
+      DropLease(slot, ops);
+      ++stats_.revokes;
+      leased_.Clear(key);
+    });
   } else {
     due_.clear();
     for (uint32_t slot : touched_) {
@@ -147,11 +143,12 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
     for (const auto& [key, slot] : due_) {
       DropLease(slot, ops);
       ++stats_.revokes;
-      leased_.erase(key);
+      leased_.Clear(key);
     }
     for (uint32_t slot : touched_) {
-      entries_[slot].touched = false;
-      RefreshGrantable(slot);
+      Entry& e = entries_[slot];
+      e.touched = false;
+      RefreshGrantable(e);
     }
     touched_.clear();
   }
@@ -168,10 +165,9 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
   // extending replication and let the revoke rules drain what is left.
   if (2 * window_writes_ >= window_reads_) return;
   const size_t max_holders = static_cast<size_t>(config_->replicas);
-  for (auto it = grantable_.begin();
-       it != grantable_.end() && leased_.size() < config_->max_leases;) {
-    const auto [key, slot] = *it;
-    Entry& e = entries_[slot];
+  grantable_.ForEach([&](Key key) {
+    if (leased_.count() >= config_->max_leases) return false;
+    Entry& e = entries_[slot_of_[key]];
     const NodeId primary = ownership.Owner(key);
     // The primary is always a holder: its "copy" snapshots the local
     // record for free, and it keeps the key locally readable at the old
@@ -187,8 +183,7 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
     }
     if (e.holders.size() < 2) {
       e.holders.clear();  // stays grantable for a later batch
-      ++it;
-      continue;
+      return true;
     }
     std::sort(e.holders.begin(), e.holders.end());
     for (NodeId holder : e.holders) {
@@ -200,16 +195,15 @@ void LeaseTable::BeginBatch(uint32_t membership_epoch, bool all_alive,
       ops->push_back(op);
     }
     ++stats_.grants;
-    e.grantable = false;
-    leased_.emplace(key, slot);
-    it = grantable_.erase(it);
-  }
+    leased_.Set(key);
+    grantable_.Clear(key);
+    return true;
+  });
 }
 
 bool LeaseTable::IsHolder(Key key, NodeId node) const {
-  const auto it = slot_of_.find(key);
-  if (it == slot_of_.end()) return false;
-  const std::vector<NodeId>& holders = entries_[it->second].holders;
+  if (key >= slot_of_.size() || slot_of_[key] == kNoSlot) return false;
+  const std::vector<NodeId>& holders = entries_[slot_of_[key]].holders;
   return std::binary_search(holders.begin(), holders.end(), node);
 }
 

@@ -2,11 +2,11 @@
 #define HERMES_CORE_LEASE_TABLE_H_
 
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <vector>
 
 #include "common/config.h"
-#include "common/flat_map.h"
+#include "common/key_bitset.h"
 #include "common/types.h"
 #include "routing/router.h"
 
@@ -33,8 +33,12 @@ namespace hermes::core {
 /// revoke, and the grantable keys can be kept as an ordered set that
 /// changes only for touched keys.
 ///
-/// Determinism: every walk that emits ops goes over an ordered index
-/// (std::map) or the dense entry vector, never a salted table; holders
+/// Storage: keys are dense, so the key -> entry index is a vector indexed
+/// by key, and the leased and grantable sets are KeyBitsets; the entries
+/// themselves live in a slot vector sized by the tracked keys.
+///
+/// Determinism: every walk that emits ops goes over a KeyBitset (ascending
+/// key order) or the dense entry vector, never a salted table; holders
 /// are the primary plus the lowest-id alive candidates; nothing here
 /// consults hash order, wall clock, or any RNG. A command-log replay that
 /// feeds the same batches and the same membership schedule reproduces
@@ -84,7 +88,7 @@ class LeaseTable {
   /// True iff `node` currently holds a lease copy of `key`.
   bool IsHolder(Key key, NodeId node) const;
 
-  size_t num_leases() const { return leased_.size(); }
+  size_t num_leases() const { return leased_.count(); }
   const Stats& stats() const { return stats_; }
 
   /// Drops all leases and counters without emitting ops (checkpoint
@@ -103,8 +107,10 @@ class LeaseTable {
     std::vector<NodeId> holders;  ///< sorted ascending; empty = unleased
     bool live = false;            ///< slot in use (else on free_slots_)
     bool touched = false;         ///< observed since the last BeginBatch
-    bool grantable = false;       ///< listed in grantable_
   };
+
+  /// slot_of_ value of an untracked key.
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
   /// Entry of `key`, created on first sight, marked touched.
   Entry& Touch(Key key);
@@ -113,8 +119,8 @@ class LeaseTable {
   /// Revoke rule: over the write threshold, or write parity past a floor
   /// of 4. Disjoint from GrantEligible.
   bool RevokeDue(const Entry& e) const;
-  /// Re-derives whether `slot` belongs in grantable_ (eligible, unleased).
-  void RefreshGrantable(uint32_t slot);
+  /// Re-derives whether `e` belongs in grantable_ (eligible, unleased).
+  void RefreshGrantable(const Entry& e);
   /// Emits one revoke per holder and drops the lease (not the counters).
   void DropLease(uint32_t slot, std::vector<routing::ReplicaOp>* ops);
   /// Halves every counter, frees entries that reach zero, and refreshes
@@ -122,18 +128,17 @@ class LeaseTable {
   void Decay();
 
   const ReplicationConfig* config_ = nullptr;
-  /// key -> index into entries_. Point lookups only; every ordered walk
-  /// goes through leased_, grantable_ or the entry vector itself.
-  FlatMap<Key, uint32_t> slot_of_;
+  /// key -> index into entries_, kNoSlot when untracked; grows to the
+  /// largest key observed.
+  std::vector<uint32_t> slot_of_;
   std::vector<Entry> entries_;
   std::vector<uint32_t> free_slots_;
   /// Entries observed since the last BeginBatch, in first-touch order.
   std::vector<uint32_t> touched_;
-  /// Leased keys in key order (key -> slot).
-  std::map<Key, uint32_t> leased_;
-  /// Grantable keys in key order (key -> slot): every unleased entry
-  /// that meets the grant rule.
-  std::map<Key, uint32_t> grantable_;
+  /// Leased keys.
+  KeyBitset leased_;
+  /// Grantable keys: every unleased entry that meets the grant rule.
+  KeyBitset grantable_;
   /// BeginBatch scratch: touched leased entries that now meet the revoke
   /// rule, sorted by key before their revokes are emitted.
   std::vector<std::pair<Key, uint32_t>> due_;

@@ -8,10 +8,24 @@
 
 namespace hermes::replication {
 
+uint32_t LeaseManager::SlotOf(Key key) const {
+  return key < slot_of_.size() ? slot_of_[key] : kNoSlot;
+}
+
 void LeaseManager::BeginInstall(Key key, NodeId holder, NodeId source) {
-  const auto [hit, inserted] = holders_.try_emplace(key);
-  if (inserted) leased_keys_.insert(key);
-  std::vector<NodeId>& set = hit->second;
+  if (key >= slot_of_.size()) slot_of_.resize(key + 1, kNoSlot);
+  uint32_t& slot = slot_of_[key];
+  if (slot == kNoSlot) {
+    if (free_slots_.empty()) {
+      slot = static_cast<uint32_t>(holder_sets_.size());
+      holder_sets_.emplace_back();
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+    leased_keys_.Set(key);
+  }
+  std::vector<NodeId>& set = holder_sets_[slot];
   const auto it = std::lower_bound(set.begin(), set.end(), holder);
   if (it == set.end() || *it != holder) {
     set.insert(it, holder);
@@ -21,9 +35,9 @@ void LeaseManager::BeginInstall(Key key, NodeId holder, NodeId source) {
 }
 
 void LeaseManager::Revoke(Key key, NodeId holder) {
-  const auto hit = holders_.find(key);
-  if (hit != holders_.end()) {
-    std::vector<NodeId>& set = hit->second;
+  const uint32_t slot = SlotOf(key);
+  if (slot != kNoSlot) {
+    std::vector<NodeId>& set = holder_sets_[slot];
     const auto it = std::lower_bound(set.begin(), set.end(), holder);
     if (it != set.end() && *it == holder) {
       set.erase(it);
@@ -32,8 +46,9 @@ void LeaseManager::Revoke(Key key, NodeId holder) {
                    key, /*arg=*/0);
     }
     if (set.empty()) {
-      holders_.erase(hit);
-      leased_keys_.erase(key);
+      slot_of_[key] = kNoSlot;
+      free_slots_.push_back(slot);
+      leased_keys_.Clear(key);
     }
   }
   DropCopy(holder, key);
@@ -43,8 +58,8 @@ void LeaseManager::LapseAll() {
   // Each shard's waiters, in key order; woken shard by shard once every
   // lease is gone.
   std::vector<std::vector<sim::Callback>> woken(shards_.size());
-  for (Key key : leased_keys_) {
-    for (NodeId holder : holders_.at(key)) {
+  leased_keys_.ForEach([&](Key key) {
+    for (NodeId holder : holder_sets_[slot_of_[key]]) {
       ++lapses_;
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/1);
@@ -52,8 +67,10 @@ void LeaseManager::LapseAll() {
         woken[static_cast<size_t>(holder)].push_back(std::move(w));
       }
     }
-  }
-  holders_.clear();
+  });
+  slot_of_.clear();
+  holder_sets_.clear();
+  free_slots_.clear();
   leased_keys_.clear();
   for (size_t node = 0; node < shards_.size(); ++node) {
     assert(waits_.Keys(static_cast<NodeId>(node)).empty());
@@ -69,9 +86,8 @@ void LeaseManager::DropCopy(NodeId node, Key key) {
 }
 
 bool LeaseManager::Holds(Key key, NodeId node) const {
-  const auto hit = holders_.find(key);
-  return hit != holders_.end() &&
-         std::binary_search(hit->second.begin(), hit->second.end(), node);
+  const std::vector<NodeId>* set = HoldersOf(key);
+  return set != nullptr && std::binary_search(set->begin(), set->end(), node);
 }
 
 void LeaseManager::ApplyCopy(NodeId node, Key key,
@@ -95,8 +111,8 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
 }
 
 const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
-  const auto it = holders_.find(key);
-  return it == holders_.end() ? nullptr : &it->second;
+  const uint32_t slot = SlotOf(key);
+  return slot == kNoSlot ? nullptr : &holder_sets_[slot];
 }
 
 void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
@@ -112,8 +128,8 @@ void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
 
 uint64_t LeaseManager::Checksum() const {
   uint64_t sum = 0;
-  for (Key key : leased_keys_) {
-    for (NodeId node : holders_.at(key)) {
+  leased_keys_.ForEach([&](Key key) {
+    for (NodeId node : *HoldersOf(key)) {
       if (static_cast<size_t>(node) >= shards_.size()) continue;
       const auto it = Shard(node).copy_records.find(key);
       if (it == Shard(node).copy_records.end()) continue;
@@ -121,22 +137,22 @@ uint64_t LeaseManager::Checksum() const {
       sum ^= Mix64(Mix64(key ^ (static_cast<uint64_t>(node) << 48)) ^
                    r.value ^ (static_cast<uint64_t>(r.version) << 32));
     }
-  }
+  });
   return sum;
 }
 
 std::vector<std::tuple<NodeId, Key, storage::Record>>
 LeaseManager::SnapshotCopies() const {
   std::vector<std::tuple<NodeId, Key, storage::Record>> out;
-  for (Key key : leased_keys_) {
-    for (NodeId node : holders_.at(key)) {
+  leased_keys_.ForEach([&](Key key) {
+    for (NodeId node : *HoldersOf(key)) {
       if (static_cast<size_t>(node) >= shards_.size()) continue;
       const auto it = Shard(node).copy_records.find(key);
       if (it != Shard(node).copy_records.end()) {
         out.emplace_back(node, key, it->second);
       }
     }
-  }
+  });
   // Key order within each node survives the stable regroup by node.
   std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return std::get<0>(a) < std::get<0>(b);
@@ -171,8 +187,8 @@ size_t LeaseManager::num_copies() const {
 std::string LeaseManager::DebugString() const {
   std::string out;
   char buf[160];
-  for (Key key : leased_keys_) {
-    const std::vector<NodeId>& set = holders_.at(key);
+  leased_keys_.ForEach([&](Key key) {
+    const std::vector<NodeId>& set = *HoldersOf(key);
     std::snprintf(buf, sizeof(buf), "lease: key=%llu holders=[",
                   static_cast<unsigned long long>(key));
     out += buf;
@@ -182,25 +198,25 @@ std::string LeaseManager::DebugString() const {
       out += buf;
     }
     out += "]\n";
-  }
+  });
   for (size_t node = 0; node < shards_.size(); ++node) {
     const NodeShard& shard = shards_[node];
-    for (Key key : leased_keys_) {
+    leased_keys_.ForEach([&](Key key) {
       const auto it = shard.copy_records.find(key);
-      if (it == shard.copy_records.end()) continue;
+      if (it == shard.copy_records.end()) return;
       std::snprintf(buf, sizeof(buf),
                     "copy: node=%zu key=%llu version=%u\n", node,
                     static_cast<unsigned long long>(key), it->second.version);
       out += buf;
-    }
-    for (Key key : leased_keys_) {
+    });
+    leased_keys_.ForEach([&](Key key) {
       const size_t waiting = waits_.Count(static_cast<NodeId>(node), key);
-      if (waiting == 0) continue;
+      if (waiting == 0) return;
       std::snprintf(buf, sizeof(buf),
                     "copy wait: node=%zu key=%llu (%zu)\n", node,
                     static_cast<unsigned long long>(key), waiting);
       out += buf;
-    }
+    });
   }
   return out;
 }

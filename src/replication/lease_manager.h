@@ -2,12 +2,13 @@
 #define HERMES_REPLICATION_LEASE_MANAGER_H_
 
 #include <cstdint>
-#include <set>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/key_bitset.h"
 #include "common/types.h"
 #include "obs/trace.h"
 #include "sim/callback.h"
@@ -30,7 +31,7 @@ namespace hermes::replication {
 /// committed version).
 ///
 /// Lane discipline (the epoch schedule's ownership rules):
-///  - `holders_` is written only in exclusive context (BeginInstall /
+///  - The holder sets are written only in exclusive context (BeginInstall /
 ///    Revoke / LapseAll run from dispatch or membership transitions)
 ///    and read lane-side (commit fan-out, ApplyCopy's
 ///    staleness check) — the epoch barrier serializes writers, the same
@@ -39,13 +40,15 @@ namespace hermes::replication {
 ///    lane (ApplyCopy, WaitCopies) or by exclusive context;
 ///    those never overlap.
 ///
-/// Storage: every per-key table is a salted FlatMap used for point lookups
-/// only. Ordered walks (lapse traces and wake order, snapshots, checksums,
-/// diagnostics) go through `leased_keys_`, which changes only on install,
-/// revoke or lapse. That suffices because a node has a copy of a key, or a
-/// waiter on one, only while it is a registered holder: ApplyCopy and
-/// WaitCopies check the holder set, and every path that removes a holder
-/// drops its copy and wakes its waiters.
+/// Storage: keys are dense, so the holder sets sit in a slot vector reached
+/// through a vector indexed by key, and the leased keys are a KeyBitset.
+/// Each node's copies are a salted FlatMap (a node holds copies of few
+/// keys) used for point lookups only. Ordered walks (lapse traces and wake
+/// order, snapshots, checksums, diagnostics) go through `leased_keys_`,
+/// which changes only on install, revoke or lapse. That suffices because a
+/// node has a copy of a key, or a waiter on one, only while it is a
+/// registered holder: ApplyCopy and WaitCopies check the holder set, and
+/// every path that removes a holder drops its copy and wakes its waiters.
 class LeaseManager {
  public:
   explicit LeaseManager(int num_nodes) { shards_.resize(num_nodes); }
@@ -131,15 +134,25 @@ class LeaseManager {
   const NodeShard& Shard(NodeId node) const {
     return shards_[static_cast<size_t>(node)];
   }
+  /// slot_of_ value of an unleased key.
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  /// Index of `key`'s holder set in holder_sets_, or kNoSlot.
+  uint32_t SlotOf(Key key) const;
   /// Drops node's copy of key and wakes its waiters (exclusive context).
   void DropCopy(NodeId node, Key key);
   /// True iff `node` is a registered holder of `key`.
   bool Holds(Key key, NodeId node) const;
 
-  /// key -> sorted holder node ids. Exclusive-written, lane-read.
-  FlatMap<Key, std::vector<NodeId>> holders_;
-  /// The keys of holders_, in key order.
-  std::set<Key> leased_keys_;
+  /// key -> index into holder_sets_, kNoSlot when unleased; grows to the
+  /// largest key leased. Exclusive-written, lane-read, like the sets.
+  std::vector<uint32_t> slot_of_;
+  /// Sorted holder node ids per leased key; a freed slot (on free_slots_)
+  /// is empty.
+  std::vector<std::vector<NodeId>> holder_sets_;
+  std::vector<uint32_t> free_slots_;
+  /// The leased keys.
+  KeyBitset leased_keys_;
   std::vector<NodeShard> shards_;
   /// Masters parked until a copy lands, per node and key.
   sim::KeyWaits waits_;

@@ -49,8 +49,7 @@ class ReferenceLeaseTable {
       }
       leases_.clear();
     }
-    if (++batches_seen_ % std::max<uint64_t>(config_->window_batches, 1) ==
-        0) {
+    if (++batches_seen_ % config_->window_batches == 0) {
       window_reads_ /= 2;
       window_writes_ /= 2;
       for (auto it = counters_.begin(); it != counters_.end();) {
@@ -181,6 +180,14 @@ std::vector<NodeId> RandomCandidates(Rng& rng) {
   return out;
 }
 
+/// A stream's keys: `num_keys` keys from `base` on, and up to
+/// `max_accesses` observations per batch.
+struct KeySpace {
+  Key base = 0;
+  uint64_t num_keys = 0;
+  uint64_t max_accesses = 48;
+};
+
 struct Totals {
   uint64_t grants = 0;
   uint64_t revokes = 0;
@@ -191,17 +198,20 @@ struct Totals {
 /// Drives both tables through one seeded stream, adding its decision
 /// counts to `*totals`.
 void RunStream(const ReplicationConfig& config, uint64_t seed,
-               Totals* totals) {
+               const KeySpace& space, Totals* totals) {
   SCOPED_TRACE(::testing::Message()
-               << "seed=" << seed << " window=" << config.window_batches
+               << "seed=" << seed << " base=" << space.base
+               << " num_keys=" << space.num_keys
+               << " window=" << config.window_batches
                << " max_leases=" << config.max_leases
                << " read_hot=" << config.read_hot_threshold
                << " write_revoke=" << config.write_revoke_threshold
                << " replicas=" << config.replicas);
   Rng rng(seed);
-  const uint64_t num_keys = rng.NextBounded(2) == 0 ? 24 : 160;
+  const Key base = space.base;
+  const uint64_t num_keys = space.num_keys;
   OwnershipMap ownership(
-      std::make_unique<RangePartitionMap>(num_keys, kNodes));
+      std::make_unique<RangePartitionMap>(base + num_keys, kNodes));
   LeaseTable table;
   table.Configure(&config);
   ReferenceLeaseTable ref(&config);
@@ -222,7 +232,7 @@ void RunStream(const ReplicationConfig& config, uint64_t seed,
     if (rng.NextBounded(10) == 0) candidates = RandomCandidates(rng);
     if (rng.NextBounded(25) == 0) ++epoch;
     if (rng.NextBounded(8) == 0) {
-      ownership.SetKeyOwner(rng.NextBounded(num_keys),
+      ownership.SetKeyOwner(base + rng.NextBounded(num_keys),
                             static_cast<NodeId>(rng.NextBounded(kNodes)));
     }
     if (rng.NextBounded(150) == 0) {
@@ -239,7 +249,12 @@ void RunStream(const ReplicationConfig& config, uint64_t seed,
     ASSERT_EQ(table.stats().grants, ref.stats().grants);
     ASSERT_EQ(table.stats().revokes, ref.stats().revokes);
     ASSERT_EQ(table.stats().lapses, ref.stats().lapses);
-    for (Key k = 0; k < num_keys; ++k) {
+    // Every key, one past each end included; on a wide space only every
+    // 20th batch, which keeps the reference's lookups affordable.
+    const Key first = base == 0 ? 0 : base - 1;
+    for (Key k = first; k <= base + num_keys &&
+                        (num_keys <= 160 || batch % 20 == 0);
+         ++k) {
       for (NodeId n = 0; n < kNodes; ++n) {
         ASSERT_EQ(table.IsHolder(k, n), ref.IsHolder(k, n))
             << "key=" << k << " node=" << n;
@@ -249,10 +264,10 @@ void RunStream(const ReplicationConfig& config, uint64_t seed,
 
     // The batch's observations: skewed toward low keys (min of two
     // draws), so some keys run hot while the tail decays away.
-    const uint64_t accesses = rng.NextBounded(48);
+    const uint64_t accesses = rng.NextBounded(space.max_accesses);
     for (uint64_t i = 0; i < accesses; ++i) {
-      const Key key =
-          std::min(rng.NextBounded(num_keys), rng.NextBounded(num_keys));
+      const Key key = base + std::min(rng.NextBounded(num_keys),
+                                      rng.NextBounded(num_keys));
       if (rng.NextDouble() < write_share) {
         table.ObserveWrite(key);
         ref.ObserveWrite(key);
@@ -283,7 +298,7 @@ TEST(LeaseTableTest, MatchesFullScanReference) {
             config.read_hot_threshold = read_hot;
             config.write_revoke_threshold = rep == 0 ? 2 : 32;
             config.replicas = 1 + static_cast<int>(seed % kNodes);
-            RunStream(config, seed, &sum);
+            RunStream(config, seed, {0, seed % 2 == 0 ? 24u : 160u}, &sum);
             if (HasFatalFailure()) return;
           }
         }
@@ -295,6 +310,39 @@ TEST(LeaseTableTest, MatchesFullScanReference) {
   EXPECT_GT(sum.revokes, 100u);
   EXPECT_GT(sum.lapses, 100u);
   EXPECT_GT(sum.capped_batches, 100u);
+}
+
+// The dense storage's edges: a key space of 65 words whose last word is
+// part-used (4,099 keys), and the same space starting at 2^20, where the
+// first observation grows the key-indexed slot table and both bitsets
+// past a million keys. A wide space takes more observations per batch so
+// that leases reach well past the first word.
+TEST(LeaseTableTest, MatchesFullScanReferenceOnWideAndOffsetKeySpaces) {
+  Totals sum;
+  for (uint64_t salt : {uint64_t{12345}, uint64_t{0xdeadbeef}}) {
+    oracle::SaltGuard guard(salt);
+    uint64_t seed = 100;
+    for (Key base : {Key{0}, Key{1} << 20}) {
+      for (uint64_t window : {1, 8}) {
+        for (size_t max_leases : {8, 4096}) {
+          ++seed;
+          ReplicationConfig config;
+          config.enabled = true;
+          config.window_batches = window;
+          config.max_leases = max_leases;
+          config.read_hot_threshold = 1 + static_cast<uint32_t>(seed % 2);
+          config.write_revoke_threshold = seed % 4 < 2 ? 2 : 32;
+          config.replicas = 2 + static_cast<int>(seed % 3);
+          RunStream(config, seed, {base, 4099, 600}, &sum);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(sum.grants, 1000u);
+  EXPECT_GT(sum.revokes, 100u);
+  EXPECT_GT(sum.lapses, 100u);
+  EXPECT_GT(sum.capped_batches, 10u);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Replica-lease tests (DESIGN.md §5 "Replica leases"): the lease table
 // grants deterministic read leases to remote-read-hot keys, the lease
 // manager's copies stay coherent with their primaries, and a crashed
-// holder deterministically lapses every lease. The cross-salt digest
+// holder deterministically lapses every lease. The LeaseManagerTest cases
+// drive the manager directly: revokes, stale copies, waits, and the key
+// order of lapses, snapshots and diagnostics. The cross-salt digest
 // oracle is the digest oracle's `replication` row. Also hosts the Drain()
 // footgun regression: draining with a node still down never terminates
 // (the watchdog keeps rescheduling), so rejoin first; the stuck state is
 // visible in DegradedDebugString().
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +83,140 @@ TEST(LeaseManagerTest, WaitCopiesCountsDownSeveralMissingCopies) {
   mgr.WaitCopies(1, {1, 2}, [&ready]() { ++ready; });
   EXPECT_EQ(ready, 3);
   EXPECT_EQ(mgr.pending_countdowns(), 0u);
+}
+
+// A revoke of a node that holds no lease on the key counts nothing and
+// leaves the holder set alone; the last holder's revoke unleases the key,
+// drops its copy and frees the slot for the next key leased.
+TEST(LeaseManagerTest, RevokeNonHolderAndLastHolder) {
+  replication::LeaseManager mgr(/*num_nodes=*/3);
+  mgr.Revoke(/*key=*/9, /*holder=*/1);  // never leased at all
+  EXPECT_EQ(mgr.revokes(), 0u);
+  EXPECT_EQ(mgr.HoldersOf(9), nullptr);
+
+  mgr.BeginInstall(9, 0, 0);
+  mgr.BeginInstall(9, 2, 0);
+  mgr.BeginInstall(9, 2, 0);  // already a holder: no second entry
+  ASSERT_NE(mgr.HoldersOf(9), nullptr);
+  EXPECT_EQ(*mgr.HoldersOf(9), (std::vector<NodeId>{0, 2}));
+  mgr.Revoke(9, 1);
+  EXPECT_EQ(mgr.revokes(), 0u);
+  EXPECT_EQ(*mgr.HoldersOf(9), (std::vector<NodeId>{0, 2}));
+
+  mgr.ApplyCopy(2, 9, {.value = 5, .version = 3}, /*install=*/true, 0);
+  EXPECT_EQ(mgr.num_copies(), 1u);
+  mgr.Revoke(9, 0);
+  EXPECT_EQ(*mgr.HoldersOf(9), std::vector<NodeId>{2});
+  EXPECT_EQ(mgr.num_copies(), 1u);  // node 2's copy stays
+  mgr.Revoke(9, 2);
+  EXPECT_EQ(mgr.revokes(), 2u);
+  EXPECT_EQ(mgr.HoldersOf(9), nullptr);
+  EXPECT_EQ(mgr.num_copies(), 0u);
+  EXPECT_EQ(mgr.Checksum(), 0u);
+  EXPECT_EQ(mgr.DebugString(), "");
+
+  mgr.BeginInstall(4, 1, 0);  // reuses the freed holder slot
+  EXPECT_EQ(*mgr.HoldersOf(4), std::vector<NodeId>{1});
+  EXPECT_EQ(mgr.HoldersOf(9), nullptr);
+}
+
+// A copy that lands after its lease was revoked, or on a node that never
+// held the lease, is dropped uncounted; a newer version replaces an older
+// copy and an older one does not.
+TEST(LeaseManagerTest, StaleApplyCopyAfterRevokeIsDropped) {
+  replication::LeaseManager mgr(/*num_nodes=*/2);
+  mgr.BeginInstall(70, 1, 0);
+  mgr.Revoke(70, 1);
+  mgr.ApplyCopy(1, 70, {.value = 1, .version = 1}, /*install=*/true, 0);
+  mgr.ApplyCopy(0, 70, {.value = 1, .version = 1}, /*install=*/true, 0);
+  EXPECT_EQ(mgr.num_copies(), 0u);
+  EXPECT_EQ(mgr.installs(), 0u);
+
+  mgr.BeginInstall(70, 1, 0);
+  mgr.ApplyCopy(1, 70, {.value = 2, .version = 4}, /*install=*/true, 0);
+  mgr.ApplyCopy(1, 70, {.value = 3, .version = 2}, /*install=*/false, 0);
+  mgr.ApplyCopy(1, 70, {.value = 4, .version = 4}, /*install=*/false, 0);
+  EXPECT_EQ(mgr.installs(), 1u);
+  EXPECT_EQ(mgr.updates(), 2u);
+  const auto copies = mgr.SnapshotCopies();
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(std::get<2>(copies[0]).value, 4u);
+  EXPECT_EQ(std::get<2>(copies[0]).version, 4u);
+}
+
+// A wait on keys the node does not hold, or holds a copy of already,
+// runs at once and leaves no countdown.
+TEST(LeaseManagerTest, WaitCopiesOnUnleasedKeyFiresAtOnce) {
+  replication::LeaseManager mgr(/*num_nodes=*/2);
+  int ready = 0;
+  mgr.WaitCopies(0, {3, 1u << 20}, [&ready]() { ++ready; });
+  EXPECT_EQ(ready, 1);
+  mgr.BeginInstall(3, 1, 0);  // leased to node 1, not node 0
+  mgr.WaitCopies(0, {3}, [&ready]() { ++ready; });
+  EXPECT_EQ(ready, 2);
+  mgr.ApplyCopy(1, 3, {.value = 1, .version = 1}, /*install=*/true, 0);
+  mgr.WaitCopies(1, {3}, [&ready]() { ++ready; });
+  EXPECT_EQ(ready, 3);
+  EXPECT_EQ(mgr.pending_countdowns(), 0u);
+}
+
+// A lapse wakes node by node and, within a node, in key order, whatever
+// order the leases and waits arrived in; each (key, holder) counts once.
+TEST(LeaseManagerTest, LapseAllWakesByNodeThenKey) {
+  replication::LeaseManager mgr(/*num_nodes=*/3);
+  for (Key k : {130u, 5u, 64u, 63u}) {
+    mgr.BeginInstall(k, 2, 0);
+    mgr.BeginInstall(k, 1, 0);
+  }
+  std::vector<std::pair<NodeId, Key>> woken;
+  for (const auto& [node, key] : std::vector<std::pair<NodeId, Key>>{
+           {2, 64}, {1, 130}, {2, 5}, {1, 63}, {2, 130}, {1, 5}}) {
+    mgr.WaitCopies(node, {key}, [&woken, node = node, key = key]() {
+      woken.emplace_back(node, key);
+    });
+  }
+  EXPECT_TRUE(woken.empty());
+  mgr.LapseAll();
+  EXPECT_EQ(woken, (std::vector<std::pair<NodeId, Key>>{
+                       {1, 5}, {1, 63}, {1, 130}, {2, 5}, {2, 64}, {2, 130}}));
+  EXPECT_EQ(mgr.lapses(), 8u);
+  EXPECT_EQ(mgr.HoldersOf(5), nullptr);
+  EXPECT_EQ(mgr.DebugString(), "");
+  EXPECT_EQ(mgr.pending_countdowns(), 0u);
+}
+
+// Snapshots and diagnostics list leases and copies in key order (copies
+// grouped by node), across word boundaries of the leased-key set.
+TEST(LeaseManagerTest, SnapshotAndDebugStringAreKeyOrdered) {
+  replication::LeaseManager mgr(/*num_nodes=*/2);
+  for (Key k : {200u, 3u, 64u, 63u}) {
+    mgr.BeginInstall(k, 1, 0);
+    mgr.BeginInstall(k, 0, 0);
+  }
+  for (Key k : {200u, 63u, 3u}) {
+    mgr.ApplyCopy(1, k, {.value = k, .version = 1}, /*install=*/true, 0);
+  }
+  mgr.ApplyCopy(0, 64, {.value = 64, .version = 2}, /*install=*/true, 0);
+  mgr.WaitCopies(0, {200}, []() {});
+
+  std::vector<std::pair<NodeId, Key>> order;
+  for (const auto& [node, key, copy] : mgr.SnapshotCopies()) {
+    EXPECT_EQ(copy.value, key);
+    order.emplace_back(node, key);
+  }
+  EXPECT_EQ(order, (std::vector<std::pair<NodeId, Key>>{
+                       {0, 64}, {1, 3}, {1, 63}, {1, 200}}));
+  EXPECT_EQ(mgr.DebugString(),
+            "lease: key=3 holders=[0 1]\n"
+            "lease: key=63 holders=[0 1]\n"
+            "lease: key=64 holders=[0 1]\n"
+            "lease: key=200 holders=[0 1]\n"
+            "copy: node=0 key=64 version=2\n"
+            "copy wait: node=0 key=200 (1)\n"
+            "copy: node=1 key=3 version=1\n"
+            "copy: node=1 key=63 version=1\n"
+            "copy: node=1 key=200 version=1\n");
+  mgr.LapseAll();  // wakes the parked wait
 }
 
 // A read-mostly skewed workload earns leases, absorbs remote reads into
