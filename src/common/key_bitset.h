@@ -22,25 +22,23 @@ namespace hermes {
 /// `clear()`; a key past the end reads as absent.
 class KeyBitset {
  public:
-  /// Adds `key`; false when it was already present.
-  bool Set(Key key) {
+  /// Adds `key` (no-op when present).
+  void Set(Key key) {
     const size_t w = static_cast<size_t>(key / 64);
     if (w >= words_.size()) words_.resize(w + 1, 0);
     const uint64_t bit = uint64_t{1} << (key % 64);
-    if ((words_[w] & bit) != 0) return false;
+    if ((words_[w] & bit) != 0) return;
     words_[w] |= bit;
     ++count_;
-    return true;
   }
 
-  /// Drops `key`; false when it was absent.
-  bool Clear(Key key) {
+  /// Drops `key` (no-op when absent).
+  void Clear(Key key) {
     const size_t w = static_cast<size_t>(key / 64);
     const uint64_t bit = uint64_t{1} << (key % 64);
-    if (w >= words_.size() || (words_[w] & bit) == 0) return false;
+    if (w >= words_.size() || (words_[w] & bit) == 0) return;
     words_[w] &= ~bit;
     --count_;
-    return true;
   }
 
   /// Number of keys present.

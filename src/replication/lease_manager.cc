@@ -8,24 +8,10 @@
 
 namespace hermes::replication {
 
-uint32_t LeaseManager::SlotOf(Key key) const {
-  return key < slot_of_.size() ? slot_of_[key] : kNoSlot;
-}
-
 void LeaseManager::BeginInstall(Key key, NodeId holder, NodeId source) {
-  if (key >= slot_of_.size()) slot_of_.resize(key + 1, kNoSlot);
-  uint32_t& slot = slot_of_[key];
-  if (slot == kNoSlot) {
-    if (free_slots_.empty()) {
-      slot = static_cast<uint32_t>(holder_sets_.size());
-      holder_sets_.emplace_back();
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-    }
-    leased_keys_.Set(key);
-  }
-  std::vector<NodeId>& set = holder_sets_[slot];
+  if (key >= holders_.size()) holders_.resize(key + 1);
+  std::vector<NodeId>& set = holders_[key];
+  if (set.empty()) leased_keys_.Set(key);
   const auto it = std::lower_bound(set.begin(), set.end(), holder);
   if (it == set.end() || *it != holder) {
     set.insert(it, holder);
@@ -35,9 +21,8 @@ void LeaseManager::BeginInstall(Key key, NodeId holder, NodeId source) {
 }
 
 void LeaseManager::Revoke(Key key, NodeId holder) {
-  const uint32_t slot = SlotOf(key);
-  if (slot != kNoSlot) {
-    std::vector<NodeId>& set = holder_sets_[slot];
+  if (key < holders_.size()) {
+    std::vector<NodeId>& set = holders_[key];
     const auto it = std::lower_bound(set.begin(), set.end(), holder);
     if (it != set.end() && *it == holder) {
       set.erase(it);
@@ -45,11 +30,7 @@ void LeaseManager::Revoke(Key key, NodeId holder) {
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/0);
     }
-    if (set.empty()) {
-      slot_of_[key] = kNoSlot;
-      free_slots_.push_back(slot);
-      leased_keys_.Clear(key);
-    }
+    if (set.empty()) leased_keys_.Clear(key);
   }
   DropCopy(holder, key);
 }
@@ -59,7 +40,7 @@ void LeaseManager::LapseAll() {
   // lease is gone.
   std::vector<std::vector<sim::Callback>> woken(shards_.size());
   leased_keys_.ForEach([&](Key key) {
-    for (NodeId holder : holder_sets_[slot_of_[key]]) {
+    for (NodeId holder : holders_[key]) {
       ++lapses_;
       HERMES_TRACE(tracer_, obs::EventKind::kLeaseRevoke, holder, kInvalidTxn,
                    key, /*arg=*/1);
@@ -68,9 +49,7 @@ void LeaseManager::LapseAll() {
       }
     }
   });
-  slot_of_.clear();
-  holder_sets_.clear();
-  free_slots_.clear();
+  holders_.clear();
   leased_keys_.clear();
   for (size_t node = 0; node < shards_.size(); ++node) {
     assert(waits_.Keys(static_cast<NodeId>(node)).empty());
@@ -111,8 +90,8 @@ void LeaseManager::ApplyCopy(NodeId node, Key key,
 }
 
 const std::vector<NodeId>* LeaseManager::HoldersOf(Key key) const {
-  const uint32_t slot = SlotOf(key);
-  return slot == kNoSlot ? nullptr : &holder_sets_[slot];
+  if (key >= holders_.size() || holders_[key].empty()) return nullptr;
+  return &holders_[key];
 }
 
 void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
@@ -129,7 +108,7 @@ void LeaseManager::WaitCopies(NodeId node, const std::vector<Key>& keys,
 uint64_t LeaseManager::Checksum() const {
   uint64_t sum = 0;
   leased_keys_.ForEach([&](Key key) {
-    for (NodeId node : *HoldersOf(key)) {
+    for (NodeId node : holders_[key]) {
       if (static_cast<size_t>(node) >= shards_.size()) continue;
       const auto it = Shard(node).copy_records.find(key);
       if (it == Shard(node).copy_records.end()) continue;
@@ -145,7 +124,7 @@ std::vector<std::tuple<NodeId, Key, storage::Record>>
 LeaseManager::SnapshotCopies() const {
   std::vector<std::tuple<NodeId, Key, storage::Record>> out;
   leased_keys_.ForEach([&](Key key) {
-    for (NodeId node : *HoldersOf(key)) {
+    for (NodeId node : holders_[key]) {
       if (static_cast<size_t>(node) >= shards_.size()) continue;
       const auto it = Shard(node).copy_records.find(key);
       if (it != Shard(node).copy_records.end()) {
@@ -188,7 +167,7 @@ std::string LeaseManager::DebugString() const {
   std::string out;
   char buf[160];
   leased_keys_.ForEach([&](Key key) {
-    const std::vector<NodeId>& set = *HoldersOf(key);
+    const std::vector<NodeId>& set = holders_[key];
     std::snprintf(buf, sizeof(buf), "lease: key=%llu holders=[",
                   static_cast<unsigned long long>(key));
     out += buf;

@@ -2,7 +2,6 @@
 #define HERMES_REPLICATION_LEASE_MANAGER_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -40,8 +39,8 @@ namespace hermes::replication {
 ///    lane (ApplyCopy, WaitCopies) or by exclusive context;
 ///    those never overlap.
 ///
-/// Storage: keys are dense, so the holder sets sit in a slot vector reached
-/// through a vector indexed by key, and the leased keys are a KeyBitset.
+/// Storage: keys are dense, so the holder sets sit in a vector indexed by
+/// key (an empty set means unleased), and the leased keys are a KeyBitset.
 /// Each node's copies are a salted FlatMap (a node holds copies of few
 /// keys) used for point lookups only. Ordered walks (lapse traces and wake
 /// order, snapshots, checksums, diagnostics) go through `leased_keys_`,
@@ -134,23 +133,14 @@ class LeaseManager {
   const NodeShard& Shard(NodeId node) const {
     return shards_[static_cast<size_t>(node)];
   }
-  /// slot_of_ value of an unleased key.
-  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
-
-  /// Index of `key`'s holder set in holder_sets_, or kNoSlot.
-  uint32_t SlotOf(Key key) const;
   /// Drops node's copy of key and wakes its waiters (exclusive context).
   void DropCopy(NodeId node, Key key);
   /// True iff `node` is a registered holder of `key`.
   bool Holds(Key key, NodeId node) const;
 
-  /// key -> index into holder_sets_, kNoSlot when unleased; grows to the
-  /// largest key leased. Exclusive-written, lane-read, like the sets.
-  std::vector<uint32_t> slot_of_;
-  /// Sorted holder node ids per leased key; a freed slot (on free_slots_)
-  /// is empty.
-  std::vector<std::vector<NodeId>> holder_sets_;
-  std::vector<uint32_t> free_slots_;
+  /// key -> sorted holder node ids, empty when unleased; grows to the
+  /// largest key leased. Exclusive-written, lane-read.
+  std::vector<std::vector<NodeId>> holders_;
   /// The leased keys.
   KeyBitset leased_keys_;
   std::vector<NodeShard> shards_;

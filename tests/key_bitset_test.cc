@@ -25,28 +25,32 @@ std::vector<Key> Walk(const KeyBitset& set) {
 TEST(KeyBitsetTest, EmptySetHasNothing) {
   KeyBitset set;
   EXPECT_EQ(set.count(), 0u);
-  EXPECT_FALSE(set.Clear(5));  // past the end: absent
-  EXPECT_FALSE(set.Clear(1u << 20));
+  set.Clear(5);  // past the end: absent, nothing to drop
+  set.Clear(1u << 20);
+  EXPECT_EQ(set.count(), 0u);
   EXPECT_TRUE(Walk(set).empty());
 }
 
-TEST(KeyBitsetTest, SetAndClearReportChangesAndCount) {
+TEST(KeyBitsetTest, SetAndClearAreIdempotentAndCount) {
   KeyBitset set;
-  EXPECT_TRUE(set.Set(7));
-  EXPECT_FALSE(set.Set(7));
-  EXPECT_TRUE(set.Set(63));
-  EXPECT_TRUE(set.Set(64));
+  set.Set(7);
+  set.Set(7);  // already present: counted once
+  set.Set(63);
+  set.Set(64);
   EXPECT_EQ(set.count(), 3u);
-  EXPECT_FALSE(set.Clear(62));
-  EXPECT_TRUE(set.Clear(63));
-  EXPECT_FALSE(set.Clear(63));
+  set.Clear(62);  // absent: nothing dropped
+  EXPECT_EQ(set.count(), 3u);
+  set.Clear(63);
+  set.Clear(63);
   EXPECT_EQ(set.count(), 2u);
   EXPECT_EQ(Walk(set), (std::vector<Key>{7, 64}));
   set.clear();
   EXPECT_EQ(set.count(), 0u);
-  EXPECT_FALSE(set.Clear(7));
+  set.Clear(7);
+  EXPECT_EQ(set.count(), 0u);
   EXPECT_TRUE(Walk(set).empty());
-  EXPECT_TRUE(set.Set(3));  // usable again after clear()
+  set.Set(3);  // usable again after clear()
+  EXPECT_EQ(set.count(), 1u);
   EXPECT_EQ(Walk(set), std::vector<Key>{3});
 }
 
@@ -110,14 +114,16 @@ TEST(KeyBitsetTest, MatchesStdSet) {
     switch (rng.NextBounded(3)) {
       case 0:
       case 1:
-        ASSERT_EQ(set.Set(key), ref.insert(key).second) << "key=" << key;
+        set.Set(key);
+        ref.insert(key);
         break;
       default:
-        ASSERT_EQ(set.Clear(key), ref.erase(key) == 1) << "key=" << key;
+        set.Clear(key);
+        ref.erase(key);
         break;
     }
-    ASSERT_EQ(set.count(), ref.size());
-    if (step % 1000 == 999) {
+    ASSERT_EQ(set.count(), ref.size()) << "key=" << key;
+    if (step % 100 == 99) {
       ASSERT_EQ(Walk(set), std::vector<Key>(ref.begin(), ref.end()));
     }
     if (step == 10000) {

@@ -181,7 +181,8 @@ std::vector<NodeId> RandomCandidates(Rng& rng) {
 }
 
 /// A stream's keys: `num_keys` keys from `base` on, and up to
-/// `max_accesses` observations per batch.
+/// `max_accesses` observations per batch. `num_keys` 0 lets the stream's
+/// first draw pick 24 or 160 keys.
 struct KeySpace {
   Key base = 0;
   uint64_t num_keys = 0;
@@ -201,7 +202,6 @@ void RunStream(const ReplicationConfig& config, uint64_t seed,
                const KeySpace& space, Totals* totals) {
   SCOPED_TRACE(::testing::Message()
                << "seed=" << seed << " base=" << space.base
-               << " num_keys=" << space.num_keys
                << " window=" << config.window_batches
                << " max_leases=" << config.max_leases
                << " read_hot=" << config.read_hot_threshold
@@ -209,12 +209,15 @@ void RunStream(const ReplicationConfig& config, uint64_t seed,
                << " replicas=" << config.replicas);
   Rng rng(seed);
   const Key base = space.base;
-  const uint64_t num_keys = space.num_keys;
+  const uint64_t num_keys = space.num_keys != 0 ? space.num_keys
+                            : rng.NextBounded(2) == 0 ? 24
+                                                      : 160;
   OwnershipMap ownership(
       std::make_unique<RangePartitionMap>(base + num_keys, kNodes));
   LeaseTable table;
   table.Configure(&config);
   ReferenceLeaseTable ref(&config);
+  SCOPED_TRACE(::testing::Message() << "num_keys=" << num_keys);
 
   uint32_t epoch = 0;
   std::vector<NodeId> candidates = {0, 1, 2, 3};
@@ -298,7 +301,7 @@ TEST(LeaseTableTest, MatchesFullScanReference) {
             config.read_hot_threshold = read_hot;
             config.write_revoke_threshold = rep == 0 ? 2 : 32;
             config.replicas = 1 + static_cast<int>(seed % kNodes);
-            RunStream(config, seed, {0, seed % 2 == 0 ? 24u : 160u}, &sum);
+            RunStream(config, seed, {}, &sum);
             if (HasFatalFailure()) return;
           }
         }
@@ -319,23 +322,20 @@ TEST(LeaseTableTest, MatchesFullScanReference) {
 // that leases reach well past the first word.
 TEST(LeaseTableTest, MatchesFullScanReferenceOnWideAndOffsetKeySpaces) {
   Totals sum;
-  for (uint64_t salt : {uint64_t{12345}, uint64_t{0xdeadbeef}}) {
-    oracle::SaltGuard guard(salt);
-    uint64_t seed = 100;
-    for (Key base : {Key{0}, Key{1} << 20}) {
-      for (uint64_t window : {1, 8}) {
-        for (size_t max_leases : {8, 4096}) {
-          ++seed;
-          ReplicationConfig config;
-          config.enabled = true;
-          config.window_batches = window;
-          config.max_leases = max_leases;
-          config.read_hot_threshold = 1 + static_cast<uint32_t>(seed % 2);
-          config.write_revoke_threshold = seed % 4 < 2 ? 2 : 32;
-          config.replicas = 2 + static_cast<int>(seed % 3);
-          RunStream(config, seed, {base, 4099, 600}, &sum);
-          if (HasFatalFailure()) return;
-        }
+  uint64_t seed = 100;
+  for (Key base : {Key{0}, Key{1} << 20}) {
+    for (uint64_t window : {1, 8}) {
+      for (size_t max_leases : {8, 4096}) {
+        ++seed;
+        ReplicationConfig config;
+        config.enabled = true;
+        config.window_batches = window;
+        config.max_leases = max_leases;
+        config.read_hot_threshold = 1 + static_cast<uint32_t>(seed % 2);
+        config.write_revoke_threshold = seed % 4 < 2 ? 2 : 32;
+        config.replicas = 2 + static_cast<int>(seed % 3);
+        RunStream(config, seed, {base, 4099, 600}, &sum);
+        if (HasFatalFailure()) return;
       }
     }
   }

@@ -86,8 +86,8 @@ TEST(LeaseManagerTest, WaitCopiesCountsDownSeveralMissingCopies) {
 }
 
 // A revoke of a node that holds no lease on the key counts nothing and
-// leaves the holder set alone; the last holder's revoke unleases the key,
-// drops its copy and frees the slot for the next key leased.
+// leaves the holder set alone; the last holder's revoke unleases the key
+// and drops its copy, and the key can then be leased again.
 TEST(LeaseManagerTest, RevokeNonHolderAndLastHolder) {
   replication::LeaseManager mgr(/*num_nodes=*/3);
   mgr.Revoke(/*key=*/9, /*holder=*/1);  // never leased at all
@@ -115,9 +115,13 @@ TEST(LeaseManagerTest, RevokeNonHolderAndLastHolder) {
   EXPECT_EQ(mgr.Checksum(), 0u);
   EXPECT_EQ(mgr.DebugString(), "");
 
-  mgr.BeginInstall(4, 1, 0);  // reuses the freed holder slot
+  mgr.BeginInstall(4, 1, 0);
+  mgr.BeginInstall(9, 1, 0);  // leased again after its last revoke
   EXPECT_EQ(*mgr.HoldersOf(4), std::vector<NodeId>{1});
-  EXPECT_EQ(mgr.HoldersOf(9), nullptr);
+  EXPECT_EQ(*mgr.HoldersOf(9), std::vector<NodeId>{1});
+  EXPECT_EQ(mgr.HoldersOf(5), nullptr);
+  EXPECT_EQ(mgr.DebugString(),
+            "lease: key=4 holders=[1]\nlease: key=9 holders=[1]\n");
 }
 
 // A copy that lands after its lease was revoked, or on a node that never
